@@ -144,8 +144,8 @@ mod tests {
         let q = Query::count(vec![Predicate::range(0, 0, 9).unwrap()]).unwrap();
         let (res, stats) = idx.execute_with_stats(&q);
         assert_eq!(res, AggResult::Count(10));
-        assert_eq!(stats.points_scanned, 50);
-        assert_eq!(stats.ranges_scanned, 1);
-        assert_eq!(stats.points_matched, 10);
+        assert_eq!(stats.points, 50);
+        assert_eq!(stats.ranges, 1);
+        assert_eq!(stats.matched, 10);
     }
 }

@@ -391,7 +391,7 @@ mod tests {
         .unwrap();
         let (res, stats) = tree.execute_with_stats(&q);
         assert_eq!(res, q.execute_full_scan(&ds));
-        assert!(stats.points_scanned < ds.len() / 2);
+        assert!(stats.points < ds.len() / 2);
     }
 
     #[test]

@@ -346,7 +346,7 @@ mod tests {
         .unwrap();
         let (res, stats) = idx.execute_with_stats(&q);
         assert_eq!(res, q.execute_full_scan(&ds));
-        assert!(stats.points_scanned < ds.len() / 4);
+        assert!(stats.points < ds.len() / 4);
     }
 
     #[test]

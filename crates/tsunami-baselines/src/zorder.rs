@@ -297,9 +297,9 @@ mod tests {
         let (res, stats) = idx.execute_with_stats(&q);
         assert_eq!(res, q.execute_full_scan(&ds));
         assert!(
-            stats.points_scanned < ds.len() / 2,
+            stats.points < ds.len() / 2,
             "scanned {} of {}",
-            stats.points_scanned,
+            stats.points,
             ds.len()
         );
     }

@@ -17,7 +17,7 @@
 //! overridable via the `BENCH_SCAN_JSON` env var), `fig9b` writes
 //! `BENCH_ingest.json` (ingest-vs-rebuild across batch sizes; override via
 //! `BENCH_INGEST_JSON`), and `fig7par` writes `BENCH_pool.json`
-//! (serial vs spawn-per-call vs pooled executor latency per dataset × index,
+//! (serial vs pooled executor latency per dataset × index,
 //! with the pool's worker count and morsel size; override via
 //! `BENCH_POOL_JSON`), and `fig7net` writes `BENCH_net.json` (open-loop
 //! QPS sweep over the sharded wire-protocol server: achieved QPS and
@@ -25,15 +25,14 @@
 //! `TSUNAMI_SHARDS`, `TSUNAMI_NET_QPS`, `TSUNAMI_NET_DURATION_MS`,
 //! `TSUNAMI_NET_CONNS`), and `figmv` writes `BENCH_matview.json`
 //! (materialized-aggregate covered-query latency, matview on vs off, per
-//! coverage × aggregation; override via `BENCH_MATVIEW_JSON`, disable the
-//! layer with `TSUNAMI_MATVIEW=off`), and `walbench` writes `BENCH_wal.json`
+//! coverage × aggregation; override via `BENCH_MATVIEW_JSON`), and
+//! `walbench` writes `BENCH_wal.json`
 //! (`Database::open` replay time vs WAL length before/after a checkpoint,
 //! plus scan latency under tombstoned and compacted deletes; override via
 //! `BENCH_WAL_JSON`) so performance is tracked across PRs.
 //!
-//! The pool itself is tunable with `TSUNAMI_POOL_THREADS` (worker count,
-//! default `available_parallelism`) and `TSUNAMI_MORSEL_ROWS` (rows per
-//! cache-resident morsel, default 131072).
+//! The pool's worker count is `TSUNAMI_POOL_THREADS` (default
+//! `available_parallelism`); `TSUNAMI_ENCODE=off` disables block encoding.
 //!
 //! `check-bench` is the CI regression gate: it re-runs the `fig12kern` and
 //! `figmv` smokes and exits non-zero if any median regressed past
@@ -124,6 +123,8 @@ fn print_usage() {
     eprintln!("experiments: all, table3, table4, fig7, fig7par, fig7sched, fig7net, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, walbench, check-bench");
     eprintln!("fig12kern also writes BENCH_scan.json (override path with BENCH_SCAN_JSON); fig9b writes BENCH_ingest.json (BENCH_INGEST_JSON); fig7par writes BENCH_pool.json (BENCH_POOL_JSON); fig7net writes BENCH_net.json (BENCH_NET_JSON); figmv writes BENCH_matview.json (BENCH_MATVIEW_JSON); walbench writes BENCH_wal.json (BENCH_WAL_JSON)");
     eprintln!("fig7net tuning: TSUNAMI_SHARDS, TSUNAMI_NET_QPS (comma-separated sweep), TSUNAMI_NET_DURATION_MS, TSUNAMI_NET_CONNS");
-    eprintln!("pool tuning: TSUNAMI_POOL_THREADS (workers), TSUNAMI_MORSEL_ROWS (rows per morsel); matview: TSUNAMI_MATVIEW=off disables materialized aggregates");
+    eprintln!(
+        "engine knobs: TSUNAMI_POOL_THREADS (pool workers), TSUNAMI_ENCODE=off (no block encoding)"
+    );
     eprintln!("check-bench re-runs fig12kern + figmv and fails on >2.5x median regressions vs bench-baselines/ (BENCH_scan.json path via BENCH_BASELINE_JSON); fresh BENCH_pool.json/BENCH_ingest.json are gated too when present");
 }

@@ -10,8 +10,8 @@
 //! `MultiDimIndex` surface.
 
 use crate::harness::{
-    database_for, database_for_bundle, database_for_named, measure, measure_parallel,
-    measure_spawn, report, variant_specs, HarnessConfig,
+    database_for, database_for_bundle, database_for_named, measure, measure_parallel, report,
+    variant_specs, HarnessConfig,
 };
 use crate::table::{fmt_f64, Table};
 
@@ -131,12 +131,10 @@ pub fn fig7(config: &HarnessConfig) -> String {
     finish(t)
 }
 
-/// Parallel-executor drill-down: serial vs spawn-per-call vs the persistent
-/// work-stealing pool on the learned indexes, with the executor counter
-/// invariant (parallel counters equal serial counters) checked for both
-/// parallel paths on every dataset. The spawn column is the pre-pool
-/// baseline (`execute_plan_spawn_tiered`, kept bench-only); the pooled
-/// column is what `execute_parallel` actually runs in production. The
+/// Parallel-executor drill-down: serial vs the persistent work-stealing
+/// pool on the learned indexes, with the executor counter invariant
+/// (parallel counters equal serial counters) checked on every dataset. The
+/// pooled column is what `execute_parallel` runs in production. The
 /// machine-readable results land in `BENCH_pool.json` (path overridable via
 /// the `BENCH_POOL_JSON` env var) so the pool's perf trajectory is tracked
 /// across PRs.
@@ -151,39 +149,34 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
     let threads = pool.worker_count();
     let morsel_rows = pool.morsel_rows();
     let mut t = Table::new(
-        "Fig 7 (parallel): Serial vs spawn-per-call vs pooled executor (avg query us)",
+        "Fig 7 (parallel): Serial vs pooled executor (avg query us)",
         &[
             "dataset",
             "index",
             "serial (us)",
-            "spawn (us)",
             "pooled (us)",
             "workers",
             "morsel rows",
             "avg points scanned",
         ],
     );
-    // (dataset, index, serial us, spawn us, pooled us)
-    let mut entries: Vec<(String, String, f64, f64, f64)> = Vec::new();
+    // (dataset, index, serial us, pooled us)
+    let mut entries: Vec<(String, String, f64, f64)> = Vec::new();
     for b in &bundles {
         let db = database_for_bundle(b, &config.learned_specs());
         for table in db.tables() {
             let serial = measure(table.index(), &b.workload);
-            let spawn = measure_spawn(table.index(), &b.workload, threads);
             let pooled = measure_parallel(table.index(), &b.workload, threads);
-            for (label, parallel) in [("spawn", &spawn), ("pooled", &pooled)] {
-                assert_eq!(
-                    (serial.avg_points_scanned, serial.avg_ranges_scanned),
-                    (parallel.avg_points_scanned, parallel.avg_ranges_scanned),
-                    "{label} executor counters diverged from serial on {}",
-                    b.name
-                );
-            }
+            assert_eq!(
+                (serial.avg_points_scanned, serial.avg_ranges_scanned),
+                (pooled.avg_points_scanned, pooled.avg_ranges_scanned),
+                "pooled executor counters diverged from serial on {}",
+                b.name
+            );
             t.add_row(vec![
                 b.name.to_string(),
                 table.name().to_string(),
                 fmt_f64(serial.avg_query_us),
-                fmt_f64(spawn.avg_query_us),
                 fmt_f64(pooled.avg_query_us),
                 threads.to_string(),
                 morsel_rows.to_string(),
@@ -193,7 +186,6 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
                 b.name.to_string(),
                 table.name().to_string(),
                 serial.avg_query_us,
-                spawn.avg_query_us,
                 pooled.avg_query_us,
             ));
         }
@@ -216,15 +208,14 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
 
 /// Hand-rolled (the workspace is offline — no serde) machine-readable dump
 /// of the parallel-executor benchmark: average query latency per
-/// (dataset, index) under the serial, spawn-per-call, and pooled executors,
-/// plus the pool geometry the run used.
+/// (dataset, index) under the serial and pooled executors, plus the pool geometry the run used.
 fn write_bench_pool_json(
     path: &std::path::Path,
     rows: usize,
     seed: u64,
     workers: usize,
     morsel_rows: usize,
-    entries: &[(String, String, f64, f64, f64)],
+    entries: &[(String, String, f64, f64)],
 ) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str("{\n");
@@ -232,12 +223,11 @@ fn write_bench_pool_json(
         "  \"experiment\": \"fig7par\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \
          \"workers\": {workers},\n  \"morsel_rows\": {morsel_rows},\n  \"entries\": [\n"
     ));
-    for (i, (dataset, index, serial, spawn, pooled)) in entries.iter().enumerate() {
+    for (i, (dataset, index, serial, pooled)) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         s.push_str(&format!(
             "    {{\"dataset\": \"{dataset}\", \"index\": \"{index}\", \
-             \"serial_us\": {serial:.3}, \"spawn_us\": {spawn:.3}, \
-             \"pooled_us\": {pooled:.3}}}{comma}\n"
+             \"serial_us\": {serial:.3}, \"pooled_us\": {pooled:.3}}}{comma}\n"
         ));
     }
     s.push_str("  ]\n}\n");
@@ -769,7 +759,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
 }
 
 fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> String {
-    use tsunami_core::exec::{execute_plan_tiered, KernelTier, ScanPlan, ScanSource};
+    use tsunami_core::exec::{execute_plan_with, ExecOptions, KernelTier, ScanPlan, ScanSource};
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{Aggregation, Dataset, Predicate, Query};
     use tsunami_store::{ColumnStore, EncodePolicy};
@@ -832,7 +822,14 @@ fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -
                 ("sum", Aggregation::Sum(PRED_DIMS - 1)),
             ] {
                 let q = Query::new(preds.clone(), agg).expect("valid query");
-                let scalar_result = execute_plan_tiered(&data, &q, &plan, KernelTier::Scalar);
+                let run = |source: &dyn ScanSource, tier| {
+                    let opts = ExecOptions {
+                        tier,
+                        ..ExecOptions::default()
+                    };
+                    execute_plan_with(source, &q, &plan, &opts)
+                };
+                let scalar_result = run(&data, KernelTier::Scalar);
                 let sources: [(&'static str, &dyn ScanSource); 2] =
                     [("plain", &data), ("encoded", &store)];
                 for (enc_label, source) in sources {
@@ -842,14 +839,14 @@ fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -
                         // tier × encoding must match the plain scalar
                         // oracle, counters included.
                         assert_eq!(
-                            execute_plan_tiered(source, &q, &plan, tier),
+                            run(source, tier),
                             scalar_result,
                             "{tier:?} on {enc_label} diverged from the scalar oracle"
                         );
                         let mut samples: Vec<f64> = (0..reps)
                             .map(|_| {
                                 let start = Instant::now();
-                                std::hint::black_box(execute_plan_tiered(source, &q, &plan, tier));
+                                std::hint::black_box(run(source, tier));
                                 start.elapsed().as_nanos() as f64 / rows as f64
                             })
                             .collect();
@@ -997,10 +994,7 @@ fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> St
             if pct == 100.0 {
                 // The near-O(1) claim: a whole-domain query is answered
                 // entirely from partials — no rows visited at all.
-                assert_eq!(
-                    mv_stats.points_scanned, 0,
-                    "a fully covered query must not scan"
-                );
+                assert_eq!(mv_stats.points, 0, "a fully covered query must not scan");
             }
             let med = |idx: &TsunamiIndex| {
                 let mut samples: Vec<f64> = (0..reps)
@@ -1021,8 +1015,8 @@ fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> St
                 fmt_f64(mv_us),
                 fmt_f64(scan_us),
                 fmt_f64(scan_us / mv_us.max(1e-9)),
-                mv_stats.points_scanned.to_string(),
-                scan_stats.points_scanned.to_string(),
+                mv_stats.points.to_string(),
+                scan_stats.points.to_string(),
             ]);
             entries.push((pct, agg_label, "matview", mv_us));
             entries.push((pct, agg_label, "scan", scan_us));
@@ -1585,13 +1579,13 @@ mod tests {
     }
 
     #[test]
-    fn fig7_parallel_reports_all_three_executors() {
-        // Tiny run, no JSON: the impl itself asserts that both the spawn
-        // baseline's and the pool's counters match serial while measuring.
+    fn fig7_parallel_reports_serial_and_pooled_executors() {
+        // Tiny run, no JSON: the impl itself asserts that the pool's
+        // counters match serial while measuring.
         let mut cfg = tiny();
         cfg.rows = 2_000;
         let out = fig7_parallel_impl(&cfg, None);
-        for col in ["serial (us)", "spawn (us)", "pooled (us)", "morsel rows"] {
+        for col in ["serial (us)", "pooled (us)", "morsel rows"] {
             assert!(out.contains(col), "missing column {col} in:\n{out}");
         }
     }
@@ -1678,7 +1672,7 @@ mod tests {
             7,
             4,
             131072,
-            &[("Taxi".to_string(), "Tsunami".to_string(), 100.0, 80.0, 60.0)],
+            &[("Taxi".to_string(), "Tsunami".to_string(), 100.0, 60.0)],
         )
         .unwrap();
         let s = std::fs::read_to_string(&path).unwrap();

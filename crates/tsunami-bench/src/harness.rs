@@ -137,34 +137,12 @@ pub fn measure_parallel(
     measure_with(workload, |q| index.execute_parallel(q, threads))
 }
 
-/// Like [`measure_parallel`], but through the spawn-per-call baseline
-/// executor ([`tsunami_core::exec::execute_plan_spawn_tiered`]) instead of
-/// the persistent work-stealing pool. Benchmarks use this to quantify what
-/// the pool saves per query; nothing on a query hot path calls it.
-pub fn measure_spawn(
-    index: &dyn MultiDimIndex,
-    workload: &Workload,
-    threads: usize,
-) -> Measurement {
-    use tsunami_core::exec::{execute_plan_spawn_tiered, KernelTier};
-    measure_with(workload, |q| {
-        let (result, counters) = execute_plan_spawn_tiered(
-            index.source(),
-            q,
-            &index.plan(q),
-            threads,
-            KernelTier::default(),
-        );
-        (result, counters.into())
-    })
-}
-
 /// Shared measurement loop: warm-up, one counter-collecting pass, then one
 /// timed pass, all through the provided execution closure so the serial and
 /// parallel measurements stay methodologically identical.
 fn measure_with(
     workload: &Workload,
-    execute: impl Fn(&tsunami_core::Query) -> (tsunami_core::AggResult, tsunami_core::IndexStats),
+    execute: impl Fn(&tsunami_core::Query) -> (tsunami_core::AggResult, tsunami_core::ScanCounters),
 ) -> Measurement {
     if workload.is_empty() {
         return Measurement::default();
@@ -177,8 +155,8 @@ fn measure_with(
     let mut ranges = 0usize;
     for q in workload.queries() {
         let (_, stats) = execute(q);
-        points += stats.points_scanned;
-        ranges += stats.ranges_scanned;
+        points += stats.points;
+        ranges += stats.ranges;
     }
     let start = Instant::now();
     for q in workload.queries() {

@@ -71,31 +71,38 @@
 //! per-value inspection even when the range is exact).
 //!
 //! Execution is counter-transparent: the executor returns the
-//! [`ScanCounters`] (ranges/points/matched) accumulated *by that call*,
+//! [`ScanCounters`] (ranges/points/matched, plus the pre-folded partials it
+//! answered without scanning) accumulated *by that call*,
 //! threaded through the kernels rather than stored in shared mutable state,
 //! so concurrent queries against one source can never corrupt each other's
 //! statistics.
 //!
+//! # One way to run a plan
+//!
+//! The paper has one execution procedure, and so does this module:
+//! [`execute_plan_with`] runs a plan under an [`ExecOptions`] (kernel tier,
+//! thread bound, pool, morsel size). [`execute_plan`] (serial) and
+//! [`execute_plan_parallel`] (up to `threads` participants on the
+//! process-wide pool) are its two one-line defaults; there is no other
+//! entry point.
+//!
 //! # Parallel execution: morsels on one persistent pool
 //!
-//! [`execute_plan_parallel`] runs the same plan across the process-wide
-//! work-stealing pool ([`pool`]; std-only — the container has no rayon). The
-//! plan's ranges are decomposed into fixed-size cache-resident **morsels**
-//! (~[`pool::DEFAULT_MORSEL_ROWS`] rows, tunable via `TSUNAMI_MORSEL_ROWS`)
-//! which the participating workers claim from a shared cursor; each worker
-//! keeps a private [`AggAccumulator`] and [`ScanCounters`], merged once at
-//! the end. Results and counters are bit-identical to the serial executor —
-//! aggregation merging is commutative and associative, and morsels carved
-//! from one plan range count as a single scanned range — regardless of which
-//! worker runs which morsel in which order. Per-worker [`BlockScratch`]
-//! lives in thread-local storage (reused across queries on pool workers),
-//! and each worker keeps its own adaptive-density estimate; the estimate
-//! only steers representation choice, never results.
-//!
-//! The spawn-per-call executor this replaced survives as
-//! [`execute_plan_spawn_tiered`], exclusively as the benchmark baseline that
-//! `fig7par` measures the pool's spawn-amortization win against. No query
-//! hot path calls it.
+//! With `threads > 1` the same plan runs across a work-stealing pool
+//! ([`pool`]; std-only — the container has no rayon). The plan's ranges are
+//! decomposed into fixed-size cache-resident **morsels**
+//! (~[`pool::DEFAULT_MORSEL_ROWS`] rows unless [`ExecOptions::morsel_rows`]
+//! says otherwise) which the participating workers claim from a shared
+//! cursor; each worker keeps a private [`AggAccumulator`] and
+//! [`ScanCounters`], merged once at the end. Results and counters are
+//! bit-identical to the serial path — aggregation merging is commutative
+//! and associative, and morsels carved from one plan range count as a single
+//! scanned range — regardless of which worker runs which morsel in which
+//! order. Per-worker [`BlockScratch`] lives in thread-local storage (reused
+//! across queries on pool workers), and each worker keeps its own
+//! adaptive-density estimate; the estimate only steers representation
+//! choice, never results. Plans under four blocks, and pools with no worker
+//! to spare, run serially on the caller.
 //!
 //! Data access is abstracted behind [`ScanSource`] (rows of `u64` columns),
 //! implemented by both the logical [`Dataset`] and the
@@ -140,38 +147,8 @@ use crate::encode::{BlockData, BlockTest, EncodedBlock, PackClass};
 use crate::query::{AggAccumulator, AggResult, Aggregation, Predicate, Query};
 use crate::tombstone::TombstoneSet;
 
-pub use kernels::BlockScratch;
+use kernels::BlockScratch;
 
-/// Benchmark-only window into [`kernels::packed_count`] (see
-/// `examples/packbench.rs`); not part of the public API contract.
-#[doc(hidden)]
-pub fn packed_count_for_bench(
-    eb: &crate::encode::EncodedBlock,
-    offset: usize,
-    n: usize,
-    lo: u64,
-    hi: Option<u64>,
-) -> usize {
-    let (packed, class) = packed_payload(eb);
-    kernels::packed_count(packed, class, offset, n, lo, hi)
-}
-
-/// Benchmark-only window into [`kernels::packed_sum_same_layout`]; not part
-/// of the public API contract.
-#[doc(hidden)]
-pub fn packed_sum_for_bench(
-    eb: &crate::encode::EncodedBlock,
-    agg: &crate::encode::EncodedBlock,
-    offset: usize,
-    n: usize,
-    lo: u64,
-    hi: Option<u64>,
-) -> (u64, u128) {
-    let (packed, class) = packed_payload(eb);
-    let (agg_packed, agg_class) = packed_payload(agg);
-    assert_eq!(class, agg_class);
-    kernels::packed_sum_same_layout(packed, agg_packed, class, offset, n, lo, hi)
-}
 pub use pool::{PoolConfig, WorkStealingPool, DEFAULT_MORSEL_ROWS};
 
 /// Number of rows per vectorized block. Chosen so one block of one column
@@ -546,10 +523,9 @@ impl ScanCounters {
 }
 
 /// Folds a plan's pre-folded partials into the accumulator and counters.
-/// Every executor calls this exactly once per execution (the parallel
-/// executors only on their non-delegating paths), after the range scans, so
-/// results and counters stay bit-identical across executors: the fold is one
-/// commutative `add_block` per partial.
+/// [`execute_plan_with`] calls this exactly once per execution, after the
+/// range scans, serial or pooled alike: the fold is one commutative
+/// `add_block` per partial.
 fn apply_partials(plan: &ScanPlan, acc: &mut AggAccumulator, counters: &mut ScanCounters) {
     for p in plan.partials() {
         acc.add_block(p.rows, p.sum, p.min, p.max);
@@ -557,6 +533,24 @@ fn apply_partials(plan: &ScanPlan, acc: &mut AggAccumulator, counters: &mut Scan
         counters.rows_prefolded += p.rows as usize;
         counters.matched += p.rows as usize;
     }
+}
+
+/// How [`execute_plan_with`] runs a plan. `Default` is what
+/// [`execute_plan`] uses: serial, [`KernelTier::Adaptive`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions<'a> {
+    /// Block-kernel tier for non-exact ranges. All tiers return bit-identical
+    /// results and counters; benchmarks and differential tests pin one.
+    pub tier: KernelTier,
+    /// Upper bound on participating threads (the caller plus pool workers).
+    /// `0` and `1` both mean serial.
+    pub threads: usize,
+    /// The pool whose workers help when `threads > 1`; `None` is the
+    /// process-wide [`pool::global`].
+    pub pool: Option<&'a WorkStealingPool>,
+    /// Rows per morsel when `threads > 1`; `None` is the pool's configured
+    /// [`WorkStealingPool::morsel_rows`].
+    pub morsel_rows: Option<usize>,
 }
 
 /// Executes a plan serially with the default [`KernelTier::Adaptive`]
@@ -569,45 +563,98 @@ pub fn execute_plan(
     query: &Query,
     plan: &ScanPlan,
 ) -> (AggResult, ScanCounters) {
-    execute_plan_tiered(source, query, plan, KernelTier::default())
+    execute_plan_with(source, query, plan, &ExecOptions::default())
 }
 
-/// Executes a plan serially with an explicit kernel tier. All tiers return
-/// bit-identical results and counters; benchmarks and differential tests use
-/// this to pin a tier.
-pub fn execute_plan_tiered(
+/// Executes a plan across up to `threads` workers of the process-wide
+/// work-stealing pool with the default [`KernelTier::Adaptive`] kernels.
+pub fn execute_plan_parallel(
     source: &dyn ScanSource,
     query: &Query,
     plan: &ScanPlan,
-    tier: KernelTier,
+    threads: usize,
+) -> (AggResult, ScanCounters) {
+    let opts = ExecOptions {
+        threads,
+        ..ExecOptions::default()
+    };
+    execute_plan_with(source, query, plan, &opts)
+}
+
+/// The one way to run a plan: clamps it to the source, scans its ranges —
+/// serially, or as morsels across a pool when [`ExecOptions::threads`] and
+/// the plan's size warrant it — and folds in its pre-folded partials.
+/// Results and counters are bit-identical for every `opts`; see the module
+/// docs for the morsel decomposition behind that guarantee.
+pub fn execute_plan_with(
+    source: &dyn ScanSource,
+    query: &Query,
+    plan: &ScanPlan,
+    opts: &ExecOptions<'_>,
 ) -> (AggResult, ScanCounters) {
     let plan = plan.clamped(source.num_rows());
+    let plan = plan.as_ref();
     let resolved = ResolvedQuery::new(source, plan.residual(query), query.aggregation());
-    let mut acc = AggAccumulator::new(query.aggregation());
+    let (mut acc, mut counters) = match plan_morsels(plan, opts) {
+        // Serial: every range is one unit, scanned with a stack scratch —
+        // deliberately NOT `with_thread_scratch`, see `THREAD_SCRATCH`.
+        None => {
+            let mut ranges = plan.ranges().iter();
+            let next = || ranges.next().map(|sr| (sr.range.clone(), sr.exact, true));
+            scan_units(&resolved, opts.tier, &mut BlockScratch::new(), next)
+        }
+        // Pooled: the caller and `helpers` workers claim morsels from a
+        // shared cursor and merge their private results once at the end.
+        Some((pool, helpers, units)) => {
+            let cursor = AtomicUsize::new(0);
+            let merged = Mutex::new((AggAccumulator::new(resolved.agg), ScanCounters::default()));
+            pool.join_helpers(helpers, &|| {
+                let next = || units.get(cursor.fetch_add(1, Ordering::Relaxed)).cloned();
+                let (acc, counters) =
+                    with_thread_scratch(|scratch| scan_units(&resolved, opts.tier, scratch, next));
+                let mut m = merged.lock().expect("merging never panics");
+                m.0.merge(&acc);
+                m.1.merge(&counters);
+            });
+            merged.into_inner().expect("merging never panics")
+        }
+    };
+    apply_partials(plan, &mut acc, &mut counters);
+    (acc.finish(), counters)
+}
+
+/// One participant's scan loop — the only one there is: folds every unit
+/// `next` yields into a private accumulator, counter set and
+/// adaptive-density estimate.
+fn scan_units(
+    resolved: &ResolvedQuery<'_>,
+    tier: KernelTier,
+    scratch: &mut BlockScratch,
+    mut next: impl FnMut() -> Option<Morsel>,
+) -> (AggAccumulator, ScanCounters) {
+    let mut acc = AggAccumulator::new(resolved.agg);
     let mut counters = ScanCounters::default();
     let mut density = Density::default();
-    let mut scratch = BlockScratch::new();
-    for sr in plan.ranges() {
+    while let Some((range, exact, count_range)) = next() {
         resolved.scan_range(
-            sr.range.clone(),
-            sr.exact,
-            true,
+            range,
+            exact,
+            count_range,
             tier,
             &mut density,
             &mut acc,
             &mut counters,
-            &mut scratch,
+            scratch,
         );
     }
-    apply_partials(&plan, &mut acc, &mut counters);
-    (acc.finish(), counters)
+    (acc, counters)
 }
 
 thread_local! {
     /// Per-worker reusable [`BlockScratch`]: pool workers run many morsels
     /// over their lifetime, so the selection vector and bitmap words are
     /// allocated once per thread instead of per claimed morsel. The serial
-    /// executor deliberately does NOT use this: funneling its range loop
+    /// path deliberately does NOT use this: funneling its range loop
     /// through the `with` closure costs measurable vectorization on
     /// near-empty scans (see `BENCH_scan.json` sel=0% entries), and one
     /// scratch allocation per query is below timer noise there.
@@ -624,39 +671,13 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
     })
 }
 
-/// Executes a plan across up to `threads` workers of the process-wide
-/// work-stealing pool with the default [`KernelTier::Adaptive`] kernels.
-pub fn execute_plan_parallel(
-    source: &dyn ScanSource,
-    query: &Query,
-    plan: &ScanPlan,
-    threads: usize,
-) -> (AggResult, ScanCounters) {
-    execute_plan_parallel_tiered(source, query, plan, threads, KernelTier::default())
-}
+/// One unit of scan work: `(range, exact, counts_as_new_range)`.
+type Morsel = (Range<usize>, bool, bool);
 
-/// Executes a plan across up to `threads` workers of the process-wide
-/// work-stealing pool with an explicit kernel tier.
-///
-/// Routes through [`execute_plan_pooled_tiered`] on [`pool::global`] with
-/// the pool's configured morsel size; see the module docs for the morsel
-/// decomposition and the bit-identity guarantee.
-pub fn execute_plan_parallel_tiered(
-    source: &dyn ScanSource,
-    query: &Query,
-    plan: &ScanPlan,
-    threads: usize,
-    tier: KernelTier,
-) -> (AggResult, ScanCounters) {
-    let pool = pool::global();
-    execute_plan_pooled_tiered(source, query, plan, pool, threads, pool.morsel_rows(), tier)
-}
-
-/// Splits a plan's ranges into morsel work units of
-/// `(range, exact, counts_as_new_range)`. Only the first morsel carved from
-/// a plan range increments the range counter, keeping [`ScanCounters`]
-/// identical to the serial executor.
-fn split_morsels(plan: &ScanPlan, morsel_rows: usize) -> Vec<(Range<usize>, bool, bool)> {
+/// Splits a plan's ranges into morsel work units. Only the first morsel
+/// carved from a plan range increments the range counter, keeping
+/// [`ScanCounters`] identical to the serial path.
+fn split_morsels(plan: &ScanPlan, morsel_rows: usize) -> Vec<Morsel> {
     let mut units = Vec::new();
     for sr in plan.ranges() {
         let mut start = sr.range.start;
@@ -671,153 +692,38 @@ fn split_morsels(plan: &ScanPlan, morsel_rows: usize) -> Vec<(Range<usize>, bool
     units
 }
 
-/// Executes a plan on an explicit [`WorkStealingPool`] with an explicit
-/// morsel size — the fully parameterized form [`execute_plan_parallel_tiered`]
-/// routes through, exposed for the pool stress tests and the morsel-size
-/// sweep in `fig7par`.
-///
-/// The plan is decomposed into cache-resident morsels (clamped to at least
-/// one [`BLOCK_ROWS`] block; shrunk below `morsel_rows` only when the plan
-/// is too small to give every participant a morsel). Up to `threads - 1`
-/// pool workers join the calling thread; every participant claims morsels
-/// from a shared cursor and folds them into a private [`AggAccumulator`] and
-/// [`ScanCounters`] with thread-local [`BlockScratch`], merged once at the
-/// end. Merging is commutative and associative, so results and counters are
-/// bit-identical to [`execute_plan_tiered`] for any worker count, morsel
-/// size, and completion order.
-pub fn execute_plan_pooled_tiered(
-    source: &dyn ScanSource,
-    query: &Query,
+/// Decides whether a clamped plan fans out, and if so onto which pool, with
+/// how many helpers, over which morsels. `None` means run it serially.
+fn plan_morsels<'a>(
     plan: &ScanPlan,
-    pool: &WorkStealingPool,
-    threads: usize,
-    morsel_rows: usize,
-    tier: KernelTier,
-) -> (AggResult, ScanCounters) {
-    let threads = threads.max(1);
-    let plan = plan.clamped(source.num_rows());
-    let plan = plan.as_ref();
-    let total = plan.total_points();
-    // Parallelism only pays off once there is real work to split.
-    if threads == 1 || total < 4 * BLOCK_ROWS {
-        return execute_plan_tiered(source, query, plan, tier);
+    opts: &ExecOptions<'a>,
+) -> Option<(&'a WorkStealingPool, usize, Vec<Morsel>)> {
+    let threads = opts.threads;
+    if threads <= 1 {
+        return None;
     }
+    // Parallelism only pays off once there is real work to split.
+    let total = plan.total_points();
+    if total < 4 * BLOCK_ROWS {
+        return None;
+    }
+    let pool: &'a WorkStealingPool = match opts.pool {
+        Some(pool) => pool,
+        None => pool::global(),
+    };
     // Cache-resident fixed-size morsels; for plans smaller than
     // threads × morsel_rows, shrink so every participant gets work.
-    let configured = morsel_rows.max(BLOCK_ROWS);
+    let configured = opts
+        .morsel_rows
+        .unwrap_or_else(|| pool.morsel_rows())
+        .max(BLOCK_ROWS);
     let morsel = configured.min((total / threads).max(BLOCK_ROWS));
     let units = split_morsels(plan, morsel);
     let helpers = threads
         .min(units.len())
         .saturating_sub(1)
         .min(pool.worker_count());
-    if helpers == 0 {
-        return execute_plan_tiered(source, query, plan, tier);
-    }
-
-    let agg = query.aggregation();
-    let resolved = ResolvedQuery::new(source, plan.residual(query), agg);
-    let cursor = AtomicUsize::new(0);
-    let merged: Mutex<(AggAccumulator, ScanCounters)> =
-        Mutex::new((AggAccumulator::new(agg), ScanCounters::default()));
-    pool.join_helpers(helpers, &|| {
-        let mut acc = AggAccumulator::new(agg);
-        let mut counters = ScanCounters::default();
-        let mut density = Density::default();
-        with_thread_scratch(|scratch| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some((range, exact, count_range)) = units.get(i).cloned() else {
-                break;
-            };
-            resolved.scan_range(
-                range,
-                exact,
-                count_range,
-                tier,
-                &mut density,
-                &mut acc,
-                &mut counters,
-                scratch,
-            );
-        });
-        let mut m = merged.lock().unwrap();
-        m.0.merge(&acc);
-        m.1.merge(&counters);
-    });
-    let (mut acc, mut counters) = merged.into_inner().unwrap();
-    apply_partials(plan, &mut acc, &mut counters);
-    (acc.finish(), counters)
-}
-
-/// The pre-pool executor: spawns fresh scoped threads for every call.
-///
-/// Kept **only** as the benchmark baseline `fig7par` compares the
-/// persistent pool against (spawn latency vs. amortized submission); no
-/// query hot path calls this. Results and counters are bit-identical to
-/// [`execute_plan_tiered`] for the same reasons as the pooled executor.
-pub fn execute_plan_spawn_tiered(
-    source: &dyn ScanSource,
-    query: &Query,
-    plan: &ScanPlan,
-    threads: usize,
-    tier: KernelTier,
-) -> (AggResult, ScanCounters) {
-    let threads = threads.max(1);
-    let plan = plan.clamped(source.num_rows());
-    let plan = plan.as_ref();
-    let total = plan.total_points();
-    if threads == 1 || total < 4 * BLOCK_ROWS {
-        return execute_plan_tiered(source, query, plan, tier);
-    }
-
-    let piece = (total / (threads * 4)).max(BLOCK_ROWS);
-    let units = split_morsels(plan, piece);
-    let agg = query.aggregation();
-    let resolved = ResolvedQuery::new(source, plan.residual(query), agg);
-    let next_unit = AtomicUsize::new(0);
-    let mut acc = AggAccumulator::new(agg);
-    let mut counters = ScanCounters::default();
-
-    std::thread::scope(|scope| {
-        // Never spawn more workers than there are units to claim.
-        let workers: Vec<_> = (0..threads.min(units.len()))
-            .map(|_| {
-                let units = &units;
-                let next_unit = &next_unit;
-                let resolved = &resolved;
-                scope.spawn(move || {
-                    let mut acc = AggAccumulator::new(agg);
-                    let mut counters = ScanCounters::default();
-                    let mut scratch = BlockScratch::new();
-                    let mut density = Density::default();
-                    loop {
-                        let i = next_unit.fetch_add(1, Ordering::Relaxed);
-                        let Some((range, exact, count_range)) = units.get(i).cloned() else {
-                            break;
-                        };
-                        resolved.scan_range(
-                            range,
-                            exact,
-                            count_range,
-                            tier,
-                            &mut density,
-                            &mut acc,
-                            &mut counters,
-                            &mut scratch,
-                        );
-                    }
-                    (acc, counters)
-                })
-            })
-            .collect();
-        for worker in workers {
-            let (worker_acc, worker_counters) = worker.join().expect("scan worker panicked");
-            acc.merge(&worker_acc);
-            counters.merge(&worker_counters);
-        }
-    });
-    apply_partials(plan, &mut acc, &mut counters);
-    (acc.finish(), counters)
+    (helpers > 0).then_some((pool, helpers, units))
 }
 
 /// The block representation the adaptive tier settles on for one block.
@@ -1404,37 +1310,6 @@ fn packed_payload(eb: &EncodedBlock) -> (&[u64], PackClass) {
     }
 }
 
-/// Scans one contiguous range into an accumulator with the default kernels.
-///
-/// One-shot form of the kernel shared by both executors, used by
-/// `ColumnStore::scan_range` for direct single-range scans. Unlike the plan
-/// executors (which clamp once at entry), this clamps the given range itself.
-/// Callers scanning many ranges of one query should go through
-/// [`execute_plan`], which resolves the query's columns once.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_range_into(
-    source: &dyn ScanSource,
-    residual: &[Predicate],
-    range: Range<usize>,
-    exact: bool,
-    count_range: bool,
-    acc: &mut AggAccumulator,
-    counters: &mut ScanCounters,
-    scratch: &mut BlockScratch,
-) {
-    let range = range.start.min(source.num_rows())..range.end.min(source.num_rows());
-    ResolvedQuery::new(source, residual, acc.aggregation()).scan_range(
-        range,
-        exact,
-        count_range,
-        KernelTier::default(),
-        &mut Density::default(),
-        acc,
-        counters,
-        scratch,
-    );
-}
-
 /// The aggregation input for one grid chunk, with **chunk-local** row
 /// indexing (index `i` = physical row `chunk_start + i`): a plain slice, a
 /// window into an encoded block's packed payload, or nothing (`COUNT`, or
@@ -1602,6 +1477,23 @@ mod tests {
         Query::count(preds).unwrap()
     }
 
+    /// Runs a plan with a pinned tier on `threads` participants of the
+    /// global pool (`1` = serial).
+    fn run(
+        source: &dyn ScanSource,
+        query: &Query,
+        plan: &ScanPlan,
+        threads: usize,
+        tier: KernelTier,
+    ) -> (AggResult, ScanCounters) {
+        let opts = ExecOptions {
+            tier,
+            threads,
+            ..ExecOptions::default()
+        };
+        execute_plan_with(source, query, plan, &opts)
+    }
+
     #[test]
     fn plan_push_merges_adjacent_equal_exactness() {
         let mut plan = ScanPlan::new();
@@ -1676,10 +1568,9 @@ mod tests {
                 agg,
             )
             .unwrap();
-            let (expected, expected_counters) =
-                execute_plan_tiered(&ds, &q, &plan, KernelTier::Scalar);
+            let (expected, expected_counters) = run(&ds, &q, &plan, 1, KernelTier::Scalar);
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&ds, &q, &plan, tier);
+                let (res, counters) = run(&ds, &q, &plan, 1, tier);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, expected_counters, "{agg:?} counters via {tier:?}");
             }
@@ -1699,8 +1590,7 @@ mod tests {
             Aggregation::Avg(1),
         ] {
             let q = Query::new(preds.clone(), agg).unwrap();
-            let (res, _) =
-                execute_plan_tiered(&ds, &q, &ScanPlan::full(ds.len()), KernelTier::Bitmap);
+            let (res, _) = run(&ds, &q, &ScanPlan::full(ds.len()), 1, KernelTier::Bitmap);
             assert_eq!(res, q.execute_full_scan(&ds), "{agg:?}");
         }
     }
@@ -1715,8 +1605,7 @@ mod tests {
         let ds = Dataset::from_columns(vec![(0..n).map(|v| v % 10).collect()]).unwrap();
         let q = count(vec![Predicate::range(0, 1, 9).unwrap()]);
         let expected = q.execute_full_scan(&ds);
-        let (res, counters) =
-            execute_plan_tiered(&ds, &q, &ScanPlan::full(ds.len()), KernelTier::Adaptive);
+        let (res, counters) = run(&ds, &q, &ScanPlan::full(ds.len()), 1, KernelTier::Adaptive);
         assert_eq!(res, expected);
         assert_eq!(Some(counters.matched as u64), expected.as_count());
     }
@@ -1818,8 +1707,7 @@ mod tests {
             let (serial, serial_counters) = execute_plan(&ds, &q, &plan);
             for threads in [2, 3, 8] {
                 for tier in KernelTier::ALL {
-                    let (parallel, parallel_counters) =
-                        execute_plan_parallel_tiered(&ds, &q, &plan, threads, tier);
+                    let (parallel, parallel_counters) = run(&ds, &q, &plan, threads, tier);
                     assert_eq!(parallel, serial, "{agg:?} with {threads} threads {tier:?}");
                     assert_eq!(
                         parallel_counters, serial_counters,
@@ -1828,23 +1716,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spawn_baseline_matches_serial_results_and_counters() {
-        let n = 20_000u64;
-        let ds = Dataset::from_columns(vec![(0..n).collect(), (0..n).map(|v| v % 777).collect()])
-            .unwrap();
-        let q = Query::new(
-            vec![Predicate::range(1, 50, 600).unwrap()],
-            Aggregation::Sum(0),
-        )
-        .unwrap();
-        let plan = ScanPlan::from_ranges([(0..9_000, false), (9_500..20_000, false)]);
-        let (serial, sc) = execute_plan(&ds, &q, &plan);
-        let (spawned, pc) = execute_plan_spawn_tiered(&ds, &q, &plan, 4, KernelTier::default());
-        assert_eq!(serial, spawned);
-        assert_eq!(sc, pc);
     }
 
     #[test]
@@ -1872,15 +1743,13 @@ mod tests {
         let pool = WorkStealingPool::new(2);
         for morsel in [BLOCK_ROWS, BLOCK_ROWS + 1, 1_500, 3 * BLOCK_ROWS + 17] {
             for threads in [2, 5] {
-                let (pooled, pc) = execute_plan_pooled_tiered(
-                    &ds,
-                    &q,
-                    &plan,
-                    &pool,
+                let opts = ExecOptions {
                     threads,
-                    morsel,
-                    KernelTier::default(),
-                );
+                    pool: Some(&pool),
+                    morsel_rows: Some(morsel),
+                    ..ExecOptions::default()
+                };
+                let (pooled, pc) = execute_plan_with(&ds, &q, &plan, &opts);
                 assert_eq!(serial, pooled, "morsel={morsel} threads={threads}");
                 assert_eq!(sc, pc, "counters morsel={morsel} threads={threads}");
             }
@@ -1971,15 +1840,14 @@ mod tests {
                 .collect();
             let no_pred = Query::new(vec![], agg).unwrap();
             let expected = no_pred.execute_full_scan(&ds.select_rows(&oracle_rows));
-            let (scalar, scalar_counters) =
-                execute_plan_tiered(&tomb, &q, &plan, KernelTier::Scalar);
+            let (scalar, scalar_counters) = run(&tomb, &q, &plan, 1, KernelTier::Scalar);
             assert_eq!(scalar, expected, "{agg:?} scalar vs rebuilt oracle");
             assert_eq!(scalar_counters.matched, oracle_rows.len());
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&tomb, &q, &plan, tier);
+                let (res, counters) = run(&tomb, &q, &plan, 1, tier);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, scalar_counters, "{agg:?} counters via {tier:?}");
-                let (par, par_counters) = execute_plan_parallel_tiered(&tomb, &q, &plan, 4, tier);
+                let (par, par_counters) = run(&tomb, &q, &plan, 4, tier);
                 assert_eq!(par, expected, "{agg:?} parallel via {tier:?}");
                 assert_eq!(par_counters, scalar_counters, "{agg:?} parallel counters");
             }
@@ -2136,13 +2004,12 @@ mod tests {
                     vec![Predicate::range(0, 0, 4100).unwrap()],
                 ] {
                     let q = Query::new(preds.clone(), agg).unwrap();
-                    let (expected, expected_counters) =
-                        execute_plan_tiered(&ds, &q, &plan, KernelTier::Scalar);
+                    let (expected, expected_counters) = run(&ds, &q, &plan, 1, KernelTier::Scalar);
                     for tier in KernelTier::ALL {
-                        let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+                        let (res, counters) = run(&src, &q, &plan, 1, tier);
                         assert_eq!(res, expected, "tail={tail} {agg:?} {preds:?} via {tier:?}");
                         assert_eq!(counters, expected_counters, "counters via {tier:?}");
-                        let (par, pc) = execute_plan_parallel_tiered(&src, &q, &plan, 4, tier);
+                        let (par, pc) = run(&src, &q, &plan, 4, tier);
                         assert_eq!(par, expected, "parallel tail={tail} {agg:?} via {tier:?}");
                         assert_eq!(pc, expected_counters, "parallel counters via {tier:?}");
                     }
@@ -2179,13 +2046,12 @@ mod tests {
                 agg,
             )
             .unwrap();
-            let (expected, expected_counters) =
-                execute_plan_tiered(&tomb, &q, &plan, KernelTier::Scalar);
+            let (expected, expected_counters) = run(&tomb, &q, &plan, 1, KernelTier::Scalar);
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+                let (res, counters) = run(&src, &q, &plan, 1, tier);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, expected_counters, "{agg:?} counters via {tier:?}");
-                let (par, pc) = execute_plan_parallel_tiered(&src, &q, &plan, 4, tier);
+                let (par, pc) = run(&src, &q, &plan, 4, tier);
                 assert_eq!(par, expected, "{agg:?} parallel via {tier:?}");
                 assert_eq!(pc, expected_counters, "{agg:?} parallel counters");
             }
@@ -2210,9 +2076,9 @@ mod tests {
         )
         .unwrap();
         let plan = ScanPlan::full(ds.len());
-        let (expected, ec) = execute_plan_tiered(&src, &q, &plan, KernelTier::Scalar);
+        let (expected, ec) = run(&src, &q, &plan, 1, KernelTier::Scalar);
         for tier in KernelTier::ALL {
-            let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+            let (res, counters) = run(&src, &q, &plan, 1, tier);
             assert_eq!(res, expected, "via {tier:?}");
             assert_eq!(counters, ec, "counters via {tier:?}");
         }
@@ -2234,9 +2100,9 @@ mod tests {
             Aggregation::Avg(2),
         ] {
             let q = Query::new(vec![], agg).unwrap();
-            let (expected, ec) = execute_plan_tiered(&ds, &q, &plan, KernelTier::Scalar);
+            let (expected, ec) = run(&ds, &q, &plan, 1, KernelTier::Scalar);
             for tier in KernelTier::ALL {
-                let (res, counters) = execute_plan_tiered(&src, &q, &plan, tier);
+                let (res, counters) = run(&src, &q, &plan, 1, tier);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, ec, "{agg:?} counters via {tier:?}");
             }

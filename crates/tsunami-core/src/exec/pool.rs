@@ -36,10 +36,9 @@
 //!
 //! The process-wide pool is created lazily by [`global`] and lives for the
 //! process lifetime. Its size comes from `TSUNAMI_POOL_THREADS` (default:
-//! `std::thread::available_parallelism`), the morsel granularity from
-//! `TSUNAMI_MORSEL_ROWS` (default [`DEFAULT_MORSEL_ROWS`]); both are read
-//! once at first use. Tests build private pools with
-//! [`WorkStealingPool::with_config`].
+//! `std::thread::available_parallelism`), read once at first use; its
+//! morsel granularity is [`DEFAULT_MORSEL_ROWS`]. Tests build private pools
+//! with [`WorkStealingPool::with_config`].
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -445,34 +444,6 @@ pub struct PoolConfig {
     pub morsel_rows: usize,
 }
 
-impl PoolConfig {
-    /// Reads `TSUNAMI_POOL_THREADS` and `TSUNAMI_MORSEL_ROWS` from the
-    /// environment, falling back to `std::thread::available_parallelism` and
-    /// [`DEFAULT_MORSEL_ROWS`]. Unparseable or zero values fall back too.
-    pub fn from_env() -> Self {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        };
-        Self {
-            threads: parse("TSUNAMI_POOL_THREADS").unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            morsel_rows: parse("TSUNAMI_MORSEL_ROWS").unwrap_or(DEFAULT_MORSEL_ROWS),
-        }
-    }
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 /// A persistent work-stealing thread pool (see the module docs).
 ///
 /// Dropping the pool (or calling [`WorkStealingPool::shutdown`]) joins every
@@ -665,11 +636,19 @@ impl std::fmt::Debug for WorkStealingPool {
 }
 
 /// The lazily-created process-wide pool every query hot path routes
-/// through. Sized by `TSUNAMI_POOL_THREADS` / `TSUNAMI_MORSEL_ROWS` (read
-/// once, at first use); lives for the process lifetime.
+/// through; lives for the process lifetime. Sized once, at first use, by
+/// `TSUNAMI_POOL_THREADS` — or `std::thread::available_parallelism` when
+/// that is unset, unparseable or zero.
 pub fn global() -> &'static Arc<WorkStealingPool> {
     static GLOBAL: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(WorkStealingPool::with_config(PoolConfig::from_env())))
+    GLOBAL.get_or_init(|| {
+        let threads = std::env::var("TSUNAMI_POOL_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        Arc::new(WorkStealingPool::new(threads))
+    })
 }
 
 #[cfg(test)]

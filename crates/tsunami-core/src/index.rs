@@ -12,9 +12,11 @@
 //! [`MultiDimIndex::source`]; the provided [`MultiDimIndex::execute`],
 //! [`MultiDimIndex::execute_with_stats`], and
 //! [`MultiDimIndex::execute_parallel`] methods run every plan through the
-//! shared vectorized executor in [`crate::exec`].
+//! shared vectorized executor in [`crate::exec`] and hand back its
+//! [`ScanCounters`]; a pinned tier, private pool or morsel size goes
+//! straight to [`exec::execute_plan_with`] with `plan()` and `source()`.
 
-use crate::exec::{self, KernelTier, ScanCounters, ScanPlan, ScanSource};
+use crate::exec::{self, ScanCounters, ScanPlan, ScanSource};
 use crate::query::{AggResult, Query};
 
 /// Wall-clock breakdown of building an index (Fig 9b): every index must sort
@@ -32,28 +34,6 @@ impl BuildTiming {
     /// Total build time in seconds.
     pub fn total_secs(&self) -> f64 {
         self.sort_secs + self.optimize_secs
-    }
-}
-
-/// Diagnostic counters describing how an index executed a query. Used to
-/// validate the cost model (Fig 12b) and to explain performance differences.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IndexStats {
-    /// Number of contiguous physical ranges scanned.
-    pub ranges_scanned: usize,
-    /// Number of points scanned (visited), matching or not.
-    pub points_scanned: usize,
-    /// Number of points that matched all predicates.
-    pub points_matched: usize,
-}
-
-impl From<ScanCounters> for IndexStats {
-    fn from(c: ScanCounters) -> Self {
-        Self {
-            ranges_scanned: c.ranges,
-            points_scanned: c.points,
-            points_matched: c.matched,
-        }
     }
 }
 
@@ -79,11 +59,10 @@ pub trait MultiDimIndex {
         exec::execute_plan(self.source(), query, &self.plan(query)).0
     }
 
-    /// Executes a query while collecting diagnostic counters from the
-    /// executor.
-    fn execute_with_stats(&self, query: &Query) -> (AggResult, IndexStats) {
-        let (result, counters) = exec::execute_plan(self.source(), query, &self.plan(query));
-        (result, counters.into())
+    /// Executes a query and returns the executor's [`ScanCounters`] for
+    /// exactly this execution — the cost-model features of Fig 12b.
+    fn execute_with_stats(&self, query: &Query) -> (AggResult, ScanCounters) {
+        exec::execute_plan(self.source(), query, &self.plan(query))
     }
 
     /// Executes a query with the parallel executor: the plan is decomposed
@@ -91,37 +70,8 @@ pub trait MultiDimIndex {
     /// process-wide work-stealing pool ([`exec::pool`]) — no threads are
     /// spawned per call. Results and counters are bit-identical to
     /// [`Self::execute_with_stats`].
-    fn execute_parallel(&self, query: &Query, threads: usize) -> (AggResult, IndexStats) {
-        let (result, counters) =
-            exec::execute_plan_parallel(self.source(), query, &self.plan(query), threads);
-        (result, counters.into())
-    }
-
-    /// Executes a query with an explicitly pinned [`KernelTier`]. All tiers
-    /// are bit-identical in results and counters (see the
-    /// [`exec`] module docs); benchmarks and differential tests
-    /// use this to compare them.
-    fn execute_tiered(&self, query: &Query, tier: KernelTier) -> (AggResult, IndexStats) {
-        let (result, counters) =
-            exec::execute_plan_tiered(self.source(), query, &self.plan(query), tier);
-        (result, counters.into())
-    }
-
-    /// [`Self::execute_tiered`] through the parallel executor.
-    fn execute_parallel_tiered(
-        &self,
-        query: &Query,
-        threads: usize,
-        tier: KernelTier,
-    ) -> (AggResult, IndexStats) {
-        let (result, counters) = exec::execute_plan_parallel_tiered(
-            self.source(),
-            query,
-            &self.plan(query),
-            threads,
-            tier,
-        );
-        (result, counters.into())
+    fn execute_parallel(&self, query: &Query, threads: usize) -> (AggResult, ScanCounters) {
+        exec::execute_plan_parallel(self.source(), query, &self.plan(query), threads)
     }
 
     /// Size of the index structure in bytes, excluding the data itself
@@ -195,9 +145,9 @@ mod tests {
         assert_eq!(d.execute(&q), AggResult::Count(10));
         let (res, stats) = d.execute_with_stats(&q);
         assert_eq!(res, AggResult::Count(10));
-        assert_eq!(stats.ranges_scanned, 1);
-        assert_eq!(stats.points_scanned, 100);
-        assert_eq!(stats.points_matched, 10);
+        assert_eq!(stats.ranges, 1);
+        assert_eq!(stats.points, 100);
+        assert_eq!(stats.matched, 10);
         let (res, pstats) = d.execute_parallel(&q, 4);
         assert_eq!(res, AggResult::Count(10));
         assert_eq!(pstats, stats);

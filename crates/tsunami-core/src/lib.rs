@@ -17,6 +17,8 @@
 //!   (frame-of-reference + bit-packing, dictionary codes) with min/max
 //!   metadata; the executor's packed kernels evaluate predicates on them
 //!   without decoding.
+//! * [`codec`] — the big-endian byte primitives (`put_u*`, a strict
+//!   bounds-checked [`codec::Reader`]) under the WAL, wire and spec formats.
 //! * [`ScanPlan`], [`exec`] — the shared scan-execution engine: indexes plan
 //!   queries as ordered lists of contiguous physical ranges (with §6.1
 //!   exact-range flags and residual predicates) and one vectorized executor
@@ -25,6 +27,7 @@
 //!   non-learned) implements so benchmarks can treat them uniformly; query
 //!   execution is provided by the trait on top of [`exec`].
 
+pub mod codec;
 pub mod cost;
 pub mod dataset;
 pub mod emd;
@@ -44,9 +47,9 @@ pub use emd::emd;
 pub use encode::{BlockData, BlockTest, EncodeOptions, EncodedBlock, PackClass};
 pub use error::{Result, TsunamiError};
 pub use exec::{
-    BlockScratch, KernelTier, PlanPartial, ScanCounters, ScanPlan, ScanRange, ScanSource,
+    ExecOptions, KernelTier, PlanPartial, ScanCounters, ScanPlan, ScanRange, ScanSource,
 };
 pub use histogram::Histogram;
-pub use index::{BuildTiming, IndexStats, MultiDimIndex};
+pub use index::{BuildTiming, MultiDimIndex};
 pub use query::{AggAccumulator, AggResult, Aggregation, Predicate, Query, Workload};
 pub use tombstone::TombstoneSet;

@@ -186,11 +186,6 @@ impl AggAccumulator {
         }
     }
 
-    /// The aggregation this accumulator computes.
-    pub fn aggregation(&self) -> Aggregation {
-        self.agg
-    }
-
     /// Adds a matching record. `agg_value` is the value of the aggregation's
     /// input dimension for this record (ignored for `COUNT`).
     #[inline]

@@ -17,7 +17,7 @@
 //! # Ok::<(), tsunami_core::TsunamiError>(())
 //! ```
 
-use tsunami_core::{AggResult, Aggregation, IndexStats, Predicate, Query, Result, Value};
+use tsunami_core::{AggResult, Aggregation, Predicate, Query, Result, ScanCounters, Value};
 
 use crate::prepared::PreparedQuery;
 use crate::schema::ColumnRef;
@@ -123,7 +123,7 @@ impl QueryBuilder {
     }
 
     /// Builds and executes the query, returning scan counters too.
-    pub fn execute_with_stats(self) -> Result<(AggResult, IndexStats)> {
+    pub fn execute_with_stats(self) -> Result<(AggResult, ScanCounters)> {
         Ok(self.prepare()?.execute_with_stats())
     }
 }

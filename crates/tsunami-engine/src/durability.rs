@@ -34,6 +34,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use tsunami_core::codec::{put_u64, Reader};
 use tsunami_core::{Result, TsunamiError};
 use tsunami_flood::FloodConfig;
 use tsunami_index::{IndexVariant, OptimizerKind, TsunamiConfig};
@@ -276,7 +277,7 @@ pub fn encode_spec(spec: &IndexSpec) -> Vec<u8> {
 /// Decodes bytes produced by [`encode_spec`]. Trailing bytes, unknown tags,
 /// and short payloads are all [`TsunamiError::Durability`] errors.
 pub fn decode_spec(bytes: &[u8]) -> Result<IndexSpec> {
-    let mut r = SpecReader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let spec = (|| -> Option<IndexSpec> {
         let spec = match r.u8()? {
             SPEC_TSUNAMI => {
@@ -297,25 +298,25 @@ pub fn decode_spec(bytes: &[u8]) -> Result<IndexSpec> {
                     variant,
                     optimizer,
                     skew_bins: r.u64()? as usize,
-                    dbscan_eps: r.f64()?,
+                    dbscan_eps: get_f64(&mut r)?,
                     dbscan_min_pts: r.u64()? as usize,
-                    min_skew_reduction_fraction: r.f64()?,
-                    min_region_point_fraction: r.f64()?,
-                    min_region_query_fraction: r.f64()?,
-                    merge_tolerance: r.f64()?,
+                    min_skew_reduction_fraction: get_f64(&mut r)?,
+                    min_region_point_fraction: get_f64(&mut r)?,
+                    min_region_query_fraction: get_f64(&mut r)?,
+                    merge_tolerance: get_f64(&mut r)?,
                     max_tree_depth: r.u64()? as usize,
-                    fm_error_fraction: r.f64()?,
-                    ccdf_empty_fraction: r.f64()?,
+                    fm_error_fraction: get_f64(&mut r)?,
+                    ccdf_empty_fraction: get_f64(&mut r)?,
                     max_cells_per_grid: r.u64()? as usize,
                     optimizer_sample_size: r.u64()? as usize,
                     optimizer_max_iters: r.u64()? as usize,
                     blackbox_iters: r.u64()? as usize,
                     seed: r.u64()?,
-                    reopt_rebuild_drift: r.f64()?,
+                    reopt_rebuild_drift: get_f64(&mut r)?,
                     observation_window: r.u64()? as usize,
-                    reopt_collapse_reach: r.f64()?,
-                    ingest_region_staleness: r.f64()?,
-                    ingest_rebuild_staleness: r.f64()?,
+                    reopt_collapse_reach: get_f64(&mut r)?,
+                    ingest_region_staleness: get_f64(&mut r)?,
+                    ingest_rebuild_staleness: get_f64(&mut r)?,
                 })
             }
             SPEC_FLOOD => IndexSpec::Flood(FloodConfig {
@@ -326,19 +327,16 @@ pub fn decode_spec(bytes: &[u8]) -> Result<IndexSpec> {
             }),
             SPEC_FULL_SCAN => IndexSpec::FullScan,
             SPEC_SINGLE_DIM => IndexSpec::SingleDim,
-            SPEC_Z_ORDER => IndexSpec::ZOrder(r.page_size()?),
-            SPEC_OCTREE => IndexSpec::Octree(r.page_size()?),
-            SPEC_KD_TREE => IndexSpec::KdTree(r.page_size()?),
+            SPEC_Z_ORDER => IndexSpec::ZOrder(get_page_size(&mut r)?),
+            SPEC_OCTREE => IndexSpec::Octree(get_page_size(&mut r)?),
+            SPEC_KD_TREE => IndexSpec::KdTree(get_page_size(&mut r)?),
             _ => return None,
         };
         // Strict: trailing bytes mean the record is not what we encoded.
-        (r.pos == r.buf.len()).then_some(spec)
+        r.finish().ok()?;
+        Some(spec)
     })();
     spec.ok_or_else(|| TsunamiError::Durability("corrupt index spec in WAL record".into()))
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -362,46 +360,29 @@ fn put_page_size(out: &mut Vec<u8>, ps: &PageSize) {
     }
 }
 
-struct SpecReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_f64(r: &mut Reader) -> Option<f64> {
+    Some(f64::from_bits(r.u64()?))
 }
 
-impl SpecReader<'_> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_be_bytes(bytes.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn page_size(&mut self) -> Option<PageSize> {
-        Some(match self.u8()? {
-            PAGE_FIXED => PageSize::Fixed(self.u64()? as usize),
-            PAGE_TUNED => PageSize::Tuned,
-            PAGE_TUNED_OVER => {
-                let n = self.u64()? as usize;
-                if n > self.buf.len() {
-                    return None;
-                }
-                let mut candidates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    candidates.push(self.u64()? as usize);
-                }
-                PageSize::TunedOver(candidates)
+fn get_page_size(r: &mut Reader) -> Option<PageSize> {
+    Some(match r.u8()? {
+        PAGE_FIXED => PageSize::Fixed(r.u64()? as usize),
+        PAGE_TUNED => PageSize::Tuned,
+        PAGE_TUNED_OVER => {
+            let n = r.u64()? as usize;
+            // Each candidate takes 8 bytes: reject counts the remaining
+            // buffer cannot hold before allocating.
+            if n > r.remaining() / 8 {
+                return None;
             }
-            _ => return None,
-        })
-    }
+            let mut candidates = Vec::with_capacity(n);
+            for _ in 0..n {
+                candidates.push(r.u64()? as usize);
+            }
+            PageSize::TunedOver(candidates)
+        }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! bounds — happens once at prepare time, so execution is infallible and the
 //! handle can be cloned into the scheduler's worker threads.
 
-use tsunami_core::{AggResult, IndexStats, Query};
+use tsunami_core::{AggResult, Query, ScanCounters};
 
 use crate::table::Table;
 
@@ -38,13 +38,13 @@ impl PreparedQuery {
     }
 
     /// Executes, returning the executor's scan counters too.
-    pub fn execute_with_stats(&self) -> (AggResult, IndexStats) {
+    pub fn execute_with_stats(&self) -> (AggResult, ScanCounters) {
         self.table.index().execute_with_stats(&self.query)
     }
 
     /// Executes with the intra-query parallel executor (`threads` workers
     /// splitting this one query's scan plan).
-    pub fn execute_parallel(&self, threads: usize) -> (AggResult, IndexStats) {
+    pub fn execute_parallel(&self, threads: usize) -> (AggResult, ScanCounters) {
         self.table.index().execute_parallel(&self.query, threads)
     }
 

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use tsunami_core::exec::pool::{self, WorkStealingPool};
-use tsunami_core::{AggResult, IndexStats, Result, TsunamiError};
+use tsunami_core::{AggResult, Result, ScanCounters, TsunamiError};
 
 use crate::prepared::PreparedQuery;
 
@@ -42,7 +42,7 @@ use crate::prepared::PreparedQuery;
 /// error the query resolved with — [`TsunamiError::QueryPanicked`] when it
 /// blew up mid-execution, [`TsunamiError::SchedulerShutdown`] when the
 /// scheduler was dropped before a drainer picked it up.
-type Outcome = std::result::Result<(AggResult, IndexStats), TsunamiError>;
+type Outcome = std::result::Result<(AggResult, ScanCounters), TsunamiError>;
 
 /// Completion slot shared between a drainer and the submitter's handle.
 struct Slot {
@@ -91,7 +91,7 @@ impl QueryHandle {
     }
 
     /// Blocks until the query finishes; returns result plus scan counters.
-    pub fn wait_with_stats(&self) -> Result<(AggResult, IndexStats)> {
+    pub fn wait_with_stats(&self) -> Result<(AggResult, ScanCounters)> {
         let mut guard = self.slot.result.lock().unwrap();
         loop {
             if let Some(outcome) = guard.clone() {
@@ -162,10 +162,25 @@ struct Shared {
 }
 
 /// A bounded query queue drained by tasks on the shared work-stealing pool.
-/// Dropping the scheduler waits for in-flight queries to finish and resolves
-/// still-queued ones with [`TsunamiError::SchedulerShutdown`] — waiters on
-/// their handles (e.g. server connections mid-request) unblock with an error
-/// instead of hanging.
+///
+/// # Drop contract
+///
+/// Dropping the scheduler never executes work nobody may be waiting for,
+/// and never leaves a [`QueryHandle`] unresolved:
+///
+/// * queries a drainer has already popped (**in flight**) run to completion
+///   and their handles resolve `Ok` — `drop` blocks until the last one
+///   retires;
+/// * queries still **queued** are cancelled: their handles resolve
+///   [`TsunamiError::SchedulerShutdown`] without executing, so a waiter (a
+///   server connection mid-request, say) unblocks with an error instead of
+///   hanging. Which submitted queries were still queued at the instant of
+///   the drop is a race the caller must not depend on — wait on the handles
+///   first if every answer is needed;
+/// * the pool is untouched: its workers keep serving other schedulers and
+///   the intra-query executor.
+///
+/// When `drop` returns, every handle ever issued is done.
 pub struct Scheduler {
     shared: Arc<Shared>,
 }
@@ -357,13 +372,8 @@ fn drain(shared: &Shared) {
         shared.space_ready.notify_one();
         // Catch panics so a poisoned query can neither hang its waiter (the
         // slot always gets filled) nor kill the pool worker.
-        let threads = shared.intra_query_threads;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if threads > 1 {
-                query.execute_parallel(threads)
-            } else {
-                query.execute_with_stats()
-            }
+            query.execute_parallel(shared.intra_query_threads)
         }))
         .map_err(|payload| {
             TsunamiError::QueryPanicked(

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use tsunami_core::{AggResult, Dataset, IndexStats, MultiDimIndex, Query, Result, Workload};
+use tsunami_core::{AggResult, Dataset, MultiDimIndex, Query, Result, ScanCounters, Workload};
 
 use crate::builder::QueryBuilder;
 use crate::prepared::PreparedQuery;
@@ -184,7 +184,7 @@ impl Table {
     }
 
     /// Like [`Table::execute`], returning the executor's scan counters too.
-    pub fn execute_with_stats(&self, query: &Query) -> Result<(AggResult, IndexStats)> {
+    pub fn execute_with_stats(&self, query: &Query) -> Result<(AggResult, ScanCounters)> {
         query.validate_dims(self.num_columns())?;
         Ok(self.state.index.execute_with_stats(query))
     }

@@ -201,23 +201,11 @@ pub struct TsunamiIndex {
     /// lazily where a restructure dropped them.
     cube: RegionCube,
     /// Whether the planner answers fully-covered regions from the cube
-    /// instead of scanning them. Defaults from `TSUNAMI_MATVIEW` at build
-    /// (on unless `off|0|false|no`); toggle per index with
-    /// [`TsunamiIndex::set_matview`]. Purely a performance switch — results
-    /// are bit-identical either way.
+    /// instead of scanning them. On at build; toggle per index with
+    /// [`TsunamiIndex::set_matview`], which survives every later
+    /// restructure. Purely a performance switch — results are bit-identical
+    /// either way.
     matview: bool,
-}
-
-/// The `TSUNAMI_MATVIEW` default: materialized region aggregates are on
-/// unless explicitly disabled.
-fn matview_env_enabled() -> bool {
-    match std::env::var("TSUNAMI_MATVIEW") {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
 }
 
 /// Queries counted by the exact set of dimensions they filter — the cheap
@@ -366,7 +354,7 @@ impl TsunamiIndex {
             reference: workload.clone(),
             ingested: 0,
             cube: RegionCube::new(num_regions),
-            matview: matview_env_enabled(),
+            matview: true,
         })
     }
 
@@ -459,7 +447,8 @@ impl TsunamiIndex {
             (global_drift > config.reopt_rebuild_drift).then_some(Escalation::WorkloadDrift)
         });
         if let Some(reason) = escalation {
-            let rebuilt = Self::build_with_cost(data, new_workload, cost, config)?;
+            let mut rebuilt = Self::build_with_cost(data, new_workload, cost, config)?;
+            rebuilt.matview = self.matview;
             let regions_total = rebuilt.regions.len();
             return Ok((
                 rebuilt,
@@ -990,7 +979,8 @@ impl TsunamiIndex {
                 col.extend_from_slice(rows.column(dim));
             }
             let merged = Dataset::from_columns(cols)?;
-            let rebuilt = Self::build_with_cost(&merged, &self.reference, cost, config)?;
+            let mut rebuilt = Self::build_with_cost(&merged, &self.reference, cost, config)?;
+            rebuilt.matview = self.matview;
             let regions_touched = rebuilt.regions.len();
             return Ok((
                 rebuilt,
@@ -1247,7 +1237,8 @@ impl TsunamiIndex {
         // so tombstones are physically gone afterwards.
         if staleness > config.ingest_rebuild_staleness {
             let live = store.live_slice_dataset(0..n);
-            let rebuilt = Self::build_with_cost(&live, &self.reference, cost, config)?;
+            let mut rebuilt = Self::build_with_cost(&live, &self.reference, cost, config)?;
+            rebuilt.matview = self.matview;
             let regions_compacted = rebuilt.regions.len();
             return Ok((
                 rebuilt,
@@ -1368,9 +1359,9 @@ impl TsunamiIndex {
     /// Enables or disables answering fully-covered regions from the
     /// materialized region cube (see [`crate::cube`]). Purely a performance
     /// switch — results are bit-identical either way — exposed so benchmarks
-    /// and differential tests can compare both paths without racing on the
-    /// `TSUNAMI_MATVIEW` environment variable. Rebuild escalations re-read
-    /// the environment default.
+    /// and differential tests can compare both paths. The setting is carried
+    /// through re-optimization, ingest and delete, including their
+    /// whole-index rebuild escalations.
     pub fn set_matview(&mut self, on: bool) {
         self.matview = on;
     }
@@ -1596,7 +1587,7 @@ mod tests {
         let mut total_scanned = 0usize;
         for q in w.queries() {
             let (_, stats) = index.execute_with_stats(q);
-            total_scanned += stats.points_scanned;
+            total_scanned += stats.points;
         }
         let avg = total_scanned / w.len();
         assert!(
@@ -1895,6 +1886,31 @@ mod tests {
         let merged = merged_dataset(&merged_dataset(&data, &small), &large);
         for q in w.queries().iter().step_by(7) {
             assert_eq!(after_large.execute(q), q.execute_full_scan(&merged));
+        }
+    }
+
+    #[test]
+    fn set_matview_survives_an_ingest_rebuild_escalation() {
+        let data = dataset(3_000, 161);
+        let w = workload(162);
+        let config = TsunamiConfig::fast();
+        let mut index = TsunamiIndex::build(&data, &w, &config).unwrap();
+        assert!(index.matview_enabled());
+        index.set_matview(false);
+
+        // A batch larger than the table pushes staleness past the rebuild bar.
+        let batch = ingest_batch(4_000, 163);
+        let (rebuilt, report) = index.ingest(&batch, &config).unwrap();
+        assert!(report.rebuilt, "{report:?}");
+        assert!(
+            !rebuilt.matview_enabled(),
+            "a rebuild escalation must carry the per-index matview switch"
+        );
+        let merged = merged_dataset(&data, &batch);
+        for q in w.queries().iter().step_by(7) {
+            let (result, counters) = rebuilt.execute_with_stats(q);
+            assert_eq!(result, q.execute_full_scan(&merged));
+            assert_eq!(counters.partial_regions, 0, "matview is off: {q:?}");
         }
     }
 

@@ -35,6 +35,7 @@
 
 use std::io::{Read, Write};
 
+use tsunami_core::codec::{put_u16, put_u32, put_u64, Reader};
 use tsunami_core::{Point, Predicate, TsunamiError, Value};
 
 /// Protocol version carried in every frame.
@@ -268,14 +269,14 @@ impl Request {
                 if predicates.len() > u16::MAX as usize {
                     return Err(WireError::TooLarge("predicate list"));
                 }
-                out.extend((predicates.len() as u16).to_be_bytes());
+                put_u16(&mut out, predicates.len() as u16);
                 for p in predicates {
                     if p.dim > u16::MAX as usize {
                         return Err(WireError::TooLarge("predicate dimension"));
                     }
-                    out.extend((p.dim as u16).to_be_bytes());
-                    out.extend(p.lo.to_be_bytes());
-                    out.extend(p.hi.to_be_bytes());
+                    put_u16(&mut out, p.dim as u16);
+                    put_u64(&mut out, p.lo);
+                    put_u64(&mut out, p.hi);
                 }
                 put_aggregation(&mut out, *aggregation)?;
             }
@@ -289,14 +290,14 @@ impl Request {
                 if rows.len() > u32::MAX as usize {
                     return Err(WireError::TooLarge("row count"));
                 }
-                out.extend((cols as u16).to_be_bytes());
-                out.extend((rows.len() as u32).to_be_bytes());
+                put_u16(&mut out, cols as u16);
+                put_u32(&mut out, rows.len() as u32);
                 for row in rows {
                     if row.len() != cols {
                         return Err(WireError::TooLarge("ragged row"));
                     }
-                    for v in row {
-                        out.extend(v.to_be_bytes());
+                    for &v in row {
+                        put_u64(&mut out, v);
                     }
                 }
             }
@@ -308,23 +309,23 @@ impl Request {
     /// Decodes a frame payload into a request.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        let version = r.u8()?;
+        let version = need(r.u8())?;
         if version != VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let opcode = r.u8()?;
+        let opcode = need(r.u8())?;
         let msg = match opcode {
             OP_QUERY => {
-                let table = r.string()?;
-                let n = r.u16()? as usize;
+                let table = get_string(&mut r)?;
+                let n = need(r.u16())? as usize;
                 let mut predicates = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let dim = r.u16()? as usize;
-                    let lo = r.u64()?;
-                    let hi = r.u64()?;
+                    let dim = need(r.u16())? as usize;
+                    let lo = need(r.u64())?;
+                    let hi = need(r.u64())?;
                     predicates.push(raw_predicate(dim, lo, hi));
                 }
-                let aggregation = r.aggregation()?;
+                let aggregation = get_aggregation(&mut r)?;
                 Request::Query {
                     table,
                     predicates,
@@ -332,14 +333,14 @@ impl Request {
                 }
             }
             OP_INSERT => {
-                let table = r.string()?;
-                let cols = r.u16()? as usize;
-                let n = r.u32()? as usize;
+                let table = get_string(&mut r)?;
+                let cols = need(r.u16())? as usize;
+                let n = need(r.u32())? as usize;
                 let mut rows = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
                     let mut row = Vec::with_capacity(cols);
                     for _ in 0..cols {
-                        row.push(r.u64()?);
+                        row.push(need(r.u64())?);
                     }
                     rows.push(row);
                 }
@@ -348,7 +349,7 @@ impl Request {
             OP_PING => Request::Ping,
             op => return Err(WireError::BadOpcode(op)),
         };
-        r.finish()?;
+        r.finish().map_err(WireError::TrailingBytes)?;
         Ok(msg)
     }
 }
@@ -363,7 +364,7 @@ impl Response {
                 match r {
                     AggResult::Count(n) => {
                         out.push(0);
-                        out.extend(n.to_be_bytes());
+                        put_u64(&mut out, *n);
                     }
                     AggResult::Sum(s) => {
                         out.push(1);
@@ -387,13 +388,13 @@ impl Response {
             }
             Response::Error { code, message } => {
                 out.push(OP_ERROR);
-                out.extend(code.to_be_bytes());
+                put_u16(&mut out, *code);
                 put_str(&mut out, message)?;
             }
             Response::Pong => out.push(OP_PONG),
             Response::Inserted(n) => {
                 out.push(OP_INSERTED);
-                out.extend(n.to_be_bytes());
+                put_u64(&mut out, *n);
             }
         }
         Ok(out)
@@ -402,20 +403,20 @@ impl Response {
     /// Decodes a frame payload into a response.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        let version = r.u8()?;
+        let version = need(r.u8())?;
         if version != VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let opcode = r.u8()?;
+        let opcode = need(r.u8())?;
         let msg = match opcode {
             OP_RESULT => {
-                let tag = r.u8()?;
+                let tag = need(r.u8())?;
                 let result = match tag {
-                    0 => AggResult::Count(r.u64()?),
-                    1 => AggResult::Sum(r.u128()?),
-                    2 => AggResult::Min(r.opt_u64()?),
-                    3 => AggResult::Max(r.opt_u64()?),
-                    4 => AggResult::Avg(r.opt_u64()?.map(f64::from_bits)),
+                    0 => AggResult::Count(need(r.u64())?),
+                    1 => AggResult::Sum(need(r.u128())?),
+                    2 => AggResult::Min(get_opt_u64(&mut r)?),
+                    3 => AggResult::Max(get_opt_u64(&mut r)?),
+                    4 => AggResult::Avg(get_opt_u64(&mut r)?.map(f64::from_bits)),
                     tag => {
                         return Err(WireError::BadTag {
                             what: "agg result",
@@ -426,14 +427,14 @@ impl Response {
                 Response::Result(result)
             }
             OP_ERROR => Response::Error {
-                code: r.u16()?,
-                message: r.string()?,
+                code: need(r.u16())?,
+                message: get_string(&mut r)?,
             },
             OP_PONG => Response::Pong,
-            OP_INSERTED => Response::Inserted(r.u64()?),
+            OP_INSERTED => Response::Inserted(need(r.u64())?),
             op => return Err(WireError::BadOpcode(op)),
         };
-        r.finish()?;
+        r.finish().map_err(WireError::TrailingBytes)?;
         Ok(msg)
     }
 }
@@ -449,7 +450,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
     if s.len() > u16::MAX as usize {
         return Err(WireError::TooLarge("string"));
     }
-    out.extend((s.len() as u16).to_be_bytes());
+    put_u16(out, s.len() as u16);
     out.extend(s.as_bytes());
     Ok(())
 }
@@ -467,7 +468,7 @@ fn put_aggregation(out: &mut Vec<u8>, agg: Aggregation) -> Result<(), WireError>
         if d > u16::MAX as usize {
             return Err(WireError::TooLarge("aggregation dimension"));
         }
-        out.extend((d as u16).to_be_bytes());
+        put_u16(out, d as u16);
     }
     Ok(())
 }
@@ -476,95 +477,49 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(v) => {
             out.push(1);
-            out.extend(v.to_be_bytes());
+            put_u64(out, v);
         }
         None => out.push(0),
     }
 }
 
-/// Strict cursor over a frame body.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A primitive read only ever fails by running out of bytes.
+fn need<T>(read: Option<T>) -> Result<T, WireError> {
+    read.ok_or(WireError::Truncated)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+fn get_opt_u64(r: &mut Reader) -> Result<Option<u64>, WireError> {
+    match need(r.u8())? {
+        0 => Ok(None),
+        1 => Ok(Some(need(r.u64())?)),
+        tag => Err(WireError::BadTag {
+            what: "optional value",
+            tag,
+        }),
     }
+}
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
+fn get_string(r: &mut Reader) -> Result<String, WireError> {
+    let len = need(r.u16())? as usize;
+    let bytes = need(r.bytes(len))?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+}
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.bytes(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(u128::from_be_bytes(self.bytes(16)?.try_into().unwrap()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            tag => Err(WireError::BadTag {
-                what: "optional value",
+fn get_aggregation(r: &mut Reader) -> Result<Aggregation, WireError> {
+    let tag = need(r.u8())?;
+    Ok(match tag {
+        0 => Aggregation::Count,
+        1 => Aggregation::Sum(need(r.u16())? as usize),
+        2 => Aggregation::Min(need(r.u16())? as usize),
+        3 => Aggregation::Max(need(r.u16())? as usize),
+        4 => Aggregation::Avg(need(r.u16())? as usize),
+        tag => {
+            return Err(WireError::BadTag {
+                what: "aggregation",
                 tag,
-            }),
+            })
         }
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn aggregation(&mut self) -> Result<Aggregation, WireError> {
-        let tag = self.u8()?;
-        Ok(match tag {
-            0 => Aggregation::Count,
-            1 => Aggregation::Sum(self.u16()? as usize),
-            2 => Aggregation::Min(self.u16()? as usize),
-            3 => Aggregation::Max(self.u16()? as usize),
-            4 => Aggregation::Avg(self.u16()? as usize),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "aggregation",
-                    tag,
-                })
-            }
-        })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        let left = self.buf.len() - self.pos;
-        if left == 0 {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(left))
-        }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -3,15 +3,12 @@
 //!
 //! The block formats and the per-block chooser live in
 //! [`tsunami_core::encode`]; this module only decides *whether* a store
-//! encodes at all and how aggressively, controlled by environment variables
-//! so benchmarks and deployments can flip encoding without code changes:
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `TSUNAMI_ENCODE` | `1` | `0`/`off`/`false` disables block encoding entirely |
-//! | `TSUNAMI_ENCODE_MIN_BLOCK` | `1` | minimum number of full blocks before encoding kicks in |
-//! | `TSUNAMI_ENCODE_MAX_FOR_BITS` | `31` | FOR deltas needing more bits fall back to Dict/Plain |
-//! | `TSUNAMI_ENCODE_DICT_MAX` | `256` | max distinct values per block for dictionary coding |
+//! encodes at all and how aggressively. One environment switch lets the CI
+//! matrix and benchmarks flip encoding without code changes —
+//! `TSUNAMI_ENCODE` (default on; `0`/`off`/`false`/`no` disables block
+//! encoding entirely). The finer knobs (`min_blocks`, the FOR bit-width
+//! and dictionary-size limits in [`EncodeOptions`]) are plain struct
+//! fields: pass an explicit policy to `ColumnStore::encode_blocks_with`.
 
 use tsunami_core::EncodeOptions;
 
@@ -39,23 +36,13 @@ impl Default for EncodePolicy {
 }
 
 impl EncodePolicy {
-    /// The policy configured by the `TSUNAMI_ENCODE*` environment variables
-    /// (see the module table), falling back to defaults on unset or
-    /// unparsable values.
+    /// The default policy with the `TSUNAMI_ENCODE` environment switch
+    /// applied (see the module docs); unset means enabled.
     pub fn from_env() -> Self {
         let mut p = Self::default();
         if let Ok(v) = std::env::var("TSUNAMI_ENCODE") {
             let v = v.trim().to_ascii_lowercase();
             p.enabled = !matches!(v.as_str(), "0" | "off" | "false" | "no");
-        }
-        if let Some(v) = parse_env("TSUNAMI_ENCODE_MIN_BLOCK") {
-            p.min_blocks = v;
-        }
-        if let Some(v) = parse_env("TSUNAMI_ENCODE_MAX_FOR_BITS") {
-            p.opts.max_for_bits = v as u32;
-        }
-        if let Some(v) = parse_env("TSUNAMI_ENCODE_DICT_MAX") {
-            p.opts.dict_max = v;
         }
         p
     }
@@ -67,10 +54,6 @@ impl EncodePolicy {
             ..Self::default()
         }
     }
-}
-
-fn parse_env(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]

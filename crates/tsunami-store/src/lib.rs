@@ -20,9 +20,9 @@
 //!   mutation records to, with strict checksummed replay (see [`wal`]).
 //!
 //! Scanning itself — the vectorized kernels, the exact-range fast path, and
-//! the per-query [`ScanCounters`] — lives in [`tsunami_core::exec`]; the
-//! store implements [`tsunami_core::ScanSource`] and adds thin conveniences
-//! ([`ColumnStore::execute_plan`], [`ColumnStore::full_scan`]).
+//! the per-query [`tsunami_core::ScanCounters`] — lives in [`tsunami_core::exec`]; the
+//! store only implements [`tsunami_core::ScanSource`], so
+//! `exec::execute_plan(&store, query, plan)` is how it is scanned.
 
 pub mod column;
 pub mod dictionary;
@@ -35,6 +35,3 @@ pub use dictionary::Dictionary;
 pub use encode::EncodePolicy;
 pub use table::ColumnStore;
 pub use wal::{CrashPoint, Wal, WalRecord};
-// Re-exported for backwards compatibility: counters moved into the shared
-// executor in `tsunami_core::exec`.
-pub use tsunami_core::ScanCounters;

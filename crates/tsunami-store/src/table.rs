@@ -5,8 +5,8 @@ use std::ops::Range;
 
 use crate::column::Column;
 use crate::encode::EncodePolicy;
-use tsunami_core::exec::{self, BlockScratch, ColumnData, ScanPlan, ScanSource, BLOCK_ROWS};
-use tsunami_core::{AggAccumulator, AggResult, Dataset, Query, ScanCounters, TombstoneSet, Value};
+use tsunami_core::exec::{ColumnData, ScanSource, BLOCK_ROWS};
+use tsunami_core::{Dataset, Query, TombstoneSet, Value};
 
 /// A column-oriented physical table.
 ///
@@ -193,69 +193,6 @@ impl ColumnStore {
         stats
     }
 
-    /// Scans a contiguous row range, adding matching rows to the accumulator
-    /// and folding the work done into `counters`.
-    ///
-    /// `exact` enables the paper's scan-time optimization (§6.1): when the
-    /// caller guarantees that *every* row in the range matches the query
-    /// filter, per-value predicate checks are skipped entirely. For `COUNT`
-    /// this avoids touching the data at all; for other aggregations only the
-    /// aggregation input column is read.
-    ///
-    /// Counter updates are computed locally and folded in once — there is no
-    /// shared counter state to double-account, and concurrent scans cannot
-    /// interleave updates.
-    pub fn scan_range(
-        &self,
-        range: Range<usize>,
-        query: &Query,
-        exact: bool,
-        acc: &mut AggAccumulator,
-        counters: &mut ScanCounters,
-    ) {
-        let mut scratch = BlockScratch::new();
-        exec::scan_range_into(
-            self,
-            query.predicates(),
-            range,
-            exact,
-            true,
-            acc,
-            counters,
-            &mut scratch,
-        );
-    }
-
-    /// Convenience: executes a query by scanning the given ranges (with
-    /// per-range exactness flags) and returns the final aggregate.
-    pub fn execute_ranges<I>(&self, query: &Query, ranges: I) -> (AggResult, ScanCounters)
-    where
-        I: IntoIterator<Item = (Range<usize>, bool)>,
-    {
-        self.execute_plan(query, &ScanPlan::from_ranges(ranges))
-    }
-
-    /// Executes a scan plan serially through the shared executor.
-    pub fn execute_plan(&self, query: &Query, plan: &ScanPlan) -> (AggResult, ScanCounters) {
-        exec::execute_plan(self, query, plan)
-    }
-
-    /// Executes a scan plan with the parallel executor across `threads`
-    /// worker threads. Results and counters match [`Self::execute_plan`].
-    pub fn execute_plan_parallel(
-        &self,
-        query: &Query,
-        plan: &ScanPlan,
-        threads: usize,
-    ) -> (AggResult, ScanCounters) {
-        exec::execute_plan_parallel(self, query, plan, threads)
-    }
-
-    /// Executes a query by scanning the entire store (the trivial index).
-    pub fn full_scan(&self, query: &Query) -> AggResult {
-        self.execute_plan(query, &ScanPlan::full(self.len)).0
-    }
-
     /// Size of the stored data in bytes.
     pub fn data_bytes(&self) -> usize {
         self.columns.iter().map(Column::size_bytes).sum()
@@ -352,7 +289,21 @@ impl ScanSource for ColumnStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsunami_core::{Aggregation, Predicate};
+    use tsunami_core::exec::{execute_plan, execute_plan_parallel, ScanPlan};
+    use tsunami_core::{AggResult, Aggregation, Predicate, ScanCounters};
+
+    /// Runs `(range, exact)` fragments through the shared executor.
+    fn execute_ranges<I>(s: &ColumnStore, query: &Query, ranges: I) -> (AggResult, ScanCounters)
+    where
+        I: IntoIterator<Item = (Range<usize>, bool)>,
+    {
+        execute_plan(s, query, &ScanPlan::from_ranges(ranges))
+    }
+
+    /// Scans the entire store (the trivial index).
+    fn full_scan(s: &ColumnStore, query: &Query) -> AggResult {
+        execute_plan(s, query, &ScanPlan::full(s.len())).0
+    }
 
     fn store() -> ColumnStore {
         // dim0: 0..100, dim1: (0..100)*2
@@ -368,7 +319,7 @@ mod tests {
     fn full_scan_matches_reference() {
         let s = store();
         let q = Query::count(vec![Predicate::range(0, 10, 19).unwrap()]).unwrap();
-        assert_eq!(s.full_scan(&q), AggResult::Count(10));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(10));
     }
 
     #[test]
@@ -376,13 +327,13 @@ mod tests {
         let s = store();
         let q = Query::count(vec![Predicate::range(0, 0, 9).unwrap()]).unwrap();
         // Non-adjacent fragments stay distinct ranges.
-        let (res, c) = s.execute_ranges(&q, [(0..40, false), (60..100, false)]);
+        let (res, c) = execute_ranges(&s, &q, [(0..40, false), (60..100, false)]);
         assert_eq!(res, AggResult::Count(10));
         assert_eq!(c.ranges, 2);
         assert_eq!(c.points, 80);
         assert_eq!(c.matched, 10);
         // Adjacent fragments of equal exactness are merged by the plan.
-        let (_, c) = s.execute_ranges(&q, [(0..50, false), (50..100, false)]);
+        let (_, c) = execute_ranges(&s, &q, [(0..50, false), (50..100, false)]);
         assert_eq!(c.ranges, 1);
         assert_eq!(c.points, 100);
     }
@@ -391,25 +342,21 @@ mod tests {
     fn counters_come_from_the_call_not_shared_state() {
         // Regression test for the old `Cell<ScanCounters>` double-accounting
         // hazard: two executions over the same store must each see exactly
-        // their own work, and an interleaved scan_range call cannot leak into
+        // their own work, and an interleaved execution cannot leak into
         // another execution's counters.
         let s = store();
         let q = Query::count(vec![Predicate::range(0, 0, 9).unwrap()]).unwrap();
-        let (_, c1) = s.execute_ranges(&q, [(0..100, false)]);
-        let (_, c2) = s.execute_ranges(&q, [(0..100, false)]);
+        let (_, c1) = execute_ranges(&s, &q, [(0..100, false)]);
+        let (_, c2) = execute_ranges(&s, &q, [(0..100, false)]);
         assert_eq!(
             c1, c2,
             "identical executions must report identical counters"
         );
 
-        let mut acc = AggAccumulator::new(q.aggregation());
-        let mut mine = ScanCounters::default();
-        s.scan_range(0..50, &q, false, &mut acc, &mut mine);
+        let (_, mut mine) = execute_ranges(&s, &q, [(0..50, false)]);
         // A scan on another "thread" (same store, different counters).
-        let mut other_acc = AggAccumulator::new(q.aggregation());
-        let mut other = ScanCounters::default();
-        s.scan_range(0..100, &q, false, &mut other_acc, &mut other);
-        s.scan_range(50..100, &q, false, &mut acc, &mut mine);
+        let (_, other) = execute_ranges(&s, &q, [(0..100, false)]);
+        mine.merge(&execute_ranges(&s, &q, [(50..100, false)]).1);
         assert_eq!(mine.points, 100);
         assert_eq!(mine.ranges, 2);
         assert_eq!(mine.matched, 10);
@@ -428,7 +375,7 @@ mod tests {
                 .map(|_| {
                     let s = &s;
                     let q = &q;
-                    scope.spawn(move || s.execute_ranges(q, [(0..100, false)]))
+                    scope.spawn(move || execute_ranges(s, q, [(0..100, false)]))
                 })
                 .collect();
             for h in handles {
@@ -445,7 +392,7 @@ mod tests {
         // Query filter actually only matches rows 0..10, but we claim the
         // whole range 0..20 is exact: the store must trust us and count 20.
         let q = Query::count(vec![Predicate::range(0, 0, 9).unwrap()]).unwrap();
-        let (res, _) = s.execute_ranges(&q, [(0..20, true)]);
+        let (res, _) = execute_ranges(&s, &q, [(0..20, true)]);
         assert_eq!(res, AggResult::Count(20));
     }
 
@@ -457,7 +404,7 @@ mod tests {
             Aggregation::Sum(1),
         )
         .unwrap();
-        let (res, _) = s.execute_ranges(&q, [(0..10, true)]);
+        let (res, _) = execute_ranges(&s, &q, [(0..10, true)]);
         assert_eq!(res, AggResult::Sum((0..10u128).map(|v| v * 2).sum()));
     }
 
@@ -465,10 +412,10 @@ mod tests {
     fn exact_range_min_max_still_correct() {
         let s = store();
         let q = Query::new(vec![], Aggregation::Max(1)).unwrap();
-        let (res, _) = s.execute_ranges(&q, [(5..10, true)]);
+        let (res, _) = execute_ranges(&s, &q, [(5..10, true)]);
         assert_eq!(res, AggResult::Max(Some(18)));
         let q = Query::new(vec![], Aggregation::Min(1)).unwrap();
-        let (res, _) = s.execute_ranges(&q, [(5..10, true)]);
+        let (res, _) = execute_ranges(&s, &q, [(5..10, true)]);
         assert_eq!(res, AggResult::Min(Some(10)));
     }
 
@@ -482,7 +429,7 @@ mod tests {
         assert_eq!(s.get(99, 0), 0);
         // Query results are unchanged by physical reordering.
         let q = Query::count(vec![Predicate::range(0, 10, 19).unwrap()]).unwrap();
-        assert_eq!(s.full_scan(&q), AggResult::Count(10));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(10));
     }
 
     #[test]
@@ -495,7 +442,7 @@ mod tests {
         assert_eq!(s.get(101, 1), 202);
         assert_eq!((s.column(0).min(), s.column(0).max()), (Some(0), Some(101)));
         let q = Query::count(vec![Predicate::range(0, 95, 200).unwrap()]).unwrap();
-        assert_eq!(s.full_scan(&q), AggResult::Count(7));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(7));
     }
 
     #[test]
@@ -514,9 +461,9 @@ mod tests {
     fn out_of_bounds_ranges_are_clamped() {
         let s = store();
         let q = Query::count(vec![]).unwrap();
-        let (res, _) = s.execute_ranges(&q, [(90..500, false)]);
+        let (res, _) = execute_ranges(&s, &q, [(90..500, false)]);
         assert_eq!(res, AggResult::Count(10));
-        let (res, c) = s.execute_ranges(&q, [(500..600, false)]);
+        let (res, c) = execute_ranges(&s, &q, [(500..600, false)]);
         assert_eq!(res, AggResult::Count(0));
         assert_eq!(c.ranges, 0);
     }
@@ -535,8 +482,8 @@ mod tests {
         )
         .unwrap();
         let plan = ScanPlan::full(s.len());
-        let (serial, sc) = s.execute_plan(&q, &plan);
-        let (parallel, pc) = s.execute_plan_parallel(&q, &plan, 4);
+        let (serial, sc) = execute_plan(&s, &q, &plan);
+        let (parallel, pc) = execute_plan_parallel(&s, &q, &plan, 4);
         assert_eq!(serial, parallel);
         assert_eq!(sc, pc);
     }
@@ -552,10 +499,10 @@ mod tests {
 
         // Non-exact scan: the deleted band no longer matches.
         let q = Query::count(vec![Predicate::range(0, 0, 29).unwrap()]).unwrap();
-        assert_eq!(s.full_scan(&q), AggResult::Count(20));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(20));
         // Exact range over the deleted band: liveness still applies.
         let all = Query::count(vec![]).unwrap();
-        let (res, c) = s.execute_ranges(&all, [(0..30, true)]);
+        let (res, c) = execute_ranges(&s, &all, [(0..30, true)]);
         assert_eq!(res, AggResult::Count(20));
         assert_eq!(c.matched, 20);
         // Aggregations over the store skip tombstoned values.
@@ -564,7 +511,7 @@ mod tests {
             .filter(|v| !(10..20).contains(v))
             .map(|v| v * 2)
             .sum();
-        assert_eq!(s.full_scan(&sum), AggResult::Sum(expected));
+        assert_eq!(full_scan(&s, &sum), AggResult::Sum(expected));
     }
 
     #[test]
@@ -575,10 +522,10 @@ mod tests {
         let perm: Vec<usize> = (0..100).rev().collect();
         s.permute(&perm);
         let q = Query::count(vec![]).unwrap();
-        assert_eq!(s.full_scan(&q), AggResult::Count(95));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(95));
         // Reorder a slice containing deleted rows; results unchanged.
         s.sort_range(90..100, 0);
-        assert_eq!(s.full_scan(&q), AggResult::Count(95));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(95));
         assert_eq!(s.tombstones().deleted(), 5);
     }
 
@@ -595,7 +542,7 @@ mod tests {
         assert_eq!((s.len(), s.live_len()), (80, 80));
         assert!(!s.tombstones().any());
         let q = Query::count(vec![]).unwrap();
-        assert_eq!(s.full_scan(&q), AggResult::Count(80));
+        assert_eq!(full_scan(&s, &q), AggResult::Count(80));
         // Values survived compaction in order.
         assert_eq!(s.get(39, 0), 39);
         assert_eq!(s.get(40, 0), 60);
@@ -669,11 +616,11 @@ mod tests {
             (4_000..plain.len(), false),
         ]);
         for q in queries() {
-            let (want, wc) = plain.execute_plan(&q, &plan);
-            let (got, gc) = encoded.execute_plan(&q, &plan);
+            let (want, wc) = execute_plan(&plain, &q, &plan);
+            let (got, gc) = execute_plan(&encoded, &q, &plan);
             assert_eq!(got, want, "{q:?}");
             assert_eq!(gc, wc, "counters {q:?}");
-            let (par, pc) = encoded.execute_plan_parallel(&q, &plan, 4);
+            let (par, pc) = execute_plan_parallel(&encoded, &q, &plan, 4);
             assert_eq!(par, want, "parallel {q:?}");
             assert_eq!(pc, wc, "parallel counters {q:?}");
         }
@@ -709,13 +656,17 @@ mod tests {
             p
         };
         for q in queries() {
-            assert_eq!(s.full_scan(&q), plain.full_scan(&q), "{q:?}");
+            assert_eq!(full_scan(&s, &q), full_scan(&plain, &q), "{q:?}");
         }
         // The next encode packs the accumulated full blocks.
         s.encode_blocks_with(&EncodePolicy::default());
         assert_eq!(s.encoding_stats().3, 3 * 77);
         for q in queries() {
-            assert_eq!(s.full_scan(&q), plain.full_scan(&q), "{q:?} after encode");
+            assert_eq!(
+                full_scan(&s, &q),
+                full_scan(&plain, &q),
+                "{q:?} after encode"
+            );
         }
     }
 
@@ -730,13 +681,13 @@ mod tests {
         assert_eq!(enc.delete_where(&del), plain.delete_where(&del));
         enc.encode_blocks_with(&EncodePolicy::default());
         for q in queries() {
-            assert_eq!(enc.full_scan(&q), plain.full_scan(&q), "{q:?} deleted");
+            assert_eq!(full_scan(&enc, &q), full_scan(&plain, &q), "{q:?} deleted");
         }
         // More deletes after encoding: live bounds stay sound (only shrink).
         let del2 = Query::count(vec![Predicate::range(1, 0, 2 * 1_000_000_007).unwrap()]).unwrap();
         assert_eq!(enc.delete_where(&del2), plain.delete_where(&del2));
         for q in queries() {
-            assert_eq!(enc.full_scan(&q), plain.full_scan(&q), "{q:?} deleted2");
+            assert_eq!(full_scan(&enc, &q), full_scan(&plain, &q), "{q:?} deleted2");
         }
         // Compaction decodes, drops dead rows, and re-encodes.
         let r1 = enc.drop_deleted_in(0..enc.len());
@@ -745,7 +696,11 @@ mod tests {
         enc.encode_blocks_with(&EncodePolicy::default());
         assert!(enc.encoding_stats().0 > 0, "re-encoded after compaction");
         for q in queries() {
-            assert_eq!(enc.full_scan(&q), plain.full_scan(&q), "{q:?} compacted");
+            assert_eq!(
+                full_scan(&enc, &q),
+                full_scan(&plain, &q),
+                "{q:?} compacted"
+            );
         }
         assert_eq!(enc.len(), plain.len());
     }
@@ -768,7 +723,7 @@ mod tests {
         assert!(s.tombstones().deleted() >= BLOCK_ROWS);
         s.encode_blocks_with(&EncodePolicy::default());
         for q in queries() {
-            assert_eq!(s.full_scan(&q), plain.full_scan(&q), "{q:?}");
+            assert_eq!(full_scan(&s, &q), full_scan(&plain, &q), "{q:?}");
         }
     }
 }

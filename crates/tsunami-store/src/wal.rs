@@ -43,6 +43,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
+use tsunami_core::codec::{put_u32, put_u64, Reader};
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, Result, TsunamiError, Value};
 
 /// WAL format version carried in every record.
@@ -338,16 +339,10 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
         } => {
             payload.push(OP_CREATE_TABLE);
             put_string(&mut payload, name);
-            put_u32(&mut payload, columns.len() as u32);
-            for c in columns {
-                put_string(&mut payload, c);
-            }
+            put_list(&mut payload, columns, |out, c| put_string(out, c));
             put_u32(&mut payload, spec.len() as u32);
             payload.extend_from_slice(spec);
-            put_u32(&mut payload, workload.len() as u32);
-            for q in workload {
-                put_query(&mut payload, q);
-            }
+            put_list(&mut payload, workload, put_query);
             put_dataset(&mut payload, data);
         }
         WalRecord::InsertBatch { table, rows } => {
@@ -358,10 +353,7 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
         WalRecord::Delete { table, predicates } => {
             payload.push(OP_DELETE);
             put_string(&mut payload, table);
-            put_u32(&mut payload, predicates.len() as u32);
-            for p in predicates {
-                put_predicate(&mut payload, p);
-            }
+            put_list(&mut payload, predicates, put_predicate);
         }
         WalRecord::RegisterView { table, name, query } => {
             payload.push(OP_REGISTER_VIEW);
@@ -372,10 +364,7 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
         WalRecord::Checkpoint { generation, tables } => {
             payload.push(OP_CHECKPOINT);
             put_u64(&mut payload, *generation);
-            put_u32(&mut payload, tables.len() as u32);
-            for t in tables {
-                put_string(&mut payload, t);
-            }
+            put_list(&mut payload, tables, |out, t| put_string(out, t));
         }
     }
     let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
@@ -413,30 +402,19 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let mut r = Reader::new(payload);
     if r.u8()? != WAL_VERSION {
         return None;
     }
     let opcode = r.u8()?;
     let record = match opcode {
         OP_CREATE_TABLE => {
-            let name = r.string()?;
-            let ncols = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(ncols.min(4096));
-            for _ in 0..ncols {
-                columns.push(r.string()?);
-            }
+            let name = get_string(&mut r)?;
+            let columns = get_list(&mut r, get_string)?;
             let spec_len = r.u32()? as usize;
             let spec = r.bytes(spec_len)?.to_vec();
-            let nq = r.u32()? as usize;
-            let mut workload = Vec::with_capacity(nq.min(4096));
-            for _ in 0..nq {
-                workload.push(r.query()?);
-            }
-            let data = r.dataset()?;
+            let workload = get_list(&mut r, get_query)?;
+            let data = get_dataset(&mut r)?;
             WalRecord::CreateTable {
                 name,
                 columns,
@@ -446,51 +424,52 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
             }
         }
         OP_INSERT_BATCH => {
-            let table = r.string()?;
-            let rows = r.dataset()?;
+            let table = get_string(&mut r)?;
+            let rows = get_dataset(&mut r)?;
             WalRecord::InsertBatch { table, rows }
         }
         OP_DELETE => {
-            let table = r.string()?;
-            let np = r.u32()? as usize;
-            let mut predicates = Vec::with_capacity(np.min(4096));
-            for _ in 0..np {
-                predicates.push(r.predicate()?);
-            }
+            let table = get_string(&mut r)?;
+            let predicates = get_list(&mut r, get_predicate)?;
             WalRecord::Delete { table, predicates }
         }
         OP_REGISTER_VIEW => {
-            let table = r.string()?;
-            let name = r.string()?;
-            let query = r.query()?;
+            let table = get_string(&mut r)?;
+            let name = get_string(&mut r)?;
+            let query = get_query(&mut r)?;
             WalRecord::RegisterView { table, name, query }
         }
         OP_CHECKPOINT => {
             let generation = r.u64()?;
-            let nt = r.u32()? as usize;
-            let mut tables = Vec::with_capacity(nt.min(4096));
-            for _ in 0..nt {
-                tables.push(r.string()?);
-            }
+            let tables = get_list(&mut r, get_string)?;
             WalRecord::Checkpoint { generation, tables }
         }
         _ => return None,
     };
     // Strict: a payload with trailing bytes after a complete body is corrupt.
-    if r.pos != payload.len() {
-        return None;
-    }
+    r.finish().ok()?;
     Some(record)
 }
 
 // --- body codec -----------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// A `u32` count followed by each item.
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
+/// Inverse of [`put_list`]. The untrusted count pre-sizes at most 4096
+/// slots; a lying count runs out of bytes long before it runs out of memory.
+fn get_list<T>(r: &mut Reader, get: impl Fn(&mut Reader) -> Option<T>) -> Option<Vec<T>> {
+    let n = r.u32()? as usize;
+    let mut items = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        items.push(get(r)?);
+    }
+    Some(items)
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -505,10 +484,7 @@ fn put_predicate(out: &mut Vec<u8>, p: &Predicate) {
 }
 
 fn put_query(out: &mut Vec<u8>, q: &Query) {
-    put_u32(out, q.predicates().len() as u32);
-    for p in q.predicates() {
-        put_predicate(out, p);
-    }
+    put_list(out, q.predicates(), put_predicate);
     let (tag, dim) = match q.aggregation() {
         Aggregation::Count => (0u8, 0usize),
         Aggregation::Sum(d) => (1, d),
@@ -530,83 +506,52 @@ fn put_dataset(out: &mut Vec<u8>, data: &Dataset) {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn get_string(r: &mut Reader) -> Option<String> {
+    let len = r.u32()? as usize;
+    String::from_utf8(r.bytes(len)?.to_vec()).ok()
 }
 
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(s)
-    }
+fn get_predicate(r: &mut Reader) -> Option<Predicate> {
+    let dim = r.u32()? as usize;
+    let lo = r.u64()?;
+    let hi = r.u64()?;
+    Predicate::range(dim, lo, hi).ok()
+}
 
-    fn u8(&mut self) -> Option<u8> {
-        let b = self.bytes(1)?;
-        Some(b[0])
-    }
+fn get_query(r: &mut Reader) -> Option<Query> {
+    let preds = get_list(r, get_predicate)?;
+    let tag = r.u8()?;
+    let dim = r.u32()? as usize;
+    let agg = match tag {
+        0 => Aggregation::Count,
+        1 => Aggregation::Sum(dim),
+        2 => Aggregation::Min(dim),
+        3 => Aggregation::Max(dim),
+        4 => Aggregation::Avg(dim),
+        _ => return None,
+    };
+    Query::new(preds, agg).ok()
+}
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_be_bytes(self.bytes(4)?.try_into().unwrap()))
+fn get_dataset(r: &mut Reader) -> Option<Dataset> {
+    let dims = r.u32()? as usize;
+    let rows = r.u64()? as usize;
+    // Reject counts the remaining buffer cannot possibly hold before
+    // allocating columns.
+    let need = dims.checked_mul(rows)?.checked_mul(8)?;
+    if r.remaining() < need {
+        return None;
     }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_be_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let s = self.bytes(len)?;
-        String::from_utf8(s.to_vec()).ok()
-    }
-
-    fn predicate(&mut self) -> Option<Predicate> {
-        let dim = self.u32()? as usize;
-        let lo = self.u64()?;
-        let hi = self.u64()?;
-        Predicate::range(dim, lo, hi).ok()
-    }
-
-    fn query(&mut self) -> Option<Query> {
-        let np = self.u32()? as usize;
-        let mut preds = Vec::with_capacity(np.min(4096));
-        for _ in 0..np {
-            preds.push(self.predicate()?);
+    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(dims);
+    for _ in 0..dims {
+        let mut col = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            col.push(r.u64()?);
         }
-        let tag = self.u8()?;
-        let dim = self.u32()? as usize;
-        let agg = match tag {
-            0 => Aggregation::Count,
-            1 => Aggregation::Sum(dim),
-            2 => Aggregation::Min(dim),
-            3 => Aggregation::Max(dim),
-            4 => Aggregation::Avg(dim),
-            _ => return None,
-        };
-        Query::new(preds, agg).ok()
+        columns.push(col);
     }
-
-    fn dataset(&mut self) -> Option<Dataset> {
-        let dims = self.u32()? as usize;
-        let rows = self.u64()? as usize;
-        // Reject counts the remaining buffer cannot possibly hold before
-        // allocating columns.
-        let need = dims.checked_mul(rows)?.checked_mul(8)?;
-        if self.buf.len() - self.pos < need {
-            return None;
-        }
-        let mut columns: Vec<Vec<Value>> = Vec::with_capacity(dims);
-        for _ in 0..dims {
-            let mut col = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                col.push(self.u64()?);
-            }
-            columns.push(col);
-        }
-        // `Dataset` requires at least one column, so 0 dims is corrupt.
-        Dataset::from_columns(columns).ok()
-    }
+    // `Dataset` requires at least one column, so 0 dims is corrupt.
+    Dataset::from_columns(columns).ok()
 }
 
 #[cfg(test)]

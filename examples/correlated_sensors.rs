@@ -76,7 +76,7 @@ fn main() -> Result<(), TsunamiError> {
         let mut scanned = 0usize;
         for q in table.prepare_workload(&workload)? {
             let (_, stats) = q.execute_with_stats();
-            scanned += stats.points_scanned;
+            scanned += stats.points;
         }
         println!(
             "{:<22} {:>16.0} {:>14.1}",

@@ -92,9 +92,9 @@ fn main() -> Result<(), TsunamiError> {
         .execute_with_stats()?;
     println!(
         "diagnostics: {result} scanned {} of {} rows across {} ranges",
-        scan.points_scanned,
+        scan.points,
         orders.num_rows(),
-        scan.ranges_scanned
+        scan.ranges
     );
 
     // ---------------------------------------------------------------------

@@ -67,7 +67,7 @@ fn main() -> Result<(), TsunamiError> {
         let start = std::time::Instant::now();
         for q in &prepared {
             let (_, stats) = q.execute_with_stats();
-            scanned += stats.points_scanned;
+            scanned += stats.points;
         }
         let avg_us = start.elapsed().as_secs_f64() * 1e6 / prepared.len() as f64;
         println!(

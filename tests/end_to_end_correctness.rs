@@ -57,7 +57,7 @@ fn learned_indexes_scan_fewer_points_than_full_scan() {
             let prepared = table.prepare_workload(&bundle.workload).unwrap();
             let total: usize = prepared
                 .iter()
-                .map(|q| q.execute_with_stats().1.points_scanned)
+                .map(|q| q.execute_with_stats().1.points)
                 .sum();
             total as f64 / prepared.len() as f64
         };

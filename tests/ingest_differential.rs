@@ -276,7 +276,7 @@ fn residual_elimination_stays_sound_post_ingest() -> Result<(), TsunamiError> {
 fn avg_scanned(table: &Table, workload: &Workload) -> Result<f64, TsunamiError> {
     let mut total = 0usize;
     for q in workload.queries() {
-        total += table.execute_with_stats(q)?.1.points_scanned;
+        total += table.execute_with_stats(q)?.1.points;
     }
     Ok(total as f64 / workload.len().max(1) as f64)
 }

@@ -17,13 +17,33 @@
 
 use tsunami_baselines::{ClusteredSingleDimIndex, FullScanIndex, HyperOctree, KdTree, ZOrderIndex};
 use tsunami_core::exec::{
-    execute_plan_parallel_tiered, execute_plan_tiered, KernelTier, ScanPlan, BLOCK_ROWS,
+    execute_plan_with, ExecOptions, KernelTier, ScanPlan, ScanSource, BLOCK_ROWS,
 };
 use tsunami_core::sample::SplitMix;
-use tsunami_core::{Aggregation, CostModel, Dataset, MultiDimIndex, Predicate, Query, Workload};
+use tsunami_core::{
+    AggResult, Aggregation, CostModel, Dataset, MultiDimIndex, Predicate, Query, ScanCounters,
+    Workload,
+};
 use tsunami_flood::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_store::{ColumnStore, EncodePolicy};
+
+/// Runs a plan with a pinned tier on `threads` participants of the global
+/// pool (`1` = serial).
+fn run_tier(
+    source: &dyn ScanSource,
+    query: &Query,
+    plan: &ScanPlan,
+    threads: usize,
+    tier: KernelTier,
+) -> (AggResult, ScanCounters) {
+    let opts = ExecOptions {
+        tier,
+        threads,
+        ..ExecOptions::default()
+    };
+    execute_plan_with(source, query, plan, &opts)
+}
 
 const ALL_AGGREGATIONS: [Aggregation; 5] = [
     Aggregation::Count,
@@ -97,17 +117,16 @@ fn tier_sweep_selectivity_predicates_and_block_offsets() {
                         plan.ranges().iter().flat_map(|r| r.range.clone()).collect();
                     let expected = q.execute_full_scan(&data.select_rows(&planned));
                     let (scalar, scalar_counters) =
-                        execute_plan_tiered(&data, &q, &plan, KernelTier::Scalar);
+                        run_tier(&data, &q, &plan, 1, KernelTier::Scalar);
                     assert_eq!(scalar, expected, "scalar vs oracle ({lo}..={hi}, {agg:?})");
                     for tier in KernelTier::ALL {
-                        let (res, counters) = execute_plan_tiered(&data, &q, &plan, tier);
+                        let (res, counters) = run_tier(&data, &q, &plan, 1, tier);
                         assert_eq!(res, scalar, "{tier:?} result ({lo}..={hi}, {npreds} preds)");
                         assert_eq!(
                             counters, scalar_counters,
                             "{tier:?} counters ({lo}..={hi}, {npreds} preds)"
                         );
-                        let (par, par_counters) =
-                            execute_plan_parallel_tiered(&data, &q, &plan, 3, tier);
+                        let (par, par_counters) = run_tier(&data, &q, &plan, 3, tier);
                         assert_eq!(par, scalar, "{tier:?} parallel result");
                         assert_eq!(par_counters, scalar_counters, "{tier:?} parallel counters");
                     }
@@ -157,7 +176,8 @@ fn all_seven_indexes_are_bit_identical_across_tiers_serial_and_parallel() {
             let q = Query::new(q.predicates().to_vec(), agg).unwrap();
             let expected = q.execute_full_scan(&data);
             for idx in &indexes {
-                let (scalar, scalar_stats) = idx.execute_tiered(&q, KernelTier::Scalar);
+                let (scalar, scalar_stats) =
+                    run_tier(idx.source(), &q, &idx.plan(&q), 1, KernelTier::Scalar);
                 assert_eq!(
                     scalar,
                     expected,
@@ -165,7 +185,7 @@ fn all_seven_indexes_are_bit_identical_across_tiers_serial_and_parallel() {
                     idx.name()
                 );
                 for tier in KernelTier::ALL {
-                    let (res, stats) = idx.execute_tiered(&q, tier);
+                    let (res, stats) = run_tier(idx.source(), &q, &idx.plan(&q), 1, tier);
                     assert_eq!(res, scalar, "{} {tier:?} ({agg:?})", idx.name());
                     assert_eq!(
                         stats,
@@ -173,7 +193,7 @@ fn all_seven_indexes_are_bit_identical_across_tiers_serial_and_parallel() {
                         "{} {tier:?} stats ({agg:?})",
                         idx.name()
                     );
-                    let (par, par_stats) = idx.execute_parallel_tiered(&q, 4, tier);
+                    let (par, par_stats) = run_tier(idx.source(), &q, &idx.plan(&q), 4, tier);
                     assert_eq!(par, scalar, "{} {tier:?} parallel ({agg:?})", idx.name());
                     assert_eq!(
                         par_stats,
@@ -262,18 +282,16 @@ fn assert_store_matches_oracle(store: &ColumnStore, label: &str) {
                     .filter(|&row| !store.tombstones().is_deleted(row))
                     .collect();
                 let expected = q.execute_full_scan(&physical.select_rows(&planned));
-                let (scalar, scalar_counters) =
-                    execute_plan_tiered(store, &q, plan, KernelTier::Scalar);
+                let (scalar, scalar_counters) = run_tier(store, &q, plan, 1, KernelTier::Scalar);
                 assert_eq!(scalar, expected, "{label} scalar vs oracle ({q:?})");
                 for tier in KernelTier::ALL {
-                    let (res, counters) = execute_plan_tiered(store, &q, plan, tier);
+                    let (res, counters) = run_tier(store, &q, plan, 1, tier);
                     assert_eq!(res, scalar, "{label} {tier:?} result ({q:?})");
                     assert_eq!(
                         counters, scalar_counters,
                         "{label} {tier:?} counters ({q:?})"
                     );
-                    let (par, par_counters) =
-                        execute_plan_parallel_tiered(store, &q, plan, 3, tier);
+                    let (par, par_counters) = run_tier(store, &q, plan, 3, tier);
                     assert_eq!(par, scalar, "{label} {tier:?} parallel result ({q:?})");
                     assert_eq!(
                         par_counters, scalar_counters,

@@ -192,9 +192,9 @@ fn covered_queries_skip_scanning_via_partials() {
     let (res_on, stats_on) = on.execute_with_stats(&q);
     let (res_off, stats_off) = off.execute_with_stats(&q);
     assert_eq!(res_on, res_off);
-    assert_eq!(stats_on.points_matched, stats_off.points_matched);
-    assert_eq!(stats_on.points_scanned, 0, "covered plan must not scan");
-    assert_eq!(stats_off.points_scanned, data.len());
+    assert_eq!(stats_on.matched, stats_off.matched);
+    assert_eq!(stats_on.points, 0, "covered plan must not scan");
+    assert_eq!(stats_off.points, data.len());
 
     // Parallel executors apply the same partials exactly once.
     for threads in [2, 8] {

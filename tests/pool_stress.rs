@@ -6,11 +6,9 @@
 
 use std::sync::Arc;
 
-use tsunami_core::exec::{
-    self, execute_plan_pooled_tiered, KernelTier, WorkStealingPool, BLOCK_ROWS,
-};
+use tsunami_core::exec::{self, execute_plan_with, ExecOptions, WorkStealingPool, BLOCK_ROWS};
 use tsunami_core::sample::SplitMix;
-use tsunami_core::{Aggregation, Dataset, Predicate, Query, Workload};
+use tsunami_core::{Aggregation, Dataset, Predicate, Query, TsunamiError, Workload};
 use tsunami_suite::{Database, IndexSpec, Scheduler, SchedulerConfig};
 
 fn dataset(rows: usize, seed: u64) -> Dataset {
@@ -80,15 +78,12 @@ fn pooled_executor_bit_identical_to_serial_across_all_families() {
             for q in workload.queries() {
                 let plan = index.plan(q);
                 let (serial, serial_counters) = exec::execute_plan(index.source(), q, &plan);
-                let (pooled, pooled_counters) = execute_plan_pooled_tiered(
-                    index.source(),
-                    q,
-                    &plan,
-                    &pool,
-                    workers,
-                    exec::DEFAULT_MORSEL_ROWS,
-                    KernelTier::default(),
-                );
+                let opts = ExecOptions {
+                    threads: workers,
+                    pool: Some(&pool),
+                    ..ExecOptions::default()
+                };
+                let (pooled, pooled_counters) = execute_plan_with(index.source(), q, &plan, &opts);
                 assert_eq!(
                     pooled,
                     serial,
@@ -130,15 +125,13 @@ fn morsel_sizes_straddling_block_boundaries_stay_bit_identical() {
             3 * BLOCK_ROWS + 17,
         ] {
             for threads in [2usize, 5] {
-                let (pooled, pooled_counters) = execute_plan_pooled_tiered(
-                    index.source(),
-                    q,
-                    &plan,
-                    &pool,
+                let opts = ExecOptions {
                     threads,
-                    morsel_rows,
-                    KernelTier::default(),
-                );
+                    pool: Some(&pool),
+                    morsel_rows: Some(morsel_rows),
+                    ..ExecOptions::default()
+                };
+                let (pooled, pooled_counters) = execute_plan_with(index.source(), q, &plan, &opts);
                 assert_eq!(
                     (pooled, pooled_counters),
                     (serial, serial_counters),
@@ -236,9 +229,11 @@ fn shutdown_joins_workers_and_is_idempotent() {
     }
 }
 
-/// Dropping a scheduler while results are still unpolled must drain its
-/// in-flight drainer tasks without touching the shared pool's workers, so a
-/// second scheduler on the same pool keeps working.
+/// Dropping a scheduler while results are still unpolled must resolve every
+/// handle — in-flight queries finish with their answer, queued-but-unstarted
+/// ones are cancelled with `SchedulerShutdown` (which is which is a race) —
+/// without touching the shared pool's workers, so a second scheduler on the
+/// same pool keeps working.
 #[test]
 fn scheduler_drop_leaves_the_shared_pool_usable() {
     let data = dataset(4 * BLOCK_ROWS, 0xdd);
@@ -257,10 +252,17 @@ fn scheduler_drop_leaves_the_shared_pool_usable() {
         for q in &prepared {
             handles.push(scheduler.submit(q.clone()).unwrap());
         }
-        // Drop with handles unpolled: Drop must wait for in-flight jobs.
+        // Drop with handles unpolled: Drop waits for in-flight jobs and
+        // cancels the rest.
     }
     for (handle, q) in handles.iter().zip(&prepared) {
-        assert_eq!(handle.wait().unwrap(), q.execute());
+        // Drop has returned, so every slot is already filled: a handle that
+        // is not done here would hang its waiter forever.
+        assert!(handle.is_done(), "handle left unresolved by drop: {q:?}");
+        match handle.wait() {
+            Ok(result) => assert_eq!(result, q.execute()),
+            Err(e) => assert_eq!(e, TsunamiError::SchedulerShutdown),
+        }
     }
 
     // The pool is still fully functional for a fresh scheduler.

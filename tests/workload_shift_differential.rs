@@ -175,7 +175,7 @@ fn incremental_reopt_keeps_residual_elimination_intact() -> Result<(), TsunamiEr
 fn avg_scanned(table: &Table, workload: &Workload) -> Result<f64, TsunamiError> {
     let mut total = 0usize;
     for q in workload.queries() {
-        total += table.execute_with_stats(q)?.1.points_scanned;
+        total += table.execute_with_stats(q)?.1.points;
     }
     Ok(total as f64 / workload.len().max(1) as f64)
 }
