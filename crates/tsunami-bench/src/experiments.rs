@@ -66,6 +66,7 @@ pub fn table4(config: &HarnessConfig) -> String {
             "GT nodes",
             "GT depth",
             "leaf regions",
+            "gridded regions",
             "min pts/region",
             "median pts/region",
             "max pts/region",
@@ -87,6 +88,7 @@ pub fn table4(config: &HarnessConfig) -> String {
             s.num_grid_tree_nodes.to_string(),
             s.grid_tree_depth.to_string(),
             s.num_leaf_regions.to_string(),
+            s.gridded_regions.to_string(),
             s.min_points_per_region.to_string(),
             s.median_points_per_region.to_string(),
             s.max_points_per_region.to_string(),

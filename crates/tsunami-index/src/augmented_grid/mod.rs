@@ -10,7 +10,7 @@
 pub mod optimizer;
 pub mod skeleton;
 
-pub use optimizer::{optimize_layout, optimize_layout_from, OptimizedLayout, OptimizerKind};
+pub use optimizer::{optimize_layout, OptimizedLayout, OptimizerKind};
 pub use skeleton::{DimStrategy, Skeleton};
 
 use std::ops::Range;
@@ -55,8 +55,8 @@ pub struct AugmentedGrid {
     partitions: Vec<usize>,
     /// Dimensions participating in the grid, ascending.
     grid_dims: Vec<usize>,
-    /// Stride of each grid dimension in the cell numbering (parallel to
-    /// `grid_dims`; the last grid dimension varies fastest).
+    /// Stride of each dimension in the cell numbering (indexed by dimension;
+    /// the last grid dimension varies fastest, mapped dimensions are 0).
     strides: Vec<usize>,
     num_cells: usize,
     /// Independent CDF model per dimension (present for Independent dims and
@@ -140,15 +140,12 @@ impl AugmentedGrid {
 
         // Cell numbering over grid dimensions.
         let grid_dims = skeleton.grid_dims();
-        let mut strides = vec![1usize; grid_dims.len()];
-        for i in (0..grid_dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * partitions[grid_dims[i + 1]];
+        let mut strides = vec![0usize; d];
+        let mut num_cells = 1usize;
+        for &gd in grid_dims.iter().rev() {
+            strides[gd] = num_cells;
+            num_cells *= partitions[gd];
         }
-        let num_cells: usize = grid_dims
-            .iter()
-            .map(|&gd| partitions[gd])
-            .product::<usize>()
-            .max(1);
 
         let mut grid = Self {
             skeleton: skeleton.clone(),
@@ -238,7 +235,7 @@ impl AugmentedGrid {
     /// Cell id of a point.
     pub fn cell_of(&self, point: &[Value]) -> usize {
         let mut cell = 0usize;
-        for (k, &dim) in self.grid_dims.iter().enumerate() {
+        for &dim in &self.grid_dims {
             let part = match self.skeleton.strategy(dim) {
                 DimStrategy::Conditional { base } => {
                     let bp = self.partition_of(base, point[base], None);
@@ -246,7 +243,7 @@ impl AugmentedGrid {
                 }
                 _ => self.partition_of(dim, point[dim], None),
             };
-            cell += part * self.strides[k];
+            cell += part * self.strides[dim];
         }
         cell
     }
@@ -338,15 +335,14 @@ impl AugmentedGrid {
     /// re-checking inside the returned non-exact ranges.
     pub fn plan_ranges(&self, query: &Query) -> GridRanges {
         let d = self.skeleton.num_dims();
-        let empty = GridRanges {
-            ranges: Vec::new(),
-            guaranteed: vec![true; d],
-            fallback: false,
-        };
         let Some((eff, mapped_filter)) = self.effective_predicates(query) else {
             // Proven empty: nothing is scanned, every predicate is trivially
             // guaranteed on the (empty) set of planned ranges.
-            return empty;
+            return GridRanges {
+                ranges: Vec::new(),
+                guaranteed: vec![true; d],
+                fallback: false,
+            };
         };
 
         // Enumerate intersecting cells. Base dimensions must be enumerated
@@ -362,11 +358,6 @@ impl AugmentedGrid {
                 order.push(gd);
             }
         }
-
-        let stride_of = |dim: usize| -> usize {
-            let k = self.grid_dims.iter().position(|&g| g == dim).unwrap();
-            self.strides[k]
-        };
 
         let mut cells: Vec<(usize, bool)> = Vec::new();
         // chosen[dim] = partition chosen for already-enumerated dims.
@@ -392,7 +383,6 @@ impl AugmentedGrid {
             0,
             &eff,
             query,
-            &stride_of,
             &mut chosen,
             &mut cells,
             &mut not_guaranteed,
@@ -465,7 +455,6 @@ impl AugmentedGrid {
         inexact_dims: u128,
         eff: &[Option<(Value, Value)>],
         query: &Query,
-        stride_of: &dyn Fn(usize) -> usize,
         chosen: &mut Vec<usize>,
         out: &mut Vec<(usize, bool)>,
         not_guaranteed: &mut u128,
@@ -482,7 +471,7 @@ impl AugmentedGrid {
         }
         let dim = order[idx];
         let p = self.partitions[dim];
-        let stride = stride_of(dim);
+        let stride = self.strides[dim];
         let orig_pred = query.predicate_on(dim);
         let dim_bit = if dim < 128 { 1u128 << dim } else { 0 };
 
@@ -505,7 +494,6 @@ impl AugmentedGrid {
                         inexact_dims | if dim_exact { 0 } else { dim_bit },
                         eff,
                         query,
-                        stride_of,
                         chosen,
                         out,
                         not_guaranteed,
@@ -543,7 +531,6 @@ impl AugmentedGrid {
                         inexact_dims | if dim_exact { 0 } else { dim_bit },
                         eff,
                         query,
-                        stride_of,
                         chosen,
                         out,
                         not_guaranteed,

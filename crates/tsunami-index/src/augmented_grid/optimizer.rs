@@ -223,13 +223,17 @@ pub fn initial_partitions(
     partitions
 }
 
+/// Cells of a grid with these per-dimension partition counts.
+fn cell_count(partitions: &[usize], grid_dims: &[usize]) -> usize {
+    grid_dims
+        .iter()
+        .fold(1usize, |acc, &d| acc.saturating_mul(partitions[d]))
+}
+
 fn clamp_partitions(partitions: &mut [usize], grid_dims: &[usize], max_cells: usize) {
     let max_cells = max_cells.max(1);
     loop {
-        let product: usize = grid_dims
-            .iter()
-            .fold(1usize, |acc, &d| acc.saturating_mul(partitions[d]));
-        if product <= max_cells {
+        if cell_count(partitions, grid_dims) <= max_cells {
             return;
         }
         if let Some(&max_dim) = grid_dims.iter().max_by_key(|&&d| partitions[d]) {
@@ -243,7 +247,107 @@ fn clamp_partitions(partitions: &mut [usize], grid_dims: &[usize], max_cells: us
     }
 }
 
-/// Optimizes the Augmented Grid layout for a dataset and workload.
+/// The layout granularity floor: no Augmented-Grid cell is planned finer
+/// than a quarter of the executor's scan block. The scan is memory-bound
+/// (~0.3 ns/row), so a cell of a few dozen rows can never repay the
+/// microsecond it costs `plan()` to enumerate it — and the cost model
+/// (`w0·ranges + w1·points·dims`) counts ranges *after* merging, so it never
+/// sees a cell and would otherwise always fill
+/// [`TsunamiConfig::max_cells_per_grid`]. The quarter block is a bound, not
+/// a measured optimum: in the README's sweep 512 and 1,024 rows per cell, and
+/// no grids at all, answer within noise of it; what 256 keeps is the grids'
+/// pruning (4.5x fewer points visited at 1M rows). A per-cell term in the
+/// cost model is meant to replace it (ROADMAP, cost-model note). Derived from
+/// a region's row count only; not a knob.
+pub(crate) const TARGET_ROWS_PER_CELL: usize = tsunami_core::exec::BLOCK_ROWS / 4;
+
+/// The effective cell budget of a grid over `rows` rows: the configured cap,
+/// lowered to one cell per [`TARGET_ROWS_PER_CELL`] rows.
+fn cell_budget(rows: usize, config: &TsunamiConfig) -> usize {
+    config.max_cells_per_grid.min(rows / TARGET_ROWS_PER_CELL)
+}
+
+/// Whether a region of `rows` rows is large enough for a grid to split it at
+/// all (a budget of at least two cells). [`region_layout`] answers `None`
+/// without looking at anything else when it is not, so callers ask first and
+/// skip the work of preparing its inputs — copying the region's rows,
+/// collecting its queries, re-splitting it.
+pub(crate) fn region_can_hold_grid(rows: usize, config: &TsunamiConfig) -> bool {
+    cell_budget(rows, config) >= 2
+}
+
+/// Decides one region's physical layout — the single place the index chooses
+/// between an Augmented Grid and a plain whole-region scan, for build,
+/// re-optimization, ingest and delete-compaction alike.
+///
+/// `None` means *no grid*: the planner emits the whole region as one range,
+/// with exactness and residual guarantees from the Grid-Tree bounds. That is
+/// the answer when
+///
+/// * the region's cell budget is below two cells (fewer than
+///   `2 * TARGET_ROWS_PER_CELL` rows) — a grid could not split it;
+/// * the region has neither queries to optimize for nor a current layout;
+/// * the chosen partitions multiply to a single cell.
+///
+/// With queries, the layout is optimized for them (warm-started from `warm`,
+/// the region's current layout, when given). Without queries a region keeps
+/// its `warm` layout, re-fitted to the budget its current row count allows —
+/// the re-grid after an ingest or a compaction, which never pays the
+/// optimizer.
+pub(crate) fn region_layout(
+    data: &Dataset,
+    queries: &[Query],
+    warm: Option<(&Skeleton, &[usize])>,
+    cost: &CostModel,
+    config: &TsunamiConfig,
+    kind: OptimizerKind,
+) -> Option<(Skeleton, Vec<usize>)> {
+    if !region_can_hold_grid(data.len(), config) {
+        return None;
+    }
+    let max_cells = cell_budget(data.len(), config);
+    let (skeleton, partitions) = if queries.is_empty() {
+        let (skeleton, partitions) = warm?;
+        let mut partitions = partitions.to_vec();
+        clamp_partitions(&mut partitions, &skeleton.grid_dims(), max_cells);
+        (skeleton.clone(), partitions)
+    } else {
+        let workload = Workload::new(queries.to_vec());
+        let layout = optimize_layout_from(data, &workload, cost, config, kind, warm, max_cells);
+        (layout.skeleton, layout.partitions)
+    };
+    (cell_count(&partitions, &skeleton.grid_dims()) > 1).then_some((skeleton, partitions))
+}
+
+/// The incremental re-optimization path's layout-fitness gate: prices a
+/// region's current layout on (a subsample of) its new queries against the
+/// heuristic initialization [`region_layout`] would otherwise start from,
+/// and reports whether the current layout is within 10% of it — in which
+/// case descent would start from it anyway and buy little.
+pub(crate) fn current_layout_is_competitive(
+    data: &Dataset,
+    skeleton: &Skeleton,
+    partitions: &[usize],
+    queries: &[Query],
+    cost: &CostModel,
+    config: &TsunamiConfig,
+) -> bool {
+    let sample = sample_dataset(data, config.optimizer_sample_size, config.seed);
+    let eval: Workload = queries
+        .iter()
+        .step_by(queries.len().div_ceil(32).max(1))
+        .cloned()
+        .collect();
+    let cost_cur = predicted_cost(&sample, data.len(), skeleton, partitions, &eval, cost);
+    let init_s = heuristic_skeleton(&sample, config);
+    let init_p = initial_partitions(&sample, &init_s, &eval, cell_budget(data.len(), config));
+    let cost_init = predicted_cost(&sample, data.len(), &init_s, &init_p, &eval, cost);
+    cost_cur <= cost_init * 1.1
+}
+
+/// Optimizes the Augmented Grid layout for a dataset and workload, within
+/// the cell budget the dataset's row count allows (the configured
+/// [`TsunamiConfig::max_cells_per_grid`] is a cap, not a target).
 pub fn optimize_layout(
     data: &Dataset,
     workload: &Workload,
@@ -251,23 +355,26 @@ pub fn optimize_layout(
     config: &TsunamiConfig,
     kind: OptimizerKind,
 ) -> OptimizedLayout {
-    optimize_layout_from(data, workload, cost, config, kind, None)
+    let max_cells = cell_budget(data.len(), config);
+    optimize_layout_from(data, workload, cost, config, kind, None, max_cells)
 }
 
-/// Like [`optimize_layout`], optionally *warm-started* from a known-good
-/// layout — the incremental re-optimization path passes a region's current
-/// `(S, P)` so a mild workload shift converges in few iterations instead of
-/// re-deriving the skeleton from scratch. The warm start competes with the
-/// heuristic initialization on predicted cost and the cheaper of the two
-/// seeds the descent, so a stale layout can never make the outcome worse
-/// than a cold start.
-pub fn optimize_layout_from(
+/// [`optimize_layout`] under an explicit cell budget, optionally
+/// *warm-started* from a known-good layout — the incremental
+/// re-optimization path passes a region's current `(S, P)` so a mild
+/// workload shift converges in few iterations instead of re-deriving the
+/// skeleton from scratch. The warm start competes with the heuristic
+/// initialization on predicted cost and the cheaper of the two seeds the
+/// descent, so a stale layout can never make the outcome worse than a cold
+/// start.
+fn optimize_layout_from(
     data: &Dataset,
     workload: &Workload,
     cost: &CostModel,
     config: &TsunamiConfig,
     kind: OptimizerKind,
     warm: Option<(&Skeleton, &[usize])>,
+    max_cells: usize,
 ) -> OptimizedLayout {
     let sample = sample_dataset(data, config.optimizer_sample_size, config.seed);
     let total_rows = data.len();
@@ -297,8 +404,7 @@ pub fn optimize_layout_from(
         OptimizerKind::AdaptiveNaiveInit => Skeleton::all_independent(data.num_dims()),
         _ => heuristic_skeleton(&sample, config),
     };
-    let mut partitions =
-        initial_partitions(&sample, &skeleton, workload, config.max_cells_per_grid);
+    let mut partitions = initial_partitions(&sample, &skeleton, workload, max_cells);
     let mut best_cost = predicted_cost(&sample, total_rows, &skeleton, &partitions, workload, cost);
     evaluations += 1;
 
@@ -308,7 +414,7 @@ pub fn optimize_layout_from(
         if warm_s.num_dims() == data.num_dims() && warm_s.is_valid() {
             let mut warm_p = warm_p.to_vec();
             warm_p.resize(data.num_dims(), 1);
-            clamp_partitions(&mut warm_p, &warm_s.grid_dims(), config.max_cells_per_grid);
+            clamp_partitions(&mut warm_p, &warm_s.grid_dims(), max_cells);
             let c = predicted_cost(&sample, total_rows, warm_s, &warm_p, workload, cost);
             evaluations += 1;
             if c < best_cost {
@@ -334,7 +440,7 @@ pub fn optimize_layout_from(
             for _ in 0..config.blackbox_iters {
                 let (cand_s, mut cand_p) =
                     random_perturbation(&skeleton, &partitions, &mut rng, data.num_dims());
-                clamp_partitions(&mut cand_p, &cand_s.grid_dims(), config.max_cells_per_grid);
+                clamp_partitions(&mut cand_p, &cand_s.grid_dims(), max_cells);
                 let c = predicted_cost(&sample, total_rows, &cand_s, &cand_p, workload, cost);
                 evaluations += 1;
                 if c < best_cost {
@@ -367,7 +473,7 @@ pub fn optimize_layout_from(
                         }
                         let mut trial = partitions.clone();
                         trial[dim] = cand;
-                        clamp_partitions(&mut trial, &grid_dims, config.max_cells_per_grid);
+                        clamp_partitions(&mut trial, &grid_dims, max_cells);
                         let c =
                             predicted_cost(&sample, total_rows, &skeleton, &trial, workload, cost);
                         evaluations += 1;
@@ -395,11 +501,7 @@ pub fn optimize_layout_from(
                                 *p = 1;
                             }
                         }
-                        clamp_partitions(
-                            &mut trial_p,
-                            &neighbor.grid_dims(),
-                            config.max_cells_per_grid,
-                        );
+                        clamp_partitions(&mut trial_p, &neighbor.grid_dims(), max_cells);
                         let c = predicted_cost(
                             &sample, total_rows, &neighbor, &trial_p, workload, cost,
                         );
@@ -581,7 +683,12 @@ mod tests {
         let config = TsunamiConfig::fast();
         let sample = sample_dataset(&data, config.optimizer_sample_size, config.seed);
         let init_s = heuristic_skeleton(&sample, &config);
-        let init_p = initial_partitions(&sample, &init_s, &w, config.max_cells_per_grid);
+        // The reference initialization gets the same effective cell budget
+        // the optimizer works under: with the configured cap alone it would
+        // be priced with cells the row-derived floor forbids the optimizer.
+        let max_cells = cell_budget(data.len(), &config);
+        assert!(max_cells < config.max_cells_per_grid);
+        let init_p = initial_partitions(&sample, &init_s, &w, max_cells);
         let init_cost = predicted_cost(&sample, data.len(), &init_s, &init_p, &w, &cost);
 
         let opt = optimize_layout(&data, &w, &cost, &config, OptimizerKind::Adaptive);

@@ -57,7 +57,12 @@ pub struct TsunamiConfig {
     /// Conditional CDF is used when more than this fraction of cells in the
     /// 2-d hyperplane would otherwise be empty.
     pub ccdf_empty_fraction: f64,
-    /// Maximum number of cells per Augmented Grid.
+    /// A cap on the cells of one Augmented Grid — not a target. The budget
+    /// a region's layout is actually optimized under is row-derived:
+    /// `min(max_cells_per_grid, rows / 256)`, one cell per quarter scan
+    /// block, and a region whose budget is below two cells gets no grid at
+    /// all (see the crate docs, "Layout granularity floor"). The cap only
+    /// binds for regions of more than `256 * max_cells_per_grid` rows.
     pub max_cells_per_grid: usize,
     /// Rows sampled per region for cost estimation during optimization.
     pub optimizer_sample_size: usize,

@@ -1,6 +1,9 @@
 //! The composed Tsunami index: Grid Tree over the data space, with an
 //! independently-optimized Augmented Grid inside every region that receives
-//! queries (§3).
+//! queries (§3) and clears the layout granularity floor (crate docs): a
+//! region's grid-or-no-grid decision and cell budget are made in exactly one
+//! place, `augmented_grid::optimizer::region_layout`, which build,
+//! re-optimization, ingest and delete-compaction all call.
 //!
 //! Besides the from-scratch [`TsunamiIndex::build`], the index supports
 //! **incremental re-optimization** under workload shift (§8):
@@ -24,10 +27,10 @@
 
 use std::time::Instant;
 
-use crate::augmented_grid::optimizer::{heuristic_skeleton, initial_partitions, predicted_cost};
-use crate::augmented_grid::{
-    optimize_layout, optimize_layout_from, AugmentedGrid, OptimizerKind, Skeleton,
+use crate::augmented_grid::optimizer::{
+    current_layout_is_competitive, region_can_hold_grid, region_layout,
 };
+use crate::augmented_grid::{AugmentedGrid, OptimizerKind, Skeleton};
 use crate::config::{IndexVariant, TsunamiConfig};
 use crate::cube::{CubeEntry, RegionCube};
 use crate::grid_tree::GridTree;
@@ -47,7 +50,8 @@ struct RegionIndex {
     /// Number of rows in the region.
     len: usize,
     /// The region's Augmented Grid, or `None` when no query intersects the
-    /// region (it is then answered with a plain region scan).
+    /// region or it has too few rows for a grid to split (it is then
+    /// answered with a plain region scan).
     grid: Option<AugmentedGrid>,
     /// Rows ingested into the region since its layout was last optimized —
     /// the per-region staleness counter. Ingested rows are re-gridded into
@@ -66,6 +70,11 @@ pub struct TsunamiStats {
     pub grid_tree_depth: usize,
     /// Number of leaf regions.
     pub num_leaf_regions: usize,
+    /// Leaf regions indexed by an Augmented Grid; the rest are answered by a
+    /// plain region scan bounded by the Grid Tree (no intersecting queries,
+    /// or too few rows for a grid to split — see the crate docs, "Layout
+    /// granularity floor").
+    pub gridded_regions: usize,
     /// Minimum points in a region.
     pub min_points_per_region: usize,
     /// Median points in a region.
@@ -276,25 +285,21 @@ impl TsunamiIndex {
         };
         let (tree, region_data) = GridTree::build(data, &types, &effective_config);
 
-        // Optimize a layout for every region that has intersecting queries.
+        // Lay out every region: a grid where it has intersecting queries
+        // and enough rows to split, a plain region scan otherwise.
         let mut layouts: Vec<Option<(Skeleton, Vec<usize>)>> =
             Vec::with_capacity(region_data.len());
         let mut region_datasets: Vec<Dataset> = Vec::with_capacity(region_data.len());
         for rd in &region_data {
             let region_ds = data.select_rows(&rd.rows);
-            if rd.queries.is_empty() || rd.rows.is_empty() {
-                layouts.push(None);
-            } else {
-                let region_workload = Workload::new(rd.queries.clone());
-                let layout = optimize_layout(
-                    &region_ds,
-                    &region_workload,
-                    cost,
-                    &effective_config,
-                    optimizer_kind,
-                );
-                layouts.push(Some((layout.skeleton, layout.partitions)));
-            }
+            layouts.push(region_layout(
+                &region_ds,
+                &rd.queries,
+                None,
+                cost,
+                &effective_config,
+                optimizer_kind,
+            ));
             region_datasets.push(region_ds);
         }
         let optimize_secs = opt_start.elapsed().as_secs_f64();
@@ -382,7 +387,8 @@ impl TsunamiIndex {
     /// that its query-type mix changed, or when a previously unqueried
     /// region now receives queries. Cold regions keep their grids and their
     /// slice of the physical row order verbatim, so only hot regions pay
-    /// optimizer and re-sort cost.
+    /// optimizer and re-sort cost. A grid-less region under the layout floor
+    /// (see the crate docs) is always cold: it has no layout to re-derive.
     ///
     /// A cheap fallback escalates to a full [`TsunamiIndex::build_with_cost`]
     /// when region reuse would be unsound (the data shape or the index
@@ -618,7 +624,7 @@ impl TsunamiIndex {
         // needed), then a full per-region WorkloadMonitor for same-dims
         // selectivity/frequency drift. Regions the new workload never
         // touches stay cold regardless of their old layout — an unused grid
-        // is harmless.
+        // is harmless — and so do grid-less regions under the layout floor.
         /// One leaf of a hot region's (possibly re-split) local structure:
         /// the rows it owns (indices into the hot region's dataset) and, when
         /// it has intersecting queries, its optimized Augmented Grid layout.
@@ -653,20 +659,23 @@ impl TsunamiIndex {
             // it a pass regardless of how the query mix compares.
             let stale = candidate.inserted as f64 / candidate.len.max(1) as f64
                 > config.ingest_region_staleness;
-            let hot = (candidate.forced_hot
-                || stale
-                || match &candidate.grid {
-                    None => true,
-                    Some(_) => {
-                        let ref_q = &ref_by_region[rid];
-                        ref_q.is_empty()
-                            || dims_mix(ref_q) != dims_mix(new_q)
-                            || WorkloadMonitor::new(data, &Workload::new(ref_q.clone()), config)
-                                .observe(data, &Workload::new(new_q.clone()), config)
-                                .reoptimize
-                    }
-                })
-                && new_q.len() >= min_queries;
+            // A grid-less region under the layout floor has no layout to
+            // re-derive, whatever its queries have become: it stays cold
+            // without paying for the comparison, let alone the row copy, the
+            // clustering and the local re-split below. (Most regions of a
+            // small table are such regions.)
+            let layable =
+                candidate.grid.is_some() || region_can_hold_grid(candidate.len, &effective_config);
+            let mix_changed = || {
+                let ref_q = &ref_by_region[rid];
+                ref_q.is_empty()
+                    || dims_mix(ref_q) != dims_mix(new_q)
+                    || WorkloadMonitor::new(data, &Workload::new(ref_q.clone()), config)
+                        .observe(data, &Workload::new(new_q.clone()), config)
+                        .reoptimize
+            };
+            let hot = new_q.len() >= min_queries
+                && (candidate.forced_hot || layable && (stale || mix_changed()));
             if !hot {
                 continue;
             }
@@ -682,34 +691,14 @@ impl TsunamiIndex {
             // competitive, keep the region verbatim — descent would start
             // from it anyway and buy little.
             if let (false, false, Some(grid)) = (candidate.forced_hot, stale, &candidate.grid) {
-                let sample = tsunami_core::sample::sample_dataset(
+                if current_layout_is_competitive(
                     &region_ds,
-                    effective_config.optimizer_sample_size,
-                    effective_config.seed,
-                );
-                let eval: Workload = new_q
-                    .iter()
-                    .step_by(new_q.len().div_ceil(32))
-                    .cloned()
-                    .collect();
-                let cost_cur = predicted_cost(
-                    &sample,
-                    candidate.len,
                     grid.skeleton(),
                     grid.partitions(),
-                    &eval,
+                    new_q,
                     cost,
-                );
-                let init_s = heuristic_skeleton(&sample, &effective_config);
-                let init_p = initial_partitions(
-                    &sample,
-                    &init_s,
-                    &eval,
-                    effective_config.max_cells_per_grid,
-                );
-                let cost_init =
-                    predicted_cost(&sample, candidate.len, &init_s, &init_p, &eval, cost);
-                if cost_cur <= cost_init * 1.1 {
+                    &effective_config,
+                ) {
                     continue;
                 }
             }
@@ -742,34 +731,27 @@ impl TsunamiIndex {
             let parts: Vec<LocalPart> = local_data
                 .into_iter()
                 .map(|rd| {
-                    let layout = if rd.queries.is_empty() || rd.rows.is_empty() {
-                        None
-                    } else {
-                        // Warm-start a single-leaf region from its current
-                        // layout (same rows, so the layout transfers
-                        // losslessly); re-split parts cover different row
-                        // sets, where transplanted layouts measurably
-                        // mislead the descent — they start from the
-                        // workload-aware heuristic instead.
-                        let warm = if single_leaf {
-                            candidate
-                                .grid
-                                .as_ref()
-                                .map(|g| (g.skeleton().clone(), g.partitions().to_vec()))
-                        } else {
-                            None
-                        };
-                        let part_ds = region_ds.select_rows(&rd.rows);
-                        let layout = optimize_layout_from(
-                            &part_ds,
-                            &Workload::new(rd.queries),
-                            cost,
-                            &effective_config,
-                            optimizer_kind,
-                            warm.as_ref().map(|(s, p)| (s, p.as_slice())),
-                        );
-                        Some((layout.skeleton, layout.partitions))
+                    // Warm-start a single-leaf region from its current
+                    // layout (same rows, so the layout transfers
+                    // losslessly); re-split parts cover different row
+                    // sets, where transplanted layouts measurably
+                    // mislead the descent — they start from the
+                    // workload-aware heuristic instead. A part the new
+                    // workload does not reach is a plain region scan.
+                    let warm = match &candidate.grid {
+                        Some(g) if single_leaf && !rd.queries.is_empty() => {
+                            Some((g.skeleton(), g.partitions()))
+                        }
+                        _ => None,
                     };
+                    let layout = region_layout(
+                        &region_ds.select_rows(&rd.rows),
+                        &rd.queries,
+                        warm,
+                        cost,
+                        &effective_config,
+                        optimizer_kind,
+                    );
                     LocalPart {
                         rows: rd.rows,
                         layout,
@@ -917,7 +899,9 @@ impl TsunamiIndex {
     ///
     /// * a touched region whose accumulated inserted-row fraction passes
     ///   [`TsunamiConfig::ingest_region_staleness`] gets its layout
-    ///   re-optimized locally (warm-started from the current one);
+    ///   re-optimized locally (warm-started from the current one) — unless
+    ///   it is grid-less and still under the layout floor, in which case it
+    ///   stays a plain region scan and keeps its staleness;
     /// * the whole index escalates to a from-scratch
     ///   [`TsunamiIndex::build_with_cost`] over data + batch when the
     ///   ingested fraction would pass
@@ -1010,29 +994,6 @@ impl TsunamiIndex {
             per_region[tree.absorb_point(&point)].push(j);
         }
 
-        // The reference workload routed through the (widened) tree — the
-        // per-region workloads any staleness-escalated re-optimization
-        // targets. Routing clones every query once per intersecting region,
-        // so the common hot path (small batches, no region past its
-        // staleness bar) skips it entirely. (The AugmentedGridOnly ablation
-        // never assigns queries to its single region; mirror that.)
-        let any_stale = self.variant != IndexVariant::AugmentedGridOnly
-            && self.regions.iter().enumerate().any(|(rid, region)| {
-                let news = per_region[rid].len();
-                news > 0
-                    && region.grid.is_some()
-                    && (region.inserted + news) as f64 / (region.len + news) as f64
-                        > config.ingest_region_staleness
-            });
-        let mut ref_by_region: Vec<Vec<Query>> = vec![Vec::new(); self.regions.len()];
-        if any_stale {
-            for q in self.reference.queries() {
-                for rid in tree.regions_for_query(q) {
-                    ref_by_region[rid].push(q.clone());
-                }
-            }
-        }
-
         // Graft: append the batch at the store's tail, then permute it so
         // every region's slice is contiguous again (rows of untouched
         // regions only shift; their relative order is untouched).
@@ -1072,66 +1033,85 @@ impl TsunamiIndex {
             }
             regions_touched += 1;
             let len = region.len + news.len();
-            match &region.grid {
-                None => {
-                    // Query-less region (plain region scan): order within
-                    // the slice is irrelevant, the new rows join at its tail.
-                    perm.extend(old_range);
-                    perm.extend(news.iter().map(|&j| n + j));
-                    regions.push(RegionIndex {
-                        base,
-                        len,
-                        grid: None,
-                        inserted: region.inserted + news.len(),
-                    });
-                }
-                Some(grid) => {
-                    // The merged region rows (old slice + new rows), and the
-                    // appended-store indices parallel to them.
-                    let mut cols = self.store.slice_dataset(old_range.clone()).into_columns();
-                    for (dim, col) in cols.iter_mut().enumerate() {
-                        col.extend(news.iter().map(|&j| rows.get(j, dim)));
-                    }
-                    let region_ds = Dataset::from_columns(cols).expect("equal-length columns");
-                    let indices: Vec<usize> =
-                        old_range.chain(news.iter().map(|&j| n + j)).collect();
+            let inserted = region.inserted + news.len();
+            // A region past its staleness bar has its layout decision
+            // re-made for the reference queries reaching its (widened)
+            // bounds, warm-started from the current grid, if any — which is
+            // also how a grid-less region that grew through the layout floor
+            // earns its first grid. Either way its staleness is repaid. A
+            // grid-less region still under the floor has no decision to
+            // re-make: it takes the plain-scan arm below and its staleness
+            // stays on the books, where the whole-index rebuild bar and
+            // the reports' `data_staleness` see it. (The AugmentedGridOnly
+            // ablation never assigns queries to its single region; mirror
+            // that.)
+            let stale = inserted as f64 / len as f64 > config.ingest_region_staleness;
+            let layable = region.grid.is_some() || region_can_hold_grid(len, &effective_config);
+            let mut ref_q: Vec<Query> = Vec::new();
+            if stale && layable && self.variant != IndexVariant::AugmentedGridOnly {
+                let bounds = tree.region(rid);
+                let reference = self.reference.queries().iter();
+                ref_q.extend(reference.filter(|q| bounds.intersects(q)).cloned());
+            }
+            let reoptimize = !ref_q.is_empty();
+            let appended = news.iter().map(|&j| n + j);
+            if region.grid.is_none() && !reoptimize {
+                // Plain region scan: order within the slice is irrelevant,
+                // the new rows join at its tail.
+                perm.extend(old_range);
+                perm.extend(appended);
+                regions.push(RegionIndex {
+                    base,
+                    len,
+                    grid: None,
+                    inserted,
+                });
+                continue;
+            }
+            // The merged region rows (old slice + new rows), and the
+            // appended-store indices parallel to them.
+            let mut cols = self.store.slice_dataset(old_range.clone()).into_columns();
+            for (dim, col) in cols.iter_mut().enumerate() {
+                col.extend(news.iter().map(|&j| rows.get(j, dim)));
+            }
+            let region_ds = Dataset::from_columns(cols).expect("equal-length columns");
+            let indices: Vec<usize> = old_range.chain(appended).collect();
 
-                    let inserted = region.inserted + news.len();
-                    let stale = inserted as f64 / len as f64 > config.ingest_region_staleness;
-                    let ref_q = &ref_by_region[rid];
-                    let (skeleton, partitions, inserted) = if stale && !ref_q.is_empty() {
-                        let t0 = Instant::now();
-                        let layout = optimize_layout_from(
-                            &region_ds,
-                            &Workload::new(ref_q.clone()),
-                            cost,
-                            &effective_config,
-                            optimizer_kind,
-                            Some((grid.skeleton(), grid.partitions())),
-                        );
-                        optimize_secs += t0.elapsed().as_secs_f64();
-                        regions_reoptimized += 1;
-                        (layout.skeleton, layout.partitions, 0)
-                    } else {
-                        (
-                            grid.skeleton().clone(),
-                            grid.partitions().to_vec(),
-                            inserted,
-                        )
-                    };
-                    // Re-grid over the merged rows and re-sort only this
-                    // region's slice into the grid's cell order.
+            // Without queries the region keeps its layout, re-gridded over
+            // the merged rows.
+            let t0 = Instant::now();
+            let layout = region_layout(
+                &region_ds,
+                &ref_q,
+                region.grid.as_ref().map(|g| (g.skeleton(), g.partitions())),
+                cost,
+                &effective_config,
+                optimizer_kind,
+            );
+            if reoptimize {
+                optimize_secs += t0.elapsed().as_secs_f64();
+            }
+            let grid = match layout {
+                None => {
+                    perm.extend(indices);
+                    None
+                }
+                Some((skeleton, partitions)) => {
+                    // Re-sort only this region's slice into the grid's cell
+                    // order.
                     let (grid, local_perm) =
                         AugmentedGrid::build(&region_ds, &skeleton, &partitions);
                     perm.extend(local_perm.into_iter().map(|local| indices[local]));
-                    regions.push(RegionIndex {
-                        base,
-                        len,
-                        grid: Some(grid),
-                        inserted,
-                    });
+                    regions_reoptimized += usize::from(reoptimize);
+                    Some(grid)
                 }
-            }
+            };
+            regions.push(RegionIndex {
+                base,
+                len,
+                grid,
+                inserted: if reoptimize { 0 } else { inserted },
+            });
         }
         debug_assert_eq!(perm.len(), n + m);
         store.permute(&perm);
@@ -1273,6 +1253,7 @@ impl TsunamiIndex {
         // layout only re-earns optimizer time through reoptimize/ingest).
         // Rows after a compacted region shift down; bases are re-derived.
         let start = Instant::now();
+        let (effective_config, optimizer_kind) = effective_build_config(config);
         let mut regions: Vec<RegionIndex> = Vec::with_capacity(self.regions.len());
         let mut regions_compacted = 0usize;
         let mut shift = 0usize;
@@ -1295,18 +1276,24 @@ impl TsunamiIndex {
             shift += removed;
             regions_compacted += 1;
             let len = region.len - removed;
-            let grid = match &region.grid {
-                Some(grid) if len > 0 => {
-                    // Re-grid the survivors into the existing layout and
-                    // re-sort only this region's slice into cell order.
-                    let region_ds = store.slice_dataset(base..base + len);
-                    let (grid, local_perm) =
-                        AugmentedGrid::build(&region_ds, grid.skeleton(), grid.partitions());
-                    store.permute_range(base, &local_perm);
-                    Some(grid)
-                }
-                _ => None,
-            };
+            // Re-grid the survivors into the existing layout — re-fitted to
+            // the shrunken row count, which drops the grid altogether below
+            // the layout floor — and re-sort only this region's slice into
+            // cell order.
+            let grid = region.grid.as_ref().and_then(|grid| {
+                let region_ds = store.slice_dataset(base..base + len);
+                let (skeleton, partitions) = region_layout(
+                    &region_ds,
+                    &[],
+                    Some((grid.skeleton(), grid.partitions())),
+                    cost,
+                    &effective_config,
+                    optimizer_kind,
+                )?;
+                let (grid, local_perm) = AugmentedGrid::build(&region_ds, &skeleton, &partitions);
+                store.permute_range(base, &local_perm);
+                Some(grid)
+            });
             regions.push(RegionIndex {
                 base,
                 len,
@@ -1385,24 +1372,29 @@ impl TsunamiIndex {
             .iter()
             .filter_map(|r| r.grid.as_ref())
             .collect();
-        let n_indexed = indexed.len().max(1);
+        // Integer totals: an all-grid-less index averages to 0, not the -0.0
+        // an empty float sum yields.
+        let per_indexed = |total: usize| total as f64 / indexed.len().max(1) as f64;
         TsunamiStats {
             num_grid_tree_nodes: self.tree.num_nodes(),
             grid_tree_depth: self.tree.depth(),
             num_leaf_regions: self.tree.num_regions(),
+            gridded_regions: indexed.len(),
             min_points_per_region: points.first().copied().unwrap_or(0),
             median_points_per_region: points.get(points.len() / 2).copied().unwrap_or(0),
             max_points_per_region: points.last().copied().unwrap_or(0),
-            avg_fms_per_region: indexed
-                .iter()
-                .map(|g| g.num_functional_mappings() as f64)
-                .sum::<f64>()
-                / n_indexed as f64,
-            avg_ccdfs_per_region: indexed
-                .iter()
-                .map(|g| g.num_conditional_cdfs() as f64)
-                .sum::<f64>()
-                / n_indexed as f64,
+            avg_fms_per_region: per_indexed(
+                indexed
+                    .iter()
+                    .map(|g| g.num_functional_mappings())
+                    .sum::<usize>(),
+            ),
+            avg_ccdfs_per_region: per_indexed(
+                indexed
+                    .iter()
+                    .map(|g| g.num_conditional_cdfs())
+                    .sum::<usize>(),
+            ),
             total_grid_cells: indexed.iter().map(|g| g.num_cells()).sum(),
         }
     }
@@ -1517,6 +1509,7 @@ impl MultiDimIndex for TsunamiIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::augmented_grid::optimizer::TARGET_ROWS_PER_CELL;
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{AggResult, Predicate};
 
@@ -1916,18 +1909,40 @@ mod tests {
 
     #[test]
     fn ingest_reoptimizes_stale_regions_locally() {
-        let data = dataset(4_000, 157);
+        // Sized so several regions clear the layout floor at build: the
+        // escalation under test is a *gridded* region going stale (a
+        // grid-less one earning its first grid has its own test below).
+        let data = dataset(30_000, 157);
         let w = workload(158);
         // A hair-trigger region bar: any touched region re-optimizes.
         let config = TsunamiConfig::fast().with_ingest_staleness(0.0, 1.0);
         let index = TsunamiIndex::build(&data, &w, &config).unwrap();
-        let batch = ingest_batch(200, 159);
+        let gridded_at_build = index.stats().gridded_regions;
+        assert!(gridded_at_build >= 2, "{:?}", index.stats());
+        let batch = ingest_batch(1_500, 159);
         let (ingested, report) = index.ingest(&batch, &config).unwrap();
         assert!(!report.rebuilt);
+        // Every gridded region the batch touched had its layout re-optimized
+        // (and kept a grid: regions only grew).
+        let touched_gridded = index
+            .regions
+            .iter()
+            .zip(&ingested.regions)
+            .filter(|(before, after)| before.grid.is_some() && after.len > before.len)
+            .count();
         assert!(
-            report.regions_reoptimized >= 1,
+            touched_gridded >= 1,
+            "the batch must reach a gridded region"
+        );
+        assert!(
+            report.regions_reoptimized >= touched_gridded,
             "a zero staleness bar must escalate touched regions: {report:?}"
         );
+        assert!(ingested.stats().gridded_regions >= gridded_at_build);
+        assert!(ingested
+            .regions
+            .iter()
+            .all(|r| r.grid.is_none() || r.inserted == 0));
         let merged = merged_dataset(&data, &batch);
         for q in w.queries().iter().step_by(5) {
             assert_eq!(ingested.execute(q), q.execute_full_scan(&merged));
@@ -2146,5 +2161,199 @@ mod tests {
             .select_dims(&[]);
         let err = TsunamiIndex::build(&data, &Workload::default(), &TsunamiConfig::fast());
         assert!(err.is_err());
+    }
+
+    /// The layout granularity floor, on every region: none under two target
+    /// cells of rows has a grid, and no grid is finer than one cell per
+    /// `TARGET_ROWS_PER_CELL` rows.
+    fn assert_layout_floor(index: &TsunamiIndex, label: &str) {
+        for (rid, region) in index.regions.iter().enumerate() {
+            let Some(grid) = &region.grid else { continue };
+            assert!(
+                region.len >= 2 * TARGET_ROWS_PER_CELL,
+                "{label}: region {rid} has a grid over only {} rows",
+                region.len
+            );
+            assert!(
+                grid.num_cells() <= (region.len / TARGET_ROWS_PER_CELL).max(1),
+                "{label}: region {rid} spends {} cells on {} rows",
+                grid.num_cells(),
+                region.len
+            );
+        }
+    }
+
+    #[test]
+    fn layout_floor_holds_through_every_restructure() {
+        let data = dataset(30_000, 157);
+        let w = workload(158);
+        let config = TsunamiConfig::fast();
+        let cost = CostModel::default();
+        let built = TsunamiIndex::build(&data, &w, &config).unwrap();
+        assert_layout_floor(&built, "build");
+        // Not vacuous: some regions are gridded, most are not.
+        let stats = built.stats();
+        assert!(stats.gridded_regions >= 2, "{stats:?}");
+        assert!(stats.gridded_regions < stats.num_leaf_regions, "{stats:?}");
+        assert!(stats.total_grid_cells <= data.len() / TARGET_ROWS_PER_CELL);
+
+        let (reoptimized, report) = built
+            .reoptimize_with_cost(&data, &shifted_workload(182), &cost, &config)
+            .unwrap();
+        assert!(
+            !report.escalated() && report.regions_reoptimized > 0,
+            "{report:?}"
+        );
+        assert_layout_floor(&reoptimized, "reoptimize");
+
+        // Chunked ingest, under the default bars and under a hair trigger
+        // that re-makes every touched region's layout decision.
+        for (label, cfg) in [
+            ("ingest", config.clone()),
+            (
+                "ingest/eager",
+                config.clone().with_ingest_staleness(0.0, 1.0),
+            ),
+        ] {
+            let mut index = TsunamiIndex::build(&data, &w, &cfg).unwrap();
+            for chunk in ingest_batch(2_400, 183).chunks(800) {
+                let (next, report) = index.ingest(chunk, &cfg).unwrap();
+                assert!(!report.rebuilt, "{report:?}");
+                assert_layout_floor(&next, label);
+                index = next;
+            }
+            assert!(index.stats().gridded_regions >= stats.gridded_regions);
+        }
+
+        // Delete + compaction: shrunken regions re-fit (or drop) their grids.
+        let eager = config.clone().with_ingest_staleness(0.0, 1.0);
+        let del = Query::count(vec![Predicate::range(0, 0, 30_000).unwrap()]).unwrap();
+        let (compacted, report) = built.delete_where(&del, &eager).unwrap();
+        assert!(
+            !report.rebuilt && report.regions_compacted > 0,
+            "{report:?}"
+        );
+        assert_layout_floor(&compacted, "delete/compaction");
+        assert!(compacted.stats().total_grid_cells < stats.total_grid_cells);
+
+        // The three rebuild escalations.
+        let strict = config.clone().with_reopt_rebuild_drift(0.0);
+        let (rebuilt, report) = built
+            .reoptimize_with_cost(&data, &shifted_workload(184), &cost, &strict)
+            .unwrap();
+        assert!(report.escalated(), "{report:?}");
+        assert_layout_floor(&rebuilt, "reoptimize/rebuild");
+        let rebuild_bar = config.clone().with_ingest_staleness(1.0, 0.0);
+        let (rebuilt, report) = built.ingest(&ingest_batch(500, 185), &rebuild_bar).unwrap();
+        assert!(report.rebuilt, "{report:?}");
+        assert_layout_floor(&rebuilt, "ingest/rebuild");
+        let (rebuilt, report) = built.delete_where(&del, &rebuild_bar).unwrap();
+        assert!(report.rebuilt, "{report:?}");
+        assert_layout_floor(&rebuilt, "delete/rebuild");
+    }
+
+    /// A single-region index (the Grid Tree is not allowed to split) over
+    /// `n` rows, with a workload of narrow dim-0 scans the optimizer wants
+    /// cells for.
+    fn single_region(n: usize, seed: u64, config: &TsunamiConfig) -> (Dataset, TsunamiIndex) {
+        let data = dataset(n, seed);
+        let mut rng = SplitMix::new(seed + 1);
+        let w: Workload = (0..24)
+            .map(|_| {
+                let lo = rng.next_below(45_000);
+                Query::count(vec![Predicate::range(0, lo, lo + 2_000).unwrap()]).unwrap()
+            })
+            .collect();
+        let index = TsunamiIndex::build(&data, &w, config).unwrap();
+        assert_eq!(index.regions.len(), 1);
+        (data, index)
+    }
+
+    /// Probes over dim 0 (the gridded dimension) and the whole domain, all
+    /// five aggregations.
+    fn floor_probes() -> Vec<Query> {
+        let mut probes = all_agg_probes(vec![Predicate::range(0, 10_000, 30_000).unwrap()]);
+        probes.extend(all_agg_probes(vec![
+            Predicate::range(0, 0, 60_000).unwrap(),
+            Predicate::range(2, 1_000, 7_000).unwrap(),
+        ]));
+        probes.extend(all_agg_probes(vec![]));
+        probes
+    }
+
+    #[test]
+    fn gridless_region_earns_a_grid_once_it_grows_through_the_floor() {
+        let config = TsunamiConfig {
+            max_tree_depth: 0,
+            ..TsunamiConfig::fast().with_ingest_staleness(0.25, 1.0)
+        };
+        // Under the floor at build: queried, but answered by a region scan.
+        let (data, index) = single_region(2 * TARGET_ROWS_PER_CELL - 100, 190, &config);
+        assert!(index.regions[0].grid.is_none());
+        for q in floor_probes() {
+            assert_eq!(index.execute(&q), q.execute_full_scan(&data), "{q:?}");
+        }
+
+        // A small batch leaves it under both the floor and the staleness bar.
+        let small = ingest_batch(40, 191);
+        let (index, report) = index.ingest(&small, &config).unwrap();
+        assert_eq!(report.regions_reoptimized, 0);
+        assert!(index.regions[0].grid.is_none());
+        // The next one takes it through the floor and past the bar: the
+        // region is laid out for its reference queries.
+        let large = ingest_batch(300, 192);
+        let (index, report) = index.ingest(&large, &config).unwrap();
+        assert!(!report.rebuilt, "{report:?}");
+        assert_eq!(report.regions_reoptimized, 1, "{report:?}");
+        let grid = index.regions[0]
+            .grid
+            .as_ref()
+            .expect("a grid past the floor");
+        assert!(grid.num_cells() > 1);
+        assert_eq!(index.regions[0].inserted, 0);
+        assert_layout_floor(&index, "grown");
+        let merged = merged_dataset(&merged_dataset(&data, &small), &large);
+        for q in floor_probes() {
+            assert_eq!(index.execute(&q), q.execute_full_scan(&merged), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn region_compacted_below_the_floor_drops_its_grid() {
+        let config = TsunamiConfig {
+            max_tree_depth: 0,
+            ..TsunamiConfig::fast().with_ingest_staleness(0.1, 1.0)
+        };
+        let (data, index) = single_region(3 * TARGET_ROWS_PER_CELL, 193, &config);
+        assert!(index.regions[0].grid.is_some());
+        for q in floor_probes() {
+            assert_eq!(index.execute(&q), q.execute_full_scan(&data), "{q:?}");
+        }
+
+        // Delete well over a third of the rows: the region compacts to
+        // fewer than two target cells and goes back to a region scan.
+        let del = Query::count(vec![Predicate::range(0, 0, 22_000).unwrap()]).unwrap();
+        let (compacted, report) = index.delete_where(&del, &config).unwrap();
+        assert!(
+            !report.rebuilt && report.regions_compacted == 1,
+            "{report:?}"
+        );
+        let live = live_after(&data, &del);
+        assert_eq!(compacted.regions[0].len, live.len());
+        assert!(live.len() < 2 * TARGET_ROWS_PER_CELL);
+        assert!(compacted.regions[0].grid.is_none());
+        for q in floor_probes() {
+            assert_eq!(compacted.execute(&q), q.execute_full_scan(&live), "{q:?}");
+        }
+        // Whole-domain predicates are still eliminated from the residual,
+        // through the Grid-Tree bounds of the now grid-less region (which
+        // still span the deleted rows).
+        let (lo, hi) = data.domain(1).unwrap();
+        let q = Query::count(vec![
+            Predicate::range(1, lo, hi).unwrap(),
+            Predicate::range(2, 1_000, 7_000).unwrap(),
+        ])
+        .unwrap();
+        assert!(compacted.plan(&q).residual(&q).iter().all(|p| p.dim != 1));
     }
 }

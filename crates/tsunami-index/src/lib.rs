@@ -19,7 +19,37 @@
 //!
 //! The composed [`TsunamiIndex`] optimizes the Grid Tree over the full data
 //! and workload, then builds an independently-optimized Augmented Grid inside
-//! every region that receives queries.
+//! every region that receives queries and has enough rows to split.
+//!
+//! # Layout granularity floor
+//!
+//! No Augmented-Grid cell is planned finer than a quarter of the executor's
+//! scan block ([`tsunami_core::exec::BLOCK_ROWS`]` / 4` = 256 rows): a
+//! region's layout is optimized under the cell budget
+//! `min(`[`TsunamiConfig::max_cells_per_grid`]`, rows / 256)`, and a region
+//! whose budget is below two cells (fewer than 512 rows), or whose optimized
+//! partitions multiply to a single cell, has *no grid* — `plan()` emits it as
+//! one range, with exactness and residual guarantees from the Grid-Tree
+//! bounds. The reason is the cost model's blind spot: it prices
+//! `w0·ranges + w1·points·dims` with ranges counted *after* merging, so it
+//! never sees a cell and the optimizer fills any budget it is given — at
+//! 100k rows that was 2M cells (20 per row), 178 µs of a 194 µs query spent
+//! enumerating them, and an index 17× the size of Flood's. The scan the
+//! cells were saving is memory-bound at ~0.3 ns/row; a cell of a few dozen
+//! rows can never repay the ~1.4 µs it costs to plan its grid. The floor is
+//! derived from a region's row count alone — it is not a knob — and one
+//! function decides it for build, re-optimization, ingest, delete-compaction
+//! and every rebuild escalation, so a region's layout is re-decided whenever
+//! its row count moves: a grid-less region that grows through the floor
+//! earns a grid at its next staleness escalation, and a gridded one
+//! compacted below it goes back to a region scan. A grid-less region still
+//! under the floor has no layout to re-derive, so re-optimization carries it
+//! verbatim and ingest appends to it without repaying its staleness — only
+//! a merge by the Grid-Tree collapse or a rebuild restructures it.
+//! [`TsunamiStats`] reports
+//! `gridded_regions` beside `num_leaf_regions`, i.e. how much of an index is
+//! Grid Tree and how much Augmented Grid. The README's index section has the
+//! rows-per-cell sweep behind the quarter-block choice.
 //!
 //! When the workload later drifts (§8), the index adapts *incrementally*:
 //! [`shift::WorkloadMonitor`] fingerprints observed queries against the

@@ -7,11 +7,16 @@
 //! post-ingest scan volume within a small tolerance of the fresh rebuild's.
 
 use tsunami_core::sample::SplitMix;
-use tsunami_core::{Aggregation, Dataset, Point, Predicate, Query, TsunamiError, Workload};
+use tsunami_core::{
+    Aggregation, Dataset, MultiDimIndex, Point, Predicate, Query, TsunamiError, Workload,
+};
 use tsunami_flood::FloodConfig;
-use tsunami_index::TsunamiConfig;
+use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_suite::{Database, IndexSpec, Table};
 use tsunami_workloads::{synthetic, tpch};
+
+mod common;
+use common::assert_grids_if_tsunami;
 
 /// Every ingest-capable index family: Tsunami routes rows through its Grid
 /// Tree, Flood and SingleDim take the sorted-merge path, FullScan appends.
@@ -48,25 +53,25 @@ fn batch_for(full: &Dataset, base_rows: usize, seed: u64) -> Vec<Point> {
 /// (name, base data, full generator output, workload) sweep cases. The base
 /// dataset is the full stream truncated; the batch is its continuation.
 fn cases() -> Vec<(&'static str, Dataset, Vec<Point>, Workload)> {
-    let tpch_full = tpch::generate(9_000, 41);
+    let tpch_full = tpch::generate(33_000, 41);
     let tpch_base = Dataset::from_columns(
         (0..tpch_full.num_dims())
-            .map(|d| tpch_full.column(d)[..8_200].to_vec())
+            .map(|d| tpch_full.column(d)[..30_000].to_vec())
             .collect(),
     )
     .unwrap();
     let tpch_workload = tpch::workload(&tpch_base, 6, 42);
-    let tpch_batch = batch_for(&tpch_full, 8_200, 43);
+    let tpch_batch = batch_for(&tpch_full, 30_000, 43);
 
-    let corr_full = synthetic::correlated(5_500, 5, 44);
+    let corr_full = synthetic::correlated(22_000, 5, 44);
     let corr_base = Dataset::from_columns(
         (0..corr_full.num_dims())
-            .map(|d| corr_full.column(d)[..5_000].to_vec())
+            .map(|d| corr_full.column(d)[..20_000].to_vec())
             .collect(),
     )
     .unwrap();
     let corr_workload = synthetic::workload(&corr_base, 8, 45);
-    let corr_batch = batch_for(&corr_full, 5_000, 46);
+    let corr_batch = batch_for(&corr_full, 20_000, 46);
 
     vec![
         ("tpch", tpch_base, tpch_batch, tpch_workload),
@@ -132,9 +137,11 @@ fn ingest_through_engine(
     db.create_table_unnamed("t", base.clone(), workload, spec)?;
     let third = batch.len().div_ceil(3);
     let mut table = db.table("t")?;
+    assert_grids_if_tsunami(table.index(), "built");
     for chunk in batch.chunks(third.max(1)) {
         table = db.insert_batch("t", chunk)?;
     }
+    assert_grids_if_tsunami(table.index(), "ingested");
     Ok(table)
 }
 
@@ -311,4 +318,37 @@ fn ingest_scan_volume_stays_close_to_a_fresh_rebuild() -> Result<(), TsunamiErro
         }
     }
     Ok(())
+}
+
+#[test]
+fn ingest_keeps_the_staleness_of_regions_under_the_layout_floor_on_the_books() {
+    // A small table is all Grid Tree: every region is under the layout
+    // floor (half a scan block) and grid-less. A hair-trigger region bar
+    // makes each touched one stale, but none has a layout decision to
+    // re-make — so ingest spends no optimizer time on them and repays none
+    // of their staleness, which the whole-index rebuild bar keeps seeing in
+    // full.
+    let base = tpch::generate(8_200, 41);
+    let workload = tpch::workload(&base, 6, 42);
+    let config = TsunamiConfig::fast().with_ingest_staleness(0.0, 1.0);
+    let index = TsunamiIndex::build(&base, &workload, &config).unwrap();
+    let stats = index.stats();
+    assert!(
+        stats.max_points_per_region + 160 < tsunami_core::exec::BLOCK_ROWS / 2,
+        "{stats:?}"
+    );
+
+    let batch: Vec<Point> = (0..160).map(|r| base.row(r * 7)).collect();
+    let (next, report) = index.ingest(&batch, &config).unwrap();
+    assert!(!report.rebuilt && report.regions_touched > 0, "{report:?}");
+    assert_eq!(report.regions_reoptimized, 0, "{report:?}");
+    assert_eq!(next.stats().gridded_regions, 0);
+    assert_eq!(
+        next.data_staleness(),
+        batch.len() as f64 / (base.len() + batch.len()) as f64
+    );
+    let merged = merged_dataset(&base, &batch);
+    for q in all_aggregations(&workload, base.num_dims()) {
+        assert_eq!(next.execute(&q), q.execute_full_scan(&merged), "{q:?}");
+    }
 }

@@ -28,6 +28,9 @@ use tsunami_flood::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_store::{ColumnStore, EncodePolicy};
 
+mod common;
+use common::assert_grids_if_tsunami;
+
 /// Runs a plan with a pinned tier on `threads` participants of the global
 /// pool (`1` = serial).
 fn run_tier(
@@ -138,10 +141,13 @@ fn tier_sweep_selectivity_predicates_and_block_offsets() {
 
 fn build_all(data: &Dataset, workload: &Workload) -> Vec<Box<dyn MultiDimIndex>> {
     let cost = CostModel::default();
+    let tsunami =
+        TsunamiIndex::build_with_cost(data, workload, &cost, &TsunamiConfig::fast()).unwrap();
+    // The suite must keep exercising the Augmented-Grid planner, not only
+    // Grid-Tree region scans.
+    assert_grids_if_tsunami(&tsunami, "build_all fixture");
     vec![
-        Box::new(
-            TsunamiIndex::build_with_cost(data, workload, &cost, &TsunamiConfig::fast()).unwrap(),
-        ),
+        Box::new(tsunami),
         Box::new(FloodIndex::build(
             data,
             workload,

@@ -24,6 +24,9 @@ use tsunami_core::{
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_suite::{Database, IndexSpec};
 
+mod common;
+use common::assert_grids_if_tsunami;
+
 const ALL_AGGREGATIONS: [fn(usize) -> Aggregation; 5] = [
     |_| Aggregation::Count,
     Aggregation::Sum,
@@ -94,6 +97,9 @@ fn assert_bit_identical(
     probes: &[Query],
 ) {
     assert!(on.matview_enabled() && !off.matview_enabled());
+    // The suite must keep exercising grid plans beside the cube, not only
+    // Grid-Tree region scans.
+    assert_grids_if_tsunami(on, label);
     for q in probes {
         let oracle = q.execute_full_scan(live);
         assert_eq!(on.execute(q), oracle, "{label}: matview-on vs oracle {q:?}");
@@ -127,7 +133,7 @@ fn cube_answers_are_bit_identical_through_every_mutation() -> Result<(), Tsunami
     // compaction swaps (regions re-gridded, bases shifted) without the
     // whole-index rebuild escalation.
     let config = TsunamiConfig::fast().with_ingest_staleness(0.05, 0.9);
-    let mut live = dataset(9_000, 7);
+    let mut live = dataset(30_000, 7);
     let wl = workload(&live, 8, 11);
     let (mut on, mut off) = build_pair(&live, &wl, &config);
     assert_bit_identical("built", &on, &off, &live, &probes(&live, &wl));
@@ -209,7 +215,7 @@ fn covered_queries_skip_scanning_via_partials() {
 
 #[test]
 fn registered_views_track_the_table_through_engine_mutations() -> Result<(), TsunamiError> {
-    let data = dataset(6_000, 91);
+    let data = dataset(20_000, 91);
     let wl = workload(&data, 6, 92);
     let mut db = Database::new();
     db.create_table(
@@ -219,6 +225,7 @@ fn registered_views_track_the_table_through_engine_mutations() -> Result<(), Tsu
         &wl,
         &IndexSpec::Tsunami(TsunamiConfig::fast()),
     )?;
+    assert_grids_if_tsunami(db.table("trips")?.index(), "trips");
 
     // One view per aggregation kind, built through the fluent builder.
     type AggCtor = fn(usize) -> Aggregation;

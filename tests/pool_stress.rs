@@ -44,17 +44,12 @@ fn mixed_workload(n: usize, dims: usize, seed: u64) -> Workload {
     )
 }
 
-/// Current thread count of this process, from `/proc/self/status`. Returns
-/// `None` off Linux so the leak check degrades to a no-op there.
-fn process_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
+/// The calling thread's `/proc/<pid>/task/<tid>` directory, which exists
+/// exactly as long as the thread does. `None` off Linux, where the leak
+/// check degrades to a no-op.
+fn own_task_dir() -> Option<std::path::PathBuf> {
+    let task = std::fs::read_link("/proc/thread-self").ok()?;
+    Some(std::path::Path::new("/proc").join(task))
 }
 
 /// Bit-identity vs serial across all seven index families at 1, 2, and 8
@@ -206,27 +201,45 @@ fn mixed_submit_poll_on_private_pool_preserves_results() {
 /// called twice, and run any still-queued tasks rather than dropping them.
 #[test]
 fn shutdown_joins_workers_and_is_idempotent() {
-    let before = process_threads();
-    {
-        let mut pool = WorkStealingPool::new(4);
-        if let (Some(b), Some(now)) = (before, process_threads()) {
-            assert!(now >= b + 4, "expected 4 pool threads: {b} -> {now}");
-        }
-        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        for _ in 0..64 {
-            let ran = Arc::clone(&ran);
-            pool.spawn(move || {
-                ran.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            });
-        }
-        pool.shutdown();
-        assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 64);
-        // Second shutdown and the implicit drop-shutdown are both no-ops.
-        pool.shutdown();
+    let mut pool = WorkStealingPool::new(4);
+    // Four tasks that rendezvous with this thread occupy all four workers at
+    // once; each reports its own thread, so the census below is of this
+    // pool's workers only — sibling tests' pools and the harness's threads
+    // come and go without touching it.
+    let started = Arc::new(std::sync::Barrier::new(5));
+    let workers = Arc::new(std::sync::Mutex::new(Vec::new()));
+    for _ in 0..4 {
+        let (started, workers) = (Arc::clone(&started), Arc::clone(&workers));
+        pool.spawn(move || {
+            workers.lock().unwrap().extend(own_task_dir());
+            started.wait();
+        });
     }
-    if let (Some(b), Some(after)) = (before, process_threads()) {
-        assert_eq!(after, b, "pool leaked threads: {b} -> {after}");
+    started.wait();
+    let workers = workers.lock().unwrap().clone();
+    assert!(workers.iter().all(|dir| dir.exists()), "{workers:?}");
+
+    let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    for _ in 0..64 {
+        let ran = Arc::clone(&ran);
+        pool.spawn(move || {
+            ran.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
     }
+    pool.shutdown();
+    assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 64);
+    // A join can return a moment before the kernel unlinks the exited
+    // thread's task directory.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while workers.iter().any(|dir| dir.exists()) && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert!(
+        !workers.iter().any(|dir| dir.exists()),
+        "pool leaked threads: {workers:?}"
+    );
+    // Second shutdown and the implicit drop-shutdown are both no-ops.
+    pool.shutdown();
 }
 
 /// Dropping a scheduler while results are still unpolled must resolve every

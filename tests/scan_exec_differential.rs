@@ -17,6 +17,9 @@ use tsunami_core::{
 use tsunami_flood::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 
+mod common;
+use common::assert_grids_if_tsunami;
+
 const ALL_AGGREGATIONS: [fn(usize) -> Aggregation; 5] = [
     |_| Aggregation::Count,
     Aggregation::Sum,
@@ -28,7 +31,9 @@ const ALL_AGGREGATIONS: [fn(usize) -> Aggregation; 5] = [
 /// A random dataset with one correlated dimension and one low-cardinality
 /// dimension (provoking duplicate-heavy cells and exact ranges).
 fn random_dataset(rng: &mut SplitMix) -> Dataset {
-    let rows = 400 + rng.next_below(1_600) as usize;
+    // Large enough that some Grid-Tree region clears the layout floor and
+    // earns an Augmented Grid (`build_all` asserts it).
+    let rows = 6_000 + rng.next_below(2_000) as usize;
     let d0: Vec<u64> = (0..rows).map(|_| rng.next_below(20_000)).collect();
     let d1: Vec<u64> = d0.iter().map(|&v| v * 2 + rng.next_below(500)).collect();
     let d2: Vec<u64> = (0..rows).map(|_| rng.next_below(16)).collect();
@@ -49,10 +54,13 @@ fn random_workload(rng: &mut SplitMix, dims: usize, n: usize) -> Workload {
 
 fn build_all(data: &Dataset, workload: &Workload) -> Vec<Box<dyn MultiDimIndex>> {
     let cost = CostModel::default();
+    let tsunami =
+        TsunamiIndex::build_with_cost(data, workload, &cost, &TsunamiConfig::fast()).unwrap();
+    // The suite must keep exercising the Augmented-Grid planner, not only
+    // Grid-Tree region scans.
+    assert_grids_if_tsunami(&tsunami, "build_all fixture");
     vec![
-        Box::new(
-            TsunamiIndex::build_with_cost(data, workload, &cost, &TsunamiConfig::fast()).unwrap(),
-        ),
+        Box::new(tsunami),
         Box::new(FloodIndex::build(
             data,
             workload,
