@@ -82,10 +82,10 @@ pub trait MultiDimIndex {
     fn build_timing(&self) -> BuildTiming;
 
     /// Downcast hook for capabilities beyond this trait (e.g. the engine's
-    /// incremental re-optimization path, which needs the concrete Tsunami
-    /// index behind a `Box<dyn MultiDimIndex>`). Indexes with such
-    /// capabilities override this to return `Some(self)`; the default opts
-    /// out, so plain indexes need no boilerplate.
+    /// insert and delete paths, which need the concrete index behind a
+    /// `Box<dyn MultiDimIndex>` to reach its ingest/tombstone methods).
+    /// Indexes with such capabilities override this to return `Some(self)`;
+    /// the default opts out, so plain indexes need no boilerplate.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

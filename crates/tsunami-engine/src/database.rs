@@ -6,11 +6,9 @@
 //! cheap [`Table`] handles that the [`crate::Scheduler`]'s workers share.
 //!
 //! Workload shift (§8) is handled at this layer too: [`Database::reindex`]
-//! rebuilds a table's layout from scratch, [`Database::reoptimize`] takes
-//! the cheaper incremental path (Tsunami tables keep their Grid Tree and
-//! sorted data; only regions whose query mix changed are re-optimized), and
-//! [`Database::auto_reoptimize`] closes the loop autonomously from the
-//! queries recorded via [`Table::record_query`].
+//! rebuilds a table's layout for a new workload — the one way a layout is
+//! re-derived — and [`Database::auto_reoptimize`] closes the loop
+//! autonomously from the queries recorded via [`Table::record_query`].
 
 use std::path::Path;
 use std::sync::Arc;
@@ -19,7 +17,7 @@ use tsunami_baselines::{ClusteredSingleDimIndex, FullScanIndex};
 use tsunami_core::exec::pool::{self, WorkStealingPool};
 use tsunami_core::{CostModel, Dataset, Point, Predicate, Query, Result, TsunamiError, Workload};
 use tsunami_flood::FloodIndex;
-use tsunami_index::{IngestReport, ReoptReport, TsunamiConfig, TsunamiIndex, WorkloadMonitor};
+use tsunami_index::{IngestReport, TsunamiConfig, TsunamiIndex, WorkloadMonitor};
 use tsunami_store::{CrashPoint, WalRecord};
 
 use crate::durability::{self, Durability};
@@ -29,15 +27,6 @@ use crate::spec::{IndexSpec, SharedIndex};
 use crate::table::Table;
 use crate::view::MaterializedView;
 use tsunami_core::AggResult;
-
-/// Observation-log capacity for tables built from a spec: Tsunami tables
-/// honor their config's window, everything else gets the default.
-fn observe_cap(spec: &IndexSpec) -> usize {
-    match spec {
-        IndexSpec::Tsunami(config) => config.observation_window,
-        _ => TsunamiConfig::default().observation_window,
-    }
-}
 
 /// A catalog of named, indexed tables. Registration order is preserved for
 /// iteration (benchmark output stays deterministic).
@@ -263,7 +252,6 @@ impl Database {
             data,
             index,
             workload.clone(),
-            observe_cap(spec),
             Some(spec.clone()),
         )
     }
@@ -286,7 +274,6 @@ impl Database {
             data,
             index,
             workload.clone(),
-            observe_cap(spec),
             Some(spec.clone()),
         )
     }
@@ -308,8 +295,7 @@ impl Database {
                 got: schema.num_columns(),
             });
         }
-        let cap = TsunamiConfig::default().observation_window;
-        self.register(name, schema, data, index, Workload::default(), cap, None)
+        self.register(name, schema, data, index, Workload::default(), None)
     }
 
     fn build_index(
@@ -331,7 +317,6 @@ impl Database {
         spec.build(data, workload, &self.cost)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn register(
         &mut self,
         name: &str,
@@ -339,7 +324,6 @@ impl Database {
         data: Arc<Dataset>,
         index: SharedIndex,
         reference: Workload,
-        observe_cap: usize,
         spec: Option<IndexSpec>,
     ) -> Result<Table> {
         if self.tables.iter().any(|t| t.name() == name) {
@@ -361,15 +345,7 @@ impl Database {
                 data: (*data).clone(),
             })?;
         }
-        let table = Table::new(
-            name.to_string(),
-            schema,
-            data,
-            index,
-            reference,
-            observe_cap,
-            spec,
-        );
+        let table = Table::new(name.to_string(), schema, data, index, reference, spec);
         self.tables.push(table.clone());
         Ok(table)
     }
@@ -474,82 +450,13 @@ impl Database {
     pub fn reindex(&mut self, name: &str, workload: &Workload, spec: &IndexSpec) -> Result<Table> {
         let pos = self.position(name)?;
         let old = &self.tables[pos];
-        let schema = old.schema().clone();
         // Shares the dataset with the old table; only the index is rebuilt.
         let data = Arc::clone(&old.state.data);
-        let index = self.build_index(&schema, &data, workload, spec)?;
-        let table = Table::with_observation_log(
-            name.to_string(),
-            schema,
-            data,
-            index,
-            workload.clone(),
-            observe_cap(spec),
-            Some(spec.clone()),
-            0,
-            Arc::clone(&old.state.observed),
-        );
+        let index = self.build_index(old.schema(), &data, workload, spec)?;
+        let table = old.next_generation(data, index, workload.clone(), Some(spec.clone()), 0);
         table.clear_observations();
         self.tables[pos] = table.clone();
         Ok(table)
-    }
-
-    /// Adapts a table's index to a new workload *incrementally* where the
-    /// index family supports it, keeping the catalog position. Tsunami
-    /// tables re-optimized with a Tsunami spec go through
-    /// [`TsunamiIndex::reoptimize_with_cost`] — the Grid Tree and sorted
-    /// data are reused and only the regions whose query mix changed are
-    /// re-optimized, which is far cheaper than [`Database::reindex`]. Every
-    /// other (table, spec) combination falls back to a full reindex.
-    ///
-    /// Like `reindex`, old handles keep answering (with the stale layout)
-    /// until dropped, and on failure the catalog is unchanged.
-    pub fn reoptimize(
-        &mut self,
-        name: &str,
-        workload: &Workload,
-        spec: &IndexSpec,
-    ) -> Result<Table> {
-        Ok(self.reoptimize_with_report(name, workload, spec)?.0)
-    }
-
-    /// Like [`Database::reoptimize`], also returning the incremental path's
-    /// [`ReoptReport`] (`None` when the combination fell back to a full
-    /// reindex).
-    pub fn reoptimize_with_report(
-        &mut self,
-        name: &str,
-        workload: &Workload,
-        spec: &IndexSpec,
-    ) -> Result<(Table, Option<ReoptReport>)> {
-        let pos = self.position(name)?;
-        let old = &self.tables[pos];
-        if let IndexSpec::Tsunami(config) = spec {
-            if let Some(stale) = old
-                .index()
-                .as_any()
-                .and_then(|any| any.downcast_ref::<TsunamiIndex>())
-            {
-                let data = Arc::clone(&old.state.data);
-                let (index, report) =
-                    stale.reoptimize_with_cost(&data, workload, &self.cost, config)?;
-                let table = Table::with_observation_log(
-                    name.to_string(),
-                    old.schema().clone(),
-                    data,
-                    Box::new(index),
-                    workload.clone(),
-                    observe_cap(spec),
-                    Some(spec.clone()),
-                    0,
-                    Arc::clone(&old.state.observed),
-                );
-                table.clear_observations();
-                self.tables[pos] = table.clone();
-                return Ok((table, Some(report)));
-            }
-        }
-        Ok((self.reindex(name, workload, spec)?, None))
     }
 
     /// Inserts one row into a table. See [`Database::insert_batch`].
@@ -639,16 +546,12 @@ impl Database {
         } else {
             old.state.inserted_since_reopt + rows.len()
         };
-        let table = Table::with_observation_log(
-            name.to_string(),
-            old.schema().clone(),
+        let table = old.next_generation(
             Arc::new(data),
             index,
             old.reference_workload().clone(),
-            old.state.observe_cap,
             old.state.spec.clone(),
             inserted_since_reopt,
-            Arc::clone(&old.state.observed),
         );
         self.tables[pos] = table.clone();
         // Incremental view maintenance: fold the batch's matching rows into
@@ -683,7 +586,7 @@ impl Database {
     /// rebuilds from its stored spec over the live rows.
     ///
     /// The table's logical dataset shrinks to the live rows immediately, so
-    /// reoptimize/ingest fallback paths never resurrect deleted rows.
+    /// the reindex and ingest-fallback paths never resurrect deleted rows.
     /// Deletes feed the same data-drift counter as inserts
     /// ([`Table::data_drift_fraction`]), so [`Database::auto_reoptimize`]
     /// eventually re-optimizes a heavily-deleted table. Swap semantics match
@@ -752,16 +655,12 @@ impl Database {
         } else {
             old.state.inserted_since_reopt + deleted
         };
-        let table = Table::with_observation_log(
-            name.to_string(),
-            old.schema().clone(),
+        let table = old.next_generation(
             live,
             index,
             old.reference_workload().clone(),
-            old.state.observe_cap,
             old.state.spec.clone(),
             mutated_since_reopt,
-            Arc::clone(&old.state.observed),
         );
         self.tables[pos] = table.clone();
         // Tombstoned rows cannot be un-folded from MIN/MAX state, so views
@@ -777,8 +676,8 @@ impl Database {
     /// The autonomous monitor → re-optimize loop: compares the queries
     /// recorded via [`Table::record_query`] (the table's bounded observation
     /// log is the engine's sliding window) against the workload the table's
-    /// layout was optimized for and re-optimizes via
-    /// [`Database::reoptimize`] — which also drains the log, so the consumed
+    /// layout was optimized for and rebuilds the layout via
+    /// [`Database::reindex`] — which also drains the log, so the consumed
     /// observations become the new reference — when either kind of drift is
     /// detected:
     ///
@@ -814,7 +713,7 @@ impl Database {
         } else {
             observed
         };
-        self.reoptimize(name, &target, spec).map(Some)
+        self.reindex(name, &target, spec).map(Some)
     }
 
     fn position(&self, name: &str) -> Result<usize> {
@@ -1020,33 +919,6 @@ mod tests {
                 .collect(),
         );
         (data, day, night)
-    }
-
-    #[test]
-    fn reoptimize_takes_the_incremental_path_for_tsunami_tables() {
-        let (data, day, night) = shift_fixture();
-        let spec = IndexSpec::Tsunami(TsunamiConfig::fast());
-        let mut db = Database::new();
-        db.create_table_unnamed("t", data.clone(), &day, &spec)
-            .unwrap();
-        let stale = db.table("t").unwrap();
-
-        let (fresh, report) = db.reoptimize_with_report("t", &night, &spec).unwrap();
-        let report = report.expect("Tsunami + Tsunami spec uses the incremental path");
-        assert!(!report.escalated(), "{report:?}");
-        assert_eq!(fresh.reference_workload().len(), night.len());
-        for q in night.queries().iter().chain(day.queries()).step_by(5) {
-            let expected = q.execute_full_scan(&data);
-            assert_eq!(stale.execute(q).unwrap(), expected);
-            assert_eq!(fresh.execute(q).unwrap(), expected);
-        }
-
-        // Non-Tsunami specs fall back to a full reindex (no report).
-        let (rebuilt, report) = db
-            .reoptimize_with_report("t", &night, &IndexSpec::SingleDim)
-            .unwrap();
-        assert!(report.is_none());
-        assert_eq!(rebuilt.index().name(), "SingleDim");
     }
 
     #[test]
@@ -1286,6 +1158,59 @@ mod tests {
         // Checkpointing an in-memory database is an error.
         assert!(Database::new().checkpoint().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rewrites every frame of a log/checkpoint file as the previous format
+    /// version would have stamped it (version byte + matching checksum).
+    fn stamp_previous_version(path: &std::path::Path) {
+        use tsunami_store::wal::{checksum, WAL_VERSION};
+        let mut bytes = std::fs::read(path).unwrap();
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            let payload = pos + 8..pos + 8 + len;
+            bytes[payload.start] = WAL_VERSION - 1;
+            let sum = checksum(&bytes[payload.clone()]);
+            bytes[pos + 4..pos + 8].copy_from_slice(&sum.to_be_bytes());
+            pos = payload.end;
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn files_of_the_previous_format_version_are_refused_not_truncated() {
+        // Version 1 encoded two more fields in a Tsunami spec; its files must
+        // neither mis-decode nor be amputated as a torn tail.
+        for file in ["wal.log", "checkpoint.db"] {
+            let dir = temp_db_dir(&format!("old_version_{}", file.replace('.', "_")));
+            let (data, day, _) = shift_fixture();
+            {
+                let mut db = Database::open(&dir).unwrap();
+                db.create_table_unnamed(
+                    "t",
+                    data,
+                    &day,
+                    &IndexSpec::Tsunami(TsunamiConfig::fast()),
+                )
+                .unwrap();
+                db.checkpoint().unwrap();
+                db.insert_batch("t", &[vec![1u64, 2, 3]]).unwrap();
+            }
+            let path = dir.join(file);
+            stamp_previous_version(&path);
+            let stamped = std::fs::read(&path).unwrap();
+            let err = Database::open(&dir).expect_err("old format must not open");
+            assert!(
+                matches!(&err, TsunamiError::Durability(m) if m.contains("format version 1")),
+                "{file}: {err:?}"
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                stamped,
+                "{file} was modified"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -27,8 +27,12 @@
 //! Index *layout* is not logged: replaying a `CreateTable` record rebuilds
 //! the index from its encoded [`IndexSpec`], so post-recovery layouts are
 //! re-derived (bit-identical query results, not bit-identical grids).
-//! Layout-only operations (`reindex`, `reoptimize`) are therefore absorbed
-//! by the next checkpoint instead of the WAL.
+//! The layout-only operation (`reindex`) is therefore absorbed by the next
+//! checkpoint instead of the WAL.
+//!
+//! Both files carry [`wal::WAL_VERSION`] in every record, and the spec
+//! encoding below is part of that format: files written by a build with
+//! another version are refused on open, never truncated or mis-decoded.
 
 use std::fs::{self, File};
 use std::io::Write;
@@ -243,9 +247,7 @@ pub fn encode_spec(spec: &IndexSpec) -> Vec<u8> {
             put_u64(&mut out, c.optimizer_max_iters as u64);
             put_u64(&mut out, c.blackbox_iters as u64);
             put_u64(&mut out, c.seed);
-            put_f64(&mut out, c.reopt_rebuild_drift);
             put_u64(&mut out, c.observation_window as u64);
-            put_f64(&mut out, c.reopt_collapse_reach);
             put_f64(&mut out, c.ingest_region_staleness);
             put_f64(&mut out, c.ingest_rebuild_staleness);
         }
@@ -312,9 +314,7 @@ pub fn decode_spec(bytes: &[u8]) -> Result<IndexSpec> {
                     optimizer_max_iters: r.u64()? as usize,
                     blackbox_iters: r.u64()? as usize,
                     seed: r.u64()?,
-                    reopt_rebuild_drift: get_f64(&mut r)?,
                     observation_window: r.u64()? as usize,
-                    reopt_collapse_reach: get_f64(&mut r)?,
                     ingest_region_staleness: get_f64(&mut r)?,
                     ingest_rebuild_staleness: get_f64(&mut r)?,
                 })
@@ -407,7 +407,6 @@ mod tests {
             TsunamiConfig::fast()
                 .with_variant(IndexVariant::AugmentedGridOnly)
                 .with_optimizer(OptimizerKind::BlackBox)
-                .with_reopt_rebuild_drift(0.75)
                 .with_ingest_staleness(0.1, 0.9),
         ));
         for spec in &specs {

@@ -25,9 +25,8 @@
 //!   substrate the `tsunami-server` network front-end serves.
 //! * **Workload-shift adaptation** — [`Table::record_query`] feeds a bounded
 //!   observation log, [`Database::auto_reoptimize`] detects drift from the
-//!   optimized-for workload, and [`Database::reoptimize`] re-optimizes
-//!   Tsunami tables *incrementally* (Grid Tree and sorted data reused; only
-//!   shifted regions re-optimized) instead of rebuilding from scratch.
+//!   optimized-for workload, and [`Database::reindex`] rebuilds the table's
+//!   layout for the new one — the paper's re-optimization (§8, Fig 9a).
 //!
 //! # Quick start
 //!
@@ -84,9 +83,9 @@ pub use sharded::{shard_of, ShardedDatabase, ShardedTable};
 pub use spec::{IndexSpec, PageSize, SharedIndex};
 pub use table::Table;
 pub use view::MaterializedView;
-// Re-exported so engine users can inspect incremental re-optimization and
-// ingestion outcomes without depending on `tsunami-index` directly.
-pub use tsunami_index::{Escalation, IngestReport, ReoptReport, ShiftReport, WorkloadMonitor};
+// Re-exported so engine users can inspect shift-detection and ingestion
+// outcomes without depending on `tsunami-index` directly.
+pub use tsunami_index::{IngestReport, ShiftReport, WorkloadMonitor};
 // Re-exported so durable-database users (and the crash-test harness) can
 // name the WAL types without depending on `tsunami-store` directly.
 pub use tsunami_store::{CrashPoint, WalRecord};

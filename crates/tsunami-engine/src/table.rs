@@ -5,13 +5,14 @@
 //! A table also carries a bounded **observation log**: callers feed served
 //! queries to [`Table::record_query`], and [`crate::Database`] compares the
 //! recent observations against the workload the index was optimized for to
-//! decide when (incremental) re-optimization is worthwhile — the §8
-//! monitor → re-optimize loop.
+//! decide when re-optimization is worthwhile — the §8 monitor → re-optimize
+//! loop.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use tsunami_core::{AggResult, Dataset, MultiDimIndex, Query, Result, ScanCounters, Workload};
+use tsunami_index::TsunamiConfig;
 
 use crate::builder::QueryBuilder;
 use crate::prepared::PreparedQuery;
@@ -32,9 +33,9 @@ pub(crate) struct TableState {
     /// The workload the current index layout was optimized for.
     pub(crate) reference: Workload,
     /// Recently observed queries, oldest first, bounded by `observe_cap`.
-    /// Shared (by `Arc`) across the table generations a `reindex`/
-    /// `reoptimize` swap creates, so old handles keep feeding the same log
-    /// the catalog's current entry reads.
+    /// Shared (by `Arc`) across the table generations a `reindex`, insert
+    /// or delete swap creates, so old handles keep feeding the same log the
+    /// catalog's current entry reads.
     pub(crate) observed: Arc<Mutex<VecDeque<Query>>>,
     pub(crate) observe_cap: usize,
     /// The spec the index was built from — what `Database::insert_batch`
@@ -43,12 +44,23 @@ pub(crate) struct TableState {
     /// around a pre-built index (`Database::register_table`).
     pub(crate) spec: Option<IndexSpec>,
     /// Rows inserted since the index layout was last (re)derived for a
-    /// workload (build, reindex, or reoptimize) — the engine's data-drift
-    /// counter, carried forward across insert swaps and reset by the
-    /// re-optimization swaps. Ingestion keeps results correct on its own;
+    /// workload (build or reindex) — the engine's data-drift counter,
+    /// carried forward across insert and delete swaps and reset by the
+    /// reindex swap. Ingestion keeps results correct on its own;
     /// this counter is what lets `Database::auto_reoptimize` notice that
     /// enough data landed to earn the optimizer another pass.
     pub(crate) inserted_since_reopt: usize,
+}
+
+/// Observation-log capacity for a table built from `spec`: Tsunami tables
+/// honor their config's window, everything else (tables registered around a
+/// pre-built index included) gets the default.
+fn observe_cap(spec: Option<&IndexSpec>) -> usize {
+    let window = match spec {
+        Some(IndexSpec::Tsunami(config)) => config.observation_window,
+        _ => TsunamiConfig::default().observation_window,
+    };
+    window.max(1)
 }
 
 /// A handle to a registered table. Cloning is cheap (`Arc`); all query
@@ -66,36 +78,7 @@ impl Table {
         data: Arc<Dataset>,
         index: SharedIndex,
         reference: Workload,
-        observe_cap: usize,
         spec: Option<IndexSpec>,
-    ) -> Self {
-        Self::with_observation_log(
-            name,
-            schema,
-            data,
-            index,
-            reference,
-            observe_cap,
-            spec,
-            0,
-            Arc::new(Mutex::new(VecDeque::new())),
-        )
-    }
-
-    /// Like [`Table::new`], continuing an existing observation log — the
-    /// reindex/reoptimize/insert swap path, where handles to the previous
-    /// generation must keep recording into the log the catalog reads.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_observation_log(
-        name: String,
-        schema: Schema,
-        data: Arc<Dataset>,
-        index: SharedIndex,
-        reference: Workload,
-        observe_cap: usize,
-        spec: Option<IndexSpec>,
-        inserted_since_reopt: usize,
-        observed: Arc<Mutex<VecDeque<Query>>>,
     ) -> Self {
         Self {
             state: Arc::new(TableState {
@@ -104,8 +87,35 @@ impl Table {
                 data,
                 index,
                 reference,
-                observed,
-                observe_cap: observe_cap.max(1),
+                observed: Arc::new(Mutex::new(VecDeque::new())),
+                observe_cap: observe_cap(spec.as_ref()),
+                spec,
+                inserted_since_reopt: 0,
+            }),
+        }
+    }
+
+    /// The table's next generation — what every catalog swap (reindex,
+    /// insert, delete) installs. Name, schema and the observation log carry
+    /// over: handles to the previous generation must keep recording into the
+    /// log the catalog reads.
+    pub(crate) fn next_generation(
+        &self,
+        data: Arc<Dataset>,
+        index: SharedIndex,
+        reference: Workload,
+        spec: Option<IndexSpec>,
+        inserted_since_reopt: usize,
+    ) -> Self {
+        Self {
+            state: Arc::new(TableState {
+                name: self.state.name.clone(),
+                schema: self.state.schema.clone(),
+                data,
+                index,
+                reference,
+                observed: Arc::clone(&self.state.observed),
+                observe_cap: observe_cap(spec.as_ref()),
                 spec,
                 inserted_since_reopt,
             }),

@@ -8,7 +8,7 @@
 //! * `delete` invalidates the state ([`MaterializedView::invalidate`]); it is
 //!   recomputed lazily on the next read (tombstoned rows cannot be
 //!   "un-folded" from MIN/MAX, so deletes pay the lazy re-fold);
-//! * restructures (reoptimize/reindex/compaction swaps) change only the
+//! * restructures (reindex/compaction swaps) change only the
 //!   physical layout, never the live rows, so the state carries through them
 //!   untouched.
 //!

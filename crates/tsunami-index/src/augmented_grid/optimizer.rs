@@ -270,15 +270,15 @@ fn cell_budget(rows: usize, config: &TsunamiConfig) -> usize {
 /// Whether a region of `rows` rows is large enough for a grid to split it at
 /// all (a budget of at least two cells). [`region_layout`] answers `None`
 /// without looking at anything else when it is not, so callers ask first and
-/// skip the work of preparing its inputs — copying the region's rows,
-/// collecting its queries, re-splitting it.
+/// skip the work of preparing its inputs — copying the region's rows and
+/// collecting its queries.
 pub(crate) fn region_can_hold_grid(rows: usize, config: &TsunamiConfig) -> bool {
     cell_budget(rows, config) >= 2
 }
 
 /// Decides one region's physical layout — the single place the index chooses
 /// between an Augmented Grid and a plain whole-region scan, for build,
-/// re-optimization, ingest and delete-compaction alike.
+/// ingest and delete-compaction alike.
 ///
 /// `None` means *no grid*: the planner emits the whole region as one range,
 /// with exactness and residual guarantees from the Grid-Tree bounds. That is
@@ -319,32 +319,6 @@ pub(crate) fn region_layout(
     (cell_count(&partitions, &skeleton.grid_dims()) > 1).then_some((skeleton, partitions))
 }
 
-/// The incremental re-optimization path's layout-fitness gate: prices a
-/// region's current layout on (a subsample of) its new queries against the
-/// heuristic initialization [`region_layout`] would otherwise start from,
-/// and reports whether the current layout is within 10% of it — in which
-/// case descent would start from it anyway and buy little.
-pub(crate) fn current_layout_is_competitive(
-    data: &Dataset,
-    skeleton: &Skeleton,
-    partitions: &[usize],
-    queries: &[Query],
-    cost: &CostModel,
-    config: &TsunamiConfig,
-) -> bool {
-    let sample = sample_dataset(data, config.optimizer_sample_size, config.seed);
-    let eval: Workload = queries
-        .iter()
-        .step_by(queries.len().div_ceil(32).max(1))
-        .cloned()
-        .collect();
-    let cost_cur = predicted_cost(&sample, data.len(), skeleton, partitions, &eval, cost);
-    let init_s = heuristic_skeleton(&sample, config);
-    let init_p = initial_partitions(&sample, &init_s, &eval, cell_budget(data.len(), config));
-    let cost_init = predicted_cost(&sample, data.len(), &init_s, &init_p, &eval, cost);
-    cost_cur <= cost_init * 1.1
-}
-
 /// Optimizes the Augmented Grid layout for a dataset and workload, within
 /// the cell budget the dataset's row count allows (the configured
 /// [`TsunamiConfig::max_cells_per_grid`] is a cap, not a target).
@@ -360,13 +334,12 @@ pub fn optimize_layout(
 }
 
 /// [`optimize_layout`] under an explicit cell budget, optionally
-/// *warm-started* from a known-good layout — the incremental
-/// re-optimization path passes a region's current `(S, P)` so a mild
-/// workload shift converges in few iterations instead of re-deriving the
-/// skeleton from scratch. The warm start competes with the heuristic
-/// initialization on predicted cost and the cheaper of the two seeds the
-/// descent, so a stale layout can never make the outcome worse than a cold
-/// start.
+/// *warm-started* from a known-good layout — ingest passes a stale region's
+/// current `(S, P)` so re-deriving its layout over the grown rows converges
+/// in few iterations instead of starting from scratch. The warm start
+/// competes with the heuristic initialization on predicted cost and the
+/// cheaper of the two seeds the descent, so a stale layout can never make
+/// the outcome worse than a cold start.
 fn optimize_layout_from(
     data: &Dataset,
     workload: &Workload,

@@ -73,25 +73,11 @@ pub struct TsunamiConfig {
     /// Seed for deterministic sampling and optimizer perturbations.
     pub seed: u64,
 
-    // --- Incremental re-optimization parameters (§8) ---
-    /// [`crate::TsunamiIndex::reoptimize`] escalates to a full rebuild when
-    /// the whole-workload frequency drift (0 = identical mix, 2 = fully
-    /// disjoint mixes) *exceeds* this threshold. The default of 2.0 never
-    /// escalates on drift alone — even a fully replaced workload is served
-    /// well by re-optimizing the existing regions' grids — but deployments
-    /// that also want a fresh Grid Tree under heavy shift can lower it.
-    pub reopt_rebuild_drift: f64,
-    /// Queries retained in a [`crate::WorkloadMonitor`]'s sliding observation
-    /// window (oldest evicted first).
+    // --- Workload-shift detection (§8) ---
+    /// Queries retained in an engine table's observation log — the sliding
+    /// window `Database::auto_reoptimize` compares against the optimized-for
+    /// workload (oldest evicted first).
     pub observation_window: usize,
-    /// During incremental re-optimization, a Grid-Tree subtree is collapsed
-    /// (and its merged region re-split for the new workload) when the mean
-    /// fraction of its leaves a routed query reaches is at least this value
-    /// — i.e. when its splits prune less than `1 - threshold` of the
-    /// subtree per query. 1.0 collapses only zero-pruning subtrees; lower
-    /// values fold stale structure back more aggressively and rely on the
-    /// re-split to restore pruning where it matters.
-    pub reopt_collapse_reach: f64,
 
     // --- Incremental ingestion parameters (data shift) ---
     /// During [`crate::TsunamiIndex::ingest`], a region whose accumulated
@@ -130,9 +116,7 @@ impl Default for TsunamiConfig {
             optimizer_max_iters: 20,
             blackbox_iters: 50,
             seed: 0x7500_0A11,
-            reopt_rebuild_drift: 2.0,
             observation_window: 1_024,
-            reopt_collapse_reach: 0.5,
             ingest_region_staleness: 0.25,
             ingest_rebuild_staleness: 0.5,
         }
@@ -163,13 +147,6 @@ impl TsunamiConfig {
     /// Returns a copy using the given Augmented Grid optimizer.
     pub fn with_optimizer(mut self, optimizer: OptimizerKind) -> Self {
         self.optimizer = optimizer;
-        self
-    }
-
-    /// Returns a copy using the given incremental-reoptimization rebuild
-    /// threshold (see [`TsunamiConfig::reopt_rebuild_drift`]).
-    pub fn with_reopt_rebuild_drift(mut self, drift: f64) -> Self {
-        self.reopt_rebuild_drift = drift;
         self
     }
 

@@ -19,8 +19,8 @@
 //! * **delete** — regions that received new tombstones drop their entry and
 //!   re-fold lazily on the next covered query; the compaction that may follow
 //!   only drops already-dead rows, so it never invalidates by itself;
-//! * **restructures** (reoptimize re-split/merge, rebuild) — regions whose
-//!   row set changed start empty and fold lazily on first use.
+//! * **rebuild** (a fresh build, or an ingest/delete escalation) — every
+//!   region starts empty and folds lazily on first use.
 //!
 //! Entries are folded lazily under a [`Mutex`] so `plan(&self)` can populate
 //! the cube without a mutable index. The fold itself runs outside the lock;

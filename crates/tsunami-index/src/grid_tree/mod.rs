@@ -345,318 +345,6 @@ impl GridTree {
         }
     }
 
-    /// Returns a copy of the tree where every maximal subtree whose splits
-    /// provide little pruning for `queries` — at least one query reaches it,
-    /// and the *mean leaf reach* (fraction of the subtree's leaves a routed
-    /// query visits, averaged over its routed queries) is at least
-    /// `reach_threshold` — is collapsed into a single leaf region, along
-    /// with, per new region, the range of old region ids it covers (old ids
-    /// are contiguous within any subtree because leaves are numbered in
-    /// build order).
-    ///
-    /// This is the first incremental re-optimization primitive: splits that
-    /// only served a *previous* workload's skew barely prune the new one
-    /// (most queries scan most children anyway) while still taxing every
-    /// plan with extra region visits, so they are folded back together and
-    /// the merged region's layout is re-derived for the new workload. At
-    /// `reach_threshold = 1.0` only splits with *zero* pruning value
-    /// collapse, so scan volume cannot increase; lower thresholds trade a
-    /// bounded scan increase for fewer region visits per query (the caller
-    /// is expected to re-split the merged region for the new workload, which
-    /// restores any pruning that mattered). Subtrees no query touches are
-    /// kept verbatim — their regions (and grids) cost nothing.
-    pub fn collapse_for(
-        &self,
-        queries: &[Query],
-        reach_threshold: f64,
-        min_queries: usize,
-    ) -> (GridTree, Vec<std::ops::Range<usize>>) {
-        let mut out = GridTree {
-            nodes: Vec::new(),
-            root: 0,
-            regions: Vec::new(),
-            depth: 0,
-        };
-        let mut spans = Vec::new();
-        let all: Vec<&Query> = queries.iter().collect();
-        out.root = self.rebuild_collapsed(
-            self.root,
-            &all,
-            reach_threshold,
-            min_queries.max(1),
-            0,
-            &mut out,
-            &mut spans,
-        );
-        debug_assert_eq!(
-            spans.iter().map(|s| s.len()).sum::<usize>(),
-            self.regions.len(),
-            "collapsed regions must cover every old region exactly once"
-        );
-        (out, spans)
-    }
-
-    /// Number of leaves under `node` and, per query in `queries`, how many
-    /// of them the query's routing reaches.
-    fn leaf_reach(&self, node: usize, queries: &[&Query]) -> (usize, Vec<usize>) {
-        match &self.nodes[node] {
-            Node::Leaf { .. } => (1, vec![1; queries.len()]),
-            Node::Internal {
-                dim,
-                splits,
-                children,
-            } => {
-                let mut leaves = 0usize;
-                let mut reached = vec![0usize; queries.len()];
-                for (c, &child) in children.iter().enumerate() {
-                    // Queries routed into this child keep their position so
-                    // counts can be folded back into the caller's order.
-                    let routed: Vec<(usize, &Query)> = queries
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, q)| Self::reaches_child(q, *dim, splits, c))
-                        .map(|(i, q)| (i, *q))
-                        .collect();
-                    let child_queries: Vec<&Query> = routed.iter().map(|&(_, q)| q).collect();
-                    let (child_leaves, child_reached) = self.leaf_reach(child, &child_queries);
-                    leaves += child_leaves;
-                    for ((i, _), r) in routed.iter().zip(child_reached) {
-                        reached[*i] += r;
-                    }
-                }
-                (leaves, reached)
-            }
-        }
-    }
-
-    fn reaches_child(q: &Query, dim: usize, splits: &[Value], child: usize) -> bool {
-        match q.predicate_on(dim) {
-            None => true,
-            Some(p) => {
-                let first = splits.partition_point(|&s| s <= p.lo);
-                let last = splits.partition_point(|&s| s <= p.hi);
-                (first..=last).contains(&child)
-            }
-        }
-    }
-
-    /// The old region ids (contiguous) and merged bounds of a subtree.
-    fn subtree_extent(&self, node: usize) -> (std::ops::Range<usize>, Vec<(Value, Value)>) {
-        match &self.nodes[node] {
-            Node::Leaf { region } => (*region..*region + 1, self.regions[*region].bounds.clone()),
-            Node::Internal { children, .. } => {
-                let mut range: Option<std::ops::Range<usize>> = None;
-                let mut bounds: Option<Vec<(Value, Value)>> = None;
-                for &c in children {
-                    let (r, b) = self.subtree_extent(c);
-                    range = Some(match range {
-                        None => r,
-                        Some(acc) => {
-                            debug_assert_eq!(acc.end, r.start, "leaves are built in order");
-                            acc.start..r.end
-                        }
-                    });
-                    bounds = Some(match bounds {
-                        None => b,
-                        Some(acc) => acc
-                            .iter()
-                            .zip(&b)
-                            .map(|(&(alo, ahi), &(blo, bhi))| (alo.min(blo), ahi.max(bhi)))
-                            .collect(),
-                    });
-                }
-                (
-                    range.expect("internal nodes have children"),
-                    bounds.unwrap(),
-                )
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rebuild_collapsed(
-        &self,
-        node: usize,
-        queries: &[&Query],
-        reach_threshold: f64,
-        min_queries: usize,
-        depth: usize,
-        out: &mut GridTree,
-        spans: &mut Vec<std::ops::Range<usize>>,
-    ) -> usize {
-        out.depth = out.depth.max(depth);
-        // Merging is only worthwhile for subtrees the new workload actually
-        // exercises (`min_queries` mirrors the build-time stop criterion) —
-        // a split kept alive by a single stray query costs that query
-        // little, while merging would discard working layouts.
-        let collapse =
-            queries.len() >= min_queries && matches!(self.nodes[node], Node::Internal { .. }) && {
-                let (leaves, reached) = self.leaf_reach(node, queries);
-                let mean_reach = reached.iter().map(|&r| r as f64).sum::<f64>()
-                    / (queries.len() * leaves.max(1)) as f64;
-                mean_reach >= reach_threshold
-            };
-        match &self.nodes[node] {
-            Node::Leaf { region } => {
-                let new_region = out.regions.len();
-                out.regions.push(self.regions[*region].clone());
-                spans.push(*region..*region + 1);
-                let id = out.nodes.len();
-                out.nodes.push(Node::Leaf { region: new_region });
-                id
-            }
-            Node::Internal { .. } if collapse => {
-                let (span, bounds) = self.subtree_extent(node);
-                let new_region = out.regions.len();
-                out.regions.push(Region { bounds });
-                spans.push(span);
-                let id = out.nodes.len();
-                out.nodes.push(Node::Leaf { region: new_region });
-                id
-            }
-            Node::Internal {
-                dim,
-                splits,
-                children,
-            } => {
-                let mut new_children = Vec::with_capacity(children.len());
-                for (c, &child) in children.iter().enumerate() {
-                    let child_queries: Vec<&Query> = queries
-                        .iter()
-                        .filter(|q| Self::reaches_child(q, *dim, splits, c))
-                        .copied()
-                        .collect();
-                    new_children.push(self.rebuild_collapsed(
-                        child,
-                        &child_queries,
-                        reach_threshold,
-                        min_queries,
-                        depth + 1,
-                        out,
-                        spans,
-                    ));
-                }
-                let id = out.nodes.len();
-                out.nodes.push(Node::Internal {
-                    dim: *dim,
-                    splits: splits.clone(),
-                    children: new_children,
-                });
-                id
-            }
-        }
-    }
-
-    /// Returns a copy of the tree where leaf region `r` is replaced by the
-    /// subtree `expansions[r]` (when present), renumbering regions in DFS
-    /// order, plus, per new region, its provenance `(old region id,
-    /// local region id within the expansion)` — `None` local id for leaves
-    /// kept as-is.
-    ///
-    /// This is the second incremental re-optimization primitive (the inverse
-    /// of [`GridTree::collapse_for`]): a *hot* region whose new query mix
-    /// has internal skew is re-split by building a small Grid Tree over just
-    /// that region's rows and grafting it in place, so the tree regains
-    /// fresh-build quality exactly where the workload moved. Because leaves
-    /// are numbered in DFS order, an expanded region's sub-regions occupy
-    /// consecutive slices of the (contiguous) slice the old region owned.
-    pub fn with_expanded_leaves(
-        &self,
-        expansions: &[Option<GridTree>],
-    ) -> (GridTree, Vec<(usize, Option<usize>)>) {
-        assert_eq!(expansions.len(), self.regions.len());
-        let mut out = GridTree {
-            nodes: Vec::new(),
-            root: 0,
-            regions: Vec::new(),
-            depth: 0,
-        };
-        let mut provenance = Vec::new();
-        out.root = self.rebuild_expanded(self.root, expansions, 0, &mut out, &mut provenance);
-        (out, provenance)
-    }
-
-    fn rebuild_expanded(
-        &self,
-        node: usize,
-        expansions: &[Option<GridTree>],
-        depth: usize,
-        out: &mut GridTree,
-        provenance: &mut Vec<(usize, Option<usize>)>,
-    ) -> usize {
-        out.depth = out.depth.max(depth);
-        match &self.nodes[node] {
-            Node::Leaf { region } => match &expansions[*region] {
-                None => {
-                    let new_region = out.regions.len();
-                    out.regions.push(self.regions[*region].clone());
-                    provenance.push((*region, None));
-                    let id = out.nodes.len();
-                    out.nodes.push(Node::Leaf { region: new_region });
-                    id
-                }
-                Some(sub) => sub.copy_subtree(sub.root, *region, depth, out, provenance),
-            },
-            Node::Internal {
-                dim,
-                splits,
-                children,
-            } => {
-                let new_children: Vec<usize> = children
-                    .iter()
-                    .map(|&c| self.rebuild_expanded(c, expansions, depth + 1, out, provenance))
-                    .collect();
-                let id = out.nodes.len();
-                out.nodes.push(Node::Internal {
-                    dim: *dim,
-                    splits: splits.clone(),
-                    children: new_children,
-                });
-                id
-            }
-        }
-    }
-
-    /// Copies `self`'s subtree rooted at `node` into `out`, tagging emitted
-    /// regions with `(old_region, Some(local id))` provenance.
-    fn copy_subtree(
-        &self,
-        node: usize,
-        old_region: usize,
-        depth: usize,
-        out: &mut GridTree,
-        provenance: &mut Vec<(usize, Option<usize>)>,
-    ) -> usize {
-        out.depth = out.depth.max(depth);
-        match &self.nodes[node] {
-            Node::Leaf { region } => {
-                let new_region = out.regions.len();
-                out.regions.push(self.regions[*region].clone());
-                provenance.push((old_region, Some(*region)));
-                let id = out.nodes.len();
-                out.nodes.push(Node::Leaf { region: new_region });
-                id
-            }
-            Node::Internal {
-                dim,
-                splits,
-                children,
-            } => {
-                let new_children: Vec<usize> = children
-                    .iter()
-                    .map(|&c| self.copy_subtree(c, old_region, depth + 1, out, provenance))
-                    .collect();
-                let id = out.nodes.len();
-                out.nodes.push(Node::Internal {
-                    dim: *dim,
-                    splits: splits.clone(),
-                    children: new_children,
-                });
-                id
-            }
-        }
-    }
-
     /// Routes an *ingested* point to its region and widens that region's
     /// recorded bounds to cover it, returning the region id.
     ///

@@ -38,27 +38,24 @@
 //! cells were saving is memory-bound at ~0.3 ns/row; a cell of a few dozen
 //! rows can never repay the ~1.4 µs it costs to plan its grid. The floor is
 //! derived from a region's row count alone — it is not a knob — and one
-//! function decides it for build, re-optimization, ingest, delete-compaction
-//! and every rebuild escalation, so a region's layout is re-decided whenever
-//! its row count moves: a grid-less region that grows through the floor
-//! earns a grid at its next staleness escalation, and a gridded one
-//! compacted below it goes back to a region scan. A grid-less region still
-//! under the floor has no layout to re-derive, so re-optimization carries it
-//! verbatim and ingest appends to it without repaying its staleness — only
-//! a merge by the Grid-Tree collapse or a rebuild restructures it.
-//! [`TsunamiStats`] reports
+//! function decides it for build, ingest, delete-compaction and every
+//! rebuild escalation, so a region's layout is re-decided whenever its row
+//! count moves: a grid-less region that grows through the floor earns a grid
+//! at its next staleness escalation, and a gridded one compacted below it
+//! goes back to a region scan. A grid-less region still under the floor has
+//! no layout to re-derive, so ingest appends to it without repaying its
+//! staleness — only a rebuild restructures it. [`TsunamiStats`] reports
 //! `gridded_regions` beside `num_leaf_regions`, i.e. how much of an index is
 //! Grid Tree and how much Augmented Grid. The README's index section has the
 //! rows-per-cell sweep behind the quarter-block choice.
 //!
-//! When the workload later drifts (§8), the index adapts *incrementally*:
-//! [`shift::WorkloadMonitor`] fingerprints observed queries against the
-//! optimized-for workload (with a sliding observation window), and
-//! [`TsunamiIndex::reoptimize`] reuses the sorted data and Grid-Tree
-//! skeleton while re-deriving only what the shift invalidated — folding
-//! back splits the new workload no longer distinguishes, re-splitting hot
-//! regions locally, and re-optimizing grids only where the existing layout
-//! prices as stale. See the [`index`] and [`shift`] module docs.
+//! When the workload later drifts (§8), [`shift::WorkloadMonitor`]
+//! fingerprints observed queries against the optimized-for workload and says
+//! when re-optimization is due; re-optimizing is then a rebuild —
+//! [`TsunamiIndex::build`] for the new workload — as in the paper's Fig 9a.
+//! Data shift needs no rebuild: [`TsunamiIndex::ingest`] and
+//! [`TsunamiIndex::delete_where`] absorb rows into the existing structure.
+//! See the [`index`] and [`shift`] module docs.
 //!
 //! # Quick start
 //!
@@ -99,6 +96,6 @@ pub use augmented_grid::{AugmentedGrid, DimStrategy, OptimizerKind, Skeleton};
 pub use config::{IndexVariant, TsunamiConfig};
 pub use cube::{CubeEntry, DimAgg, RegionCube};
 pub use grid_tree::GridTree;
-pub use index::{DeleteReport, Escalation, IngestReport, ReoptReport, TsunamiIndex, TsunamiStats};
+pub use index::{DeleteReport, IngestReport, TsunamiIndex, TsunamiStats};
 pub use query_types::cluster_query_types;
 pub use shift::{ShiftReport, WorkloadMonitor};

@@ -14,20 +14,15 @@
 //! per-dimension selectivity (the same embedding used for clustering in
 //! §4.3.1).
 //!
-//! The monitor also carries a bounded **sliding observation window**
-//! ([`WorkloadMonitor::record`] / [`WorkloadMonitor::window_report`]): an
-//! engine front-end feeds it the queries it serves and periodically asks
-//! whether the recent mix has drifted from the reference. A positive
-//! [`ShiftReport::reoptimize`] is what triggers
-//! [`crate::TsunamiIndex::reoptimize`] — the incremental path that keeps the
-//! Grid Tree and sorted data and re-optimizes only the regions whose query
-//! mix actually changed.
-
-use std::collections::VecDeque;
+//! The monitor holds no observations itself: the engine's
+//! `Table::record_query` log is the one sliding window, and
+//! `Database::auto_reoptimize` hands it to [`WorkloadMonitor::observe`]. A
+//! positive [`ShiftReport::reoptimize`] is what triggers a rebuild for the
+//! observed workload.
 
 use crate::config::TsunamiConfig;
 use crate::query_types::{cluster_query_types, QueryType};
-use tsunami_core::{Dataset, Query, Workload};
+use tsunami_core::{Dataset, Workload};
 
 /// A fingerprint of one query type: which dimensions it filters, its average
 /// selectivity embedding, and its share of the workload.
@@ -63,25 +58,18 @@ pub struct WorkloadMonitor {
     match_eps: f64,
     /// Frequency drift above which re-optimization is recommended.
     drift_threshold: f64,
-    /// Sliding window of recently observed queries (oldest first).
-    window: VecDeque<Query>,
-    /// Maximum number of queries retained in the window.
-    window_capacity: usize,
 }
 
 impl WorkloadMonitor {
     /// Creates a monitor from the workload the index was optimized for.
     ///
     /// `match_eps` follows the clustering eps (default 0.2);
-    /// `drift_threshold` defaults to 0.5 (half of the workload's mass moved);
-    /// the sliding window keeps `config.observation_window` queries.
+    /// `drift_threshold` defaults to 0.5 (half of the workload's mass moved).
     pub fn new(data: &Dataset, reference: &Workload, config: &TsunamiConfig) -> Self {
         Self {
             reference: signatures(data, reference, config),
             match_eps: config.dbscan_eps,
             drift_threshold: 0.5,
-            window: VecDeque::new(),
-            window_capacity: config.observation_window.max(1),
         }
     }
 
@@ -91,57 +79,9 @@ impl WorkloadMonitor {
         self
     }
 
-    /// Overrides the sliding window capacity (evicting down if needed).
-    pub fn with_window_capacity(mut self, capacity: usize) -> Self {
-        self.window_capacity = capacity.max(1);
-        while self.window.len() > self.window_capacity {
-            self.window.pop_front();
-        }
-        self
-    }
-
     /// The reference type signatures.
     pub fn reference(&self) -> &[TypeSignature] {
         &self.reference
-    }
-
-    /// Records one served query into the sliding observation window,
-    /// evicting the oldest observation once the window is full.
-    pub fn record(&mut self, query: Query) {
-        if self.window.len() == self.window_capacity {
-            self.window.pop_front();
-        }
-        self.window.push_back(query);
-    }
-
-    /// Number of queries currently in the observation window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// The observation window as a workload (oldest observation first).
-    pub fn window_workload(&self) -> Workload {
-        Workload::new(self.window.iter().cloned().collect())
-    }
-
-    /// Discards all recorded observations.
-    pub fn clear_window(&mut self) {
-        self.window.clear();
-    }
-
-    /// Compares the sliding observation window against the reference —
-    /// [`WorkloadMonitor::observe`] over [`WorkloadMonitor::window_workload`].
-    /// An empty window reports zero drift (nothing observed ≠ shift).
-    pub fn window_report(&self, data: &Dataset, config: &TsunamiConfig) -> ShiftReport {
-        if self.window.is_empty() {
-            return ShiftReport {
-                disappeared_types: 0,
-                new_types: 0,
-                frequency_drift: 0.0,
-                reoptimize: false,
-            };
-        }
-        self.observe(data, &self.window_workload(), config)
     }
 
     /// Compares an observed workload window against the reference.
@@ -386,62 +326,5 @@ mod tests {
         assert_eq!(a_to_b.disappeared_types, b_to_a.new_types);
         assert_eq!(a_to_b.new_types, b_to_a.disappeared_types);
         assert!((a_to_b.frequency_drift - b_to_a.frequency_drift).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sliding_window_evicts_oldest_observations() {
-        let ds = data();
-        let cfg = TsunamiConfig::fast();
-        let mut monitor = WorkloadMonitor::new(&ds, &workload_a(0), &cfg).with_window_capacity(5);
-        assert_eq!(monitor.window_len(), 0);
-        // An empty window never asks for re-optimization.
-        assert!(!monitor.window_report(&ds, &cfg).reoptimize);
-
-        for i in 0..8u64 {
-            monitor.record(Query::count(vec![Predicate::range(0, i, i + 10).unwrap()]).unwrap());
-        }
-        assert_eq!(monitor.window_len(), 5);
-        // The window holds exactly the 5 newest observations, oldest first.
-        let lows: Vec<u64> = monitor
-            .window_workload()
-            .queries()
-            .iter()
-            .map(|q| q.predicates()[0].lo)
-            .collect();
-        assert_eq!(lows, vec![3, 4, 5, 6, 7]);
-
-        // Shrinking the capacity evicts from the front.
-        monitor = monitor.with_window_capacity(2);
-        let lows: Vec<u64> = monitor
-            .window_workload()
-            .queries()
-            .iter()
-            .map(|q| q.predicates()[0].lo)
-            .collect();
-        assert_eq!(lows, vec![6, 7]);
-
-        monitor.clear_window();
-        assert_eq!(monitor.window_len(), 0);
-    }
-
-    #[test]
-    fn window_report_detects_shift_after_enough_observations() {
-        let ds = data();
-        let cfg = TsunamiConfig::fast();
-        let mut monitor = WorkloadMonitor::new(&ds, &workload_a(0), &cfg);
-        // Same-type observations: no shift.
-        for q in workload_a(5).queries() {
-            monitor.record(q.clone());
-        }
-        assert!(!monitor.window_report(&ds, &cfg).reoptimize);
-        // Flood the window with the disjoint workload: shift detected.
-        for q in workload_b().queries() {
-            monitor.record(q.clone());
-        }
-        for q in workload_b().queries() {
-            monitor.record(q.clone());
-        }
-        let report = monitor.window_report(&ds, &cfg);
-        assert!(report.reoptimize, "{report:?}");
     }
 }

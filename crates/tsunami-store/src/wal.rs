@@ -10,7 +10,7 @@
 //! ```text
 //! +----------------+----------------+---------+--------+------------------+
 //! | payload length | FNV-1a of      | version | opcode | body             |
-//! |  u32 BE        | payload, u32 BE|  u8 = 1 |  u8    | opcode-specific  |
+//! |  u32 BE        | payload, u32 BE|  u8 = 2 |  u8    | opcode-specific  |
 //! +----------------+----------------+---------+--------+------------------+
 //! |<------- 8-byte header -------->|<-------- `length` bytes ----------->|
 //! ```
@@ -27,10 +27,13 @@
 //!
 //! [`replay`] is strict-prefix: it decodes records from the front and stops
 //! at the first frame that is truncated, fails its checksum, or does not
-//! decode exactly (unknown version/opcode, trailing bytes in a body). It
-//! returns the well-formed records plus the byte length of the valid prefix;
-//! the engine truncates the log to that length before appending again, so a
-//! torn tail is amputated exactly once and never resurfaces.
+//! decode exactly (unknown opcode, trailing bytes in a body). It returns the
+//! well-formed records plus the byte length of the valid prefix; the engine
+//! truncates the log to that length before appending again, so a torn tail
+//! is amputated exactly once and never resurfaces. The one stop that is not
+//! a torn tail is an intact frame of another format version — a file written
+//! by a different build: [`replay`] refuses it with a
+//! [`TsunamiError::Durability`] error instead of letting it be truncated.
 //!
 //! # Crash injection
 //!
@@ -46,8 +49,9 @@ use std::path::{Path, PathBuf};
 use tsunami_core::codec::{put_u32, put_u64, Reader};
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, Result, TsunamiError, Value};
 
-/// WAL format version carried in every record.
-pub const WAL_VERSION: u8 = 1;
+/// WAL format version carried in every record. Version 2 dropped two fields
+/// from the Tsunami index spec encoded inside `CreateTable` records.
+pub const WAL_VERSION: u8 = 2;
 
 /// Maximum payload size accepted per record (64 MiB). Checked before the
 /// payload is read so a corrupt length prefix cannot trigger a huge
@@ -311,7 +315,9 @@ impl Wal {
 
 /// Replays a log file: returns every well-formed record plus the byte
 /// length of the valid prefix (see the module docs for the strict-prefix
-/// rule). A missing file is an empty log, not an error.
+/// rule). A missing file is an empty log, not an error; a file whose valid
+/// prefix ends at an intact frame of another [`WAL_VERSION`] is one — the
+/// caller must not truncate what a different build wrote.
 pub fn replay(path: &Path) -> Result<(Vec<WalRecord>, u64)> {
     let mut file = match File::open(path) {
         Ok(f) => f,
@@ -322,6 +328,13 @@ pub fn replay(path: &Path) -> Result<(Vec<WalRecord>, u64)> {
     file.read_to_end(&mut bytes)
         .map_err(|e| io_err("read wal", e))?;
     let (records, valid_len) = decode_frames(&bytes);
+    let stopped_at = intact_payload(&bytes, valid_len).and_then(|payload| payload.first());
+    if let Some(&version) = stopped_at.filter(|&&version| version != WAL_VERSION) {
+        return Err(TsunamiError::Durability(format!(
+            "{} holds format version {version} records; this build reads version {WAL_VERSION}",
+            path.display()
+        )));
+    }
     Ok((records, valid_len as u64))
 }
 
@@ -380,25 +393,27 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
 pub fn decode_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + HEADER_BYTES) {
-        let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
-        let sum = u32::from_be_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD_BYTES {
-            break;
-        }
-        let Some(payload) = bytes.get(pos + HEADER_BYTES..pos + HEADER_BYTES + len) else {
-            break;
-        };
-        if checksum(payload) != sum {
-            break;
-        }
+    while let Some(payload) = intact_payload(bytes, pos) {
         let Some(record) = decode_payload(payload) else {
             break;
         };
         records.push(record);
-        pos += HEADER_BYTES + len;
+        pos += HEADER_BYTES + payload.len();
     }
     (records, pos)
+}
+
+/// The payload of the frame starting at `pos`, if the frame is whole: header
+/// present, length within bounds and within `bytes`, checksum matching.
+fn intact_payload(bytes: &[u8], pos: usize) -> Option<&[u8]> {
+    let header = bytes.get(pos..pos + HEADER_BYTES)?;
+    let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
+    let sum = u32::from_be_bytes(header[4..8].try_into().unwrap());
+    if len > MAX_RECORD_BYTES {
+        return None;
+    }
+    let payload = bytes.get(pos + HEADER_BYTES..pos + HEADER_BYTES + len)?;
+    (checksum(payload) == sum).then_some(payload)
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
@@ -728,10 +743,22 @@ mod tests {
             tables: vec!["t".into()],
         };
         let mut frame = encode_record(&rec);
-        frame[HEADER_BYTES] = 2; // version byte
+        frame[HEADER_BYTES] = WAL_VERSION - 1; // version byte
         let sum = checksum(&frame[HEADER_BYTES..]);
         frame[4..8].copy_from_slice(&sum.to_be_bytes());
         assert_eq!(decode_frames(&frame), (vec![], 0));
+        // On disk that is another build's file, not a torn tail: replay
+        // refuses it — also behind a valid prefix — so nobody truncates it.
+        let path = temp_wal("old_version");
+        for prefix in [Vec::new(), encode_record(&rec)] {
+            std::fs::write(&path, [prefix, frame.clone()].concat()).unwrap();
+            let err = replay(&path).unwrap_err();
+            assert!(
+                matches!(&err, TsunamiError::Durability(m) if m.contains("format version 1")),
+                "{err:?}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
 
         let mut frame = encode_record(&rec);
         frame[HEADER_BYTES + 1] = 0x7f; // opcode byte

@@ -23,6 +23,6 @@
 
 pub use tsunami_engine::{
     shard_of, ColumnRef, Database, IndexSpec, PageSize, PreparedQuery, QueryBuilder, QueryHandle,
-    ReoptReport, Scheduler, SchedulerConfig, Schema, ShardedDatabase, ShardedTable, SharedIndex,
-    ShiftReport, Table, WorkloadMonitor,
+    Scheduler, SchedulerConfig, Schema, ShardedDatabase, ShardedTable, SharedIndex, ShiftReport,
+    Table, WorkloadMonitor,
 };

@@ -8,9 +8,9 @@
 //!    aggregations, serial and parallel — and both must match the full-scan
 //!    oracle — through every mutation that permutes or invalidates cube
 //!    entries: `ingest` (delta-merged), `delete_where` (lazy re-fold, with
-//!    region compaction swaps forced via a low staleness bar), and
-//!    `reoptimize` (entries carried only for regions the restructure did
-//!    not split).
+//!    region compaction swaps forced via a low staleness bar), and a
+//!    rebuild for a shifted workload (every entry starts over and folds
+//!    lazily).
 //!
 //! 2. **Registered views.** A `Database` view's answer must be bit-identical
 //!    to executing its query against the table from scratch, after every
@@ -177,12 +177,11 @@ fn cube_answers_are_bit_identical_through_every_mutation() -> Result<(), Tsunami
     off = next_off;
     assert_bit_identical("deleted", &on, &off, &live, &probes(&live, &wl));
 
-    // Reoptimize for a shifted workload: cold regions carry entries, split
-    // regions drop them; either way answers are exact.
+    // Rebuild over the live rows for a shifted workload: new regions, an
+    // empty cube that folds lazily; answers are exact.
     let shifted = workload(&live, 8, 301);
-    on = on.reoptimize(&live, &shifted, &config)?;
-    off = off.reoptimize(&live, &shifted, &config)?;
-    assert_bit_identical("reoptimized", &on, &off, &live, &probes(&live, &shifted));
+    let (on, off) = build_pair(&live, &shifted, &config);
+    assert_bit_identical("rebuilt", &on, &off, &live, &probes(&live, &shifted));
     Ok(())
 }
 
@@ -305,12 +304,12 @@ fn registered_views_track_the_table_through_engine_mutations() -> Result<(), Tsu
     let table = db.table("trips")?;
     let shifted = workload(table.dataset(), 6, 301);
     drop(table);
-    db.reoptimize(
+    db.reindex(
         "trips",
         &shifted,
         &IndexSpec::Tsunami(TsunamiConfig::fast()),
     )?;
-    check(&db, "reoptimized")?;
+    check(&db, "reindexed")?;
 
     // Views over a dropped table disappear with it.
     db.drop_table("trips")?;
