@@ -2,7 +2,9 @@
 
 use std::time::Instant;
 
-use tsunami_core::{BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource};
+use tsunami_core::{
+    BuildTiming, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor,
+};
 use tsunami_store::ColumnStore;
 
 /// An "index" that always scans the entire table. Useful as a correctness
@@ -90,10 +92,13 @@ impl MultiDimIndex for FullScanIndex {
         self.timing
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Lets the engine's ingestion path reach `FullScanIndex::ingest`
-        // behind a `Box<dyn MultiDimIndex>`.
-        Some(self)
+    fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
+        Ok(Some(Successor::patched(self.ingest(rows), rows.len())))
+    }
+
+    fn delete_matching(&self, query: &Query) -> Result<Option<Successor>> {
+        let (index, rows) = self.delete_where(query);
+        Ok(Some(Successor::patched(index, rows)))
     }
 }
 

@@ -8,7 +8,8 @@
 use std::time::Instant;
 
 use tsunami_core::{
-    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, Value, Workload,
+    BuildTiming, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor, Value,
+    Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -187,10 +188,8 @@ impl MultiDimIndex for ClusteredSingleDimIndex {
         self.timing
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Lets the engine's ingestion path reach
-        // `ClusteredSingleDimIndex::ingest` behind a `Box<dyn MultiDimIndex>`.
-        Some(self)
+    fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
+        Ok(Some(Successor::patched(self.ingest(rows), rows.len())))
     }
 }
 

@@ -44,45 +44,52 @@
 use tsunami_bench::experiments;
 use tsunami_bench::HarnessConfig;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// What the command line asked for.
+enum Command {
+    Help,
+    Run(String, HarnessConfig),
+}
+
+/// Parses the arguments after the program name. A flag with a missing or
+/// unparseable value is an error, never a silent fall-back to the default —
+/// a typo must not look like a slow default-sized run.
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut experiment = "all".to_string();
     let mut config = HarnessConfig::default();
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rows" => {
-                config.rows = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(config.rows);
-                i += 2;
-            }
-            "--queries-per-type" | "--qpt" => {
-                config.queries_per_type = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(config.queries_per_type);
-                i += 2;
-            }
-            "--seed" => {
-                config.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(config.seed);
-                i += 2;
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other => {
-                experiment = other.to_string();
-                i += 1;
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--rows" => config.rows = number(arg, args.next())?,
+            "--queries-per-type" | "--qpt" => config.queries_per_type = number(arg, args.next())?,
+            "--seed" => config.seed = number(arg, args.next())?,
+            "--help" | "-h" => return Ok(Command::Help),
+            other => experiment = other.to_string(),
         }
     }
+    Ok(Command::Run(experiment, config))
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: '{value}' is not a non-negative integer"))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (experiment, config) = match parse_args(&args) {
+        Ok(Command::Run(experiment, config)) => (experiment, config),
+        Ok(Command::Help) => {
+            print_usage();
+            return;
+        }
+        Err(problem) => {
+            eprintln!("{problem}");
+            print_usage();
+            std::process::exit(2);
+        }
+    };
 
     eprintln!(
         "# repro: experiment={experiment} rows={} queries/type={} seed={}",
@@ -127,4 +134,41 @@ fn print_usage() {
         "engine knobs: TSUNAMI_POOL_THREADS (pool workers), TSUNAMI_ENCODE=off (no block encoding)"
     );
     eprintln!("check-bench re-runs fig12kern + figmv and fails on >2.5x median regressions vs bench-baselines/ (BENCH_scan.json path via BENCH_BASELINE_JSON); fresh BENCH_pool.json/BENCH_ingest.json are gated too when present");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        match parse(&["fig7", "--rows", "8000", "--qpt", "4", "--seed", "7"]) {
+            Ok(Command::Run(experiment, config)) => {
+                assert_eq!(experiment, "fig7");
+                assert_eq!(
+                    (config.rows, config.queries_per_type, config.seed),
+                    (8_000, 4, 7)
+                );
+            }
+            _ => panic!("well-formed arguments must parse"),
+        }
+        assert!(matches!(parse(&[]), Ok(Command::Run(e, _)) if e == "all"));
+        assert!(matches!(
+            parse(&["--rows", "8000", "-h"]),
+            Ok(Command::Help)
+        ));
+        // Unparseable and missing values are errors, not defaults.
+        for bad in [
+            &["--rows", "8k"][..],
+            &["--rows"],
+            &["--seed", "-1"],
+            &["fig7", "--queries-per-type", "four"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
 }

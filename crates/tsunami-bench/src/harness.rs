@@ -209,8 +209,8 @@ pub fn database_for(
 }
 
 /// Like [`database_for`] with explicit table names, for line-ups where
-/// several specs share a label (e.g. the Fig 12a Tsunami variants). All
-/// tables share one `Arc` of the dataset.
+/// several specs share a label (e.g. the Fig 12a Tsunami variants). Every
+/// build reads one shared `Arc` of the dataset; no table keeps it.
 pub fn database_for_named(
     data: &Dataset,
     workload: &Workload,

@@ -13,22 +13,18 @@
 //!   equally-sized cells under generic correlations (§5.2.2).
 //!
 //! The choice of single-dimension CDF model is orthogonal in the paper (RMI,
-//! histogram or linear regression); this crate provides all three behind the
-//! [`CdfModel`] trait.
+//! histogram or linear regression); every index here partitions with the
+//! equi-depth [`HistogramCdf`], behind the [`CdfModel`] trait.
 
 pub mod conditional;
-pub mod ecdf;
 pub mod hist_cdf;
 pub mod linear;
 pub mod mapping;
-pub mod rmi;
 
 pub use conditional::ConditionalCdf;
-pub use ecdf::Ecdf;
 pub use hist_cdf::HistogramCdf;
 pub use linear::LinearModel;
 pub use mapping::FunctionalMapping;
-pub use rmi::Rmi;
 
 use tsunami_core::Value;
 

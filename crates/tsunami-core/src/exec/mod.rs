@@ -263,6 +263,30 @@ impl<'a> ColumnData<'a> {
         }
     }
 
+    /// Decodes rows `range` into a fresh vector (store order).
+    pub fn decode_range(&self, range: Range<usize>) -> Vec<Value> {
+        debug_assert!(range.end <= self.len());
+        let (blocks, tail) = match *self {
+            ColumnData::Plain(s) => return s[range].to_vec(),
+            ColumnData::Encoded { blocks, tail } => (blocks, tail),
+        };
+        let mut out = vec![0; range.len()];
+        let covered = blocks.len() * BLOCK_ROWS;
+        let mut row = range.start;
+        while row < range.end {
+            let at = row - range.start;
+            if row >= covered {
+                out[at..].copy_from_slice(&tail[row - covered..range.end - covered]);
+                break;
+            }
+            let off = row % BLOCK_ROWS;
+            let n = (BLOCK_ROWS - off).min(range.end - row);
+            blocks[row / BLOCK_ROWS].decode_into(off, &mut out[at..at + n]);
+            row += n;
+        }
+        out
+    }
+
     /// Plain view of rows `start..end`; rows must not be encoded.
     #[inline(always)]
     fn slice(&self, start: usize, end: usize) -> &'a [Value] {
@@ -312,6 +336,28 @@ impl ScanSource for Dataset {
     fn column_data(&self, dim: usize) -> ColumnData<'_> {
         ColumnData::Plain(self.column(dim))
     }
+}
+
+/// Reads the live rows of a contiguous physical range back out of a source
+/// as a logical [`Dataset`], in store order: each column is decoded and its
+/// tombstoned rows are skipped. A clustered index's store is the only copy
+/// of its table, so this is how rebuilds, snapshots and oracles get the rows
+/// — O(range) time and memory per call.
+pub fn live_dataset(source: &dyn ScanSource, range: Range<usize>) -> Dataset {
+    let dead = source.tombstones().filter(|t| t.any());
+    let columns = (0..source.num_dims())
+        .map(|dim| {
+            let column = source.column_data(dim).decode_range(range.clone());
+            match dead {
+                None => column,
+                Some(dead) => (column.into_iter().zip(range.clone()))
+                    .filter(|&(_, row)| !dead.is_deleted(row))
+                    .map(|(value, _)| value)
+                    .collect(),
+            }
+        })
+        .collect();
+    Dataset::from_columns(columns).expect("a source has equal-length columns, at least one")
 }
 
 /// One contiguous physical row range of a scan plan.

@@ -426,7 +426,8 @@ impl Latch {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried, for reporting it as an error.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -638,23 +639,45 @@ impl std::fmt::Debug for WorkStealingPool {
 /// The lazily-created process-wide pool every query hot path routes
 /// through; lives for the process lifetime. Sized once, at first use, by
 /// `TSUNAMI_POOL_THREADS` — or `std::thread::available_parallelism` when
-/// that is unset, unparseable or zero.
+/// that is unset. A value that is not a positive integer panics here, at
+/// first use, instead of silently meaning "all cores".
 pub fn global() -> &'static Arc<WorkStealingPool> {
     static GLOBAL: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let threads = std::env::var("TSUNAMI_POOL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
+        let value =
+            std::env::var_os("TSUNAMI_POOL_THREADS").map(|v| v.to_string_lossy().into_owned());
+        let threads = parse_pool_threads(value.as_deref())
+            .unwrap_or_else(|bad| panic!("{bad}"))
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Arc::new(WorkStealingPool::new(threads))
     })
+}
+
+/// Parses `TSUNAMI_POOL_THREADS`; `None` (unset) leaves the choice to the
+/// host's parallelism.
+fn parse_pool_threads(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(value) = value else { return Ok(None) };
+    match value.trim().parse::<usize>() {
+        Ok(threads) if threads > 0 => Ok(Some(threads)),
+        _ => Err(format!(
+            "TSUNAMI_POOL_THREADS={value:?} is not recognised: use a positive integer"
+        )),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn the_thread_count_variable_is_strict() {
+        assert_eq!(parse_pool_threads(None), Ok(None));
+        assert_eq!(parse_pool_threads(Some(" 4 ")), Ok(Some(4)));
+        for bad in ["0", "", "four", "-1", "2.5"] {
+            assert!(parse_pool_threads(Some(bad)).is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn spawned_tasks_all_run() {

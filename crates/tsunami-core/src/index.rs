@@ -15,7 +15,18 @@
 //! shared vectorized executor in [`crate::exec`] and hand back its
 //! [`ScanCounters`]; a pinned tier, private pool or morsel size goes
 //! straight to [`exec::execute_plan_with`] with `plan()` and `source()`.
+//!
+//! Mutation goes through the trait too. An index is *clustered*: its
+//! [`MultiDimIndex::source`] is the only copy of the table's rows, so a
+//! caller that wants rows inserted or deleted asks the index for its
+//! [`Successor`] — [`MultiDimIndex::ingest_batch`],
+//! [`MultiDimIndex::delete_matching`]. Both are pure (`&self` in, a new
+//! index out) and both default to `Ok(None)`, "this family has no such
+//! path": the caller then rebuilds over [`exec::live_dataset`] of the source
+//! plus or minus the mutation.
 
+use crate::dataset::Dataset;
+use crate::error::Result;
 use crate::exec::{self, ScanCounters, ScanPlan, ScanSource};
 use crate::query::{AggResult, Query};
 
@@ -37,16 +48,73 @@ impl BuildTiming {
     }
 }
 
+/// A boxed index that can be shared across threads — what a catalog holds
+/// and what a mutation hands back.
+pub type SharedIndex = Box<dyn MultiDimIndex + Send + Sync>;
+
+/// Per-region accounting of one [`MultiDimIndex::ingest_batch`], from the
+/// families that keep one (Tsunami).
+#[derive(Debug, Clone, PartialEq)]
+pub struct IngestReport {
+    /// Rows in the ingested batch.
+    pub rows_ingested: usize,
+    /// Regions that received at least one new row (only these paid re-grid
+    /// and re-sort cost).
+    pub regions_touched: usize,
+    /// Touched regions whose accumulated staleness crossed the index's
+    /// region bar and earned a local layout re-optimization (warm-started
+    /// from the current layout).
+    pub regions_reoptimized: usize,
+    /// Whether the whole index escalated to a from-scratch rebuild — the
+    /// batch would have pushed the ingested fraction past the index's
+    /// rebuild bar (or the requested variant changed).
+    pub rebuilt: bool,
+    /// The whole-index ingested-row fraction including this batch, *before*
+    /// any staleness was repaid by re-optimization or rebuild.
+    pub data_staleness: f64,
+}
+
+/// An index's answer to a mutation: the index that holds the mutated rows,
+/// and what the caller's bookkeeping needs to know about how it got there.
+pub struct Successor {
+    /// The index over the mutated rows. The index it was derived from is
+    /// untouched and keeps answering over the pre-mutation rows.
+    pub index: SharedIndex,
+    /// Rows absorbed by an ingest, or newly tombstoned by a delete (rows an
+    /// earlier delete already hid do not count again).
+    pub rows: usize,
+    /// Whether the index re-derived its whole layout to absorb the mutation
+    /// (a staleness escalation), as opposed to patching the touched parts.
+    pub rebuilt: bool,
+    /// The ingest's per-region accounting; `None` from a delete and from
+    /// families that keep none.
+    pub ingest_report: Option<IngestReport>,
+}
+
+impl Successor {
+    /// The successor of a mutation that patched `rows` rows into (or out of)
+    /// the existing layout, with no per-region report to hand back.
+    pub fn patched(index: impl MultiDimIndex + Send + Sync + 'static, rows: usize) -> Self {
+        Self {
+            index: Box::new(index),
+            rows,
+            rebuilt: false,
+            ingest_report: None,
+        }
+    }
+}
+
 /// A clustered in-memory multi-dimensional index over a single table.
 ///
-/// Implementations own their (re-organized) copy of the data, so planning
-/// needs only the query. Execution is provided: implement [`Self::plan`] and
-/// [`Self::source`] and the shared executor does the rest.
+/// Implementations own the (re-organized) rows — [`Self::source`] is the
+/// table, not a copy of it — so planning needs only the query. Execution is
+/// provided: implement [`Self::plan`] and [`Self::source`] and the shared
+/// executor does the rest.
 pub trait MultiDimIndex {
     /// Short human-readable name used in benchmark output (e.g. `"Tsunami"`).
     fn name(&self) -> &str;
 
-    /// The physical data the index's plans scan (its clustered copy).
+    /// The physical data the index's plans scan: the clustered rows themselves.
     fn source(&self) -> &dyn ScanSource;
 
     /// Plans a query: the ordered contiguous physical ranges to scan, with
@@ -81,11 +149,26 @@ pub trait MultiDimIndex {
     /// Build-time breakdown recorded while constructing the index (Fig 9b).
     fn build_timing(&self) -> BuildTiming;
 
-    /// Downcast hook for capabilities beyond this trait (e.g. the engine's
-    /// insert and delete paths, which need the concrete index behind a
-    /// `Box<dyn MultiDimIndex>` to reach its ingest/tombstone methods).
-    /// Indexes with such capabilities override this to return `Some(self)`;
-    /// the default opts out, so plain indexes need no boilerplate.
+    /// Absorbs a batch of rows (same width as the source) without a
+    /// from-spec rebuild, returning the index over old + new rows. `Ok(None)`
+    /// — the default — means the family has no ingest path.
+    fn ingest_batch(&self, _rows: &Dataset) -> Result<Option<Successor>> {
+        Ok(None)
+    }
+
+    /// Deletes every live row matching all of `query`'s predicates (its
+    /// aggregation is ignored), returning the index over the survivors;
+    /// [`Successor::rows`] is the number of rows newly deleted. `Ok(None)` —
+    /// the default — means the family has no delete path.
+    fn delete_matching(&self, _query: &Query) -> Result<Option<Successor>> {
+        Ok(None)
+    }
+
+    /// Downcast hook for capabilities beyond this trait (e.g. a benchmark
+    /// reading Tsunami's region statistics behind a `Box<dyn
+    /// MultiDimIndex>`). Indexes with such capabilities override this to
+    /// return `Some(self)`; the default opts out, so plain indexes need no
+    /// boilerplate.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }

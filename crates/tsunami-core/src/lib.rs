@@ -50,6 +50,6 @@ pub use exec::{
     ExecOptions, KernelTier, PlanPartial, ScanCounters, ScanPlan, ScanRange, ScanSource,
 };
 pub use histogram::Histogram;
-pub use index::{BuildTiming, MultiDimIndex};
+pub use index::{BuildTiming, IngestReport, MultiDimIndex, SharedIndex, Successor};
 pub use query::{AggAccumulator, AggResult, Aggregation, Predicate, Query, Workload};
 pub use tombstone::TombstoneSet;

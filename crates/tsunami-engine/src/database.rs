@@ -1,9 +1,16 @@
 //! The [`Database`] facade: named tables over built indexes.
 //!
 //! This is the front door the ROADMAP's serving-scale items plug into: it
-//! owns the catalog of tables (each a dataset + schema + one index built from
-//! an [`IndexSpec`]), validates every query at the boundary, and hands out
-//! cheap [`Table`] handles that the [`crate::Scheduler`]'s workers share.
+//! owns the catalog of tables (each a schema + one index built from an
+//! [`IndexSpec`] — the index's clustered store is the table's only copy of
+//! its rows), validates every query at the boundary, and hands out cheap
+//! [`Table`] handles that the [`crate::Scheduler`]'s workers share.
+//!
+//! Inserts and deletes share one path: validate, ask the
+//! index for its successor through [`tsunami_core::MultiDimIndex`] (falling
+//! back to a rebuild from the stored spec over [`Table::dataset`] ± the
+//! mutation for families without one), log, swap the table generation,
+//! maintain the views.
 //!
 //! Workload shift (§8) is handled at this layer too: [`Database::reindex`]
 //! rebuilds a table's layout for a new workload — the one way a layout is
@@ -13,11 +20,12 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use tsunami_baselines::{ClusteredSingleDimIndex, FullScanIndex};
 use tsunami_core::exec::pool::{self, WorkStealingPool};
-use tsunami_core::{CostModel, Dataset, Point, Predicate, Query, Result, TsunamiError, Workload};
-use tsunami_flood::FloodIndex;
-use tsunami_index::{IngestReport, TsunamiConfig, TsunamiIndex, WorkloadMonitor};
+use tsunami_core::{
+    CostModel, Dataset, IngestReport, Point, Predicate, Query, Result, Successor, TsunamiError,
+    Workload,
+};
+use tsunami_index::{TsunamiConfig, WorkloadMonitor};
 use tsunami_store::{CrashPoint, WalRecord};
 
 use crate::durability::{self, Durability};
@@ -27,6 +35,13 @@ use crate::spec::{IndexSpec, SharedIndex};
 use crate::table::Table;
 use crate::view::MaterializedView;
 use tsunami_core::AggResult;
+
+/// One logical change to a table's rows — what [`Database::mutate`] applies.
+#[derive(Clone, Copy)]
+enum Mutation<'a> {
+    Insert(&'a [Point]),
+    Delete(&'a [Predicate]),
+}
 
 /// A catalog of named, indexed tables. Registration order is preserved for
 /// iteration (benchmark output stays deterministic).
@@ -138,8 +153,9 @@ impl Database {
         }
     }
 
-    /// Writes a checkpoint: a snapshot of every table (current data, spec,
-    /// and reference workload) replaces `checkpoint.db` atomically, and the
+    /// Writes a checkpoint: a snapshot of every table (its live rows read
+    /// back out of the index store, spec, and reference workload) replaces
+    /// `checkpoint.db` atomically, and the
     /// WAL is reset. Recovery cost becomes proportional to the mutations
     /// since the last checkpoint instead of since the database was created.
     /// Errors on in-memory databases.
@@ -183,7 +199,7 @@ impl Database {
             columns: table.schema().column_names().map(str::to_string).collect(),
             spec: durability::encode_spec(spec),
             workload: table.reference_workload().queries().to_vec(),
-            data: table.dataset().clone(),
+            data: table.dataset(),
         })
     }
 
@@ -233,8 +249,9 @@ impl Database {
     /// described by `spec` optimized for the sample `workload`, and returns a
     /// handle. The schema's width must match the dataset's and the name must
     /// be unused. `data` accepts either an owned [`Dataset`] or an
-    /// `Arc<Dataset>` — pass an `Arc` clone to register the same data under
-    /// several index families without copying it per table.
+    /// `Arc<Dataset>`; it is read during the build and released before the
+    /// call returns — the index's clustered store is the only copy the
+    /// table keeps.
     pub fn create_table<S: Into<String> + Clone>(
         &mut self,
         name: &str,
@@ -243,17 +260,8 @@ impl Database {
         workload: &Workload,
         spec: &IndexSpec,
     ) -> Result<Table> {
-        let data = data.into();
         let schema = Schema::new(columns.to_vec())?;
-        let index = self.build_index(&schema, &data, workload, spec)?;
-        self.register(
-            name,
-            schema,
-            data,
-            index,
-            workload.clone(),
-            Some(spec.clone()),
-        )
+        self.create(name, schema, data.into(), workload, spec)
     }
 
     /// Like [`Database::create_table`] with auto-generated `col0..colN`
@@ -267,35 +275,66 @@ impl Database {
     ) -> Result<Table> {
         let data = data.into();
         let schema = Schema::numbered(data.num_dims());
+        self.create(name, schema, data, workload, spec)
+    }
+
+    fn create(
+        &mut self,
+        name: &str,
+        schema: Schema,
+        data: Arc<Dataset>,
+        workload: &Workload,
+        spec: &IndexSpec,
+    ) -> Result<Table> {
         let index = self.build_index(&schema, &data, workload, spec)?;
-        self.register(
-            name,
+        self.check_name_unused(name)?;
+        // Log-before-apply. The build input ends here either way: moved into
+        // the record on a durable database, dropped on an in-memory one.
+        self.log_mutation(|| WalRecord::CreateTable {
+            name: name.to_string(),
+            columns: schema.column_names().map(str::to_string).collect(),
+            spec: durability::encode_spec(spec),
+            workload: workload.queries().to_vec(),
+            data: Arc::unwrap_or_clone(data),
+        })?;
+        let table = Table::new(
+            name.to_string(),
             schema,
-            data,
             index,
             workload.clone(),
             Some(spec.clone()),
-        )
+        );
+        self.tables.push(table.clone());
+        Ok(table)
     }
 
     /// Registers a table around an already-built index (escape hatch for
-    /// custom index construction). The reference workload starts empty, so
-    /// shift detection treats every observed query as new.
+    /// custom index construction); the index's store is the table. The
+    /// reference workload starts empty, so shift detection treats every
+    /// observed query as new.
     pub fn register_table(
         &mut self,
         name: &str,
         schema: Schema,
-        data: impl Into<Arc<Dataset>>,
         index: SharedIndex,
     ) -> Result<Table> {
-        let data = data.into();
-        if schema.num_columns() != data.num_dims() {
+        let width = index.source().num_dims();
+        if schema.num_columns() != width {
             return Err(TsunamiError::DimensionMismatch {
-                expected: data.num_dims(),
+                expected: width,
                 got: schema.num_columns(),
             });
         }
-        self.register(name, schema, data, index, Workload::default(), None)
+        self.check_name_unused(name)?;
+        if self.durability.is_some() {
+            return Err(TsunamiError::Durability(format!(
+                "table '{name}' was registered around a pre-built index without a spec; \
+                 a durable database cannot replay it — use create_table instead"
+            )));
+        }
+        let table = Table::new(name.to_string(), schema, index, Workload::default(), None);
+        self.tables.push(table.clone());
+        Ok(table)
     }
 
     fn build_index(
@@ -317,37 +356,11 @@ impl Database {
         spec.build(data, workload, &self.cost)
     }
 
-    fn register(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        data: Arc<Dataset>,
-        index: SharedIndex,
-        reference: Workload,
-        spec: Option<IndexSpec>,
-    ) -> Result<Table> {
+    fn check_name_unused(&self, name: &str) -> Result<()> {
         if self.tables.iter().any(|t| t.name() == name) {
             return Err(TsunamiError::DuplicateTable(name.to_string()));
         }
-        if self.durability.is_some() {
-            let spec = spec.as_ref().ok_or_else(|| {
-                TsunamiError::Durability(format!(
-                    "table '{name}' was registered around a pre-built index without a spec; \
-                     a durable database cannot replay it — use create_table instead"
-                ))
-            })?;
-            let spec = durability::encode_spec(spec);
-            self.log_mutation(|| WalRecord::CreateTable {
-                name: name.to_string(),
-                columns: schema.column_names().map(str::to_string).collect(),
-                spec,
-                workload: reference.queries().to_vec(),
-                data: (*data).clone(),
-            })?;
-        }
-        let table = Table::new(name.to_string(), schema, data, index, reference, spec);
-        self.tables.push(table.clone());
-        Ok(table)
+        Ok(())
     }
 
     /// Looks up a table by name.
@@ -441,19 +454,30 @@ impl Database {
     }
 
     /// Rebuilds a table's index for a new workload (the paper's workload-
-    /// shift scenario, Fig 9a): same name, same schema, same data, fresh
-    /// layout, same position in the catalog's iteration order. Returns the
+    /// shift scenario, Fig 9a): same name, same schema, same rows (read back
+    /// out of the old index's store — [`Table::dataset`]), fresh layout, same
+    /// position in the catalog's iteration order. Returns the
     /// new handle; old handles keep answering through the stale layout until
     /// dropped — and keep recording into the same observation log, which is
     /// cleared by the swap (the observations are consumed by the new
     /// layout's reference workload). On failure the catalog is unchanged.
     pub fn reindex(&mut self, name: &str, workload: &Workload, spec: &IndexSpec) -> Result<Table> {
         let pos = self.position(name)?;
+        let data = self.tables[pos].dataset();
+        self.reindex_over(pos, &data, workload, spec)
+    }
+
+    /// [`Database::reindex`] over already-materialized rows of table `pos`.
+    fn reindex_over(
+        &mut self,
+        pos: usize,
+        data: &Dataset,
+        workload: &Workload,
+        spec: &IndexSpec,
+    ) -> Result<Table> {
         let old = &self.tables[pos];
-        // Shares the dataset with the old table; only the index is rebuilt.
-        let data = Arc::clone(&old.state.data);
-        let index = self.build_index(old.schema(), &data, workload, spec)?;
-        let table = old.next_generation(data, index, workload.clone(), Some(spec.clone()), 0);
+        let index = self.build_index(old.schema(), data, workload, spec)?;
+        let table = old.next_generation(index, workload.clone(), Some(spec.clone()), 0);
         table.clear_observations();
         self.tables[pos] = table.clone();
         Ok(table)
@@ -465,12 +489,13 @@ impl Database {
     }
 
     /// Inserts a batch of rows into a table, absorbing them into the
-    /// existing index **without a rebuild** where the family supports it:
-    /// Tsunami goes through [`TsunamiIndex::ingest_with_cost`] (rows routed
-    /// to their Grid-Tree regions, only touched regions re-gridded), Flood
-    /// and the single-dim/full-scan baselines through their sorted-merge
-    /// ingest. Families without an ingest path (the paged baselines) fall
-    /// back to rebuilding from the table's stored spec.
+    /// existing index **without a rebuild** where the family supports it
+    /// ([`MultiDimIndex::ingest_batch`](tsunami_core::MultiDimIndex::ingest_batch)):
+    /// Tsunami routes rows to their Grid-Tree regions and re-grids only the
+    /// touched ones, Flood and the single-dim/full-scan baselines merge the
+    /// batch into their sorted stores. Families without an ingest path (the
+    /// paged baselines) fall back to rebuilding from the table's stored spec
+    /// over [`Table::dataset`] plus the batch.
     ///
     /// Rows are validated against the table's schema width. Swap semantics
     /// match [`Database::reindex`] — scheduler-safe: the catalog entry is
@@ -488,80 +513,7 @@ impl Database {
         name: &str,
         rows: &[Point],
     ) -> Result<(Table, Option<IngestReport>)> {
-        let pos = self.position(name)?;
-        let old = &self.tables[pos];
-        let width = old.schema().num_columns();
-        let batch = Dataset::from_rows(width, rows)?;
-        let mut data = (*old.state.data).clone();
-        for row in rows {
-            data.push_row(row)?;
-        }
-        // Log-before-apply: the batch is durable before the catalog changes.
-        self.log_mutation(|| WalRecord::InsertBatch {
-            table: name.to_string(),
-            rows: batch.clone(),
-        })?;
-
-        let old = &self.tables[pos];
-        let any = old.index().as_any();
-        let mut report = None;
-        // When the insert itself re-derives the whole layout (the
-        // spec-rebuild fallback, or a Tsunami ingest that escalated), the
-        // drift counter restarts — the fresh layout already covers the
-        // batch, so auto_reoptimize must not fire a second rebuild for it.
-        let mut layout_rederived = false;
-        let index: SharedIndex = if let Some(tsunami) =
-            any.and_then(|a| a.downcast_ref::<TsunamiIndex>())
-        {
-            let config = match &old.state.spec {
-                Some(IndexSpec::Tsunami(c)) => c.clone(),
-                _ => TsunamiConfig::default(),
-            };
-            let (index, r) = tsunami.ingest_with_cost(&batch, &self.cost, &config)?;
-            layout_rederived = r.rebuilt;
-            report = Some(r);
-            Box::new(index)
-        } else if let Some(flood) = any.and_then(|a| a.downcast_ref::<FloodIndex>()) {
-            Box::new(flood.ingest(&batch))
-        } else if let Some(single) = any.and_then(|a| a.downcast_ref::<ClusteredSingleDimIndex>()) {
-            Box::new(single.ingest(&batch))
-        } else if let Some(full) = any.and_then(|a| a.downcast_ref::<FullScanIndex>()) {
-            Box::new(full.ingest(&batch))
-        } else {
-            // No ingest path: rebuild from the stored spec over the grown
-            // dataset (still optimized for the current reference workload).
-            let spec = old.state.spec.clone().ok_or_else(|| {
-                TsunamiError::Build(format!(
-                    "table '{name}' was registered around a pre-built index without a spec; \
-                     reindex it before inserting"
-                ))
-            })?;
-            layout_rederived = true;
-            spec.build(&data, old.reference_workload(), &self.cost)?
-        };
-
-        let old = &self.tables[pos];
-        let inserted_since_reopt = if layout_rederived {
-            0
-        } else {
-            old.state.inserted_since_reopt + rows.len()
-        };
-        let table = old.next_generation(
-            Arc::new(data),
-            index,
-            old.reference_workload().clone(),
-            old.state.spec.clone(),
-            inserted_since_reopt,
-        );
-        self.tables[pos] = table.clone();
-        // Incremental view maintenance: fold the batch's matching rows into
-        // each registered view on this table as one delta — never a
-        // recompute (see `crate::view`).
-        for view in &self.views {
-            if view.table() == name {
-                view.apply_insert(rows);
-            }
-        }
+        let (table, _, report) = self.mutate(name, Mutation::Insert(rows))?;
         Ok((table, report))
     }
 
@@ -574,20 +526,20 @@ impl Database {
     /// Deletes every row matching the conjunction of `predicates`, returning
     /// the new table handle and the number of rows deleted.
     ///
-    /// Deletion is **tombstone-first** where the index family supports it:
-    /// Tsunami tables go through
-    /// [`TsunamiIndex::delete_where_with_cost`](tsunami_index::TsunamiIndex::delete_where_with_cost)
-    /// — matching rows are marked in the store's deletion bitmap and every
-    /// scan tier masks them out, while regions whose accumulated mutation
-    /// fraction passes [`TsunamiConfig::ingest_region_staleness`] are
-    /// physically compacted and the whole index is rebuilt over the live
-    /// rows past [`TsunamiConfig::ingest_rebuild_staleness`]. Full-scan
-    /// tables tombstone and compact once majority-dead; every other family
-    /// rebuilds from its stored spec over the live rows.
+    /// Deletion is **tombstone-first** where the index family supports it
+    /// ([`MultiDimIndex::delete_matching`](tsunami_core::MultiDimIndex::delete_matching)):
+    /// Tsunami marks matching rows in the store's deletion bitmap — every
+    /// scan tier masks them out — physically compacts regions whose
+    /// accumulated mutation fraction passes
+    /// [`TsunamiConfig::ingest_region_staleness`], and rebuilds the whole
+    /// index over the live rows past
+    /// [`TsunamiConfig::ingest_rebuild_staleness`]. Full-scan tables
+    /// tombstone and compact once majority-dead; every other family rebuilds
+    /// from its stored spec over the surviving rows of [`Table::dataset`].
     ///
-    /// The table's logical dataset shrinks to the live rows immediately, so
-    /// the reindex and ingest-fallback paths never resurrect deleted rows.
-    /// Deletes feed the same data-drift counter as inserts
+    /// The count comes from the index's own delete, and a delete that
+    /// matches nothing changes nothing: no WAL record, no swap. Deletes feed
+    /// the same data-drift counter as inserts
     /// ([`Table::data_drift_fraction`]), so [`Database::auto_reoptimize`]
     /// eventually re-optimizes a heavily-deleted table. Swap semantics match
     /// [`Database::insert_batch`]: old handles keep answering over the
@@ -597,89 +549,127 @@ impl Database {
         name: &str,
         predicates: &[Predicate],
     ) -> Result<(Table, usize)> {
+        let (table, deleted, _) = self.mutate(name, Mutation::Delete(predicates))?;
+        Ok((table, deleted))
+    }
+
+    /// The one path every insert and delete takes: validate → ask the index
+    /// for its successor → log → swap the table generation → maintain the
+    /// views. Returns the new handle, the rows inserted or deleted, and the
+    /// ingest report if the index kept one.
+    fn mutate(
+        &mut self,
+        name: &str,
+        mutation: Mutation<'_>,
+    ) -> Result<(Table, usize, Option<IngestReport>)> {
         let pos = self.position(name)?;
-        let query = Query::count(predicates.to_vec())?;
-        let old = &self.tables[pos];
-        query.validate_dims(old.schema().num_columns())?;
-
-        let data = &old.state.data;
-        let keep: Vec<usize> = (0..data.len())
-            .filter(|&r| !query.matches_point(&data.row(r)))
-            .collect();
-        let deleted = data.len() - keep.len();
-        if deleted == 0 {
-            // Nothing matched: no WAL record, no swap.
-            return Ok((old.clone(), 0));
-        }
-        let live = Arc::new(data.select_rows(&keep));
-        self.log_mutation(|| WalRecord::Delete {
-            table: name.to_string(),
-            predicates: predicates.to_vec(),
-        })?;
-
-        let old = &self.tables[pos];
-        let any = old.index().as_any();
-        let mut layout_rederived = false;
-        let index: SharedIndex = if let Some(tsunami) =
-            any.and_then(|a| a.downcast_ref::<TsunamiIndex>())
-        {
-            let config = match &old.state.spec {
-                Some(IndexSpec::Tsunami(c)) => c.clone(),
-                _ => TsunamiConfig::default(),
-            };
-            let (index, report) = tsunami.delete_where_with_cost(&query, &self.cost, &config)?;
-            layout_rederived = report.rebuilt;
-            Box::new(index)
-        } else if let Some(full) = any.and_then(|a| a.downcast_ref::<FullScanIndex>()) {
-            let (index, _) = full.delete_where(&query);
-            Box::new(index)
-        } else {
-            // No tombstone path: rebuild from the stored spec over the live
-            // rows (still optimized for the current reference workload).
-            let spec = old.state.spec.clone().ok_or_else(|| {
-                TsunamiError::Build(format!(
-                    "table '{name}' was registered around a pre-built index without a spec; \
-                     reindex it before deleting"
-                ))
-            })?;
-            layout_rederived = true;
-            spec.build(&live, old.reference_workload(), &self.cost)?
+        let old = self.tables[pos].clone();
+        let width = old.num_columns();
+        // Asking is pure — the old index is untouched — so nothing below has
+        // happened yet if it fails, or if a delete turns out to match
+        // nothing.
+        let (successor, record) = match mutation {
+            Mutation::Insert(rows) => {
+                let batch = Dataset::from_rows(width, rows)?;
+                let successor = match old.index().ingest_batch(&batch)? {
+                    Some(successor) => successor,
+                    None => {
+                        let mut data = old.dataset();
+                        for row in rows {
+                            data.push_row(row)?;
+                        }
+                        self.rebuild_from_spec(&old, &data, rows.len())?
+                    }
+                };
+                let table = name.to_string();
+                (successor, WalRecord::InsertBatch { table, rows: batch })
+            }
+            Mutation::Delete(predicates) => {
+                let query = Query::count(predicates.to_vec())?;
+                query.validate_dims(width)?;
+                let successor = match old.index().delete_matching(&query)? {
+                    Some(successor) => successor,
+                    None => {
+                        let data = old.dataset();
+                        let matches = |r: usize| {
+                            let mut predicates = query.predicates().iter();
+                            predicates.all(|p| p.matches(data.get(r, p.dim)))
+                        };
+                        let keep: Vec<usize> = (0..data.len()).filter(|&r| !matches(r)).collect();
+                        let deleted = data.len() - keep.len();
+                        if deleted == 0 {
+                            return Ok((old, 0, None));
+                        }
+                        self.rebuild_from_spec(&old, &data.select_rows(&keep), deleted)?
+                    }
+                };
+                if successor.rows == 0 {
+                    return Ok((old, 0, None));
+                }
+                let (table, predicates) = (name.to_string(), predicates.to_vec());
+                (successor, WalRecord::Delete { table, predicates })
+            }
         };
+        // Log-before-apply: the mutation is durable before the catalog
+        // changes.
+        self.log_mutation(|| record)?;
 
-        let old = &self.tables[pos];
-        // Deletes are mutations against the optimized-for layout, exactly
-        // like inserts: they feed the same drift counter unless this delete
-        // itself re-derived the layout.
-        let mutated_since_reopt = if layout_rederived {
+        // Inserts and deletes alike are mutations against the optimized-for
+        // layout and feed one drift counter — unless this one re-derived the
+        // whole layout, which already covers it: the counter restarts, so
+        // auto_reoptimize does not fire a second rebuild for it.
+        let drift = if successor.rebuilt {
             0
         } else {
-            old.state.inserted_since_reopt + deleted
+            old.state.inserted_since_reopt + successor.rows
         };
         let table = old.next_generation(
-            live,
-            index,
+            successor.index,
             old.reference_workload().clone(),
             old.state.spec.clone(),
-            mutated_since_reopt,
+            drift,
         );
         self.tables[pos] = table.clone();
-        // Tombstoned rows cannot be un-folded from MIN/MAX state, so views
-        // on this table invalidate and re-fold lazily on their next read.
-        for view in &self.views {
-            if view.table() == name {
-                view.invalidate();
+        // Incremental view maintenance (see `crate::view`): an insert folds
+        // the batch's matching rows into each view on this table as one
+        // delta; tombstoned rows cannot be un-folded from MIN/MAX state, so
+        // a delete invalidates and the view re-folds lazily on its next read.
+        for view in self.views.iter().filter(|v| v.table() == name) {
+            match mutation {
+                Mutation::Insert(rows) => view.apply_insert(rows),
+                Mutation::Delete(_) => view.invalidate(),
             }
         }
-        Ok((table, deleted))
+        Ok((table, successor.rows, successor.ingest_report))
+    }
+
+    /// The successor for index families without a mutation path of their
+    /// own: a rebuild from the table's stored spec over `data` — the live
+    /// rows plus or minus the `rows` mutated — still optimized for the
+    /// current reference workload.
+    fn rebuild_from_spec(&self, old: &Table, data: &Dataset, rows: usize) -> Result<Successor> {
+        let spec = old.index_spec().ok_or_else(|| {
+            TsunamiError::Build(format!(
+                "table '{}' was registered around a pre-built index without a spec or a \
+                 mutation path; reindex it before inserting or deleting",
+                old.name()
+            ))
+        })?;
+        Ok(Successor {
+            index: spec.build(data, old.reference_workload(), &self.cost)?,
+            rows,
+            rebuilt: true,
+            ingest_report: None,
+        })
     }
 
     /// The autonomous monitor → re-optimize loop: compares the queries
     /// recorded via [`Table::record_query`] (the table's bounded observation
     /// log is the engine's sliding window) against the workload the table's
-    /// layout was optimized for and rebuilds the layout via
-    /// [`Database::reindex`] — which also drains the log, so the consumed
-    /// observations become the new reference — when either kind of drift is
-    /// detected:
+    /// layout was optimized for and rebuilds the layout as
+    /// [`Database::reindex`] does — which also drains the log, so the
+    /// consumed observations become the new reference — when either kind of
+    /// drift is detected:
     ///
     /// * **workload drift** — the observed query-type mix shifted from the
     ///   optimized-for reference;
@@ -689,21 +679,29 @@ impl Database {
     ///   results correct on its own, but accumulated growth eventually
     ///   earns the optimizer a pass even with an unchanged workload.
     ///
-    /// Returns `Ok(None)` when neither drift is present — calling this
-    /// periodically is cheap.
+    /// Returns `Ok(None)` when neither drift is present. A call with nothing
+    /// observed and no data drift is free; otherwise the rows are
+    /// materialized once ([`Table::dataset`]) for the drift monitor and the
+    /// rebuild to share.
     pub fn auto_reoptimize(&mut self, name: &str, spec: &IndexSpec) -> Result<Option<Table>> {
-        let table = self.table(name)?;
+        let pos = self.position(name)?;
+        let table = self.tables[pos].clone();
         let observed = table.observed_workload();
         let config = match spec {
             IndexSpec::Tsunami(c) => c.clone(),
             _ => TsunamiConfig::default(),
         };
         let data_drift = table.data_drift_fraction() > config.ingest_region_staleness;
-        let workload_drift = !observed.is_empty()
-            && WorkloadMonitor::new(table.dataset(), table.reference_workload(), &config)
-                .observe(table.dataset(), &observed, &config)
-                .reoptimize;
-        if !data_drift && !workload_drift {
+        if !data_drift && observed.is_empty() {
+            return Ok(None);
+        }
+        let data = table.dataset();
+        let workload_drift = || {
+            WorkloadMonitor::new(&data, table.reference_workload(), &config)
+                .observe(&data, &observed, &config)
+                .reoptimize
+        };
+        if !data_drift && !workload_drift() {
             return Ok(None);
         }
         // Data drift alone re-optimizes for whatever workload evidence is at
@@ -713,7 +711,7 @@ impl Database {
         } else {
             observed
         };
-        self.reindex(name, &target, spec).map(Some)
+        self.reindex_over(pos, &data, &target, spec).map(Some)
     }
 
     fn position(&self, name: &str) -> Result<usize> {
@@ -945,56 +943,96 @@ mod tests {
         assert_eq!(t.observed_len(), 0);
     }
 
+    /// COUNT plus SUM/MIN/MAX/AVG of `dim` under `predicates`.
+    fn five_aggregations(predicates: &[Predicate], dim: usize) -> Vec<Query> {
+        [
+            Aggregation::Count,
+            Aggregation::Sum(dim),
+            Aggregation::Min(dim),
+            Aggregation::Max(dim),
+            Aggregation::Avg(dim),
+        ]
+        .into_iter()
+        .map(|agg| Query::new(predicates.to_vec(), agg).unwrap())
+        .collect()
+    }
+
+    /// Asserts that `table` holds exactly `rows` — an independently
+    /// maintained list: the live count, the materialized multiset, and all
+    /// five aggregations against a full scan of the list.
+    fn assert_holds(table: &Table, rows: &[Point], step: &str) {
+        let name = table.name();
+        assert_eq!(table.num_rows(), rows.len(), "{name} after {step}");
+        let mut held: Vec<Point> = table.dataset().rows().collect();
+        let mut expected = rows.to_vec();
+        held.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(held, expected, "{name} after {step}");
+        let oracle = Dataset::from_rows(3, rows).unwrap();
+        let probes = [
+            five_aggregations(&[Predicate::range(0, 0, 2_000).unwrap()], 2),
+            five_aggregations(&[Predicate::range(2, 900_000, 2_000_000).unwrap()], 1),
+            five_aggregations(&[], 0),
+        ];
+        for q in probes.iter().flatten() {
+            assert_eq!(
+                table.execute(q).unwrap(),
+                q.execute_full_scan(&oracle),
+                "{name} after {step} diverged on {q:?}"
+            );
+        }
+    }
+
+    /// In-domain rows plus one beyond every build-time domain, offset by
+    /// `salt` so two batches differ.
+    fn batch(salt: u64) -> Vec<Point> {
+        let mut rows: Vec<Point> = (0..150u64)
+            .map(|i| vec![i * 3 + salt, i * 5, i * 7])
+            .collect();
+        rows.push(vec![1_000_000 + salt, 1_000_000, 1_000_000]);
+        rows
+    }
+
+    fn delete_from(rows: &mut Vec<Point>, band: &[Predicate]) -> usize {
+        let before = rows.len();
+        rows.retain(|row| !band.iter().all(|p| p.matches(row[p.dim])));
+        before - rows.len()
+    }
+
     #[test]
     fn insert_batch_ingests_across_families_with_swap_semantics() {
         let (data, day, _) = shift_fixture();
+        let band = [Predicate::range(0, 300, 1_499).unwrap()];
         let mut db = Database::new();
-        for (name, spec) in [
-            ("tsunami", IndexSpec::Tsunami(TsunamiConfig::fast())),
-            ("flood", IndexSpec::flood()),
-            ("single", IndexSpec::SingleDim),
-            ("full", IndexSpec::FullScan),
-            // No ingest path: rebuilds from the stored spec.
-            ("zorder", IndexSpec::ZOrder(crate::PageSize::Fixed(256))),
-        ] {
+        for spec in IndexSpec::all_fast() {
+            let name = spec.label();
             db.create_table_unnamed(name, data.clone(), &day, &spec)
                 .unwrap();
             let before = db.table(name).unwrap();
+            let mut rows: Vec<Point> = data.rows().collect();
+            assert_holds(&before, &rows, "create");
 
-            // In-domain rows plus rows beyond every build-time domain.
-            let mut rows: Vec<Vec<u64>> = (0..150u64).map(|i| vec![i * 3, i * 5, i * 7]).collect();
-            rows.push(vec![1_000_000, 1_000_000, 1_000_000]);
-            let after = db.insert_batch(name, &rows).unwrap();
-
-            let mut merged = data.clone();
-            for row in &rows {
-                merged.push_row(row).unwrap();
-            }
-            assert_eq!(after.num_rows(), merged.len());
+            let after = db.insert_batch(name, &batch(0)).unwrap();
             // Old handles keep answering over the pre-insert snapshot.
-            assert_eq!(before.num_rows(), data.len());
+            assert_holds(&before, &rows, "insert (old handle)");
+            rows.extend(batch(0));
+            assert_holds(&after, &rows, "insert");
 
-            let probes = [
-                Query::count(vec![Predicate::range(0, 0, 500).unwrap()]).unwrap(),
-                Query::count(vec![Predicate::range(2, 900_000, 2_000_000).unwrap()]).unwrap(),
-                Query::new(
-                    vec![Predicate::range(1, 0, 800).unwrap()],
-                    Aggregation::Sum(2),
-                )
-                .unwrap(),
-            ];
-            for q in &probes {
-                assert_eq!(
-                    after.execute(q).unwrap(),
-                    q.execute_full_scan(&merged),
-                    "{name} diverged on {q:?}"
-                );
-                assert_eq!(before.execute(q).unwrap(), q.execute_full_scan(&data));
-            }
+            let (after, deleted) = db.delete_with_count(name, &band).unwrap();
+            assert_eq!(deleted, delete_from(&mut rows, &band), "{name}");
+            assert_holds(&after, &rows, "delete");
+
+            // The rebuild reads its rows back out of the mutated store.
+            let after = db.reindex(name, &day, &spec).unwrap();
+            assert_holds(&after, &rows, "reindex");
+
+            let after = db.insert_batch(name, &batch(1)).unwrap();
+            rows.extend(batch(1));
+            assert_holds(&after, &rows, "second insert");
         }
         // Single-row convenience + schema validation.
-        db.insert("tsunami", &[1, 2, 3]).unwrap();
-        assert!(db.insert("tsunami", &[1, 2]).is_err());
+        db.insert("Tsunami", &[1, 2, 3]).unwrap();
+        assert!(db.insert("Tsunami", &[1, 2]).is_err());
         assert!(db.insert_batch("nope", &[vec![1, 2, 3]]).is_err());
     }
 
@@ -1020,66 +1058,119 @@ mod tests {
 
     #[test]
     fn delete_hides_rows_across_families_with_swap_semantics() {
+        let dir = temp_db_dir("families");
         let (data, day, _) = shift_fixture();
-        let mut db = Database::new();
-        for (name, spec) in [
-            ("tsunami", IndexSpec::Tsunami(TsunamiConfig::fast())),
-            ("flood", IndexSpec::flood()),
-            ("full", IndexSpec::FullScan),
-            // No tombstone path: rebuilds from the stored spec.
-            ("zorder", IndexSpec::ZOrder(crate::PageSize::Fixed(256))),
-        ] {
-            db.create_table_unnamed(name, data.clone(), &day, &spec)
-                .unwrap();
-            let before = db.table(name).unwrap();
+        let band = [Predicate::range(0, 300, 1_499).unwrap()];
+        let mut expected: Vec<(&str, Vec<Point>)> = Vec::new();
+        {
+            let mut db = Database::open(&dir).unwrap();
+            for spec in IndexSpec::all_fast() {
+                let name = spec.label();
+                db.create_table_unnamed(name, data.clone(), &day, &spec)
+                    .unwrap();
+                let mut rows: Vec<Point> = data.rows().collect();
 
-            let band = [Predicate::range(0, 500, 1_499).unwrap()];
-            let (after, deleted) = db.delete_with_count(name, &band).unwrap();
-            assert_eq!(deleted, 1_000, "{name}");
-            assert_eq!(after.num_rows(), data.len() - 1_000, "{name}");
-            // Old handles keep answering over the pre-delete snapshot.
-            assert_eq!(before.num_rows(), data.len());
+                let before = db.insert_batch(name, &batch(0)).unwrap();
+                rows.extend(batch(0));
+                assert_holds(&before, &rows, "insert");
 
-            let del = Query::count(band.to_vec()).unwrap();
-            let oracle: Dataset = {
-                let keep: Vec<usize> = (0..data.len())
-                    .filter(|&r| !del.matches_point(&data.row(r)))
-                    .collect();
-                data.select_rows(&keep)
-            };
-            let probes = [
-                Query::count(vec![Predicate::range(0, 0, 2_000).unwrap()]).unwrap(),
-                Query::new(
-                    vec![Predicate::range(1, 0, 4_000).unwrap()],
-                    Aggregation::Sum(2),
-                )
-                .unwrap(),
-                Query::new(vec![], Aggregation::Avg(0)).unwrap(),
-            ];
-            for q in &probes {
-                assert_eq!(
-                    after.execute(q).unwrap(),
-                    q.execute_full_scan(&oracle),
-                    "{name} diverged on {q:?}"
-                );
-                assert_eq!(before.execute(q).unwrap(), q.execute_full_scan(&data));
+                let (after, deleted) = db.delete_with_count(name, &band).unwrap();
+                // Old handles keep answering over the pre-delete snapshot.
+                assert_holds(&before, &rows, "delete (old handle)");
+                assert_eq!(deleted, delete_from(&mut rows, &band), "{name}");
+                // 1,200 build-time rows and 50 ingested ones.
+                assert_eq!(deleted, 1_250, "{name}");
+                assert_holds(&after, &rows, "delete");
+                // Deletes feed the engine's data-drift counter where the
+                // index tombstones; the spec-rebuild fallback re-derives the
+                // layout and so restarts it.
+                match name {
+                    "FullScan" => {
+                        assert!(after.data_drift_fraction() > before.data_drift_fraction())
+                    }
+                    "ZOrder" => assert_eq!(after.data_drift_fraction(), 0.0),
+                    _ => {}
+                }
+
+                // Deleting the same band again matches nothing in the live
+                // rows: a no-op that reaches neither the log nor the catalog.
+                let wal_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+                let logged = wal_len();
+                let (_, again) = db.delete_with_count(name, &band).unwrap();
+                assert_eq!(again, 0, "{name}");
+                assert_eq!(wal_len(), logged, "{name}");
+
+                let after = db.reindex(name, &day, &spec).unwrap();
+                assert_holds(&after, &rows, "reindex");
+
+                let after = db.insert_batch(name, &batch(1)).unwrap();
+                rows.extend(batch(1));
+                assert_holds(&after, &rows, "second insert");
+                expected.push((name, rows));
             }
+            // Out-of-bounds predicates are rejected at the boundary.
+            assert!(db
+                .delete("Flood", &[Predicate::range(9, 0, 1).unwrap()])
+                .is_err());
+            assert!(db.delete("nope", &[]).is_err());
 
-            // Deleting the same band again is a no-op (no rows match the
-            // already-deleted range in the live data).
-            let (_, again) = db.delete_with_count(name, &band).unwrap();
-            assert_eq!(again, 0, "{name}");
+            // The snapshot is read back out of each index's store...
+            db.checkpoint().unwrap();
+            for (name, rows) in &expected {
+                assert_holds(&db.table(name).unwrap(), rows, "checkpoint");
+            }
         }
-        // Deletes feed the engine's data-drift counter (on the tombstoning
-        // families; the spec-rebuild fallback re-derives the layout and so
-        // restarts the counter).
-        assert!(db.table("full").unwrap().data_drift_fraction() > 0.0);
-        assert_eq!(db.table("zorder").unwrap().data_drift_fraction(), 0.0);
-        // Out-of-bounds predicates are rejected at the boundary.
-        assert!(db
-            .delete("flood", &[Predicate::range(9, 0, 1).unwrap()])
-            .is_err());
-        assert!(db.delete("nope", &[]).is_err());
+        // ...and a fresh process recovers exactly the live rows from it.
+        let db = Database::open(&dir).unwrap();
+        for (name, rows) in &expected {
+            assert_holds(&db.table(name).unwrap(), rows, "reopen");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn create_table_keeps_no_copy_of_the_callers_dataset() {
+        let (data, day, _) = shift_fixture();
+        let data = Arc::new(data);
+        let mut db = Database::new();
+        for spec in IndexSpec::all_fast() {
+            let name = spec.label();
+            db.create_table_unnamed(name, Arc::clone(&data), &day, &spec)
+                .unwrap();
+            assert_eq!(Arc::strong_count(&data), 1, "{name} after create");
+            db.insert_batch(name, &batch(0)).unwrap();
+            assert_eq!(Arc::strong_count(&data), 1, "{name} after insert");
+            db.delete(name, &[Predicate::range(0, 300, 1_499).unwrap()])
+                .unwrap();
+            assert_eq!(Arc::strong_count(&data), 1, "{name} after delete");
+            db.reindex(name, &day, &spec).unwrap();
+            assert_eq!(Arc::strong_count(&data), 1, "{name} after reindex");
+        }
+    }
+
+    #[test]
+    fn a_registered_index_mutates_under_the_config_it_was_built_with() {
+        use tsunami_index::{IndexVariant, TsunamiIndex};
+        let (data, day, _) = shift_fixture();
+        let config = TsunamiConfig::fast().with_variant(IndexVariant::GridTreeOnly);
+        let index = TsunamiIndex::build(&data, &day, &config).unwrap();
+        let mut db = Database::new();
+        db.register_table("t", Schema::numbered(3), Box::new(index))
+            .unwrap();
+        let mut rows: Vec<Point> = data.rows().collect();
+
+        let (after, report) = db.insert_batch_with_report("t", &batch(0)).unwrap();
+        rows.extend(batch(0));
+        // Not silently rebuilt as a default-config `Full` index.
+        assert!(!report.expect("Tsunami tables report their ingest").rebuilt);
+        assert_eq!(after.index().name(), "GridTree-only");
+        assert_holds(&after, &rows, "insert");
+
+        let band = [Predicate::range(0, 300, 1_499).unwrap()];
+        let after = db.delete("t", &band).unwrap();
+        delete_from(&mut rows, &band);
+        assert_eq!(after.index().name(), "GridTree-only");
+        assert_holds(&after, &rows, "delete");
     }
 
     fn temp_db_dir(name: &str) -> std::path::PathBuf {
@@ -1224,8 +1315,7 @@ mod tests {
         // DropTable record. Both must refuse rather than diverge from disk.
         let index: SharedIndex = Box::new(tsunami_baselines::FullScanIndex::build(&data));
         assert!(matches!(
-            db.register_table("u", Schema::numbered(3), data, index)
-                .err(),
+            db.register_table("u", Schema::numbered(3), index).err(),
             Some(TsunamiError::Durability(_))
         ));
         assert!(matches!(

@@ -4,10 +4,15 @@
 //! The lower crates expose kernels: datasets, indexes, and a shared scan
 //! executor. This crate is the shape consumers actually program against:
 //!
-//! * [`Database`] — registers named tables (a [`tsunami_core::Dataset`] +
-//!   [`Schema`] + one index built from an [`IndexSpec`], which covers every
-//!   index family in the workspace) and validates all queries at the
-//!   boundary.
+//! * [`Database`] — registers named tables (a [`Schema`] + one index built
+//!   over a [`tsunami_core::Dataset`] from an [`IndexSpec`], which covers
+//!   every index family in the workspace) and validates all queries at the
+//!   boundary. A table is held **once**: the index's clustered store is the
+//!   only copy of its rows ([`Table::dataset`] reads them back out), and
+//!   inserts and deletes reach it through
+//!   [`tsunami_core::MultiDimIndex::ingest_batch`] /
+//!   [`delete_matching`](tsunami_core::MultiDimIndex::delete_matching), with
+//!   a rebuild from the stored spec for families that implement neither.
 //! * [`QueryBuilder`] — fluent, schema-aware query construction:
 //!   `db.table("trips")?.query().range("pickup", lo, hi)?.sum("fare")?
 //!   .execute()?`. Unknown columns and out-of-bounds dimensions are errors,

@@ -48,10 +48,11 @@ impl PreparedQuery {
         self.table.index().execute_parallel(&self.query, threads)
     }
 
-    /// Reference full-scan execution over the table's logical dataset — the
-    /// correctness oracle.
+    /// Reference full-scan execution over the table's live rows — the
+    /// correctness oracle. Materializes them ([`Table::dataset`]) on every
+    /// call.
     pub fn execute_oracle(&self) -> AggResult {
-        self.query.execute_full_scan(self.table.dataset())
+        self.query.execute_full_scan(&self.table.dataset())
     }
 }
 

@@ -375,15 +375,7 @@ fn drain(shared: &Shared) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             query.execute_parallel(shared.intra_query_threads)
         }))
-        .map_err(|payload| {
-            TsunamiError::QueryPanicked(
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string()),
-            )
-        });
+        .map_err(|payload| TsunamiError::QueryPanicked(pool::panic_message(payload)));
         // Count before filling: once `fill` wakes a waiter, the query must
         // already be visible in `completed()`.
         shared.completed.fetch_add(1, Ordering::Relaxed);
@@ -483,7 +475,6 @@ mod tests {
             .register_table(
                 "bad",
                 crate::schema::Schema::numbered(1),
-                data.clone(),
                 Box::new(Exploding { data }),
             )
             .unwrap();
@@ -608,7 +599,6 @@ mod tests {
             .register_table(
                 "gated",
                 crate::schema::Schema::numbered(1),
-                data.clone(),
                 Box::new(Gated {
                     data,
                     gate: Arc::clone(&gate),

@@ -9,12 +9,10 @@ use tsunami_baselines::{
     tune_page_size, ClusteredSingleDimIndex, FullScanIndex, HyperOctree, KdTree, ZOrderIndex,
     DEFAULT_PAGE_SIZES,
 };
+pub use tsunami_core::SharedIndex;
 use tsunami_core::{CostModel, Dataset, MultiDimIndex, Result, Workload};
 use tsunami_flood::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
-
-/// A boxed index that can be shared across the scheduler's worker threads.
-pub type SharedIndex = Box<dyn MultiDimIndex + Send + Sync>;
 
 /// Page-size choice for the paged baselines (Z-order, octree, k-d tree).
 #[derive(Debug, Clone, PartialEq, Eq)]

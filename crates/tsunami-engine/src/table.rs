@@ -2,6 +2,12 @@
 //! index. Cheaply cloneable so prepared queries and scheduler workers can
 //! share it across threads.
 //!
+//! The index is *clustered*, so its store **is** the table: a [`Table`]
+//! holds no second, logical copy of the rows. [`Table::num_rows`] counts the
+//! store's live rows, and [`Table::dataset`] reads them back out — an owned,
+//! O(table) materialization for the callers that rebuild or snapshot, not an
+//! accessor to reach for per query.
+//!
 //! A table also carries a bounded **observation log**: callers feed served
 //! queries to [`Table::record_query`], and [`crate::Database`] compares the
 //! recent observations against the workload the index was optimized for to
@@ -11,7 +17,9 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use tsunami_core::{AggResult, Dataset, MultiDimIndex, Query, Result, ScanCounters, Workload};
+use tsunami_core::{
+    exec, AggResult, Dataset, MultiDimIndex, Query, Result, ScanCounters, TombstoneSet, Workload,
+};
 use tsunami_index::TsunamiConfig;
 
 use crate::builder::QueryBuilder;
@@ -20,15 +28,12 @@ use crate::schema::Schema;
 use crate::spec::{IndexSpec, SharedIndex};
 
 /// Immutable table state shared between the database, prepared queries, and
-/// scheduler workers. The logical dataset is held by `Arc` so registering
-/// the same data under several index families (the benchmark pattern)
-/// shares one copy instead of deep-cloning per table. The observation log is
-/// the only mutable state, guarded by its own mutex so recording stays cheap
-/// and never blocks query execution.
+/// scheduler workers. The rows live in the index's store and nowhere else.
+/// The observation log is the only mutable state, guarded by its own mutex
+/// so recording stays cheap and never blocks query execution.
 pub(crate) struct TableState {
     pub(crate) name: String,
     pub(crate) schema: Schema,
-    pub(crate) data: Arc<Dataset>,
     pub(crate) index: SharedIndex,
     /// The workload the current index layout was optimized for.
     pub(crate) reference: Workload,
@@ -39,9 +44,9 @@ pub(crate) struct TableState {
     pub(crate) observed: Arc<Mutex<VecDeque<Query>>>,
     pub(crate) observe_cap: usize,
     /// The spec the index was built from — what `Database::insert_batch`
-    /// falls back to for index families without an ingest path, and what
-    /// parameterizes the Tsunami ingest. `None` only for tables registered
-    /// around a pre-built index (`Database::register_table`).
+    /// and `Database::delete` rebuild from for index families without a
+    /// mutation path of their own. `None` only for tables registered around
+    /// a pre-built index (`Database::register_table`).
     pub(crate) spec: Option<IndexSpec>,
     /// Rows inserted since the index layout was last (re)derived for a
     /// workload (build or reindex) — the engine's data-drift counter,
@@ -75,7 +80,6 @@ impl Table {
     pub(crate) fn new(
         name: String,
         schema: Schema,
-        data: Arc<Dataset>,
         index: SharedIndex,
         reference: Workload,
         spec: Option<IndexSpec>,
@@ -84,7 +88,6 @@ impl Table {
             state: Arc::new(TableState {
                 name,
                 schema,
-                data,
                 index,
                 reference,
                 observed: Arc::new(Mutex::new(VecDeque::new())),
@@ -101,7 +104,6 @@ impl Table {
     /// log the catalog reads.
     pub(crate) fn next_generation(
         &self,
-        data: Arc<Dataset>,
         index: SharedIndex,
         reference: Workload,
         spec: Option<IndexSpec>,
@@ -111,7 +113,6 @@ impl Table {
             state: Arc::new(TableState {
                 name: self.state.name.clone(),
                 schema: self.state.schema.clone(),
-                data,
                 index,
                 reference,
                 observed: Arc::clone(&self.state.observed),
@@ -145,20 +146,24 @@ impl Table {
         &self.state.schema
     }
 
-    /// Number of rows.
+    /// Number of live rows: the index store's rows minus its tombstones.
     pub fn num_rows(&self) -> usize {
-        self.state.data.len()
+        let source = self.index().source();
+        source.num_rows() - source.tombstones().map_or(0, TombstoneSet::deleted)
     }
 
     /// Number of columns (dimensions).
     pub fn num_columns(&self) -> usize {
-        self.state.data.num_dims()
+        self.state.schema.num_columns()
     }
 
-    /// The logical dataset the table was registered with (build-order rows;
-    /// the index owns its own reorganized copy).
-    pub fn dataset(&self) -> &Dataset {
-        &self.state.data
+    /// Materializes the table's live rows: an owned [`Dataset`] decoded back
+    /// out of the index's store, in store order (not insertion order). Costs
+    /// O(table) time and memory on every call — it is what rebuilds,
+    /// checkpoints and oracles read, not a per-query accessor.
+    pub fn dataset(&self) -> Dataset {
+        let source = self.index().source();
+        exec::live_dataset(source, 0..source.num_rows())
     }
 
     /// The built index backing this table.
@@ -248,8 +253,8 @@ impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Table")
             .field("name", &self.state.name)
-            .field("rows", &self.state.data.len())
-            .field("columns", &self.state.data.num_dims())
+            .field("rows", &self.num_rows())
+            .field("columns", &self.num_columns())
             .field("index", &self.state.index.name())
             .finish()
     }

@@ -6,7 +6,8 @@ use crate::config::FloodConfig;
 use crate::layout::GridLayout;
 use crate::optimizer::optimize_partitions;
 use tsunami_core::{
-    BuildTiming, CostModel, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, Workload,
+    BuildTiming, CostModel, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor,
+    Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -214,10 +215,8 @@ impl MultiDimIndex for FloodIndex {
         self.timing
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Lets the engine's ingestion path reach `FloodIndex::ingest` behind
-        // a `Box<dyn MultiDimIndex>`.
-        Some(self)
+    fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
+        Ok(Some(Successor::patched(self.ingest(rows), rows.len())))
     }
 }
 

@@ -21,8 +21,8 @@ use crate::cube::{CubeEntry, RegionCube};
 use crate::grid_tree::GridTree;
 use crate::query_types::cluster_query_types;
 use tsunami_core::{
-    BuildTiming, CostModel, Dataset, MultiDimIndex, Point, Query, Result, ScanPlan, ScanSource,
-    TsunamiError, Workload,
+    BuildTiming, CostModel, Dataset, IngestReport, MultiDimIndex, Point, Query, Result, ScanPlan,
+    ScanSource, Successor, TsunamiError, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -73,28 +73,6 @@ pub struct TsunamiStats {
     pub total_grid_cells: usize,
 }
 
-/// What [`TsunamiIndex::ingest_with_cost`] did to absorb a batch of rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestReport {
-    /// Rows in the ingested batch.
-    pub rows_ingested: usize,
-    /// Regions that received at least one new row (only these paid re-grid
-    /// and re-sort cost).
-    pub regions_touched: usize,
-    /// Touched regions whose accumulated staleness crossed
-    /// [`TsunamiConfig::ingest_region_staleness`] and earned a local layout
-    /// re-optimization (warm-started from the current layout).
-    pub regions_reoptimized: usize,
-    /// Whether the whole index escalated to a from-scratch rebuild — the
-    /// batch would have pushed the ingested fraction past
-    /// [`TsunamiConfig::ingest_rebuild_staleness`] (or the requested variant
-    /// changed).
-    pub rebuilt: bool,
-    /// The whole-index ingested-row fraction including this batch, *before*
-    /// any staleness was repaid by re-optimization or rebuild.
-    pub data_staleness: f64,
-}
-
 /// What [`TsunamiIndex::delete_where_with_cost`] did to absorb a delete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeleteReport {
@@ -124,7 +102,12 @@ pub struct TsunamiIndex {
     store: ColumnStore,
     timing: BuildTiming,
     name: String,
-    variant: IndexVariant,
+    /// The configuration and cost model the index was built with — what the
+    /// trait-level [`MultiDimIndex::ingest_batch`] and
+    /// [`MultiDimIndex::delete_matching`] mutate under, so an index keeps
+    /// its variant and effort however it reached its owner.
+    config: TsunamiConfig,
+    cost: CostModel,
     /// The workload the current layout was optimized for — what a stale
     /// region's layout is re-derived for on ingest, and what the ingest and
     /// delete rebuild escalations build for.
@@ -273,7 +256,8 @@ impl TsunamiIndex {
                 optimize_secs,
             },
             name: name.to_string(),
-            variant: config.variant,
+            config: config.clone(),
+            cost: *cost,
             reference: workload.clone(),
             ingested: 0,
             cube: RegionCube::new(num_regions),
@@ -331,18 +315,13 @@ impl TsunamiIndex {
         let m = rows.len();
         if m == 0 {
             return Ok((
-                Self {
-                    tree: self.tree.clone(),
-                    regions: self.regions.clone(),
-                    store: self.store.clone(),
-                    timing: BuildTiming::default(),
-                    name: self.name.clone(),
-                    variant: self.variant,
-                    reference: self.reference.clone(),
-                    ingested: self.ingested,
-                    cube: RegionCube::from_entries(self.cube.snapshot()),
-                    matview: self.matview,
-                },
+                self.with_layout(
+                    self.tree.clone(),
+                    self.regions.clone(),
+                    self.store.clone(),
+                    BuildTiming::default(),
+                    self.cube.snapshot(),
+                ),
                 IngestReport {
                     rows_ingested: 0,
                     regions_touched: 0,
@@ -360,7 +339,7 @@ impl TsunamiIndex {
         // is as good as any for a from-scratch build.
         let staleness =
             (self.ingested + self.store.tombstones().deleted() + m) as f64 / (n + m) as f64;
-        if config.variant != self.variant || staleness > config.ingest_rebuild_staleness {
+        if config.variant != self.config.variant || staleness > config.ingest_rebuild_staleness {
             // Rebuild over the *live* rows plus the batch so tombstoned rows
             // are never resurrected by the merge.
             let mut cols = self.store.live_slice_dataset(0..n).into_columns();
@@ -453,7 +432,7 @@ impl TsunamiIndex {
             let stale = inserted as f64 / len as f64 > config.ingest_region_staleness;
             let layable = region.grid.is_some() || region_can_hold_grid(len, &effective_config);
             let mut ref_q: Vec<Query> = Vec::new();
-            if stale && layable && self.variant != IndexVariant::AugmentedGridOnly {
+            if stale && layable && self.config.variant != IndexVariant::AugmentedGridOnly {
                 let bounds = tree.region(rid);
                 let reference = self.reference.queries().iter();
                 ref_q.extend(reference.filter(|q| bounds.intersects(q)).cloned());
@@ -522,24 +501,13 @@ impl TsunamiIndex {
         store.permute(&perm);
         store.encode_blocks();
 
-        let ingested = regions.iter().map(|r| r.inserted).sum();
         let sort_secs = (start.elapsed().as_secs_f64() - optimize_secs).max(0.0);
+        let timing = BuildTiming {
+            sort_secs,
+            optimize_secs,
+        };
         Ok((
-            Self {
-                tree,
-                regions,
-                store,
-                timing: BuildTiming {
-                    sort_secs,
-                    optimize_secs,
-                },
-                name: self.name.clone(),
-                variant: self.variant,
-                reference: self.reference.clone(),
-                ingested,
-                cube: RegionCube::from_entries(cube_entries),
-                matview: self.matview,
-            },
+            self.with_layout(tree, regions, store, timing, cube_entries),
             IngestReport {
                 rows_ingested: m,
                 regions_touched,
@@ -594,19 +562,14 @@ impl TsunamiIndex {
         let staleness = (self.ingested + store.tombstones().deleted()) as f64 / n.max(1) as f64;
         if rows_deleted == 0 {
             return Ok((
-                Self {
-                    tree: self.tree.clone(),
-                    regions: self.regions.clone(),
+                self.with_layout(
+                    self.tree.clone(),
+                    self.regions.clone(),
                     store,
-                    timing: BuildTiming::default(),
-                    name: self.name.clone(),
-                    variant: self.variant,
-                    reference: self.reference.clone(),
-                    ingested: self.ingested,
+                    BuildTiming::default(),
                     // No new tombstones: every live multiset is unchanged.
-                    cube: RegionCube::from_entries(self.cube.snapshot()),
-                    matview: self.matview,
-                },
+                    self.cube.snapshot(),
+                ),
                 DeleteReport {
                     rows_deleted: 0,
                     regions_compacted: 0,
@@ -709,22 +672,12 @@ impl TsunamiIndex {
         store.encode_blocks();
         debug_assert_eq!(store.len(), n - shift);
 
+        let timing = BuildTiming {
+            sort_secs: start.elapsed().as_secs_f64(),
+            optimize_secs: 0.0,
+        };
         Ok((
-            Self {
-                tree: self.tree.clone(),
-                regions,
-                store,
-                timing: BuildTiming {
-                    sort_secs: start.elapsed().as_secs_f64(),
-                    optimize_secs: 0.0,
-                },
-                name: self.name.clone(),
-                variant: self.variant,
-                reference: self.reference.clone(),
-                ingested: self.ingested,
-                cube: RegionCube::from_entries(cube_entries),
-                matview: self.matview,
-            },
+            self.with_layout(self.tree.clone(), regions, store, timing, cube_entries),
             DeleteReport {
                 rows_deleted,
                 regions_compacted,
@@ -732,6 +685,33 @@ impl TsunamiIndex {
                 data_staleness: staleness,
             },
         ))
+    }
+
+    /// The index a mutation leaves behind: the parts it re-derived, with
+    /// everything else — name, config, cost model, reference workload,
+    /// matview switch — carried over. Each region's `inserted` is the unpaid
+    /// staleness, so the whole-index counter is their sum.
+    fn with_layout(
+        &self,
+        tree: GridTree,
+        regions: Vec<RegionIndex>,
+        store: ColumnStore,
+        timing: BuildTiming,
+        cube_entries: Vec<Option<CubeEntry>>,
+    ) -> Self {
+        Self {
+            tree,
+            ingested: regions.iter().map(|r| r.inserted).sum(),
+            regions,
+            store,
+            timing,
+            name: self.name.clone(),
+            config: self.config.clone(),
+            cost: self.cost,
+            reference: self.reference.clone(),
+            cube: RegionCube::from_entries(cube_entries),
+            matview: self.matview,
+        }
     }
 
     /// The fraction of stored rows mutated — ingested or tombstoned — since
@@ -904,9 +884,30 @@ impl MultiDimIndex for TsunamiIndex {
         self.timing
     }
 
+    fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
+        let (index, report) = self.ingest_with_cost(rows, &self.cost, &self.config)?;
+        Ok(Some(Successor {
+            index: Box::new(index),
+            rows: report.rows_ingested,
+            rebuilt: report.rebuilt,
+            ingest_report: Some(report),
+        }))
+    }
+
+    fn delete_matching(&self, query: &Query) -> Result<Option<Successor>> {
+        let (index, report) = self.delete_where_with_cost(query, &self.cost, &self.config)?;
+        Ok(Some(Successor {
+            index: Box::new(index),
+            rows: report.rows_deleted,
+            rebuilt: report.rebuilt,
+            ingest_report: None,
+        }))
+    }
+
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Exposes the concrete index behind `Box<dyn MultiDimIndex>` so the
-        // engine's insert/delete paths can reach `ingest`/`delete_where`.
+        // Exposes the concrete index behind `Box<dyn MultiDimIndex>` for
+        // callers that read Tsunami-only state (region statistics, the
+        // matview switch).
         Some(self)
     }
 }

@@ -96,6 +96,8 @@ pub use augmented_grid::{AugmentedGrid, DimStrategy, OptimizerKind, Skeleton};
 pub use config::{IndexVariant, TsunamiConfig};
 pub use cube::{CubeEntry, DimAgg, RegionCube};
 pub use grid_tree::GridTree;
-pub use index::{DeleteReport, IngestReport, TsunamiIndex, TsunamiStats};
+pub use index::{DeleteReport, TsunamiIndex, TsunamiStats};
+// Lives in `tsunami-core` so `MultiDimIndex::ingest_batch` can carry it.
 pub use query_types::cluster_query_types;
 pub use shift::{ShiftReport, WorkloadMonitor};
+pub use tsunami_core::IngestReport;

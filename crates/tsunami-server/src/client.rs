@@ -38,7 +38,7 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            max_frame: protocol::max_frame_from_env(),
+            max_frame: protocol::DEFAULT_MAX_FRAME,
             connect_timeout: Some(Duration::from_secs(5)),
             read_timeout: Some(Duration::from_secs(30)),
             connect_retries: 3,
@@ -122,10 +122,10 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with the environment-derived max frame size
-    /// ([`protocol::max_frame_from_env`]) and no timeouts or retries.
+    /// Connects with the default max frame size
+    /// ([`protocol::DEFAULT_MAX_FRAME`]) and no timeouts or retries.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::connect_with(addr, protocol::max_frame_from_env())
+        Self::connect_with(addr, protocol::DEFAULT_MAX_FRAME)
     }
 
     /// Connects with an explicit max frame size and no timeouts or retries.

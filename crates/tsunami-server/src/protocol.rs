@@ -41,20 +41,9 @@ use tsunami_core::{Point, Predicate, TsunamiError, Value};
 /// Protocol version carried in every frame.
 pub const VERSION: u8 = 1;
 
-/// Default maximum payload size accepted per frame (1 MiB). Override with
-/// the `TSUNAMI_MAX_FRAME` environment variable (bytes) or per
+/// Default maximum payload size accepted per frame (1 MiB). Override per
 /// server/client configuration.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
-
-/// Reads the effective max frame size: `TSUNAMI_MAX_FRAME` (bytes, clamped
-/// to at least one frame header's worth) or [`DEFAULT_MAX_FRAME`].
-pub fn max_frame_from_env() -> usize {
-    std::env::var("TSUNAMI_MAX_FRAME")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|v| v.max(16))
-        .unwrap_or(DEFAULT_MAX_FRAME)
-}
 
 const OP_QUERY: u8 = 0x01;
 const OP_INSERT: u8 = 0x02;

@@ -59,8 +59,8 @@ pub struct ServerConfig {
     pub reopt_watermark: u64,
     /// Per-connection idle read timeout: a connection that sends no frame
     /// for this long is reaped (socket shut down, reader thread exits).
-    /// `None` keeps silent connections — and their threads — forever.
-    /// Defaults from `TSUNAMI_IDLE_TIMEOUT_MS` (`0` or unset disables).
+    /// `None` — the default — keeps silent connections, and their threads,
+    /// forever.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -68,16 +68,9 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            max_frame: protocol::max_frame_from_env(),
-            reopt_watermark: std::env::var("TSUNAMI_REOPT_WATERMARK")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8_192),
-            idle_timeout: std::env::var("TSUNAMI_IDLE_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis),
+            max_frame: protocol::DEFAULT_MAX_FRAME,
+            reopt_watermark: 8_192,
+            idle_timeout: None,
         }
     }
 }

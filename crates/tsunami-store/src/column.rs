@@ -100,23 +100,7 @@ impl Column {
 
     /// Decodes rows `range` into a fresh vector (store order).
     pub fn decode_range(&self, range: std::ops::Range<usize>) -> Vec<Value> {
-        debug_assert!(range.end <= self.len());
-        let mut out = vec![0; range.len()];
-        let covered = self.packed.len() * BLOCK_ROWS;
-        let mut row = range.start;
-        while row < range.end {
-            let at = row - range.start;
-            if row >= covered {
-                out[at..].copy_from_slice(&self.values[row - covered..range.end - covered]);
-                break;
-            }
-            let eb = &self.packed[row / BLOCK_ROWS];
-            let off = row % BLOCK_ROWS;
-            let n = (BLOCK_ROWS - off).min(range.end - row);
-            eb.decode_into(off, &mut out[at..at + n]);
-            row += n;
-        }
-        out
+        self.data().decode_range(range)
     }
 
     /// Physical minimum value; `None` when empty. Bounds cover every stored

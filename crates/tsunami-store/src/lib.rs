@@ -14,8 +14,6 @@
 //!   execution scans contiguous ranges. After restructuring, indexes call
 //!   [`ColumnStore::encode_blocks`] to pack full blocks under the
 //!   environment-configured [`EncodePolicy`].
-//! * [`Dictionary`] — string dictionary encoding (§6.1: "any string values
-//!   are dictionary encoded prior to evaluation").
 //! * [`Wal`] — the write-ahead log the engine's durability layer appends
 //!   mutation records to, with strict checksummed replay (see [`wal`]).
 //!
@@ -25,13 +23,11 @@
 //! `exec::execute_plan(&store, query, plan)` is how it is scanned.
 
 pub mod column;
-pub mod dictionary;
 pub mod encode;
 pub mod table;
 pub mod wal;
 
 pub use column::Column;
-pub use dictionary::Dictionary;
 pub use encode::EncodePolicy;
 pub use table::ColumnStore;
 pub use wal::{CrashPoint, Wal, WalRecord};

@@ -258,16 +258,7 @@ impl ColumnStore {
     /// its own store — rebuilding from raw slices would resurrect deleted
     /// rows.
     pub fn live_slice_dataset(&self, range: Range<usize>) -> Dataset {
-        if !self.tombstones.any() {
-            return self.slice_dataset(range);
-        }
-        let rows: Vec<usize> = range.filter(|&r| !self.tombstones.is_deleted(r)).collect();
-        let cols: Vec<Vec<Value>> = self
-            .columns
-            .iter()
-            .map(|c| rows.iter().map(|&r| c.get(r)).collect())
-            .collect();
-        Dataset::from_columns(cols).expect("store columns are equal-length")
+        tsunami_core::exec::live_dataset(self, range)
     }
 }
 

@@ -302,7 +302,7 @@ fn registered_views_track_the_table_through_engine_mutations() -> Result<(), Tsu
 
     // Restructures permute the physical layout only; answers stay exact.
     let table = db.table("trips")?;
-    let shifted = workload(table.dataset(), 6, 301);
+    let shifted = workload(&table.dataset(), 6, 301);
     drop(table);
     db.reindex(
         "trips",
