@@ -18,7 +18,7 @@
 //! `BENCH_ingest.json` (ingest-vs-rebuild across batch sizes; override via
 //! `BENCH_INGEST_JSON`), and `fig7par` writes `BENCH_pool.json`
 //! (serial vs pooled executor latency per dataset × index,
-//! with the pool's worker count and morsel size; override via
+//! with the pool's worker count and the executor's morsel size; override via
 //! `BENCH_POOL_JSON`), and `fig7net` writes `BENCH_net.json` (open-loop
 //! QPS sweep over the sharded wire-protocol server: achieved QPS and
 //! p50/p95/p99 latency per target; override via `BENCH_NET_JSON`, tune with

@@ -133,7 +133,7 @@ pub fn fig7(config: &HarnessConfig) -> String {
     finish(t)
 }
 
-/// Parallel-executor drill-down: serial vs the persistent work-stealing
+/// Parallel-executor drill-down: serial vs the persistent thread
 /// pool on the learned indexes, with the executor counter invariant
 /// (parallel counters equal serial counters) checked on every dataset. The
 /// pooled column is what `execute_parallel` runs in production. The
@@ -149,7 +149,7 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
     let bundles = standard_bundles(config);
     let pool = tsunami_core::exec::pool::global();
     let threads = pool.worker_count();
-    let morsel_rows = pool.morsel_rows();
+    let morsel_rows = tsunami_core::exec::DEFAULT_MORSEL_ROWS;
     let mut t = Table::new(
         "Fig 7 (parallel): Serial vs pooled executor (avg query us)",
         &[
@@ -240,7 +240,7 @@ fn write_bench_pool_json(
 /// concurrently by the engine's [`Scheduler`], sweeping the worker count.
 /// This measures *inter-query* parallelism over the `Sync` store — the
 /// serving-scale complement to `fig7par`'s intra-query parallelism. Since
-/// the scheduler became a facade over the process-wide work-stealing pool,
+/// the scheduler became a facade over the process-wide thread pool,
 /// "workers" is the cap on concurrent drainer tasks, not a thread count —
 /// speedup saturates at `min(workers, pool workers)`. A correctness check
 /// compares every scheduler result against serial execution.

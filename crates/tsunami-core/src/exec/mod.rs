@@ -88,12 +88,13 @@
 //!
 //! # Parallel execution: morsels on one persistent pool
 //!
-//! With `threads > 1` the same plan runs across a work-stealing pool
+//! With `threads > 1` the same plan runs across a persistent thread pool
 //! ([`pool`]; std-only — the container has no rayon). The plan's ranges are
 //! decomposed into fixed-size cache-resident **morsels**
-//! (~[`pool::DEFAULT_MORSEL_ROWS`] rows unless [`ExecOptions::morsel_rows`]
+//! (~[`DEFAULT_MORSEL_ROWS`] rows unless [`ExecOptions::morsel_rows`]
 //! says otherwise) which the participating workers claim from a shared
-//! cursor; each worker keeps a private [`AggAccumulator`] and
+//! cursor — the pool carries one closure per participant, never a morsel;
+//! each worker keeps a private [`AggAccumulator`] and
 //! [`ScanCounters`], merged once at the end. Results and counters are
 //! bit-identical to the serial path — aggregation merging is commutative
 //! and associative, and morsels carved from one plan range count as a single
@@ -149,11 +150,17 @@ use crate::tombstone::TombstoneSet;
 
 use kernels::BlockScratch;
 
-pub use pool::{PoolConfig, WorkStealingPool, DEFAULT_MORSEL_ROWS};
+pub use pool::ThreadPool;
 
 /// Number of rows per vectorized block. Chosen so one block of one column
 /// (8 KiB) plus the selection vector stays comfortably inside L1.
 pub const BLOCK_ROWS: usize = 1024;
+
+/// Default number of rows per morsel (~1 MiB per touched `u64` column):
+/// large enough to amortize claim overhead, small enough to stay
+/// cache-resident and to balance across workers. Scans are memory-bandwidth
+/// bound, so finer splitting buys balance, not bandwidth.
+pub const DEFAULT_MORSEL_ROWS: usize = 128 * 1024;
 
 /// End of the absolute-grid block containing `start`, clamped to `limit`.
 /// The executor chunks scans on this grid so one chunk never straddles two
@@ -593,9 +600,9 @@ pub struct ExecOptions<'a> {
     pub threads: usize,
     /// The pool whose workers help when `threads > 1`; `None` is the
     /// process-wide [`pool::global`].
-    pub pool: Option<&'a WorkStealingPool>,
-    /// Rows per morsel when `threads > 1`; `None` is the pool's configured
-    /// [`WorkStealingPool::morsel_rows`].
+    pub pool: Option<&'a ThreadPool>,
+    /// Rows per morsel when `threads > 1` (at least one block,
+    /// [`BLOCK_ROWS`]); `None` is [`DEFAULT_MORSEL_ROWS`].
     pub morsel_rows: Option<usize>,
 }
 
@@ -613,7 +620,7 @@ pub fn execute_plan(
 }
 
 /// Executes a plan across up to `threads` workers of the process-wide
-/// work-stealing pool with the default [`KernelTier::Adaptive`] kernels.
+/// pool with the default [`KernelTier::Adaptive`] kernels.
 pub fn execute_plan_parallel(
     source: &dyn ScanSource,
     query: &Query,
@@ -743,7 +750,7 @@ fn split_morsels(plan: &ScanPlan, morsel_rows: usize) -> Vec<Morsel> {
 fn plan_morsels<'a>(
     plan: &ScanPlan,
     opts: &ExecOptions<'a>,
-) -> Option<(&'a WorkStealingPool, usize, Vec<Morsel>)> {
+) -> Option<(&'a ThreadPool, usize, Vec<Morsel>)> {
     let threads = opts.threads;
     if threads <= 1 {
         return None;
@@ -753,7 +760,7 @@ fn plan_morsels<'a>(
     if total < 4 * BLOCK_ROWS {
         return None;
     }
-    let pool: &'a WorkStealingPool = match opts.pool {
+    let pool: &'a ThreadPool = match opts.pool {
         Some(pool) => pool,
         None => pool::global(),
     };
@@ -761,7 +768,7 @@ fn plan_morsels<'a>(
     // threads × morsel_rows, shrink so every participant gets work.
     let configured = opts
         .morsel_rows
-        .unwrap_or_else(|| pool.morsel_rows())
+        .unwrap_or(DEFAULT_MORSEL_ROWS)
         .max(BLOCK_ROWS);
     let morsel = configured.min((total / threads).max(BLOCK_ROWS));
     let units = split_morsels(plan, morsel);
@@ -1786,7 +1793,7 @@ mod tests {
         )
         .unwrap();
         let (serial, sc) = execute_plan(&ds, &q, &plan);
-        let pool = WorkStealingPool::new(2);
+        let pool = ThreadPool::new(2);
         for morsel in [BLOCK_ROWS, BLOCK_ROWS + 1, 1_500, 3 * BLOCK_ROWS + 17] {
             for threads in [2, 5] {
                 let opts = ExecOptions {
@@ -1800,6 +1807,21 @@ mod tests {
                 assert_eq!(sc, pc, "counters morsel={morsel} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn a_morsel_is_never_smaller_than_a_block() {
+        let pool = ThreadPool::new(2);
+        let opts = ExecOptions {
+            threads: 2,
+            pool: Some(&pool),
+            morsel_rows: Some(1),
+            ..ExecOptions::default()
+        };
+        let (_, helpers, units) = plan_morsels(&ScanPlan::full(8 * BLOCK_ROWS), &opts).unwrap();
+        assert_eq!(helpers, 1);
+        assert_eq!(units.len(), 8);
+        assert!(units.iter().all(|(range, ..)| range.len() == BLOCK_ROWS));
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub trait MultiDimIndex {
 
     /// Executes a query with the parallel executor: the plan is decomposed
     /// into cache-resident morsels claimed by up to `threads` workers of the
-    /// process-wide work-stealing pool ([`exec::pool`]) — no threads are
+    /// process-wide thread pool ([`exec::pool`]) — no threads are
     /// spawned per call. Results and counters are bit-identical to
     /// [`Self::execute_with_stats`].
     fn execute_parallel(&self, query: &Query, threads: usize) -> (AggResult, ScanCounters) {

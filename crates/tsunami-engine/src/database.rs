@@ -20,7 +20,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use tsunami_core::exec::pool::{self, WorkStealingPool};
+use tsunami_core::exec::pool::{self, ThreadPool};
 use tsunami_core::{
     CostModel, Dataset, IngestReport, Point, Predicate, Query, Result, Successor, TsunamiError,
     Workload,
@@ -58,7 +58,7 @@ pub struct Database {
     /// runs morsels on. Defaults to the process-wide
     /// [`pool::global`] pool; inject a private one with
     /// [`Database::set_pool`].
-    pool: Arc<WorkStealingPool>,
+    pool: Arc<ThreadPool>,
     /// WAL + checkpoint state for databases opened with [`Database::open`];
     /// `None` for purely in-memory databases ([`Database::new`]).
     durability: Option<Durability>,
@@ -218,15 +218,15 @@ impl Database {
         &self.cost
     }
 
-    /// The work-stealing pool this database's schedulers submit into.
-    pub fn pool(&self) -> &Arc<WorkStealingPool> {
+    /// The thread pool this database's schedulers submit into.
+    pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.pool
     }
 
     /// Replaces the execution pool (e.g. a private pool in tests, or a
     /// dedicated pool per tenant). Schedulers already created keep the pool
     /// they were built with.
-    pub fn set_pool(&mut self, pool: Arc<WorkStealingPool>) {
+    pub fn set_pool(&mut self, pool: Arc<ThreadPool>) {
         self.pool = pool;
     }
 

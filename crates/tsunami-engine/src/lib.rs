@@ -20,7 +20,7 @@
 //! * [`PreparedQuery`] — a validated (table, query) pair that executes
 //!   infallibly, any number of times, from any thread.
 //! * [`Scheduler`] — inter-query parallelism on the process-wide
-//!   work-stealing pool (the same pool the intra-query morsel executor
+//!   thread pool (the same pool the intra-query morsel executor
 //!   uses), with batch execution and a bounded submit/poll queue with
 //!   backpressure. Tune with [`SchedulerConfig`].
 //! * [`ShardedDatabase`] — hash-partitions a table's rows across K

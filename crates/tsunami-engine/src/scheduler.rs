@@ -1,5 +1,5 @@
 //! The concurrent query scheduler: inter-query parallelism on the shared
-//! work-stealing pool.
+//! thread pool.
 //!
 //! This complements the intra-query parallel executor (`exec::
 //! execute_plan_parallel`, which splits *one* query's scan plan into morsels
@@ -9,7 +9,7 @@
 //! serves every table in a database.
 //!
 //! The scheduler owns **no threads**. It submits drainer tasks into a
-//! [`WorkStealingPool`] — by default the process-wide
+//! [`ThreadPool`] — by default the process-wide
 //! [`pool::global`] pool, the same one the
 //! intra-query executor uses — so one saturated box can run one huge
 //! morsel-split scan, or many small queries, or any mix, without idle
@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use tsunami_core::exec::pool::{self, WorkStealingPool};
+use tsunami_core::exec::pool::{self, ThreadPool};
 use tsunami_core::{AggResult, Result, ScanCounters, TsunamiError};
 
 use crate::prepared::PreparedQuery;
@@ -158,10 +158,10 @@ struct Shared {
     max_active: usize,
     intra_query_threads: usize,
     completed: AtomicU64,
-    pool: Arc<WorkStealingPool>,
+    pool: Arc<ThreadPool>,
 }
 
-/// A bounded query queue drained by tasks on the shared work-stealing pool.
+/// A bounded query queue drained by tasks on the shared thread pool.
 ///
 /// # Drop contract
 ///
@@ -217,7 +217,7 @@ impl Scheduler {
 
     /// A scheduler submitting into an explicit pool (tests inject private
     /// pools; a `Database` injects its shared one).
-    pub fn on_pool(pool: Arc<WorkStealingPool>, config: SchedulerConfig) -> Self {
+    pub fn on_pool(pool: Arc<ThreadPool>, config: SchedulerConfig) -> Self {
         let max_active = if config.workers == 0 {
             pool.worker_count()
         } else {
@@ -262,7 +262,7 @@ impl Scheduler {
     }
 
     /// The pool this scheduler submits into.
-    pub fn pool(&self) -> &Arc<WorkStealingPool> {
+    pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.shared.pool
     }
 
@@ -550,7 +550,7 @@ mod tests {
 
     #[test]
     fn drop_resolves_unstarted_handles_instead_of_hanging() {
-        use tsunami_core::exec::pool::WorkStealingPool;
+        use tsunami_core::exec::pool::ThreadPool;
         use tsunami_core::exec::{ScanPlan, ScanSource};
         use tsunami_core::{BuildTiming, Dataset, MultiDimIndex, Query};
 
@@ -608,7 +608,7 @@ mod tests {
 
         // One drainer total: the gated query occupies it, so the remaining
         // submissions stay queued until drop cancels them.
-        let pool = Arc::new(WorkStealingPool::new(1));
+        let pool = Arc::new(ThreadPool::new(1));
         let scheduler = Scheduler::on_pool(
             pool,
             SchedulerConfig {

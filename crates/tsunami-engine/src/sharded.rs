@@ -19,7 +19,7 @@
 //! # Scatter-gather and merge rules
 //!
 //! A query scatters to every shard through a shared [`Scheduler`] (drainer
-//! tasks on the process-wide work-stealing pool) and the per-shard results
+//! tasks on the process-wide thread pool) and the per-shard results
 //! merge commutatively:
 //!
 //! | Aggregation | Per-shard sub-query | Merge |
@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use tsunami_core::exec::pool::WorkStealingPool;
+use tsunami_core::exec::pool::ThreadPool;
 use tsunami_core::{
     AggResult, Aggregation, Dataset, Point, Query, Result, TsunamiError, Value, Workload,
 };
@@ -86,14 +86,14 @@ pub struct ShardedDatabase {
 
 impl ShardedDatabase {
     /// A database of `shards` partitions (clamped to at least one) sharing
-    /// the process-wide work-stealing pool for scatter-gather execution.
+    /// the process-wide thread pool for scatter-gather execution.
     pub fn new(shards: usize) -> Self {
         Self::on_pool(Arc::clone(tsunami_core::exec::pool::global()), shards)
     }
 
     /// Like [`ShardedDatabase::new`] with an explicit pool (tests inject
     /// private pools).
-    pub fn on_pool(pool: Arc<WorkStealingPool>, shards: usize) -> Self {
+    pub fn on_pool(pool: Arc<ThreadPool>, shards: usize) -> Self {
         let shards = shards.max(1);
         let scheduler = Arc::new(Scheduler::on_pool(
             Arc::clone(&pool),
@@ -124,7 +124,7 @@ impl ShardedDatabase {
     }
 
     /// The pool shards and scheduler execute on.
-    pub fn pool(&self) -> &Arc<WorkStealingPool> {
+    pub fn pool(&self) -> &Arc<ThreadPool> {
         self.shards[0].pool()
     }
 

@@ -1,5 +1,5 @@
 //! The auto-reoptimize daemon: a watermark-triggered background task on the
-//! shared work-stealing pool.
+//! shared thread pool.
 //!
 //! Connection handlers call [`ReoptDaemon::notify`] after every served
 //! operation. Once the count of operations since the last pass crosses the
@@ -13,12 +13,12 @@
 //! There are no dedicated threads and no polling loop: with no traffic
 //! there are no notifications, hence no work — the "daemon" is latent state
 //! plus an occasional pool task, which is the right shape for a pool that
-//! also carries query morsels.
+//! also carries query scans.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use tsunami_core::exec::pool::WorkStealingPool;
+use tsunami_core::exec::pool::ThreadPool;
 use tsunami_engine::ShardedDatabase;
 
 /// Watermark-triggered re-optimization over a shared [`ShardedDatabase`].
@@ -30,7 +30,7 @@ pub struct ReoptDaemon {
 
 struct Inner {
     db: Arc<RwLock<ShardedDatabase>>,
-    pool: Arc<WorkStealingPool>,
+    pool: Arc<ThreadPool>,
     /// Operations between drift checks; `0` disables the daemon.
     watermark: u64,
     /// Operations observed since the last pass was scheduled.

@@ -8,7 +8,7 @@
 //!   range-aggregation requests and typed results/errors.
 //! * [`server`] — a blocking accept loop with per-connection reader threads
 //!   that park in `read()`; all query execution lands on the shared
-//!   work-stealing pool through the engine's scheduler, so connection count
+//!   thread pool through the engine's scheduler, so connection count
 //!   never multiplies CPU work. Includes the watermark-triggered
 //!   [`ReoptDaemon`] that keeps shard indexes adapted under drift.
 //! * [`client`] — a minimal blocking client (one request in flight per

@@ -8,7 +8,7 @@
 //! uses the latter:
 //!
 //! * Connection threads do nothing but park in `read()` and decode frames —
-//!   all query execution lands on the work-stealing pool via the
+//!   all query execution lands on the shared thread pool via the
 //!   [`Scheduler`](tsunami_engine::Scheduler) inside
 //!   [`ShardedTable::execute`](tsunami_engine::ShardedTable::execute), so thread count does not multiply CPU work,
 //!   and the pool (not the connection count) bounds execution parallelism.

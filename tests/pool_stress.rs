@@ -1,4 +1,4 @@
-//! Work-stealing pool stress suite: the morsel-driven pooled executor must
+//! Thread pool stress suite: the morsel-driven pooled executor must
 //! be bit-identical to serial execution across every index family, every
 //! worker count, and morsel sizes that straddle block boundaries — and the
 //! pool itself must shut down cleanly (no leaked threads, idempotent
@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use tsunami_core::exec::{self, execute_plan_with, ExecOptions, WorkStealingPool, BLOCK_ROWS};
+use tsunami_core::exec::{self, execute_plan_with, ExecOptions, ThreadPool, BLOCK_ROWS};
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, TsunamiError, Workload};
 use tsunami_suite::{Database, IndexSpec, Scheduler, SchedulerConfig};
@@ -67,7 +67,7 @@ fn pooled_executor_bit_identical_to_serial_across_all_families() {
     assert_eq!(db.num_tables(), 7);
 
     for workers in [1usize, 2, 8] {
-        let pool = WorkStealingPool::new(workers);
+        let pool = ThreadPool::new(workers);
         for table in db.tables() {
             let index = table.index();
             for q in workload.queries() {
@@ -108,7 +108,7 @@ fn morsel_sizes_straddling_block_boundaries_stay_bit_identical() {
         .create_table_unnamed("t", data, &workload, &IndexSpec::tsunami())
         .unwrap();
     let index = table.index();
-    let pool = WorkStealingPool::new(3);
+    let pool = ThreadPool::new(3);
 
     for q in workload.queries() {
         let plan = index.plan(q);
@@ -145,7 +145,7 @@ fn mixed_submit_poll_on_private_pool_preserves_results() {
     let data = dataset(6 * BLOCK_ROWS, 0xab);
     let workload = mixed_workload(20, data.num_dims(), 31);
     let mut db = Database::new();
-    let pool = Arc::new(WorkStealingPool::new(2));
+    let pool = Arc::new(ThreadPool::new(2));
     db.set_pool(Arc::clone(&pool));
     let table = db
         .create_table_unnamed("t", data, &workload, &IndexSpec::tsunami())
@@ -201,7 +201,7 @@ fn mixed_submit_poll_on_private_pool_preserves_results() {
 /// called twice, and run any still-queued tasks rather than dropping them.
 #[test]
 fn shutdown_joins_workers_and_is_idempotent() {
-    let mut pool = WorkStealingPool::new(4);
+    let mut pool = ThreadPool::new(4);
     // Four tasks that rendezvous with this thread occupy all four workers at
     // once; each reports its own thread, so the census below is of this
     // pool's workers only — sibling tests' pools and the harness's threads
@@ -252,7 +252,7 @@ fn scheduler_drop_leaves_the_shared_pool_usable() {
     let data = dataset(4 * BLOCK_ROWS, 0xdd);
     let workload = mixed_workload(10, data.num_dims(), 41);
     let mut db = Database::new();
-    let pool = Arc::new(WorkStealingPool::new(2));
+    let pool = Arc::new(ThreadPool::new(2));
     db.set_pool(Arc::clone(&pool));
     let table = db
         .create_table_unnamed("t", data, &workload, &IndexSpec::tsunami())
