@@ -17,7 +17,7 @@ use crate::table::{fmt_f64, Table};
 
 use std::time::Instant;
 
-use tsunami_core::CostModel;
+use tsunami_core::{CostModel, Dataset, MultiDimIndex};
 use tsunami_engine::{IndexSpec, Scheduler};
 use tsunami_flood::FloodIndex;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
@@ -368,8 +368,8 @@ pub fn fig9a(config: &HarnessConfig) -> String {
 
 /// Fig 9b: index creation time, split into data-sorting and optimization,
 /// plus the incremental-ingestion drill-down — ingest-vs-rebuild time and
-/// post-ingest query latency across batch sizes, written machine-readably to
-/// `BENCH_ingest.json`.
+/// post-ingest query latency across batch sizes, and the small-batch stream
+/// across table sizes — written machine-readably to `BENCH_ingest.json`.
 pub fn fig9b(config: &HarnessConfig) -> String {
     let bundles = standard_bundles(config);
     let mut t = Table::new(
@@ -391,23 +391,36 @@ pub fn fig9b(config: &HarnessConfig) -> String {
     }
     let mut out = finish(t);
     out.push('\n');
+    let (batches, entries) = fig9b_ingest_impl(config);
+    out.push_str(&batches);
+    out.push('\n');
+    let (stream, streams) = fig9b_stream_impl(config, &STREAM_TABLE_ROWS);
+    out.push_str(&stream);
     let path =
         std::env::var("BENCH_INGEST_JSON").unwrap_or_else(|_| "BENCH_ingest.json".to_string());
-    out.push_str(&fig9b_ingest_impl(
-        config,
-        Some(std::path::Path::new(&path)),
-    ));
+    match write_bench_ingest_json(
+        std::path::Path::new(&path),
+        config.rows,
+        config.seed,
+        &entries,
+        &streams,
+    ) {
+        Ok(()) => eprintln!("# fig9b: wrote {path}"),
+        Err(e) => eprintln!("# fig9b: could not write {path}: {e}"),
+    }
     out
 }
+
+/// One `BENCH_ingest.json` batch-size entry: (index, batch %, batch rows,
+/// ingest s, rebuild s, ingested us, rebuilt us).
+type IngestEntry = (&'static str, f64, usize, f64, f64, f64, f64);
 
 /// The ingest drill-down: absorb batches of 1/5/10% new TPC-H rows into a
 /// built index (`TsunamiIndex::ingest` / `FloodIndex::ingest`) and compare
 /// against rebuilding from the full dataset — both the adaptation time and
 /// the post-ingest query latency. Every ingested index is cross-checked for
 /// bit-identical results against the rebuilt one while measuring.
-fn fig9b_ingest_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> String {
-    use tsunami_core::Dataset;
-
+fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<IngestEntry>) {
     let data = tpch::generate(config.rows, config.seed);
     let workload = tpch::workload(&data, config.queries_per_type, config.seed ^ 10);
     let cost = CostModel::default();
@@ -427,8 +440,7 @@ fn fig9b_ingest_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>
             "rebuilt (us)",
         ],
     );
-    // (index, batch %, batch rows, ingest s, rebuild s, ingested us, rebuilt us)
-    let mut entries: Vec<(&'static str, f64, usize, f64, f64, f64, f64)> = Vec::new();
+    let mut entries: Vec<IngestEntry> = Vec::new();
 
     let tsunami = TsunamiIndex::build_with_cost(&data, &workload, &cost, &tsunami_config)
         .expect("tsunami build");
@@ -518,38 +530,166 @@ fn fig9b_ingest_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>
             ));
         }
     }
-    if let Some(path) = json_path {
-        match write_bench_ingest_json(path, config.rows, config.seed, &entries) {
-            Ok(()) => eprintln!("# fig9b: wrote {}", path.display()),
-            Err(e) => eprintln!("# fig9b: could not write {}: {e}", path.display()),
+    (finish(t), entries)
+}
+
+/// The small-batch axis: [`STREAM_BATCHES`] batches of [`STREAM_BATCH_ROWS`]
+/// rows in a row, into tables of these sizes (whatever `--rows` says: the
+/// point is how the cost of one small batch scales with the table).
+const STREAM_TABLE_ROWS: [usize; 2] = [20_000, 200_000];
+const STREAM_BATCH_ROWS: usize = 64;
+const STREAM_BATCHES: usize = 48;
+
+/// One row of the small-batch axis.
+struct StreamEntry {
+    table_rows: usize,
+    /// Median over the batches that stayed in the delta.
+    batch_p50_us: f64,
+    /// Slowest batch of the stream (a graft, when there was one).
+    batch_max_us: f64,
+    /// Median over the batches that took a graft (0 without one).
+    graft_p50_us: f64,
+    grafts: usize,
+    /// Rows left in the delta after the last batch.
+    delta_rows: usize,
+    post_stream_us: f64,
+    rebuilt_us: f64,
+}
+
+/// The small-batch stream: one Tsunami index absorbs 48 batches of 64 rows —
+/// the shape of `ingest_mixed`'s inserts — and each batch is timed alone.
+/// Most land in the delta (O(batch), flat in the table size); one in sixteen
+/// takes delta + batch over a scan block and pays the graft (O(table)), which
+/// is reported apart. Answers are cross-checked while measuring: against the
+/// full-scan oracle over exactly the rows ingested so far, mid-stream, and
+/// against an index rebuilt over everything at the end.
+fn fig9b_stream_impl(config: &HarnessConfig, table_rows: &[usize]) -> (String, Vec<StreamEntry>) {
+    let cost = CostModel::default();
+    let tsunami_config = config.tsunami_config();
+    let mut t = Table::new(
+        "Fig 9b (stream): 48 batches of 64 rows into a Tsunami index (TPC-H)",
+        &[
+            "table rows",
+            "batch p50 (us)",
+            "batch max (us)",
+            "graft p50 (us)",
+            "grafts",
+            "final delta rows",
+            "post-stream (us)",
+            "rebuilt (us)",
+        ],
+    );
+    let median = |us: &mut Vec<f64>| {
+        us.sort_by(f64::total_cmp);
+        us.get(us.len() / 2).copied().unwrap_or(0.0)
+    };
+    let mut entries = Vec::new();
+    for &n in table_rows {
+        let grown = tpch::generate(n + STREAM_BATCHES * STREAM_BATCH_ROWS, config.seed);
+        let rows = |range: std::ops::Range<usize>| {
+            let columns = (0..grown.num_dims()).map(|d| grown.column(d)[range.clone()].to_vec());
+            Dataset::from_columns(columns.collect()).expect("equal-length columns")
+        };
+        let data = rows(0..n);
+        let workload = tpch::workload(&data, config.queries_per_type, config.seed ^ 10);
+        let mut index = TsunamiIndex::build_with_cost(&data, &workload, &cost, &tsunami_config)
+            .expect("tsunami build");
+        let (mut delta_us, mut graft_us) = (Vec::new(), Vec::new());
+        for k in 0..STREAM_BATCHES {
+            let end = n + (k + 1) * STREAM_BATCH_ROWS;
+            let batch = rows(end - STREAM_BATCH_ROWS..end);
+            let t0 = Instant::now();
+            let (next, report) = index
+                .ingest_with_cost(&batch, &cost, &tsunami_config)
+                .expect("tsunami ingest");
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            assert!(!report.rebuilt, "a 64-row batch rebuilt: {report:?}");
+            index = next;
+            match index.stats().delta_rows {
+                0 => graft_us.push(us),
+                _ => delta_us.push(us),
+            }
+            if k % 8 == 3 {
+                let oracle = rows(0..end);
+                for q in workload.queries().iter().step_by(5) {
+                    let expected = q.execute_full_scan(&oracle);
+                    assert_eq!(index.execute(q), expected, "batch {k} diverged on {q:?}");
+                }
+            }
         }
+        let rebuilt = TsunamiIndex::build_with_cost(&grown, &workload, &cost, &tsunami_config)
+            .expect("tsunami rebuild");
+        for q in workload.queries().iter().step_by(5) {
+            assert_eq!(index.execute(q), rebuilt.execute(q), "diverged on {q:?}");
+        }
+        let entry = StreamEntry {
+            table_rows: n,
+            batch_max_us: delta_us
+                .iter()
+                .chain(&graft_us)
+                .copied()
+                .fold(0.0, f64::max),
+            batch_p50_us: median(&mut delta_us),
+            graft_p50_us: median(&mut graft_us),
+            grafts: graft_us.len(),
+            delta_rows: index.stats().delta_rows,
+            post_stream_us: measure(&index, &workload).avg_query_us,
+            rebuilt_us: measure(&rebuilt, &workload).avg_query_us,
+        };
+        t.add_row(vec![
+            entry.table_rows.to_string(),
+            fmt_f64(entry.batch_p50_us),
+            fmt_f64(entry.batch_max_us),
+            fmt_f64(entry.graft_p50_us),
+            entry.grafts.to_string(),
+            entry.delta_rows.to_string(),
+            fmt_f64(entry.post_stream_us),
+            fmt_f64(entry.rebuilt_us),
+        ]);
+        entries.push(entry);
     }
-    finish(t)
+    (finish(t), entries)
 }
 
 /// Hand-rolled machine-readable dump of the ingest drill-down (the workspace
-/// is offline — no serde).
-#[allow(clippy::type_complexity)]
+/// is offline — no serde): one line per batch-size entry, then one per
+/// small-batch stream.
 fn write_bench_ingest_json(
     path: &std::path::Path,
     rows: usize,
     seed: u64,
-    entries: &[(&'static str, f64, usize, f64, f64, f64, f64)],
+    entries: &[IngestEntry],
+    streams: &[StreamEntry],
 ) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"experiment\": \"fig9b_ingest\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \"entries\": [\n"
-    ));
-    for (i, (index, pct, batch, ingest, rebuild, ing_us, reb_us)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!(
+    let mut lines = Vec::new();
+    for (index, pct, batch, ingest, rebuild, ing_us, reb_us) in entries {
+        lines.push(format!(
             "    {{\"index\": \"{index}\", \"batch_pct\": {pct}, \"batch_rows\": {batch}, \
              \"ingest_secs\": {ingest:.6}, \"rebuild_secs\": {rebuild:.6}, \
-             \"post_ingest_us\": {ing_us:.4}, \"rebuilt_us\": {reb_us:.4}}}{comma}\n"
+             \"post_ingest_us\": {ing_us:.4}, \"rebuilt_us\": {reb_us:.4}}}"
         ));
     }
-    s.push_str("  ]\n}\n");
+    for e in streams {
+        lines.push(format!(
+            "    {{\"index\": \"Tsunami\", \"stream\": \"{STREAM_BATCHES}x{STREAM_BATCH_ROWS}\", \
+             \"table_rows\": {}, \"batch_p50_us\": {:.2}, \"batch_max_us\": {:.2}, \
+             \"graft_p50_us\": {:.2}, \"grafts\": {}, \"delta_rows\": {}, \
+             \"post_stream_us\": {:.4}, \"rebuilt_us\": {:.4}}}",
+            e.table_rows,
+            e.batch_p50_us,
+            e.batch_max_us,
+            e.graft_p50_us,
+            e.grafts,
+            e.delta_rows,
+            e.post_stream_us,
+            e.rebuilt_us,
+        ));
+    }
+    let s = format!(
+        "{{\n  \"experiment\": \"fig9b_ingest\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \
+         \"entries\": [\n{}\n  ]\n}}\n",
+        lines.join(",\n")
+    );
     std::fs::write(path, s)
 }
 
@@ -1090,7 +1230,11 @@ pub fn check_bench(config: &HarnessConfig) -> std::result::Result<String, String
     // fresh numbers (both are too slow to re-run inside the gate). The same
     // 2.5x ratio with a 100 us absolute slack — per-query averages over
     // laptop-scale datasets, noisier than the kernel medians.
-    let optional: [(&str, &str, &str, &[&str], &str); 2] = [
+    // `BENCH_ingest.json` is gated twice: the post-ingest query latency of
+    // every batch size, and the delta-path cost of one 64-row batch at every
+    // table size — the row that goes from ~0.1 ms to tens of ms if a small
+    // batch ever moves the table again.
+    let optional: [(&str, &str, &str, &[&str], &str); 3] = [
         (
             "BENCH_pool",
             "BENCH_POOL_JSON",
@@ -1104,6 +1248,13 @@ pub fn check_bench(config: &HarnessConfig) -> std::result::Result<String, String
             "BENCH_ingest.json",
             &["index", "batch_pct"],
             "post_ingest_us",
+        ),
+        (
+            "BENCH_ingest (small batches)",
+            "BENCH_INGEST_JSON",
+            "BENCH_ingest.json",
+            &["stream", "table_rows"],
+            "batch_p50_us",
         ),
     ];
     for (label, env, default, keys, value_key) in optional {
@@ -1414,9 +1565,32 @@ mod tests {
             queries_per_type: 3,
             seed: 11,
         };
-        let out = fig9b_ingest_impl(&cfg, None);
+        let (out, entries) = fig9b_ingest_impl(&cfg);
         for label in ["Tsunami", "Flood", "ingest/rebuild"] {
             assert!(out.contains(label), "missing {label} in:\n{out}");
+        }
+        assert_eq!(entries.len(), 6);
+    }
+
+    #[test]
+    fn fig9b_stream_grafts_once_per_scan_block() {
+        // Tiny tables: the impl cross-checks every answer while measuring;
+        // what is asserted here is the shape of the stream — 48 x 64 rows is
+        // three scan blocks and no graft takes more than one, so at least
+        // three grafts (a region whose layout decision comes due adds an
+        // early one), and under a block left in the delta.
+        let cfg = HarnessConfig {
+            rows: 0,
+            queries_per_type: 3,
+            seed: 11,
+        };
+        let (out, entries) = fig9b_stream_impl(&cfg, &[8_000, 16_000]);
+        assert!(out.contains("graft p50"), "{out}");
+        assert_eq!(entries.len(), 2);
+        for e in &entries {
+            assert!((3..=8).contains(&e.grafts), "{} grafts", e.grafts);
+            assert!(e.delta_rows < tsunami_core::exec::BLOCK_ROWS);
+            assert!(e.batch_p50_us > 0.0 && e.batch_max_us >= e.graft_p50_us);
         }
     }
 
@@ -1430,6 +1604,16 @@ mod tests {
             5000,
             7,
             &[("Tsunami", 10.0, 500, 0.25, 1.5, 12.5, 11.0)],
+            &[StreamEntry {
+                table_rows: 20_000,
+                batch_p50_us: 101.5,
+                batch_max_us: 4_000.0,
+                graft_p50_us: 3_900.0,
+                grafts: 3,
+                delta_rows: 0,
+                post_stream_us: 5.5,
+                rebuilt_us: 5.25,
+            }],
         )
         .unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
@@ -1437,6 +1621,15 @@ mod tests {
         assert!(s.contains("\"index\": \"Tsunami\""));
         assert!(s.contains("\"batch_pct\": 10"));
         assert!(s.contains("\"ingest_secs\": 0.250000"));
+        // Both gates find their rows, and only theirs.
+        assert_eq!(
+            parse_bench_entries(&s, &["index", "batch_pct"], "post_ingest_us"),
+            [("index=Tsunami batch_pct=10".to_string(), 12.5)]
+        );
+        assert_eq!(
+            parse_bench_entries(&s, &["stream", "table_rows"], "batch_p50_us"),
+            [("stream=48x64 table_rows=20000".to_string(), 101.5)]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -491,8 +491,9 @@ impl Database {
     /// Inserts a batch of rows into a table, absorbing them into the
     /// existing index **without a rebuild** where the family supports it
     /// ([`MultiDimIndex::ingest_batch`](tsunami_core::MultiDimIndex::ingest_batch)):
-    /// Tsunami routes rows to their Grid-Tree regions and re-grids only the
-    /// touched ones, Flood and the single-dim/full-scan baselines merge the
+    /// Tsunami routes rows to their Grid-Tree regions and parks them in a
+    /// per-region delta, grafted into the clustered layout once per scan
+    /// block; Flood and the single-dim/full-scan baselines merge the
     /// batch into their sorted stores. Families without an ingest path (the
     /// paged baselines) fall back to rebuilding from the table's stored spec
     /// over [`Table::dataset`] plus the batch.
@@ -529,11 +530,11 @@ impl Database {
     /// Deletion is **tombstone-first** where the index family supports it
     /// ([`MultiDimIndex::delete_matching`](tsunami_core::MultiDimIndex::delete_matching)):
     /// Tsunami marks matching rows in the store's deletion bitmap — every
-    /// scan tier masks them out — physically compacts regions whose
-    /// accumulated mutation fraction passes
-    /// [`TsunamiConfig::ingest_region_staleness`], and rebuilds the whole
-    /// index over the live rows past
-    /// [`TsunamiConfig::ingest_rebuild_staleness`]. Full-scan tables
+    /// scan tier masks them out — and that is all, unless a region's dead
+    /// fraction passes [`TsunamiConfig::ingest_region_staleness`] (it is
+    /// physically compacted) or the whole index's mutated fraction passes
+    /// [`TsunamiConfig::ingest_rebuild_staleness`] (it is rebuilt over the
+    /// live rows). Full-scan tables
     /// tombstone and compact once majority-dead; every other family rebuilds
     /// from its stored spec over the surviving rows of [`Table::dataset`].
     ///
@@ -1034,6 +1035,44 @@ mod tests {
         db.insert("Tsunami", &[1, 2, 3]).unwrap();
         assert!(db.insert("Tsunami", &[1, 2]).is_err());
         assert!(db.insert_batch("nope", &[vec![1, 2, 3]]).is_err());
+    }
+
+    #[test]
+    fn old_handles_keep_answering_their_own_generation() {
+        // A Tsunami successor shares its predecessor's encoded blocks and
+        // grids by pointer and copies only the plain tail. Twenty mutations
+        // on — small inserts into the delta, deletes that tombstone main and
+        // delta rows, a batch big enough to graft at once — every earlier
+        // generation must still hold exactly the rows it held.
+        let (data, day, _) = shift_fixture();
+        let mut db = Database::new();
+        let spec = IndexSpec::Tsunami(TsunamiConfig::fast());
+        db.create_table_unnamed("t", data.clone(), &day, &spec)
+            .unwrap();
+        let mut rows: Vec<Point> = data.rows().collect();
+        let mut generations = vec![(db.table("t").unwrap(), rows.clone())];
+        for step in 0..20u64 {
+            let table = if step % 5 == 3 {
+                let band = [Predicate::range(0, step * 40, step * 40 + 25).unwrap()];
+                let (table, deleted) = db.delete_with_count("t", &band).unwrap();
+                assert_eq!(deleted, delete_from(&mut rows, &band), "step {step}");
+                assert!(deleted > 0, "step {step}");
+                table
+            } else {
+                let mut new = batch(step);
+                if step == 9 {
+                    new.extend((0..1_100u64).map(|i| vec![i * 3 % 4_000, i * 11, i * 13]));
+                } else {
+                    new.truncate(40);
+                }
+                rows.extend(new.iter().cloned());
+                db.insert_batch("t", &new).unwrap()
+            };
+            generations.push((table, rows.clone()));
+        }
+        for (generation, (table, rows)) in generations.iter().enumerate() {
+            assert_holds(table, rows, &format!("generation {generation}"));
+        }
     }
 
     #[test]

@@ -84,9 +84,12 @@ pub struct TsunamiConfig {
     /// inserted-row fraction (rows ingested since the region's layout was
     /// last optimized, over its current size) exceeds this bar gets its
     /// Augmented-Grid *layout* re-optimized (warm-started from the current
-    /// one) instead of merely re-gridded with the existing layout. The same
-    /// bar is the engine's data-drift trigger: `Database::auto_reoptimize`
-    /// fires once the whole index's ingested fraction passes it.
+    /// one) instead of merely re-gridded with the existing layout — by a
+    /// graft, at once, rather than waiting in the delta. During
+    /// [`crate::TsunamiIndex::delete_where`], a region whose *dead*-row
+    /// fraction exceeds it is compacted. The same bar is the engine's
+    /// data-drift trigger: `Database::auto_reoptimize` fires once the whole
+    /// index's ingested fraction passes it.
     pub ingest_region_staleness: f64,
     /// [`crate::TsunamiIndex::ingest`] escalates to a full rebuild (fresh
     /// Grid Tree and layouts, over data + ingested rows) when the whole

@@ -8,17 +8,23 @@
 //!
 //! # Validity invariant
 //!
-//! An entry is valid exactly as long as the region's live-row **multiset** is
-//! unchanged. Aggregates are order-free, so within-region permutation
-//! (re-grid, warm re-optimization, compaction of *other* regions) preserves
-//! validity; only cross-region row movement, new rows, or new tombstones
-//! invalidate. Maintenance therefore is:
+//! A region's live rows are those of its main slice **and** of its delta
+//! run (rows ingested since the last graft; see the crate docs). An entry
+//! is valid exactly as long as that live-row **multiset** is unchanged.
+//! Aggregates are order-free and place-free, so anything that moves rows
+//! within a region — a graft taking delta rows into the main slice, a
+//! re-grid, a warm re-optimization, a compaction dropping already-dead
+//! rows — preserves validity; only new rows or new tombstones invalidate
+//! (rows never cross regions). Maintenance therefore is:
 //!
-//! * **ingest** — touched regions fold the delta of their routed new rows
-//!   into the existing entry ([`CubeEntry::merge`]); untouched regions carry;
-//! * **delete** — regions that received new tombstones drop their entry and
-//!   re-fold lazily on the next covered query; the compaction that may follow
-//!   only drops already-dead rows, so it never invalidates by itself;
+//! * **ingest** — touched regions fold their routed new rows into the
+//!   existing entry as one delta ([`CubeEntry::merge`]), whether the rows
+//!   land in the delta run or are grafted at once; untouched regions carry;
+//! * **delete** — regions that received new tombstones, in their main slice
+//!   or their delta run, drop their entry and re-fold lazily on the next
+//!   covered query; the compaction that may follow only drops already-dead
+//!   rows, so it never invalidates by itself;
+//! * **lazy fold** — folds the main slice and the delta run;
 //! * **rebuild** (a fresh build, or an ingest/delete escalation) — every
 //!   region starts empty and folds lazily on first use.
 //!
@@ -27,6 +33,7 @@
 //! a concurrent double-fold computes the same value (folds are pure over the
 //! store), so the race is benign — first writer wins.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use tsunami_core::{Dataset, PlanPartial, Value};
@@ -79,8 +86,8 @@ impl CubeEntry {
     /// Folds an entry over the live rows of a store's physical range —
     /// tombstone-aware, decoding packed blocks as needed. Cube folds run once
     /// per (region, restructure), not per query, so the decode cost is fine.
-    pub fn fold_store(store: &ColumnStore, base: usize, len: usize) -> Self {
-        Self::fold_dataset(&store.live_slice_dataset(base..base + len))
+    pub fn fold_store(store: &ColumnStore, rows: Range<usize>) -> Self {
+        Self::fold_dataset(&store.live_slice_dataset(rows))
     }
 
     /// Folds another entry's rows into this one (multiset union). The delta
@@ -169,20 +176,15 @@ impl RegionCube {
         }
     }
 
-    /// The entry for `region`, folding it from the store's live rows on the
-    /// first request since (in)validation. The fold runs outside the lock;
-    /// on a race the first stored fold wins (both computed the same value).
-    pub fn get_or_fold(
-        &self,
-        region: usize,
-        store: &ColumnStore,
-        base: usize,
-        len: usize,
-    ) -> CubeEntry {
+    /// The entry for `region`, folded with `fold` — over the region's live
+    /// rows, main and delta — on the first request since (in)validation. The
+    /// fold runs outside the lock; on a race the first stored fold wins
+    /// (both computed the same value).
+    pub fn get_or_fold(&self, region: usize, fold: impl FnOnce() -> CubeEntry) -> CubeEntry {
         if let Some(entry) = self.get(region) {
             return entry;
         }
-        let folded = CubeEntry::fold_store(store, base, len);
+        let folded = fold();
         let mut entries = self.entries.lock().unwrap();
         entries[region].get_or_insert(folded).clone()
     }
@@ -273,7 +275,7 @@ mod tests {
         let q = tsunami_core::Query::count(vec![tsunami_core::Predicate::range(0, 9, 9).unwrap()])
             .unwrap();
         assert_eq!(store.delete_where(&q), 1);
-        let e = CubeEntry::fold_store(&store, 0, 4);
+        let e = CubeEntry::fold_store(&store, 0..4);
         assert_eq!(e.rows, 3);
         assert_eq!(
             e.dims[0],
@@ -298,7 +300,7 @@ mod tests {
         let store = ColumnStore::from_dataset(&ds());
         let cube = RegionCube::new(1);
         assert_eq!(cube.get(0), None);
-        let e = cube.get_or_fold(0, &store, 0, 4);
+        let e = cube.get_or_fold(0, || CubeEntry::fold_store(&store, 0..4));
         assert_eq!(e.rows, 4);
         assert_eq!(cube.get(0), Some(e));
         cube.invalidate(0);

@@ -2,47 +2,75 @@
 //! independently-optimized Augmented Grid inside every region that receives
 //! queries (§3) and clears the layout granularity floor (crate docs): a
 //! region's grid-or-no-grid decision and cell budget are made in exactly one
-//! place, `augmented_grid::optimizer::region_layout`, which build, ingest
-//! and delete-compaction all call.
+//! place, `augmented_grid::optimizer::region_layout`, which build and the
+//! graft (below) both call.
 //!
 //! A layout is derived for a workload in exactly one way — the from-scratch
 //! [`TsunamiIndex::build`] — so adapting to a shifted workload (§8) is a
-//! rebuild. Data changes do not need one: [`TsunamiIndex::ingest`] and
-//! [`TsunamiIndex::delete_where`] absorb rows into the existing structure,
-//! paying only for the regions they touch, and correctness never depends on
-//! layout freshness.
+//! rebuild. Data changes do not need one, and cost what they change:
+//!
+//! * the store is **main + delta**. The main rows are the clustered,
+//!   block-encoded layout (regions contiguous, cells contiguous inside
+//!   gridded regions); the *delta* is the paper's §8 per-leaf buffer — rows
+//!   ingested since, kept in region order in the store's plain tail and
+//!   found through one offsets table. [`TsunamiIndex::ingest`] routes a batch
+//!   and merges it into the delta; [`TsunamiIndex::delete_where`] only sets
+//!   tombstone bits. Both share every encoded block and every grid with
+//!   their predecessor by pointer;
+//! * the **graft** folds the whole delta (and, for a delete, leaves the dead
+//!   rows of over-the-bar regions out) back into the main rows — the one
+//!   routine that moves the table. It runs once the delta reaches one scan
+//!   block, or when a touched region's layout decision is due, or when a
+//!   region's dead fraction passes the bar;
+//!
+//! and correctness never depends on which of the two a mutation took.
 
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::augmented_grid::optimizer::{region_can_hold_grid, region_layout};
 use crate::augmented_grid::{AugmentedGrid, OptimizerKind, Skeleton};
 use crate::config::{IndexVariant, TsunamiConfig};
 use crate::cube::{CubeEntry, RegionCube};
-use crate::grid_tree::GridTree;
+use crate::grid_tree::{GridTree, Region};
 use crate::query_types::cluster_query_types;
+use tsunami_core::exec::BLOCK_ROWS;
 use tsunami_core::{
     BuildTiming, CostModel, Dataset, IngestReport, MultiDimIndex, Point, Query, Result, ScanPlan,
-    ScanSource, Successor, TsunamiError, Workload,
+    ScanSource, Successor, TombstoneSet, TsunamiError, Workload,
 };
 use tsunami_store::ColumnStore;
 
 /// Per-region physical layout information.
 #[derive(Debug, Clone)]
 struct RegionIndex {
-    /// First physical row of the region in the reordered store.
+    /// First physical row of the region's main slice in the reordered store.
     base: usize,
-    /// Number of rows in the region.
+    /// Number of rows in the main slice — the region as of the last graft.
+    /// Rows ingested since sit in the region's delta run (see
+    /// [`TsunamiIndex::delta`]) and are not counted here.
     len: usize,
-    /// The region's Augmented Grid, or `None` when no query intersects the
-    /// region or it has too few rows for a grid to split (it is then
-    /// answered with a plain region scan).
-    grid: Option<AugmentedGrid>,
-    /// Rows ingested into the region since its layout was last optimized —
-    /// the per-region staleness counter. Ingested rows are re-gridded into
-    /// the existing layout immediately (correctness never waits), but the
-    /// *layout* only re-earns optimizer time once `inserted / len` passes
+    /// The region's Augmented Grid over its main slice, or `None` when no
+    /// query intersects the region or it has too few rows for a grid to
+    /// split (it is then answered with a plain region scan). Shared with
+    /// every successor index that did not re-grid the region.
+    grid: Option<Arc<AugmentedGrid>>,
+    /// Rows ingested into the region (main or delta) since its layout was
+    /// last optimized — the per-region staleness counter. Ingested rows are
+    /// answered from the moment they land (correctness never waits), but the
+    /// *layout* only re-earns optimizer time once `inserted / rows` passes
     /// [`TsunamiConfig::ingest_region_staleness`].
     inserted: usize,
+}
+
+/// What one graft did, for the ingest and delete reports.
+#[derive(Debug, Default)]
+struct GraftCounts {
+    /// Regions whose layout decision was re-made and left them a grid.
+    reoptimized: usize,
+    /// Regions whose dead rows were left out.
+    compacted: usize,
 }
 
 /// Statistics of an optimized Tsunami index (Table 4).
@@ -71,6 +99,10 @@ pub struct TsunamiStats {
     pub avg_ccdfs_per_region: f64,
     /// Total number of grid cells across all regions.
     pub total_grid_cells: usize,
+    /// Rows sitting in the delta — ingested since the last graft, answered
+    /// by per-region scans of the store's plain tail. Under one scan block
+    /// at rest; 0 right after a build, a graft or a rebuild.
+    pub delta_rows: usize,
 }
 
 /// What [`TsunamiIndex::delete_where_with_cost`] did to absorb a delete.
@@ -79,10 +111,11 @@ pub struct DeleteReport {
     /// Rows newly tombstoned by this delete (rows already deleted by an
     /// earlier call do not count again).
     pub rows_deleted: usize,
-    /// Regions whose accumulated mutation fraction (inserted + tombstoned
-    /// over region rows) crossed [`TsunamiConfig::ingest_region_staleness`]
-    /// and were physically compacted — dead rows dropped, the region
-    /// re-gridded over its live rows.
+    /// Regions whose *dead* fraction (tombstoned over region rows — what
+    /// compaction repays; rows ingested since the layout was optimized do
+    /// not count) crossed [`TsunamiConfig::ingest_region_staleness`] and
+    /// were physically compacted — dead rows dropped, the region re-gridded
+    /// over its live rows. 0 for a tombstone-only delete.
     pub regions_compacted: usize,
     /// Whether the whole index escalated to a from-scratch rebuild over the
     /// live rows (the delete pushed the mutated fraction past
@@ -99,7 +132,13 @@ pub struct DeleteReport {
 pub struct TsunamiIndex {
     tree: GridTree,
     regions: Vec<RegionIndex>,
+    /// Main rows (`0..delta[0]`, region after region) then the delta.
     store: ColumnStore,
+    /// The delta's offsets table, one entry per region plus one: region
+    /// `r`'s delta rows are physical rows `delta[r]..delta[r + 1]`, so
+    /// `delta[0]` is where the main rows end and the last entry is
+    /// `store.len()`. All equal when the delta is empty.
+    delta: Vec<usize>,
     timing: BuildTiming,
     name: String,
     /// The configuration and cost model the index was built with — what the
@@ -225,7 +264,7 @@ impl TsunamiIndex {
                     let (grid, local_perm) =
                         AugmentedGrid::build(region_ds, &skeleton, &partitions);
                     global_perm.extend(local_perm.into_iter().map(|local| rd.rows[local]));
-                    Some(grid)
+                    Some(Arc::new(grid))
                 }
             };
             regions.push(RegionIndex {
@@ -251,6 +290,7 @@ impl TsunamiIndex {
             tree,
             regions,
             store,
+            delta: vec![data.len(); num_regions + 1],
             timing: BuildTiming {
                 sort_secs,
                 optimize_secs,
@@ -275,30 +315,50 @@ impl TsunamiIndex {
     /// Absorbs new rows into the existing index **without a rebuild**.
     ///
     /// Each row is routed to its Grid-Tree region (widening the region's
-    /// recorded bounds when the row falls outside the build-time domain) and
-    /// appended into that region's contiguous slice of the store. Only the
-    /// touched regions pay any cost: their Augmented Grids are *re-gridded*
-    /// — per-dimension models re-fit over the merged rows (keeping bucket
-    /// value bounds, and with them exactness and residual elimination,
-    /// truthful for out-of-domain values) and just their slice re-sorted
-    /// into cell order. Untouched regions keep their grids and physical
-    /// order verbatim, so ingest cost is proportional to where the data
-    /// landed, not to the index — and never includes the layout optimizer
-    /// unless staleness escalates:
+    /// recorded bounds when the row falls outside the build-time domain),
+    /// counted against that region's staleness and folded into its cube
+    /// entry. Where the rows then land is decided from the index's own
+    /// state:
     ///
-    /// * a touched region whose accumulated inserted-row fraction passes
-    ///   [`TsunamiConfig::ingest_region_staleness`] gets its layout
-    ///   re-optimized locally (warm-started from the current one) — unless
-    ///   it is grid-less and still under the layout floor, in which case it
-    ///   stays a plain region scan and keeps its staleness;
-    /// * the whole index escalates to a from-scratch
-    ///   [`TsunamiIndex::build_with_cost`] over data + batch when the
-    ///   ingested fraction would pass
-    ///   [`TsunamiConfig::ingest_rebuild_staleness`].
+    /// * **Delta** (the common case for a small batch). The batch joins the
+    ///   *delta*: the store's plain tail, kept in region order so each
+    ///   region's delta rows are one contiguous run. Nothing else moves —
+    ///   the successor shares every encoded block and every grid with this
+    ///   index — so the cost is O(batch + delta + regions), independent of
+    ///   the table. Queries answer a region's delta run with a plain scan
+    ///   bounded by the (widened) Grid-Tree region.
+    /// * **Graft.** The accumulated delta plus the batch are folded into the
+    ///   main rows: every region with pending rows appends them to its slice
+    ///   and, if gridded, is *re-gridded* — per-dimension models re-fit over
+    ///   the merged rows (keeping bucket value bounds, and with them
+    ///   exactness and residual elimination, truthful for out-of-domain
+    ///   values) and the slice re-sorted into cell order — then the store is
+    ///   re-encoded. A graft moves the whole table, so it runs only
+    ///   1. when delta + batch reach one scan block ([`BLOCK_ROWS`] rows) —
+    ///      which bounds the delta, and with it both the plain rows a query
+    ///      can meet and the amortized cost: one O(table) pass per
+    ///      `BLOCK_ROWS` ingested rows, and a batch that large takes it
+    ///      immediately; or
+    ///   2. when a region the batch touched has its layout decision due: its
+    ///      inserted-row fraction is past
+    ///      [`TsunamiConfig::ingest_region_staleness`], it has (or has grown
+    ///      enough rows to hold) a grid, and reference queries reach it. The
+    ///      graft then re-optimizes that layout locally, warm-started from
+    ///      the current one, and repays the region's staleness. A grid-less
+    ///      region still under the layout floor has no decision to re-make:
+    ///      it stays a plain region scan and keeps its staleness on the
+    ///      books.
     ///
-    /// Correctness never depends on staleness: an ingested index returns
-    /// results bit-identical to one rebuilt from the full dataset — only
-    /// scan volume differs.
+    /// So ingest cost is proportional to the batch, not to the index, except
+    /// in the one call per scan block that pays for the rest — and never
+    /// includes the layout optimizer unless a region's staleness escalates.
+    /// The whole index escalates to a from-scratch
+    /// [`TsunamiIndex::build_with_cost`] over data + batch when the ingested
+    /// fraction would pass [`TsunamiConfig::ingest_rebuild_staleness`].
+    ///
+    /// Correctness never depends on staleness or on where rows sit: an
+    /// ingested index returns results bit-identical to one rebuilt from the
+    /// full dataset — only scan volume differs.
     pub fn ingest_with_cost(
         &self,
         rows: &Dataset,
@@ -315,13 +375,7 @@ impl TsunamiIndex {
         let m = rows.len();
         if m == 0 {
             return Ok((
-                self.with_layout(
-                    self.tree.clone(),
-                    self.regions.clone(),
-                    self.store.clone(),
-                    BuildTiming::default(),
-                    self.cube.snapshot(),
-                ),
+                self.with_store(self.store.clone(), self.cube.snapshot()),
                 IngestReport {
                     rows_ingested: 0,
                     regions_touched: 0,
@@ -362,35 +416,26 @@ impl TsunamiIndex {
             ));
         }
 
-        let start = Instant::now();
-        let (effective_config, optimizer_kind) = effective_build_config(config);
-
         // Route each new row to its region, widening recorded bounds so
         // query routing and region-scan exactness stay sound for
         // out-of-domain values.
         let mut tree = self.tree.clone();
-        let mut per_region: Vec<Vec<usize>> = vec![Vec::new(); self.regions.len()];
+        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.regions.len()];
         let mut point = vec![0u64; rows.num_dims()];
         for j in 0..m {
             for (dim, coord) in point.iter_mut().enumerate() {
                 *coord = rows.get(j, dim);
             }
-            per_region[tree.absorb_point(&point)].push(j);
+            routed[tree.absorb_point(&point)].push(j);
         }
 
-        // Graft: append the batch at the store's tail, then permute it so
-        // every region's slice is contiguous again (rows of untouched
-        // regions only shift; their relative order is untouched).
-        let mut store = self.store.clone();
-        store.append_dataset(rows);
-        let mut perm: Vec<usize> = Vec::with_capacity(n + m);
-        let mut regions: Vec<RegionIndex> = Vec::with_capacity(self.regions.len());
         // Incremental cube maintenance: a touched region's new live multiset
-        // is old ∪ routed rows, so its entry absorbs the batch as one folded
-        // delta ([`CubeEntry::merge`]) — never a re-fold over the region.
-        // Untouched regions carry; unfolded entries stay lazy.
+        // is old ∪ routed rows — wherever they land — so its entry absorbs
+        // the batch as one folded delta ([`CubeEntry::merge`]), never a
+        // re-fold over the region. Untouched regions carry; unfolded entries
+        // stay lazy.
         let mut cube_entries = self.cube.snapshot();
-        for (rid, news) in per_region.iter().enumerate() {
+        for (rid, news) in routed.iter().enumerate() {
             if news.is_empty() {
                 continue;
             }
@@ -398,52 +443,179 @@ impl TsunamiIndex {
                 entry.merge(&CubeEntry::fold_dataset(&rows.select_rows(news)));
             }
         }
-        let mut regions_touched = 0usize;
-        let mut regions_reoptimized = 0usize;
+
+        // Graft now, or leave the batch in the delta? Both triggers (see the
+        // method docs) read only what the index can observe of itself.
+        let (effective_config, _) = effective_build_config(config);
+        let layout_due = |(rid, news): (usize, &Vec<usize>)| {
+            let region = &self.regions[rid];
+            let rows = region.len + self.delta_range(rid).len() + news.len();
+            let inserted = region.inserted + news.len();
+            let bounds = tree.region(rid);
+            !news.is_empty()
+                && !self
+                    .due_queries(region, bounds, rows, inserted, config, &effective_config)
+                    .is_empty()
+        };
+        let (index, regions_reoptimized) =
+            if self.delta_rows() + m >= BLOCK_ROWS || routed.iter().enumerate().any(layout_due) {
+                let no_compaction = vec![false; self.regions.len()];
+                let (index, counts) = self.graft(
+                    tree,
+                    self.store.clone(),
+                    rows,
+                    &routed,
+                    &no_compaction,
+                    cube_entries,
+                    cost,
+                    config,
+                );
+                (index, counts.reoptimized)
+            } else {
+                (self.with_delta(tree, rows, &routed, cube_entries), 0)
+            };
+        let regions_touched = routed.iter().filter(|news| !news.is_empty()).count();
+        Ok((
+            index,
+            IngestReport {
+                rows_ingested: m,
+                regions_touched,
+                regions_reoptimized,
+                rebuilt: false,
+                data_staleness: staleness,
+            },
+        ))
+    }
+
+    /// The reference queries a region's layout decision is due to be re-made
+    /// for; empty when it is not due. A region of `rows` rows, `inserted` of
+    /// them since its layout was optimized, is due once it is past the
+    /// staleness bar *and* there is a decision to make — it has a grid, or
+    /// has grown enough rows to hold one (which is how a grid-less region
+    /// that grew through the layout floor earns its first grid) — *and*
+    /// reference queries reach its (widened) `bounds`. (The
+    /// AugmentedGridOnly ablation never assigns queries to its single
+    /// region; mirror that.)
+    fn due_queries(
+        &self,
+        region: &RegionIndex,
+        bounds: &Region,
+        rows: usize,
+        inserted: usize,
+        config: &TsunamiConfig,
+        effective_config: &TsunamiConfig,
+    ) -> Vec<Query> {
+        let stale = inserted as f64 / rows.max(1) as f64 > config.ingest_region_staleness;
+        let layable = region.grid.is_some() || region_can_hold_grid(rows, effective_config);
+        if !(stale && layable) || self.config.variant == IndexVariant::AugmentedGridOnly {
+            return Vec::new();
+        }
+        let reference = self.reference.queries().iter();
+        reference
+            .filter(|q| bounds.intersects(q))
+            .cloned()
+            .collect()
+    }
+
+    /// The delta path of an ingest: the routed batch joins the store's plain
+    /// tail and the tail is put back in region order. Touches nothing but
+    /// the tail, the offsets table and the touched regions' counters.
+    fn with_delta(
+        &self,
+        tree: GridTree,
+        batch: &Dataset,
+        routed: &[Vec<usize>],
+        cube_entries: Vec<Option<CubeEntry>>,
+    ) -> Self {
+        let start = Instant::now();
+        let main_len = self.delta[0];
+        let old_delta = self.delta_rows();
+        let mut store = self.store.clone();
+        store.append_dataset(batch);
+        // The tail as it lies is old delta (region order) then the batch
+        // (arrival order); `perm` interleaves them region by region, in
+        // tail-local indices.
+        let mut perm: Vec<usize> = Vec::with_capacity(old_delta + batch.len());
+        let mut delta: Vec<usize> = Vec::with_capacity(self.delta.len());
+        let mut regions = self.regions.clone();
+        for (rid, news) in routed.iter().enumerate() {
+            delta.push(main_len + perm.len());
+            perm.extend(self.delta_range(rid).map(|row| row - main_len));
+            perm.extend(news.iter().map(|&j| old_delta + j));
+            regions[rid].inserted += news.len();
+        }
+        delta.push(main_len + perm.len());
+        // The encoded prefix never reaches past the main rows, so this
+        // reorders plain values only.
+        store.permute_range(main_len, &perm);
+        let timing = BuildTiming {
+            sort_secs: start.elapsed().as_secs_f64(),
+            optimize_secs: 0.0,
+        };
+        self.with_layout(tree, regions, store, delta, timing, cube_entries)
+    }
+
+    /// The graft: folds the whole delta, a routed `batch` (possibly empty)
+    /// and — for the regions flagged in `compact` — the removal of their
+    /// dead rows into the main rows, and re-encodes the store. `store` is
+    /// this index's store, with any new tombstones already set.
+    ///
+    /// Regions with nothing pending keep their grid (shared) and their
+    /// physical order; their rows only shift. Every other region's slice
+    /// becomes main rows ++ delta rows ++ batch rows (minus the dead, when
+    /// compacting), its layout decision is re-made if due (see
+    /// [`TsunamiIndex::due_queries`]), and otherwise it keeps its layout
+    /// re-gridded over the new slice — re-fitted to the new row count, which
+    /// drops the grid altogether below the layout floor. Cube entries are the
+    /// caller's: a graft moves rows only within regions, which changes no
+    /// live multiset.
+    #[allow(clippy::too_many_arguments)]
+    fn graft(
+        &self,
+        tree: GridTree,
+        mut store: ColumnStore,
+        batch: &Dataset,
+        routed: &[Vec<usize>],
+        compact: &[bool],
+        cube_entries: Vec<Option<CubeEntry>>,
+        cost: &CostModel,
+        config: &TsunamiConfig,
+    ) -> (Self, GraftCounts) {
+        let start = Instant::now();
+        let (effective_config, optimizer_kind) = effective_build_config(config);
+        let n = store.len();
+        // Batch row `j` is physical row `n + j` until the final reorder.
+        store.append_dataset(batch);
+        let mut perm: Vec<usize> = Vec::with_capacity(n + batch.len());
+        let mut regions: Vec<RegionIndex> = Vec::with_capacity(self.regions.len());
+        let mut counts = GraftCounts::default();
         let mut optimize_secs = 0.0f64;
         for (rid, region) in self.regions.iter().enumerate() {
-            let news = &per_region[rid];
+            let news = &routed[rid];
             let base = perm.len();
-            let old_range = region.base..region.base + region.len;
-            if news.is_empty() {
-                perm.extend(old_range);
+            let main = region.base..region.base + region.len;
+            let delta = self.delta_range(rid);
+            if news.is_empty() && delta.is_empty() && !compact[rid] {
+                perm.extend(main);
                 regions.push(RegionIndex {
                     base,
-                    len: region.len,
-                    grid: region.grid.clone(),
-                    inserted: region.inserted,
+                    ..region.clone()
                 });
                 continue;
             }
-            regions_touched += 1;
-            let len = region.len + news.len();
+            counts.compacted += usize::from(compact[rid]);
+            let kept = |row: &usize| !(compact[rid] && store.tombstones().is_deleted(*row));
+            let indices: Vec<usize> = (main.clone().chain(delta.clone()).filter(kept))
+                .chain(news.iter().map(|&j| n + j))
+                .collect();
+            let len = indices.len();
             let inserted = region.inserted + news.len();
-            // A region past its staleness bar has its layout decision
-            // re-made for the reference queries reaching its (widened)
-            // bounds, warm-started from the current grid, if any — which is
-            // also how a grid-less region that grew through the layout floor
-            // earns its first grid. Either way its staleness is repaid. A
-            // grid-less region still under the floor has no decision to
-            // re-make: it takes the plain-scan arm below and its staleness
-            // stays on the books, where the whole-index rebuild bar and
-            // the reports' `data_staleness` see it. (The AugmentedGridOnly
-            // ablation never assigns queries to its single region; mirror
-            // that.)
-            let stale = inserted as f64 / len as f64 > config.ingest_region_staleness;
-            let layable = region.grid.is_some() || region_can_hold_grid(len, &effective_config);
-            let mut ref_q: Vec<Query> = Vec::new();
-            if stale && layable && self.config.variant != IndexVariant::AugmentedGridOnly {
-                let bounds = tree.region(rid);
-                let reference = self.reference.queries().iter();
-                ref_q.extend(reference.filter(|q| bounds.intersects(q)).cloned());
-            }
+            let bounds = tree.region(rid);
+            let ref_q = self.due_queries(region, bounds, len, inserted, config, &effective_config);
             let reoptimize = !ref_q.is_empty();
-            let appended = news.iter().map(|&j| n + j);
             if region.grid.is_none() && !reoptimize {
-                // Plain region scan: order within the slice is irrelevant,
-                // the new rows join at its tail.
-                perm.extend(old_range);
-                perm.extend(appended);
+                // Plain region scan: order within the slice is irrelevant.
+                perm.extend(indices);
                 regions.push(RegionIndex {
                     base,
                     len,
@@ -452,22 +624,31 @@ impl TsunamiIndex {
                 });
                 continue;
             }
-            // The merged region rows (old slice + new rows), and the
-            // appended-store indices parallel to them.
-            let mut cols = self.store.slice_dataset(old_range.clone()).into_columns();
+            // The region's new slice as a dataset, rows parallel to
+            // `indices`.
+            let slice = |range: Range<usize>| match compact[rid] {
+                true => store.live_slice_dataset(range),
+                false => store.slice_dataset(range),
+            };
+            let mut cols = slice(main).into_columns();
+            let delta_rows = slice(delta);
             for (dim, col) in cols.iter_mut().enumerate() {
-                col.extend(news.iter().map(|&j| rows.get(j, dim)));
+                col.extend_from_slice(delta_rows.column(dim));
+                col.extend(news.iter().map(|&j| batch.get(j, dim)));
             }
             let region_ds = Dataset::from_columns(cols).expect("equal-length columns");
-            let indices: Vec<usize> = old_range.chain(appended).collect();
+            debug_assert_eq!(region_ds.len(), len);
 
             // Without queries the region keeps its layout, re-gridded over
-            // the merged rows.
+            // the new slice.
             let t0 = Instant::now();
             let layout = region_layout(
                 &region_ds,
                 &ref_q,
-                region.grid.as_ref().map(|g| (g.skeleton(), g.partitions())),
+                region
+                    .grid
+                    .as_deref()
+                    .map(|g| (g.skeleton(), g.partitions())),
                 cost,
                 &effective_config,
                 optimizer_kind,
@@ -486,19 +667,20 @@ impl TsunamiIndex {
                     let (grid, local_perm) =
                         AugmentedGrid::build(&region_ds, &skeleton, &partitions);
                     perm.extend(local_perm.into_iter().map(|local| indices[local]));
-                    regions_reoptimized += usize::from(reoptimize);
-                    Some(grid)
+                    counts.reoptimized += usize::from(reoptimize);
+                    Some(Arc::new(grid))
                 }
             };
             regions.push(RegionIndex {
                 base,
                 len,
                 grid,
+                // A re-made decision repays the region's staleness, whatever
+                // it decided.
                 inserted: if reoptimize { 0 } else { inserted },
             });
         }
-        debug_assert_eq!(perm.len(), n + m);
-        store.permute(&perm);
+        store.select(&perm);
         store.encode_blocks();
 
         let sort_secs = (start.elapsed().as_secs_f64() - optimize_secs).max(0.0);
@@ -506,16 +688,9 @@ impl TsunamiIndex {
             sort_secs,
             optimize_secs,
         };
-        Ok((
-            self.with_layout(tree, regions, store, timing, cube_entries),
-            IngestReport {
-                rows_ingested: m,
-                regions_touched,
-                regions_reoptimized,
-                rebuilt: false,
-                data_staleness: staleness,
-            },
-        ))
+        let delta = vec![store.len(); regions.len() + 1];
+        let index = self.with_layout(tree, regions, store, delta, timing, cube_entries);
+        (index, counts)
     }
 
     /// Tombstones the rows matching `query`'s predicates with the default
@@ -530,20 +705,24 @@ impl TsunamiIndex {
 
     /// Deletes the rows matching `query`'s predicates **without a rebuild**.
     ///
-    /// Deleted rows are tombstoned in the store's deletion bitmap; every
-    /// kernel tier masks liveness into its selections, so results are
-    /// immediately exact while the physical layout — and every region's grid
-    /// — stays untouched. Tombstones then feed the same staleness machinery
-    /// as ingest:
+    /// Deleted rows — main or delta — are tombstoned in the store's deletion
+    /// bitmap; every kernel tier masks liveness into its selections, so
+    /// results are immediately exact while the physical layout, every
+    /// region's grid and the delta stay untouched and shared with this
+    /// index. That is the whole delete unless tombstones have piled up:
     ///
-    /// * a region whose mutation fraction (inserted + tombstoned over region
-    ///   rows) passes [`TsunamiConfig::ingest_region_staleness`] is
-    ///   *compacted*: its dead rows are physically dropped and the region is
-    ///   re-gridded over its live rows with its existing layout (subsequent
-    ///   regions shift down — their grids and relative order are untouched);
+    /// * a region whose **dead** fraction (tombstoned over region rows)
+    ///   passes [`TsunamiConfig::ingest_region_staleness`] is *compacted*, by
+    ///   the same graft an ingest uses with the region's dead rows left out:
+    ///   the region is re-gridded over its live rows with its existing
+    ///   layout, the rest of the delta is folded in on the way, and
+    ///   subsequent regions shift down. The trigger counts only what
+    ///   compaction repays — rows ingested since the layout was optimized
+    ///   stay on the region's books through a compaction, so they must not
+    ///   bring one about;
     /// * the whole index escalates to a from-scratch
     ///   [`TsunamiIndex::build_with_cost`] over the live rows when the
-    ///   mutated fraction passes
+    ///   mutated fraction (ingested + tombstoned) passes
     ///   [`TsunamiConfig::ingest_rebuild_staleness`].
     ///
     /// Correctness never depends on compaction: a tombstoned index returns
@@ -560,23 +739,16 @@ impl TsunamiIndex {
         let rows_deleted = store.delete_where(query);
         let n = store.len();
         let staleness = (self.ingested + store.tombstones().deleted()) as f64 / n.max(1) as f64;
+        let report = |regions_compacted: usize, rebuilt: bool| DeleteReport {
+            rows_deleted,
+            regions_compacted,
+            rebuilt,
+            data_staleness: staleness,
+        };
         if rows_deleted == 0 {
-            return Ok((
-                self.with_layout(
-                    self.tree.clone(),
-                    self.regions.clone(),
-                    store,
-                    BuildTiming::default(),
-                    // No new tombstones: every live multiset is unchanged.
-                    self.cube.snapshot(),
-                ),
-                DeleteReport {
-                    rows_deleted: 0,
-                    regions_compacted: 0,
-                    rebuilt: false,
-                    data_staleness: staleness,
-                },
-            ));
+            // No new tombstones: every live multiset is unchanged.
+            let same = self.with_store(store, self.cube.snapshot());
+            return Ok((same, report(0, false)));
         }
 
         // Whole-index escalation: past the rebuild bar too much of the data
@@ -588,103 +760,64 @@ impl TsunamiIndex {
             let mut rebuilt = Self::build_with_cost(&live, &self.reference, cost, config)?;
             rebuilt.matview = self.matview;
             let regions_compacted = rebuilt.regions.len();
-            return Ok((
-                rebuilt,
-                DeleteReport {
-                    rows_deleted,
-                    regions_compacted,
-                    rebuilt: true,
-                    data_staleness: staleness,
-                },
-            ));
+            return Ok((rebuilt, report(regions_compacted, true)));
         }
 
-        // Cube maintenance: exactly the regions whose tombstone count grew
-        // lost live rows — drop their entries (re-folded lazily on the next
-        // covered query). Everything else carries: the compaction below only
-        // removes already-dead rows and permutes within regions, neither of
-        // which changes a live multiset. Compared at the *old* bases, before
-        // compaction shifts them.
+        // Cube maintenance: exactly the regions whose tombstone count grew —
+        // in their main slice or their delta run — lost live rows; drop their
+        // entries (re-folded lazily on the next covered query). Everything
+        // else carries: a compaction only removes already-dead rows and
+        // moves rows within regions, neither of which changes a live
+        // multiset.
         let mut cube_entries = self.cube.snapshot();
+        let mut compact = vec![false; self.regions.len()];
         for (rid, region) in self.regions.iter().enumerate() {
-            let old_range = region.base..region.base + region.len;
-            let before = self.store.tombstones().count_deleted_in(old_range.clone());
-            let after = store.tombstones().count_deleted_in(old_range);
-            if after != before {
+            let (main, delta) = (region.base..region.base + region.len, self.delta_range(rid));
+            let dead_in = |tombstones: &TombstoneSet| {
+                tombstones.count_deleted_in(main.clone())
+                    + tombstones.count_deleted_in(delta.clone())
+            };
+            let dead = dead_in(store.tombstones());
+            if dead != dead_in(self.store.tombstones()) {
                 cube_entries[rid] = None;
             }
+            let rows = region.len + delta.len();
+            compact[rid] = dead > 0 && dead as f64 / rows as f64 > config.ingest_region_staleness;
+        }
+        if !compact.contains(&true) {
+            // Tombstone-only: the layout, and the delta, are this index's.
+            return Ok((self.with_store(store, cube_entries), report(0, false)));
         }
 
-        // Per-region compaction: regions past the staleness bar drop their
-        // dead rows and re-grid over the survivors (keeping their optimized
-        // skeleton/partitions — compaction repays *physical* staleness, the
-        // layout only re-earns optimizer time through ingest or a rebuild).
-        // Rows after a compacted region shift down; bases are re-derived.
-        let start = Instant::now();
-        let (effective_config, optimizer_kind) = effective_build_config(config);
-        let mut regions: Vec<RegionIndex> = Vec::with_capacity(self.regions.len());
-        let mut regions_compacted = 0usize;
-        let mut shift = 0usize;
-        for region in &self.regions {
-            let base = region.base - shift;
-            let range = base..base + region.len;
-            let dead = store.tombstones().count_deleted_in(range.clone());
-            let frac = (region.inserted + dead) as f64 / region.len.max(1) as f64;
-            if dead == 0 || frac <= config.ingest_region_staleness {
-                regions.push(RegionIndex {
-                    base,
-                    len: region.len,
-                    grid: region.grid.clone(),
-                    inserted: region.inserted,
-                });
-                continue;
-            }
-            let removed = store.drop_deleted_in(range);
-            debug_assert_eq!(removed, dead);
-            shift += removed;
-            regions_compacted += 1;
-            let len = region.len - removed;
-            // Re-grid the survivors into the existing layout — re-fitted to
-            // the shrunken row count, which drops the grid altogether below
-            // the layout floor — and re-sort only this region's slice into
-            // cell order.
-            let grid = region.grid.as_ref().and_then(|grid| {
-                let region_ds = store.slice_dataset(base..base + len);
-                let (skeleton, partitions) = region_layout(
-                    &region_ds,
-                    &[],
-                    Some((grid.skeleton(), grid.partitions())),
-                    cost,
-                    &effective_config,
-                    optimizer_kind,
-                )?;
-                let (grid, local_perm) = AugmentedGrid::build(&region_ds, &skeleton, &partitions);
-                store.permute_range(base, &local_perm);
-                Some(grid)
-            });
-            regions.push(RegionIndex {
-                base,
-                len,
-                grid,
-                inserted: region.inserted,
-            });
-        }
-        store.encode_blocks();
-        debug_assert_eq!(store.len(), n - shift);
+        // Compaction repays *physical* staleness; a compacted region keeps
+        // its optimized skeleton/partitions unless its layout decision has
+        // come due on the way.
+        let no_batch = Dataset::from_rows(store.num_dims(), &[])?;
+        let routed = vec![Vec::new(); self.regions.len()];
+        let (index, counts) = self.graft(
+            self.tree.clone(),
+            store,
+            &no_batch,
+            &routed,
+            &compact,
+            cube_entries,
+            cost,
+            config,
+        );
+        Ok((index, report(counts.compacted, false)))
+    }
 
-        let timing = BuildTiming {
-            sort_secs: start.elapsed().as_secs_f64(),
-            optimize_secs: 0.0,
-        };
-        Ok((
-            self.with_layout(self.tree.clone(), regions, store, timing, cube_entries),
-            DeleteReport {
-                rows_deleted,
-                regions_compacted,
-                rebuilt: false,
-                data_staleness: staleness,
-            },
-        ))
+    /// This index over `store` — its own store, at most with more tombstones
+    /// set — with the layout, grids and delta carried over as they are.
+    fn with_store(&self, store: ColumnStore, cube_entries: Vec<Option<CubeEntry>>) -> Self {
+        self.with_layout(
+            self.tree.clone(),
+            self.regions.clone(),
+            store,
+            self.delta.clone(),
+            BuildTiming::default(),
+            cube_entries,
+        )
     }
 
     /// The index a mutation leaves behind: the parts it re-derived, with
@@ -696,14 +829,22 @@ impl TsunamiIndex {
         tree: GridTree,
         regions: Vec<RegionIndex>,
         store: ColumnStore,
+        delta: Vec<usize>,
         timing: BuildTiming,
         cube_entries: Vec<Option<CubeEntry>>,
     ) -> Self {
+        // Row ownership: every stored row belongs to exactly one region, as
+        // one of its main rows or one of its delta rows.
+        debug_assert_eq!(delta.len(), regions.len() + 1);
+        debug_assert!(delta.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert_eq!(regions.iter().map(|r| r.len).sum::<usize>(), delta[0]);
+        debug_assert_eq!(delta[regions.len()], store.len());
         Self {
             tree,
             ingested: regions.iter().map(|r| r.inserted).sum(),
             regions,
             store,
+            delta,
             timing,
             name: self.name.clone(),
             config: self.config.clone(),
@@ -712,6 +853,26 @@ impl TsunamiIndex {
             cube: RegionCube::from_entries(cube_entries),
             matview: self.matview,
         }
+    }
+
+    /// Region `rid`'s delta run: the physical rows ingested into it since
+    /// the last graft.
+    fn delta_range(&self, rid: usize) -> Range<usize> {
+        self.delta[rid]..self.delta[rid + 1]
+    }
+
+    /// Rows in the delta, over all regions.
+    fn delta_rows(&self) -> usize {
+        self.store.len() - self.delta[0]
+    }
+
+    /// Region `rid`'s cube entry, folded from the store: its live rows are
+    /// those of its main slice and of its delta run.
+    fn fold_region(&self, rid: usize) -> CubeEntry {
+        let region = &self.regions[rid];
+        let mut entry = CubeEntry::fold_store(&self.store, region.base..region.base + region.len);
+        entry.merge(&CubeEntry::fold_store(&self.store, self.delta_range(rid)));
+        entry
     }
 
     /// The fraction of stored rows mutated — ingested or tombstoned — since
@@ -750,12 +911,14 @@ impl TsunamiIndex {
 
     /// Index statistics in the shape of the paper's Table 4.
     pub fn stats(&self) -> TsunamiStats {
-        let mut points: Vec<usize> = self.regions.iter().map(|r| r.len).collect();
+        let mut points: Vec<usize> = (self.regions.iter().enumerate())
+            .map(|(rid, r)| r.len + self.delta_range(rid).len())
+            .collect();
         points.sort_unstable();
         let indexed: Vec<&AugmentedGrid> = self
             .regions
             .iter()
-            .filter_map(|r| r.grid.as_ref())
+            .filter_map(|r| r.grid.as_deref())
             .collect();
         // Integer totals: an all-grid-less index averages to 0, not the -0.0
         // an empty float sum yields.
@@ -781,6 +944,7 @@ impl TsunamiIndex {
                     .sum::<usize>(),
             ),
             total_grid_cells: indexed.iter().map(|g| g.num_cells()).sum(),
+            delta_rows: self.delta_rows(),
         }
     }
 
@@ -803,80 +967,91 @@ impl MultiDimIndex for TsunamiIndex {
         let d = self.store.num_dims();
         let mut plan = ScanPlan::new();
         // Residual elimination: a predicate needs re-checking only if *some*
-        // planned region fails to guarantee it by construction (through its
+        // planned range fails to guarantee it by construction (through its
         // grid's visited partitions, or through the Grid Tree region bounds
-        // for unindexed regions).
+        // for unindexed regions and delta runs).
         let mut guaranteed = vec![true; d];
-        // A whole-region scan (no grid, or the grid's cell enumeration fell
-        // back because it would cost more than the scan): plan the region as
-        // one range, with exactness and guarantees derived from the
-        // Grid-Tree region bounds.
-        let plan_region_scan =
-            |plan: &mut ScanPlan, guaranteed: &mut Vec<bool>, region_id: usize| {
-                let region = &self.regions[region_id];
-                let tree_region = self.tree.region(region_id);
-                let exact = tree_region.contained_in(query);
-                plan.push(region.base..region.base + region.len, exact);
-                for p in query.predicates() {
-                    if p.dim < d {
-                        let (lo, hi) = tree_region.bounds[p.dim];
-                        guaranteed[p.dim] &= p.lo <= lo && hi <= p.hi;
-                    }
-                }
-            };
+        // Delta runs of the hit regions, pushed after every main range: the
+        // delta is in region order, so the runs of adjacent hit regions
+        // merge into one range (`ScanPlan::push` merges with the last range
+        // only). Never allocates while the delta is empty.
+        let mut delta_runs: Vec<(Range<usize>, bool)> = Vec::new();
         // The aggregation's input dimension, whose pre-folded SUM/MIN/MAX a
         // covered region contributes (COUNT only uses the row count; dim 0
         // stands in, and every dataset has at least one dimension).
         let agg_dim = query.aggregation().input_dim().unwrap_or(0);
         for region_id in self.tree.regions_for_query(query) {
             let region = &self.regions[region_id];
-            if region.len == 0 {
+            let delta = self.delta_range(region_id);
+            if region.len == 0 && delta.is_empty() {
                 continue;
             }
-            // Materialized-aggregate coverage: a region whose bounds lie
-            // fully inside the query contributes its pre-folded cube entry
-            // as a `PlanPartial` instead of a scan range. Only whole exact
-            // regions qualify — partial overlaps (the rims) still scan.
-            // Containment also means the region cannot weaken any residual
-            // guarantee, so skipping the per-dim flag updates is sound.
-            if self.matview && self.tree.region(region_id).contained_in(query) {
+            // Containment in the query makes everything in the region —
+            // main rows and delta rows alike, the widened bounds cover both —
+            // match it: the region can be answered from the cube, or scanned
+            // exact, and cannot weaken any residual guarantee.
+            let contained = self.tree.region(region_id).contained_in(query);
+            // Materialized-aggregate coverage: a contained region contributes
+            // its pre-folded cube entry (main + delta rows) as a
+            // `PlanPartial` instead of scan ranges. Only whole regions
+            // qualify — partial overlaps (the rims) still scan.
+            if self.matview && contained {
                 let entry = self
                     .cube
-                    .get_or_fold(region_id, &self.store, region.base, region.len);
+                    .get_or_fold(region_id, || self.fold_region(region_id));
                 if let Some(partial) = entry.partial(agg_dim) {
                     plan.push_partial(partial);
                 }
                 continue;
             }
-            match &region.grid {
-                Some(grid) => {
-                    let ranges = grid.plan_ranges(query);
-                    if ranges.fallback {
-                        plan_region_scan(&mut plan, &mut guaranteed, region_id);
-                        continue;
-                    }
-                    for (r, exact) in ranges.ranges {
+            // The main slice: through the grid's cells, or as one range when
+            // there is no grid or its cell enumeration fell back because it
+            // would cost more than the scan.
+            let cells = region.grid.as_ref().map(|grid| grid.plan_ranges(query));
+            let mut by_tree_bounds = false;
+            match cells.filter(|cells| !cells.fallback) {
+                Some(cells) => {
+                    for (r, exact) in cells.ranges {
                         plan.push(region.base + r.start..region.base + r.end, exact);
                     }
-                    for (g, rg) in guaranteed.iter_mut().zip(&ranges.guaranteed) {
+                    for (g, rg) in guaranteed.iter_mut().zip(&cells.guaranteed) {
                         *g &= rg;
                     }
                 }
-                None => plan_region_scan(&mut plan, &mut guaranteed, region_id),
+                None => {
+                    plan.push(region.base..region.base + region.len, contained);
+                    by_tree_bounds = true;
+                }
             }
+            // A whole-region range and a delta run hold "any row of the
+            // region": exact iff the region is contained, and guaranteed
+            // what the Grid-Tree region bounds guarantee.
+            if !delta.is_empty() {
+                delta_runs.push((delta, contained));
+                by_tree_bounds = true;
+            }
+            if by_tree_bounds {
+                let tree_region = self.tree.region(region_id);
+                for p in query.predicates() {
+                    if p.dim < d {
+                        let (lo, hi) = tree_region.bounds[p.dim];
+                        guaranteed[p.dim] &= p.lo <= lo && hi <= p.hi;
+                    }
+                }
+            }
+        }
+        for (run, exact) in delta_runs {
+            plan.push(run, exact);
         }
         plan.with_guaranteed_dims(query, &guaranteed)
     }
 
     fn size_bytes(&self) -> usize {
         self.tree.size_bytes()
-            + self
-                .regions
-                .iter()
-                .map(|r| {
-                    r.grid.as_ref().map_or(0, AugmentedGrid::size_bytes)
-                        + std::mem::size_of::<RegionIndex>()
-                })
+            + std::mem::size_of_val(self.regions.as_slice())
+            + std::mem::size_of_val(self.delta.as_slice())
+            + (self.regions.iter().filter_map(|r| r.grid.as_deref()))
+                .map(|grid| std::mem::size_of::<AugmentedGrid>() + grid.size_bytes())
                 .sum::<usize>()
     }
 
@@ -1123,9 +1298,12 @@ mod tests {
         assert!(ingested.data_staleness() > 0.0);
 
         let merged = merged_dataset(&data, &batch);
-        // Every row is owned by exactly one region, and the store grew.
+        // Every row is owned by exactly one region — as a main row or, for
+        // a batch this far under a scan block, a delta row — and the store
+        // grew.
+        assert_eq!(ingested.stats().delta_rows, batch.len());
         let total: usize = ingested.regions.iter().map(|r| r.len).sum();
-        assert_eq!(total, merged.len());
+        assert_eq!(total + ingested.stats().delta_rows, merged.len());
 
         // Results identical to a full rebuild — including queries reaching
         // only the out-of-domain tail.
@@ -1524,6 +1702,94 @@ mod tests {
         let merged = merged_dataset(&merged_dataset(&data, &small), &large);
         for q in floor_probes() {
             assert_eq!(index.execute(&q), q.execute_full_scan(&merged), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn compaction_is_triggered_by_dead_rows_only() {
+        let config = TsunamiConfig {
+            max_tree_depth: 0,
+            ..TsunamiConfig::fast().with_ingest_staleness(0.25, 1.0)
+        };
+        // A grid-less region that stays under the layout floor: the rows it
+        // ingests are never repaid, so it sits over the *inserted* bar.
+        let (data, index) = single_region(300, 195, &config);
+        let batch = ingest_batch(120, 196);
+        let (index, report) = index.ingest(&batch, &config).unwrap();
+        assert_eq!(report.regions_reoptimized, 0, "{report:?}");
+        let rows = data.len() + batch.len();
+        assert!(index.regions[0].inserted as f64 / rows as f64 > config.ingest_region_staleness);
+        assert_eq!(index.stats().delta_rows, batch.len());
+
+        // One new dead row does not compact it: compaction would repay that
+        // one row and carry the inserted ones over, again and again.
+        let one = Query::count(
+            (data.row(7).iter().enumerate())
+                .map(|(dim, &v)| Predicate::eq(dim, v))
+                .collect(),
+        )
+        .unwrap();
+        let (index, report) = index.delete_where(&one, &config).unwrap();
+        assert_eq!(
+            (report.rows_deleted, report.regions_compacted),
+            (1, 0),
+            "{report:?}"
+        );
+        assert_eq!(index.store.len(), rows);
+        assert_eq!(index.stats().delta_rows, batch.len());
+
+        // Past the *dead* bar it is compacted, by a graft that folds the
+        // delta in on the way; the inserted rows stay on its books.
+        let band = Query::count(vec![Predicate::range(0, 0, 20_000).unwrap()]).unwrap();
+        let (index, report) = index.delete_where(&band, &config).unwrap();
+        assert!(
+            report.rows_deleted as f64 / rows as f64 > config.ingest_region_staleness,
+            "{report:?}"
+        );
+        assert_eq!(report.regions_compacted, 1, "{report:?}");
+        assert_eq!(index.store.len(), index.live_len());
+        assert_eq!(index.stats().delta_rows, 0);
+        assert_eq!(index.regions[0].inserted, batch.len());
+        let live = live_after(&live_after(&merged_dataset(&data, &batch), &one), &band);
+        assert_eq!(index.regions[0].len, live.len());
+        for q in floor_probes() {
+            assert_eq!(index.execute(&q), q.execute_full_scan(&live), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn a_scan_block_of_rows_takes_the_graft_and_fewer_wait_in_the_delta() {
+        let data = dataset(6_000, 197);
+        let w = workload(198);
+        let config = TsunamiConfig::fast().with_ingest_staleness(1.0, 1.0);
+        let index = TsunamiIndex::build(&data, &w, &config).unwrap();
+        let rows = ingest_batch(BLOCK_ROWS, 199);
+        let (small, large) = rows.split_at(BLOCK_ROWS / 2);
+
+        // Half a block waits in the delta, sharing every grid and encoded
+        // block with its predecessor...
+        let (waiting, _) = index.ingest(small, &config).unwrap();
+        assert_eq!(waiting.stats().delta_rows, small.len());
+        for (before, after) in index.regions.iter().zip(&waiting.regions) {
+            assert_eq!((before.base, before.len), (after.base, after.len));
+            match (&before.grid, &after.grid) {
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b)),
+                (None, None) => {}
+                _ => panic!("a delta ingest changed a region's layout"),
+            }
+        }
+        // ...the next batch takes delta + batch to a block, and is grafted
+        // with it; so is a batch that is a block by itself.
+        let (grafted, _) = waiting.ingest(large, &config).unwrap();
+        let (at_once, _) = index.ingest(&rows, &config).unwrap();
+        let merged = merged_dataset(&data, &rows);
+        for ingested in [&grafted, &at_once] {
+            assert_eq!(ingested.stats().delta_rows, 0);
+            let total: usize = ingested.regions.iter().map(|r| r.len).sum();
+            assert_eq!(total, merged.len());
+            for q in w.queries().iter().step_by(7) {
+                assert_eq!(ingested.execute(q), q.execute_full_scan(&merged), "{q:?}");
+            }
         }
     }
 

@@ -38,12 +38,12 @@
 //! cells were saving is memory-bound at ~0.3 ns/row; a cell of a few dozen
 //! rows can never repay the ~1.4 µs it costs to plan its grid. The floor is
 //! derived from a region's row count alone — it is not a knob — and one
-//! function decides it for build, ingest, delete-compaction and every
-//! rebuild escalation, so a region's layout is re-decided whenever its row
-//! count moves: a grid-less region that grows through the floor earns a grid
-//! at its next staleness escalation, and a gridded one compacted below it
-//! goes back to a region scan. A grid-less region still under the floor has
-//! no layout to re-derive, so ingest appends to it without repaying its
+//! function decides it for build, the graft (below) and every rebuild
+//! escalation, so a region's layout is re-decided whenever its row count
+//! moves: a grid-less region that grows through the floor earns a grid at
+//! its next staleness escalation, and a gridded one compacted below it goes
+//! back to a region scan. A grid-less region still under the floor has no
+//! layout to re-derive, so ingest appends to it without repaying its
 //! staleness — only a rebuild restructures it. [`TsunamiStats`] reports
 //! `gridded_regions` beside `num_leaf_regions`, i.e. how much of an index is
 //! Grid Tree and how much Augmented Grid. The README's index section has the
@@ -53,9 +53,35 @@
 //! fingerprints observed queries against the optimized-for workload and says
 //! when re-optimization is due; re-optimizing is then a rebuild —
 //! [`TsunamiIndex::build`] for the new workload — as in the paper's Fig 9a.
-//! Data shift needs no rebuild: [`TsunamiIndex::ingest`] and
-//! [`TsunamiIndex::delete_where`] absorb rows into the existing structure.
-//! See the [`index`] and [`shift`] module docs.
+//! See the [`shift`] module docs.
+//!
+//! # Mutations: main, delta, graft
+//!
+//! Data shift needs no rebuild, and a mutation costs what it changes (§8's
+//! sketch: a delta buffer per Grid-Tree leaf, merged periodically). The
+//! store is the clustered, block-encoded **main** rows followed by the
+//! **delta**: the rows ingested since, kept in region order in the store's
+//! plain tail — region `r`'s are one contiguous run, found through one
+//! offsets table. [`TsunamiIndex::ingest`] routes a batch, updates
+//! Grid-Tree bounds, per-region staleness and cube entries, and merges it
+//! into the delta; [`TsunamiIndex::delete_where`] only sets tombstone bits.
+//! Both leave an index that shares every encoded block and every Augmented
+//! Grid with its predecessor by pointer, so they are O(batch + delta +
+//! regions), not O(table). `plan()` answers a hit region's delta run with a
+//! plain scan bounded by the (widened) Grid-Tree region, after the main
+//! ranges; a covered region is still one cube partial over main + delta.
+//!
+//! The **graft** is the one routine that moves the table: it folds the
+//! whole delta, the batch at hand and — for regions whose dead fraction
+//! passed the bar — the removal of dead rows into the main rows, re-grids
+//! the regions it touched and re-encodes the store. It runs when the delta
+//! reaches one scan block ([`tsunami_core::exec::BLOCK_ROWS`] rows: a batch
+//! that large is grafted at once), when a touched region's layout decision
+//! is due (past [`TsunamiConfig::ingest_region_staleness`], able to hold a
+//! grid, reached by reference queries — the graft then re-optimizes it), or
+//! when a delete leaves a region over the dead bar. All three are read off
+//! the index's own state; none is a setting. Correctness never depends on
+//! which path a mutation took. See the [`index`] module docs.
 //!
 //! # Quick start
 //!

@@ -7,11 +7,20 @@
 //! plain fallback — see [`tsunami_core::encode`]), while everything after the
 //! prefix stays a raw `Vec<u64>`. Appends go to the plain tail, so ingest
 //! never pays encode cost; [`Column::encode_blocks`] (called by index
-//! build/compaction) packs the accumulated full blocks. Any mutation that
-//! moves rows ([`Column::permute`], [`Column::permute_range`],
+//! build/graft/compaction) packs the accumulated full blocks. Any mutation
+//! that moves rows ([`Column::select`], [`Column::permute_range`],
 //! [`Column::drop_range_except`]) first decodes the affected suffix, which
 //! also keeps block metadata trivially consistent: an encoded block's
 //! contents never change after encoding.
+//!
+//! That immutability is what lets the encoded prefix sit behind an [`Arc`]:
+//! cloning a column shares every encoded block and copies only the plain
+//! tail, so a snapshot-swapped successor that appends to (or reorders) the
+//! tail costs O(tail), not O(column). A mutation that does reach into the
+//! prefix decodes from the shared blocks and leaves them untouched for the
+//! other owners.
+
+use std::sync::Arc;
 
 use tsunami_core::exec::{ColumnData, BLOCK_ROWS};
 use tsunami_core::{EncodeOptions, EncodedBlock, Value};
@@ -25,8 +34,9 @@ use tsunami_core::{EncodeOptions, EncodedBlock, Value};
 /// skipping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
-    /// Encoded blocks covering rows `0 .. packed.len() * BLOCK_ROWS`.
-    packed: Vec<EncodedBlock>,
+    /// Encoded blocks covering rows `0 .. packed.len() * BLOCK_ROWS`, shared
+    /// with every clone of the column (see the module docs).
+    packed: Arc<Vec<EncodedBlock>>,
     /// Plain values for every row after the encoded prefix.
     values: Vec<Value>,
     /// Physical min/max over every stored row; `None` when empty.
@@ -38,7 +48,7 @@ impl Column {
     pub fn new(values: Vec<Value>) -> Self {
         let bounds = min_max(&values);
         Self {
-            packed: Vec::new(),
+            packed: Arc::default(),
             values,
             bounds,
         }
@@ -71,7 +81,7 @@ impl Column {
             ColumnData::Plain(&self.values)
         } else {
             ColumnData::Encoded {
-                blocks: &self.packed,
+                blocks: self.packed.as_slice(),
                 tail: &self.values,
             }
         }
@@ -98,6 +108,17 @@ impl Column {
         }
     }
 
+    /// Whether some row of block `block` (rows `block * BLOCK_ROWS ..`) may
+    /// hold a live value in `lo..=hi`. An encoded block answers from its
+    /// live bounds — rows dead at encode time stay dead — and a plain one
+    /// cannot tell, so it may.
+    pub fn block_may_match(&self, block: usize, lo: Value, hi: Value) -> bool {
+        self.packed.get(block).is_none_or(|eb| {
+            eb.live_bounds()
+                .is_some_and(|(min, max)| lo <= max && min <= hi)
+        })
+    }
+
     /// Decodes rows `range` into a fresh vector (store order).
     pub fn decode_range(&self, range: std::ops::Range<usize>) -> Vec<Value> {
         self.data().decode_range(range)
@@ -118,9 +139,10 @@ impl Column {
     /// Appends values at the end of the column, extending min/max to cover
     /// them. This is the storage half of incremental ingestion: appended rows
     /// land in the **plain tail** — never encoded on the hot insert path —
-    /// and the owning index then grafts them into place with
-    /// [`Column::permute`]/[`Column::permute_range`] (or leaves them, and a
-    /// later [`Column::encode_blocks`] packs them).
+    /// and the owning index then orders the tail with
+    /// [`Column::permute_range`] or grafts them into place with
+    /// [`Column::select`] (or leaves them, and a later
+    /// [`Column::encode_blocks`] packs them).
     pub fn append(&mut self, values: &[Value]) {
         let Some((lo, hi)) = min_max(values) else {
             return;
@@ -143,11 +165,12 @@ impl Column {
             return;
         }
         let base = self.packed.len() * BLOCK_ROWS;
-        self.packed.reserve(full);
+        let packed = Arc::make_mut(&mut self.packed);
+        packed.reserve(full);
         for b in 0..full {
             let start = b * BLOCK_ROWS;
             let abs = base + start;
-            self.packed.push(EncodedBlock::encode(
+            packed.push(EncodedBlock::encode(
                 &self.values[start..start + BLOCK_ROWS],
                 |i| is_live(abs + i),
                 opts,
@@ -170,23 +193,33 @@ impl Column {
         }
         let decoded_rows: usize = self.packed[k0..].iter().map(|eb| eb.len()).sum();
         let mut plain = Vec::with_capacity(decoded_rows + self.values.len());
-        for eb in self.packed.drain(k0..) {
+        for eb in &self.packed[k0..] {
             let off = plain.len();
             plain.resize(off + eb.len(), 0);
             eb.decode_into(0, &mut plain[off..]);
         }
         plain.append(&mut self.values);
         self.values = plain;
+        // Keep blocks `..k0`: in place when this column is their only owner,
+        // as a copy of just those blocks when they are shared.
+        match Arc::get_mut(&mut self.packed) {
+            Some(packed) => packed.truncate(k0),
+            None => self.packed = Arc::new(self.packed[..k0].to_vec()),
+        }
     }
 
-    /// Rebuilds the column with rows in permuted order: new row `i` holds the
-    /// value previously at row `perm[i]`. Decodes the whole column first; the
-    /// owner re-encodes after restructuring.
-    pub fn permute(&mut self, perm: &[usize]) {
+    /// Rebuilds the column from the listed rows, in the listed order: new
+    /// row `i` holds the value previously at row `rows[i]`, and every row not
+    /// listed is dropped (a permutation drops none). Decodes the whole
+    /// column first; the owner re-encodes after restructuring. Min/max are
+    /// recomputed when rows were dropped, since removal can tighten them.
+    pub fn select(&mut self, rows: &[usize]) {
         self.make_plain();
-        debug_assert_eq!(perm.len(), self.values.len());
-        let new_values: Vec<Value> = perm.iter().map(|&src| self.values[src]).collect();
-        self.values = new_values;
+        let dropped = rows.len() != self.values.len();
+        self.values = rows.iter().map(|&src| self.values[src]).collect();
+        if dropped {
+            self.recompute_bounds();
+        }
     }
 
     /// Permutes only the rows `base..base + perm.len()`: new row `base + i`
@@ -225,7 +258,7 @@ impl Column {
 
     fn recompute_bounds(&mut self) {
         let mut bounds = min_max(&self.values);
-        for eb in &self.packed {
+        for eb in self.packed.iter() {
             let (lo, hi) = eb.bounds();
             bounds = Some(match bounds {
                 None => (lo, hi),
@@ -303,9 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn permute_reorders_values() {
+    fn select_of_a_permutation_reorders_values() {
         let mut c = Column::new(vec![10, 20, 30, 40]);
-        c.permute(&[3, 1, 0, 2]);
+        c.select(&[3, 1, 0, 2]);
         assert_eq!(c.values(), &[40, 20, 10, 30]);
         assert_eq!(c.get(0), 40);
     }
@@ -377,6 +410,45 @@ mod tests {
         // Re-encoding packs the plain region again.
         c.encode_blocks(&EncodeOptions::default(), |_| true);
         assert_eq!(c.encoded_blocks().len(), 3);
+    }
+
+    #[test]
+    fn select_reorders_drops_and_retightens_bounds() {
+        let mut c = encoded_column(BLOCK_ROWS + 10);
+        // Keep three rows, out of order, from the block and from the tail.
+        c.select(&[BLOCK_ROWS + 3, 2, 700]);
+        let value = |i: usize| (i as u64) * 3 % 2048;
+        assert_eq!(c.values(), &[value(BLOCK_ROWS + 3), 6, value(700)]);
+        assert_eq!((c.min(), c.max()), (Some(6), Some(value(BLOCK_ROWS + 3))));
+    }
+
+    #[test]
+    fn a_clone_shares_the_encoded_prefix_until_it_reaches_into_it() {
+        let n = 3 * BLOCK_ROWS + 20;
+        let original = encoded_column(n);
+        let mut clone = original.clone();
+        assert!(std::ptr::eq(
+            original.encoded_blocks().as_ptr(),
+            clone.encoded_blocks().as_ptr()
+        ));
+        // Tail-only mutations keep sharing it.
+        clone.append(&[7, 8, 9]);
+        clone.permute_range(3 * BLOCK_ROWS, &[2, 1, 0]);
+        assert!(std::ptr::eq(
+            original.encoded_blocks().as_ptr(),
+            clone.encoded_blocks().as_ptr()
+        ));
+        // Reaching into block 1 decodes the clone's blocks 1.. and copies
+        // block 0; the original keeps all three, untouched.
+        clone.permute_range(BLOCK_ROWS + 5, &[1, 0]);
+        assert_eq!(clone.encoded_blocks().len(), 1);
+        assert_eq!(original.encoded_blocks().len(), 3);
+        assert_eq!(original.len(), n);
+        for i in (0..n).step_by(41) {
+            assert_eq!(original.get(i), (i as u64) * 3 % 2048);
+        }
+        assert_eq!(clone.get(BLOCK_ROWS + 5), original.get(BLOCK_ROWS + 6));
+        assert_eq!(clone.get(7), original.get(7));
     }
 
     #[test]

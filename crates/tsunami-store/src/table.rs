@@ -6,7 +6,7 @@ use std::ops::Range;
 use crate::column::Column;
 use crate::encode::EncodePolicy;
 use tsunami_core::exec::{ColumnData, ScanSource, BLOCK_ROWS};
-use tsunami_core::{Dataset, Query, TombstoneSet, Value};
+use tsunami_core::{Dataset, Predicate, Query, TombstoneSet, Value};
 
 /// A column-oriented physical table.
 ///
@@ -77,16 +77,35 @@ impl ColumnStore {
             self.len,
             "permutation length must match row count"
         );
+        self.select(perm);
+    }
+
+    /// Rebuilds the store from the listed rows, in the listed order: new row
+    /// `i` holds what was at row `rows[i]`, and every row not listed is
+    /// dropped with its tombstone bit. [`ColumnStore::permute`] without the
+    /// promise that `rows` is a permutation — what lets one pass both
+    /// reorder a store and leave its dead rows out.
+    pub fn select(&mut self, rows: &[usize]) {
         for c in &mut self.columns {
-            c.permute(perm);
+            c.select(rows);
         }
-        self.tombstones = self.tombstones.permuted(perm);
+        // (`TombstoneSet::permuted` insists on a full permutation.)
+        let mut tombstones = TombstoneSet::new(rows.len());
+        if self.tombstones.any() {
+            for (new, &old) in rows.iter().enumerate() {
+                if self.tombstones.is_deleted(old) {
+                    tombstones.mark(new);
+                }
+            }
+        }
+        self.tombstones = tombstones;
+        self.len = rows.len();
     }
 
     /// Appends a dataset's rows at the end of the store (the *append
     /// region*). The new rows keep the dataset's order; the owning index is
     /// expected to graft them into place afterwards with
-    /// [`ColumnStore::permute`] / [`ColumnStore::permute_range`] (or leave
+    /// [`ColumnStore::select`] / [`ColumnStore::permute_range`] (or leave
     /// them at the tail, for layouts where position is irrelevant). Column
     /// min/max bounds are widened to cover the new values.
     pub fn append_dataset(&mut self, data: &Dataset) {
@@ -149,8 +168,8 @@ impl ColumnStore {
 
     /// Encodes every column's accumulated full blocks with the
     /// environment-configured [`EncodePolicy`]. Indexes call this after
-    /// build/compaction/re-optimization restructures the store; ingest
-    /// appends stay plain until then.
+    /// build/graft/compaction restructures the store; ingest appends stay
+    /// plain until then.
     pub fn encode_blocks(&mut self) {
         self.encode_blocks_with(&EncodePolicy::from_env());
     }
@@ -212,19 +231,33 @@ impl ColumnStore {
     /// Returns the number of rows newly deleted. The rows keep their
     /// physical slots (scans skip them via the bitmap) until a
     /// [`ColumnStore::drop_deleted_in`] compaction removes them.
+    ///
+    /// The scan goes a [`BLOCK_ROWS`] block at a time: a block whose encoded
+    /// bounds exclude a predicate is skipped undecoded, the rest decode only
+    /// the predicate columns.
     pub fn delete_where(&mut self, query: &Query) -> usize {
         let preds = query.predicates();
         let mut newly = 0usize;
-        'rows: for row in 0..self.len {
-            if self.tombstones.is_deleted(row) {
+        let mut hit = [false; BLOCK_ROWS];
+        for start in (0..self.len).step_by(BLOCK_ROWS) {
+            let block = start / BLOCK_ROWS;
+            let candidate = |p: &Predicate| self.columns[p.dim].block_may_match(block, p.lo, p.hi);
+            if !preds.iter().all(candidate) {
                 continue;
             }
+            let hit = &mut hit[..BLOCK_ROWS.min(self.len - start)];
+            for (i, h) in hit.iter_mut().enumerate() {
+                *h = !self.tombstones.is_deleted(start + i);
+            }
             for p in preds {
-                if !p.matches(self.columns[p.dim].get(row)) {
-                    continue 'rows;
+                let values = self.columns[p.dim].decode_range(start..start + hit.len());
+                for (h, &v) in hit.iter_mut().zip(&values) {
+                    *h &= p.matches(v);
                 }
             }
-            newly += self.tombstones.mark(row) as usize;
+            for i in (0..hit.len()).filter(|&i| hit[i]) {
+                newly += self.tombstones.mark(start + i) as usize;
+            }
         }
         newly
     }
@@ -424,6 +457,24 @@ mod tests {
     }
 
     #[test]
+    fn select_keeps_the_listed_rows_and_their_tombstones() {
+        let mut s = store();
+        let del = Query::count(vec![Predicate::range(0, 10, 19).unwrap()]).unwrap();
+        assert_eq!(s.delete_where(&del), 10);
+        // Rows 30..5 backwards: 10 of the 25 are dead; everything else goes.
+        let rows: Vec<usize> = (5..30).rev().collect();
+        s.select(&rows);
+        assert_eq!((s.len(), s.live_len()), (25, 15));
+        assert_eq!((s.get(0, 0), s.get(24, 1)), (29, 10));
+        assert_eq!((s.column(0).min(), s.column(0).max()), (Some(5), Some(29)));
+        let q = Query::count(vec![]).unwrap();
+        assert_eq!(full_scan(&s, &q), AggResult::Count(15));
+        let live = s.live_slice_dataset(0..25);
+        assert_eq!(live.column(0)[..3], [29, 28, 27]);
+        assert_eq!(live.column(0)[10..12], [9, 8]);
+    }
+
+    #[test]
     fn append_dataset_grows_the_store_and_answers_correctly() {
         let mut s = store();
         let extra = Dataset::from_columns(vec![vec![100, 101], vec![200, 202]]).unwrap();
@@ -481,28 +532,63 @@ mod tests {
 
     #[test]
     fn delete_where_hides_rows_from_every_scan_shape() {
-        let mut s = store();
-        let del = Query::count(vec![Predicate::range(0, 10, 19).unwrap()]).unwrap();
-        assert_eq!(s.delete_where(&del), 10);
-        // Re-deleting is a no-op.
-        assert_eq!(s.delete_where(&del), 0);
-        assert_eq!((s.len(), s.live_len()), (100, 90));
+        // The small plain store, and one with two encoded blocks and a plain
+        // tail (dim0 = row id, dim1 = 2 * row id in both): bands inside a
+        // block, across a block boundary, and in the tail.
+        let n = 2 * BLOCK_ROWS + 100;
+        let mut encoded = ColumnStore::from_dataset(
+            &Dataset::from_columns(vec![
+                (0..n as u64).collect(),
+                (0..n as u64).map(|v| v * 2).collect(),
+            ])
+            .unwrap(),
+        );
+        encoded.encode_blocks_with(&EncodePolicy::default());
+        assert_eq!(encoded.column(0).encoded_blocks().len(), 2);
+        assert_eq!(encoded.column(0).tail_rows(), 100);
+        let b = BLOCK_ROWS as u64;
+        let cases = [
+            (store(), vec![(10, 20)]),
+            (
+                encoded,
+                vec![(10, 20), (b - 5, b + 5), (2 * b + 40, 2 * b + 50)],
+            ),
+        ];
+        for (mut s, bands) in cases {
+            let n = s.len();
+            for &(lo, end) in &bands {
+                let preds = vec![
+                    Predicate::range(0, lo, end - 1).unwrap(),
+                    Predicate::range(1, 0, u64::MAX).unwrap(),
+                ];
+                let del = Query::count(preds).unwrap();
+                assert_eq!(s.delete_where(&del), 10);
+                // Re-deleting is a no-op.
+                assert_eq!(s.delete_where(&del), 0);
+            }
+            let dead = 10 * bands.len();
+            assert_eq!((s.len(), s.live_len()), (n, n - dead));
+            // A band no block's bounds admit deletes nothing.
+            let none = Query::count(vec![Predicate::range(0, 1 << 40, 1 << 41).unwrap()]).unwrap();
+            assert_eq!(s.delete_where(&none), 0);
 
-        // Non-exact scan: the deleted band no longer matches.
-        let q = Query::count(vec![Predicate::range(0, 0, 29).unwrap()]).unwrap();
-        assert_eq!(full_scan(&s, &q), AggResult::Count(20));
-        // Exact range over the deleted band: liveness still applies.
-        let all = Query::count(vec![]).unwrap();
-        let (res, c) = execute_ranges(&s, &all, [(0..30, true)]);
-        assert_eq!(res, AggResult::Count(20));
-        assert_eq!(c.matched, 20);
-        // Aggregations over the store skip tombstoned values.
-        let sum = Query::new(vec![], Aggregation::Sum(1)).unwrap();
-        let expected: u128 = (0..100u128)
-            .filter(|v| !(10..20).contains(v))
-            .map(|v| v * 2)
-            .sum();
-        assert_eq!(full_scan(&s, &sum), AggResult::Sum(expected));
+            // Non-exact scan: the deleted band no longer matches.
+            let q = Query::count(vec![Predicate::range(0, 0, 29).unwrap()]).unwrap();
+            assert_eq!(full_scan(&s, &q), AggResult::Count(20));
+            // Exact range over the deleted band: liveness still applies.
+            let all = Query::count(vec![]).unwrap();
+            let (res, c) = execute_ranges(&s, &all, [(0..30, true)]);
+            assert_eq!(res, AggResult::Count(20));
+            assert_eq!(c.matched, 20);
+            assert_eq!(full_scan(&s, &all), AggResult::Count((n - dead) as u64));
+            // Aggregations over the store skip tombstoned values.
+            let sum = Query::new(vec![], Aggregation::Sum(1)).unwrap();
+            let expected: u128 = (0..n as u64)
+                .filter(|v| !bands.iter().any(|(lo, end)| (lo..end).contains(&v)))
+                .map(|v| v as u128 * 2)
+                .sum();
+            assert_eq!(full_scan(&s, &sum), AggResult::Sum(expected));
+        }
     }
 
     #[test]
