@@ -3,43 +3,41 @@
 //! Usage:
 //!
 //! ```text
-//! repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N]
+//! repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N] [--out DIR]
 //! ```
 //!
 //! `EXPERIMENT` is one of `table3`, `table4`, `fig7`, `fig7par`,
-//! `fig7sched`, `fig7net`, `fig8`, `fig9a`, `fig9b`, `fig10`, `fig11a`,
-//! `fig11b`, `fig12a`, `fig12b`, `fig12kern`, `figmv`, `walbench`,
-//! `check-bench`, or `all` (default). Run in release mode:
+//! `fig7sched`, `fig8`, `fig9a`, `fig9b`, `fig10`, `fig11a`, `fig11b`,
+//! `fig12a`, `fig12b`, `fig12kern`, `figmv`, `check-bench`, or `all`
+//! (default). Run in release mode:
 //! `cargo run --release -p tsunami-bench --bin repro -- fig7`.
 //!
-//! `fig12kern` additionally writes machine-readable `BENCH_scan.json`
-//! (median ns/row per selectivity × predicate count × kernel tier; path
-//! overridable via the `BENCH_SCAN_JSON` env var), `fig9b` writes
-//! `BENCH_ingest.json` (ingest-vs-rebuild across batch sizes; override via
-//! `BENCH_INGEST_JSON`), and `fig7par` writes `BENCH_pool.json`
-//! (serial vs pooled executor latency per dataset × index,
-//! with the pool's worker count and the executor's morsel size; override via
-//! `BENCH_POOL_JSON`), and `fig7net` writes `BENCH_net.json` (open-loop
-//! QPS sweep over the sharded wire-protocol server: achieved QPS and
-//! p50/p95/p99 latency per target; override via `BENCH_NET_JSON`, tune with
-//! `TSUNAMI_SHARDS`, `TSUNAMI_NET_QPS`, `TSUNAMI_NET_DURATION_MS`,
-//! `TSUNAMI_NET_CONNS`), and `figmv` writes `BENCH_matview.json`
-//! (materialized-aggregate covered-query latency, matview on vs off, per
-//! coverage × aggregation; override via `BENCH_MATVIEW_JSON`), and
-//! `walbench` writes `BENCH_wal.json`
-//! (`Database::open` replay time vs WAL length before/after a checkpoint,
-//! plus scan latency under tombstoned and compacted deletes; override via
-//! `BENCH_WAL_JSON`) so performance is tracked across PRs.
+//! Four experiments also write a machine-readable file into `--out DIR`
+//! (default `.`, created if missing) so performance is tracked across PRs:
+//! `fig12kern` writes `BENCH_scan.json` (median ns/row per selectivity ×
+//! predicate count × encoding × kernel tier), `figmv` `BENCH_matview.json`
+//! (materialized-aggregate covered-query latency, cube on vs off, per
+//! coverage × aggregation), `fig7par` `BENCH_pool.json` (serial vs pooled
+//! executor latency per dataset × index, with the pool's worker count and
+//! the executor's morsel size) and `fig9b` `BENCH_ingest.json`
+//! (ingest-vs-rebuild across batch sizes, and the small-batch stream).
 //!
-//! The pool's worker count is `TSUNAMI_POOL_THREADS` (default
-//! `available_parallelism`); `TSUNAMI_ENCODE=off` disables block encoding.
+//! `check-bench` is the CI regression gate over those four files: it runs
+//! `fig12kern` and `figmv` and exits non-zero if any median regressed past
+//! `max(2.5x, +slack)` of the checked-in file of the same name under
+//! `bench-baselines/` (so run it from the repository root). A
+//! `BENCH_pool.json` / `BENCH_ingest.json` that an earlier `fig7par` /
+//! `fig9b` step left in `--out` is gated the same way when present. A file
+//! whose header names another experiment or another `rows` than its baseline
+//! fails the gate: run at the baseline's size. `--out bench-baselines` is how
+//! an experiment refreshes its baseline, and `check-bench` refuses it.
 //!
-//! `check-bench` is the CI regression gate: it re-runs the `fig12kern` and
-//! `figmv` smokes and exits non-zero if any median regressed past
-//! `max(2.5x, +slack)` of the checked-in baselines under `bench-baselines/`
-//! (`BENCH_scan.json` overridable via `BENCH_BASELINE_JSON`). Fresh
-//! `BENCH_pool.json` / `BENCH_ingest.json` files from earlier `fig7par` /
-//! `fig9b` steps are gated against their committed baselines when present.
+//! Served, durable and ingest traffic are measured end to end and per layer
+//! by `benchmark/run.sh` (`served_mixed`, `ingest_mixed`), not here.
+//!
+//! The library reads two environment variables of its own:
+//! `TSUNAMI_POOL_THREADS` (the pool's worker count, default
+//! `available_parallelism`) and `TSUNAMI_ENCODE=off` (no block encoding).
 
 use tsunami_bench::experiments;
 use tsunami_bench::HarnessConfig;
@@ -51,10 +49,11 @@ enum Command {
 }
 
 /// Parses the arguments after the program name. A flag with a missing or
-/// unparseable value is an error, never a silent fall-back to the default —
-/// a typo must not look like a slow default-sized run.
+/// unparseable value, a flag this program does not have, and a second
+/// experiment name are errors, never a silent fall-back to the default — a
+/// typo must not look like a slow default-sized run.
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut experiment = "all".to_string();
+    let mut experiment: Option<&str> = None;
     let mut config = HarnessConfig::default();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -62,18 +61,32 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             "--rows" => config.rows = number(arg, args.next())?,
             "--queries-per-type" | "--qpt" => config.queries_per_type = number(arg, args.next())?,
             "--seed" => config.seed = number(arg, args.next())?,
+            "--out" => config.out = value(arg, args.next())?.into(),
             "--help" | "-h" => return Ok(Command::Help),
-            other => experiment = other.to_string(),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
+            name => {
+                if let Some(first) = experiment {
+                    return Err(format!("two experiments named: '{first}' and '{name}'"));
+                }
+                experiment = Some(name);
+            }
         }
     }
-    Ok(Command::Run(experiment, config))
+    Ok(Command::Run(
+        experiment.unwrap_or("all").to_string(),
+        config,
+    ))
 }
 
-fn number<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    value
+fn value<'a>(flag: &str, value: Option<&'a String>) -> Result<&'a String, String> {
+    value.ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn number<T: std::str::FromStr>(flag: &str, given: Option<&String>) -> Result<T, String> {
+    let given = value(flag, given)?;
+    given
         .parse()
-        .map_err(|_| format!("{flag}: '{value}' is not a non-negative integer"))
+        .map_err(|_| format!("{flag}: '{given}' is not a non-negative integer"))
 }
 
 fn main() {
@@ -90,6 +103,14 @@ fn main() {
             std::process::exit(2);
         }
     };
+
+    // Before the minutes of measuring, not after: an `--out` that cannot
+    // hold the run's BENCH file is a usage error like any other.
+    if let Err(e) = std::fs::create_dir_all(&config.out) {
+        eprintln!("--out {}: {e}", config.out.display());
+        print_usage();
+        std::process::exit(2);
+    }
 
     eprintln!(
         "# repro: experiment={experiment} rows={} queries/type={} seed={}",
@@ -126,14 +147,16 @@ fn main() {
 }
 
 fn print_usage() {
-    eprintln!("usage: repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N]");
-    eprintln!("experiments: all, table3, table4, fig7, fig7par, fig7sched, fig7net, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, walbench, check-bench");
-    eprintln!("fig12kern also writes BENCH_scan.json (override path with BENCH_SCAN_JSON); fig9b writes BENCH_ingest.json (BENCH_INGEST_JSON); fig7par writes BENCH_pool.json (BENCH_POOL_JSON); fig7net writes BENCH_net.json (BENCH_NET_JSON); figmv writes BENCH_matview.json (BENCH_MATVIEW_JSON); walbench writes BENCH_wal.json (BENCH_WAL_JSON)");
-    eprintln!("fig7net tuning: TSUNAMI_SHARDS, TSUNAMI_NET_QPS (comma-separated sweep), TSUNAMI_NET_DURATION_MS, TSUNAMI_NET_CONNS");
+    eprintln!("usage: repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N] [--out DIR]");
+    eprintln!("experiments: all, table3, table4, fig7, fig7par, fig7sched, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, check-bench");
+    eprintln!("--out DIR (default ., created if missing): where fig12kern writes BENCH_scan.json, figmv BENCH_matview.json, fig7par BENCH_pool.json and fig9b BENCH_ingest.json");
+    eprintln!("check-bench: runs fig12kern + figmv and fails on >2.5x median regressions against bench-baselines/, gates a BENCH_pool.json / BENCH_ingest.json already in --out too, and refuses a file whose experiment or rows differ from its baseline's");
     eprintln!(
-        "engine knobs: TSUNAMI_POOL_THREADS (pool workers), TSUNAMI_ENCODE=off (no block encoding)"
+        "served, durable and ingest traffic: bash benchmark/run.sh (served_mixed, ingest_mixed)"
     );
-    eprintln!("check-bench re-runs fig12kern + figmv and fails on >2.5x median regressions vs bench-baselines/ (BENCH_scan.json path via BENCH_BASELINE_JSON); fresh BENCH_pool.json/BENCH_ingest.json are gated too when present");
+    eprintln!(
+        "library knobs: TSUNAMI_POOL_THREADS (pool workers), TSUNAMI_ENCODE=off (no block encoding)"
+    );
 }
 
 #[cfg(test)]
@@ -161,12 +184,24 @@ mod tests {
             parse(&["--rows", "8000", "-h"]),
             Ok(Command::Help)
         ));
-        // Unparseable and missing values are errors, not defaults.
+        match parse(&["--out", "fresh", "check-bench"]) {
+            Ok(Command::Run(experiment, config)) => {
+                assert_eq!(experiment, "check-bench");
+                assert_eq!(config.out.to_str(), Some("fresh"));
+            }
+            _ => panic!("well-formed arguments must parse"),
+        }
+        // Unparseable and missing values, flags that do not exist and a
+        // second experiment are errors, not defaults.
         for bad in [
             &["--rows", "8k"][..],
             &["--rows"],
             &["--seed", "-1"],
             &["fig7", "--queries-per-type", "four"],
+            &["--row", "8000", "fig7"],
+            &["fig7", "-x"],
+            &["fig7", "fig8"],
+            &["fig7", "--out"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }

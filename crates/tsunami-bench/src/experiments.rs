@@ -15,6 +15,7 @@ use crate::harness::{
 };
 use crate::table::{fmt_f64, Table};
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tsunami_core::{CostModel, Dataset, MultiDimIndex};
@@ -137,15 +138,9 @@ pub fn fig7(config: &HarnessConfig) -> String {
 /// pool on the learned indexes, with the executor counter invariant
 /// (parallel counters equal serial counters) checked on every dataset. The
 /// pooled column is what `execute_parallel` runs in production. The
-/// machine-readable results land in `BENCH_pool.json` (path overridable via
-/// the `BENCH_POOL_JSON` env var) so the pool's perf trajectory is tracked
-/// across PRs.
+/// machine-readable results land in `BENCH_pool.json` so the pool's perf
+/// trajectory is tracked across PRs.
 pub fn fig7_parallel(config: &HarnessConfig) -> String {
-    let path = std::env::var("BENCH_POOL_JSON").unwrap_or_else(|_| "BENCH_pool.json".to_string());
-    fig7_parallel_impl(config, Some(std::path::Path::new(&path)))
-}
-
-fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> String {
     let bundles = standard_bundles(config);
     let pool = tsunami_core::exec::pool::global();
     let threads = pool.worker_count();
@@ -162,8 +157,7 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
             "avg points scanned",
         ],
     );
-    // (dataset, index, serial us, pooled us)
-    let mut entries: Vec<(String, String, f64, f64)> = Vec::new();
+    let mut entries = Vec::new();
     for b in &bundles {
         let db = database_for_bundle(b, &config.learned_specs());
         for table in db.tables() {
@@ -184,56 +178,23 @@ fn fig7_parallel_impl(config: &HarnessConfig, json_path: Option<&std::path::Path
                 morsel_rows.to_string(),
                 fmt_f64(serial.avg_points_scanned),
             ]);
-            entries.push((
-                b.name.to_string(),
-                table.name().to_string(),
+            entries.push(pool_entry(
+                b.name,
+                table.name(),
                 serial.avg_query_us,
                 pooled.avg_query_us,
             ));
         }
     }
-    if let Some(path) = json_path {
-        match write_bench_pool_json(
-            path,
-            config.rows,
-            config.seed,
-            threads,
-            morsel_rows,
-            &entries,
-        ) {
-            Ok(()) => eprintln!("# fig7par: wrote {}", path.display()),
-            Err(e) => eprintln!("# fig7par: could not write {}: {e}", path.display()),
-        }
-    }
+    write_bench_json(
+        config,
+        "BENCH_pool.json",
+        "fig7par",
+        config.rows,
+        &[("workers", threads), ("morsel_rows", morsel_rows)],
+        &entries,
+    );
     finish(t)
-}
-
-/// Hand-rolled (the workspace is offline — no serde) machine-readable dump
-/// of the parallel-executor benchmark: average query latency per
-/// (dataset, index) under the serial and pooled executors, plus the pool geometry the run used.
-fn write_bench_pool_json(
-    path: &std::path::Path,
-    rows: usize,
-    seed: u64,
-    workers: usize,
-    morsel_rows: usize,
-    entries: &[(String, String, f64, f64)],
-) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"experiment\": \"fig7par\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \
-         \"workers\": {workers},\n  \"morsel_rows\": {morsel_rows},\n  \"entries\": [\n"
-    ));
-    for (i, (dataset, index, serial, pooled)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{dataset}\", \"index\": \"{index}\", \
-             \"serial_us\": {serial:.3}, \"pooled_us\": {pooled:.3}}}{comma}\n"
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
 }
 
 /// Multi-client throughput: many independent fig7-workload queries executed
@@ -391,36 +352,30 @@ pub fn fig9b(config: &HarnessConfig) -> String {
     }
     let mut out = finish(t);
     out.push('\n');
-    let (batches, entries) = fig9b_ingest_impl(config);
+    let (batches, mut entries) = fig9b_ingest_impl(config);
     out.push_str(&batches);
     out.push('\n');
     let (stream, streams) = fig9b_stream_impl(config, &STREAM_TABLE_ROWS);
     out.push_str(&stream);
-    let path =
-        std::env::var("BENCH_INGEST_JSON").unwrap_or_else(|_| "BENCH_ingest.json".to_string());
-    match write_bench_ingest_json(
-        std::path::Path::new(&path),
+    entries.extend(streams.iter().map(stream_entry));
+    write_bench_json(
+        config,
+        "BENCH_ingest.json",
+        "fig9b_ingest",
         config.rows,
-        config.seed,
+        &[],
         &entries,
-        &streams,
-    ) {
-        Ok(()) => eprintln!("# fig9b: wrote {path}"),
-        Err(e) => eprintln!("# fig9b: could not write {path}: {e}"),
-    }
+    );
     out
 }
-
-/// One `BENCH_ingest.json` batch-size entry: (index, batch %, batch rows,
-/// ingest s, rebuild s, ingested us, rebuilt us).
-type IngestEntry = (&'static str, f64, usize, f64, f64, f64, f64);
 
 /// The ingest drill-down: absorb batches of 1/5/10% new TPC-H rows into a
 /// built index (`TsunamiIndex::ingest` / `FloodIndex::ingest`) and compare
 /// against rebuilding from the full dataset — both the adaptation time and
 /// the post-ingest query latency. Every ingested index is cross-checked for
-/// bit-identical results against the rebuilt one while measuring.
-fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<IngestEntry>) {
+/// bit-identical results against the rebuilt one while measuring. Returns
+/// the table and one `BENCH_ingest.json` entry per (batch size, index).
+fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<String>) {
     let data = tpch::generate(config.rows, config.seed);
     let workload = tpch::workload(&data, config.queries_per_type, config.seed ^ 10);
     let cost = CostModel::default();
@@ -440,7 +395,7 @@ fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<IngestEntry>) {
             "rebuilt (us)",
         ],
     );
-    let mut entries: Vec<IngestEntry> = Vec::new();
+    let mut entries = Vec::new();
 
     let tsunami = TsunamiIndex::build_with_cost(&data, &workload, &cost, &tsunami_config)
         .expect("tsunami build");
@@ -519,7 +474,7 @@ fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<IngestEntry>) {
                 fmt_f64(ingested_us),
                 fmt_f64(rebuilt_us),
             ]);
-            entries.push((
+            entries.push(ingest_entry(
                 family,
                 pct,
                 m,
@@ -649,48 +604,6 @@ fn fig9b_stream_impl(config: &HarnessConfig, table_rows: &[usize]) -> (String, V
         entries.push(entry);
     }
     (finish(t), entries)
-}
-
-/// Hand-rolled machine-readable dump of the ingest drill-down (the workspace
-/// is offline — no serde): one line per batch-size entry, then one per
-/// small-batch stream.
-fn write_bench_ingest_json(
-    path: &std::path::Path,
-    rows: usize,
-    seed: u64,
-    entries: &[IngestEntry],
-    streams: &[StreamEntry],
-) -> std::io::Result<()> {
-    let mut lines = Vec::new();
-    for (index, pct, batch, ingest, rebuild, ing_us, reb_us) in entries {
-        lines.push(format!(
-            "    {{\"index\": \"{index}\", \"batch_pct\": {pct}, \"batch_rows\": {batch}, \
-             \"ingest_secs\": {ingest:.6}, \"rebuild_secs\": {rebuild:.6}, \
-             \"post_ingest_us\": {ing_us:.4}, \"rebuilt_us\": {reb_us:.4}}}"
-        ));
-    }
-    for e in streams {
-        lines.push(format!(
-            "    {{\"index\": \"Tsunami\", \"stream\": \"{STREAM_BATCHES}x{STREAM_BATCH_ROWS}\", \
-             \"table_rows\": {}, \"batch_p50_us\": {:.2}, \"batch_max_us\": {:.2}, \
-             \"graft_p50_us\": {:.2}, \"grafts\": {}, \"delta_rows\": {}, \
-             \"post_stream_us\": {:.4}, \"rebuilt_us\": {:.4}}}",
-            e.table_rows,
-            e.batch_p50_us,
-            e.batch_max_us,
-            e.graft_p50_us,
-            e.grafts,
-            e.delta_rows,
-            e.post_stream_us,
-            e.rebuilt_us,
-        ));
-    }
-    let s = format!(
-        "{{\n  \"experiment\": \"fig9b_ingest\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \
-         \"entries\": [\n{}\n  ]\n}}\n",
-        lines.join(",\n")
-    );
-    std::fs::write(path, s)
 }
 
 /// Fig 10: scalability with dimensionality, on uncorrelated and correlated
@@ -870,14 +783,9 @@ pub fn fig12b(config: &HarnessConfig) -> String {
 /// blocks), with the speedup over the scalar selection loop. Every
 /// tier × encoding result is cross-checked against the scalar oracle on
 /// plain data while measuring. The machine-readable results land in
-/// `BENCH_scan.json` (path overridable via the `BENCH_SCAN_JSON` env var)
-/// so the scan-kernel perf trajectory is tracked across PRs.
+/// `BENCH_scan.json` so the scan-kernel perf trajectory is tracked across
+/// PRs.
 pub fn fig12kern(config: &HarnessConfig) -> String {
-    let path = std::env::var("BENCH_SCAN_JSON").unwrap_or_else(|_| "BENCH_scan.json".to_string());
-    fig12kern_impl(config, Some(std::path::Path::new(&path)))
-}
-
-fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> String {
     use tsunami_core::exec::{execute_plan_with, ExecOptions, KernelTier, ScanPlan, ScanSource};
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{Aggregation, Dataset, Predicate, Query};
@@ -915,8 +823,7 @@ fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -
             "speedup vs scalar",
         ],
     );
-    // (selectivity %, predicates, agg label, encoding, tier label, median ns/row)
-    let mut entries: Vec<(f64, usize, &'static str, &'static str, &'static str, f64)> = Vec::new();
+    let mut entries = Vec::new();
     let reps = 5;
     // First-predicate ranges hitting the target selection densities exactly
     // (values are uniform below DOMAIN; the 0% range lies outside it).
@@ -983,45 +890,21 @@ fn fig12kern_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -
                             fmt_f64(median),
                             fmt_f64(scalar_ns / median),
                         ]);
-                        entries.push((sel_pct, npreds, agg_label, enc_label, tier.label(), median));
+                        entries.push(scan_entry(
+                            sel_pct,
+                            npreds,
+                            agg_label,
+                            enc_label,
+                            tier.label(),
+                            median,
+                        ));
                     }
                 }
             }
         }
     }
-    if let Some(path) = json_path {
-        match write_bench_scan_json(path, rows, config.seed, &entries) {
-            Ok(()) => eprintln!("# fig12kern: wrote {}", path.display()),
-            Err(e) => eprintln!("# fig12kern: could not write {}: {e}", path.display()),
-        }
-    }
+    write_bench_json(config, "BENCH_scan.json", "fig12kern", rows, &[], &entries);
     finish(t)
-}
-
-/// Hand-rolled (the workspace is offline — no serde) machine-readable dump of
-/// the kernel microbenchmark: median ns/row per (selectivity, predicate
-/// count, aggregation, kernel tier).
-fn write_bench_scan_json(
-    path: &std::path::Path,
-    rows: usize,
-    seed: u64,
-    entries: &[(f64, usize, &'static str, &'static str, &'static str, f64)],
-) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"experiment\": \"fig12kern\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \"entries\": [\n"
-    ));
-    for (i, (sel, npreds, agg, enc, tier, ns)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"selectivity_pct\": {sel}, \"predicates\": {npreds}, \"agg\": \"{agg}\", \
-             \"encoding\": \"{enc}\", \"tier\": \"{tier}\", \
-             \"median_ns_per_row\": {ns:.4}}}{comma}\n"
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
 }
 
 /// Fig MV: the materialized-aggregate layer's covered-query speedup. One
@@ -1031,16 +914,9 @@ fn write_bench_scan_json(
 /// narrow band (mostly rim scanning, where the cube cannot help). Every
 /// query runs against two otherwise-identical indexes, materialization on
 /// and off, and the answers are cross-checked bit-identical while
-/// measuring. Machine-readable results land in `BENCH_matview.json` (path
-/// overridable via the `BENCH_MATVIEW_JSON` env var) and are gated by
-/// `repro -- check-bench`.
+/// measuring. Machine-readable results land in `BENCH_matview.json` and are
+/// gated by `repro check-bench`.
 pub fn figmv(config: &HarnessConfig) -> String {
-    let path =
-        std::env::var("BENCH_MATVIEW_JSON").unwrap_or_else(|_| "BENCH_matview.json".to_string());
-    figmv_impl(config, Some(std::path::Path::new(&path)))
-}
-
-fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> String {
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{Aggregation, Dataset, MultiDimIndex, Predicate, Query, Workload};
 
@@ -1088,8 +964,7 @@ fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> St
             "rows visited (scan)",
         ],
     );
-    // (coverage %, agg label, mode, median us)
-    let mut entries: Vec<(f64, &'static str, &'static str, f64)> = Vec::new();
+    let mut entries = Vec::new();
     let reps = 9;
     let sweeps: [(f64, u64, u64); 4] = [
         (100.0, 0, u64::MAX),
@@ -1137,155 +1012,250 @@ fn figmv_impl(config: &HarnessConfig, json_path: Option<&std::path::Path>) -> St
                 mv_stats.points.to_string(),
                 scan_stats.points.to_string(),
             ]);
-            entries.push((pct, agg_label, "matview", mv_us));
-            entries.push((pct, agg_label, "scan", scan_us));
+            entries.push(matview_entry(pct, agg_label, "matview", mv_us));
+            entries.push(matview_entry(pct, agg_label, "scan", scan_us));
         }
     }
-    if let Some(path) = json_path {
-        match write_bench_matview_json(path, rows, config.seed, &entries) {
-            Ok(()) => eprintln!("# figmv: wrote {}", path.display()),
-            Err(e) => eprintln!("# figmv: could not write {}: {e}", path.display()),
-        }
-    }
+    write_bench_json(config, "BENCH_matview.json", "figmv", rows, &[], &entries);
     finish(t)
 }
 
-/// Hand-rolled machine-readable dump of the materialized-aggregate sweep
-/// (the workspace is offline — no serde).
-fn write_bench_matview_json(
-    path: &std::path::Path,
+/// Writes one `BENCH_*.json` into `config.out`: a header naming the
+/// experiment, the rows it ran at, the seed and any `extra` run geometry,
+/// then one entry object per line (`entries` are the objects' field lists,
+/// as the `*_entry` functions render them). Hand-rolled (the workspace is offline —
+/// no serde); one entry per line is the shape [`parse_bench_entries`] reads
+/// back. A failed write panics: `repro` has already created `config.out`,
+/// and a run that leaves no file — or leaves an older run's in place for
+/// `check-bench` to read — must not look like a run that worked.
+fn write_bench_json(
+    config: &HarnessConfig,
+    file: &str,
+    experiment: &str,
     rows: usize,
-    seed: u64,
-    entries: &[(f64, &'static str, &'static str, f64)],
-) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!(
-        "  \"experiment\": \"figmv\",\n  \"rows\": {rows},\n  \"seed\": {seed},\n  \"entries\": [\n"
-    ));
-    for (i, (pct, agg, mode, us)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"coverage_pct\": {pct}, \"agg\": \"{agg}\", \"mode\": \"{mode}\", \
-             \"median_us\": {us:.4}}}{comma}\n"
-        ));
+    extra: &[(&str, usize)],
+    entries: &[String],
+) {
+    let mut s = format!(
+        "{{\n  \"experiment\": \"{experiment}\",\n  \"rows\": {rows},\n  \"seed\": {},\n",
+        config.seed
+    );
+    for (key, value) in extra {
+        s.push_str(&format!("  \"{key}\": {value},\n"));
     }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    let lines: Vec<String> = entries.iter().map(|e| format!("    {{{e}}}")).collect();
+    s.push_str(&format!(
+        "  \"entries\": [\n{}\n  ]\n}}\n",
+        lines.join(",\n")
+    ));
+    let path = config.out.join(file);
+    std::fs::write(&path, s)
+        .unwrap_or_else(|e| panic!("{experiment}: cannot write {}: {e}", path.display()));
+    eprintln!("# {experiment}: wrote {}", path.display());
 }
 
-/// The benchmark-regression gate behind `repro -- check-bench`.
+/// A `BENCH_scan.json` entry: median ns/row of one kernel tier.
+fn scan_entry(
+    sel_pct: f64,
+    preds: usize,
+    agg: &str,
+    encoding: &str,
+    tier: &str,
+    ns: f64,
+) -> String {
+    format!(
+        "\"selectivity_pct\": {sel_pct}, \"predicates\": {preds}, \"agg\": \"{agg}\", \
+         \"encoding\": \"{encoding}\", \"tier\": \"{tier}\", \"median_ns_per_row\": {ns:.4}"
+    )
+}
+
+/// A `BENCH_matview.json` entry: median latency with the cube on or off.
+fn matview_entry(coverage_pct: f64, agg: &str, mode: &str, us: f64) -> String {
+    format!(
+        "\"coverage_pct\": {coverage_pct}, \"agg\": \"{agg}\", \"mode\": \"{mode}\", \
+         \"median_us\": {us:.4}"
+    )
+}
+
+/// A `BENCH_pool.json` entry: average query latency, serial and pooled.
+fn pool_entry(dataset: &str, index: &str, serial_us: f64, pooled_us: f64) -> String {
+    format!(
+        "\"dataset\": \"{dataset}\", \"index\": \"{index}\", \
+         \"serial_us\": {serial_us:.3}, \"pooled_us\": {pooled_us:.3}"
+    )
+}
+
+/// A `BENCH_ingest.json` batch-size entry.
+fn ingest_entry(
+    index: &str,
+    batch_pct: f64,
+    batch_rows: usize,
+    ingest_secs: f64,
+    rebuild_secs: f64,
+    post_ingest_us: f64,
+    rebuilt_us: f64,
+) -> String {
+    format!(
+        "\"index\": \"{index}\", \"batch_pct\": {batch_pct}, \"batch_rows\": {batch_rows}, \
+         \"ingest_secs\": {ingest_secs:.6}, \"rebuild_secs\": {rebuild_secs:.6}, \
+         \"post_ingest_us\": {post_ingest_us:.4}, \"rebuilt_us\": {rebuilt_us:.4}"
+    )
+}
+
+/// A `BENCH_ingest.json` small-batch stream entry.
+fn stream_entry(e: &StreamEntry) -> String {
+    format!(
+        "\"index\": \"Tsunami\", \"stream\": \"{STREAM_BATCHES}x{STREAM_BATCH_ROWS}\", \
+         \"table_rows\": {}, \"batch_p50_us\": {:.2}, \"batch_max_us\": {:.2}, \
+         \"graft_p50_us\": {:.2}, \"grafts\": {}, \"delta_rows\": {}, \
+         \"post_stream_us\": {:.4}, \"rebuilt_us\": {:.4}",
+        e.table_rows,
+        e.batch_p50_us,
+        e.batch_max_us,
+        e.graft_p50_us,
+        e.grafts,
+        e.delta_rows,
+        e.post_stream_us,
+        e.rebuilt_us,
+    )
+}
+
+/// One `check-bench` comparison: the file, the fields that identify an
+/// entry, the field that is gated (its name says the unit), and the absolute
+/// slack beside the 2.5x ratio.
+struct Gate {
+    file: &'static str,
+    keys: &'static [&'static str],
+    value_key: &'static str,
+    abs_slack: f64,
+    /// The experiment `check-bench` runs for fresh numbers; `None` for the
+    /// sweeps too slow to run inside the gate.
+    rerun: Option<Experiment>,
+}
+
+/// Everything `check-bench` gates. Kernel medians get 0.5 ns/row of slack so
+/// sub-nanosecond entries (dense bitmap scans) do not flap on timer
+/// granularity. Covered matview queries sit in the single-digit-us range, so
+/// their slack is a generous 50 us — that gate exists to catch the cube
+/// silently falling back to full scans (a many-hundred-us jump). Pool and
+/// ingest are per-query averages over laptop-scale datasets, noisier than
+/// the kernel medians: 100 us. `BENCH_ingest.json` is gated twice: the
+/// post-ingest query latency of every batch size, and the delta-path cost of
+/// one 64-row batch at every table size — the row that goes from ~0.1 ms to
+/// tens of ms if a small batch ever moves the table again.
+const GATES: [Gate; 5] = [
+    Gate {
+        file: "BENCH_scan.json",
+        keys: &["selectivity_pct", "predicates", "agg", "encoding", "tier"],
+        value_key: "median_ns_per_row",
+        abs_slack: 0.5,
+        rerun: Some(fig12kern),
+    },
+    Gate {
+        file: "BENCH_matview.json",
+        keys: &["coverage_pct", "agg", "mode"],
+        value_key: "median_us",
+        abs_slack: 50.0,
+        rerun: Some(figmv),
+    },
+    Gate {
+        file: "BENCH_pool.json",
+        keys: &["dataset", "index"],
+        value_key: "pooled_us",
+        abs_slack: 100.0,
+        rerun: None,
+    },
+    Gate {
+        file: "BENCH_ingest.json",
+        keys: &["index", "batch_pct"],
+        value_key: "post_ingest_us",
+        abs_slack: 100.0,
+        rerun: None,
+    },
+    Gate {
+        file: "BENCH_ingest.json",
+        keys: &["stream", "table_rows"],
+        value_key: "batch_p50_us",
+        abs_slack: 100.0,
+        rerun: None,
+    },
+];
+
+/// The committed baselines `check-bench` compares against, relative to the
+/// repository root it is run from. An experiment refreshes its own with
+/// `--out bench-baselines`.
+const BASELINES: &str = "bench-baselines";
+
+/// The benchmark-regression gate behind `repro check-bench`.
 ///
-/// Re-runs the fast smokes (fig12kern and figmv, writing fresh
-/// `BENCH_scan.json` / `BENCH_matview.json` numbers) and compares every
-/// median against the checked-in baselines under `bench-baselines/`
-/// (`BENCH_scan.json` path overridable via `BENCH_BASELINE_JSON`). The
-/// slower experiments are not re-run here: when a fresh `BENCH_pool.json` /
+/// Runs the fast smokes (fig12kern and figmv, writing fresh
+/// `BENCH_scan.json` / `BENCH_matview.json` into `config.out`) and compares
+/// every median against the checked-in twin under `bench-baselines/`. The
+/// slower experiments are not re-run here: when a `BENCH_pool.json` /
 /// `BENCH_ingest.json` from an earlier `fig7par` / `fig9b` step is present
-/// on disk it is gated against its committed baseline too, otherwise that
-/// comparison is skipped with a note in the summary — so the full gate runs
-/// in CI (which runs those experiments first) without making a local
+/// in `config.out` it is gated against its committed baseline too, otherwise
+/// that comparison is skipped with a note in the summary — so the full gate
+/// runs in CI (which runs those experiments first) without making a local
 /// `check-bench` pay for them.
 ///
-/// Returns a human-readable summary, or an error describing every regressed
-/// entry — the caller exits non-zero on `Err`.
-pub fn check_bench(config: &HarnessConfig) -> std::result::Result<String, String> {
+/// Returns a human-readable summary, or an error describing the first
+/// comparison that failed — the caller exits non-zero on `Err`.
+pub fn check_bench(config: &HarnessConfig) -> Result<String, String> {
+    let baselines = Path::new(BASELINES);
+    if same_dir(&config.out, baselines) {
+        return Err(format!(
+            "check-bench: --out {} is the baselines directory — the run would overwrite the \
+             committed BENCH_scan.json / BENCH_matview.json and then compare them with \
+             themselves; gate with another --out",
+            config.out.display()
+        ));
+    }
+    let read = |path: PathBuf| {
+        std::fs::read_to_string(&path)
+            .map_err(|e| format!("check-bench: cannot read {}: {e}", path.display()))
+    };
     let mut summaries = Vec::new();
-
-    // Scan kernels: ns/row medians, max(2.5x, +0.5 ns/row).
-    let current_path =
-        std::env::var("BENCH_SCAN_JSON").unwrap_or_else(|_| "BENCH_scan.json".to_string());
-    fig12kern(config);
-    let baseline_path = std::env::var("BENCH_BASELINE_JSON")
-        .unwrap_or_else(|_| "bench-baselines/BENCH_scan.json".to_string());
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .map_err(|e| format!("check-bench: cannot read baseline {baseline_path}: {e}"))?;
-    let current = std::fs::read_to_string(&current_path)
-        .map_err(|e| format!("check-bench: cannot read current run {current_path}: {e}"))?;
-    summaries.push(compare_bench_scan(&baseline, &current)?);
-
-    // Materialized aggregates: query medians in us. Covered queries sit in
-    // the single-digit-us range where timer granularity dominates, so the
-    // absolute slack is a generous 50 us — the gate exists to catch the
-    // cube silently falling back to full scans (a many-hundred-us jump),
-    // not scheduler jitter.
-    let mv_path =
-        std::env::var("BENCH_MATVIEW_JSON").unwrap_or_else(|_| "BENCH_matview.json".to_string());
-    figmv(config);
-    let mv_baseline = std::fs::read_to_string("bench-baselines/BENCH_matview.json")
-        .map_err(|e| format!("check-bench: cannot read bench-baselines/BENCH_matview.json: {e}"))?;
-    let mv_current = std::fs::read_to_string(&mv_path)
-        .map_err(|e| format!("check-bench: cannot read current run {mv_path}: {e}"))?;
-    summaries.push(compare_bench_generic(
-        "BENCH_matview",
-        &mv_baseline,
-        &mv_current,
-        &["coverage_pct", "agg", "mode"],
-        "median_us",
-        50.0,
-        "us",
-    )?);
-
-    // Pool and ingest: gated only when an earlier step of this run produced
-    // fresh numbers (both are too slow to re-run inside the gate). The same
-    // 2.5x ratio with a 100 us absolute slack — per-query averages over
-    // laptop-scale datasets, noisier than the kernel medians.
-    // `BENCH_ingest.json` is gated twice: the post-ingest query latency of
-    // every batch size, and the delta-path cost of one 64-row batch at every
-    // table size — the row that goes from ~0.1 ms to tens of ms if a small
-    // batch ever moves the table again.
-    let optional: [(&str, &str, &str, &[&str], &str); 3] = [
-        (
-            "BENCH_pool",
-            "BENCH_POOL_JSON",
-            "BENCH_pool.json",
-            &["dataset", "index"],
-            "pooled_us",
-        ),
-        (
-            "BENCH_ingest",
-            "BENCH_INGEST_JSON",
-            "BENCH_ingest.json",
-            &["index", "batch_pct"],
-            "post_ingest_us",
-        ),
-        (
-            "BENCH_ingest (small batches)",
-            "BENCH_INGEST_JSON",
-            "BENCH_ingest.json",
-            &["stream", "table_rows"],
-            "batch_p50_us",
-        ),
-    ];
-    for (label, env, default, keys, value_key) in optional {
-        let cur_path = std::env::var(env).unwrap_or_else(|_| default.to_string());
-        let Ok(cur) = std::fs::read_to_string(&cur_path) else {
+    for gate in &GATES {
+        let current = config.out.join(gate.file);
+        if let Some(run) = gate.rerun {
+            run(config);
+        } else if !current.exists() {
             summaries.push(format!(
-                "{label}: skipped — no fresh {cur_path} in this run"
+                "{} {}: skipped — no {} from an earlier step of this run",
+                gate.file,
+                gate.value_key,
+                current.display()
             ));
             continue;
-        };
-        let base_path = format!("bench-baselines/{default}");
-        let base = std::fs::read_to_string(&base_path)
-            .map_err(|e| format!("check-bench: cannot read baseline {base_path}: {e}"))?;
-        summaries.push(compare_bench_generic(
-            label, &base, &cur, keys, value_key, 100.0, "us",
-        )?);
+        }
+        let baseline = read(baselines.join(gate.file))?;
+        summaries.push(compare_bench(gate, &baseline, &read(current)?)?);
     }
     Ok(summaries.join("\n"))
 }
 
-/// Parses a one-entry-per-line bench JSON (every writer in this module
-/// emits that shape) into `(label, value)` pairs, where the label joins the
-/// requested key fields. Lines missing any key are skipped.
+/// Whether two paths name one directory on disk, however they are spelled
+/// (`bench-baselines/`, `./bench-baselines`, a symlink). A path that does
+/// not resolve is no directory's twin.
+fn same_dir(a: &Path, b: &Path) -> bool {
+    matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
+}
+
+/// The value of the first `"key": value` in `text`, unquoted — a header
+/// field of a whole bench JSON, or a field of one entry line.
+fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\": ");
+    let start = text.find(&pat)? + pat.len();
+    let rest = &text[start..];
+    let end = rest.find([',', '}'])?;
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+/// Parses a bench JSON written by [`write_bench_json`] into `(label, value)`
+/// pairs, where the label joins the requested key fields (one entry per
+/// line, so per-line field extraction is exact). Lines missing any key are
+/// skipped.
 fn parse_bench_entries(json: &str, keys: &[&str], value_key: &str) -> Vec<(String, f64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().trim_matches('"'))
-    }
     json.lines()
         .filter(|l| l.contains(&format!("\"{value_key}\"")))
         .filter_map(|l| {
@@ -1298,23 +1268,37 @@ fn parse_bench_entries(json: &str, keys: &[&str], value_key: &str) -> Vec<(Strin
         .collect()
 }
 
-/// Compares two one-entry-per-line bench JSON contents entry by entry. An
-/// entry fails when its value exceeds `max(2.5 × baseline, baseline +
-/// abs_slack)` — the same tolerance shape as [`compare_bench_scan`]: the
-/// 2.5x ratio is deliberately loose (medians from a shared CI container are
-/// noisy; the gate catches order-of-magnitude regressions, not jitter) and
-/// the absolute slack keeps near-zero entries from flapping on timer
-/// granularity. Entries present in the baseline but missing from the
-/// current run fail too (coverage must not silently shrink).
-fn compare_bench_generic(
-    name: &str,
-    baseline: &str,
-    current: &str,
-    keys: &[&str],
-    value_key: &str,
-    abs_slack: f64,
-    unit: &str,
-) -> std::result::Result<String, String> {
+/// Compares two bench JSON contents. The headers must name the same
+/// experiment at the same rows — medians of different-sized runs are not
+/// comparable, and a file left behind by a smaller run is not this run's.
+/// Then entry by entry: one fails when its value exceeds `max(2.5 ×
+/// baseline, baseline + abs_slack)`. The 2.5x ratio is deliberately loose
+/// (a median of a handful of samples in a shared CI container is noisy; the
+/// gate catches order-of-magnitude regressions, not jitter) and the absolute
+/// slack keeps near-zero entries from flapping on timer granularity. Entries
+/// present in the baseline but missing from the current run fail too
+/// (coverage must not silently shrink).
+fn compare_bench(gate: &Gate, baseline: &str, current: &str) -> Result<String, String> {
+    let Gate {
+        file,
+        keys,
+        value_key,
+        abs_slack,
+        ..
+    } = *gate;
+    let name = format!("{file} {value_key}");
+    for key in ["experiment", "rows"] {
+        let (base, cur) = (field(baseline, key), field(current, key));
+        if base.is_none() || base != cur {
+            return Err(format!(
+                "{name}: FAILED — header mismatch: baseline has {key} = {}, current run has \
+                 {key} = {}; run at the baseline's size (or refresh the baseline, or remove a \
+                 stale file)",
+                base.unwrap_or("nothing"),
+                cur.unwrap_or("nothing"),
+            ));
+        }
+    }
     let base = parse_bench_entries(baseline, keys, value_key);
     if base.is_empty() {
         return Err(format!("check-bench: {name} baseline has no entries"));
@@ -1339,7 +1323,7 @@ fn compare_bench_generic(
         }
         if cur_v > limit {
             failures.push(format!(
-                "{label}: {cur_v:.3} {unit} vs baseline {base_v:.3} \
+                "{label}: {cur_v:.3} vs baseline {base_v:.3} \
                  (limit {limit:.3}, ratio {ratio:.2}x)"
             ));
         }
@@ -1348,129 +1332,36 @@ fn compare_bench_generic(
     if failures.is_empty() {
         Ok(format!(
             "{name}: OK — {compared} entries within tolerance \
-             (max(2.5x, +{abs_slack} {unit})); worst ratio {worst_ratio:.2}x at {worst_label}"
+             (max(2.5x, +{abs_slack})); worst ratio {worst_ratio:.2}x at {worst_label}"
         ))
     } else {
         Err(format!(
             "{name}: FAILED — {} of {compared} entries regressed past \
-             max(2.5x baseline, baseline + {abs_slack} {unit}):\n  {}",
+             max(2.5x baseline, baseline + {abs_slack}):\n  {}",
             failures.len(),
             failures.join("\n  ")
         ))
     }
 }
 
-/// One `BENCH_scan.json` entry: (selectivity %, predicates, agg, encoding,
-/// tier, median ns/row).
-type ScanEntry = (String, String, String, String, String, f64);
-
-/// Parses the entries of a `BENCH_scan.json` produced by [`fig12kern`] (the
-/// workspace is offline — no serde — but the writer emits one entry per
-/// line, so per-line field extraction is exact). Entries written before the
-/// encoding sweep existed carry no `encoding` field; they parse as
-/// `"plain"` so old baselines stay comparable.
-fn parse_bench_scan_entries(json: &str) -> Vec<ScanEntry> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    json.lines()
-        .filter(|l| l.contains("\"median_ns_per_row\""))
-        .filter_map(|l| {
-            Some((
-                field(l, "selectivity_pct")?.to_string(),
-                field(l, "predicates")?.to_string(),
-                field(l, "agg")?.to_string(),
-                field(l, "encoding").unwrap_or("plain").to_string(),
-                field(l, "tier")?.to_string(),
-                field(l, "median_ns_per_row")?.parse().ok()?,
-            ))
-        })
-        .collect()
-}
-
-/// Compares two `BENCH_scan.json` contents entry by entry. An entry fails
-/// when its median exceeds `max(2.5 × baseline, baseline + 0.5 ns/row)`:
-/// the 2.5× bound is deliberately loose — the criterion-shim medians
-/// (median of 5 in a shared CI container) are noisy, and the gate exists to
-/// catch order-of-magnitude kernel regressions, not jitter — and the
-/// 0.5 ns/row absolute slack keeps sub-nanosecond entries (dense bitmap
-/// scans) from flapping on timer granularity. Entries present in the
-/// baseline but missing from the current run fail too (coverage must not
-/// silently shrink).
-fn compare_bench_scan(baseline: &str, current: &str) -> std::result::Result<String, String> {
-    let base = parse_bench_scan_entries(baseline);
-    if base.is_empty() {
-        return Err("check-bench: baseline has no entries".to_string());
-    }
-    let cur: std::collections::HashMap<(String, String, String, String, String), f64> =
-        parse_bench_scan_entries(current)
-            .into_iter()
-            .map(|(s, p, a, e, t, ns)| ((s, p, a, e, t), ns))
-            .collect();
-    let mut failures = Vec::new();
-    let mut worst: Option<(f64, String)> = None;
-    let compared = base.len();
-    for (sel, preds, agg, enc, tier, base_ns) in base {
-        let label = format!("sel={sel}% preds={preds} agg={agg} encoding={enc} tier={tier}");
-        let Some(&cur_ns) = cur.get(&(sel, preds, agg, enc, tier)) else {
-            failures.push(format!(
-                "{label}: present in baseline, missing from current run"
-            ));
-            continue;
-        };
-        let limit = (base_ns * 2.5).max(base_ns + 0.5);
-        let ratio = cur_ns / base_ns.max(1e-9);
-        if worst.as_ref().is_none_or(|(w, _)| ratio > *w) {
-            worst = Some((ratio, label.clone()));
-        }
-        if cur_ns > limit {
-            failures.push(format!(
-                "{label}: {cur_ns:.3} ns/row vs baseline {base_ns:.3} \
-                 (limit {limit:.3}, ratio {ratio:.2}x)"
-            ));
-        }
-    }
-    let (worst_ratio, worst_label) = worst.unwrap_or((0.0, "n/a".to_string()));
-    if failures.is_empty() {
-        Ok(format!(
-            "check-bench: OK — {compared} entries within tolerance \
-             (max(2.5x, +0.5 ns/row)); worst ratio {worst_ratio:.2}x at {worst_label}"
-        ))
-    } else {
-        Err(format!(
-            "check-bench: FAILED — {} of {compared} entries regressed past \
-             max(2.5x baseline, baseline + 0.5 ns/row):\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        ))
+/// Runs every experiment in sequence; each prints its own tables.
+pub fn all(config: &HarnessConfig) {
+    for (_, f) in experiments() {
+        f(config);
     }
 }
 
-/// Runs every experiment in sequence and returns the concatenated output.
-pub fn all(config: &HarnessConfig) -> String {
-    let mut out = String::new();
-    for (name, f) in experiments() {
-        let _ = name;
-        out.push_str(&f(config));
-        out.push('\n');
-    }
-    out
-}
+/// An experiment: prints its table(s) and returns them.
+pub type Experiment = fn(&HarnessConfig) -> String;
 
 /// The registry of experiment names and functions, in paper order.
-#[allow(clippy::type_complexity)]
-pub fn experiments() -> Vec<(&'static str, fn(&HarnessConfig) -> String)> {
+pub fn experiments() -> Vec<(&'static str, Experiment)> {
     vec![
-        ("table3", table3 as fn(&HarnessConfig) -> String),
+        ("table3", table3 as Experiment),
         ("table4", table4),
         ("fig7", fig7),
         ("fig7par", fig7_parallel),
         ("fig7sched", fig7_scheduler),
-        ("fig7net", crate::net::fig7net),
         ("fig8", fig8),
         ("fig9a", fig9a),
         ("fig9b", fig9b),
@@ -1481,11 +1372,10 @@ pub fn experiments() -> Vec<(&'static str, fn(&HarnessConfig) -> String)> {
         ("fig12b", fig12b),
         ("fig12kern", fig12kern),
         ("figmv", figmv),
-        ("walbench", crate::wal::walbench),
     ]
 }
 
-pub(crate) fn finish(t: Table) -> String {
+fn finish(t: Table) -> String {
     let rendered = t.render();
     println!("{rendered}");
     rendered
@@ -1495,12 +1385,27 @@ pub(crate) fn finish(t: Table) -> String {
 mod tests {
     use super::*;
 
+    /// A directory of the test's own for the `BENCH_*.json` it writes: tests
+    /// run in parallel and must not share a file.
+    fn out_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tsunami_bench_{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn tiny() -> HarnessConfig {
         HarnessConfig {
             rows: 2_500,
             queries_per_type: 3,
             seed: 5,
+            ..HarnessConfig::default()
         }
+    }
+
+    /// How many entries `gate` finds in the file an experiment just wrote.
+    fn gated_entries(config: &HarnessConfig, gate: &Gate) -> usize {
+        let json = std::fs::read_to_string(config.out.join(gate.file)).unwrap();
+        parse_bench_entries(&json, gate.keys, gate.value_key).len()
     }
 
     #[test]
@@ -1522,7 +1427,6 @@ mod tests {
                 "fig7",
                 "fig7par",
                 "fig7sched",
-                "fig7net",
                 "fig8",
                 "fig9a",
                 "fig9b",
@@ -1532,38 +1436,42 @@ mod tests {
                 "fig12a",
                 "fig12b",
                 "fig12kern",
-                "figmv",
-                "walbench"
+                "figmv"
             ]
         );
     }
 
     #[test]
     fn fig12kern_sweeps_every_tier_and_stays_consistent() {
-        // Tiny run, no JSON file: the impl itself asserts every tier matches
-        // the scalar oracle while measuring.
+        // Tiny run: the experiment itself asserts every tier matches the
+        // scalar oracle while measuring.
         let cfg = HarnessConfig {
             rows: 1_000, // floored to 8 Ki rows inside
             queries_per_type: 1,
             seed: 3,
+            out: out_dir("fig12kern"),
         };
-        let out = fig12kern_impl(&cfg, None);
+        let out = fig12kern(&cfg);
         for tier in ["scalar", "vector", "bitmap", "adaptive"] {
             assert!(out.contains(tier), "missing tier {tier} in:\n{out}");
         }
         for enc in ["plain", "encoded"] {
             assert!(out.contains(enc), "missing encoding {enc} in:\n{out}");
         }
+        // 5 densities x 4 predicate counts x 2 aggregations x 2 encodings x
+        // 4 tiers, all of them visible to the gate.
+        assert_eq!(gated_entries(&cfg, &GATES[0]), 320);
     }
 
     #[test]
     fn fig9b_ingest_stays_cheaper_than_rebuild_and_consistent() {
-        // Tiny run, no JSON: the impl itself cross-checks ingested results
-        // against the rebuilt index while measuring.
+        // Tiny run: the impl itself cross-checks ingested results against
+        // the rebuilt index while measuring.
         let cfg = HarnessConfig {
             rows: 4_000,
             queries_per_type: 3,
             seed: 11,
+            ..HarnessConfig::default()
         };
         let (out, entries) = fig9b_ingest_impl(&cfg);
         for label in ["Tsunami", "Flood", "ingest/rebuild"] {
@@ -1583,6 +1491,7 @@ mod tests {
             rows: 0,
             queries_per_type: 3,
             seed: 11,
+            ..HarnessConfig::default()
         };
         let (out, entries) = fig9b_stream_impl(&cfg, &[8_000, 16_000]);
         assert!(out.contains("graft p50"), "{out}");
@@ -1594,17 +1503,107 @@ mod tests {
         }
     }
 
+    /// Writes `entries` as `file` into `test`'s directory and returns what
+    /// landed on disk.
+    fn written(
+        test: &str,
+        file: &str,
+        experiment: &str,
+        rows: usize,
+        extra: &[(&str, usize)],
+        entries: &[String],
+    ) -> String {
+        let config = HarnessConfig {
+            seed: 7,
+            out: out_dir(test),
+            ..HarnessConfig::default()
+        };
+        write_bench_json(&config, file, experiment, rows, extra, entries);
+        let path = config.out.join(file);
+        let json = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        json
+    }
+
     #[test]
-    fn bench_ingest_json_is_well_formed() {
-        let dir = std::env::temp_dir().join("tsunami_bench_ingest_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_ingest.json");
-        write_bench_ingest_json(
-            &path,
-            5000,
-            7,
-            &[("Tsunami", 10.0, 500, 0.25, 1.5, 12.5, 11.0)],
-            &[StreamEntry {
+    fn bench_json_round_trips_through_the_parser() {
+        /// Writes `entries` (with `extra` header fields), checks the text
+        /// holds `fragments` — keys and number formats the committed
+        /// baselines share — and that `gate` reads back `expected`: its
+        /// rows, and only its rows.
+        fn check(
+            gate: &Gate,
+            entries: &[String],
+            extra: &[(&str, usize)],
+            fragments: &[&str],
+            expected: &[(&str, f64)],
+        ) {
+            let json = written("round_trip", gate.file, "exp", 1234, extra, entries);
+            let header = "{\n  \"experiment\": \"exp\",\n  \"rows\": 1234,\n  \"seed\": 7,\n";
+            assert!(json.starts_with(header), "{json}");
+            assert_eq!(field(&json, "experiment"), Some("exp"));
+            assert_eq!(field(&json, "rows"), Some("1234"));
+            for fragment in fragments {
+                assert!(json.contains(fragment), "{fragment} not in:\n{json}");
+            }
+            let expected: Vec<_> = expected.iter().map(|(l, v)| (l.to_string(), *v)).collect();
+            assert_eq!(
+                parse_bench_entries(&json, gate.keys, gate.value_key),
+                expected
+            );
+        }
+
+        let [scan, matview, pool, ingest, stream] = &GATES;
+        check(
+            scan,
+            &[
+                scan_entry(50.0, 2, "count", "encoded", "bitmap", 1.5),
+                scan_entry(0.0, 1, "sum", "plain", "scalar", 3.25),
+            ],
+            &[],
+            &[
+                "\"encoding\": \"encoded\", \"tier\": \"bitmap\"",
+                "\"median_ns_per_row\": 1.5000},\n",
+                // No comma after the last entry.
+                "\"median_ns_per_row\": 3.2500}\n  ]\n}\n",
+            ],
+            &[
+                (
+                    "selectivity_pct=50 predicates=2 agg=count encoding=encoded tier=bitmap",
+                    1.5,
+                ),
+                (
+                    "selectivity_pct=0 predicates=1 agg=sum encoding=plain tier=scalar",
+                    3.25,
+                ),
+            ],
+        );
+        check(
+            matview,
+            &[
+                matview_entry(100.0, "count", "matview", 1.5),
+                matview_entry(100.0, "count", "scan", 80.0),
+            ],
+            &[],
+            &["\"coverage_pct\": 100, ", "\"median_us\": 1.5000"],
+            &[
+                ("coverage_pct=100 agg=count mode=matview", 1.5),
+                ("coverage_pct=100 agg=count mode=scan", 80.0),
+            ],
+        );
+        check(
+            pool,
+            &[pool_entry("Taxi", "Tsunami", 100.0, 60.0)],
+            &[("workers", 4), ("morsel_rows", 131072)],
+            &[
+                "  \"workers\": 4,\n  \"morsel_rows\": 131072,\n  \"entries\"",
+                "\"serial_us\": 100.000, \"pooled_us\": 60.000",
+            ],
+            &[("dataset=Taxi index=Tsunami", 60.0)],
+        );
+        let ingested = [
+            ingest_entry("Tsunami", 10.0, 500, 0.25, 1.5, 12.5, 11.0),
+            stream_entry(&StreamEntry {
                 table_rows: 20_000,
                 batch_p50_us: 101.5,
                 batch_max_us: 4_000.0,
@@ -1613,120 +1612,96 @@ mod tests {
                 delta_rows: 0,
                 post_stream_us: 5.5,
                 rebuilt_us: 5.25,
-            }],
-        )
-        .unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert!(s.contains("\"experiment\": \"fig9b_ingest\""));
-        assert!(s.contains("\"index\": \"Tsunami\""));
-        assert!(s.contains("\"batch_pct\": 10"));
-        assert!(s.contains("\"ingest_secs\": 0.250000"));
-        // Both gates find their rows, and only theirs.
-        assert_eq!(
-            parse_bench_entries(&s, &["index", "batch_pct"], "post_ingest_us"),
-            [("index=Tsunami batch_pct=10".to_string(), 12.5)]
+            }),
+        ];
+        let fragment = "\"batch_pct\": 10, \"batch_rows\": 500, \"ingest_secs\": 0.250000";
+        check(
+            ingest,
+            &ingested,
+            &[],
+            &[fragment],
+            &[("index=Tsunami batch_pct=10", 12.5)],
         );
-        assert_eq!(
-            parse_bench_entries(&s, &["stream", "table_rows"], "batch_p50_us"),
-            [("stream=48x64 table_rows=20000".to_string(), 101.5)]
+        check(
+            stream,
+            &ingested,
+            &[],
+            &["\"batch_p50_us\": 101.50, "],
+            &[("stream=48x64 table_rows=20000", 101.5)],
         );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bench_scan_json_is_well_formed() {
-        let dir = std::env::temp_dir().join("tsunami_bench_scan_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_scan.json");
-        write_bench_scan_json(
-            &path,
-            1234,
-            42,
-            &[(50.0, 2, "count", "encoded", "bitmap", 1.5)],
-        )
-        .unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert!(s.contains("\"experiment\": \"fig12kern\""));
-        assert!(s.contains("\"rows\": 1234"));
-        assert!(s.contains("\"encoding\": \"encoded\""));
-        assert!(s.contains("\"tier\": \"bitmap\""));
-        assert!(s.contains("\"median_ns_per_row\": 1.5000"));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn check_bench_comparison_flags_only_real_regressions() {
-        let mut entries = vec![
-            (50.0, 2, "count", "plain", "bitmap", 2.0),
-            (0.0, 1, "sum", "encoded", "vector", 0.1),
-            (99.0, 4, "count", "plain", "scalar", 8.0),
-        ];
-        let dir = std::env::temp_dir().join("tsunami_check_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base_path = dir.join("base.json");
-        write_bench_scan_json(&base_path, 1000, 1, &entries).unwrap();
-        let baseline = std::fs::read_to_string(&base_path).unwrap();
+        /// `entries[i]` renders the i-th entry around a value; `baseline`,
+        /// `noisy` (inside the tolerance) and `regressed` (its last entry
+        /// past it, labelled `culprit`) are the values of three runs.
+        fn check(
+            gate: &Gate,
+            entries: &[&dyn Fn(f64) -> String],
+            [baseline, noisy, regressed]: [&[f64]; 3],
+            culprit: &str,
+        ) {
+            let run = |experiment: &str, rows: usize, values: &[f64]| {
+                let lines: Vec<String> = entries.iter().zip(values).map(|(e, &v)| e(v)).collect();
+                written("compare", gate.file, experiment, rows, &[], &lines)
+            };
+            let base = run("exp", 1000, baseline);
 
-        // Identical run passes.
-        let ok = compare_bench_scan(&baseline, &baseline).unwrap();
-        assert!(ok.contains("OK"), "{ok}");
+            // An identical run passes.
+            let ok = compare_bench(gate, &base, &base).unwrap();
+            assert!(ok.contains("OK"), "{ok}");
+            // Noise within tolerance passes: under 2.5x on a big entry, the
+            // absolute slack on a small one.
+            assert!(compare_bench(gate, &base, &run("exp", 1000, noisy)).is_ok());
+            // A regression past both bounds fails and names the entry.
+            let err = compare_bench(gate, &base, &run("exp", 1000, regressed)).unwrap_err();
+            assert!(err.contains("FAILED") && err.contains(culprit), "{err}");
+            // Shrunken coverage fails.
+            let err = compare_bench(gate, &base, &run("exp", 1000, &baseline[..1])).unwrap_err();
+            assert!(err.contains("missing from current run"), "{err}");
+            // An empty baseline is an error, not a pass.
+            assert!(compare_bench(gate, &run("exp", 1000, &[]), &base).is_err());
+            assert!(compare_bench(gate, "{}", &base).is_err());
+            // A run of another size, or of another experiment, is refused
+            // with both values named — whatever its medians say.
+            let err = compare_bench(gate, &base, &run("exp", 250, baseline)).unwrap_err();
+            assert!(
+                err.contains("rows = 1000") && err.contains("rows = 250"),
+                "{err}"
+            );
+            let err = compare_bench(gate, &base, &run("other", 1000, baseline)).unwrap_err();
+            assert!(
+                err.contains("experiment = exp") && err.contains("experiment = other"),
+                "{err}"
+            );
+        }
 
-        // Noise within tolerance passes: 2x on a big entry, absolute slack
-        // on a sub-ns entry.
-        entries[0].5 = 4.0;
-        entries[1].5 = 0.55;
-        write_bench_scan_json(&base_path, 1000, 1, &entries).unwrap();
-        let noisy = std::fs::read_to_string(&base_path).unwrap();
-        assert!(compare_bench_scan(&baseline, &noisy).is_ok());
+        // The gate refuses to write its fresh files over the baselines it is
+        // about to read, however that directory is spelled.
+        let dir = out_dir("compare");
+        assert!(same_dir(&dir, &dir.join(".")));
+        assert!(!same_dir(&dir, &out_dir("round_trip")));
+        assert!(!same_dir(&dir, &dir.join("absent")));
 
-        // A >2.5x regression fails and names the entry.
-        entries[2].5 = 25.0;
-        write_bench_scan_json(&base_path, 1000, 1, &entries).unwrap();
-        let regressed = std::fs::read_to_string(&base_path).unwrap();
-        let err = compare_bench_scan(&baseline, &regressed).unwrap_err();
-        assert!(err.contains("tier=scalar"), "{err}");
-        assert!(err.contains("FAILED"));
-
-        // Shrunken coverage fails.
-        entries.truncate(1);
-        write_bench_scan_json(&base_path, 1000, 1, &entries).unwrap();
-        let shrunk = std::fs::read_to_string(&base_path).unwrap();
-        let err = compare_bench_scan(&baseline, &shrunk).unwrap_err();
-        assert!(err.contains("missing from current run"), "{err}");
-
-        // An empty baseline is an error, not a pass.
-        assert!(compare_bench_scan("{}", &baseline).is_err());
-        std::fs::remove_file(&base_path).unwrap();
-    }
-
-    #[test]
-    fn bench_scan_json_round_trips_through_the_parser() {
-        let dir = std::env::temp_dir().join("tsunami_scan_parse_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("scan.json");
-        write_bench_scan_json(
-            &path,
-            1000,
-            1,
+        check(
+            &GATES[0],
             &[
-                (50.0, 2, "count", "encoded", "bitmap", 1.25),
-                (0.0, 1, "sum", "plain", "scalar", 3.5),
+                &|ns| scan_entry(50.0, 2, "count", "plain", "bitmap", ns),
+                &|ns| scan_entry(0.0, 1, "sum", "encoded", "vector", ns),
+                &|ns| scan_entry(99.0, 4, "count", "plain", "scalar", ns),
             ],
-        )
-        .unwrap();
-        let parsed = parse_bench_scan_entries(&std::fs::read_to_string(&path).unwrap());
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].3, "encoded");
-        assert_eq!(parsed[0].4, "bitmap");
-        assert_eq!(parsed[0].5, 1.25);
-        assert_eq!(parsed[1].2, "sum");
-        // Pre-encoding baselines have no encoding field: default to plain.
-        let legacy = "    {\"selectivity_pct\": 50, \"predicates\": 1, \"agg\": \"count\", \
-                      \"tier\": \"vector\", \"median_ns_per_row\": 1.0000}\n";
-        let parsed = parse_bench_scan_entries(legacy);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].3, "plain");
-        std::fs::remove_file(&path).unwrap();
+            [&[2.0, 0.1, 8.0], &[4.0, 0.55, 8.0], &[4.0, 0.55, 25.0]],
+            "tier=scalar",
+        );
+        check(
+            &GATES[1],
+            &[&|us| matview_entry(1.0, "sum", "scan", us), &|us| {
+                matview_entry(100.0, "count", "matview", us)
+            }],
+            [&[2.0, 10.0], &[40.0, 24.0], &[2.0, 500.0]],
+            "coverage_pct=100 agg=count mode=matview",
+        );
     }
 
     #[test]
@@ -1752,107 +1727,38 @@ mod tests {
 
     #[test]
     fn fig7_parallel_reports_serial_and_pooled_executors() {
-        // Tiny run, no JSON: the impl itself asserts that the pool's
-        // counters match serial while measuring.
+        // Tiny run: the experiment itself asserts that the pool's counters
+        // match serial while measuring.
         let mut cfg = tiny();
         cfg.rows = 2_000;
-        let out = fig7_parallel_impl(&cfg, None);
+        cfg.out = out_dir("fig7par");
+        let out = fig7_parallel(&cfg);
         for col in ["serial (us)", "pooled (us)", "morsel rows"] {
             assert!(out.contains(col), "missing column {col} in:\n{out}");
         }
+        // Four datasets x two learned indexes.
+        assert_eq!(gated_entries(&cfg, &GATES[2]), 8);
     }
 
     #[test]
     fn figmv_covered_queries_skip_scanning_and_stay_consistent() {
-        // Tiny run, no JSON: the impl itself cross-checks every matview
-        // answer against the scan index and asserts the fully covered
-        // queries visit zero rows while measuring.
+        // Tiny run: the experiment itself cross-checks every matview answer
+        // against the scan index and asserts the fully covered queries visit
+        // zero rows while measuring.
         let cfg = HarnessConfig {
             rows: 1_000, // floored to 8 Ki rows inside
             queries_per_type: 1,
             seed: 9,
+            out: out_dir("figmv"),
         };
-        let out = figmv_impl(&cfg, None);
+        let out = figmv(&cfg);
         for col in ["coverage %", "matview (us)", "scan (us)", "speedup"] {
             assert!(out.contains(col), "missing column {col} in:\n{out}");
         }
         for agg in ["count", "sum", "avg"] {
             assert!(out.contains(agg), "missing agg {agg} in:\n{out}");
         }
-    }
-
-    #[test]
-    fn bench_matview_json_is_well_formed() {
-        let dir = std::env::temp_dir().join("tsunami_bench_matview_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_matview.json");
-        write_bench_matview_json(
-            &path,
-            8192,
-            9,
-            &[
-                (100.0, "count", "matview", 1.5),
-                (100.0, "count", "scan", 80.0),
-            ],
-        )
-        .unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert!(s.contains("\"experiment\": \"figmv\""));
-        assert!(s.contains("\"coverage_pct\": 100"));
-        assert!(s.contains("\"mode\": \"matview\""));
-        assert!(s.contains("\"median_us\": 1.5000"));
-        let parsed = parse_bench_entries(&s, &["coverage_pct", "agg", "mode"], "median_us");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "coverage_pct=100 agg=count mode=matview");
-        assert_eq!(parsed[0].1, 1.5);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn generic_bench_comparison_flags_only_real_regressions() {
-        let base = "    {\"a\": \"x\", \"b\": 1, \"median_us\": 10.0}\n\
-                    {\"a\": \"y\", \"b\": 2, \"median_us\": 2.0}\n";
-        let keys: &[&str] = &["a", "b"];
-        // Identical run passes.
-        assert!(compare_bench_generic("t", base, base, keys, "median_us", 50.0, "us").is_ok());
-        // Within the absolute slack passes even past 2.5x on a tiny entry.
-        let noisy = "    {\"a\": \"x\", \"b\": 1, \"median_us\": 24.0}\n\
-                     {\"a\": \"y\", \"b\": 2, \"median_us\": 40.0}\n";
-        assert!(compare_bench_generic("t", base, noisy, keys, "median_us", 50.0, "us").is_ok());
-        // Past both bounds fails and names the entry.
-        let bad = "    {\"a\": \"x\", \"b\": 1, \"median_us\": 500.0}\n\
-                   {\"a\": \"y\", \"b\": 2, \"median_us\": 2.0}\n";
-        let err = compare_bench_generic("t", base, bad, keys, "median_us", 50.0, "us").unwrap_err();
-        assert!(err.contains("a=x b=1"), "{err}");
-        // Shrunken coverage fails.
-        let shrunk = "    {\"a\": \"x\", \"b\": 1, \"median_us\": 10.0}\n";
-        let err =
-            compare_bench_generic("t", base, shrunk, keys, "median_us", 50.0, "us").unwrap_err();
-        assert!(err.contains("missing from current run"), "{err}");
-        // An empty baseline is an error, not a pass.
-        assert!(compare_bench_generic("t", "{}", base, keys, "median_us", 50.0, "us").is_err());
-    }
-
-    #[test]
-    fn bench_pool_json_is_well_formed() {
-        let dir = std::env::temp_dir().join("tsunami_bench_pool_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_pool.json");
-        write_bench_pool_json(
-            &path,
-            5000,
-            7,
-            4,
-            131072,
-            &[("Taxi".to_string(), "Tsunami".to_string(), 100.0, 60.0)],
-        )
-        .unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        assert!(s.contains("\"experiment\": \"fig7par\""));
-        assert!(s.contains("\"workers\": 4"));
-        assert!(s.contains("\"morsel_rows\": 131072"));
-        assert!(s.contains("\"index\": \"Tsunami\""));
-        assert!(s.contains("\"pooled_us\": 60.000"));
-        std::fs::remove_file(&path).unwrap();
+        // Four coverages x three aggregations x cube on/off.
+        assert_eq!(gated_entries(&cfg, &GATES[1]), 24);
     }
 }

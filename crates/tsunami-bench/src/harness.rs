@@ -6,6 +6,7 @@
 //! (same dataset, different [`IndexSpec`]) and measures through the table
 //! handles, exactly like an application would.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use tsunami_core::{Dataset, MultiDimIndex, Workload};
@@ -17,7 +18,7 @@ use tsunami_workloads::DatasetBundle;
 /// Scale knobs for the experiment harness. The paper runs 184M–300M rows;
 /// this reproduction defaults to laptop-scale sizes that preserve the
 /// relative behaviour of the indexes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Rows per generated dataset.
     pub rows: usize,
@@ -25,6 +26,8 @@ pub struct HarnessConfig {
     pub queries_per_type: usize,
     /// Base random seed.
     pub seed: u64,
+    /// Directory the `BENCH_*.json` files are written to (`repro --out`).
+    pub out: PathBuf,
 }
 
 impl Default for HarnessConfig {
@@ -33,6 +36,7 @@ impl Default for HarnessConfig {
             rows: 60_000,
             queries_per_type: 25,
             seed: 42,
+            out: PathBuf::from("."),
         }
     }
 }
@@ -265,6 +269,7 @@ mod tests {
             rows: 4_000,
             queries_per_type: 4,
             seed: 7,
+            ..HarnessConfig::default()
         };
         let bundles = DatasetBundle::standard(config.rows, config.queries_per_type, config.seed);
         let bundle = &bundles[0];
@@ -297,6 +302,7 @@ mod tests {
             rows: 5_000,
             queries_per_type: 3,
             seed: 9,
+            ..HarnessConfig::default()
         };
         let bundles = DatasetBundle::standard(config.rows, config.queries_per_type, config.seed);
         let bundle = &bundles[1];
@@ -323,6 +329,7 @@ mod tests {
             rows: 3_000,
             queries_per_type: 3,
             seed: 8,
+            ..HarnessConfig::default()
         };
         let bundles = DatasetBundle::standard(config.rows, config.queries_per_type, config.seed);
         let db = database_for_bundle(&bundles[2], &config.learned_specs());

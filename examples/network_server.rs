@@ -3,10 +3,11 @@
 //! to it with the blocking client — queries, an insert, and the typed
 //! error path.
 //!
-//! Run with: `cargo run --release --example network_server`
-//! Knobs: `TSUNAMI_SHARDS` (default 4), `TSUNAMI_BIND` (default
-//! `127.0.0.1:0` — port 0 picks a free port).
+//! Run with: `cargo run --release --example network_server [SHARDS] [BIND]`
+//! — `SHARDS` defaults to 4, `BIND` to `127.0.0.1:0` (port 0 picks a free
+//! port).
 
+use std::net::SocketAddr;
 use std::sync::{Arc, RwLock};
 
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, Workload};
@@ -18,10 +19,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A sharded database: rows hash-partitioned across K shards, each
     //    with its own Tsunami index specialized to the workload.
     // ---------------------------------------------------------------------
-    let shards: usize = std::env::var("TSUNAMI_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let mut args = std::env::args().skip(1);
+    let shards = args.next().map_or(Ok(4), |arg| arg.parse::<usize>());
+    let addr = args.next().unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let (Ok(shards @ 1..), Ok(addr), None) = (shards, addr.parse::<SocketAddr>(), args.next())
+    else {
+        eprintln!(
+            "usage: network_server [SHARDS] [BIND] — SHARDS a positive integer (default 4), \
+             BIND an ip:port to listen on (default 127.0.0.1:0)"
+        );
+        std::process::exit(2);
+    };
     let n: u64 = 60_000;
     let data = Dataset::from_columns(vec![
         (0..n).collect(),
@@ -57,11 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------------------------------------------------------------------
     // 2. Serve it. Port 0 binds an ephemeral port; the handle reports it.
     // ---------------------------------------------------------------------
-    let addr = std::env::var("TSUNAMI_BIND").unwrap_or_else(|_| "127.0.0.1:0".to_string());
     let mut server = Server::spawn(
         Arc::new(RwLock::new(db)),
         ServerConfig {
-            addr,
+            addr: addr.to_string(),
             ..ServerConfig::default()
         },
     )?;
