@@ -15,33 +15,20 @@ pub use skeleton::{DimStrategy, Skeleton};
 
 use std::ops::Range;
 
+use crate::grid_tree::dim_bit;
 use tsunami_cdf::{CdfModel, ConditionalCdf, FunctionalMapping, HistogramCdf};
-use tsunami_core::{Dataset, Predicate, Query, Value};
+use tsunami_core::{Dataset, Query, Value};
 
-/// Per-dimension effective filter ranges after the functional-mapping
-/// rewrite, plus whether any mapped dimension is filtered (in which case no
-/// cell can be exact).
-type EffectiveRanges = (Vec<Option<(Value, Value)>>, bool);
-
-/// The outcome of planning one query against an [`AugmentedGrid`]: the local
-/// physical ranges to scan plus per-dimension predicate guarantees.
-#[derive(Debug, Clone)]
-pub struct GridRanges {
-    /// Local `(row range, exact)` pairs in physical scan order.
-    pub ranges: Vec<(Range<usize>, bool)>,
-    /// `guaranteed[dim]` is true when the query's predicate on `dim` (if
-    /// any) is satisfied by construction on *every* returned range — every
-    /// visited partition of `dim` lies fully inside the predicate's value
-    /// range — so the executor never needs to re-check it. Unfiltered
-    /// dimensions are trivially guaranteed; filtered mapped dimensions never
-    /// are (the mapping rewrite only over-approximates their filter).
-    pub guaranteed: Vec<bool>,
-    /// True when cell enumeration was abandoned because it would have cost
-    /// more than scanning the region (see [`AugmentedGrid::plan_ranges`]):
-    /// `ranges` is then the single whole-region range and `guaranteed` only
-    /// reflects unfiltered dimensions. The owning index can usually do
-    /// better — it knows the region's value bounds, which the grid does not.
-    pub fallback: bool,
+/// Working memory of [`AugmentedGrid::plan_cells`]. One `plan()` call (or one
+/// optimizer evaluation) creates one and every grid it visits plans out of
+/// it, so only the first visit allocates.
+#[derive(Debug, Default)]
+pub struct CellScratch {
+    /// Per dimension, the effective filter range after the
+    /// functional-mapping rewrite.
+    eff: Vec<Option<(Value, Value)>>,
+    /// The intersecting cells, `(cell id, exact)`, as enumerated.
+    cells: Vec<(usize, bool)>,
 }
 
 /// A built Augmented Grid over one region's data.
@@ -53,8 +40,10 @@ pub struct AugmentedGrid {
     skeleton: Skeleton,
     /// Partition count per dimension (1 for mapped dimensions).
     partitions: Vec<usize>,
-    /// Dimensions participating in the grid, ascending.
-    grid_dims: Vec<usize>,
+    /// Dimensions participating in the grid in the order cells are
+    /// enumerated: independent dimensions, then conditional ones, each
+    /// ascending — a base always before its dependents.
+    order: Vec<usize>,
     /// Stride of each dimension in the cell numbering (indexed by dimension;
     /// the last grid dimension varies fastest, mapped dimensions are 0).
     strides: Vec<usize>,
@@ -147,10 +136,15 @@ impl AugmentedGrid {
             num_cells *= partitions[gd];
         }
 
+        let is_independent = |&gd: &usize| skeleton.strategy(gd) == DimStrategy::Independent;
+        let order = (grid_dims.iter().copied().filter(is_independent))
+            .chain(grid_dims.iter().copied().filter(|gd| !is_independent(gd)))
+            .collect();
+
         let mut grid = Self {
             skeleton: skeleton.clone(),
             partitions,
-            grid_dims,
+            order,
             strides,
             num_cells,
             independent,
@@ -235,7 +229,7 @@ impl AugmentedGrid {
     /// Cell id of a point.
     pub fn cell_of(&self, point: &[Value]) -> usize {
         let mut cell = 0usize;
-        for &dim in &self.grid_dims {
+        for &dim in &self.order {
             let part = match self.skeleton.strategy(dim) {
                 DimStrategy::Conditional { base } => {
                     let bp = self.partition_of(base, point[base], None);
@@ -248,24 +242,29 @@ impl AugmentedGrid {
         cell
     }
 
-    /// Rewrites the query's predicates through the functional mappings: the
-    /// returned vector holds, per dimension, the *effective* filter range
-    /// used for partition-range computation. Returns `None` if a mapping
-    /// proves the query empty on this grid. The boolean is true when any
-    /// mapped dimension is filtered (in which case no cell can be exact).
-    fn effective_predicates(&self, query: &Query) -> Option<EffectiveRanges> {
+    /// Rewrites the query's predicates through the functional mappings into
+    /// `eff`: per dimension, the *effective* filter range used for
+    /// partition-range computation. Returns `None` if a mapping proves the
+    /// query empty on this grid, else the mask of the filtered mapped
+    /// dimensions — when it is not zero no cell can be exact.
+    fn effective_predicates(
+        &self,
+        query: &Query,
+        eff: &mut Vec<Option<(Value, Value)>>,
+    ) -> Option<u128> {
         let d = self.skeleton.num_dims();
-        let mut eff: Vec<Option<(Value, Value)>> = vec![None; d];
+        eff.clear();
+        eff.resize(d, None);
         for p in query.predicates() {
             if p.dim < d {
                 eff[p.dim] = Some((p.lo, p.hi));
             }
         }
-        let mut mapped_filter = false;
+        let mut mapped_filter = 0;
         for dim in 0..d {
             if let DimStrategy::Mapped { target } = self.skeleton.strategy(dim) {
                 if let Some((lo, hi)) = eff[dim] {
-                    mapped_filter = true;
+                    mapped_filter |= dim_bit(dim);
                     if let Some(fm) = &self.mappings[dim] {
                         let (xlo, xhi) = fm.map_range(lo, hi);
                         eff[target] = match eff[target] {
@@ -284,262 +283,80 @@ impl AugmentedGrid {
                 }
             }
         }
-        Some((eff, mapped_filter))
+        Some(mapped_filter)
     }
 
-    /// Whether partition `part` of an independent/base dimension is fully
-    /// contained in the original query predicate on that dimension
-    /// ([`HistogramCdf::bucket_contained_in`] — conservative about a last
-    /// boundary saturated at `u64::MAX`).
-    fn independent_partition_exact(
+    /// Plans one query against the grid: hands `emit` the local
+    /// `(row range, exact)` pairs to scan, in physical order, empty cells
+    /// dropped and physically adjacent cells of equal exactness merged.
+    /// This is the one cell enumeration — `plan()`, the optimizer's cost
+    /// evaluation and the tests all read it.
+    ///
+    /// Returns the mask ([`dim_bit`]) of the dimensions whose predicate the
+    /// emitted ranges do **not** guarantee by construction, for the owning
+    /// index's residual-predicate elimination. A predicate is guaranteed
+    /// when every visited partition of its dimension lies fully inside the
+    /// predicate's value range; a filtered mapped dimension never is (the
+    /// mapping rewrite only over-approximates its filter).
+    ///
+    /// Returns `None`, having emitted nothing, when the enumeration was
+    /// abandoned because it would have cost more than scanning the region:
+    /// the caller scans the whole region instead, and usually knows more
+    /// about it — its value bounds — than the grid does.
+    pub fn plan_cells(
         &self,
-        dim: usize,
-        part: usize,
-        pred: Option<&Predicate>,
-    ) -> bool {
-        match pred {
-            None => true,
-            Some(p) => match &self.independent[dim] {
-                None => false,
-                Some(m) => m.bucket_contained_in(part, p.lo, p.hi),
-            },
-        }
-    }
-
-    fn conditional_partition_exact(
-        &self,
-        dim: usize,
-        base_part: usize,
-        part: usize,
-        pred: Option<&Predicate>,
-    ) -> bool {
-        match pred {
-            None => true,
-            Some(p) => match &self.conditional[dim] {
-                None => false,
-                Some(m) => m.model_for(base_part).bucket_contained_in(part, p.lo, p.hi),
-            },
-        }
-    }
-
-    /// Computes the local physical row ranges (and exactness flags) a query
-    /// must scan.
-    pub fn ranges_for(&self, query: &Query) -> Vec<(Range<usize>, bool)> {
-        self.plan_ranges(query).ranges
-    }
-
-    /// Like [`AugmentedGrid::ranges_for`], additionally reporting which
-    /// dimensions' predicates the visited cells guarantee by construction
-    /// (see [`GridRanges::guaranteed`]). The owning index uses this for
-    /// residual-predicate elimination: guaranteed predicates never need
-    /// re-checking inside the returned non-exact ranges.
-    pub fn plan_ranges(&self, query: &Query) -> GridRanges {
-        let d = self.skeleton.num_dims();
-        let Some((eff, mapped_filter)) = self.effective_predicates(query) else {
-            // Proven empty: nothing is scanned, every predicate is trivially
-            // guaranteed on the (empty) set of planned ranges.
-            return GridRanges {
-                ranges: Vec::new(),
-                guaranteed: vec![true; d],
-                fallback: false,
-            };
+        query: &Query,
+        scratch: &mut CellScratch,
+        mut emit: impl FnMut(Range<usize>, bool),
+    ) -> Option<u128> {
+        // Proven empty: nothing is scanned, and every predicate is trivially
+        // guaranteed on the (empty) set of planned ranges.
+        let Some(mapped_filter) = self.effective_predicates(query, &mut scratch.eff) else {
+            return Some(0);
         };
-
-        // Enumerate intersecting cells. Base dimensions must be enumerated
-        // before their dependents, so order grid dims: independents first.
-        let mut order: Vec<usize> = Vec::with_capacity(self.grid_dims.len());
-        for &gd in &self.grid_dims {
-            if matches!(self.skeleton.strategy(gd), DimStrategy::Independent) {
-                order.push(gd);
-            }
-        }
-        for &gd in &self.grid_dims {
-            if matches!(self.skeleton.strategy(gd), DimStrategy::Conditional { .. }) {
-                order.push(gd);
-            }
-        }
-
-        let mut cells: Vec<(usize, bool)> = Vec::new();
-        // chosen[dim] = partition chosen for already-enumerated dims.
-        let mut chosen: Vec<usize> = vec![0; d];
-        // Union over emitted cells of the dims whose partition was not fully
-        // contained in the original predicate (bit per dim; guarantee
-        // tracking is skipped for >128-dim grids, which do not occur in
-        // practice).
-        let mut not_guaranteed: u128 = 0;
-        // Planning must never cost more than the scan it prunes: a layout
-        // mismatched to the query (e.g. a grid optimized for a previous
-        // workload) can intersect far more cells than the region has rows,
-        // at which point enumerating them is slower than just scanning the
-        // region. Budget one enumeration step per stored row; on exhaustion
-        // fall back to a single whole-region range with every filtered
-        // dimension left residual.
-        let mut budget = self.num_rows.max(64) as isize;
-        self.enumerate_cells(
-            &order,
-            0,
-            0,
-            !mapped_filter,
-            0,
-            &eff,
+        scratch.cells.clear();
+        let mut enumeration = Enumeration {
+            grid: self,
             query,
-            &mut chosen,
-            &mut cells,
-            &mut not_guaranteed,
-            &mut budget,
-        );
+            eff: &scratch.eff,
+            cells: &mut scratch.cells,
+            loose: mapped_filter,
+            // Planning must never cost more than the scan it prunes: a
+            // layout mismatched to the query (e.g. a grid optimized for a
+            // previous workload) can intersect far more cells than the
+            // region has rows, at which point enumerating them is slower
+            // than just scanning the region. Budget one enumeration step per
+            // stored row.
+            budget: self.num_rows.max(64) as isize,
+        };
+        enumeration.descend(0, 0, mapped_filter == 0, 0);
+        let Enumeration { loose, budget, .. } = enumeration;
         if budget <= 0 {
-            let guaranteed: Vec<bool> = (0..d)
-                .map(|dim| query.predicate_on(dim).is_none())
-                .collect();
-            let ranges = if self.num_rows == 0 {
-                Vec::new()
-            } else {
-                vec![(0..self.num_rows, false)]
-            };
-            return GridRanges {
-                ranges,
-                guaranteed,
-                fallback: true,
-            };
+            return None;
         }
 
-        cells.sort_unstable_by_key(|&(c, _)| c);
-        // Convert cells to physical ranges, merging physically adjacent ones
-        // with identical exactness.
-        let mut out: Vec<(Range<usize>, bool)> = Vec::new();
-        for (cell, exact) in cells {
-            let start = self.cell_offsets[cell];
-            let end = self.cell_offsets[cell + 1];
+        scratch.cells.sort_unstable_by_key(|&(c, _)| c);
+        let mut pending: Option<(Range<usize>, bool)> = None;
+        for &(cell, exact) in &scratch.cells {
+            let (start, end) = (self.cell_offsets[cell], self.cell_offsets[cell + 1]);
             if start == end {
                 continue;
             }
-            if let Some((prev, prev_exact)) = out.last_mut() {
-                if prev.end == start && *prev_exact == exact {
+            match &mut pending {
+                Some((prev, prev_exact)) if prev.end == start && *prev_exact == exact => {
                     prev.end = end;
-                    continue;
                 }
-            }
-            out.push((start..end, exact));
-        }
-
-        let guaranteed: Vec<bool> = (0..d)
-            .map(|dim| {
-                if query.predicate_on(dim).is_none() {
-                    return true;
-                }
-                // A filtered mapped dimension is removed from the grid and
-                // its filter only over-approximated through the mapping: it
-                // must always be re-checked. Beyond 128 dims the tracking
-                // bitmask is too narrow; be conservative.
-                if matches!(self.skeleton.strategy(dim), DimStrategy::Mapped { .. }) || d > 128 {
-                    return false;
-                }
-                not_guaranteed & (1u128 << dim) == 0
-            })
-            .collect();
-        GridRanges {
-            ranges: out,
-            guaranteed,
-            fallback: false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_cells(
-        &self,
-        order: &[usize],
-        idx: usize,
-        cell_acc: usize,
-        exact_acc: bool,
-        inexact_dims: u128,
-        eff: &[Option<(Value, Value)>],
-        query: &Query,
-        chosen: &mut Vec<usize>,
-        out: &mut Vec<(usize, bool)>,
-        not_guaranteed: &mut u128,
-        budget: &mut isize,
-    ) {
-        *budget -= 1;
-        if *budget <= 0 {
-            return;
-        }
-        if idx == order.len() {
-            out.push((cell_acc, exact_acc));
-            *not_guaranteed |= inexact_dims;
-            return;
-        }
-        let dim = order[idx];
-        let p = self.partitions[dim];
-        let stride = self.strides[dim];
-        let orig_pred = query.predicate_on(dim);
-        let dim_bit = if dim < 128 { 1u128 << dim } else { 0 };
-
-        match self.skeleton.strategy(dim) {
-            DimStrategy::Independent => {
-                let (lo_p, hi_p) = match eff[dim] {
-                    None => (0, p - 1),
-                    Some((lo, hi)) => self.independent[dim]
-                        .as_ref()
-                        .map_or((0, p - 1), |m| m.bucket_range(lo, hi)),
-                };
-                for part in lo_p..=hi_p {
-                    chosen[dim] = part;
-                    let dim_exact = self.independent_partition_exact(dim, part, orig_pred);
-                    self.enumerate_cells(
-                        order,
-                        idx + 1,
-                        cell_acc + part * stride,
-                        exact_acc && dim_exact,
-                        inexact_dims | if dim_exact { 0 } else { dim_bit },
-                        eff,
-                        query,
-                        chosen,
-                        out,
-                        not_guaranteed,
-                        budget,
-                    );
-                }
-            }
-            DimStrategy::Conditional { base } => {
-                let base_part = chosen[base];
-                let model = self.conditional[dim].as_ref();
-                let (lo_p, hi_p, prune) = match (eff[dim], model) {
-                    (None, _) => (0, p - 1, false),
-                    (Some((lo, hi)), Some(m)) => {
-                        if !m.may_contain(base_part, lo, hi) {
-                            (0, 0, true)
-                        } else {
-                            let (a, b) = m.bucket_range(base_part, lo, hi);
-                            (a, b, false)
-                        }
+                _ => {
+                    if let Some((range, exact)) = pending.replace((start..end, exact)) {
+                        emit(range, exact);
                     }
-                    (Some(_), None) => (0, p - 1, false),
-                };
-                if prune {
-                    return;
-                }
-                for part in lo_p..=hi_p {
-                    chosen[dim] = part;
-                    let dim_exact =
-                        self.conditional_partition_exact(dim, base_part, part, orig_pred);
-                    self.enumerate_cells(
-                        order,
-                        idx + 1,
-                        cell_acc + part * stride,
-                        exact_acc && dim_exact,
-                        inexact_dims | if dim_exact { 0 } else { dim_bit },
-                        eff,
-                        query,
-                        chosen,
-                        out,
-                        not_guaranteed,
-                        budget,
-                    );
                 }
             }
-            DimStrategy::Mapped { .. } => unreachable!("mapped dims are not grid dims"),
         }
+        if let Some((range, exact)) = pending {
+            emit(range, exact);
+        }
+        Some(loose)
     }
 
     /// Size of the grid's models and lookup table in bytes.
@@ -566,18 +383,104 @@ impl AugmentedGrid {
     }
 }
 
+/// One run of the cell enumeration behind [`AugmentedGrid::plan_cells`].
+struct Enumeration<'a> {
+    grid: &'a AugmentedGrid,
+    query: &'a Query,
+    eff: &'a [Option<(Value, Value)>],
+    cells: &'a mut Vec<(usize, bool)>,
+    /// Union over the emitted cells of the dimensions whose partition was
+    /// not fully contained in the original predicate.
+    loose: u128,
+    /// Enumeration steps left; at zero the enumeration is abandoned.
+    budget: isize,
+}
+
+impl Enumeration<'_> {
+    /// Enumerates the partitions of grid dimension `order[idx]` that the
+    /// query intersects, under the partitions already chosen for the
+    /// dimensions before it: `cell_acc` is their share of the cell id,
+    /// `exact_acc` whether all of them lie inside their predicates, and
+    /// `loose_acc` the mask of those that do not.
+    fn descend(&mut self, idx: usize, cell_acc: usize, exact_acc: bool, loose_acc: u128) {
+        self.budget -= 1;
+        if self.budget <= 0 {
+            return;
+        }
+        let grid = self.grid;
+        let Some(&dim) = grid.order.get(idx) else {
+            self.cells.push((cell_acc, exact_acc));
+            self.loose |= loose_acc;
+            return;
+        };
+        let last = grid.partitions[dim] - 1;
+        let pred = self.query.predicate_on(dim);
+        // The model of this dimension's partitions; for a conditional
+        // dimension, the one of its base's partition — chosen earlier (a
+        // base comes before its dependents), so `cell_acc` holds it as the
+        // base's digit of the cell id.
+        let model = match grid.skeleton.strategy(dim) {
+            DimStrategy::Independent => grid.independent[dim].as_ref(),
+            DimStrategy::Conditional { base } => {
+                let base_part = cell_acc / grid.strides[base] % grid.partitions[base];
+                let conditional = grid.conditional[dim].as_ref();
+                // A filter outside the values this base partition holds of
+                // the dimension: none of its cells can match.
+                if let (Some(m), Some((lo, hi))) = (conditional, self.eff[dim]) {
+                    if !m.may_contain(base_part, lo, hi) {
+                        return;
+                    }
+                }
+                conditional.map(|m| m.model_for(base_part))
+            }
+            DimStrategy::Mapped { .. } => unreachable!("mapped dims are not grid dims"),
+        };
+        let (lo_p, hi_p) = match (self.eff[dim], model) {
+            (Some((lo, hi)), Some(m)) => m.bucket_range(lo, hi),
+            _ => (0, last),
+        };
+        for part in lo_p..=hi_p {
+            // Whether the partition lies fully inside the original
+            // predicate ([`HistogramCdf::bucket_contained_in`] —
+            // conservative about a last boundary saturated at `u64::MAX`).
+            let dim_exact =
+                pred.is_none_or(|p| model.is_some_and(|m| m.bucket_contained_in(part, p.lo, p.hi)));
+            self.descend(
+                idx + 1,
+                cell_acc + part * grid.strides[dim],
+                exact_acc && dim_exact,
+                loose_acc | if dim_exact { 0 } else { dim_bit(dim) },
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tsunami_core::sample::SplitMix;
-    use tsunami_core::{AggAccumulator, AggResult, Aggregation};
+    use tsunami_core::{AggAccumulator, AggResult, Aggregation, Predicate};
+
+    /// The ranges `plan_cells` emits — the whole grid, inexact, when it falls
+    /// back.
+    fn ranges_for(grid: &AugmentedGrid, q: &Query) -> Vec<(Range<usize>, bool)> {
+        let mut ranges = Vec::new();
+        let emit = |range, exact| ranges.push((range, exact));
+        if grid
+            .plan_cells(q, &mut CellScratch::default(), emit)
+            .is_none()
+        {
+            ranges.push((0..grid.num_rows(), false));
+        }
+        ranges
+    }
 
     /// Executes a query against a grid + the original dataset by scanning the
     /// produced ranges through the local permutation (test helper standing in
     /// for the column store).
     fn execute(grid: &AugmentedGrid, perm: &[usize], data: &Dataset, q: &Query) -> AggResult {
         let mut acc = AggAccumulator::new(q.aggregation());
-        for (range, exact) in grid.ranges_for(q) {
+        for (range, exact) in ranges_for(grid, q) {
             for local in range {
                 let row = perm[local];
                 let point = data.row(row);
@@ -719,7 +622,7 @@ mod tests {
         let (gc, _pc) = AugmentedGrid::build(&data, &cond, &[16, 1, 16]);
 
         let scanned =
-            |g: &AugmentedGrid| -> usize { g.ranges_for(&q).iter().map(|(r, _)| r.len()).sum() };
+            |g: &AugmentedGrid| -> usize { ranges_for(g, &q).iter().map(|(r, _)| r.len()).sum() };
         assert!(
             scanned(&gc) <= scanned(&gi),
             "conditional CDF should not scan more points ({} vs {})",
@@ -747,7 +650,7 @@ mod tests {
         ])
         .unwrap();
         assert!(
-            grid.ranges_for(&q).is_empty() || q.execute_full_scan(&data) == AggResult::Count(0)
+            ranges_for(&grid, &q).is_empty() || q.execute_full_scan(&data) == AggResult::Count(0)
         );
     }
 
@@ -772,7 +675,7 @@ mod tests {
         let (grid, perm) = AugmentedGrid::build(&data, &skeleton, &[4, 4]);
         assert!(perm.is_empty());
         let q = Query::count(vec![Predicate::range(0, 0, 10).unwrap()]).unwrap();
-        assert!(grid.ranges_for(&q).is_empty());
+        assert!(ranges_for(&grid, &q).is_empty());
         assert!(grid.size_bytes() > 0);
         assert_eq!(grid.num_rows(), 0);
     }

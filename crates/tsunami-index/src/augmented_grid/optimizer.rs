@@ -12,7 +12,7 @@
 //! the all-independent skeleton), and a black-box basin-hopping baseline.
 
 use super::skeleton::{DimStrategy, Skeleton};
-use super::AugmentedGrid;
+use super::{AugmentedGrid, CellScratch};
 use crate::config::TsunamiConfig;
 use tsunami_core::sample::{sample_dataset, SplitMix};
 use tsunami_core::{CostFeatures, CostModel, Dataset, Query, Workload};
@@ -60,18 +60,32 @@ pub fn predicted_cost(
     }
     let (grid, _perm) = AugmentedGrid::build(sample, skeleton, partitions);
     let scale = total_rows as f64 / sample.len() as f64;
+    let mut scratch = CellScratch::default();
     let mut total = 0.0;
     for q in workload.queries() {
-        total += cost.predict(&query_features(&grid, q, scale));
+        total += cost.predict(&query_features(&grid, q, scale, &mut scratch));
     }
     total / workload.len() as f64
 }
 
-fn query_features(grid: &AugmentedGrid, q: &Query, scale: f64) -> CostFeatures {
-    let ranges = grid.ranges_for(q);
-    let scanned: usize = ranges.iter().map(|(r, _)| r.len()).sum();
+/// What a query costs on `grid`, counted off the ranges the planner would
+/// scan: a grid that falls back is scanned whole, as one range.
+fn query_features(
+    grid: &AugmentedGrid,
+    q: &Query,
+    scale: f64,
+    scratch: &mut CellScratch,
+) -> CostFeatures {
+    let (mut ranges, mut scanned) = (0usize, 0usize);
+    let count = |range: std::ops::Range<usize>, _exact| {
+        ranges += 1;
+        scanned += range.len();
+    };
+    if grid.plan_cells(q, scratch, count).is_none() {
+        (ranges, scanned) = (1, grid.num_rows());
+    }
     CostFeatures {
-        cell_ranges: ranges.len().max(1) as f64,
+        cell_ranges: ranges.max(1) as f64,
         scanned_points: scanned as f64 * scale,
         filtered_dims: q.num_filtered_dims().max(1) as f64,
     }

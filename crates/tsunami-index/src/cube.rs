@@ -28,13 +28,16 @@
 //! * **rebuild** (a fresh build, or an ingest/delete escalation) — every
 //!   region starts empty and folds lazily on first use.
 //!
-//! Entries are folded lazily under a [`Mutex`] so `plan(&self)` can populate
-//! the cube without a mutable index. The fold itself runs outside the lock;
-//! a concurrent double-fold computes the same value (folds are pure over the
-//! store), so the race is benign — first writer wins.
+//! An index generation never invalidates its own entries: every mutation
+//! above builds its *successor's* cube ([`RegionCube::snapshot`] →
+//! [`RegionCube::from_entries`]). So each entry sits in a [`OnceLock`] —
+//! `plan(&self)` folds it on first use without a mutable index, the first
+//! fold wins (folds are pure over the store, so any would do), and from then
+//! on a reader takes no lock and copies nothing but the [`PlanPartial`] it
+//! came for.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 use tsunami_core::{Dataset, PlanPartial, Value};
 use tsunami_store::ColumnStore;
@@ -125,68 +128,56 @@ impl CubeEntry {
     }
 }
 
-/// The per-index cube: one optional entry per Grid-Tree region, in region
-/// order. `None` means "not folded yet / invalidated" — the next covered
-/// query folds it lazily.
+/// The per-index cube: one entry per Grid-Tree region, in region order. An
+/// unset entry means "not folded yet" — the next covered query folds it.
 #[derive(Debug, Default)]
 pub struct RegionCube {
-    entries: Mutex<Vec<Option<CubeEntry>>>,
+    entries: Vec<OnceLock<CubeEntry>>,
 }
 
 impl RegionCube {
     /// An empty cube for `regions` regions (every entry folds lazily).
     pub fn new(regions: usize) -> Self {
-        Self {
-            entries: Mutex::new(vec![None; regions]),
-        }
+        Self::from_entries(vec![None; regions])
     }
 
     /// A cube seeded with carried entries (restructure paths that know which
-    /// regions kept their live-row multiset).
+    /// regions kept their live-row multiset); `None` folds lazily.
     pub fn from_entries(entries: Vec<Option<CubeEntry>>) -> Self {
+        let seed = |entry: Option<CubeEntry>| entry.map_or_else(OnceLock::new, OnceLock::from);
         Self {
-            entries: Mutex::new(entries),
+            entries: entries.into_iter().map(seed).collect(),
         }
     }
 
     /// Number of regions the cube tracks.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.entries.len()
     }
 
     /// Whether the cube tracks no regions.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
-    /// A clone of every entry, for carrying across a restructure.
+    /// A clone of every entry folded so far, for carrying across a
+    /// restructure.
     pub fn snapshot(&self) -> Vec<Option<CubeEntry>> {
-        self.entries.lock().unwrap().clone()
+        (self.entries.iter())
+            .map(|entry| entry.get().cloned())
+            .collect()
     }
 
-    /// The entry for `region`, if currently folded.
-    pub fn get(&self, region: usize) -> Option<CubeEntry> {
-        self.entries.lock().unwrap().get(region).cloned().flatten()
-    }
-
-    /// Drops `region`'s entry; the next covered query re-folds it.
-    pub fn invalidate(&self, region: usize) {
-        if let Some(slot) = self.entries.lock().unwrap().get_mut(region) {
-            *slot = None;
-        }
-    }
-
-    /// The entry for `region`, folded with `fold` — over the region's live
-    /// rows, main and delta — on the first request since (in)validation. The
-    /// fold runs outside the lock; on a race the first stored fold wins
-    /// (both computed the same value).
-    pub fn get_or_fold(&self, region: usize, fold: impl FnOnce() -> CubeEntry) -> CubeEntry {
-        if let Some(entry) = self.get(region) {
-            return entry;
-        }
-        let folded = fold();
-        let mut entries = self.entries.lock().unwrap();
-        entries[region].get_or_insert(folded).clone()
+    /// `region`'s partial for the aggregation input dimension `dim`
+    /// ([`CubeEntry::partial`]), out of its entry — folded with `fold`, over
+    /// the region's live rows, main and delta, by the first request for it.
+    pub fn get_or_fold(
+        &self,
+        region: usize,
+        dim: usize,
+        fold: impl FnOnce() -> CubeEntry,
+    ) -> Option<PlanPartial> {
+        self.entries[region].get_or_init(fold).partial(dim)
     }
 }
 
@@ -296,15 +287,21 @@ mod tests {
     }
 
     #[test]
-    fn cube_folds_lazily_and_invalidates() {
+    fn cube_folds_lazily_and_once() {
         let store = ColumnStore::from_dataset(&ds());
-        let cube = RegionCube::new(1);
-        assert_eq!(cube.get(0), None);
-        let e = cube.get_or_fold(0, || CubeEntry::fold_store(&store, 0..4));
-        assert_eq!(e.rows, 4);
-        assert_eq!(cube.get(0), Some(e));
-        cube.invalidate(0);
-        assert_eq!(cube.get(0), None);
+        let cube = RegionCube::new(2);
+        assert_eq!(cube.snapshot(), vec![None, None]);
+        let folded = CubeEntry::fold_store(&store, 0..4);
+        let p = cube.get_or_fold(0, 1, || folded.clone());
+        assert_eq!(p, folded.partial(1));
+        assert_eq!(cube.snapshot(), vec![Some(folded.clone()), None]);
+        // The first fold wins: a later one is never run.
+        let again = cube.get_or_fold(0, 0, || unreachable!("entry 0 is folded"));
+        assert_eq!(again, folded.partial(0));
+        // A successor carries folded entries and leaves the rest lazy.
+        let successor = RegionCube::from_entries(cube.snapshot());
+        assert_eq!(successor.snapshot(), cube.snapshot());
+        assert_eq!(successor.len(), 2);
     }
 
     #[test]
@@ -316,5 +313,51 @@ mod tests {
         assert_eq!(p.min, Some(10));
         assert_eq!(p.max, Some(40));
         assert_eq!(e.partial(7), None);
+    }
+
+    #[test]
+    fn concurrent_planners_read_one_cube_and_agree() {
+        use crate::{TsunamiConfig, TsunamiIndex};
+        use std::sync::Barrier;
+        use tsunami_core::exec::execute_plan;
+        use tsunami_core::{Aggregation, MultiDimIndex, Predicate, Query, Workload};
+
+        // Time-like dim 0 queried with recency skew, so the Grid Tree splits.
+        let n = 12_000u64;
+        let data = Dataset::from_columns(vec![
+            (0..n).map(|v| v * 4_800 / n).collect(),
+            (0..n).map(|v| (v * 7_919) % 10_000).collect(),
+        ])
+        .unwrap();
+        let range = |lo: u64, width: u64| Predicate::range(0, lo, lo + width).unwrap();
+        let workload: Workload = (0..60u64)
+            .map(|i| range((i * 61) % 3_600, 1_200))
+            .chain((0..60u64).map(|i| range(3_600 + (i * 17) % 1_100, 100)))
+            .map(|p| Query::count(vec![p]).unwrap())
+            .collect();
+        let index = TsunamiIndex::build(&data, &workload, &TsunamiConfig::fast()).unwrap();
+
+        // Covers whole regions: every thread's first plan meets entries that
+        // are unfolded, being folded, or just folded by another thread.
+        let q = Query::new(vec![range(1_000, 3_500)], Aggregation::Sum(1)).unwrap();
+        const THREADS: usize = 4;
+        let start = Barrier::new(THREADS);
+        let plans: Vec<_> = std::thread::scope(|scope| {
+            let planners: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        index.plan(&q)
+                    })
+                })
+                .collect();
+            planners.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(plans[0].partials().len() >= 2, "{:?}", plans[0]);
+        let expected = q.execute_full_scan(&data);
+        for plan in &plans {
+            assert_eq!(plan, &plans[0]);
+            assert_eq!(execute_plan(index.source(), &q, plan).0, expected);
+        }
     }
 }

@@ -12,6 +12,33 @@
 //! The Grid Tree is *not* an end-to-end index: each leaf region is indexed
 //! separately (by an Augmented Grid in full Tsunami), so the tree only has to
 //! be deep enough to remove inter-region skew.
+//!
+//! # Region bounds
+//!
+//! The tree keeps one `(min, max)` pair per region and dimension, in one
+//! array in region (= physical) order, and one invariant about it: **a
+//! region's bounds contain every row stored for the region** — live or
+//! tombstoned, in its main slice or its delta run. Everything a query learns
+//! from the tree rests on that: a region whose bounds miss the query holds no
+//! match, one whose bounds lie inside the query holds only matches (it is
+//! scanned exact, or answered from the cube), and a predicate that contains a
+//! region's bounds on its dimension needs no re-check there.
+//!
+//! The bounds are *data* bounds, not the region's split rectangle: at build
+//! every region that owns rows records their minimum and maximum on every
+//! dimension — a zone map at region granularity, in the bytes the split
+//! rectangle would take. On the dimensions a region's path never split (most
+//! of them) the split rectangle is the whole data domain and prunes nothing;
+//! the rows' own range does, and on correlated columns — the case this index
+//! is built for — it is narrow on dimensions the tree never looked at. A
+//! region that owns no row at build has nothing to tighten to and keeps its
+//! split rectangle, which is also what routes the first rows into it.
+//!
+//! Who keeps the invariant: build writes the bounds, and
+//! [`GridTree::absorb_point`] — every ingested row goes through it — widens
+//! them. Nothing narrows them: rows never change region, a delete only
+//! tombstones, and a compaction drops rows, so bounds may grow stale-wide
+//! but never wrong. A rebuild starts over from the live rows.
 
 pub mod skew;
 pub mod skew_tree;
@@ -22,28 +49,50 @@ use skew::SkewAnalyzer;
 use skew_tree::best_covering;
 use tsunami_core::{Dataset, Query, Value};
 
-/// A leaf region of the Grid Tree.
-#[derive(Debug, Clone)]
-pub struct Region {
-    /// Inclusive per-dimension value bounds of the region.
-    pub bounds: Vec<(Value, Value)>,
+/// The bit of `dim` in a per-dimension mask. Dimensions past the mask's
+/// width share its top bit, so a mask is zero exactly when no dimension is
+/// set, for a table of any width; what a wide table loses is telling its
+/// dimensions past 127 apart.
+pub fn dim_bit(dim: usize) -> u128 {
+    1 << dim.min(127)
 }
 
-impl Region {
+/// A leaf region of the Grid Tree: one row of the tree's bounds array.
+#[derive(Debug, Clone, Copy)]
+pub struct Region<'a> {
+    /// Inclusive per-dimension value bounds of the region's rows (see the
+    /// module docs, "Region bounds").
+    pub bounds: &'a [(Value, Value)],
+}
+
+impl Region<'_> {
+    /// How a query's filter rectangle meets this region: `None` when they
+    /// are disjoint, else the mask ([`dim_bit`]) of the filtered dimensions
+    /// on which the region reaches outside the predicate — zero when the
+    /// region is entirely contained in the query. A predicate on a dimension
+    /// the region does not have matches nothing.
+    pub fn overlap(&self, query: &Query) -> Option<u128> {
+        let mut loose = 0;
+        for p in query.predicates() {
+            let &(lo, hi) = self.bounds.get(p.dim)?;
+            if p.hi < lo || p.lo > hi {
+                return None;
+            }
+            if p.lo > lo || hi > p.hi {
+                loose |= dim_bit(p.dim);
+            }
+        }
+        Some(loose)
+    }
+
     /// Whether a query's filter rectangle intersects this region.
     pub fn intersects(&self, query: &Query) -> bool {
-        query.predicates().iter().all(|p| {
-            let (lo, hi) = self.bounds[p.dim];
-            p.hi >= lo && p.lo <= hi
-        })
+        self.overlap(query).is_some()
     }
 
     /// Whether this region is entirely contained in the query rectangle.
     pub fn contained_in(&self, query: &Query) -> bool {
-        query.predicates().iter().all(|p| {
-            let (lo, hi) = self.bounds[p.dim];
-            p.lo <= lo && hi <= p.hi
-        })
+        self.overlap(query) == Some(0)
     }
 }
 
@@ -54,30 +103,39 @@ impl Region {
 pub struct RegionData {
     /// Indices of the dataset rows falling in the region.
     pub rows: Vec<usize>,
-    /// Sample queries (from the optimization workload) intersecting the region.
+    /// Sample queries (from the optimization workload) intersecting the
+    /// region's split rectangle.
     pub queries: Vec<Query>,
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Internal {
-        dim: usize,
-        /// Sorted split values; child `i` covers values `< splits[i]` (and
-        /// `>= splits[i-1]`), the last child covers values `>= splits[k-1]`.
-        splits: Vec<Value>,
-        children: Vec<usize>,
-    },
-    Leaf {
-        region: usize,
-    },
+/// Marks a child id as a leaf; the remaining bits are the region id. An
+/// unmarked child id is the index of an internal node.
+const LEAF: u32 = 1 << 31;
+
+fn leaf_id(region: usize) -> u32 {
+    assert!(region < LEAF as usize, "region ids fit in 31 bits");
+    region as u32 | LEAF
 }
 
-/// The Grid Tree structure (regions + decision nodes).
+/// The Grid Tree structure (regions + decision nodes), held as flat arrays.
+///
+/// Internal node `n` splits dimension `dims[n]` at the `k` sorted values
+/// `splits[first[n]..first[n + 1]]` and has `k + 1` children: child `i`
+/// covers values `< splits[i]` (and `>= splits[i - 1]`), the last child
+/// values `>= splits[k - 1]`. Every earlier node `m` holds one child more
+/// than it holds splits, so node `n`'s children start at `first[n] + n` in
+/// `children` and `first` indexes both arrays. A leaf is a child id (see
+/// `LEAF`), not a node.
 #[derive(Debug, Clone)]
 pub struct GridTree {
-    nodes: Vec<Node>,
-    root: usize,
-    regions: Vec<Region>,
+    dims: Vec<u32>,
+    first: Vec<u32>,
+    splits: Vec<Value>,
+    children: Vec<u32>,
+    root: u32,
+    /// Region `r`'s bounds are `bounds[r * num_dims..(r + 1) * num_dims]`.
+    bounds: Vec<(Value, Value)>,
+    num_dims: usize,
     depth: usize,
 }
 
@@ -100,14 +158,18 @@ impl GridTree {
             ((total_queries as f64) * config.min_region_query_fraction).ceil() as usize;
 
         let mut tree = GridTree {
-            nodes: Vec::new(),
+            dims: Vec::new(),
+            first: vec![0],
+            splits: Vec::new(),
+            children: Vec::new(),
             root: 0,
-            regions: Vec::new(),
+            bounds: Vec::new(),
+            num_dims: d,
             depth: 0,
         };
         let mut region_data = Vec::new();
         let all_rows: Vec<usize> = (0..data.len()).collect();
-        let root = tree.build_node(
+        tree.root = tree.build_node(
             data,
             all_rows,
             types.to_vec(),
@@ -118,10 +180,16 @@ impl GridTree {
             config,
             &mut region_data,
         );
-        tree.root = root;
+        // Hold what `size_bytes` reports, not the slack the arrays grew with.
+        tree.dims.shrink_to_fit();
+        tree.first.shrink_to_fit();
+        tree.splits.shrink_to_fit();
+        tree.children.shrink_to_fit();
+        tree.bounds.shrink_to_fit();
         (tree, region_data)
     }
 
+    /// Builds the subtree over `rows` and returns its child id.
     #[allow(clippy::too_many_arguments)]
     fn build_node(
         &mut self,
@@ -134,7 +202,7 @@ impl GridTree {
         min_queries: usize,
         config: &TsunamiConfig,
         region_data: &mut Vec<RegionData>,
-    ) -> usize {
+    ) -> u32 {
         self.depth = self.depth.max(depth);
         let num_queries: usize = types.iter().map(|t| t.queries.len()).sum();
 
@@ -149,7 +217,7 @@ impl GridTree {
         };
 
         match best_split {
-            None => self.make_leaf(rows, types, bounds, region_data),
+            None => self.make_leaf(data, rows, types, bounds, region_data),
             Some((dim, split_values)) => {
                 // Partition rows and queries among the k+1 children.
                 let k = split_values.len();
@@ -162,22 +230,14 @@ impl GridTree {
                 drop(rows);
 
                 let mut child_ids = Vec::with_capacity(k + 1);
-                let mut child_bounds_list = Vec::with_capacity(k + 1);
-                for c in 0..=k {
-                    let mut b = bounds.clone();
+                for (c, crows) in child_rows.into_iter().enumerate() {
+                    let mut cbounds = bounds.clone();
                     if c > 0 {
-                        b[dim].0 = split_values[c - 1];
+                        cbounds[dim].0 = split_values[c - 1];
                     }
                     if c < k {
-                        b[dim].1 = split_values[c] - 1;
+                        cbounds[dim].1 = split_values[c] - 1;
                     }
-                    child_bounds_list.push(b);
-                }
-
-                for (c, (crows, cbounds)) in
-                    child_rows.into_iter().zip(child_bounds_list).enumerate()
-                {
-                    let _ = c;
                     // Queries intersecting this child along the split dim.
                     let ctypes: Vec<QueryType> = types
                         .iter()
@@ -195,7 +255,7 @@ impl GridTree {
                         })
                         .filter(|t| !t.queries.is_empty())
                         .collect();
-                    let id = self.build_node(
+                    child_ids.push(self.build_node(
                         data,
                         crows,
                         ctypes,
@@ -205,35 +265,49 @@ impl GridTree {
                         min_queries,
                         config,
                         region_data,
-                    );
-                    child_ids.push(id);
+                    ));
                 }
 
-                let id = self.nodes.len();
-                self.nodes.push(Node::Internal {
-                    dim,
-                    splits: split_values,
-                    children: child_ids,
-                });
-                id
+                // The subtree's nodes are all in place, so this node's
+                // splits and children land contiguously after theirs.
+                let id = self.dims.len();
+                assert!(id < LEAF as usize, "node ids fit in 31 bits");
+                self.dims.push(dim as u32);
+                self.splits.extend_from_slice(&split_values);
+                self.children.extend_from_slice(&child_ids);
+                self.first
+                    .push(u32::try_from(self.splits.len()).expect("split offsets fit in 32 bits"));
+                id as u32
             }
         }
     }
 
+    /// Adds a leaf region and returns its child id. A region that owns rows
+    /// records their per-dimension minimum and maximum; one that owns none
+    /// keeps `split_rectangle`, the part of the data domain its path through
+    /// the tree leaves it.
     fn make_leaf(
         &mut self,
+        data: &Dataset,
         rows: Vec<usize>,
         types: Vec<QueryType>,
-        bounds: Vec<(Value, Value)>,
+        split_rectangle: Vec<(Value, Value)>,
         region_data: &mut Vec<RegionData>,
-    ) -> usize {
-        let region_id = self.regions.len();
-        self.regions.push(Region { bounds });
+    ) -> u32 {
+        let region_id = region_data.len();
+        if rows.is_empty() {
+            self.bounds.extend_from_slice(&split_rectangle);
+        } else {
+            self.bounds.extend((0..self.num_dims).map(|dim| {
+                let column = data.column(dim);
+                rows.iter().fold((Value::MAX, Value::MIN), |(lo, hi), &r| {
+                    (lo.min(column[r]), hi.max(column[r]))
+                })
+            }));
+        }
         let queries: Vec<Query> = types.into_iter().flat_map(|t| t.queries).collect();
         region_data.push(RegionData { rows, queries });
-        let id = self.nodes.len();
-        self.nodes.push(Node::Leaf { region: region_id });
-        id
+        leaf_id(region_id)
     }
 
     /// Finds the split dimension and values with the largest skew reduction,
@@ -286,12 +360,12 @@ impl GridTree {
 
     /// Number of nodes (internal + leaf) — Table 4's "Num Grid Tree nodes".
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.dims.len() + self.num_regions()
     }
 
     /// Number of leaf regions — Table 4's "Num leaf regions".
     pub fn num_regions(&self) -> usize {
-        self.regions.len()
+        self.bounds.len() / self.num_dims.max(1)
     }
 
     /// Maximum depth of the tree — Table 4's "Grid Tree depth".
@@ -299,113 +373,100 @@ impl GridTree {
         self.depth
     }
 
-    /// The leaf regions.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
+    /// The leaf regions, in region (= physical) order.
+    pub fn regions(&self) -> impl Iterator<Item = Region<'_>> {
+        (self.bounds.chunks_exact(self.num_dims.max(1))).map(|bounds| Region { bounds })
     }
 
     /// The region with the given id.
-    pub fn region(&self, id: usize) -> &Region {
-        &self.regions[id]
+    pub fn region(&self, id: usize) -> Region<'_> {
+        Region {
+            bounds: &self.bounds[self.bounds_of(id)],
+        }
     }
 
-    /// Collects the ids of every leaf region whose bounds intersect the
-    /// query's filter rectangle.
-    pub fn regions_for_query(&self, query: &Query) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_regions(self.root, query, &mut out);
-        out
+    /// Where region `id`'s bounds sit in the bounds array.
+    fn bounds_of(&self, id: usize) -> std::ops::Range<usize> {
+        id * self.num_dims..(id + 1) * self.num_dims
     }
 
-    fn collect_regions(&self, node: usize, query: &Query, out: &mut Vec<usize>) {
-        match &self.nodes[node] {
-            Node::Leaf { region } => {
-                if self.regions[*region].intersects(query) {
-                    out.push(*region);
-                }
+    /// Internal node `node`: its split dimension, split values and children.
+    fn node(&self, node: usize) -> (usize, &[Value], &[u32]) {
+        let (lo, hi) = (self.first[node] as usize, self.first[node + 1] as usize);
+        (
+            self.dims[node] as usize,
+            &self.splits[lo..hi],
+            &self.children[lo + node..=hi + node],
+        )
+    }
+
+    /// Calls `visit(region, loose)` for every leaf region whose bounds
+    /// intersect the query's filter rectangle, in region order; `loose` is
+    /// the region's [`Region::overlap`] with the query. The one descent:
+    /// the planner and the tests both read it.
+    pub fn for_each_region(&self, query: &Query, mut visit: impl FnMut(usize, u128)) {
+        self.descend(self.root, query, &mut visit);
+    }
+
+    fn descend(&self, child: u32, query: &Query, visit: &mut impl FnMut(usize, u128)) {
+        if child & LEAF != 0 {
+            let region = (child & !LEAF) as usize;
+            if let Some(loose) = self.region(region).overlap(query) {
+                visit(region, loose);
             }
-            Node::Internal {
-                dim,
-                splits,
-                children,
-            } => match query.predicate_on(*dim) {
-                None => {
-                    for &c in children {
-                        self.collect_regions(c, query, out);
-                    }
-                }
-                Some(p) => {
-                    let first = splits.partition_point(|&s| s <= p.lo);
-                    let last = splits.partition_point(|&s| s <= p.hi);
-                    for &c in &children[first..=last] {
-                        self.collect_regions(c, query, out);
-                    }
-                }
-            },
+            return;
+        }
+        let (dim, splits, children) = self.node(child as usize);
+        let hit = match query.predicate_on(dim) {
+            None => children,
+            Some(p) => {
+                &children[splits.partition_point(|&s| s <= p.lo)
+                    ..=splits.partition_point(|&s| s <= p.hi)]
+            }
+        };
+        for &c in hit {
+            self.descend(c, query, visit);
         }
     }
 
     /// Routes an *ingested* point to its region and widens that region's
-    /// recorded bounds to cover it, returning the region id.
+    /// bounds to cover it, returning the region id — the one writer of
+    /// bounds after build, and what keeps them covering every stored row
+    /// (module docs, "Region bounds").
     ///
     /// Routing goes through the internal split values, which partition the
     /// whole value space — so a point outside the build-time data domain
-    /// still lands in exactly one region. The leaf's recorded bounds,
-    /// however, are clipped to the build-time domain, and both query routing
-    /// ([`GridTree::regions_for_query`]) and region-scan exactness /
-    /// residual elimination rely on them covering every stored row.
-    /// Widening stays within the split constraints along split dimensions
-    /// (the routed point satisfies them by construction), so regions remain
-    /// disjoint there.
+    /// still lands in exactly one region. Widening stays within the split
+    /// constraints along split dimensions (the routed point satisfies them
+    /// by construction), so regions remain disjoint there.
     pub fn absorb_point(&mut self, point: &[Value]) -> usize {
         let region = self.region_of_point(point);
-        for (dim, bounds) in self.regions[region].bounds.iter_mut().enumerate() {
-            bounds.0 = bounds.0.min(point[dim]);
-            bounds.1 = bounds.1.max(point[dim]);
+        let span = self.bounds_of(region);
+        for (bounds, &v) in self.bounds[span].iter_mut().zip(point) {
+            bounds.0 = bounds.0.min(v);
+            bounds.1 = bounds.1.max(v);
         }
         region
     }
 
     /// The region containing a point (every point maps to exactly one region).
     pub fn region_of_point(&self, point: &[Value]) -> usize {
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { region } => return *region,
-                Node::Internal {
-                    dim,
-                    splits,
-                    children,
-                } => {
-                    let child = splits.partition_point(|&s| s <= point[*dim]);
-                    node = children[child];
-                }
-            }
+        let mut child = self.root;
+        while child & LEAF == 0 {
+            let (dim, splits, children) = self.node(child as usize);
+            child = children[splits.partition_point(|&s| s <= point[dim])];
         }
+        (child & !LEAF) as usize
     }
 
-    /// Approximate size of the tree structure in bytes (it is intentionally
-    /// tiny compared to the per-region grids).
+    /// Size of the tree in bytes: the arrays it holds. The region bounds are
+    /// nearly all of it (16 bytes a region and dimension).
     pub fn size_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for n in &self.nodes {
-            total += match n {
-                Node::Leaf { .. } => std::mem::size_of::<usize>(),
-                Node::Internal {
-                    splits, children, ..
-                } => {
-                    std::mem::size_of::<usize>()
-                        + splits.len() * std::mem::size_of::<Value>()
-                        + children.len() * std::mem::size_of::<usize>()
-                }
-            };
-        }
-        total += self
-            .regions
-            .iter()
-            .map(|r| r.bounds.len() * 2 * std::mem::size_of::<Value>())
-            .sum::<usize>();
-        total
+        std::mem::size_of_val(self.dims.as_slice())
+            + std::mem::size_of_val(self.first.as_slice())
+            + std::mem::size_of_val(self.splits.as_slice())
+            + std::mem::size_of_val(self.children.as_slice())
+            + std::mem::size_of_val(self.bounds.as_slice())
     }
 }
 
@@ -440,6 +501,13 @@ mod tests {
         Workload::new(qs)
     }
 
+    /// The regions the descent reaches for `q`, in the order it visits them.
+    fn regions_hit(tree: &GridTree, q: &Query) -> Vec<usize> {
+        let mut hit = Vec::new();
+        tree.for_each_region(q, |region, _| hit.push(region));
+        hit
+    }
+
     fn build_tree(data: &Dataset, workload: &Workload) -> (GridTree, Vec<RegionData>) {
         let config = TsunamiConfig::fast();
         let types = cluster_query_types(
@@ -466,10 +534,14 @@ mod tests {
         assert_eq!(tree.num_regions(), regions.len());
         assert!(tree.depth() >= 1);
         // One of the splits should be on the time dimension near 3600.
-        let has_time_boundary = tree.regions().iter().any(|r| {
+        let has_time_boundary = tree.regions().any(|r| {
             (3000..=4200).contains(&r.bounds[0].0) || (3000..=4200).contains(&r.bounds[0].1)
         });
-        assert!(has_time_boundary, "regions: {:?}", tree.regions());
+        assert!(
+            has_time_boundary,
+            "regions: {:?}",
+            tree.regions().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -493,7 +565,7 @@ mod tests {
         let data = sales_data(10_000);
         let workload = sales_workload();
         let (tree, _) = build_tree(&data, &workload);
-        let regions = tree.regions();
+        let regions: Vec<Region> = tree.regions().collect();
         for i in 0..regions.len() {
             for j in (i + 1)..regions.len() {
                 let overlap_all_dims = (0..2).all(|d| {
@@ -512,14 +584,13 @@ mod tests {
         let workload = sales_workload();
         let (tree, _) = build_tree(&data, &workload);
         for q in workload.queries().iter().step_by(7) {
-            let found = tree.regions_for_query(q);
+            let found = regions_hit(&tree, q);
             // Compare against brute force over region bounds.
             let expected: Vec<usize> = (0..tree.num_regions())
                 .filter(|&r| tree.region(r).intersects(q))
                 .collect();
-            let mut found_sorted = found.clone();
-            found_sorted.sort_unstable();
-            assert_eq!(found_sorted, expected);
+            // The descent visits leaves in region order.
+            assert_eq!(found, expected);
             assert!(!found.is_empty());
         }
     }
@@ -576,19 +647,89 @@ mod tests {
             Predicate::range(1, 900_000, 1_100_000).unwrap(),
         ])
         .unwrap();
-        assert!(tree.regions_for_query(&q).contains(&rid));
+        assert!(regions_hit(&tree, &q).contains(&rid));
         // An in-domain point leaves its region's bounds unchanged.
         let inner = data.row(17);
         let inner_rid = tree.region_of_point(&inner);
-        let before = tree.region(inner_rid).bounds.clone();
+        let before = tree.region(inner_rid).bounds.to_vec();
         tree.absorb_point(&inner);
         assert_eq!(tree.region(inner_rid).bounds, before);
     }
 
     #[test]
+    fn bounds_are_the_min_and_max_of_a_regions_rows() {
+        // Dim 1 follows dim 0, and no query filters it.
+        let n = 10_000u64;
+        let data = Dataset::from_columns(vec![
+            (0..n).map(|v| v * 4800 / n).collect(),
+            (0..n).map(|v| 10 * (v * 4800 / n) + v % 7).collect(),
+        ])
+        .unwrap();
+        let (tree, regions) = build_tree(&data, &sales_workload());
+        assert!(regions.len() >= 2);
+        for (rid, rd) in regions.iter().enumerate() {
+            for (dim, &bound) in tree.region(rid).bounds.iter().enumerate() {
+                let values = rd.rows.iter().map(|&r| data.get(r, dim));
+                let tight = (values.clone().min().unwrap(), values.max().unwrap());
+                assert_eq!(bound, tight, "region {rid} dim {dim}");
+            }
+        }
+        // So the regions are disjoint bands of dim 1 too, though the tree
+        // never split it.
+        let mut bands: Vec<(Value, Value)> = tree.regions().map(|r| r.bounds[1]).collect();
+        bands.sort_unstable();
+        assert!(bands.windows(2).all(|w| w[0].1 < w[1].0), "{bands:?}");
+    }
+
+    #[test]
+    fn size_bytes_counts_the_arrays_of_a_hand_built_tree() {
+        // One node splitting dim 0 at 10 and 20 into three leaves.
+        let tree = GridTree {
+            dims: vec![0],
+            first: vec![0, 2],
+            splits: vec![10, 20],
+            children: vec![leaf_id(0), leaf_id(1), leaf_id(2)],
+            root: 0,
+            bounds: vec![(0, 9), (0, 5), (10, 19), (5, 9), (20, 29), (0, 9)],
+            num_dims: 2,
+            depth: 1,
+        };
+        assert_eq!((tree.num_regions(), tree.num_nodes()), (3, 4));
+        // 3 regions x 2 dims x 16 B of bounds, 2 splits x 8 B, and 4 B for
+        // each of 3 child ids, 1 node dimension and 2 offsets.
+        assert_eq!(tree.size_bytes(), 96 + 16 + 12 + 4 + 8);
+        assert_eq!(tree.region_of_point(&[9, 0]), 0);
+        assert_eq!(tree.region_of_point(&[10, 0]), 1);
+        assert_eq!(tree.region_of_point(&[500, 0]), 2);
+        let q = Query::count(vec![
+            Predicate::range(0, 5, 25).unwrap(),
+            Predicate::range(1, 0, 4).unwrap(),
+        ])
+        .unwrap();
+        assert_eq!(regions_hit(&tree, &q), vec![0, 2]);
+
+        // A built tree holds exactly what its node counts imply: every node
+        // and leaf but the root is one child id, and a node has one split
+        // fewer than children.
+        let (tree, _) = build_tree(&sales_data(10_000), &sales_workload());
+        let regions = tree.num_regions();
+        let internal = tree.num_nodes() - regions;
+        let children = tree.num_nodes() - 1;
+        assert!(internal >= 1);
+        assert_eq!(
+            tree.size_bytes(),
+            regions * 2 * 16
+                + (children - internal) * 8
+                + children * 4
+                + internal * 4
+                + (internal + 1) * 4
+        );
+    }
+
+    #[test]
     fn region_containment_check() {
         let r = Region {
-            bounds: vec![(10, 20), (0, 100)],
+            bounds: &[(10, 20), (0, 100)],
         };
         let q_contains = Query::count(vec![Predicate::range(0, 0, 50).unwrap()]).unwrap();
         let q_partial = Query::count(vec![Predicate::range(0, 15, 50).unwrap()]).unwrap();

@@ -24,16 +24,31 @@
 //!   region's dead fraction passes the bar;
 //!
 //! and correctness never depends on which of the two a mutation took.
+//!
+//! What [`TsunamiIndex::plan`] learns from the Grid Tree — which regions a
+//! query can match in, which it covers whole (answered from the cube, or
+//! scanned exact), which predicates a whole-region range or a delta run
+//! need not re-check — it reads off the regions' bounds, under one
+//! invariant: a region's bounds contain every row stored for it, main slice
+//! and delta run, live or tombstoned (`grid_tree` module docs, "Region
+//! bounds"). Build sets them to the rows' own minimum and maximum; ingest
+//! routes every row through [`GridTree::absorb_point`], which widens them,
+//! before the row is stored anywhere; deletes, grafts and compactions move
+//! or drop rows within a region and leave the bounds alone; the rebuild
+//! escalations start over. `plan()` itself is one descent and, per gridded
+//! region reached, one cell enumeration, both feeding the plan through
+//! callbacks out of one scratch: what it allocates does not grow with the
+//! regions or grids a query reaches (`tests/plan_allocations.rs`).
 
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::augmented_grid::optimizer::{region_can_hold_grid, region_layout};
-use crate::augmented_grid::{AugmentedGrid, OptimizerKind, Skeleton};
+use crate::augmented_grid::{AugmentedGrid, CellScratch, OptimizerKind, Skeleton};
 use crate::config::{IndexVariant, TsunamiConfig};
 use crate::cube::{CubeEntry, RegionCube};
-use crate::grid_tree::{GridTree, Region};
+use crate::grid_tree::{dim_bit, GridTree, Region};
 use crate::query_types::cluster_query_types;
 use tsunami_core::exec::BLOCK_ROWS;
 use tsunami_core::{
@@ -315,10 +330,9 @@ impl TsunamiIndex {
     /// Absorbs new rows into the existing index **without a rebuild**.
     ///
     /// Each row is routed to its Grid-Tree region (widening the region's
-    /// recorded bounds when the row falls outside the build-time domain),
-    /// counted against that region's staleness and folded into its cube
-    /// entry. Where the rows then land is decided from the index's own
-    /// state:
+    /// bounds when the row falls outside them), counted against that
+    /// region's staleness and folded into its cube entry. Where the rows
+    /// then land is decided from the index's own state:
     ///
     /// * **Delta** (the common case for a small batch). The batch joins the
     ///   *delta*: the store's plain tail, kept in region order so each
@@ -416,9 +430,9 @@ impl TsunamiIndex {
             ));
         }
 
-        // Route each new row to its region, widening recorded bounds so
-        // query routing and region-scan exactness stay sound for
-        // out-of-domain values.
+        // Route each new row to its region, widening the region's bounds
+        // to cover it: query routing, region-scan exactness and the cube
+        // rest on bounds that contain every stored row.
         let mut tree = self.tree.clone();
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.regions.len()];
         let mut point = vec![0u64; rows.num_dims()];
@@ -499,7 +513,7 @@ impl TsunamiIndex {
     fn due_queries(
         &self,
         region: &RegionIndex,
-        bounds: &Region,
+        bounds: Region,
         rows: usize,
         inserted: usize,
         config: &TsunamiConfig,
@@ -909,6 +923,12 @@ impl TsunamiIndex {
         &self.tree
     }
 
+    /// The Augmented Grid over a Grid-Tree region's main slice, if the
+    /// region has one.
+    pub fn region_grid(&self, region: usize) -> Option<&AugmentedGrid> {
+        self.regions[region].grid.as_deref()
+    }
+
     /// Index statistics in the shape of the paper's Table 4.
     pub fn stats(&self) -> TsunamiStats {
         let mut points: Vec<usize> = (self.regions.iter().enumerate())
@@ -964,85 +984,70 @@ impl MultiDimIndex for TsunamiIndex {
     }
 
     fn plan(&self, query: &Query) -> ScanPlan {
-        let d = self.store.num_dims();
         let mut plan = ScanPlan::new();
         // Residual elimination: a predicate needs re-checking only if *some*
         // planned range fails to guarantee it by construction (through its
-        // grid's visited partitions, or through the Grid Tree region bounds
-        // for unindexed regions and delta runs).
-        let mut guaranteed = vec![true; d];
+        // grid's visited partitions, or through the Grid-Tree region bounds
+        // for whole-region ranges and delta runs). One bit per dimension
+        // ([`dim_bit`]), set when a range does not guarantee it.
+        let mut loose: u128 = 0;
         // Delta runs of the hit regions, pushed after every main range: the
         // delta is in region order, so the runs of adjacent hit regions
         // merge into one range (`ScanPlan::push` merges with the last range
         // only). Never allocates while the delta is empty.
         let mut delta_runs: Vec<(Range<usize>, bool)> = Vec::new();
+        let mut scratch = CellScratch::default();
         // The aggregation's input dimension, whose pre-folded SUM/MIN/MAX a
         // covered region contributes (COUNT only uses the row count; dim 0
         // stands in, and every dataset has at least one dimension).
         let agg_dim = query.aggregation().input_dim().unwrap_or(0);
-        for region_id in self.tree.regions_for_query(query) {
+        let visit = |region_id: usize, loose_in_bounds: u128| {
             let region = &self.regions[region_id];
             let delta = self.delta_range(region_id);
             if region.len == 0 && delta.is_empty() {
-                continue;
+                return;
             }
             // Containment in the query makes everything in the region —
-            // main rows and delta rows alike, the widened bounds cover both —
-            // match it: the region can be answered from the cube, or scanned
+            // main rows and delta rows alike, the bounds cover both — match
+            // it: the region can be answered from the cube, or scanned
             // exact, and cannot weaken any residual guarantee.
-            let contained = self.tree.region(region_id).contained_in(query);
+            let contained = loose_in_bounds == 0;
             // Materialized-aggregate coverage: a contained region contributes
             // its pre-folded cube entry (main + delta rows) as a
             // `PlanPartial` instead of scan ranges. Only whole regions
             // qualify — partial overlaps (the rims) still scan.
             if self.matview && contained {
-                let entry = self
-                    .cube
-                    .get_or_fold(region_id, || self.fold_region(region_id));
-                if let Some(partial) = entry.partial(agg_dim) {
+                let fold = || self.fold_region(region_id);
+                if let Some(partial) = self.cube.get_or_fold(region_id, agg_dim, fold) {
                     plan.push_partial(partial);
                 }
-                continue;
+                return;
             }
             // The main slice: through the grid's cells, or as one range when
             // there is no grid or its cell enumeration fell back because it
             // would cost more than the scan.
-            let cells = region.grid.as_ref().map(|grid| grid.plan_ranges(query));
-            let mut by_tree_bounds = false;
-            match cells.filter(|cells| !cells.fallback) {
-                Some(cells) => {
-                    for (r, exact) in cells.ranges {
-                        plan.push(region.base + r.start..region.base + r.end, exact);
-                    }
-                    for (g, rg) in guaranteed.iter_mut().zip(&cells.guaranteed) {
-                        *g &= rg;
-                    }
-                }
-                None => {
-                    plan.push(region.base..region.base + region.len, contained);
-                    by_tree_bounds = true;
-                }
+            let base = region.base;
+            let emit = |r: Range<usize>, exact| plan.push(base + r.start..base + r.end, exact);
+            let by_cells =
+                (region.grid.as_ref()).and_then(|g| g.plan_cells(query, &mut scratch, emit));
+            if by_cells.is_none() {
+                plan.push(base..base + region.len, contained);
             }
             // A whole-region range and a delta run hold "any row of the
             // region": exact iff the region is contained, and guaranteed
             // what the Grid-Tree region bounds guarantee.
+            let by_bounds = by_cells.is_none() || !delta.is_empty();
+            loose |= by_cells.unwrap_or(0) | if by_bounds { loose_in_bounds } else { 0 };
             if !delta.is_empty() {
                 delta_runs.push((delta, contained));
-                by_tree_bounds = true;
             }
-            if by_tree_bounds {
-                let tree_region = self.tree.region(region_id);
-                for p in query.predicates() {
-                    if p.dim < d {
-                        let (lo, hi) = tree_region.bounds[p.dim];
-                        guaranteed[p.dim] &= p.lo <= lo && hi <= p.hi;
-                    }
-                }
-            }
-        }
+        };
+        self.tree.for_each_region(query, visit);
         for (run, exact) in delta_runs {
             plan.push(run, exact);
         }
+        // Dimensions past the array are kept in the residual.
+        let guaranteed: [bool; 128] = std::array::from_fn(|dim| loose & dim_bit(dim) == 0);
         plan.with_guaranteed_dims(query, &guaranteed)
     }
 
@@ -1830,5 +1835,226 @@ mod tests {
         ])
         .unwrap();
         assert!(compacted.plan(&q).residual(&q).iter().all(|p| p.dim != 1));
+    }
+
+    /// `dataset`, with the band `[8_300, 9_000)` of the time-like dimension
+    /// folded down into the past. The workload's recent scans still make
+    /// the Grid Tree split inside the band, which leaves a region that owns
+    /// no row at build.
+    fn gapped_dataset(n: usize, seed: u64) -> Dataset {
+        let mut cols = dataset(n, seed).into_columns();
+        for v in &mut cols[2] {
+            if (8_300..9_000).contains(v) {
+                *v -= 8_300;
+            }
+        }
+        Dataset::from_columns(cols).unwrap()
+    }
+
+    /// The regions the Grid-Tree descent reaches for `q`, in visit order.
+    fn regions_hit(index: &TsunamiIndex, q: &Query) -> Vec<usize> {
+        let mut hit = Vec::new();
+        index.tree.for_each_region(q, |rid, _| hit.push(rid));
+        hit
+    }
+
+    /// The zone-map invariant (`grid_tree` module docs, "Region bounds"):
+    /// every stored row — live or dead — of every region's main slice and
+    /// delta run lies inside the region's bounds. And, over those bounds,
+    /// the descent reaches exactly the regions brute force finds and the
+    /// index answers like the oracle.
+    fn assert_zone_maps(index: &TsunamiIndex, live: &Dataset, probes: &[Query], label: &str) {
+        for (rid, region) in index.regions.iter().enumerate() {
+            let bounds = index.tree.region(rid).bounds;
+            for range in [
+                region.base..region.base + region.len,
+                index.delta_range(rid),
+            ] {
+                let stored = index.store.slice_dataset(range);
+                for (dim, &(lo, hi)) in bounds.iter().enumerate() {
+                    assert!(
+                        stored.column(dim).iter().all(|v| (lo..=hi).contains(v)),
+                        "{label}: region {rid} holds a row outside its bounds on dim {dim}"
+                    );
+                }
+            }
+        }
+        for q in probes {
+            let brute: Vec<usize> = (0..index.regions.len())
+                .filter(|&rid| index.tree.region(rid).intersects(q))
+                .collect();
+            assert_eq!(regions_hit(index, q), brute, "{label}: {q:?}");
+            assert_eq!(
+                index.execute(q),
+                q.execute_full_scan(live),
+                "{label}: {q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn region_bounds_cover_every_stored_row_through_every_mutation_path() {
+        let data = gapped_dataset(30_000, 157);
+        let w = workload(158);
+        // Bars that never trip; the steps that want one tripped say so.
+        let lazy = TsunamiConfig::fast().with_ingest_staleness(1.0, 1.0);
+        let mut index = TsunamiIndex::build(&data, &w, &lazy).unwrap();
+        let mut live = data.clone();
+        let hollow = (index.regions.iter())
+            .position(|r| r.len == 0)
+            .expect("a region that owns no row at build");
+
+        let mut rng = SplitMix::new(400);
+        let mut probes: Vec<Query> = w.queries().iter().step_by(6).cloned().collect();
+        probes.extend(all_agg_probes(vec![]));
+        // Beyond every build-time maximum, where only ingested rows live.
+        probes.push(Query::count(vec![Predicate::range(0, 100_000, 200_000).unwrap()]).unwrap());
+        for _ in 0..12 {
+            let (a, b, c) = (
+                rng.next_below(45_000),
+                rng.next_below(95_000),
+                rng.next_below(9_500),
+            );
+            probes.push(Query::count(vec![Predicate::range(1, b, b + 6_000).unwrap()]).unwrap());
+            probes.extend(all_agg_probes(vec![
+                Predicate::range(0, a, a + 9_000).unwrap(),
+                Predicate::range(2, c, c + 3_000).unwrap(),
+            ]));
+        }
+        assert_zone_maps(&index, &live, &probes, "build");
+
+        // Delta ingests: in-domain rows, rows beyond every build-time
+        // maximum (`ingest_batch`'s tail) and rows into the hollow region,
+        // whose bounds are its split rectangle — the whole domain of dim 1,
+        // which the tree never splits, and a slice of the band no row has
+        // of dim 2.
+        let hollow_bounds = index.tree.region(hollow).bounds.to_vec();
+        assert_eq!(hollow_bounds[1], data.domain(1).unwrap());
+        assert!(8_300 <= hollow_bounds[2].0 && hollow_bounds[2].1 < 9_000);
+        let low_corner: Point = hollow_bounds.iter().map(|b| b.0).collect();
+        assert_eq!(index.tree.region_of_point(&low_corner), hollow);
+        for step in 0..3 {
+            let mut batch = ingest_batch(150, 401 + step);
+            batch.extend((0..4).map(|_| low_corner.clone()));
+            let (next, report) = index.ingest(&batch, &lazy).unwrap();
+            assert!(!report.rebuilt, "{report:?}");
+            index = next;
+            live = merged_dataset(&live, &batch);
+            assert_eq!(index.stats().delta_rows, live.len() - data.len());
+            assert_zone_maps(&index, &live, &probes, "delta ingest");
+        }
+        assert!(index.delta_range(hollow).len() >= 12);
+
+        // A tombstone-only delete that hits main rows and delta rows.
+        let del = Query::count(vec![Predicate::range(0, 20_000, 20_400).unwrap()]).unwrap();
+        let dead_in_delta = (index.store.slice_dataset(index.delta[0]..index.store.len()))
+            .rows()
+            .filter(|row| del.matches_point(row))
+            .count();
+        assert!(dead_in_delta > 0);
+        let (next, report) = index.delete_where(&del, &lazy).unwrap();
+        assert!(report.rows_deleted > dead_in_delta, "{report:?}");
+        assert_eq!((report.regions_compacted, report.rebuilt), (0, false));
+        index = next;
+        live = live_after(&live, &del);
+        assert_zone_maps(&index, &live, &probes, "tombstone delete");
+
+        // A graft: the next batch takes the delta past one scan block.
+        let batch = ingest_batch(BLOCK_ROWS, 405);
+        let (next, report) = index.ingest(&batch, &lazy).unwrap();
+        assert!(!report.rebuilt, "{report:?}");
+        index = next;
+        live = merged_dataset(&live, &batch);
+        assert_eq!(index.stats().delta_rows, 0);
+        assert!(index.regions[hollow].len >= 12);
+        assert_zone_maps(&index, &live, &probes, "graft");
+
+        // One compaction (a zero dead bar), dead rows of the earlier delete
+        // included.
+        let eager = lazy.clone().with_ingest_staleness(0.0, 1.0);
+        let del = Query::count(vec![Predicate::range(0, 30_000, 31_000).unwrap()]).unwrap();
+        let (next, report) = index.delete_where(&del, &eager).unwrap();
+        assert!(
+            report.regions_compacted >= 1 && !report.rebuilt,
+            "{report:?}"
+        );
+        index = next;
+        live = live_after(&live, &del);
+        assert_zone_maps(&index, &live, &probes, "compaction");
+
+        // One rebuild escalation (a zero rebuild bar): bounds start over,
+        // tight around the live rows.
+        let rebuild = lazy.clone().with_ingest_staleness(1.0, 0.0);
+        let batch = ingest_batch(60, 406);
+        let (next, report) = index.ingest(&batch, &rebuild).unwrap();
+        assert!(report.rebuilt, "{report:?}");
+        index = next;
+        live = merged_dataset(&live, &batch);
+        assert_zone_maps(&index, &live, &probes, "rebuild");
+    }
+
+    #[test]
+    fn tight_bounds_prune_a_correlated_dimension_the_tree_did_not_split() {
+        let data = dataset(30_000, 157);
+        let w = workload(158);
+        let mut index = TsunamiIndex::build(&data, &w, &TsunamiConfig::fast()).unwrap();
+        // Dim 1 (~2 x dim 0) is never filtered by the workload, so the tree
+        // never splits it: moving a row to either end of dim 1 does not
+        // re-route it, and every region's split rectangle spans the whole
+        // of dim 1.
+        let populated: Vec<usize> = (0..index.regions.len())
+            .filter(|&rid| index.regions[rid].len > 0)
+            .collect();
+        for &rid in &populated {
+            let mut row = index
+                .store
+                .slice_dataset(index.regions[rid].base..index.regions[rid].base + 1)
+                .row(0);
+            for end in [0, u64::MAX] {
+                row[1] = end;
+                assert_eq!(index.tree.region_of_point(&row), rid);
+            }
+        }
+        // So by split rectangles a dim-1 query is admitted to every region;
+        // by the bounds of the rows it reaches strictly fewer.
+        let q = Query::count(vec![Predicate::range(1, 40_000, 46_000).unwrap()]).unwrap();
+        let hit = regions_hit(&index, &q);
+        assert!(
+            !hit.is_empty() && hit.len() < populated.len() / 2,
+            "{} of {} regions",
+            hit.len(),
+            populated.len()
+        );
+        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+
+        // A grid-less region is contained in the dim-1 band of its own rows
+        // — under its split rectangle, the whole of dim 1, it could not be —
+        // and is answered without checking a row: as a cube partial, or
+        // with the matview off as an exact range.
+        let domain = data.domain(1).unwrap();
+        let (rid, (lo, hi)) = (populated.iter())
+            .map(|&rid| (rid, index.tree.region(rid).bounds[1]))
+            .find(|&(rid, (lo, hi))| {
+                index.regions[rid].grid.is_none() && domain.0 < lo && hi < domain.1
+            })
+            .expect("a grid-less region inside the domain of dim 1");
+        let main = index.regions[rid].base..index.regions[rid].base + index.regions[rid].len;
+        for q in all_agg_probes(vec![Predicate::range(1, lo, hi).unwrap()]) {
+            assert!(index.tree.region(rid).contained_in(&q));
+            let expected = q.execute_full_scan(&data);
+            index.set_matview(true);
+            let (result, counters) = index.execute_with_stats(&q);
+            assert_eq!(result, expected, "{q:?}");
+            assert!(counters.partial_regions >= 1, "{q:?}");
+            assert!(counters.rows_prefolded >= main.len(), "{q:?}");
+            index.set_matview(false);
+            assert_eq!(index.execute(&q), expected, "{q:?}");
+            let plan = index.plan(&q);
+            assert!(plan.partials().is_empty());
+            let exact = |r: &tsunami_core::exec::ScanRange| {
+                r.exact && r.range.start <= main.start && main.end <= r.range.end
+            };
+            assert!(plan.ranges().iter().any(exact), "{q:?}: {plan:?}");
+        }
     }
 }

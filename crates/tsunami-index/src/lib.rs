@@ -36,7 +36,10 @@
 //! 100k rows that was 2M cells (20 per row), 178 µs of a 194 µs query spent
 //! enumerating them, and an index 17× the size of Flood's. The scan the
 //! cells were saving is memory-bound at ~0.3 ns/row; a cell of a few dozen
-//! rows can never repay the ~1.4 µs it costs to plan its grid. The floor is
+//! rows can never repay what it costs to plan its grid — ~1.4 µs a grid
+//! when the floor was set, ~0.12 µs now that a grid is two or three cells
+//! enumerated without allocating (122 ns a grid over the benchmark's
+//! `olap_selective` queries), still some hundred rows of scan. The floor is
 //! derived from a region's row count alone — it is not a knob — and one
 //! function decides it for build, the graft (below) and every rebuild
 //! escalation, so a region's layout is re-decided whenever its row count
@@ -70,6 +73,12 @@
 //! regions), not O(table). `plan()` answers a hit region's delta run with a
 //! plain scan bounded by the (widened) Grid-Tree region, after the main
 //! ranges; a covered region is still one cube partial over main + delta.
+//!
+//! Through all of it a region's Grid-Tree bounds contain every row stored
+//! for the region. They are *data* bounds — the minimum and maximum of the
+//! region's rows on every dimension, not the rectangle the tree's splits
+//! leave it — so they prune on dimensions the tree never split, at no
+//! extra byte: see the [`grid_tree`] module docs, "Region bounds".
 //!
 //! The **graft** is the one routine that moves the table: it folds the
 //! whole delta, the batch at hand and — for regions whose dead fraction
