@@ -922,21 +922,29 @@ mod tests {
 
     #[test]
     fn record_query_feeds_a_bounded_observation_log() {
+        use crate::table::OBSERVATION_WINDOW;
         let (data, day, _) = shift_fixture();
-        let spec = IndexSpec::Tsunami(TsunamiConfig {
-            observation_window: 4,
-            ..TsunamiConfig::fast()
-        });
+        let spec = IndexSpec::Tsunami(TsunamiConfig::fast());
         let mut db = Database::new();
         let t = db.create_table_unnamed("t", data, &day, &spec).unwrap();
         assert_eq!(t.observed_len(), 0);
-        for (i, q) in day.queries().iter().enumerate() {
+        let stream: Vec<&Query> = day
+            .queries()
+            .iter()
+            .cycle()
+            .take(OBSERVATION_WINDOW + 7)
+            .collect();
+        for (i, q) in stream.iter().enumerate() {
             t.record_query(q).unwrap();
-            assert_eq!(t.observed_len(), (i + 1).min(4));
+            assert_eq!(t.observed_len(), (i + 1).min(OBSERVATION_WINDOW));
         }
-        // Oldest observations were evicted: the log holds the last 4.
+        // Oldest observations were evicted: the log holds the last window.
         let obs = t.observed_workload();
-        assert_eq!(obs.queries(), &day.queries()[day.len() - 4..]);
+        let last: Vec<Query> = stream[stream.len() - OBSERVATION_WINDOW..]
+            .iter()
+            .map(|&q| q.clone())
+            .collect();
+        assert_eq!(obs.queries(), &last[..]);
         // Out-of-bounds observations are rejected at the boundary.
         let bad = Query::count(vec![Predicate::range(9, 0, 1).unwrap()]).unwrap();
         assert!(t.record_query(&bad).is_err());
@@ -1309,8 +1317,10 @@ mod tests {
 
     #[test]
     fn files_of_the_previous_format_version_are_refused_not_truncated() {
-        // Version 1 encoded two more fields in a Tsunami spec; its files must
-        // neither mis-decode nor be amputated as a torn tail.
+        // The previous version laid bodies out at other widths and carried
+        // ten more fields in a Tsunami spec; its files must neither
+        // mis-decode nor be amputated as a torn tail.
+        let previous = format!("format version {}", tsunami_store::wal::WAL_VERSION - 1);
         for file in ["wal.log", "checkpoint.db"] {
             let dir = temp_db_dir(&format!("old_version_{}", file.replace('.', "_")));
             let (data, day, _) = shift_fixture();
@@ -1331,7 +1341,7 @@ mod tests {
             let stamped = std::fs::read(&path).unwrap();
             let err = Database::open(&dir).expect_err("old format must not open");
             assert!(
-                matches!(&err, TsunamiError::Durability(m) if m.contains("format version 1")),
+                matches!(&err, TsunamiError::Durability(m) if m.contains(&previous)),
                 "{file}: {err:?}"
             );
             assert_eq!(

@@ -42,6 +42,7 @@ use tsunami_core::codec::{put_u64, Reader};
 use tsunami_core::{Result, TsunamiError};
 use tsunami_flood::FloodConfig;
 use tsunami_index::{IndexVariant, OptimizerKind, TsunamiConfig};
+use tsunami_store::codec::{self, need, CodecError};
 use tsunami_store::wal::{self, CrashPoint, Wal, WalRecord};
 
 use crate::spec::{IndexSpec, PageSize};
@@ -138,10 +139,9 @@ impl Durability {
         let generation = self.generation + 1;
         let marker = WalRecord::Checkpoint { generation, tables };
         let mut buf = Vec::new();
-        for record in snapshot {
-            buf.extend_from_slice(&wal::encode_record(record));
+        for record in snapshot.iter().chain([&marker]) {
+            buf.extend_from_slice(&wal::encode_record(record)?);
         }
-        buf.extend_from_slice(&wal::encode_record(&marker));
 
         let tmp = self.dir.join(CHECKPOINT_TMP);
         let mut file = File::create(&tmp).map_err(|e| io_err("create checkpoint.tmp", e))?;
@@ -198,9 +198,10 @@ fn marker_tables(snapshot: &[WalRecord]) -> Vec<String> {
 // --- IndexSpec codec ------------------------------------------------------
 //
 // The `spec` bytes inside a `CreateTable` record are opaque to the store
-// crate; this is their format. Same conventions as the WAL body codec:
-// big-endian fixed-width integers, `f64` as IEEE-754 bits, a leading tag
-// byte per enum.
+// crate; this is their format: a leading tag byte per enum, build settings as
+// `u64`s, the ingest bars as `f64`s and a candidate list through the shared
+// `tsunami_store::codec`. Only what a caller can set is persisted — the
+// paper's fixed heuristics are constants of the build, not of the spec.
 
 const SPEC_TSUNAMI: u8 = 0x01;
 const SPEC_FLOOD: u8 = 0x02;
@@ -218,6 +219,13 @@ const PAGE_TUNED_OVER: u8 = 0x03;
 /// inside a [`WalRecord::CreateTable`].
 pub fn encode_spec(spec: &IndexSpec) -> Vec<u8> {
     let mut out = Vec::new();
+    // The only length in a spec is a page-size candidate list, and no caller
+    // can hold `u32::MAX` of them.
+    put_spec(&mut out, spec).expect("page-size candidate count fits a u32");
+    out
+}
+
+fn put_spec(out: &mut Vec<u8>, spec: &IndexSpec) -> std::result::Result<(), CodecError> {
     match spec {
         IndexSpec::Tsunami(c) => {
             out.push(SPEC_TSUNAMI);
@@ -232,118 +240,100 @@ pub fn encode_spec(spec: &IndexSpec) -> Vec<u8> {
                 OptimizerKind::AdaptiveNaiveInit => 2,
                 OptimizerKind::BlackBox => 3,
             });
-            put_u64(&mut out, c.skew_bins as u64);
-            put_f64(&mut out, c.dbscan_eps);
-            put_u64(&mut out, c.dbscan_min_pts as u64);
-            put_f64(&mut out, c.min_skew_reduction_fraction);
-            put_f64(&mut out, c.min_region_point_fraction);
-            put_f64(&mut out, c.min_region_query_fraction);
-            put_f64(&mut out, c.merge_tolerance);
-            put_u64(&mut out, c.max_tree_depth as u64);
-            put_f64(&mut out, c.fm_error_fraction);
-            put_f64(&mut out, c.ccdf_empty_fraction);
-            put_u64(&mut out, c.max_cells_per_grid as u64);
-            put_u64(&mut out, c.optimizer_sample_size as u64);
-            put_u64(&mut out, c.optimizer_max_iters as u64);
-            put_u64(&mut out, c.blackbox_iters as u64);
-            put_u64(&mut out, c.seed);
-            put_u64(&mut out, c.observation_window as u64);
-            put_f64(&mut out, c.ingest_region_staleness);
-            put_f64(&mut out, c.ingest_rebuild_staleness);
+            for n in [
+                c.skew_bins,
+                c.max_tree_depth,
+                c.max_cells_per_grid,
+                c.optimizer_sample_size,
+                c.optimizer_max_iters,
+                c.blackbox_iters,
+            ] {
+                put_u64(out, n as u64);
+            }
+            codec::put_f64(out, c.ingest_region_staleness);
+            codec::put_f64(out, c.ingest_rebuild_staleness);
         }
         IndexSpec::Flood(c) => {
             out.push(SPEC_FLOOD);
-            put_u64(&mut out, c.max_cells as u64);
-            put_u64(&mut out, c.sample_size as u64);
-            put_u64(&mut out, c.max_iters as u64);
-            put_u64(&mut out, c.seed);
+            for n in [c.max_cells, c.sample_size, c.max_iters] {
+                put_u64(out, n as u64);
+            }
+            put_u64(out, c.seed);
         }
         IndexSpec::FullScan => out.push(SPEC_FULL_SCAN),
         IndexSpec::SingleDim => out.push(SPEC_SINGLE_DIM),
         IndexSpec::ZOrder(ps) => {
             out.push(SPEC_Z_ORDER);
-            put_page_size(&mut out, ps);
+            put_page_size(out, ps)?;
         }
         IndexSpec::Octree(ps) => {
             out.push(SPEC_OCTREE);
-            put_page_size(&mut out, ps);
+            put_page_size(out, ps)?;
         }
         IndexSpec::KdTree(ps) => {
             out.push(SPEC_KD_TREE);
-            put_page_size(&mut out, ps);
+            put_page_size(out, ps)?;
         }
     }
-    out
+    Ok(())
 }
 
 /// Decodes bytes produced by [`encode_spec`]. Trailing bytes, unknown tags,
 /// and short payloads are all [`TsunamiError::Durability`] errors.
 pub fn decode_spec(bytes: &[u8]) -> Result<IndexSpec> {
     let mut r = Reader::new(bytes);
-    let spec = (|| -> Option<IndexSpec> {
-        let spec = match r.u8()? {
-            SPEC_TSUNAMI => {
-                let variant = match r.u8()? {
-                    0 => IndexVariant::Full,
-                    1 => IndexVariant::GridTreeOnly,
-                    2 => IndexVariant::AugmentedGridOnly,
-                    _ => return None,
-                };
-                let optimizer = match r.u8()? {
-                    0 => OptimizerKind::Adaptive,
-                    1 => OptimizerKind::GradientOnly,
-                    2 => OptimizerKind::AdaptiveNaiveInit,
-                    3 => OptimizerKind::BlackBox,
-                    _ => return None,
-                };
-                IndexSpec::Tsunami(TsunamiConfig {
-                    variant,
-                    optimizer,
-                    skew_bins: r.u64()? as usize,
-                    dbscan_eps: get_f64(&mut r)?,
-                    dbscan_min_pts: r.u64()? as usize,
-                    min_skew_reduction_fraction: get_f64(&mut r)?,
-                    min_region_point_fraction: get_f64(&mut r)?,
-                    min_region_query_fraction: get_f64(&mut r)?,
-                    merge_tolerance: get_f64(&mut r)?,
-                    max_tree_depth: r.u64()? as usize,
-                    fm_error_fraction: get_f64(&mut r)?,
-                    ccdf_empty_fraction: get_f64(&mut r)?,
-                    max_cells_per_grid: r.u64()? as usize,
-                    optimizer_sample_size: r.u64()? as usize,
-                    optimizer_max_iters: r.u64()? as usize,
-                    blackbox_iters: r.u64()? as usize,
-                    seed: r.u64()?,
-                    observation_window: r.u64()? as usize,
-                    ingest_region_staleness: get_f64(&mut r)?,
-                    ingest_rebuild_staleness: get_f64(&mut r)?,
-                })
-            }
-            SPEC_FLOOD => IndexSpec::Flood(FloodConfig {
-                max_cells: r.u64()? as usize,
-                sample_size: r.u64()? as usize,
-                max_iters: r.u64()? as usize,
-                seed: r.u64()?,
-            }),
-            SPEC_FULL_SCAN => IndexSpec::FullScan,
-            SPEC_SINGLE_DIM => IndexSpec::SingleDim,
-            SPEC_Z_ORDER => IndexSpec::ZOrder(get_page_size(&mut r)?),
-            SPEC_OCTREE => IndexSpec::Octree(get_page_size(&mut r)?),
-            SPEC_KD_TREE => IndexSpec::KdTree(get_page_size(&mut r)?),
-            _ => return None,
-        };
-        // Strict: trailing bytes mean the record is not what we encoded.
-        r.finish().ok()?;
-        Some(spec)
-    })();
-    spec.ok_or_else(|| TsunamiError::Durability("corrupt index spec in WAL record".into()))
+    let spec = get_spec(&mut r).and_then(|spec| match r.finish() {
+        Ok(()) => Ok(spec),
+        Err(_) => Err(CodecError::Invalid("trailing bytes")),
+    });
+    spec.map_err(|e| TsunamiError::Durability(format!("corrupt index spec in WAL record: {e}")))
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
+fn get_spec(r: &mut Reader) -> std::result::Result<IndexSpec, CodecError> {
+    Ok(match need(r.u8())? {
+        SPEC_TSUNAMI => {
+            let variant = match need(r.u8())? {
+                0 => IndexVariant::Full,
+                1 => IndexVariant::GridTreeOnly,
+                2 => IndexVariant::AugmentedGridOnly,
+                _ => return Err(CodecError::Invalid("index variant")),
+            };
+            let optimizer = match need(r.u8())? {
+                0 => OptimizerKind::Adaptive,
+                1 => OptimizerKind::GradientOnly,
+                2 => OptimizerKind::AdaptiveNaiveInit,
+                3 => OptimizerKind::BlackBox,
+                _ => return Err(CodecError::Invalid("optimizer kind")),
+            };
+            IndexSpec::Tsunami(TsunamiConfig {
+                variant,
+                optimizer,
+                skew_bins: need(r.u64())? as usize,
+                max_tree_depth: need(r.u64())? as usize,
+                max_cells_per_grid: need(r.u64())? as usize,
+                optimizer_sample_size: need(r.u64())? as usize,
+                optimizer_max_iters: need(r.u64())? as usize,
+                blackbox_iters: need(r.u64())? as usize,
+                ingest_region_staleness: codec::get_f64(r)?,
+                ingest_rebuild_staleness: codec::get_f64(r)?,
+            })
+        }
+        SPEC_FLOOD => IndexSpec::Flood(FloodConfig {
+            max_cells: need(r.u64())? as usize,
+            sample_size: need(r.u64())? as usize,
+            max_iters: need(r.u64())? as usize,
+            seed: need(r.u64())?,
+        }),
+        SPEC_FULL_SCAN => IndexSpec::FullScan,
+        SPEC_SINGLE_DIM => IndexSpec::SingleDim,
+        SPEC_Z_ORDER => IndexSpec::ZOrder(get_page_size(r)?),
+        SPEC_OCTREE => IndexSpec::Octree(get_page_size(r)?),
+        SPEC_KD_TREE => IndexSpec::KdTree(get_page_size(r)?),
+        _ => return Err(CodecError::Invalid("index spec tag")),
+    })
 }
 
-fn put_page_size(out: &mut Vec<u8>, ps: &PageSize) {
+fn put_page_size(out: &mut Vec<u8>, ps: &PageSize) -> std::result::Result<(), CodecError> {
     match ps {
         PageSize::Fixed(n) => {
             out.push(PAGE_FIXED);
@@ -352,85 +342,22 @@ fn put_page_size(out: &mut Vec<u8>, ps: &PageSize) {
         PageSize::Tuned => out.push(PAGE_TUNED),
         PageSize::TunedOver(candidates) => {
             out.push(PAGE_TUNED_OVER);
-            put_u64(out, candidates.len() as u64);
-            for c in candidates {
-                put_u64(out, *c as u64);
-            }
+            codec::put_list(out, candidates, |out, &c| {
+                put_u64(out, c as u64);
+                Ok(())
+            })?;
         }
     }
+    Ok(())
 }
 
-fn get_f64(r: &mut Reader) -> Option<f64> {
-    Some(f64::from_bits(r.u64()?))
-}
-
-fn get_page_size(r: &mut Reader) -> Option<PageSize> {
-    Some(match r.u8()? {
-        PAGE_FIXED => PageSize::Fixed(r.u64()? as usize),
+fn get_page_size(r: &mut Reader) -> std::result::Result<PageSize, CodecError> {
+    Ok(match need(r.u8())? {
+        PAGE_FIXED => PageSize::Fixed(need(r.u64())? as usize),
         PAGE_TUNED => PageSize::Tuned,
         PAGE_TUNED_OVER => {
-            let n = r.u64()? as usize;
-            // Each candidate takes 8 bytes: reject counts the remaining
-            // buffer cannot hold before allocating.
-            if n > r.remaining() / 8 {
-                return None;
-            }
-            let mut candidates = Vec::with_capacity(n);
-            for _ in 0..n {
-                candidates.push(r.u64()? as usize);
-            }
-            PageSize::TunedOver(candidates)
+            PageSize::TunedOver(codec::get_list(r, |r| need(r.u64()).map(|c| c as usize))?)
         }
-        _ => return None,
+        _ => return Err(CodecError::Invalid("page size tag")),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn round_trip(spec: &IndexSpec) {
-        let bytes = encode_spec(spec);
-        let decoded = decode_spec(&bytes).unwrap();
-        // IndexSpec is not PartialEq (it holds f64-bearing configs); compare
-        // through a second encode, which is exact for every field.
-        assert_eq!(encode_spec(&decoded), bytes, "{}", spec.label());
-        assert_eq!(decoded.label(), spec.label());
-    }
-
-    #[test]
-    fn every_spec_variant_round_trips() {
-        let mut specs = IndexSpec::all();
-        specs.extend(IndexSpec::all_fast());
-        specs.push(IndexSpec::ZOrder(PageSize::TunedOver(vec![64, 256, 4096])));
-        specs.push(IndexSpec::Tsunami(
-            TsunamiConfig::fast()
-                .with_variant(IndexVariant::AugmentedGridOnly)
-                .with_optimizer(OptimizerKind::BlackBox)
-                .with_ingest_staleness(0.1, 0.9),
-        ));
-        for spec in &specs {
-            round_trip(spec);
-        }
-    }
-
-    #[test]
-    fn corrupt_specs_are_rejected() {
-        // Unknown tag.
-        assert!(decode_spec(&[0x7f]).is_err());
-        // Empty.
-        assert!(decode_spec(&[]).is_err());
-        // Truncated Tsunami payload.
-        let good = encode_spec(&IndexSpec::tsunami());
-        assert!(decode_spec(&good[..good.len() - 3]).is_err());
-        // Trailing bytes.
-        let mut padded = encode_spec(&IndexSpec::FullScan);
-        padded.push(0);
-        assert!(decode_spec(&padded).is_err());
-        // Bad enum payloads.
-        assert!(decode_spec(&[SPEC_Z_ORDER, 0x44]).is_err());
-        let mut bad_variant = encode_spec(&IndexSpec::tsunami());
-        bad_variant[1] = 9;
-        assert!(decode_spec(&bad_variant).is_err());
-    }
 }

@@ -20,7 +20,6 @@ use std::sync::{Arc, Mutex};
 use tsunami_core::{
     exec, AggResult, Dataset, MultiDimIndex, Query, Result, ScanCounters, TombstoneSet, Workload,
 };
-use tsunami_index::TsunamiConfig;
 
 use crate::builder::QueryBuilder;
 use crate::prepared::PreparedQuery;
@@ -37,12 +36,12 @@ pub(crate) struct TableState {
     pub(crate) index: SharedIndex,
     /// The workload the current index layout was optimized for.
     pub(crate) reference: Workload,
-    /// Recently observed queries, oldest first, bounded by `observe_cap`.
+    /// Recently observed queries, oldest first, at most
+    /// [`OBSERVATION_WINDOW`].
     /// Shared (by `Arc`) across the table generations a `reindex`, insert
     /// or delete swap creates, so old handles keep feeding the same log the
     /// catalog's current entry reads.
     pub(crate) observed: Arc<Mutex<VecDeque<Query>>>,
-    pub(crate) observe_cap: usize,
     /// The spec the index was built from — what `Database::insert_batch`
     /// and `Database::delete` rebuild from for index families without a
     /// mutation path of their own. `None` only for tables registered around
@@ -57,16 +56,10 @@ pub(crate) struct TableState {
     pub(crate) inserted_since_reopt: usize,
 }
 
-/// Observation-log capacity for a table built from `spec`: Tsunami tables
-/// honor their config's window, everything else (tables registered around a
-/// pre-built index included) gets the default.
-fn observe_cap(spec: Option<&IndexSpec>) -> usize {
-    let window = match spec {
-        Some(IndexSpec::Tsunami(config)) => config.observation_window,
-        _ => TsunamiConfig::default().observation_window,
-    };
-    window.max(1)
-}
+/// Queries a table's observation log retains — the sliding window
+/// `Database::auto_reoptimize` compares against the optimized-for workload
+/// (oldest evicted first).
+pub const OBSERVATION_WINDOW: usize = 1_024;
 
 /// A handle to a registered table. Cloning is cheap (`Arc`); all query
 /// execution goes through the immutable built index, so handles can be used
@@ -91,7 +84,6 @@ impl Table {
                 index,
                 reference,
                 observed: Arc::new(Mutex::new(VecDeque::new())),
-                observe_cap: observe_cap(spec.as_ref()),
                 spec,
                 inserted_since_reopt: 0,
             }),
@@ -116,7 +108,6 @@ impl Table {
                 index,
                 reference,
                 observed: Arc::clone(&self.state.observed),
-                observe_cap: observe_cap(spec.as_ref()),
                 spec,
                 inserted_since_reopt,
             }),
@@ -216,7 +207,7 @@ impl Table {
     pub fn record_query(&self, query: &Query) -> Result<()> {
         query.validate_dims(self.num_columns())?;
         let mut observed = self.lock_observed();
-        if observed.len() == self.state.observe_cap {
+        if observed.len() == OBSERVATION_WINDOW {
             observed.pop_front();
         }
         observed.push_back(query.clone());

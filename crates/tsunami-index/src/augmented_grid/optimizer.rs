@@ -13,7 +13,8 @@
 
 use super::skeleton::{DimStrategy, Skeleton};
 use super::{AugmentedGrid, CellScratch};
-use crate::config::TsunamiConfig;
+use crate::config::{IndexVariant, TsunamiConfig};
+use crate::SEED;
 use tsunami_core::sample::{sample_dataset, SplitMix};
 use tsunami_core::{CostFeatures, CostModel, Dataset, Query, Workload};
 
@@ -91,12 +92,21 @@ fn query_features(
     }
 }
 
+/// A functional mapping `X -> Y` is a skeleton candidate when its error
+/// span is below this fraction of `Y`'s domain (§5.3.2: 10%).
+pub const FM_ERROR_FRACTION: f64 = 0.10;
+
+/// A conditional CDF `CDF(X | Y)` is a skeleton candidate when more than
+/// this fraction of the cells in the `XY` hyperplane would otherwise be
+/// empty (§5.3.2: 25%).
+pub const CCDF_EMPTY_FRACTION: f64 = 0.25;
+
 /// Heuristically initializes the skeleton (§5.3.2, step 1): for each
 /// dimension `X`, use a functional mapping to `Y` if the fitted error bound
-/// is below `fm_error_fraction` of `Y`'s domain; else partition with
-/// `CDF(X | Y)` if more than `ccdf_empty_fraction` of the cells in the `XY`
+/// is below [`FM_ERROR_FRACTION`] of `Y`'s domain; else partition with
+/// `CDF(X | Y)` if more than [`CCDF_EMPTY_FRACTION`] of the cells in the `XY`
 /// hyperplane would be empty; else partition independently.
-pub fn heuristic_skeleton(sample: &Dataset, config: &TsunamiConfig) -> Skeleton {
+pub fn heuristic_skeleton(sample: &Dataset) -> Skeleton {
     let d = sample.num_dims();
     let mut strategies = vec![DimStrategy::Independent; d];
     if sample.len() < 16 {
@@ -118,14 +128,14 @@ pub fn heuristic_skeleton(sample: &Dataset, config: &TsunamiConfig) -> Skeleton 
                 let domain = sample.domain(other).unwrap_or((0, 1));
                 let width = (domain.1 - domain.0).max(1) as f64;
                 let frac = fm.error_span() / width;
-                if frac < config.fm_error_fraction && best_fm.is_none_or(|(_, f)| frac < f) {
+                if frac < FM_ERROR_FRACTION && best_fm.is_none_or(|(_, f)| frac < f) {
                     best_fm = Some((other, frac));
                 }
             }
             // Conditional CDF candidate: fraction of empty cells in the
             // (dim, other) hyperplane under independent partitioning.
             let empty = empty_cell_fraction(sample, dim, other, 16);
-            if empty > config.ccdf_empty_fraction && best_ccdf.is_none_or(|(_, e)| empty > e) {
+            if empty > CCDF_EMPTY_FRACTION && best_ccdf.is_none_or(|(_, e)| empty > e) {
                 best_ccdf = Some((other, empty));
             }
         }
@@ -307,14 +317,14 @@ pub(crate) fn region_can_hold_grid(rows: usize, config: &TsunamiConfig) -> bool 
 /// the region's current layout, when given). Without queries a region keeps
 /// its `warm` layout, re-fitted to the budget its current row count allows —
 /// the re-grid after an ingest or a compaction, which never pays the
-/// optimizer.
+/// optimizer. The optimizer is `config`'s (see [`optimize_layout`] for the
+/// Grid-Tree-only ablation).
 pub(crate) fn region_layout(
     data: &Dataset,
     queries: &[Query],
     warm: Option<(&Skeleton, &[usize])>,
     cost: &CostModel,
     config: &TsunamiConfig,
-    kind: OptimizerKind,
 ) -> Option<(Skeleton, Vec<usize>)> {
     if !region_can_hold_grid(data.len(), config) {
         return None;
@@ -327,6 +337,7 @@ pub(crate) fn region_layout(
         (skeleton.clone(), partitions)
     } else {
         let workload = Workload::new(queries.to_vec());
+        let kind = config.optimizer;
         let layout = optimize_layout_from(data, &workload, cost, config, kind, warm, max_cells);
         (layout.skeleton, layout.partitions)
     };
@@ -335,7 +346,9 @@ pub(crate) fn region_layout(
 
 /// Optimizes the Augmented Grid layout for a dataset and workload, within
 /// the cell budget the dataset's row count allows (the configured
-/// [`TsunamiConfig::max_cells_per_grid`] is a cap, not a target).
+/// [`TsunamiConfig::max_cells_per_grid`] is a cap, not a target). Under the
+/// [`IndexVariant::GridTreeOnly`] ablation the layout is Flood's —
+/// independent CDFs only, partition counts descended — whatever `kind` says.
 pub fn optimize_layout(
     data: &Dataset,
     workload: &Workload,
@@ -363,7 +376,7 @@ fn optimize_layout_from(
     warm: Option<(&Skeleton, &[usize])>,
     max_cells: usize,
 ) -> OptimizedLayout {
-    let sample = sample_dataset(data, config.optimizer_sample_size, config.seed);
+    let sample = sample_dataset(data, config.optimizer_sample_size, SEED);
     let total_rows = data.len();
     let mut evaluations = 0usize;
 
@@ -387,9 +400,19 @@ fn optimize_layout_from(
         workload
     };
 
-    let mut skeleton = match kind {
-        OptimizerKind::AdaptiveNaiveInit => Skeleton::all_independent(data.num_dims()),
-        _ => heuristic_skeleton(&sample, config),
+    // The Grid-Tree-only ablation (Fig 12a) gives every region a Flood-style
+    // grid: independent CDFs only, partition counts descended, whatever
+    // optimizer is configured.
+    let flood_style = config.variant == IndexVariant::GridTreeOnly;
+    let kind = if flood_style {
+        OptimizerKind::GradientOnly
+    } else {
+        kind
+    };
+    let mut skeleton = if flood_style || kind == OptimizerKind::AdaptiveNaiveInit {
+        Skeleton::all_independent(data.num_dims())
+    } else {
+        heuristic_skeleton(&sample)
     };
     let mut partitions = initial_partitions(&sample, &skeleton, workload, max_cells);
     let mut best_cost = predicted_cost(&sample, total_rows, &skeleton, &partitions, workload, cost);
@@ -423,7 +446,7 @@ fn optimize_layout_from(
 
     match kind {
         OptimizerKind::BlackBox => {
-            let mut rng = SplitMix::new(config.seed ^ 0xB1ACB0);
+            let mut rng = SplitMix::new(SEED ^ 0xB1ACB0);
             for _ in 0..config.blackbox_iters {
                 let (cand_s, mut cand_p) =
                     random_perturbation(&skeleton, &partitions, &mut rng, data.num_dims());
@@ -617,7 +640,7 @@ mod tests {
     fn heuristic_skeleton_detects_tight_and_generic_correlation() {
         let data = correlated_data(4_000, 91);
         let sample = sample_dataset(&data, 1_000, 1);
-        let skeleton = heuristic_skeleton(&sample, &TsunamiConfig::fast());
+        let skeleton = heuristic_skeleton(&sample);
         assert!(skeleton.is_valid());
         // Dimension 1 (tightly correlated with 0) should be mapped or at
         // least not independent; dimension 3 (independent) stays independent.
@@ -668,8 +691,8 @@ mod tests {
         let w = workload(30, 94);
         let cost = CostModel::default();
         let config = TsunamiConfig::fast();
-        let sample = sample_dataset(&data, config.optimizer_sample_size, config.seed);
-        let init_s = heuristic_skeleton(&sample, &config);
+        let sample = sample_dataset(&data, config.optimizer_sample_size, SEED);
+        let init_s = heuristic_skeleton(&sample);
         // The reference initialization gets the same effective cell budget
         // the optimizer works under: with the configured cap alone it would
         // be priced with cells the row-derived floor forbids the optimizer.

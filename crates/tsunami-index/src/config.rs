@@ -1,12 +1,10 @@
-//! Configuration knobs for building a Tsunami index.
-//!
-//! Defaults follow the paper: 128 histogram bins for skew computation, a
-//! DBSCAN eps of 0.2 for query-type clustering, a minimum skew reduction of
-//! 5% of |Q| to accept a Grid Tree split, a minimum region population of 1%
-//! of the points/queries, and a 10% tolerance when merging adjacent covering
-//! nodes of the skew tree (§4.3). Augmented Grid heuristics use a 10%
-//! error-bound threshold for functional mappings and a 25% empty-cell
-//! threshold for conditional CDFs (§5.3.2).
+//! Configuration knobs for building a Tsunami index: the variant and
+//! optimizer the paper's drill-downs compare, the build effort, and the
+//! ingest bars. The paper's fixed heuristics are constants beside the code
+//! that reads them: query-type clustering in [`crate::query_types`], the
+//! Grid Tree's split, leaf and merge thresholds in [`crate::grid_tree`], and
+//! the Augmented Grid's skeleton heuristics in
+//! [`crate::augmented_grid::optimizer`].
 
 use crate::augmented_grid::OptimizerKind;
 
@@ -31,32 +29,13 @@ pub struct TsunamiConfig {
     pub optimizer: OptimizerKind,
 
     // --- Grid Tree parameters (§4.3) ---
-    /// Number of histogram bins used to approximate query PDFs.
+    /// Number of histogram bins used to approximate query PDFs (the
+    /// paper's 128 by default, §4.3).
     pub skew_bins: usize,
-    /// DBSCAN eps for query-type clustering over selectivity embeddings.
-    pub dbscan_eps: f64,
-    /// Minimum number of queries for a DBSCAN core point.
-    pub dbscan_min_pts: usize,
-    /// A split is accepted only if the best skew reduction is at least this
-    /// fraction of the number of intersecting queries.
-    pub min_skew_reduction_fraction: f64,
-    /// A node is a leaf if it has fewer than this fraction of all points.
-    pub min_region_point_fraction: f64,
-    /// A node is a leaf if it intersects fewer than this fraction of all queries.
-    pub min_region_query_fraction: f64,
-    /// Adjacent covering-set nodes are merged if the merged skew is at most
-    /// `(1 + merge_tolerance)` times the sum of their skews.
-    pub merge_tolerance: f64,
     /// Hard cap on Grid Tree depth (safety bound, not from the paper).
     pub max_tree_depth: usize,
 
     // --- Augmented Grid parameters (§5.3) ---
-    /// Functional mapping is used when its error span is below this fraction
-    /// of the target dimension's domain.
-    pub fm_error_fraction: f64,
-    /// Conditional CDF is used when more than this fraction of cells in the
-    /// 2-d hyperplane would otherwise be empty.
-    pub ccdf_empty_fraction: f64,
     /// A cap on the cells of one Augmented Grid — not a target. The budget
     /// a region's layout is actually optimized under is row-derived:
     /// `min(max_cells_per_grid, rows / 256)`, one cell per quarter scan
@@ -70,14 +49,6 @@ pub struct TsunamiConfig {
     pub optimizer_max_iters: usize,
     /// Iterations for the black-box (basin hopping) optimizer baseline.
     pub blackbox_iters: usize,
-    /// Seed for deterministic sampling and optimizer perturbations.
-    pub seed: u64,
-
-    // --- Workload-shift detection (§8) ---
-    /// Queries retained in an engine table's observation log — the sliding
-    /// window `Database::auto_reoptimize` compares against the optimized-for
-    /// workload (oldest evicted first).
-    pub observation_window: usize,
 
     // --- Incremental ingestion parameters (data shift) ---
     /// During [`crate::TsunamiIndex::ingest`], a region whose accumulated
@@ -105,21 +76,11 @@ impl Default for TsunamiConfig {
             variant: IndexVariant::Full,
             optimizer: OptimizerKind::Adaptive,
             skew_bins: 128,
-            dbscan_eps: 0.2,
-            dbscan_min_pts: 2,
-            min_skew_reduction_fraction: 0.05,
-            min_region_point_fraction: 0.01,
-            min_region_query_fraction: 0.01,
-            merge_tolerance: 0.10,
             max_tree_depth: 8,
-            fm_error_fraction: 0.10,
-            ccdf_empty_fraction: 0.25,
             max_cells_per_grid: 1 << 16,
             optimizer_sample_size: 2_000,
             optimizer_max_iters: 20,
             blackbox_iters: 50,
-            seed: 0x7500_0A11,
-            observation_window: 1_024,
             ingest_region_staleness: 0.25,
             ingest_rebuild_staleness: 0.5,
         }
@@ -171,13 +132,8 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = TsunamiConfig::default();
         assert_eq!(c.skew_bins, 128);
-        assert!((c.dbscan_eps - 0.2).abs() < 1e-12);
-        assert!((c.min_skew_reduction_fraction - 0.05).abs() < 1e-12);
-        assert!((c.min_region_point_fraction - 0.01).abs() < 1e-12);
-        assert!((c.merge_tolerance - 0.10).abs() < 1e-12);
-        assert!((c.fm_error_fraction - 0.10).abs() < 1e-12);
-        assert!((c.ccdf_empty_fraction - 0.25).abs() < 1e-12);
         assert_eq!(c.variant, IndexVariant::Full);
+        assert_eq!(c.optimizer, OptimizerKind::Adaptive);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! and values that most reduce query skew are chosen (via the skew tree's
 //! covering-set search); a node becomes a leaf when the best reduction is
 //! below 5% of the node's query count, or the node holds less than 1% of the
-//! points or queries, matching the paper's defaults.
+//! points or queries, matching the paper's defaults (§4.3; the constants
+//! below).
 //!
 //! The Grid Tree is *not* an end-to-end index: each leaf region is indexed
 //! separately (by an Augmented Grid in full Tsunami), so the tree only has to
@@ -48,6 +49,21 @@ use crate::query_types::QueryType;
 use skew::SkewAnalyzer;
 use skew_tree::best_covering;
 use tsunami_core::{Dataset, Query, Value};
+
+/// A split is accepted only if its skew reduction is at least this fraction
+/// of the queries intersecting the node (§4.3.2: 5% of |Q|).
+pub const MIN_SKEW_REDUCTION_FRACTION: f64 = 0.05;
+
+/// A node holding fewer than this fraction of all points is a leaf (§4.3).
+pub const MIN_REGION_POINT_FRACTION: f64 = 0.01;
+
+/// A node intersecting fewer than this fraction of all queries is a leaf
+/// (§4.3).
+pub const MIN_REGION_QUERY_FRACTION: f64 = 0.01;
+
+/// Adjacent covering-set nodes of the skew tree are merged if the merged skew
+/// is at most `1 + MERGE_TOLERANCE` times the sum of their skews (§4.3: 10%).
+pub const MERGE_TOLERANCE: f64 = 0.10;
 
 /// The bit of `dim` in a per-dimension mask. Dimensions past the mask's
 /// width share its top bit, so a mask is zero exactly when no dimension is
@@ -153,9 +169,8 @@ impl GridTree {
             .map(|dim| data.domain(dim).unwrap_or((0, 0)))
             .collect();
         let total_queries: usize = types.iter().map(|t| t.queries.len()).sum();
-        let min_points = ((data.len() as f64) * config.min_region_point_fraction).ceil() as usize;
-        let min_queries =
-            ((total_queries as f64) * config.min_region_query_fraction).ceil() as usize;
+        let min_points = ((data.len() as f64) * MIN_REGION_POINT_FRACTION).ceil() as usize;
+        let min_queries = ((total_queries as f64) * MIN_REGION_QUERY_FRACTION).ceil() as usize;
 
         let mut tree = GridTree {
             dims: Vec::new(),
@@ -328,7 +343,7 @@ impl GridTree {
             if analyzer.contributing_queries() == 0 {
                 continue;
             }
-            let sol = best_covering(&analyzer, config.merge_tolerance);
+            let sol = best_covering(&analyzer, MERGE_TOLERANCE);
             let reduction = sol.reduction();
             if reduction <= 0.0 || sol.split_bins.is_empty() {
                 continue;
@@ -350,9 +365,8 @@ impl GridTree {
             }
         }
         let (dim, values, reduction) = best?;
-        // Accept only if the reduction clears the minimum threshold (§4.3.2:
-        // by default 5% of |Q|).
-        if reduction < config.min_skew_reduction_fraction * num_queries as f64 {
+        // Accept only if the reduction clears the minimum threshold.
+        if reduction < MIN_SKEW_REDUCTION_FRACTION * num_queries as f64 {
             return None;
         }
         Some((dim, values))
@@ -510,14 +524,7 @@ mod tests {
 
     fn build_tree(data: &Dataset, workload: &Workload) -> (GridTree, Vec<RegionData>) {
         let config = TsunamiConfig::fast();
-        let types = cluster_query_types(
-            data,
-            workload,
-            config.dbscan_eps,
-            config.dbscan_min_pts,
-            500,
-            1,
-        );
+        let types = cluster_query_types(data, workload, 500);
         GridTree::build(data, &types, &config)
     }
 

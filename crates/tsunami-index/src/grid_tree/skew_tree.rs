@@ -44,7 +44,8 @@ impl CoveringSolution {
 }
 
 /// Builds the skew tree over all bins of the analyzer and returns the best
-/// covering solution. `merge_tolerance` is the paper's 10% merge factor.
+/// covering solution. The Grid Tree passes the paper's 10% merge factor,
+/// [`super::MERGE_TOLERANCE`], as `merge_tolerance`.
 pub fn best_covering(analyzer: &SkewAnalyzer, merge_tolerance: f64) -> CoveringSolution {
     let n = analyzer.num_bins();
     let total_skew = analyzer.skew_bins(0, n);

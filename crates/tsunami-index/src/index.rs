@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::augmented_grid::optimizer::{region_can_hold_grid, region_layout};
-use crate::augmented_grid::{AugmentedGrid, CellScratch, OptimizerKind, Skeleton};
+use crate::augmented_grid::{AugmentedGrid, CellScratch, Skeleton};
 use crate::config::{IndexVariant, TsunamiConfig};
 use crate::cube::{CubeEntry, RegionCube};
 use crate::grid_tree::{dim_bit, GridTree, Region};
@@ -183,21 +183,6 @@ pub struct TsunamiIndex {
     matview: bool,
 }
 
-/// The configuration and optimizer actually used for a variant: the
-/// Grid-Tree-only ablation disables the correlation-aware strategies so its
-/// per-region grids degenerate to Flood-style all-independent layouts.
-fn effective_build_config(config: &TsunamiConfig) -> (TsunamiConfig, OptimizerKind) {
-    match config.variant {
-        IndexVariant::GridTreeOnly => {
-            let mut c = config.clone();
-            c.fm_error_fraction = 0.0;
-            c.ccdf_empty_fraction = 1.1;
-            (c, OptimizerKind::GradientOnly)
-        }
-        _ => (config.clone(), config.optimizer),
-    }
-}
-
 impl TsunamiIndex {
     /// Builds a Tsunami index with the default configuration's structure but
     /// the provided config (convenience wrapper around
@@ -224,21 +209,12 @@ impl TsunamiIndex {
         //   (3) optimize each region's Augmented Grid layout.
         // ------------------------------------------------------------------
         let opt_start = Instant::now();
-        let (effective_config, optimizer_kind) = effective_build_config(config);
-
         let types = if config.variant == IndexVariant::AugmentedGridOnly {
             Vec::new()
         } else {
-            cluster_query_types(
-                data,
-                workload,
-                effective_config.dbscan_eps,
-                effective_config.dbscan_min_pts,
-                effective_config.optimizer_sample_size,
-                effective_config.seed,
-            )
+            cluster_query_types(data, workload, config.optimizer_sample_size)
         };
-        let (tree, region_data) = GridTree::build(data, &types, &effective_config);
+        let (tree, region_data) = GridTree::build(data, &types, config);
 
         // Lay out every region: a grid where it has intersecting queries
         // and enough rows to split, a plain region scan otherwise.
@@ -247,14 +223,7 @@ impl TsunamiIndex {
         let mut region_datasets: Vec<Dataset> = Vec::with_capacity(region_data.len());
         for rd in &region_data {
             let region_ds = data.select_rows(&rd.rows);
-            layouts.push(region_layout(
-                &region_ds,
-                &rd.queries,
-                None,
-                cost,
-                &effective_config,
-                optimizer_kind,
-            ));
+            layouts.push(region_layout(&region_ds, &rd.queries, None, cost, config));
             region_datasets.push(region_ds);
         }
         let optimize_secs = opt_start.elapsed().as_secs_f64();
@@ -460,7 +429,6 @@ impl TsunamiIndex {
 
         // Graft now, or leave the batch in the delta? Both triggers (see the
         // method docs) read only what the index can observe of itself.
-        let (effective_config, _) = effective_build_config(config);
         let layout_due = |(rid, news): (usize, &Vec<usize>)| {
             let region = &self.regions[rid];
             let rows = region.len + self.delta_range(rid).len() + news.len();
@@ -468,7 +436,7 @@ impl TsunamiIndex {
             let bounds = tree.region(rid);
             !news.is_empty()
                 && !self
-                    .due_queries(region, bounds, rows, inserted, config, &effective_config)
+                    .due_queries(region, bounds, rows, inserted, config)
                     .is_empty()
         };
         let (index, regions_reoptimized) =
@@ -517,10 +485,9 @@ impl TsunamiIndex {
         rows: usize,
         inserted: usize,
         config: &TsunamiConfig,
-        effective_config: &TsunamiConfig,
     ) -> Vec<Query> {
         let stale = inserted as f64 / rows.max(1) as f64 > config.ingest_region_staleness;
-        let layable = region.grid.is_some() || region_can_hold_grid(rows, effective_config);
+        let layable = region.grid.is_some() || region_can_hold_grid(rows, config);
         if !(stale && layable) || self.config.variant == IndexVariant::AugmentedGridOnly {
             return Vec::new();
         }
@@ -596,7 +563,6 @@ impl TsunamiIndex {
         config: &TsunamiConfig,
     ) -> (Self, GraftCounts) {
         let start = Instant::now();
-        let (effective_config, optimizer_kind) = effective_build_config(config);
         let n = store.len();
         // Batch row `j` is physical row `n + j` until the final reorder.
         store.append_dataset(batch);
@@ -625,7 +591,7 @@ impl TsunamiIndex {
             let len = indices.len();
             let inserted = region.inserted + news.len();
             let bounds = tree.region(rid);
-            let ref_q = self.due_queries(region, bounds, len, inserted, config, &effective_config);
+            let ref_q = self.due_queries(region, bounds, len, inserted, config);
             let reoptimize = !ref_q.is_empty();
             if region.grid.is_none() && !reoptimize {
                 // Plain region scan: order within the slice is irrelevant.
@@ -664,8 +630,7 @@ impl TsunamiIndex {
                     .as_deref()
                     .map(|g| (g.skeleton(), g.partitions())),
                 cost,
-                &effective_config,
-                optimizer_kind,
+                config,
             );
             if reoptimize {
                 optimize_secs += t0.elapsed().as_secs_f64();

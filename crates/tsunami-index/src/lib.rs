@@ -136,3 +136,8 @@ pub use index::{DeleteReport, TsunamiIndex, TsunamiStats};
 pub use query_types::cluster_query_types;
 pub use shift::{ShiftReport, WorkloadMonitor};
 pub use tsunami_core::IngestReport;
+
+/// The seed of every sample a build draws — query-type clustering, each
+/// region's optimizer sample, the black-box optimizer's perturbations — and
+/// of the workload monitor's: fixed, so a build is a function of its inputs.
+pub(crate) const SEED: u64 = 0x7500_0A11;

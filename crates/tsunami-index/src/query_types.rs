@@ -4,11 +4,22 @@
 //! in different types. Within each group of queries filtering the same set of
 //! `d'` dimensions, each query is embedded as a `d'`-dimensional vector of
 //! per-dimension filter selectivities, and the embeddings are clustered with
-//! DBSCAN (eps = 0.2 by default). DBSCAN determines the number of clusters
-//! automatically; noise points become singleton types.
+//! DBSCAN ([`DBSCAN_EPS`], [`DBSCAN_MIN_PTS`]). DBSCAN determines the number
+//! of clusters automatically; noise points become singleton types.
 
 use tsunami_core::sample::sample_dataset;
 use tsunami_core::{Dataset, Query, Workload};
+
+use crate::SEED;
+
+/// DBSCAN's neighbourhood radius over selectivity embeddings — the paper's
+/// eps of 0.2 (§4.3.1). The workload monitor matches query types with it
+/// too.
+pub const DBSCAN_EPS: f64 = 0.2;
+
+/// Queries within [`DBSCAN_EPS`] (itself included) that make a DBSCAN core
+/// point.
+pub const DBSCAN_MIN_PTS: usize = 2;
 
 /// A cluster of queries with similar selectivity characteristics.
 #[derive(Debug, Clone, Default)]
@@ -26,12 +37,9 @@ pub struct QueryType {
 pub fn cluster_query_types(
     data: &Dataset,
     workload: &Workload,
-    eps: f64,
-    min_pts: usize,
     sample_rows: usize,
-    seed: u64,
 ) -> Vec<QueryType> {
-    let sample = sample_dataset(data, sample_rows, seed);
+    let sample = sample_dataset(data, sample_rows, SEED);
     let mut types = Vec::new();
     for group in workload.group_by_filtered_dims() {
         if group.is_empty() {
@@ -47,7 +55,7 @@ pub fn cluster_query_types(
                     .collect()
             })
             .collect();
-        let labels = dbscan(&embeddings, eps, min_pts);
+        let labels = dbscan(&embeddings, DBSCAN_EPS, DBSCAN_MIN_PTS);
         let num_clusters = labels.iter().copied().flatten().max().map_or(0, |m| m + 1);
         let mut clusters: Vec<Vec<Query>> = vec![Vec::new(); num_clusters];
         let mut noise: Vec<Query> = Vec::new();
@@ -185,7 +193,7 @@ mod tests {
             Query::count(vec![Predicate::range(1, 0, 50).unwrap()]).unwrap(),
             Query::count(vec![Predicate::range(1, 10, 60).unwrap()]).unwrap(),
         ]);
-        let types = cluster_query_types(&ds, &w, 0.2, 2, 500, 1);
+        let types = cluster_query_types(&ds, &w, 500);
         assert_eq!(types.len(), 2);
         assert!(types.iter().any(|t| t.filtered_dims == vec![0]));
         assert!(types.iter().any(|t| t.filtered_dims == vec![1]));
@@ -205,7 +213,7 @@ mod tests {
         for i in 0..10u64 {
             queries.push(Query::count(vec![Predicate::range(0, i, i + 600).unwrap()]).unwrap());
         }
-        let types = cluster_query_types(&ds, &Workload::new(queries), 0.2, 2, 1000, 1);
+        let types = cluster_query_types(&ds, &Workload::new(queries), 1000);
         assert!(
             types.len() >= 2,
             "expected selective and broad types, got {}",
@@ -218,7 +226,7 @@ mod tests {
     #[test]
     fn empty_workload_yields_no_types() {
         let ds = data();
-        let types = cluster_query_types(&ds, &Workload::default(), 0.2, 2, 100, 1);
+        let types = cluster_query_types(&ds, &Workload::default(), 100);
         assert!(types.is_empty());
     }
 }

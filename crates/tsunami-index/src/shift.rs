@@ -21,7 +21,8 @@
 //! observed workload.
 
 use crate::config::TsunamiConfig;
-use crate::query_types::{cluster_query_types, QueryType};
+use crate::query_types::{cluster_query_types, QueryType, DBSCAN_EPS};
+use crate::SEED;
 use tsunami_core::{Dataset, Workload};
 
 /// A fingerprint of one query type: which dimensions it filters, its average
@@ -63,12 +64,12 @@ pub struct WorkloadMonitor {
 impl WorkloadMonitor {
     /// Creates a monitor from the workload the index was optimized for.
     ///
-    /// `match_eps` follows the clustering eps (default 0.2);
+    /// `match_eps` follows the clustering eps ([`DBSCAN_EPS`]);
     /// `drift_threshold` defaults to 0.5 (half of the workload's mass moved).
     pub fn new(data: &Dataset, reference: &Workload, config: &TsunamiConfig) -> Self {
         Self {
             reference: signatures(data, reference, config),
-            match_eps: config.dbscan_eps,
+            match_eps: DBSCAN_EPS,
             drift_threshold: 0.5,
         }
     }
@@ -135,19 +136,11 @@ impl WorkloadMonitor {
 }
 
 fn signatures(data: &Dataset, workload: &Workload, config: &TsunamiConfig) -> Vec<TypeSignature> {
-    let types: Vec<QueryType> = cluster_query_types(
-        data,
-        workload,
-        config.dbscan_eps,
-        config.dbscan_min_pts,
-        config.optimizer_sample_size,
-        config.seed,
-    );
+    let types: Vec<QueryType> = cluster_query_types(data, workload, config.optimizer_sample_size);
     let total: usize = types.iter().map(|t| t.queries.len()).sum();
     // One shared sample: the seed is fixed, so per-type sampling would
     // produce the identical rows anyway.
-    let sample =
-        tsunami_core::sample::sample_dataset(data, config.optimizer_sample_size, config.seed);
+    let sample = tsunami_core::sample::sample_dataset(data, config.optimizer_sample_size, SEED);
     types
         .iter()
         .map(|t| {

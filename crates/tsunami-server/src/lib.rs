@@ -4,7 +4,8 @@
 //! The crate is three small layers:
 //!
 //! * [`protocol`] — a length-prefixed binary protocol (version byte,
-//!   max-frame-size guard, strict hand-rolled encode/decode) carrying
+//!   max-frame-size guard, strict encode/decode over the composites of
+//!   `tsunami_store::codec`, the write-ahead log's too) carrying
 //!   range-aggregation requests and typed results/errors.
 //! * [`server`] — a blocking accept loop with per-connection reader threads
 //!   that park in `read()`; all query execution lands on the shared
@@ -12,8 +13,8 @@
 //!   never multiplies CPU work. Includes the watermark-triggered
 //!   [`ReoptDaemon`] that keeps shard indexes adapted under drift.
 //! * [`client`] — a minimal blocking client (one request in flight per
-//!   connection), the building block of the open-loop `fig7net` load
-//!   generator.
+//!   connection), the building block of the benchmark's open-loop load
+//!   generator (`benchmark/src/served.rs`).
 //!
 //! # Example
 //!

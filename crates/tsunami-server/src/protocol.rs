@@ -7,7 +7,7 @@
 //! ```text
 //! +----------------+---------+--------+------------------+
 //! | payload length | version | opcode | body             |
-//! |  u32 BE        |  u8 = 1 |  u8    | opcode-specific  |
+//! |  u32 BE        |  u8 = 2 |  u8    | opcode-specific  |
 //! +----------------+---------+--------+------------------+
 //! |<-- 4 bytes --->|<-------- `length` bytes ----------->|
 //! ```
@@ -20,26 +20,34 @@
 //!
 //! # Body encodings
 //!
-//! | Type | Encoding |
-//! |------|----------|
-//! | string | `u16` length + UTF-8 bytes |
-//! | predicate | `u16` dim, `u64` lo, `u64` hi |
-//! | predicate list | `u16` count + predicates |
-//! | aggregation | `u8` tag (0=COUNT 1=SUM 2=MIN 3=MAX 4=AVG) + `u16` dim (absent for COUNT) |
-//! | rows | `u16` columns, `u32` rows, then row-major `u64` values |
-//! | agg result | `u8` tag + tag-specific payload (see [`Response::Result`]) |
+//! Bodies are built from `tsunami_store::codec`'s composites — the same the
+//! write-ahead log uses, `u32` for every length, count and dimension:
+//!
+//! | Message | Body |
+//! |---------|------|
+//! | `Query` | table string, predicate list, aggregation |
+//! | `Insert` | table string, rows (`u32` width, `u32` count, values column by column) |
+//! | `Ping`, `Pong` | empty |
+//! | `Result` | `u8` tag (0=COUNT 1=SUM 2=MIN 3=MAX 4=AVG), then a `u64` count, a `u128` sum, or an optional `u64` (AVG: the `f64`'s bits) |
+//! | `Error` | `u16` code, message string |
+//! | `Inserted` | `u64` rows |
 //!
 //! Decoding is strict: trailing bytes after a well-formed body, unknown
 //! version/opcode/tag bytes, and truncated bodies are all [`WireError`]s,
-//! never silent acceptance.
+//! never silent acceptance. A predicate's range is carried raw, so the
+//! server rejects an inverted one with a typed error of its own. New
+//! opcodes are additive — an unknown one is already a typed error — and need
+//! no [`VERSION`] bump.
 
 use std::io::{Read, Write};
 
-use tsunami_core::codec::{put_u16, put_u32, put_u64, Reader};
-use tsunami_core::{Point, Predicate, TsunamiError, Value};
+use tsunami_core::codec::{put_u16, put_u64, Reader};
+use tsunami_core::{Point, Predicate, TsunamiError};
+use tsunami_store::codec::{self, need, CodecError};
 
-/// Protocol version carried in every frame.
-pub const VERSION: u8 = 1;
+/// Protocol version carried in every frame. Version 2 moved every body onto
+/// the shared codec's `u32` widths.
+pub const VERSION: u8 = 2;
 
 /// Default maximum payload size accepted per frame (1 MiB). Override per
 /// server/client configuration.
@@ -100,12 +108,21 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown opcode byte.
     BadOpcode(u8),
-    /// Unknown tag byte inside a body (`what` names the field).
-    BadTag { what: &'static str, tag: u8 },
-    /// A string field held invalid UTF-8.
-    BadUtf8,
+    /// A body field held a value no encoder writes — an unknown tag,
+    /// invalid UTF-8, rows without columns (`what` names the field).
+    Invalid(&'static str),
     /// A field exceeded its encodable range (`what` names the field).
     TooLarge(&'static str),
+}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => WireError::Truncated,
+            CodecError::Invalid(what) => WireError::Invalid(what),
+            CodecError::TooLarge(what) => WireError::TooLarge(what),
+        }
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -115,8 +132,7 @@ impl std::fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             WireError::BadOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
-            WireError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
-            WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            WireError::Invalid(what) => write!(f, "invalid {what}"),
             WireError::TooLarge(what) => write!(f, "{what} exceeds its wire limit"),
         }
     }
@@ -194,9 +210,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Aggregation over a dimension, as carried on the wire. Mirrors
-/// [`tsunami_core::Aggregation`] exactly; redefined here only to pin the
-/// wire tags independently of the engine enum's source order.
+/// Aggregation over a dimension, as carried on the wire — the engine type;
+/// its wire tags are pinned by `tsunami_store::codec`, not by the enum's
+/// source order.
 pub type Aggregation = tsunami_core::Aggregation;
 /// Aggregate results reuse the engine type directly.
 pub type AggResult = tsunami_core::AggResult;
@@ -254,41 +270,21 @@ impl Request {
                 aggregation,
             } => {
                 out.push(OP_QUERY);
-                put_str(&mut out, table)?;
-                if predicates.len() > u16::MAX as usize {
-                    return Err(WireError::TooLarge("predicate list"));
-                }
-                put_u16(&mut out, predicates.len() as u16);
-                for p in predicates {
-                    if p.dim > u16::MAX as usize {
-                        return Err(WireError::TooLarge("predicate dimension"));
-                    }
-                    put_u16(&mut out, p.dim as u16);
-                    put_u64(&mut out, p.lo);
-                    put_u64(&mut out, p.hi);
-                }
-                put_aggregation(&mut out, *aggregation)?;
+                codec::put_string(&mut out, table)?;
+                codec::put_list(&mut out, predicates, codec::put_predicate)?;
+                codec::put_aggregation(&mut out, *aggregation)?;
             }
             Request::Insert { table, rows } => {
                 out.push(OP_INSERT);
-                put_str(&mut out, table)?;
-                let cols = rows.first().map_or(0, Vec::len);
-                if cols > u16::MAX as usize {
-                    return Err(WireError::TooLarge("row width"));
+                codec::put_string(&mut out, table)?;
+                // A request without rows has no width.
+                let width = rows.first().map_or(0, Vec::len);
+                if rows.iter().any(|row| row.len() != width) {
+                    return Err(WireError::Invalid("ragged rows"));
                 }
-                if rows.len() > u32::MAX as usize {
-                    return Err(WireError::TooLarge("row count"));
-                }
-                put_u16(&mut out, cols as u16);
-                put_u32(&mut out, rows.len() as u32);
-                for row in rows {
-                    if row.len() != cols {
-                        return Err(WireError::TooLarge("ragged row"));
-                    }
-                    for &v in row {
-                        put_u64(&mut out, v);
-                    }
-                }
+                codec::put_rows(&mut out, (width, rows.len()), |d| {
+                    rows.iter().map(move |row| &row[d])
+                })?;
             }
             Request::Ping => out.push(OP_PING),
         }
@@ -298,43 +294,16 @@ impl Request {
     /// Decodes a frame payload into a request.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        let version = need(r.u8())?;
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let opcode = need(r.u8())?;
-        let msg = match opcode {
-            OP_QUERY => {
-                let table = get_string(&mut r)?;
-                let n = need(r.u16())? as usize;
-                let mut predicates = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let dim = need(r.u16())? as usize;
-                    let lo = need(r.u64())?;
-                    let hi = need(r.u64())?;
-                    predicates.push(raw_predicate(dim, lo, hi));
-                }
-                let aggregation = get_aggregation(&mut r)?;
-                Request::Query {
-                    table,
-                    predicates,
-                    aggregation,
-                }
-            }
-            OP_INSERT => {
-                let table = get_string(&mut r)?;
-                let cols = need(r.u16())? as usize;
-                let n = need(r.u32())? as usize;
-                let mut rows = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(cols);
-                    for _ in 0..cols {
-                        row.push(need(r.u64())?);
-                    }
-                    rows.push(row);
-                }
-                Request::Insert { table, rows }
-            }
+        let msg = match opcode(&mut r)? {
+            OP_QUERY => Request::Query {
+                table: codec::get_string(&mut r)?,
+                predicates: codec::get_list(&mut r, codec::get_predicate)?,
+                aggregation: codec::get_aggregation(&mut r)?,
+            },
+            OP_INSERT => Request::Insert {
+                table: codec::get_string(&mut r)?,
+                rows: codec::get_rows(&mut r)?.points(),
+            },
             OP_PING => Request::Ping,
             op => return Err(WireError::BadOpcode(op)),
         };
@@ -349,36 +318,27 @@ impl Response {
         let mut out = vec![VERSION];
         match self {
             Response::Result(r) => {
-                out.push(OP_RESULT);
-                match r {
-                    AggResult::Count(n) => {
-                        out.push(0);
-                        put_u64(&mut out, *n);
-                    }
-                    AggResult::Sum(s) => {
-                        out.push(1);
-                        out.extend(s.to_be_bytes());
-                    }
-                    AggResult::Min(v) => {
-                        out.push(2);
-                        put_opt_u64(&mut out, *v);
-                    }
-                    AggResult::Max(v) => {
-                        out.push(3);
-                        put_opt_u64(&mut out, *v);
-                    }
-                    AggResult::Avg(v) => {
-                        out.push(4);
-                        // f64 travels as its raw IEEE-754 bits: exact, no
-                        // text round-trip loss.
-                        put_opt_u64(&mut out, v.map(f64::to_bits));
-                    }
+                let tag = match r {
+                    AggResult::Count(_) => 0,
+                    AggResult::Sum(_) => 1,
+                    AggResult::Min(_) => 2,
+                    AggResult::Max(_) => 3,
+                    AggResult::Avg(_) => 4,
+                };
+                out.extend([OP_RESULT, tag]);
+                match *r {
+                    AggResult::Count(n) => put_u64(&mut out, n),
+                    AggResult::Sum(s) => out.extend(s.to_be_bytes()),
+                    AggResult::Min(v) | AggResult::Max(v) => codec::put_opt_u64(&mut out, v),
+                    // f64 travels as its raw IEEE-754 bits: exact, no text
+                    // round-trip loss.
+                    AggResult::Avg(v) => codec::put_opt_u64(&mut out, v.map(f64::to_bits)),
                 }
             }
             Response::Error { code, message } => {
                 out.push(OP_ERROR);
                 put_u16(&mut out, *code);
-                put_str(&mut out, message)?;
+                codec::put_string(&mut out, message)?;
             }
             Response::Pong => out.push(OP_PONG),
             Response::Inserted(n) => {
@@ -392,32 +352,18 @@ impl Response {
     /// Decodes a frame payload into a response.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        let version = need(r.u8())?;
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let opcode = need(r.u8())?;
-        let msg = match opcode {
-            OP_RESULT => {
-                let tag = need(r.u8())?;
-                let result = match tag {
-                    0 => AggResult::Count(need(r.u64())?),
-                    1 => AggResult::Sum(need(r.u128())?),
-                    2 => AggResult::Min(get_opt_u64(&mut r)?),
-                    3 => AggResult::Max(get_opt_u64(&mut r)?),
-                    4 => AggResult::Avg(get_opt_u64(&mut r)?.map(f64::from_bits)),
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "agg result",
-                            tag,
-                        })
-                    }
-                };
-                Response::Result(result)
-            }
+        let msg = match opcode(&mut r)? {
+            OP_RESULT => Response::Result(match need(r.u8())? {
+                0 => AggResult::Count(need(r.u64())?),
+                1 => AggResult::Sum(need(r.u128())?),
+                2 => AggResult::Min(codec::get_opt_u64(&mut r)?),
+                3 => AggResult::Max(codec::get_opt_u64(&mut r)?),
+                4 => AggResult::Avg(codec::get_opt_u64(&mut r)?.map(f64::from_bits)),
+                _ => return Err(WireError::Invalid("agg result tag")),
+            }),
             OP_ERROR => Response::Error {
                 code: need(r.u16())?,
-                message: get_string(&mut r)?,
+                message: codec::get_string(&mut r)?,
             },
             OP_PONG => Response::Pong,
             OP_INSERTED => Response::Inserted(need(r.u64())?),
@@ -428,87 +374,14 @@ impl Response {
     }
 }
 
-/// Builds a `Predicate` from raw wire values without the lo<=hi validation —
-/// the server validates semantically and answers with a typed error instead
-/// of a wire-level rejection, so inverted ranges must survive decoding.
-fn raw_predicate(dim: usize, lo: Value, hi: Value) -> Predicate {
-    Predicate { dim, lo, hi }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
-    if s.len() > u16::MAX as usize {
-        return Err(WireError::TooLarge("string"));
+/// Reads a payload's version byte — refusing any but [`VERSION`] — and
+/// returns its opcode.
+fn opcode(r: &mut Reader) -> Result<u8, WireError> {
+    let version = need(r.u8())?;
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
     }
-    put_u16(out, s.len() as u16);
-    out.extend(s.as_bytes());
-    Ok(())
-}
-
-fn put_aggregation(out: &mut Vec<u8>, agg: Aggregation) -> Result<(), WireError> {
-    let (tag, dim) = match agg {
-        Aggregation::Count => (0u8, None),
-        Aggregation::Sum(d) => (1, Some(d)),
-        Aggregation::Min(d) => (2, Some(d)),
-        Aggregation::Max(d) => (3, Some(d)),
-        Aggregation::Avg(d) => (4, Some(d)),
-    };
-    out.push(tag);
-    if let Some(d) = dim {
-        if d > u16::MAX as usize {
-            return Err(WireError::TooLarge("aggregation dimension"));
-        }
-        put_u16(out, d as u16);
-    }
-    Ok(())
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-/// A primitive read only ever fails by running out of bytes.
-fn need<T>(read: Option<T>) -> Result<T, WireError> {
-    read.ok_or(WireError::Truncated)
-}
-
-fn get_opt_u64(r: &mut Reader) -> Result<Option<u64>, WireError> {
-    match need(r.u8())? {
-        0 => Ok(None),
-        1 => Ok(Some(need(r.u64())?)),
-        tag => Err(WireError::BadTag {
-            what: "optional value",
-            tag,
-        }),
-    }
-}
-
-fn get_string(r: &mut Reader) -> Result<String, WireError> {
-    let len = need(r.u16())? as usize;
-    let bytes = need(r.bytes(len))?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-}
-
-fn get_aggregation(r: &mut Reader) -> Result<Aggregation, WireError> {
-    let tag = need(r.u8())?;
-    Ok(match tag {
-        0 => Aggregation::Count,
-        1 => Aggregation::Sum(need(r.u16())? as usize),
-        2 => Aggregation::Min(need(r.u16())? as usize),
-        3 => Aggregation::Max(need(r.u16())? as usize),
-        4 => Aggregation::Avg(need(r.u16())? as usize),
-        tag => {
-            return Err(WireError::BadTag {
-                what: "aggregation",
-                tag,
-            })
-        }
-    })
+    Ok(need(r.u8())?)
 }
 
 #[cfg(test)]
@@ -560,6 +433,18 @@ mod tests {
         let mut payload = Request::Ping.encode().unwrap();
         payload[0] = 9;
         assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(9)));
+        // The previous version's frames are refused, requests and responses.
+        payload[0] = VERSION - 1;
+        assert_eq!(
+            Request::decode(&payload),
+            Err(WireError::BadVersion(VERSION - 1))
+        );
+        let mut payload = Response::Pong.encode().unwrap();
+        payload[0] = VERSION - 1;
+        assert_eq!(
+            Response::decode(&payload),
+            Err(WireError::BadVersion(VERSION - 1))
+        );
 
         let payload = vec![VERSION, 0x7f];
         assert_eq!(Request::decode(&payload), Err(WireError::BadOpcode(0x7f)));

@@ -16,12 +16,16 @@
 //!   environment-configured [`EncodePolicy`].
 //! * [`Wal`] — the write-ahead log the engine's durability layer appends
 //!   mutation records to, with strict checksummed replay (see [`wal`]).
+//! * [`codec`] — the one encoder and decoder of every composite value
+//!   (strings, predicates, queries, rows, ...) the WAL, the checkpoint, the
+//!   engine's index spec and the wire protocol write.
 //!
 //! Scanning itself — the vectorized kernels, the exact-range fast path, and
 //! the per-query [`tsunami_core::ScanCounters`] — lives in [`tsunami_core::exec`]; the
 //! store only implements [`tsunami_core::ScanSource`], so
 //! `exec::execute_plan(&store, query, plan)` is how it is scanned.
 
+pub mod codec;
 pub mod column;
 pub mod encode;
 pub mod table;

@@ -10,18 +10,21 @@
 //! ```text
 //! +----------------+----------------+---------+--------+------------------+
 //! | payload length | FNV-1a of      | version | opcode | body             |
-//! |  u32 BE        | payload, u32 BE|  u8 = 2 |  u8    | opcode-specific  |
+//! |  u32 BE        | payload, u32 BE|  u8 = 3 |  u8    | opcode-specific  |
 //! +----------------+----------------+---------+--------+------------------+
 //! |<------- 8-byte header -------->|<-------- `length` bytes ----------->|
 //! ```
 //!
-//! All integers are big-endian, mirroring the wire protocol in
-//! `tsunami-server`. The length prefix counts the payload (version + opcode +
-//! body) and is checked against [`MAX_RECORD_BYTES`] before any allocation,
-//! so a corrupt length cannot balloon memory. The checksum covers the whole
-//! payload; it is FNV-1a (32-bit), chosen because it is dependency-free,
-//! byte-order-stable, and catches the torn-write and bit-rot cases a WAL
-//! tail actually sees.
+//! Bodies are built from [`crate::codec`]'s composites, the same the wire
+//! protocol in `tsunami-server` uses: big-endian, `u32` for every length,
+//! count and dimension. The length prefix counts the payload (version +
+//! opcode + body); [`Wal::append`] refuses, before writing anything, a
+//! payload the `u32` cannot describe. Replay reads the file whole and only
+//! slices it, so a corrupt length allocates nothing: one that runs past the
+//! end of the file ends the valid prefix like any torn tail. The checksum
+//! covers the whole payload; it is FNV-1a (32-bit), chosen because it is
+//! dependency-free, byte-order-stable, and catches the torn-write and
+//! bit-rot cases a WAL tail actually sees.
 //!
 //! # Recovery semantics
 //!
@@ -47,16 +50,15 @@ use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use tsunami_core::codec::{put_u32, put_u64, Reader};
-use tsunami_core::{Aggregation, Dataset, Predicate, Query, Result, TsunamiError, Value};
+use tsunami_core::{Dataset, Predicate, Query, Result, TsunamiError};
 
-/// WAL format version carried in every record. Version 2 dropped two fields
-/// from the Tsunami index spec encoded inside `CreateTable` records.
-pub const WAL_VERSION: u8 = 2;
+use crate::codec::{self, CodecError};
 
-/// Maximum payload size accepted per record (64 MiB). Checked before the
-/// payload is read so a corrupt length prefix cannot trigger a huge
-/// allocation; any real record in this workspace is far smaller.
-pub const MAX_RECORD_BYTES: usize = 64 << 20;
+/// WAL format version carried in every record. Version 3 moved every body
+/// onto the shared [`crate::codec`] (`u32` row counts; an aggregation's
+/// dimension absent for COUNT) and dropped nine build constants and the
+/// observation window from the Tsunami index spec inside `CreateTable`.
+pub const WAL_VERSION: u8 = 3;
 
 const HEADER_BYTES: usize = 8;
 
@@ -247,12 +249,13 @@ impl Wal {
         self.crash = crash;
     }
 
-    /// Appends one record to the log. Not durable until [`Wal::commit`].
+    /// Appends one record to the log. Not durable until [`Wal::commit`]. A
+    /// record that does not encode (see [`encode_record`]) writes nothing.
     ///
     /// With [`CrashPoint::MidRecord`] armed, writes only the first half of
     /// the frame and fails, leaving a torn record at the tail.
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let frame = encode_record(record);
+        let frame = encode_record(record)?;
         if self.crash == CrashPoint::MidRecord {
             let half = &frame[..frame.len() / 2];
             self.write_at_end(half)?;
@@ -338,10 +341,29 @@ pub fn replay(path: &Path) -> Result<(Vec<WalRecord>, u64)> {
     Ok((records, valid_len as u64))
 }
 
-/// Encodes one record as a complete frame (header + payload).
-pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(WAL_VERSION);
+/// Encodes one record as a complete frame (header + payload). A record the
+/// codec cannot write — a length or count past its `u32` field, or a payload
+/// past the length prefix's — is a [`TsunamiError::Durability`] error.
+pub fn encode_record(record: &WalRecord) -> Result<Vec<u8>> {
+    let mut frame = vec![0; HEADER_BYTES];
+    frame.push(WAL_VERSION);
+    seal(&mut frame, record)
+        .map_err(|e| TsunamiError::Durability(format!("cannot log record: {e}")))?;
+    Ok(frame)
+}
+
+/// Appends `record`'s opcode and body to `frame` (header slot + version
+/// byte), then fills the header in.
+fn seal(frame: &mut Vec<u8>, record: &WalRecord) -> std::result::Result<(), CodecError> {
+    encode_body(frame, record)?;
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    codec::put_len(&mut header, frame.len() - HEADER_BYTES, "record payload")?;
+    put_u32(&mut header, checksum(&frame[HEADER_BYTES..]));
+    frame[..HEADER_BYTES].copy_from_slice(&header);
+    Ok(())
+}
+
+fn encode_body(out: &mut Vec<u8>, record: &WalRecord) -> std::result::Result<(), CodecError> {
     match record {
         WalRecord::CreateTable {
             name,
@@ -350,41 +372,35 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
             workload,
             data,
         } => {
-            payload.push(OP_CREATE_TABLE);
-            put_string(&mut payload, name);
-            put_list(&mut payload, columns, |out, c| put_string(out, c));
-            put_u32(&mut payload, spec.len() as u32);
-            payload.extend_from_slice(spec);
-            put_list(&mut payload, workload, put_query);
-            put_dataset(&mut payload, data);
+            out.push(OP_CREATE_TABLE);
+            codec::put_string(out, name)?;
+            codec::put_list(out, columns, |out, c| codec::put_string(out, c))?;
+            codec::put_bytes(out, spec)?;
+            codec::put_list(out, workload, codec::put_query)?;
+            codec::put_rows(out, (data.num_dims(), data.len()), |d| data.column(d))
         }
         WalRecord::InsertBatch { table, rows } => {
-            payload.push(OP_INSERT_BATCH);
-            put_string(&mut payload, table);
-            put_dataset(&mut payload, rows);
+            out.push(OP_INSERT_BATCH);
+            codec::put_string(out, table)?;
+            codec::put_rows(out, (rows.num_dims(), rows.len()), |d| rows.column(d))
         }
         WalRecord::Delete { table, predicates } => {
-            payload.push(OP_DELETE);
-            put_string(&mut payload, table);
-            put_list(&mut payload, predicates, put_predicate);
+            out.push(OP_DELETE);
+            codec::put_string(out, table)?;
+            codec::put_list(out, predicates, codec::put_predicate)
         }
         WalRecord::RegisterView { table, name, query } => {
-            payload.push(OP_REGISTER_VIEW);
-            put_string(&mut payload, table);
-            put_string(&mut payload, name);
-            put_query(&mut payload, query);
+            out.push(OP_REGISTER_VIEW);
+            codec::put_string(out, table)?;
+            codec::put_string(out, name)?;
+            codec::put_query(out, query)
         }
         WalRecord::Checkpoint { generation, tables } => {
-            payload.push(OP_CHECKPOINT);
-            put_u64(&mut payload, *generation);
-            put_list(&mut payload, tables, |out, t| put_string(out, t));
+            out.push(OP_CHECKPOINT);
+            put_u64(out, *generation);
+            codec::put_list(out, tables, |out, t| codec::put_string(out, t))
         }
     }
-    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&checksum(&payload).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    frame
 }
 
 /// Decodes frames from the front of `bytes`, stopping at the first torn or
@@ -404,15 +420,12 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
 }
 
 /// The payload of the frame starting at `pos`, if the frame is whole: header
-/// present, length within bounds and within `bytes`, checksum matching.
+/// present, payload within `bytes`, checksum matching.
 fn intact_payload(bytes: &[u8], pos: usize) -> Option<&[u8]> {
-    let header = bytes.get(pos..pos + HEADER_BYTES)?;
-    let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
-    let sum = u32::from_be_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_RECORD_BYTES {
-        return None;
-    }
-    let payload = bytes.get(pos + HEADER_BYTES..pos + HEADER_BYTES + len)?;
+    let mut frame = Reader::new(bytes.get(pos..)?);
+    let len = frame.u32()? as usize;
+    let sum = frame.u32()?;
+    let payload = frame.bytes(len)?;
     (checksum(payload) == sum).then_some(payload)
 }
 
@@ -421,152 +434,45 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     if r.u8()? != WAL_VERSION {
         return None;
     }
-    let opcode = r.u8()?;
-    let record = match opcode {
-        OP_CREATE_TABLE => {
-            let name = get_string(&mut r)?;
-            let columns = get_list(&mut r, get_string)?;
-            let spec_len = r.u32()? as usize;
-            let spec = r.bytes(spec_len)?.to_vec();
-            let workload = get_list(&mut r, get_query)?;
-            let data = get_dataset(&mut r)?;
-            WalRecord::CreateTable {
-                name,
-                columns,
-                spec,
-                workload,
-                data,
-            }
-        }
-        OP_INSERT_BATCH => {
-            let table = get_string(&mut r)?;
-            let rows = get_dataset(&mut r)?;
-            WalRecord::InsertBatch { table, rows }
-        }
-        OP_DELETE => {
-            let table = get_string(&mut r)?;
-            let predicates = get_list(&mut r, get_predicate)?;
-            WalRecord::Delete { table, predicates }
-        }
-        OP_REGISTER_VIEW => {
-            let table = get_string(&mut r)?;
-            let name = get_string(&mut r)?;
-            let query = get_query(&mut r)?;
-            WalRecord::RegisterView { table, name, query }
-        }
-        OP_CHECKPOINT => {
-            let generation = r.u64()?;
-            let tables = get_list(&mut r, get_string)?;
-            WalRecord::Checkpoint { generation, tables }
-        }
-        _ => return None,
-    };
+    let record = decode_body(&mut r).ok()?;
     // Strict: a payload with trailing bytes after a complete body is corrupt.
     r.finish().ok()?;
     Some(record)
 }
 
-// --- body codec -----------------------------------------------------------
-
-/// A `u32` count followed by each item.
-fn put_list<T>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
-    put_u32(out, items.len() as u32);
-    for item in items {
-        put(out, item);
-    }
-}
-
-/// Inverse of [`put_list`]. The untrusted count pre-sizes at most 4096
-/// slots; a lying count runs out of bytes long before it runs out of memory.
-fn get_list<T>(r: &mut Reader, get: impl Fn(&mut Reader) -> Option<T>) -> Option<Vec<T>> {
-    let n = r.u32()? as usize;
-    let mut items = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        items.push(get(r)?);
-    }
-    Some(items)
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_predicate(out: &mut Vec<u8>, p: &Predicate) {
-    put_u32(out, p.dim as u32);
-    put_u64(out, p.lo);
-    put_u64(out, p.hi);
-}
-
-fn put_query(out: &mut Vec<u8>, q: &Query) {
-    put_list(out, q.predicates(), put_predicate);
-    let (tag, dim) = match q.aggregation() {
-        Aggregation::Count => (0u8, 0usize),
-        Aggregation::Sum(d) => (1, d),
-        Aggregation::Min(d) => (2, d),
-        Aggregation::Max(d) => (3, d),
-        Aggregation::Avg(d) => (4, d),
-    };
-    out.push(tag);
-    put_u32(out, dim as u32);
-}
-
-fn put_dataset(out: &mut Vec<u8>, data: &Dataset) {
-    put_u32(out, data.num_dims() as u32);
-    put_u64(out, data.len() as u64);
-    for d in 0..data.num_dims() {
-        for &v in data.column(d) {
-            put_u64(out, v);
+fn decode_body(r: &mut Reader) -> std::result::Result<WalRecord, CodecError> {
+    Ok(match codec::need(r.u8())? {
+        OP_CREATE_TABLE => WalRecord::CreateTable {
+            name: codec::get_string(r)?,
+            columns: codec::get_list(r, codec::get_string)?,
+            spec: codec::get_bytes(r)?.to_vec(),
+            workload: codec::get_list(r, codec::get_query)?,
+            data: codec::get_rows(r)?.dataset(),
+        },
+        OP_INSERT_BATCH => WalRecord::InsertBatch {
+            table: codec::get_string(r)?,
+            rows: codec::get_rows(r)?.dataset(),
+        },
+        OP_DELETE => {
+            let table = codec::get_string(r)?;
+            let predicates = codec::get_list(r, codec::get_predicate)?;
+            // Only validated deletes are ever logged.
+            if predicates.iter().any(|p| p.lo > p.hi) {
+                return Err(CodecError::Invalid("delete range"));
+            }
+            WalRecord::Delete { table, predicates }
         }
-    }
-}
-
-fn get_string(r: &mut Reader) -> Option<String> {
-    let len = r.u32()? as usize;
-    String::from_utf8(r.bytes(len)?.to_vec()).ok()
-}
-
-fn get_predicate(r: &mut Reader) -> Option<Predicate> {
-    let dim = r.u32()? as usize;
-    let lo = r.u64()?;
-    let hi = r.u64()?;
-    Predicate::range(dim, lo, hi).ok()
-}
-
-fn get_query(r: &mut Reader) -> Option<Query> {
-    let preds = get_list(r, get_predicate)?;
-    let tag = r.u8()?;
-    let dim = r.u32()? as usize;
-    let agg = match tag {
-        0 => Aggregation::Count,
-        1 => Aggregation::Sum(dim),
-        2 => Aggregation::Min(dim),
-        3 => Aggregation::Max(dim),
-        4 => Aggregation::Avg(dim),
-        _ => return None,
-    };
-    Query::new(preds, agg).ok()
-}
-
-fn get_dataset(r: &mut Reader) -> Option<Dataset> {
-    let dims = r.u32()? as usize;
-    let rows = r.u64()? as usize;
-    // Reject counts the remaining buffer cannot possibly hold before
-    // allocating columns.
-    let need = dims.checked_mul(rows)?.checked_mul(8)?;
-    if r.remaining() < need {
-        return None;
-    }
-    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let mut col = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            col.push(r.u64()?);
-        }
-        columns.push(col);
-    }
-    // `Dataset` requires at least one column, so 0 dims is corrupt.
-    Dataset::from_columns(columns).ok()
+        OP_REGISTER_VIEW => WalRecord::RegisterView {
+            table: codec::get_string(r)?,
+            name: codec::get_string(r)?,
+            query: codec::get_query(r)?,
+        },
+        OP_CHECKPOINT => WalRecord::Checkpoint {
+            generation: codec::need(r.u64())?,
+            tables: codec::get_list(r, codec::get_string)?,
+        },
+        _ => return Err(CodecError::Invalid("opcode")),
+    })
 }
 
 #[cfg(test)]
@@ -574,8 +480,8 @@ mod tests {
     use super::*;
     use tsunami_core::Aggregation;
 
-    /// Deterministic splitmix64 so the round-trip loop is seeded and
-    /// reproducible without any external RNG dependency.
+    /// Deterministic splitmix64 so the loops are seeded and reproducible
+    /// without any external RNG dependency.
     struct Rng(u64);
 
     impl Rng {
@@ -665,23 +571,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_variant_round_trips_seeded() {
-        let mut rng = Rng(0xD1CE);
-        for _ in 0..200 {
-            let rec = random_record(&mut rng);
-            let frame = encode_record(&rec);
-            let (decoded, valid) = decode_frames(&frame);
-            assert_eq!(valid, frame.len());
-            assert_eq!(decoded, vec![rec]);
-        }
+    fn encode(record: &WalRecord) -> Vec<u8> {
+        encode_record(record).unwrap()
     }
 
     #[test]
     fn truncation_at_every_cut_point_keeps_exact_prefix() {
         let mut rng = Rng(7);
         let records: Vec<WalRecord> = (0..4).map(|_| random_record(&mut rng)).collect();
-        let frames: Vec<Vec<u8>> = records.iter().map(encode_record).collect();
+        let frames: Vec<Vec<u8>> = records.iter().map(encode).collect();
         let mut log = Vec::new();
         let mut boundaries = vec![0usize];
         for f in &frames {
@@ -703,8 +601,8 @@ mod tests {
     fn bit_flips_are_rejected_everywhere() {
         let mut rng = Rng(99);
         let rec = random_record(&mut rng);
-        let good = encode_record(&rec);
-        let follow = encode_record(&WalRecord::Checkpoint {
+        let good = encode(&rec);
+        let follow = encode(&WalRecord::Checkpoint {
             generation: 0,
             tables: vec![],
         });
@@ -728,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_before_allocation() {
+    fn a_length_past_the_end_of_the_log_is_a_torn_tail() {
         let mut frame = vec![0u8; 16];
         frame[..4].copy_from_slice(&(u32::MAX).to_be_bytes());
         let (decoded, valid) = decode_frames(&frame);
@@ -742,7 +640,7 @@ mod tests {
             generation: 1,
             tables: vec!["t".into()],
         };
-        let mut frame = encode_record(&rec);
+        let mut frame = encode(&rec);
         frame[HEADER_BYTES] = WAL_VERSION - 1; // version byte
         let sum = checksum(&frame[HEADER_BYTES..]);
         frame[4..8].copy_from_slice(&sum.to_be_bytes());
@@ -750,17 +648,20 @@ mod tests {
         // On disk that is another build's file, not a torn tail: replay
         // refuses it — also behind a valid prefix — so nobody truncates it.
         let path = temp_wal("old_version");
-        for prefix in [Vec::new(), encode_record(&rec)] {
-            std::fs::write(&path, [prefix, frame.clone()].concat()).unwrap();
+        let previous = format!("format version {}", WAL_VERSION - 1);
+        for prefix in [Vec::new(), encode(&rec)] {
+            let file = [prefix, frame.clone()].concat();
+            std::fs::write(&path, &file).unwrap();
             let err = replay(&path).unwrap_err();
             assert!(
-                matches!(&err, TsunamiError::Durability(m) if m.contains("format version 1")),
+                matches!(&err, TsunamiError::Durability(m) if m.contains(&previous)),
                 "{err:?}"
             );
+            assert_eq!(std::fs::read(&path).unwrap(), file);
         }
         std::fs::remove_file(&path).unwrap();
 
-        let mut frame = encode_record(&rec);
+        let mut frame = encode(&rec);
         frame[HEADER_BYTES + 1] = 0x7f; // opcode byte
         let sum = checksum(&frame[HEADER_BYTES..]);
         frame[4..8].copy_from_slice(&sum.to_be_bytes());
@@ -773,7 +674,7 @@ mod tests {
             generation: 0,
             tables: vec![],
         };
-        let mut payload = encode_record(&rec)[HEADER_BYTES..].to_vec();
+        let mut payload = encode(&rec)[HEADER_BYTES..].to_vec();
         payload.push(0);
         let mut frame = Vec::new();
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
@@ -803,6 +704,36 @@ mod tests {
         let (replayed, valid) = replay(&path).unwrap();
         assert_eq!(replayed, records);
         assert_eq!(valid, std::fs::metadata(&path).unwrap().len());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A committed record is never too large to replay: one just over
+    /// 64 MiB — the size a replay-side cap once dropped as a torn tail, with
+    /// everything committed after it — comes back, and so does its follower.
+    #[test]
+    fn a_record_over_64_mib_and_the_one_after_it_survive_replay() {
+        let path = temp_wal("big_record");
+        let big = WalRecord::CreateTable {
+            name: "big".into(),
+            columns: vec!["c0".into()],
+            spec: vec![0x5a; (64 << 20) + 1],
+            workload: Vec::new(),
+            data: Dataset::from_columns(vec![vec![1, 2, 3]]).unwrap(),
+        };
+        let small = WalRecord::Checkpoint {
+            generation: 9,
+            tables: vec!["big".into()],
+        };
+        {
+            let mut wal = Wal::create(&path).unwrap();
+            wal.append_commit(&big).unwrap();
+            wal.append_commit(&small).unwrap();
+        }
+        let (replayed, valid) = replay(&path).unwrap();
+        assert_eq!(valid, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(replayed.len(), 2);
+        assert!(replayed[0] == big, "the large record did not round-trip");
+        assert_eq!(replayed[1], small);
         std::fs::remove_file(&path).unwrap();
     }
 
