@@ -22,7 +22,7 @@ use tsunami_core::{CostModel, Dataset, MultiDimIndex};
 use tsunami_engine::{IndexSpec, Scheduler};
 use tsunami_flood::FloodIndex;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
-use tsunami_index::{IndexVariant, TsunamiIndex};
+use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_workloads::{synthetic, tpch, DatasetBundle};
 
 fn standard_bundles(config: &HarnessConfig) -> Vec<DatasetBundle> {
@@ -707,24 +707,32 @@ pub fn fig11b(config: &HarnessConfig) -> String {
     finish(t)
 }
 
-/// Fig 12a: component drill-down — Flood vs Augmented-Grid-only vs
-/// Grid-Tree-only vs full Tsunami, all registered as tables of one database.
+/// Fig 12a: component drill-down — Flood beside the 2×2 of Tsunami's
+/// components ([`variant_specs`]: Grid Tree on/off × augmented/independent
+/// grids), all registered as tables of one database, with the scan counters
+/// that explain each row's time.
 pub fn fig12a(config: &HarnessConfig) -> String {
     let bundles = standard_bundles(config);
     let mut t = Table::new(
         "Fig 12a: Component drill-down (avg query us)",
-        &["dataset", "index", "avg query (us)"],
+        &[
+            "dataset",
+            "index",
+            "avg query (us)",
+            "avg points scanned",
+            "avg ranges scanned",
+        ],
     );
     for b in &bundles {
-        // Display names come from the built index itself
-        // ("AugmentedGrid-only", "GridTree-only", ...).
         let db = database_for_named(&b.data, &b.workload, &b.columns, &variant_specs(config));
         for table in db.tables() {
-            let us = measure(table.index(), &b.workload).avg_query_us;
+            let m = measure(table.index(), &b.workload);
             t.add_row(vec![
                 b.name.to_string(),
-                table.index().name().to_string(),
-                fmt_f64(us),
+                table.name().to_string(),
+                fmt_f64(m.avg_query_us),
+                fmt_f64(m.avg_points_scanned),
+                fmt_f64(m.avg_ranges_scanned),
             ]);
         }
     }
@@ -733,7 +741,8 @@ pub fn fig12a(config: &HarnessConfig) -> String {
 
 /// Fig 12b: optimizer comparison — predicted cost and actual query time of
 /// the Augmented Grid produced by AGD, GD, Black-Box, and AGD with naive
-/// initialization.
+/// initialization, each measured as a one-region index (`max_tree_depth: 0`)
+/// over the whole space.
 pub fn fig12b(config: &HarnessConfig) -> String {
     let bundles = standard_bundles(config);
     let mut t = Table::new(
@@ -743,6 +752,7 @@ pub fn fig12b(config: &HarnessConfig) -> String {
             "optimizer",
             "predicted cost",
             "actual avg query (us)",
+            "actual avg points",
             "layouts evaluated",
         ],
     );
@@ -756,20 +766,19 @@ pub fn fig12b(config: &HarnessConfig) -> String {
         ] {
             let layout =
                 optimize_layout(&b.data, &b.workload, &cost, &config.tsunami_config(), kind);
-            let spec = IndexSpec::Tsunami(
-                config
-                    .tsunami_config()
-                    .with_variant(IndexVariant::AugmentedGridOnly)
-                    .with_optimizer(kind),
-            );
+            let spec = IndexSpec::Tsunami(TsunamiConfig {
+                max_tree_depth: 0,
+                ..config.tsunami_config().with_optimizer(kind)
+            });
             let db = database_for_bundle(b, std::slice::from_ref(&spec));
             let table = db.table(spec.label()).expect("registered above");
-            let us = measure(table.index(), &b.workload).avg_query_us;
+            let m = measure(table.index(), &b.workload);
             t.add_row(vec![
                 b.name.to_string(),
                 label.to_string(),
                 fmt_f64(layout.predicted_cost),
-                fmt_f64(us),
+                fmt_f64(m.avg_query_us),
+                fmt_f64(m.avg_points_scanned),
                 layout.evaluations.to_string(),
             ]);
         }
@@ -1709,7 +1718,14 @@ mod tests {
         let mut cfg = tiny();
         cfg.rows = 2_000;
         let out = fig12a(&cfg);
-        for label in ["Flood", "AugmentedGrid-only", "GridTree-only", "Tsunami"] {
+        for label in [
+            "Flood",
+            "AugmentedGrid-only",
+            "GridTree-only",
+            "Tsunami",
+            "Independent grid, no tree",
+            "avg points scanned",
+        ] {
             assert!(out.contains(label), "missing {label} in:\n{out}");
         }
     }

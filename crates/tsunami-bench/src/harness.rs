@@ -12,7 +12,7 @@ use std::time::Instant;
 use tsunami_core::{Dataset, MultiDimIndex, Workload};
 use tsunami_engine::{Database, IndexSpec, PageSize, Table};
 use tsunami_flood::FloodConfig;
-use tsunami_index::{IndexVariant, TsunamiConfig};
+use tsunami_index::{OptimizerKind, TsunamiConfig};
 use tsunami_workloads::DatasetBundle;
 
 /// Scale knobs for the experiment harness. The paper runs 184M–300M rows;
@@ -60,7 +60,6 @@ impl HarnessConfig {
             max_cells: 1 << 15,
             sample_size: 1_500,
             max_iters: 12,
-            seed: self.seed,
         }
     }
 
@@ -213,7 +212,7 @@ pub fn database_for(
 }
 
 /// Like [`database_for`] with explicit table names, for line-ups where
-/// several specs share a label (e.g. the Fig 12a Tsunami variants). Every
+/// several specs share a label (e.g. the Fig 12a Tsunami ablations). Every
 /// build reads one shared `Arc` of the dataset; no table keeps it.
 pub fn database_for_named(
     data: &Dataset,
@@ -240,22 +239,29 @@ pub fn database_for_bundle(bundle: &DatasetBundle, specs: &[IndexSpec]) -> Datab
     database_for(&bundle.data, &bundle.workload, &bundle.columns, specs)
 }
 
-/// Flood plus the three Tsunami component ablations (Fig 12a), as
-/// `(table name, spec)` pairs — the Tsunami variants share the "Tsunami"
-/// label, so they need distinct table names.
+/// Flood plus the Fig 12a 2×2 over Tsunami's own machinery — {Grid Tree,
+/// one region (`max_tree_depth: 0`)} × {augmented, all-independent grids} —
+/// as `(table name, spec)` pairs: every Tsunami spec shares the "Tsunami"
+/// label, so the table names say which corner each is.
 pub fn variant_specs(config: &HarnessConfig) -> Vec<(String, IndexSpec)> {
-    let mut named = vec![("Flood".to_string(), IndexSpec::Flood(config.flood_config()))];
-    for variant in [
-        IndexVariant::AugmentedGridOnly,
-        IndexVariant::GridTreeOnly,
-        IndexVariant::Full,
-    ] {
-        named.push((
-            format!("{variant:?}"),
-            IndexSpec::Tsunami(config.tsunami_config().with_variant(variant)),
-        ));
-    }
-    named
+    let tree = config.tsunami_config();
+    let no_tree = TsunamiConfig {
+        max_tree_depth: 0,
+        ..tree.clone()
+    };
+    let independent = OptimizerKind::Independent;
+    let corners = [
+        ("AugmentedGrid-only", no_tree.clone()),
+        ("GridTree-only", tree.clone().with_optimizer(independent)),
+        ("Tsunami", tree),
+        (
+            "Independent grid, no tree",
+            no_tree.with_optimizer(independent),
+        ),
+    ];
+    let flood = ("Flood".to_string(), IndexSpec::Flood(config.flood_config()));
+    let corners = corners.map(|(name, c)| (name.to_string(), IndexSpec::Tsunami(c)));
+    std::iter::once(flood).chain(corners).collect()
 }
 
 #[cfg(test)]

@@ -1197,26 +1197,37 @@ mod tests {
 
     #[test]
     fn a_registered_index_mutates_under_the_config_it_was_built_with() {
-        use tsunami_index::{IndexVariant, TsunamiIndex};
+        use tsunami_index::{OptimizerKind, TsunamiIndex};
         let (data, day, _) = shift_fixture();
-        let config = TsunamiConfig::fast().with_variant(IndexVariant::GridTreeOnly);
+        // A zero rebuild bar: under its own config every mutation rebuilds,
+        // under a default one none of these would.
+        let config = (TsunamiConfig::fast())
+            .with_optimizer(OptimizerKind::Independent)
+            .with_ingest_staleness(0.25, 0.0);
         let index = TsunamiIndex::build(&data, &day, &config).unwrap();
         let mut db = Database::new();
         db.register_table("t", Schema::numbered(3), Box::new(index))
             .unwrap();
         let mut rows: Vec<Point> = data.rows().collect();
+        let tsunami = |table: &Table| {
+            let index = table.index().as_any().and_then(|a| a.downcast_ref());
+            let index: &TsunamiIndex = index.expect("a Tsunami table");
+            // Still Flood-style grids, and no staleness left after a rebuild.
+            let stats = index.stats();
+            assert_eq!(stats.avg_fms_per_region + stats.avg_ccdfs_per_region, 0.0);
+            index.data_staleness()
+        };
 
         let (after, report) = db.insert_batch_with_report("t", &batch(0)).unwrap();
         rows.extend(batch(0));
-        // Not silently rebuilt as a default-config `Full` index.
-        assert!(!report.expect("Tsunami tables report their ingest").rebuilt);
-        assert_eq!(after.index().name(), "GridTree-only");
+        assert!(report.expect("Tsunami tables report their ingest").rebuilt);
+        assert_eq!(tsunami(&after), 0.0);
         assert_holds(&after, &rows, "insert");
 
         let band = [Predicate::range(0, 300, 1_499).unwrap()];
         let after = db.delete("t", &band).unwrap();
         delete_from(&mut rows, &band);
-        assert_eq!(after.index().name(), "GridTree-only");
+        assert_eq!(tsunami(&after), 0.0);
         assert_holds(&after, &rows, "delete");
     }
 
@@ -1317,9 +1328,9 @@ mod tests {
 
     #[test]
     fn files_of_the_previous_format_version_are_refused_not_truncated() {
-        // The previous version laid bodies out at other widths and carried
-        // ten more fields in a Tsunami spec; its files must neither
-        // mis-decode nor be amputated as a torn tail.
+        // The previous version carried a variant byte in a Tsunami spec and
+        // a seed in a Flood spec; its files must neither mis-decode nor be
+        // amputated as a torn tail.
         let previous = format!("format version {}", tsunami_store::wal::WAL_VERSION - 1);
         for file in ["wal.log", "checkpoint.db"] {
             let dir = temp_db_dir(&format!("old_version_{}", file.replace('.', "_")));

@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 use tsunami_core::codec::{put_u64, Reader};
 use tsunami_core::{Result, TsunamiError};
 use tsunami_flood::FloodConfig;
-use tsunami_index::{IndexVariant, OptimizerKind, TsunamiConfig};
+use tsunami_index::{OptimizerKind, TsunamiConfig};
 use tsunami_store::codec::{self, need, CodecError};
 use tsunami_store::wal::{self, CrashPoint, Wal, WalRecord};
 
@@ -229,16 +229,12 @@ fn put_spec(out: &mut Vec<u8>, spec: &IndexSpec) -> std::result::Result<(), Code
     match spec {
         IndexSpec::Tsunami(c) => {
             out.push(SPEC_TSUNAMI);
-            out.push(match c.variant {
-                IndexVariant::Full => 0,
-                IndexVariant::GridTreeOnly => 1,
-                IndexVariant::AugmentedGridOnly => 2,
-            });
             out.push(match c.optimizer {
                 OptimizerKind::Adaptive => 0,
                 OptimizerKind::GradientOnly => 1,
                 OptimizerKind::AdaptiveNaiveInit => 2,
                 OptimizerKind::BlackBox => 3,
+                OptimizerKind::Independent => 4,
             });
             for n in [
                 c.skew_bins,
@@ -258,7 +254,6 @@ fn put_spec(out: &mut Vec<u8>, spec: &IndexSpec) -> std::result::Result<(), Code
             for n in [c.max_cells, c.sample_size, c.max_iters] {
                 put_u64(out, n as u64);
             }
-            put_u64(out, c.seed);
         }
         IndexSpec::FullScan => out.push(SPEC_FULL_SCAN),
         IndexSpec::SingleDim => out.push(SPEC_SINGLE_DIM),
@@ -292,21 +287,15 @@ pub fn decode_spec(bytes: &[u8]) -> Result<IndexSpec> {
 fn get_spec(r: &mut Reader) -> std::result::Result<IndexSpec, CodecError> {
     Ok(match need(r.u8())? {
         SPEC_TSUNAMI => {
-            let variant = match need(r.u8())? {
-                0 => IndexVariant::Full,
-                1 => IndexVariant::GridTreeOnly,
-                2 => IndexVariant::AugmentedGridOnly,
-                _ => return Err(CodecError::Invalid("index variant")),
-            };
             let optimizer = match need(r.u8())? {
                 0 => OptimizerKind::Adaptive,
                 1 => OptimizerKind::GradientOnly,
                 2 => OptimizerKind::AdaptiveNaiveInit,
                 3 => OptimizerKind::BlackBox,
+                4 => OptimizerKind::Independent,
                 _ => return Err(CodecError::Invalid("optimizer kind")),
             };
             IndexSpec::Tsunami(TsunamiConfig {
-                variant,
                 optimizer,
                 skew_bins: need(r.u64())? as usize,
                 max_tree_depth: need(r.u64())? as usize,
@@ -322,7 +311,6 @@ fn get_spec(r: &mut Reader) -> std::result::Result<IndexSpec, CodecError> {
             max_cells: need(r.u64())? as usize,
             sample_size: need(r.u64())? as usize,
             max_iters: need(r.u64())? as usize,
-            seed: need(r.u64())?,
         }),
         SPEC_FULL_SCAN => IndexSpec::FullScan,
         SPEC_SINGLE_DIM => IndexSpec::SingleDim,

@@ -10,8 +10,6 @@ pub struct FloodConfig {
     pub sample_size: usize,
     /// Maximum number of gradient-descent iterations.
     pub max_iters: usize,
-    /// Seed for deterministic sampling.
-    pub seed: u64,
 }
 
 impl Default for FloodConfig {
@@ -20,7 +18,6 @@ impl Default for FloodConfig {
             max_cells: 1 << 20,
             sample_size: 2_000,
             max_iters: 30,
-            seed: 0xF100D,
         }
     }
 }
@@ -32,7 +29,6 @@ impl FloodConfig {
             max_cells: 1 << 14,
             sample_size: 500,
             max_iters: 10,
-            seed: 0xF100D,
         }
     }
 }

@@ -14,7 +14,9 @@
 //!
 //! The [`layout::GridLayout`] machinery is shared conceptually with
 //! Tsunami's Augmented Grid, which generalizes it with correlation-aware
-//! partitioning strategies.
+//! partitioning strategies. The partition-count search is shared in code:
+//! [`optimizer`] runs the Augmented Grid optimizer's initialization and
+//! descent on the all-independent skeleton, under Flood's own estimator.
 
 pub mod config;
 pub mod estimator;
@@ -26,3 +28,7 @@ pub use config::FloodConfig;
 pub use index::FloodIndex;
 pub use layout::GridLayout;
 pub use optimizer::optimize_partitions;
+
+/// The seed of the data sample a layout is optimized over: fixed, so a
+/// build is a function of its inputs.
+pub(crate) const SEED: u64 = 0xF100D;

@@ -2,15 +2,20 @@
 //!
 //! Flood learns which dimensions to prioritize by adjusting the number of
 //! partitions per dimension to minimize the predicted average query time
-//! (§2.2.1). We initialize partition counts proportionally to how selective
-//! the workload is in each dimension, then run a coordinate-wise gradient
-//! descent over the (integer) partition counts, re-estimating cost with the
-//! sample-based estimator at every step.
+//! (§2.2.1). A Flood grid is an Augmented Grid whose every dimension is
+//! partitioned independently, so the search is the Augmented Grid
+//! optimizer's own on the all-independent skeleton: partition counts
+//! initialized in proportion to how selective the workload is in each
+//! dimension ([`initial_partitions`]), then coordinate descent over them
+//! ([`descend_partitions`]) — scored here by Flood's sample-based estimator.
 
 use crate::config::FloodConfig;
 use crate::estimator::predicted_cost;
+use crate::SEED;
 use tsunami_core::sample::sample_dataset;
 use tsunami_core::{CostModel, Dataset, Workload};
+use tsunami_index::augmented_grid::optimizer::{descend_partitions, initial_partitions};
+use tsunami_index::Skeleton;
 
 /// Result of the partition-count optimization.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,77 +28,6 @@ pub struct OptimizedPartitions {
     pub evaluations: usize,
 }
 
-/// Initializes partition counts proportional to the average per-dimension
-/// filter selectivity of the workload: dimensions in which queries are more
-/// selective get more partitions. The total cell count stays below
-/// `max_cells`.
-pub fn initial_partitions(
-    data_sample: &Dataset,
-    workload: &Workload,
-    max_cells: usize,
-) -> Vec<usize> {
-    let d = data_sample.num_dims();
-    if d == 0 {
-        return vec![];
-    }
-    // Average selectivity of each dimension across queries that filter it
-    // (1.0 when never filtered).
-    let mut weights = vec![0.0f64; d];
-    for (dim, weight) in weights.iter_mut().enumerate() {
-        let mut sel_sum = 0.0;
-        let mut count = 0usize;
-        for q in workload.queries() {
-            if q.predicate_on(dim).is_some() {
-                sel_sum += q.dim_selectivity(data_sample, dim);
-                count += 1;
-            }
-        }
-        let avg_sel: f64 = if count == 0 {
-            1.0
-        } else {
-            sel_sum / count as f64
-        };
-        // More selective (smaller fraction) => larger weight. The frequency
-        // with which the dimension is filtered also matters.
-        let freq = count as f64 / workload.len().max(1) as f64;
-        *weight = (1.0 / avg_sel.max(1e-3)).ln().max(0.0) * freq + 1e-6;
-    }
-    let total_weight: f64 = weights.iter().sum();
-    // Allocate a log-space budget: product of partitions <= max_cells.
-    let log_budget = (max_cells as f64).ln();
-    let mut partitions = vec![1usize; d];
-    for dim in 0..d {
-        let share = weights[dim] / total_weight;
-        let p = (share * log_budget).exp().round() as usize;
-        partitions[dim] = p.clamp(1, 1 << 12);
-    }
-    clamp_to_budget(&mut partitions, max_cells);
-    partitions
-}
-
-/// Scales partition counts down (largest first) until their product fits the
-/// cell budget.
-pub fn clamp_to_budget(partitions: &mut [usize], max_cells: usize) {
-    let max_cells = max_cells.max(1);
-    loop {
-        let product: usize = partitions
-            .iter()
-            .fold(1usize, |acc, &p| acc.saturating_mul(p));
-        if product <= max_cells {
-            return;
-        }
-        // Reduce the largest partition count.
-        if let Some(max_idx) = (0..partitions.len()).max_by_key(|&i| partitions[i]) {
-            if partitions[max_idx] <= 1 {
-                return;
-            }
-            partitions[max_idx] = (partitions[max_idx] * 3 / 4).max(1);
-        } else {
-            return;
-        }
-    }
-}
-
 /// Optimizes per-dimension partition counts for a dataset and workload by
 /// gradient descent over the predicted cost.
 pub fn optimize_partitions(
@@ -102,47 +36,30 @@ pub fn optimize_partitions(
     cost: &CostModel,
     config: &FloodConfig,
 ) -> OptimizedPartitions {
-    let sample = sample_dataset(data, config.sample_size, config.seed);
+    let sample = sample_dataset(data, config.sample_size, SEED);
     let total = data.len();
-    let mut current = initial_partitions(&sample, workload, config.max_cells);
-    let mut evaluations = 0usize;
-    let mut best_cost = predicted_cost(&sample, &current, total, workload, cost);
-    evaluations += 1;
-
+    let skeleton = Skeleton::all_independent(data.num_dims());
+    let dims = skeleton.grid_dims();
+    let mut partitions = initial_partitions(&sample, &skeleton, workload, config.max_cells);
+    let mut best_cost = predicted_cost(&sample, &partitions, total, workload, cost);
+    let mut evaluations = 1;
     for _ in 0..config.max_iters {
-        let mut improved = false;
-        for dim in 0..current.len() {
-            // Try increasing and decreasing this dimension's partition count
-            // by ~25%, keeping whichever move lowers predicted cost most.
-            let candidates = [
-                (current[dim] as f64 * 1.5).ceil() as usize,
-                (current[dim] as f64 * 0.67).floor().max(1.0) as usize,
-                current[dim] + 1,
-                current[dim].saturating_sub(1).max(1),
-            ];
-            for &cand in &candidates {
-                if cand == current[dim] {
-                    continue;
-                }
-                let mut trial = current.clone();
-                trial[dim] = cand;
-                clamp_to_budget(&mut trial, config.max_cells);
-                let c = predicted_cost(&sample, &trial, total, workload, cost);
+        let improved = descend_partitions(
+            &mut partitions,
+            &mut best_cost,
+            &dims,
+            config.max_cells,
+            |p| {
                 evaluations += 1;
-                if c < best_cost * 0.999 {
-                    best_cost = c;
-                    current = trial;
-                    improved = true;
-                }
-            }
-        }
+                predicted_cost(&sample, p, total, workload, cost)
+            },
+        );
         if !improved {
             break;
         }
     }
-
     OptimizedPartitions {
-        partitions: current,
+        partitions,
         predicted_cost: best_cost,
         evaluations,
     }
@@ -178,36 +95,13 @@ mod tests {
     }
 
     #[test]
-    fn initial_partitions_prioritize_selective_dims() {
-        let d = data();
-        let w = workload();
-        let p = initial_partitions(&d, &w, 1 << 12);
-        assert_eq!(p.len(), 3);
-        // dim0 is filtered selectively; dim2 is never filtered.
-        assert!(p[0] > p[2], "expected more partitions on dim0: {p:?}");
-        let cells: usize = p.iter().product();
-        assert!(cells <= 1 << 12);
-    }
-
-    #[test]
-    fn clamp_to_budget_respects_cap() {
-        let mut p = vec![100, 100, 100];
-        clamp_to_budget(&mut p, 10_000);
-        assert!(p.iter().product::<usize>() <= 10_000);
-        assert!(p.iter().all(|&x| x >= 1));
-        let mut p = vec![1, 1];
-        clamp_to_budget(&mut p, 1);
-        assert_eq!(p, vec![1, 1]);
-    }
-
-    #[test]
     fn optimization_does_not_increase_cost() {
         let d = data();
         let w = workload();
         let cost = CostModel::default();
         let cfg = FloodConfig::fast();
-        let sample = sample_dataset(&d, cfg.sample_size, cfg.seed);
-        let init = initial_partitions(&sample, &w, cfg.max_cells);
+        let sample = sample_dataset(&d, cfg.sample_size, SEED);
+        let init = initial_partitions(&sample, &Skeleton::all_independent(3), &w, cfg.max_cells);
         let init_cost = predicted_cost(&sample, &init, d.len(), &w, &cost);
         let opt = optimize_partitions(&d, &w, &cost, &cfg);
         assert!(opt.predicted_cost <= init_cost * 1.001);

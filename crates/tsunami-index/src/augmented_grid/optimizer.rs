@@ -10,10 +10,14 @@
 //! For the Fig 12b comparison, this module also implements plain Gradient
 //! Descent (no skeleton search), AGD with naive initialization (start from
 //! the all-independent skeleton), and a black-box basin-hopping baseline.
+//! Gradient descent on the all-independent skeleton is Flood's own search
+//! (`tsunami-flood` runs [`initial_partitions`] and [`descend_partitions`]
+//! under its own estimator) and, per region, the Fig 12a Grid-Tree-only
+//! ablation.
 
 use super::skeleton::{DimStrategy, Skeleton};
 use super::{AugmentedGrid, CellScratch};
-use crate::config::{IndexVariant, TsunamiConfig};
+use crate::config::TsunamiConfig;
 use crate::SEED;
 use tsunami_core::sample::{sample_dataset, SplitMix};
 use tsunami_core::{CostFeatures, CostModel, Dataset, Query, Workload};
@@ -30,6 +34,9 @@ pub enum OptimizerKind {
     AdaptiveNaiveInit,
     /// Basin-hopping black-box search over `(S, P)`.
     BlackBox,
+    /// Flood's grid: the all-independent skeleton, gradient descent over `P`
+    /// only. Under a Grid Tree this is the Fig 12a Grid-Tree-only ablation.
+    Independent,
 }
 
 /// The outcome of layout optimization.
@@ -254,6 +261,8 @@ fn cell_count(partitions: &[usize], grid_dims: &[usize]) -> usize {
         .fold(1usize, |acc, &d| acc.saturating_mul(partitions[d]))
 }
 
+/// Shrinks the largest partition count of `grid_dims` by a quarter (the
+/// last of equals first) until the grid fits `max_cells` cells.
 fn clamp_partitions(partitions: &mut [usize], grid_dims: &[usize], max_cells: usize) {
     let max_cells = max_cells.max(1);
     loop {
@@ -269,6 +278,44 @@ fn clamp_partitions(partitions: &mut [usize], grid_dims: &[usize], max_cells: us
             return;
         }
     }
+}
+
+/// One coordinate-descent step over the partition counts of `grid_dims`
+/// (§5.3.2, step 2): each dimension in turn tries ×1.5, ×0.67, +1 and −1,
+/// clamped to `max_cells`, and keeps every candidate that `cost_of` prices
+/// below `0.999 · best_cost`. Returns whether a move was kept.
+pub fn descend_partitions(
+    partitions: &mut Vec<usize>,
+    best_cost: &mut f64,
+    grid_dims: &[usize],
+    max_cells: usize,
+    mut cost_of: impl FnMut(&[usize]) -> f64,
+) -> bool {
+    let mut improved = false;
+    for &dim in grid_dims {
+        let p = partitions[dim];
+        let candidates = [
+            (p as f64 * 1.5).ceil() as usize,
+            (p as f64 * 0.67).floor().max(1.0) as usize,
+            p + 1,
+            p.saturating_sub(1).max(1),
+        ];
+        for cand in candidates {
+            if cand == partitions[dim] {
+                continue;
+            }
+            let mut trial = partitions.clone();
+            trial[dim] = cand;
+            clamp_partitions(&mut trial, grid_dims, max_cells);
+            let c = cost_of(&trial);
+            if c < *best_cost * 0.999 {
+                *best_cost = c;
+                *partitions = trial;
+                improved = true;
+            }
+        }
+    }
+    improved
 }
 
 /// The layout granularity floor: no Augmented-Grid cell is planned finer
@@ -317,8 +364,7 @@ pub(crate) fn region_can_hold_grid(rows: usize, config: &TsunamiConfig) -> bool 
 /// the region's current layout, when given). Without queries a region keeps
 /// its `warm` layout, re-fitted to the budget its current row count allows —
 /// the re-grid after an ingest or a compaction, which never pays the
-/// optimizer. The optimizer is `config`'s (see [`optimize_layout`] for the
-/// Grid-Tree-only ablation).
+/// optimizer. The optimizer is `config`'s.
 pub(crate) fn region_layout(
     data: &Dataset,
     queries: &[Query],
@@ -346,9 +392,7 @@ pub(crate) fn region_layout(
 
 /// Optimizes the Augmented Grid layout for a dataset and workload, within
 /// the cell budget the dataset's row count allows (the configured
-/// [`TsunamiConfig::max_cells_per_grid`] is a cap, not a target). Under the
-/// [`IndexVariant::GridTreeOnly`] ablation the layout is Flood's —
-/// independent CDFs only, partition counts descended — whatever `kind` says.
+/// [`TsunamiConfig::max_cells_per_grid`] is a cap, not a target).
 pub fn optimize_layout(
     data: &Dataset,
     workload: &Workload,
@@ -400,19 +444,11 @@ fn optimize_layout_from(
         workload
     };
 
-    // The Grid-Tree-only ablation (Fig 12a) gives every region a Flood-style
-    // grid: independent CDFs only, partition counts descended, whatever
-    // optimizer is configured.
-    let flood_style = config.variant == IndexVariant::GridTreeOnly;
-    let kind = if flood_style {
-        OptimizerKind::GradientOnly
-    } else {
-        kind
-    };
-    let mut skeleton = if flood_style || kind == OptimizerKind::AdaptiveNaiveInit {
-        Skeleton::all_independent(data.num_dims())
-    } else {
-        heuristic_skeleton(&sample)
+    let mut skeleton = match kind {
+        OptimizerKind::Independent | OptimizerKind::AdaptiveNaiveInit => {
+            Skeleton::all_independent(data.num_dims())
+        }
+        _ => heuristic_skeleton(&sample),
     };
     let mut partitions = initial_partitions(&sample, &skeleton, workload, max_cells);
     let mut best_cost = predicted_cost(&sample, total_rows, &skeleton, &partitions, workload, cost);
@@ -466,34 +502,18 @@ fn optimize_layout_from(
                 OptimizerKind::Adaptive | OptimizerKind::AdaptiveNaiveInit
             );
             for _ in 0..config.optimizer_max_iters {
-                let mut improved = false;
-
                 // --- Step 2: gradient step over P ---
                 let grid_dims = skeleton.grid_dims();
-                for &dim in &grid_dims {
-                    let candidates = [
-                        (partitions[dim] as f64 * 1.5).ceil() as usize,
-                        (partitions[dim] as f64 * 0.67).floor().max(1.0) as usize,
-                        partitions[dim] + 1,
-                        partitions[dim].saturating_sub(1).max(1),
-                    ];
-                    for &cand in &candidates {
-                        if cand == partitions[dim] {
-                            continue;
-                        }
-                        let mut trial = partitions.clone();
-                        trial[dim] = cand;
-                        clamp_partitions(&mut trial, &grid_dims, max_cells);
-                        let c =
-                            predicted_cost(&sample, total_rows, &skeleton, &trial, workload, cost);
+                let mut improved = descend_partitions(
+                    &mut partitions,
+                    &mut best_cost,
+                    &grid_dims,
+                    max_cells,
+                    |p| {
                         evaluations += 1;
-                        if c < best_cost * 0.999 {
-                            best_cost = c;
-                            partitions = trial;
-                            improved = true;
-                        }
-                    }
-                }
+                        predicted_cost(&sample, total_rows, &skeleton, p, workload, cost)
+                    },
+                );
 
                 // --- Step 3: local search over skeletons one hop away ---
                 if search_skeletons {
@@ -762,6 +782,56 @@ mod tests {
         assert_eq!(p[1], 1, "mapped dims get no partitions");
         let cells: usize = skeleton.grid_dims().iter().map(|&d| p[d]).product();
         assert!(cells <= 1 << 10);
+    }
+
+    #[test]
+    fn independent_initialization_prioritizes_selective_dims() {
+        // Flood's initialization: selective filters on dim 0, none on dim 2.
+        let data = Dataset::from_columns(vec![
+            (0..4000u64).collect(),
+            (0..4000u64).map(|v| (v * 7) % 4000).collect(),
+            (0..4000u64).map(|v| (v * 31) % 4000).collect(),
+        ])
+        .unwrap();
+        let w: Workload = (0..20u64)
+            .map(|i| {
+                Query::count(vec![
+                    Predicate::range(0, i * 100, i * 100 + 80).unwrap(),
+                    Predicate::range(1, 0, 3200).unwrap(),
+                ])
+                .unwrap()
+            })
+            .collect();
+        let p = initial_partitions(&data, &Skeleton::all_independent(3), &w, 1 << 12);
+        assert!(p[0] > p[2], "expected more partitions on dim0: {p:?}");
+        assert!(p.iter().product::<usize>() <= 1 << 12);
+    }
+
+    #[test]
+    fn clamp_partitions_respects_the_cap() {
+        let mut p = vec![100, 100, 100];
+        clamp_partitions(&mut p, &[0, 1, 2], 10_000);
+        assert!(p.iter().product::<usize>() <= 10_000);
+        assert!(p.iter().all(|&x| x >= 1));
+        let mut p = vec![1, 1];
+        clamp_partitions(&mut p, &[0, 1], 1);
+        assert_eq!(p, vec![1, 1]);
+    }
+
+    #[test]
+    fn independent_keeps_the_all_independent_skeleton() {
+        let data = correlated_data(4_000, 104);
+        let w = workload(24, 105);
+        let config = TsunamiConfig::fast();
+        let opt = optimize_layout(
+            &data,
+            &w,
+            &CostModel::default(),
+            &config,
+            OptimizerKind::Independent,
+        );
+        assert_eq!(opt.skeleton, Skeleton::all_independent(data.num_dims()));
+        assert!(opt.evaluations > 1);
     }
 
     #[test]

@@ -1,38 +1,33 @@
-//! Configuration knobs for building a Tsunami index: the variant and
-//! optimizer the paper's drill-downs compare, the build effort, and the
-//! ingest bars. The paper's fixed heuristics are constants beside the code
-//! that reads them: query-type clustering in [`crate::query_types`], the
-//! Grid Tree's split, leaf and merge thresholds in [`crate::grid_tree`], and
-//! the Augmented Grid's skeleton heuristics in
+//! Configuration knobs for building a Tsunami index: the optimizer and tree
+//! depth the paper's drill-downs vary, the build effort, and the ingest
+//! bars. The paper's fixed heuristics are constants beside the code that
+//! reads them: query-type clustering in [`crate::query_types`], the Grid
+//! Tree's split, leaf and merge thresholds in [`crate::grid_tree`], and the
+//! Augmented Grid's skeleton heuristics in
 //! [`crate::augmented_grid::optimizer`].
+//!
+//! The Fig 12a component ablations are settings of these knobs, not a mode
+//! of their own: `max_tree_depth: 0` is the Augmented Grid alone (one region
+//! over the whole space, optimized for every clustered sample query), and
+//! [`OptimizerKind::Independent`] is the Grid Tree alone (every region gets
+//! a Flood-style grid). Both together are Flood built on Tsunami's grid.
 
 use crate::augmented_grid::OptimizerKind;
-
-/// Which components of Tsunami are enabled — used for the Fig 12a drill-down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexVariant {
-    /// Full Tsunami: Grid Tree + Augmented Grid per region.
-    Full,
-    /// Grid Tree only: each region is indexed with a Flood-style grid
-    /// (independent CDFs only).
-    GridTreeOnly,
-    /// Augmented Grid only: a single Augmented Grid over the whole space.
-    AugmentedGridOnly,
-}
 
 /// Configuration for [`crate::TsunamiIndex::build_with_cost`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TsunamiConfig {
-    /// Which components to enable (Fig 12a ablation).
-    pub variant: IndexVariant,
-    /// Optimizer used for each Augmented Grid (Fig 12b comparison).
+    /// Optimizer used for each Augmented Grid (Fig 12b comparison;
+    /// [`OptimizerKind::Independent`] is the Fig 12a Grid-Tree-only
+    /// ablation).
     pub optimizer: OptimizerKind,
 
     // --- Grid Tree parameters (§4.3) ---
     /// Number of histogram bins used to approximate query PDFs (the
     /// paper's 128 by default, §4.3).
     pub skew_bins: usize,
-    /// Hard cap on Grid Tree depth (safety bound, not from the paper).
+    /// Hard cap on Grid Tree depth (safety bound, not from the paper). `0`
+    /// builds a single region — the Fig 12a Augmented-Grid-only ablation.
     pub max_tree_depth: usize,
 
     // --- Augmented Grid parameters (§5.3) ---
@@ -73,7 +68,6 @@ pub struct TsunamiConfig {
 impl Default for TsunamiConfig {
     fn default() -> Self {
         Self {
-            variant: IndexVariant::Full,
             optimizer: OptimizerKind::Adaptive,
             skew_bins: 128,
             max_tree_depth: 8,
@@ -102,12 +96,6 @@ impl TsunamiConfig {
         }
     }
 
-    /// Returns a copy using the given index variant.
-    pub fn with_variant(mut self, variant: IndexVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
     /// Returns a copy using the given Augmented Grid optimizer.
     pub fn with_optimizer(mut self, optimizer: OptimizerKind) -> Self {
         self.optimizer = optimizer;
@@ -132,16 +120,12 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = TsunamiConfig::default();
         assert_eq!(c.skew_bins, 128);
-        assert_eq!(c.variant, IndexVariant::Full);
         assert_eq!(c.optimizer, OptimizerKind::Adaptive);
     }
 
     #[test]
-    fn builders_modify_variant_and_optimizer() {
-        let c = TsunamiConfig::fast()
-            .with_variant(IndexVariant::GridTreeOnly)
-            .with_optimizer(OptimizerKind::GradientOnly);
-        assert_eq!(c.variant, IndexVariant::GridTreeOnly);
+    fn builders_modify_optimizer() {
+        let c = TsunamiConfig::fast().with_optimizer(OptimizerKind::GradientOnly);
         assert_eq!(c.optimizer, OptimizerKind::GradientOnly);
         assert!(c.optimizer_sample_size < TsunamiConfig::default().optimizer_sample_size);
     }

@@ -46,7 +46,7 @@ use std::time::Instant;
 
 use crate::augmented_grid::optimizer::{region_can_hold_grid, region_layout};
 use crate::augmented_grid::{AugmentedGrid, CellScratch, Skeleton};
-use crate::config::{IndexVariant, TsunamiConfig};
+use crate::config::TsunamiConfig;
 use crate::cube::{CubeEntry, RegionCube};
 use crate::grid_tree::{dim_bit, GridTree, Region};
 use crate::query_types::cluster_query_types;
@@ -155,11 +155,10 @@ pub struct TsunamiIndex {
     /// `store.len()`. All equal when the delta is empty.
     delta: Vec<usize>,
     timing: BuildTiming,
-    name: String,
     /// The configuration and cost model the index was built with — what the
     /// trait-level [`MultiDimIndex::ingest_batch`] and
     /// [`MultiDimIndex::delete_matching`] mutate under, so an index keeps
-    /// its variant and effort however it reached its owner.
+    /// its optimizer and effort however it reached its owner.
     config: TsunamiConfig,
     cost: CostModel,
     /// The workload the current layout was optimized for — what a stale
@@ -209,11 +208,7 @@ impl TsunamiIndex {
         //   (3) optimize each region's Augmented Grid layout.
         // ------------------------------------------------------------------
         let opt_start = Instant::now();
-        let types = if config.variant == IndexVariant::AugmentedGridOnly {
-            Vec::new()
-        } else {
-            cluster_query_types(data, workload, config.optimizer_sample_size)
-        };
+        let types = cluster_query_types(data, workload, config.optimizer_sample_size);
         let (tree, region_data) = GridTree::build(data, &types, config);
 
         // Lay out every region: a grid where it has intersecting queries
@@ -263,12 +258,6 @@ impl TsunamiIndex {
         store.encode_blocks();
         let sort_secs = sort_start.elapsed().as_secs_f64();
 
-        let name = match config.variant {
-            IndexVariant::Full => "Tsunami",
-            IndexVariant::GridTreeOnly => "GridTree-only",
-            IndexVariant::AugmentedGridOnly => "AugmentedGrid-only",
-        };
-
         let num_regions = regions.len();
         Ok(Self {
             tree,
@@ -279,7 +268,6 @@ impl TsunamiIndex {
                 sort_secs,
                 optimize_secs,
             },
-            name: name.to_string(),
             config: config.clone(),
             cost: *cost,
             reference: workload.clone(),
@@ -370,13 +358,12 @@ impl TsunamiIndex {
         }
 
         // Whole-index escalation: past the rebuild bar too much of the data
-        // post-dates the Grid Tree for structure reuse to stay worthwhile
-        // (and a changed variant invalidates every component anyway). The
-        // rebuild consumes the merged dataset — physical store order, which
-        // is as good as any for a from-scratch build.
+        // post-dates the Grid Tree for structure reuse to stay worthwhile.
+        // The rebuild consumes the merged dataset — physical store order,
+        // which is as good as any for a from-scratch build.
         let staleness =
             (self.ingested + self.store.tombstones().deleted() + m) as f64 / (n + m) as f64;
-        if config.variant != self.config.variant || staleness > config.ingest_rebuild_staleness {
+        if staleness > config.ingest_rebuild_staleness {
             // Rebuild over the *live* rows plus the batch so tombstoned rows
             // are never resurrected by the merge.
             let mut cols = self.store.live_slice_dataset(0..n).into_columns();
@@ -475,9 +462,7 @@ impl TsunamiIndex {
     /// staleness bar *and* there is a decision to make — it has a grid, or
     /// has grown enough rows to hold one (which is how a grid-less region
     /// that grew through the layout floor earns its first grid) — *and*
-    /// reference queries reach its (widened) `bounds`. (The
-    /// AugmentedGridOnly ablation never assigns queries to its single
-    /// region; mirror that.)
+    /// reference queries reach its (widened) `bounds`.
     fn due_queries(
         &self,
         region: &RegionIndex,
@@ -488,7 +473,7 @@ impl TsunamiIndex {
     ) -> Vec<Query> {
         let stale = inserted as f64 / rows.max(1) as f64 > config.ingest_region_staleness;
         let layable = region.grid.is_some() || region_can_hold_grid(rows, config);
-        if !(stale && layable) || self.config.variant == IndexVariant::AugmentedGridOnly {
+        if !(stale && layable) {
             return Vec::new();
         }
         let reference = self.reference.queries().iter();
@@ -800,7 +785,7 @@ impl TsunamiIndex {
     }
 
     /// The index a mutation leaves behind: the parts it re-derived, with
-    /// everything else — name, config, cost model, reference workload,
+    /// everything else — config, cost model, reference workload,
     /// matview switch — carried over. Each region's `inserted` is the unpaid
     /// staleness, so the whole-index counter is their sum.
     fn with_layout(
@@ -825,7 +810,6 @@ impl TsunamiIndex {
             store,
             delta,
             timing,
-            name: self.name.clone(),
             config: self.config.clone(),
             cost: self.cost,
             reference: self.reference.clone(),
@@ -932,16 +916,11 @@ impl TsunamiIndex {
             delta_rows: self.delta_rows(),
         }
     }
-
-    /// Total number of grid cells across regions (Table 4).
-    pub fn total_cells(&self) -> usize {
-        self.stats().total_grid_cells
-    }
 }
 
 impl MultiDimIndex for TsunamiIndex {
     fn name(&self) -> &str {
-        &self.name
+        "Tsunami"
     }
 
     fn source(&self) -> &dyn ScanSource {
@@ -1061,6 +1040,7 @@ impl MultiDimIndex for TsunamiIndex {
 mod tests {
     use super::*;
     use crate::augmented_grid::optimizer::TARGET_ROWS_PER_CELL;
+    use crate::augmented_grid::OptimizerKind;
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{AggResult, Predicate};
 
@@ -1159,37 +1139,49 @@ mod tests {
     }
 
     #[test]
-    fn variants_build_and_answer_correctly() {
+    fn ablations_build_and_answer_correctly() {
         let data = dataset(5_000, 120);
         let w = workload(121);
-        for variant in [
-            IndexVariant::Full,
-            IndexVariant::GridTreeOnly,
-            IndexVariant::AugmentedGridOnly,
-        ] {
-            let config = TsunamiConfig::fast().with_variant(variant);
+        let fast = TsunamiConfig::fast();
+        let independent = fast.clone().with_optimizer(OptimizerKind::Independent);
+        let ablations = [
+            ("full", fast.clone()),
+            ("grid tree only", independent.clone()),
+            (
+                "augmented grid only",
+                TsunamiConfig {
+                    max_tree_depth: 0,
+                    ..fast
+                },
+            ),
+            (
+                "flood-style",
+                TsunamiConfig {
+                    max_tree_depth: 0,
+                    ..independent
+                },
+            ),
+        ];
+        for (label, config) in ablations {
             let index = TsunamiIndex::build(&data, &w, &config).unwrap();
+            assert_eq!(index.name(), "Tsunami");
             for q in w.queries().iter().step_by(9) {
                 assert_eq!(
                     index.execute(q),
                     q.execute_full_scan(&data),
-                    "{variant:?} {q:?}"
+                    "{label} {q:?}"
                 );
             }
-            match variant {
-                IndexVariant::AugmentedGridOnly => {
-                    assert_eq!(index.grid_tree().num_regions(), 1);
-                    assert_eq!(index.name(), "AugmentedGrid-only");
-                }
-                IndexVariant::GridTreeOnly => {
-                    // Flood-style regions: no correlation-aware strategies.
-                    let s = index.stats();
-                    assert_eq!(s.avg_fms_per_region, 0.0);
-                    assert_eq!(s.avg_ccdfs_per_region, 0.0);
-                }
-                IndexVariant::Full => {
-                    assert_eq!(index.name(), "Tsunami");
-                }
+            let s = index.stats();
+            if config.max_tree_depth == 0 {
+                // One region over the whole space, laid out for every
+                // clustered sample query: a grid, not a full scan.
+                assert_eq!((s.num_leaf_regions, s.gridded_regions), (1, 1), "{label}");
+            }
+            if config.optimizer == OptimizerKind::Independent {
+                // Flood-style grids: no correlation-aware strategies.
+                assert_eq!(s.avg_fms_per_region, 0.0, "{label}");
+                assert_eq!(s.avg_ccdfs_per_region, 0.0, "{label}");
             }
         }
     }

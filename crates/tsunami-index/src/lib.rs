@@ -19,7 +19,12 @@
 //!
 //! The composed [`TsunamiIndex`] optimizes the Grid Tree over the full data
 //! and workload, then builds an independently-optimized Augmented Grid inside
-//! every region that receives queries and has enough rows to split.
+//! every region that receives queries and has enough rows to split. Each
+//! component alone (the paper's Fig 12a) is a setting of
+//! [`TsunamiConfig`], not a separate index: `max_tree_depth: 0` keeps one
+//! region, an Augmented Grid over the whole space, and
+//! [`OptimizerKind::Independent`] gives every region Flood's all-independent
+//! grid.
 //!
 //! # Layout granularity floor
 //!
@@ -128,7 +133,7 @@ pub mod query_types;
 pub mod shift;
 
 pub use augmented_grid::{AugmentedGrid, DimStrategy, OptimizerKind, Skeleton};
-pub use config::{IndexVariant, TsunamiConfig};
+pub use config::TsunamiConfig;
 pub use cube::{CubeEntry, DimAgg, RegionCube};
 pub use grid_tree::GridTree;
 pub use index::{DeleteReport, TsunamiIndex, TsunamiStats};

@@ -17,6 +17,11 @@ use crate::SEED;
 /// too.
 pub const DBSCAN_EPS: f64 = 0.2;
 
+/// The total change in query-type frequency (0 for the same mix, 2 for
+/// disjoint mixes) past which the workload monitor recommends
+/// re-optimizing: half of the workload's mass moved.
+pub const DRIFT_THRESHOLD: f64 = 0.5;
+
 /// Queries within [`DBSCAN_EPS`] (itself included) that make a DBSCAN core
 /// point.
 pub const DBSCAN_MIN_PTS: usize = 2;

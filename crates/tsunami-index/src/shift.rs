@@ -21,20 +21,20 @@
 //! observed workload.
 
 use crate::config::TsunamiConfig;
-use crate::query_types::{cluster_query_types, QueryType, DBSCAN_EPS};
+use crate::query_types::{cluster_query_types, QueryType, DBSCAN_EPS, DRIFT_THRESHOLD};
 use crate::SEED;
 use tsunami_core::{Dataset, Workload};
 
 /// A fingerprint of one query type: which dimensions it filters, its average
 /// selectivity embedding, and its share of the workload.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TypeSignature {
+struct TypeSignature {
     /// Dimensions filtered by every query of the type.
-    pub filtered_dims: Vec<usize>,
+    filtered_dims: Vec<usize>,
     /// Mean per-dimension selectivity over the filtered dimensions.
-    pub mean_selectivity: Vec<f64>,
+    mean_selectivity: Vec<f64>,
     /// Fraction of the workload belonging to this type.
-    pub frequency: f64,
+    frequency: f64,
 }
 
 /// The outcome of comparing an observed workload against the reference.
@@ -47,42 +47,25 @@ pub struct ShiftReport {
     /// Total absolute change in type frequency (0 = identical mix, 2 = fully
     /// disjoint mixes).
     pub frequency_drift: f64,
-    /// Whether re-optimization is recommended under the configured thresholds.
+    /// Whether re-optimization is recommended: a type disappeared or
+    /// appeared, or the drift passed [`DRIFT_THRESHOLD`].
     pub reoptimize: bool,
 }
 
-/// Detects workload shift by fingerprinting query types.
+/// Detects workload shift by fingerprinting query types. Two types are the
+/// same when their embeddings lie within the clustering eps
+/// ([`DBSCAN_EPS`]).
 #[derive(Debug, Clone)]
 pub struct WorkloadMonitor {
     reference: Vec<TypeSignature>,
-    /// Embedding distance below which two types are considered the same.
-    match_eps: f64,
-    /// Frequency drift above which re-optimization is recommended.
-    drift_threshold: f64,
 }
 
 impl WorkloadMonitor {
     /// Creates a monitor from the workload the index was optimized for.
-    ///
-    /// `match_eps` follows the clustering eps ([`DBSCAN_EPS`]);
-    /// `drift_threshold` defaults to 0.5 (half of the workload's mass moved).
     pub fn new(data: &Dataset, reference: &Workload, config: &TsunamiConfig) -> Self {
         Self {
             reference: signatures(data, reference, config),
-            match_eps: DBSCAN_EPS,
-            drift_threshold: 0.5,
         }
-    }
-
-    /// Overrides the drift threshold.
-    pub fn with_drift_threshold(mut self, threshold: f64) -> Self {
-        self.drift_threshold = threshold;
-        self
-    }
-
-    /// The reference type signatures.
-    pub fn reference(&self) -> &[TypeSignature] {
-        &self.reference
     }
 
     /// Compares an observed workload window against the reference.
@@ -101,7 +84,7 @@ impl WorkloadMonitor {
             match obs
                 .iter()
                 .enumerate()
-                .filter(|(i, o)| !matched_obs[*i] && same_type(r, o, self.match_eps))
+                .filter(|(i, o)| !matched_obs[*i] && same_type(r, o))
                 .min_by(|(_, a), (_, b)| {
                     distance(r, a)
                         .partial_cmp(&distance(r, b))
@@ -125,7 +108,7 @@ impl WorkloadMonitor {
             .map(|(_, o)| o.frequency)
             .sum::<f64>();
 
-        let reoptimize = disappeared > 0 || new_types > 0 || drift > self.drift_threshold;
+        let reoptimize = disappeared > 0 || new_types > 0 || drift > DRIFT_THRESHOLD;
         ShiftReport {
             disappeared_types: disappeared,
             new_types,
@@ -164,8 +147,8 @@ fn signatures(data: &Dataset, workload: &Workload, config: &TsunamiConfig) -> Ve
         .collect()
 }
 
-fn same_type(a: &TypeSignature, b: &TypeSignature, eps: f64) -> bool {
-    a.filtered_dims == b.filtered_dims && distance(a, b) <= eps
+fn same_type(a: &TypeSignature, b: &TypeSignature) -> bool {
+    a.filtered_dims == b.filtered_dims && distance(a, b) <= DBSCAN_EPS
 }
 
 fn distance(a: &TypeSignature, b: &TypeSignature) -> f64 {
@@ -254,17 +237,6 @@ mod tests {
         assert_eq!(report.disappeared_types, 0);
         assert!(report.new_types >= 1);
         assert!(report.reoptimize);
-    }
-
-    #[test]
-    fn drift_threshold_is_configurable() {
-        let ds = data();
-        let cfg = TsunamiConfig::fast();
-        let strict = WorkloadMonitor::new(&ds, &workload_a(0), &cfg).with_drift_threshold(0.0);
-        // Even tiny drift now triggers re-optimization.
-        let report = strict.observe(&ds, &workload_a(40), &cfg);
-        assert!(report.reoptimize || report.frequency_drift == 0.0);
-        assert!(!strict.reference().is_empty());
     }
 
     /// `n` copies of one fixed dim-0 query and `m` copies of one fixed dim-1

@@ -58,7 +58,9 @@ use crate::codec::{self, CodecError};
 /// onto the shared [`crate::codec`] (`u32` row counts; an aggregation's
 /// dimension absent for COUNT) and dropped nine build constants and the
 /// observation window from the Tsunami index spec inside `CreateTable`.
-pub const WAL_VERSION: u8 = 3;
+/// Version 4 dropped the Tsunami spec's variant byte and the Flood spec's
+/// seed.
+pub const WAL_VERSION: u8 = 4;
 
 const HEADER_BYTES: usize = 8;
 

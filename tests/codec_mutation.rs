@@ -24,7 +24,7 @@ use tsunami_core::{
 use tsunami_engine::durability::{decode_spec, encode_spec};
 use tsunami_engine::{IndexSpec, PageSize, ShardedDatabase};
 use tsunami_flood::FloodConfig;
-use tsunami_index::{IndexVariant, OptimizerKind, TsunamiConfig};
+use tsunami_index::{OptimizerKind, TsunamiConfig};
 use tsunami_server::protocol::{code, read_frame, write_frame, FrameRead, DEFAULT_MAX_FRAME};
 use tsunami_server::{Request, Response, Server, ServerConfig, WireError};
 use tsunami_store::codec::{self, CodecError};
@@ -274,17 +274,23 @@ fn every_spec() -> Vec<IndexSpec> {
     specs.extend(IndexSpec::all_fast());
     specs.push(IndexSpec::ZOrder(PageSize::TunedOver(vec![64, 256, 4096])));
     specs.push(IndexSpec::Flood(FloodConfig {
-        seed: 7,
+        max_iters: 7,
         ..FloodConfig::fast()
     }));
-    for variant in [IndexVariant::GridTreeOnly, IndexVariant::AugmentedGridOnly] {
-        for optimizer in [OptimizerKind::BlackBox, OptimizerKind::AdaptiveNaiveInit] {
-            specs.push(IndexSpec::Tsunami(
-                TsunamiConfig::fast()
-                    .with_variant(variant)
+    for optimizer in [
+        OptimizerKind::Adaptive,
+        OptimizerKind::GradientOnly,
+        OptimizerKind::AdaptiveNaiveInit,
+        OptimizerKind::BlackBox,
+        OptimizerKind::Independent,
+    ] {
+        for max_tree_depth in [0, 3] {
+            specs.push(IndexSpec::Tsunami(TsunamiConfig {
+                max_tree_depth,
+                ..(TsunamiConfig::fast())
                     .with_optimizer(optimizer)
-                    .with_ingest_staleness(0.1, 0.9),
-            ));
+                    .with_ingest_staleness(0.1, 0.9)
+            }));
         }
     }
     specs
@@ -308,12 +314,9 @@ fn index_specs_survive_every_mutation() {
     // Every tag byte holds only the values an encoder writes.
     let refused = |bytes: &[u8]| matches!(decode_spec(bytes), Err(TsunamiError::Durability(_)));
     assert!(refused(&[0x7f]), "unknown spec tag");
-    let tsunami = encode_spec(&IndexSpec::tsunami());
-    for (at, what) in [(1, "index variant"), (2, "optimizer kind")] {
-        let mut bad = tsunami.clone();
-        bad[at] = 9;
-        assert!(refused(&bad), "bad {what}");
-    }
+    let mut bad_optimizer = encode_spec(&IndexSpec::tsunami());
+    bad_optimizer[1] = 9;
+    assert!(refused(&bad_optimizer), "bad optimizer kind");
     let mut bad_page = encode_spec(&IndexSpec::ZOrder(PageSize::Tuned));
     bad_page[1] = 0x44;
     assert!(refused(&bad_page), "bad page-size tag");
