@@ -13,6 +13,8 @@ use tsunami_core::{
 };
 use tsunami_store::ColumnStore;
 
+use crate::page::{bounding_box, test_page};
+
 #[derive(Debug)]
 enum Node {
     Internal {
@@ -132,22 +134,7 @@ impl KdTree {
         if make_leaf {
             *num_leaves += 1;
             let start = perm.len();
-            let bbox = (0..data.num_dims())
-                .map(|d| {
-                    let mut lo = Value::MAX;
-                    let mut hi = Value::MIN;
-                    for &r in rows.iter() {
-                        let v = data.get(r, d);
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                    if rows.is_empty() {
-                        (0, 0)
-                    } else {
-                        (lo, hi)
-                    }
-                })
-                .collect();
+            let bbox = bounding_box(data, rows);
             perm.extend_from_slice(rows);
             return Node::Leaf {
                 start,
@@ -163,7 +150,7 @@ impl KdTree {
         let split = data.get(rows[mid], dim);
         // Ensure both sides are non-empty by putting strictly-less values on
         // the left; if everything equals the split value, move the boundary.
-        let mut boundary = rows.partition_point_by(|&r| data.get(r, dim) < split);
+        let mut boundary = rows.partition_point(|&r| data.get(r, dim) < split);
         if boundary == 0 || boundary == rows.len() {
             boundary = mid.max(1).min(rows.len() - 1);
         }
@@ -225,25 +212,7 @@ impl KdTree {
                 }
                 // Prune leaves whose bbox misses the query; mark exact leaves
                 // whose bbox is fully inside the query.
-                let mut intersects = true;
-                let mut contained = true;
-                for p in query.predicates() {
-                    let (lo, hi) = bbox[p.dim];
-                    if hi < p.lo || lo > p.hi {
-                        intersects = false;
-                        break;
-                    }
-                    if lo < p.lo || hi > p.hi {
-                        contained = false;
-                    }
-                }
-                if intersects {
-                    if !contained {
-                        for p in query.predicates() {
-                            let (lo, hi) = bbox[p.dim];
-                            guaranteed[p.dim] &= p.lo <= lo && hi <= p.hi;
-                        }
-                    }
+                if let Some(contained) = test_page(bbox, query, guaranteed) {
                     plan.push(*start..*end, contained);
                 }
             }
@@ -270,25 +239,6 @@ impl KdTree {
                 }
             }
         }
-    }
-}
-
-/// Extension trait providing `partition_point_by` over mutable slices of rows.
-trait PartitionPointBy {
-    fn partition_point_by<F: Fn(&usize) -> bool>(&self, pred: F) -> usize;
-}
-
-impl PartitionPointBy for [usize] {
-    fn partition_point_by<F: Fn(&usize) -> bool>(&self, pred: F) -> usize {
-        let mut count = 0;
-        for r in self {
-            if pred(r) {
-                count += 1;
-            } else {
-                break;
-            }
-        }
-        count
     }
 }
 

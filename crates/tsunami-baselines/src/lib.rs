@@ -21,6 +21,7 @@
 pub mod fullscan;
 pub mod kdtree;
 pub mod octree;
+mod page;
 pub mod single_dim;
 pub mod tuning;
 pub mod zorder;

@@ -14,6 +14,8 @@ use tsunami_core::{
 };
 use tsunami_store::ColumnStore;
 
+use crate::page::{bounding_box, test_page};
+
 /// Maximum number of dimensions split at a single tree level (fan-out
 /// `2^MAX_SPLIT_DIMS`).
 const MAX_SPLIT_DIMS: usize = 6;
@@ -109,7 +111,7 @@ impl HyperOctree {
         if rows.len() <= page_size || widths.is_empty() || depth >= MAX_DEPTH {
             *num_leaves += 1;
             let start = perm.len();
-            let bbox = leaf_bbox(data, rows);
+            let bbox = bounding_box(data, rows);
             perm.extend_from_slice(rows);
             return Node::Leaf {
                 start,
@@ -199,25 +201,7 @@ impl HyperOctree {
                 if start == end {
                     return;
                 }
-                let mut intersects = true;
-                let mut contained = true;
-                for p in query.predicates() {
-                    let (lo, hi) = bbox[p.dim];
-                    if hi < p.lo || lo > p.hi {
-                        intersects = false;
-                        break;
-                    }
-                    if lo < p.lo || hi > p.hi {
-                        contained = false;
-                    }
-                }
-                if intersects {
-                    if !contained {
-                        for p in query.predicates() {
-                            let (lo, hi) = bbox[p.dim];
-                            guaranteed[p.dim] &= p.lo <= lo && hi <= p.hi;
-                        }
-                    }
+                if let Some(contained) = test_page(bbox, query, guaranteed) {
                     out.push((*start..*end, contained));
                 }
             }
@@ -248,25 +232,6 @@ impl HyperOctree {
             }
         }
     }
-}
-
-fn leaf_bbox(data: &Dataset, rows: &[usize]) -> Vec<(Value, Value)> {
-    (0..data.num_dims())
-        .map(|d| {
-            let mut lo = Value::MAX;
-            let mut hi = Value::MIN;
-            for &r in rows {
-                let v = data.get(r, d);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if rows.is_empty() {
-                (0, 0)
-            } else {
-                (lo, hi)
-            }
-        })
-        .collect()
 }
 
 impl MultiDimIndex for HyperOctree {

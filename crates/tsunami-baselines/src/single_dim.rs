@@ -8,8 +8,8 @@
 use std::time::Instant;
 
 use tsunami_core::{
-    BuildTiming, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor, Value,
-    Workload,
+    BuildTiming, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor,
+    TsunamiError, Value, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -93,12 +93,16 @@ impl ClusteredSingleDimIndex {
     /// place (the old rows are already one sorted run, so the sort
     /// degenerates to a merge). The per-dimension domains backing
     /// residual-predicate elimination are widened to cover the batch.
-    pub fn ingest(&self, rows: &Dataset) -> Self {
-        assert_eq!(
-            rows.num_dims(),
-            self.store.num_dims(),
-            "ingested rows must match the index width"
-        );
+    ///
+    /// Fails with [`TsunamiError::DimensionMismatch`] when the batch's
+    /// width differs from the index's.
+    pub fn ingest(&self, rows: &Dataset) -> Result<Self> {
+        if rows.num_dims() != self.store.num_dims() {
+            return Err(TsunamiError::DimensionMismatch {
+                expected: self.store.num_dims(),
+                got: rows.num_dims(),
+            });
+        }
         let start = Instant::now();
         let mut store = self.store.clone();
         store.append_dataset(rows);
@@ -115,7 +119,7 @@ impl ClusteredSingleDimIndex {
                 None => (lo, hi),
             })
             .collect();
-        Self {
+        Ok(Self {
             store,
             sort_keys,
             sort_dim: self.sort_dim,
@@ -124,7 +128,7 @@ impl ClusteredSingleDimIndex {
                 sort_secs: start.elapsed().as_secs_f64(),
                 optimize_secs: 0.0,
             },
-        }
+        })
     }
 
     /// Whether the whole table already satisfies a predicate (its range
@@ -189,7 +193,7 @@ impl MultiDimIndex for ClusteredSingleDimIndex {
     }
 
     fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
-        Ok(Some(Successor::patched(self.ingest(rows), rows.len())))
+        Ok(Some(Successor::patched(self.ingest(rows)?, rows.len())))
     }
 }
 
@@ -266,7 +270,7 @@ mod tests {
             vec![1, 2, 3, 4, 5_000],
         ])
         .unwrap();
-        let ingested = idx.ingest(&batch);
+        let ingested = idx.ingest(&batch).unwrap();
 
         let mut merged = ds.clone();
         for row in batch.rows() {
@@ -292,6 +296,20 @@ mod tests {
         let plan = ingested.plan(&q);
         assert!(plan.residual(&q).is_empty());
         assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+    }
+
+    #[test]
+    fn ingest_refuses_a_batch_of_another_width() {
+        let idx = ClusteredSingleDimIndex::build_on_dim(&data(), 0);
+        let wide = Dataset::from_columns(vec![vec![1], vec![2], vec![3]]).unwrap();
+        assert!(matches!(
+            idx.ingest(&wide),
+            Err(TsunamiError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            })
+        ));
+        assert!(idx.ingest_batch(&wide).is_err());
     }
 
     #[test]

@@ -14,6 +14,8 @@ use tsunami_core::{
 };
 use tsunami_store::ColumnStore;
 
+use crate::page::{bounding_box, test_page};
+
 /// Per-page metadata: physical range, Z-value range, and per-dimension
 /// bounding box.
 #[derive(Debug, Clone)]
@@ -97,20 +99,12 @@ impl ZOrderIndex {
         let mut i = 0usize;
         while i < keyed.len() {
             let end = (i + page_size).min(keyed.len());
-            let mut bbox = vec![(Value::MAX, Value::MIN); data.num_dims()];
-            for &(_, r) in &keyed[i..end] {
-                for (dim, b) in bbox.iter_mut().enumerate() {
-                    let v = data.get(r, dim);
-                    b.0 = b.0.min(v);
-                    b.1 = b.1.max(v);
-                }
-            }
             pages.push(Page {
                 start: i,
                 end,
                 z_min: keyed[i].0,
                 z_max: keyed[end - 1].0,
-                bbox,
+                bbox: bounding_box(data, &perm[i..end]),
             });
             i = end;
         }
@@ -183,28 +177,9 @@ impl MultiDimIndex for ZOrderIndex {
             if page.z_max < z_lo || page.z_min > z_hi {
                 continue;
             }
-            // Per-dimension min/max pruning.
-            let mut intersects = true;
-            let mut contained = true;
-            for p in query.predicates() {
-                let (lo, hi) = page.bbox[p.dim];
-                if hi < p.lo || lo > p.hi {
-                    intersects = false;
-                    break;
-                }
-                if lo < p.lo || hi > p.hi {
-                    contained = false;
-                }
-            }
-            if intersects {
-                if !contained {
-                    for p in query.predicates() {
-                        let (lo, hi) = page.bbox[p.dim];
-                        guaranteed[p.dim] &= p.lo <= lo && hi <= p.hi;
-                    }
-                }
-                // Physically adjacent pages of equal exactness merge in the
-                // plan automatically.
+            // Per-dimension min/max pruning. Physically adjacent pages of
+            // equal exactness merge in the plan automatically.
+            if let Some(contained) = test_page(&page.bbox, query, &mut guaranteed) {
                 plan.push(page.start..page.end, contained);
             }
         }

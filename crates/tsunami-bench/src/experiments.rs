@@ -442,7 +442,7 @@ fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<String>) {
                 }
                 _ => {
                     let t0 = Instant::now();
-                    let ingested = flood.ingest(&batch);
+                    let ingested = flood.ingest(&batch).expect("flood ingest");
                     let ingest_secs = t0.elapsed().as_secs_f64();
                     let t0 = Instant::now();
                     let rebuilt = FloodIndex::build(&grown, &workload, &cost, &flood_config);

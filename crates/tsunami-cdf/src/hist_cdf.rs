@@ -54,30 +54,6 @@ impl HistogramCdf {
         *self.boundaries.last().unwrap()
     }
 
-    /// Widens the model's covered value range to include `[lo, hi]` by
-    /// extending the *outer* boundaries only: the first boundary moves down
-    /// to `lo`, the last moves up past `hi`. Interior boundaries — and with
-    /// them the bucket assignment of every value the model already covered —
-    /// are unchanged, so a clustered layout stays valid.
-    ///
-    /// This is the ingest primitive for grid layouts: appended values outside
-    /// the modeled range clamp into the first/last bucket, and widening keeps
-    /// the bucket *value bounds* truthful about them — which the exact-range
-    /// scan optimization and residual-predicate elimination rely on. (At the
-    /// extreme top of the `u64` domain the last boundary saturates at
-    /// `u64::MAX`, whose exclusive upper bound cannot be represented; a
-    /// stored `u64::MAX` therefore keeps the last bucket conservative via
-    /// [`HistogramCdf::bucket_contained_in`].)
-    pub fn widen(&mut self, lo: Value, hi: Value) {
-        if lo < self.boundaries[0] {
-            self.boundaries[0] = lo;
-        }
-        let last = self.boundaries.len() - 1;
-        if hi >= self.boundaries[last] {
-            self.boundaries[last] = hi.saturating_add(1);
-        }
-    }
-
     /// Whether bucket `i` is *provably* contained in `[lo, hi]` — every
     /// value the bucket can hold satisfies the range, so callers may treat
     /// its rows as matching without re-checks (the exact-range scan
@@ -85,10 +61,9 @@ impl HistogramCdf {
     ///
     /// Conservative at the top of the `u64` domain: a final boundary
     /// saturated at `u64::MAX` (the exclusive end of a bucket holding
-    /// `u64::MAX` cannot be represented — both [`HistogramCdf::widen`] and
-    /// build-time boundary fitting saturate there) means the last bucket
-    /// may also hold `u64::MAX` itself, so its containment additionally
-    /// requires `hi == u64::MAX`.
+    /// `u64::MAX` cannot be represented — build-time boundary fitting
+    /// saturates there) means the last bucket may also hold `u64::MAX`
+    /// itself, so its containment additionally requires `hi == u64::MAX`.
     pub fn bucket_contained_in(&self, i: usize, lo: Value, hi: Value) -> bool {
         let b = &self.boundaries;
         if i + 1 >= b.len() {
@@ -233,27 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn widen_extends_outer_boundaries_only() {
-        let mut m = HistogramCdf::from_boundaries(vec![10, 20, 40]);
-        // Old assignments are a function of interior boundaries only.
-        let old_bucket_of_25 = m.bucket_of(25);
-        m.widen(2, 99);
-        assert_eq!(m.boundaries(), &[2, 20, 100]);
-        assert_eq!(m.bucket_of(25), old_bucket_of_25);
-        // New out-of-range values now fall inside truthful bucket bounds.
-        assert_eq!(m.bucket_of(2), 0);
-        assert_eq!(m.bucket_bounds(0), (2, 19));
-        assert_eq!(m.bucket_of(99), 1);
-        assert_eq!(m.bucket_bounds(1), (20, 99));
-        // Widening within the covered range is a no-op.
-        m.widen(50, 60);
-        assert_eq!(m.boundaries(), &[2, 20, 100]);
-        // The top of the u64 domain saturates.
-        m.widen(0, u64::MAX);
-        assert_eq!(*m.boundaries().last().unwrap(), u64::MAX);
-    }
-
-    #[test]
     fn bucket_containment_is_conservative_at_the_saturated_top() {
         let m = HistogramCdf::from_boundaries(vec![0, 10, 20]);
         assert!(m.bucket_contained_in(0, 0, 9));
@@ -265,9 +219,7 @@ mod tests {
 
         // Saturated final boundary: the last bucket may hold u64::MAX
         // itself, so containment needs hi == u64::MAX.
-        let mut m = HistogramCdf::from_boundaries(vec![0, 10, 20]);
-        m.widen(0, Value::MAX);
-        assert_eq!(*m.boundaries().last().unwrap(), Value::MAX);
+        let m = HistogramCdf::from_boundaries(vec![0, 10, Value::MAX]);
         assert!(!m.bucket_contained_in(1, 10, Value::MAX - 1));
         assert!(m.bucket_contained_in(1, 10, Value::MAX));
         // Buckets below the top are unaffected by the saturation.

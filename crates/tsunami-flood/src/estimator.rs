@@ -10,14 +10,16 @@
 //! captures correlation effects that a uniform-independence assumption would
 //! miss — which is exactly why Flood struggles on correlated data.
 
-use crate::layout::GridLayout;
+use tsunami_cdf::HistogramCdf;
 use tsunami_core::{CostFeatures, CostModel, Dataset, Query, Workload};
 
 /// Estimates cost features for queries against a candidate grid layout using
 /// a data sample.
 #[derive(Debug)]
 pub struct GridCostEstimator<'a> {
-    layout: GridLayout,
+    /// Per dimension, the candidate partitioning's model over the sample:
+    /// its buckets are the partitions.
+    models: Vec<HistogramCdf>,
     sample: &'a Dataset,
     total_rows: usize,
 }
@@ -27,50 +29,51 @@ impl<'a> GridCostEstimator<'a> {
     /// candidate partition counts; `total_rows` scales sample counts up to
     /// the full dataset.
     pub fn new(sample: &'a Dataset, partitions: &[usize], total_rows: usize) -> Self {
-        let layout = GridLayout::build(sample, partitions);
+        let models = (0..sample.num_dims())
+            .map(|dim| HistogramCdf::build(sample.column(dim), partitions[dim].max(1)))
+            .collect();
         Self {
-            layout,
+            models,
             sample,
             total_rows,
         }
     }
 
-    /// The layout the estimator evaluates.
-    pub fn layout(&self) -> &GridLayout {
-        &self.layout
+    /// The inclusive range of partitions of `dim` the query intersects.
+    fn intersecting(&self, query: &Query, dim: usize) -> (usize, usize) {
+        let model = &self.models[dim];
+        match query.predicate_on(dim) {
+            Some(p) => model.bucket_range(p.lo, p.hi),
+            None => (0, model.num_buckets() - 1),
+        }
     }
 
     /// Estimated cost features for a single query.
     pub fn features(&self, query: &Query) -> CostFeatures {
-        let ranges = self.layout.partition_ranges(query);
         // Number of cell ranges = number of runs along the last dimension =
         // product of intersecting-partition counts over the prefix dims.
-        let d = self.layout.num_dims();
+        let d = self.models.len();
         let mut cell_ranges = 1f64;
         for dim in 0..d.saturating_sub(1) {
-            let (lo, hi) = ranges.intersecting[dim];
+            let (lo, hi) = self.intersecting(query, dim);
             cell_ranges *= (hi - lo + 1) as f64;
         }
 
         // Scanned points: fraction of sample points whose partition lies in
         // the intersecting range for every filtered dimension.
         let filtered = query.filtered_dims();
-        let mut hit = 0usize;
+        let ranges: Vec<(usize, usize)> = (filtered.iter())
+            .map(|&dim| self.intersecting(query, dim))
+            .collect();
         let n = self.sample.len();
-        for r in 0..n {
-            let mut inside = true;
-            for &dim in &filtered {
-                let p = self.layout.partition_of(dim, self.sample.get(r, dim));
-                let (lo, hi) = ranges.intersecting[dim];
-                if p < lo || p > hi {
-                    inside = false;
-                    break;
-                }
-            }
-            if inside {
-                hit += 1;
-            }
-        }
+        let hit = (0..n)
+            .filter(|&r| {
+                filtered.iter().zip(&ranges).all(|(&dim, &(lo, hi))| {
+                    let p = self.models[dim].bucket_of(self.sample.get(r, dim));
+                    lo <= p && p <= hi
+                })
+            })
+            .count();
         let scanned = if n == 0 {
             0.0
         } else {
@@ -177,6 +180,5 @@ mod tests {
             est.average_cost(&Workload::default(), &CostModel::default()),
             0.0
         );
-        assert_eq!(est.layout().num_cells(), 16);
     }
 }

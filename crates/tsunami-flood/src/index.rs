@@ -3,23 +3,25 @@
 use std::time::Instant;
 
 use crate::config::FloodConfig;
-use crate::layout::GridLayout;
 use crate::optimizer::optimize_partitions;
 use tsunami_core::{
-    BuildTiming, CostModel, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor,
-    Workload,
+    BuildTiming, CostModel, Dataset, MultiDimIndex, Predicate, Query, Result, ScanPlan, ScanSource,
+    Successor, TsunamiError, Workload,
 };
+use tsunami_index::augmented_grid::CellScratch;
+use tsunami_index::grid_tree::{dim_bit, with_loose_residual};
+use tsunami_index::{AugmentedGrid, Skeleton};
 use tsunami_store::ColumnStore;
 
 /// The Flood learned multi-dimensional index (§2.2).
 ///
-/// Data is clustered by grid cell: the cell lookup table maps each cell id to
-/// its contiguous range in the column store.
+/// Its grid is an Augmented Grid whose every dimension is partitioned
+/// independently, with the partition counts Flood's optimizer chose. Data
+/// is clustered by grid cell: the grid's cell table maps each cell to its
+/// contiguous range in the column store.
 #[derive(Debug)]
 pub struct FloodIndex {
-    layout: GridLayout,
-    /// `cell_offsets[c]..cell_offsets[c+1]` is the physical row range of cell `c`.
-    cell_offsets: Vec<usize>,
+    grid: AugmentedGrid,
     store: ColumnStore,
     timing: BuildTiming,
     predicted_cost: f64,
@@ -45,8 +47,7 @@ impl FloodIndex {
         )
     }
 
-    /// Builds a Flood index with explicit per-dimension partition counts
-    /// (used by tests and by Tsunami's "Grid Tree only" ablation).
+    /// Builds a Flood index with explicit per-dimension partition counts.
     pub fn build_with_partitions(data: &Dataset, partitions: &[usize]) -> Self {
         Self::build_with_partitions_timed(data, partitions, 0.0, 0.0)
     }
@@ -58,116 +59,55 @@ impl FloodIndex {
         predicted_cost: f64,
     ) -> Self {
         let sort_start = Instant::now();
-        let layout = GridLayout::build(data, partitions);
-        let num_cells = layout.num_cells();
-
-        // Assign every row to its cell and sort rows by cell id (counting sort).
-        let mut cell_of_row = vec![0usize; data.len()];
-        let mut counts = vec![0usize; num_cells + 1];
-        let d = data.num_dims();
-        let mut point = vec![0u64; d];
-        for (r, row_cell) in cell_of_row.iter_mut().enumerate() {
-            for (dim, coord) in point.iter_mut().enumerate() {
-                *coord = data.get(r, dim);
-            }
-            let c = layout.cell_of(&point);
-            *row_cell = c;
-            counts[c + 1] += 1;
-        }
-        for c in 0..num_cells {
-            counts[c + 1] += counts[c];
-        }
-        let cell_offsets = counts.clone();
-        // Stable counting sort producing the permutation: position -> source row.
-        let mut next = counts;
-        let mut perm = vec![0usize; data.len()];
-        for (r, &c) in cell_of_row.iter().enumerate() {
-            perm[next[c]] = r;
-            next[c] += 1;
-        }
-
+        let skeleton = Skeleton::all_independent(data.num_dims());
+        let (grid, perm) = AugmentedGrid::build(data, &skeleton, partitions);
         let mut store = ColumnStore::from_dataset(data);
         store.permute(&perm);
         store.encode_blocks();
-        let sort_secs = sort_start.elapsed().as_secs_f64();
-
         Self {
-            layout,
-            cell_offsets,
+            grid,
             store,
             timing: BuildTiming {
-                sort_secs,
+                sort_secs: sort_start.elapsed().as_secs_f64(),
                 optimize_secs,
             },
             predicted_cost,
         }
     }
 
-    /// Absorbs new rows into the existing grid **without a rebuild** — the
-    /// sorted-merge ingest: the layout's per-dimension models are widened to
-    /// cover the batch (so out-of-domain values clamp into partitions with
-    /// truthful value bounds), each row is routed to its cell, and one
-    /// store-wide permutation splices the batch into cell order. No
-    /// optimizer runs; the partition boundaries stay as built, so heavy
-    /// sustained ingest should eventually be followed by a rebuild.
-    pub fn ingest(&self, rows: &Dataset) -> Self {
-        assert_eq!(
-            rows.num_dims(),
-            self.layout.num_dims(),
-            "ingested rows must match the index width"
-        );
+    /// Absorbs new rows **without re-optimizing**: the index's rows plus
+    /// the batch are re-gridded with the same partition counts — fresh
+    /// per-dimension models over the merged rows, so values outside the
+    /// build-time domain land in partitions whose bounds are truthful —
+    /// and the store is re-clustered. This is what a Tsunami graft does to
+    /// one region. Heavy sustained ingest that shifts the data should
+    /// eventually be followed by a rebuild, which re-runs the optimizer.
+    ///
+    /// Fails with [`TsunamiError::DimensionMismatch`] when the batch's
+    /// width differs from the index's.
+    pub fn ingest(&self, rows: &Dataset) -> Result<Self> {
+        if rows.num_dims() != self.store.num_dims() {
+            return Err(TsunamiError::DimensionMismatch {
+                expected: self.store.num_dims(),
+                got: rows.num_dims(),
+            });
+        }
         let start = Instant::now();
-        let n = self.store.len();
-        let mut layout = self.layout.clone();
-        layout.widen_for(rows);
-
-        // Route the batch: new row j (store index n + j) joins cell c.
-        let num_cells = layout.num_cells();
-        let mut per_cell: Vec<Vec<usize>> = vec![Vec::new(); num_cells];
-        let d = rows.num_dims();
-        let mut point = vec![0u64; d];
-        for j in 0..rows.len() {
-            for (dim, coord) in point.iter_mut().enumerate() {
-                *coord = rows.get(j, dim);
-            }
-            per_cell[layout.cell_of(&point)].push(n + j);
+        let mut cols = self.store.slice_dataset(0..self.store.len()).into_columns();
+        for (dim, col) in cols.iter_mut().enumerate() {
+            col.extend_from_slice(rows.column(dim));
         }
-
-        // Splice: every cell's slice is its old rows followed by its new
-        // rows; offsets shift by the running count of inserted rows.
-        let mut store = self.store.clone();
-        store.append_dataset(rows);
-        let mut perm: Vec<usize> = Vec::with_capacity(n + rows.len());
-        let mut cell_offsets = Vec::with_capacity(self.cell_offsets.len());
-        for (c, news) in per_cell.iter().enumerate() {
-            cell_offsets.push(perm.len());
-            perm.extend(self.cell_offsets[c]..self.cell_offsets[c + 1]);
-            perm.extend(news);
-        }
-        cell_offsets.push(perm.len());
-        store.permute(&perm);
-        store.encode_blocks();
-
-        Self {
-            layout,
-            cell_offsets,
-            store,
-            timing: BuildTiming {
-                sort_secs: start.elapsed().as_secs_f64(),
-                optimize_secs: 0.0,
-            },
-            predicted_cost: self.predicted_cost,
-        }
-    }
-
-    /// The grid layout in use.
-    pub fn layout(&self) -> &GridLayout {
-        &self.layout
+        let merged = Dataset::from_columns(cols)?;
+        let partitions = self.grid.partitions();
+        let mut index =
+            Self::build_with_partitions_timed(&merged, partitions, 0.0, self.predicted_cost);
+        index.timing.sort_secs = start.elapsed().as_secs_f64();
+        Ok(index)
     }
 
     /// Number of grid cells (Table 4 reports this).
     pub fn num_cells(&self) -> usize {
-        self.layout.num_cells()
+        self.grid.num_cells()
     }
 
     /// Predicted average query cost from the optimizer (0 if not optimized).
@@ -186,29 +126,37 @@ impl MultiDimIndex for FloodIndex {
     }
 
     fn plan(&self, query: &Query) -> ScanPlan {
-        let d = self.layout.num_dims();
-        let pr = self.layout.partition_ranges(query);
-        let runs = self.layout.cell_runs(&pr);
         let mut plan = ScanPlan::new();
-        for (first_cell, last_cell, exact) in runs {
-            // Physically contiguous, equally exact cell runs merge in the
-            // plan automatically.
-            plan.push(
-                self.cell_offsets[first_cell]..self.cell_offsets[last_cell + 1],
-                exact,
-            );
-        }
-        // Residual elimination: drop the predicates whose every intersecting
+        let emit = |range, exact| plan.push(range, exact);
+        // A grid whose cells would cost more to enumerate than the table
+        // does to scan is scanned whole, and re-checks the predicates that
+        // do not cover the table's values on their dimension.
+        let loose = match self
+            .grid
+            .plan_cells(query, &mut CellScratch::default(), emit)
+        {
+            Some(loose) => loose,
+            None => {
+                plan.push(0..self.store.len(), false);
+                let covers = |p: &&Predicate| {
+                    let column = (p.dim < self.store.num_dims()).then(|| self.store.column(p.dim));
+                    column.is_some_and(|c| {
+                        c.min().is_some_and(|lo| p.lo <= lo) && c.max().is_some_and(|hi| hi <= p.hi)
+                    })
+                };
+                (query.predicates().iter())
+                    .filter(|p| !covers(p))
+                    .fold(0, |loose, p| loose | dim_bit(p.dim))
+            }
+        };
+        // Residual elimination: drop the predicates whose every visited
         // partition the grid bounds exactly — only genuinely undecided
         // dimensions are re-checked inside non-exact cells.
-        let guaranteed: Vec<bool> = (0..d)
-            .map(|dim| self.layout.dim_guaranteed(&pr, dim))
-            .collect();
-        plan.with_guaranteed_dims(query, &guaranteed)
+        with_loose_residual(plan, query, loose)
     }
 
     fn size_bytes(&self) -> usize {
-        self.layout.size_bytes() + self.cell_offsets.len() * std::mem::size_of::<usize>()
+        self.grid.size_bytes()
     }
 
     fn build_timing(&self) -> BuildTiming {
@@ -216,7 +164,7 @@ impl MultiDimIndex for FloodIndex {
     }
 
     fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
-        Ok(Some(Successor::patched(self.ingest(rows), rows.len())))
+        Ok(Some(Successor::patched(self.ingest(rows)?, rows.len())))
     }
 }
 
@@ -224,7 +172,7 @@ impl MultiDimIndex for FloodIndex {
 mod tests {
     use super::*;
     use tsunami_core::sample::SplitMix;
-    use tsunami_core::{AggResult, Predicate};
+    use tsunami_core::AggResult;
 
     fn random_dataset(n: usize, d: usize, seed: u64) -> Dataset {
         let mut rng = SplitMix::new(seed);
@@ -345,7 +293,7 @@ mod tests {
             &FloodConfig::fast(),
         );
         // Batch with both in-domain rows and rows beyond every build-time
-        // max (bucket clamping + model widening must keep exactness sound).
+        // max (re-gridding must keep exactness sound).
         let mut rng = SplitMix::new(33);
         let mut batch = Dataset::empty(3);
         for _ in 0..300 {
@@ -356,7 +304,7 @@ mod tests {
         for i in 0..20u64 {
             batch.push_row(&[50_000 + i, 60_000, 70_000 + i]).unwrap();
         }
-        let ingested = index.ingest(&batch);
+        let ingested = index.ingest(&batch).unwrap();
 
         let mut merged = data.clone();
         for row in batch.rows() {
@@ -377,6 +325,40 @@ mod tests {
         // Pruning still works after ingest.
         let (_, stats) = ingested.execute_with_stats(&workload.queries()[0]);
         assert!(stats.points < merged.len());
+    }
+
+    #[test]
+    fn a_grid_too_fine_to_enumerate_is_scanned_whole() {
+        // 4,096 cells over 500 rows: enumerating them costs more than the
+        // scan, so the plan falls back to one range over the table.
+        let data = random_dataset(500, 2, 37);
+        let index = FloodIndex::build_with_partitions(&data, &[64, 64]);
+        let q = Query::count(vec![
+            Predicate::range(0, 0, 20_000).unwrap(),
+            Predicate::range(1, 100, 5_000).unwrap(),
+        ])
+        .unwrap();
+        let plan = index.plan(&q);
+        assert_eq!(plan.num_ranges(), 1);
+        assert_eq!(plan.total_points(), data.len());
+        // Only the predicate that does not cover the table's values stays.
+        assert_eq!(plan.residual(&q), &q.predicates()[1..]);
+        assert_eq!(index.execute(&q), q.execute_full_scan(&data));
+    }
+
+    #[test]
+    fn ingest_refuses_a_batch_of_another_width() {
+        let data = random_dataset(1_000, 3, 35);
+        let index = FloodIndex::build_with_partitions(&data, &[4, 4, 2]);
+        let narrow = random_dataset(10, 2, 36);
+        assert!(matches!(
+            index.ingest(&narrow),
+            Err(TsunamiError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            })
+        ));
+        assert!(index.ingest_batch(&narrow).is_err());
     }
 
     #[test]

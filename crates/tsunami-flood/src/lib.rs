@@ -12,21 +12,20 @@
 //! Tsunami's analytic cost model for layout optimization and performs
 //! refinement with plain scans rather than per-cell models.
 //!
-//! The [`layout::GridLayout`] machinery is shared conceptually with
-//! Tsunami's Augmented Grid, which generalizes it with correlation-aware
-//! partitioning strategies. The partition-count search is shared in code:
-//! [`optimizer`] runs the Augmented Grid optimizer's initialization and
-//! descent on the all-independent skeleton, under Flood's own estimator.
+//! A Flood grid is Tsunami's Augmented Grid with every dimension partitioned
+//! independently, and it is shared in code: [`FloodIndex`] lays its data
+//! out and plans its queries through an all-independent
+//! [`tsunami_index::AugmentedGrid`], and [`optimizer`] runs the Augmented
+//! Grid optimizer's initialization and descent on that skeleton, under
+//! Flood's own sample-based [`estimator`].
 
 pub mod config;
 pub mod estimator;
 pub mod index;
-pub mod layout;
 pub mod optimizer;
 
 pub use config::FloodConfig;
 pub use index::FloodIndex;
-pub use layout::GridLayout;
 pub use optimizer::optimize_partitions;
 
 /// The seed of the data sample a layout is optimized over: fixed, so a

@@ -24,11 +24,103 @@ use tsunami_core::{Dataset, Query, Value};
 /// it, so only the first visit allocates.
 #[derive(Debug, Default)]
 pub struct CellScratch {
-    /// Per dimension, the effective filter range after the
-    /// functional-mapping rewrite.
-    eff: Vec<Option<(Value, Value)>>,
-    /// The intersecting cells, `(cell id, exact)`, as enumerated.
-    cells: Vec<(usize, bool)>,
+    /// Per dimension, what the query asks of it and how the enumeration
+    /// walks it.
+    dims: Vec<DimPlan>,
+    /// The intersecting cells as enumerated: `(first cell, last cell,
+    /// exact)` runs of consecutive cell ids.
+    runs: Vec<(usize, usize, bool)>,
+}
+
+/// Marks the end of the walk in [`DimPlan::next`].
+const END: usize = usize::MAX;
+
+/// One dimension's part in planning a query.
+///
+/// The enumeration walks only the grid dimensions that can branch. A
+/// dimension whose span is the same under every parent cell (an independent
+/// one, or a conditional one whose base is not walked) is spanned once; if
+/// that span is a single partition, the dimension is not walked at all: its
+/// digit of the cell id, its exactness and its share of the budget fold into
+/// the walk's start and into the next walked dimension.
+#[derive(Debug, Clone, Copy, Default)]
+struct DimPlan {
+    /// The effective filter range after the functional-mapping rewrite.
+    eff: Option<(Value, Value)>,
+    /// The partitions the query intersects, when the same under every
+    /// parent cell.
+    span: Option<Span>,
+    /// Whether the enumeration walks this dimension.
+    walked: bool,
+    /// The budget one visit of a walked dimension costs: one step for it
+    /// and one for each unwalked dimension folded into it.
+    steps: isize,
+    /// The next walked dimension, or [`END`].
+    next: usize,
+}
+
+/// The partitions `lo..=hi` of one dimension that a query intersects, and
+/// whether each rim lies fully inside the query's predicate. The partitions
+/// between the rims always do: the filter range reaches past both of their
+/// boundaries.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: usize,
+    hi: usize,
+    lo_contained: bool,
+    hi_contained: bool,
+}
+
+impl Span {
+    /// The span of `model`'s buckets intersecting the effective filter
+    /// `eff` of dimension `dim`, with containment judged against the
+    /// query's own predicate on it (which `eff` only narrows). An
+    /// unfiltered dimension spans all its partitions `0..=last`, all
+    /// contained.
+    fn new(
+        model: &HistogramCdf,
+        eff: Option<(Value, Value)>,
+        query: &Query,
+        dim: usize,
+        last: usize,
+    ) -> Self {
+        let Some((lo, hi)) = eff else {
+            return Self {
+                lo: 0,
+                hi: last,
+                lo_contained: true,
+                hi_contained: true,
+            };
+        };
+        let (lo, hi) = match last {
+            0 => (0, 0),
+            _ => model.bucket_range(lo, hi),
+        };
+        // [`HistogramCdf::bucket_contained_in`] stays conservative about a
+        // last boundary saturated at `u64::MAX`.
+        let pred = query.predicate_on(dim);
+        let contained = |part| pred.is_none_or(|p| model.bucket_contained_in(part, p.lo, p.hi));
+        let lo_contained = contained(lo);
+        Self {
+            lo,
+            hi,
+            lo_contained,
+            hi_contained: if hi == lo {
+                lo_contained
+            } else {
+                contained(hi)
+            },
+        }
+    }
+
+    /// Whether partition `part` of the span lies inside the predicate.
+    fn contained(&self, part: usize) -> bool {
+        match part {
+            _ if part == self.lo => self.lo_contained,
+            _ if part == self.hi => self.hi_contained,
+            _ => true,
+        }
+    }
 }
 
 /// A built Augmented Grid over one region's data.
@@ -243,31 +335,30 @@ impl AugmentedGrid {
     }
 
     /// Rewrites the query's predicates through the functional mappings into
-    /// `eff`: per dimension, the *effective* filter range used for
-    /// partition-range computation. Returns `None` if a mapping proves the
-    /// query empty on this grid, else the mask of the filtered mapped
-    /// dimensions — when it is not zero no cell can be exact.
-    fn effective_predicates(
-        &self,
-        query: &Query,
-        eff: &mut Vec<Option<(Value, Value)>>,
-    ) -> Option<u128> {
+    /// each dimension's *effective* filter range in `dims`, used for
+    /// partition-range computation. Returns `None` if a mapping
+    /// proves the query empty on this grid, else the mask of the filtered
+    /// mapped dimensions — when it is not zero no cell can be exact.
+    fn effective_predicates(&self, query: &Query, dims: &mut Vec<DimPlan>) -> Option<u128> {
         let d = self.skeleton.num_dims();
-        eff.clear();
-        eff.resize(d, None);
+        // Every field but `eff` is written before it is read.
+        dims.resize(d, DimPlan::default());
+        for plan in dims.iter_mut() {
+            plan.eff = None;
+        }
         for p in query.predicates() {
-            if p.dim < d {
-                eff[p.dim] = Some((p.lo, p.hi));
+            if let Some(plan) = dims.get_mut(p.dim) {
+                plan.eff = Some((p.lo, p.hi));
             }
         }
         let mut mapped_filter = 0;
         for dim in 0..d {
             if let DimStrategy::Mapped { target } = self.skeleton.strategy(dim) {
-                if let Some((lo, hi)) = eff[dim] {
+                if let Some((lo, hi)) = dims[dim].eff {
                     mapped_filter |= dim_bit(dim);
                     if let Some(fm) = &self.mappings[dim] {
                         let (xlo, xhi) = fm.map_range(lo, hi);
-                        eff[target] = match eff[target] {
+                        dims[target].eff = match dims[target].eff {
                             None => Some((xlo, xhi)),
                             Some((tlo, thi)) => {
                                 let nlo = tlo.max(xlo);
@@ -279,7 +370,7 @@ impl AugmentedGrid {
                             }
                         };
                     }
-                    eff[dim] = None;
+                    dims[dim].eff = None;
                 }
             }
         }
@@ -311,15 +402,63 @@ impl AugmentedGrid {
     ) -> Option<u128> {
         // Proven empty: nothing is scanned, and every predicate is trivially
         // guaranteed on the (empty) set of planned ranges.
-        let Some(mapped_filter) = self.effective_predicates(query, &mut scratch.eff) else {
+        let Some(mapped_filter) = self.effective_predicates(query, &mut scratch.dims) else {
             return Some(0);
         };
-        scratch.cells.clear();
+        let dims = &mut scratch.dims;
+        // Span what is the same under every parent cell, fold what does
+        // not branch, and link the rest in enumeration order.
+        let (mut cell, mut exact, mut loose) = (0, mapped_filter == 0, 0);
+        let (mut first, mut prev, mut folded) = (END, END, 0);
+        for &dim in &self.order {
+            let eff = dims[dim].eff;
+            let last = self.partitions[dim] - 1;
+            let span = match self.skeleton.strategy(dim) {
+                DimStrategy::Conditional { base } if !dims[base].walked => {
+                    let base_part = dims[base].span.expect("a folded base is spanned").lo;
+                    let conditional = self.conditional[dim].as_ref().expect("conditional model");
+                    // A filter that misses the base partition's values is
+                    // left to the walk, which prunes there.
+                    let misses =
+                        eff.is_some_and(|(lo, hi)| !conditional.may_contain(base_part, lo, hi));
+                    let model = conditional.model_for(base_part);
+                    (!misses).then(|| Span::new(model, eff, query, dim, last))
+                }
+                DimStrategy::Conditional { .. } => None,
+                _ => {
+                    let model = self.independent[dim].as_ref().expect("independent model");
+                    Some(Span::new(model, eff, query, dim, last))
+                }
+            };
+            let plan = &mut dims[dim];
+            plan.span = span;
+            plan.walked = span.is_none_or(|span| span.lo != span.hi);
+            match span {
+                Some(span) if !plan.walked => {
+                    cell += span.lo * self.strides[dim];
+                    exact &= span.lo_contained;
+                    loose |= if span.lo_contained { 0 } else { dim_bit(dim) };
+                    folded += 1;
+                }
+                _ => {
+                    plan.steps = 1 + folded;
+                    plan.next = END;
+                    folded = 0;
+                    match prev {
+                        END => first = dim,
+                        _ => dims[prev].next = dim,
+                    }
+                    prev = dim;
+                }
+            }
+        }
+        scratch.runs.clear();
         let mut enumeration = Enumeration {
             grid: self,
             query,
-            eff: &scratch.eff,
-            cells: &mut scratch.cells,
+            dims: &scratch.dims,
+            leaf_steps: 1 + folded,
+            runs: &mut scratch.runs,
             loose: mapped_filter,
             // Planning must never cost more than the scan it prunes: a
             // layout mismatched to the query (e.g. a grid optimized for a
@@ -329,16 +468,16 @@ impl AugmentedGrid {
             // stored row.
             budget: self.num_rows.max(64) as isize,
         };
-        enumeration.descend(0, 0, mapped_filter == 0, 0);
+        enumeration.descend(first, cell, exact, loose);
         let Enumeration { loose, budget, .. } = enumeration;
         if budget <= 0 {
             return None;
         }
 
-        scratch.cells.sort_unstable_by_key(|&(c, _)| c);
+        scratch.runs.sort_unstable_by_key(|&(first, _, _)| first);
         let mut pending: Option<(Range<usize>, bool)> = None;
-        for &(cell, exact) in &scratch.cells {
-            let (start, end) = (self.cell_offsets[cell], self.cell_offsets[cell + 1]);
+        for &(first, last, exact) in &scratch.runs {
+            let (start, end) = (self.cell_offsets[first], self.cell_offsets[last + 1]);
             if start == end {
                 continue;
             }
@@ -387,70 +526,115 @@ impl AugmentedGrid {
 struct Enumeration<'a> {
     grid: &'a AugmentedGrid,
     query: &'a Query,
-    eff: &'a [Option<(Value, Value)>],
-    cells: &'a mut Vec<(usize, bool)>,
+    dims: &'a [DimPlan],
+    /// The budget one cell costs: one step, and one for each dimension
+    /// folded after the last walked one.
+    leaf_steps: isize,
+    runs: &'a mut Vec<(usize, usize, bool)>,
     /// Union over the emitted cells of the dimensions whose partition was
     /// not fully contained in the original predicate.
     loose: u128,
-    /// Enumeration steps left; at zero the enumeration is abandoned.
+    /// Enumeration steps left — one per cell, and one per partial cell id
+    /// of every grid dimension, walked or folded; at zero the enumeration
+    /// is abandoned.
     budget: isize,
 }
 
 impl Enumeration<'_> {
-    /// Enumerates the partitions of grid dimension `order[idx]` that the
-    /// query intersects, under the partitions already chosen for the
-    /// dimensions before it: `cell_acc` is their share of the cell id,
-    /// `exact_acc` whether all of them lie inside their predicates, and
-    /// `loose_acc` the mask of those that do not.
-    fn descend(&mut self, idx: usize, cell_acc: usize, exact_acc: bool, loose_acc: u128) {
-        self.budget -= 1;
+    /// Enumerates the partitions of walked dimension `dim` (or, at [`END`],
+    /// records the cell) that the query intersects, under the partitions
+    /// already chosen for the dimensions before it: `cell_acc` is their
+    /// share of the cell id, `exact_acc` whether all of them lie inside
+    /// their predicates, and `loose_acc` the mask of those that do not.
+    fn descend(&mut self, dim: usize, cell_acc: usize, exact_acc: bool, loose_acc: u128) {
+        if dim == END {
+            self.budget -= self.leaf_steps;
+            if self.budget > 0 {
+                self.push(cell_acc, cell_acc, exact_acc);
+                self.loose |= loose_acc;
+            }
+            return;
+        }
+        let DimPlan {
+            eff,
+            span,
+            steps,
+            next,
+            ..
+        } = self.dims[dim];
+        self.budget -= steps;
         if self.budget <= 0 {
             return;
         }
         let grid = self.grid;
-        let Some(&dim) = grid.order.get(idx) else {
-            self.cells.push((cell_acc, exact_acc));
-            self.loose |= loose_acc;
-            return;
-        };
-        let last = grid.partitions[dim] - 1;
-        let pred = self.query.predicate_on(dim);
-        // The model of this dimension's partitions; for a conditional
-        // dimension, the one of its base's partition — chosen earlier (a
-        // base comes before its dependents), so `cell_acc` holds it as the
-        // base's digit of the cell id.
-        let model = match grid.skeleton.strategy(dim) {
-            DimStrategy::Independent => grid.independent[dim].as_ref(),
-            DimStrategy::Conditional { base } => {
+        let span = match span {
+            Some(span) => span,
+            // A conditional dimension under a walked base: partitioned by
+            // the model of its base's partition — chosen earlier (a base
+            // comes before its dependents), so `cell_acc` holds it as the
+            // base's digit of the cell id.
+            None => {
+                let DimStrategy::Conditional { base } = grid.skeleton.strategy(dim) else {
+                    unreachable!("only conditional dims are spanned per parent")
+                };
                 let base_part = cell_acc / grid.strides[base] % grid.partitions[base];
-                let conditional = grid.conditional[dim].as_ref();
+                let conditional = grid.conditional[dim].as_ref().expect("conditional model");
                 // A filter outside the values this base partition holds of
                 // the dimension: none of its cells can match.
-                if let (Some(m), Some((lo, hi))) = (conditional, self.eff[dim]) {
-                    if !m.may_contain(base_part, lo, hi) {
-                        return;
-                    }
+                if eff.is_some_and(|(lo, hi)| !conditional.may_contain(base_part, lo, hi)) {
+                    return;
                 }
-                conditional.map(|m| m.model_for(base_part))
+                let last = grid.partitions[dim] - 1;
+                Span::new(conditional.model_for(base_part), eff, self.query, dim, last)
             }
-            DimStrategy::Mapped { .. } => unreachable!("mapped dims are not grid dims"),
         };
-        let (lo_p, hi_p) = match (self.eff[dim], model) {
-            (Some((lo, hi)), Some(m)) => m.bucket_range(lo, hi),
-            _ => (0, last),
-        };
-        for part in lo_p..=hi_p {
-            // Whether the partition lies fully inside the original
-            // predicate ([`HistogramCdf::bucket_contained_in`] —
-            // conservative about a last boundary saturated at `u64::MAX`).
-            let dim_exact =
-                pred.is_none_or(|p| model.is_some_and(|m| m.bucket_contained_in(part, p.lo, p.hi)));
+        let stride = grid.strides[dim];
+        if next == END {
+            // The innermost walked dimension: its cells are recorded here,
+            // charged per cell.
+            self.budget -= (span.hi - span.lo + 1) as isize * self.leaf_steps;
+            if self.budget <= 0 {
+                return;
+            }
+            let rims = span.lo_contained && span.hi_contained;
+            self.loose |= loose_acc | if rims { 0 } else { dim_bit(dim) };
+            let (first, last) = (cell_acc + span.lo * stride, cell_acc + span.hi * stride);
+            if stride != 1 {
+                for part in span.lo..=span.hi {
+                    let cell = cell_acc + part * stride;
+                    self.push(cell, cell, exact_acc && span.contained(part));
+                }
+            } else if !exact_acc || first == last {
+                // Consecutive cell ids: up to three runs — the rims and the
+                // contained middle.
+                self.push(first, last, exact_acc && rims);
+            } else {
+                self.push(first, first, span.lo_contained);
+                self.push(first + 1, last - 1, true);
+                self.push(last, last, span.hi_contained);
+            }
+            return;
+        }
+        for part in span.lo..=span.hi {
+            let contained = span.contained(part);
             self.descend(
-                idx + 1,
-                cell_acc + part * grid.strides[dim],
-                exact_acc && dim_exact,
-                loose_acc | if dim_exact { 0 } else { dim_bit(dim) },
+                next,
+                cell_acc + part * stride,
+                exact_acc && contained,
+                loose_acc | if contained { 0 } else { dim_bit(dim) },
             );
+        }
+    }
+
+    /// Records the cells `first..=last`, all of one exactness, extending
+    /// the previous run when they continue it.
+    fn push(&mut self, first: usize, last: usize, exact: bool) {
+        if first > last {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some(run) if run.1 + 1 == first && run.2 == exact => run.1 = last,
+            _ => self.runs.push((first, last, exact)),
         }
     }
 }
@@ -666,6 +850,145 @@ mod tests {
         .unwrap();
         // Count matching rows through exact + inexact ranges and compare.
         assert_eq!(execute(&grid, &perm, &data, &q), q.execute_full_scan(&data));
+    }
+
+    /// What `plan_cells` must emit, worked out cell by cell: every cell
+    /// the query intersects in every grid dimension — the conditional
+    /// dimensions' base partitions included — exact when each of its
+    /// partitions lies inside the predicate
+    /// ([`HistogramCdf::bucket_contained_in`]), its rows as one range, empty
+    /// ranges dropped and adjacent ranges of equal exactness merged; and the
+    /// mask of the dimensions some intersecting cell is not contained in.
+    fn reference_plan(grid: &AugmentedGrid, q: &Query) -> (Vec<(Range<usize>, bool)>, u128) {
+        let d = grid.skeleton.num_dims();
+        // The effective filters: each grid dimension's predicate, narrowed
+        // by the mapped filters targeting it.
+        let mut eff: Vec<Option<(Value, Value)>> = (0..d)
+            .map(|dim| q.predicate_on(dim).map(|p| (p.lo, p.hi)))
+            .collect();
+        let mut mapped_filter = 0;
+        for p in q.predicates() {
+            if let DimStrategy::Mapped { target } = grid.skeleton.strategy(p.dim) {
+                mapped_filter |= dim_bit(p.dim);
+                let (xlo, xhi) = grid.mappings[p.dim].as_ref().unwrap().map_range(p.lo, p.hi);
+                eff[target] = match eff[target] {
+                    None => Some((xlo, xhi)),
+                    Some((lo, hi)) if lo.max(xlo) <= hi.min(xhi) => {
+                        Some((lo.max(xlo), hi.min(xhi)))
+                    }
+                    Some(_) => return (Vec::new(), 0),
+                };
+            }
+        }
+        let mut ranges: Vec<(Range<usize>, bool)> = Vec::new();
+        let mut loose = mapped_filter;
+        for cell in 0..grid.num_cells {
+            let part = |dim: usize| cell / grid.strides[dim] % grid.partitions[dim];
+            let (mut intersects, mut exact, mut cell_loose) = (true, mapped_filter == 0, 0);
+            for &dim in &grid.order {
+                let model = match grid.skeleton.strategy(dim) {
+                    DimStrategy::Conditional { base } => {
+                        let conditional = grid.conditional[dim].as_ref().unwrap();
+                        if let Some((lo, hi)) = eff[dim] {
+                            intersects &= conditional.may_contain(part(base), lo, hi);
+                        }
+                        conditional.model_for(part(base))
+                    }
+                    _ => grid.independent[dim].as_ref().unwrap(),
+                };
+                if let Some((lo, hi)) = eff[dim] {
+                    let (a, b) = model.bucket_range(lo, hi);
+                    intersects &= a <= part(dim) && part(dim) <= b;
+                }
+                let contained = (q.predicate_on(dim))
+                    .is_none_or(|p| model.bucket_contained_in(part(dim), p.lo, p.hi));
+                exact &= contained;
+                cell_loose |= if contained { 0 } else { dim_bit(dim) };
+            }
+            if !intersects {
+                continue;
+            }
+            loose |= cell_loose;
+            let rows = grid.cell_offsets[cell]..grid.cell_offsets[cell + 1];
+            match ranges.last_mut() {
+                _ if rows.is_empty() => {}
+                Some((prev, prev_exact)) if prev.end == rows.start && *prev_exact == exact => {
+                    prev.end = rows.end;
+                }
+                _ => ranges.push((rows, exact)),
+            }
+        }
+        (ranges, loose)
+    }
+
+    /// Queries filtering a random subset of the three dimensions, some
+    /// ranges narrow, some wide, some open to the top of the `u64` domain.
+    fn random_queries(n: usize, seed: u64) -> Vec<Query> {
+        let mut rng = SplitMix::new(seed);
+        let domains = [100_000, 200_700, 70_000];
+        (0..n)
+            .map(|_| {
+                let mut predicates = Vec::new();
+                for (dim, &domain) in domains.iter().enumerate() {
+                    if rng.next_below(3) == 0 {
+                        continue;
+                    }
+                    let lo = rng.next_below(domain);
+                    let hi = match rng.next_below(8) {
+                        0 => Value::MAX,
+                        1 => lo + rng.next_below(domain / 50),
+                        _ => lo + rng.next_below(domain),
+                    };
+                    predicates.push(Predicate::range(dim, lo, hi).unwrap());
+                }
+                Query::count(predicates).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plan_shape_matches_a_per_cell_reference() {
+        use DimStrategy::{Conditional, Independent, Mapped};
+        let data = correlated_data(20_000, 83);
+        let layouts = [
+            (vec![Independent, Independent, Independent], [8, 8, 4]),
+            (vec![Independent, Independent, Independent], [1, 6, 1]),
+            (
+                vec![Independent, Independent, Conditional { base: 0 }],
+                [8, 2, 8],
+            ),
+            (
+                vec![Conditional { base: 2 }, Independent, Independent],
+                [6, 3, 4],
+            ),
+            (
+                vec![Independent, Mapped { target: 0 }, Independent],
+                [16, 1, 4],
+            ),
+            (
+                vec![Independent, Mapped { target: 0 }, Conditional { base: 0 }],
+                [12, 1, 6],
+            ),
+        ];
+        let queries = random_queries(200, 84);
+        let (mut exact_ranges, mut inexact_ranges) = (0, 0);
+        for (strategies, partitions) in layouts {
+            let skeleton = Skeleton::new(strategies).unwrap();
+            let (grid, _) = AugmentedGrid::build(&data, &skeleton, &partitions);
+            let mut scratch = CellScratch::default();
+            for q in &queries {
+                let mut ranges = Vec::new();
+                let loose = grid.plan_cells(q, &mut scratch, |r, exact| ranges.push((r, exact)));
+                let loose = loose.expect("these grids never fall back");
+                let (want, want_loose) = reference_plan(&grid, q);
+                assert_eq!(ranges, want, "{skeleton} {partitions:?} {q:?}");
+                assert_eq!(loose, want_loose, "{skeleton} {partitions:?} {q:?}");
+                exact_ranges += ranges.iter().filter(|(_, exact)| *exact).count();
+                inexact_ranges += ranges.iter().filter(|(_, exact)| !*exact).count();
+            }
+        }
+        // Both kinds of range occur, so the exact flags are really compared.
+        assert!(exact_ranges > 100 && inexact_ranges > 100);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::config::TsunamiConfig;
 use crate::query_types::QueryType;
 use skew::SkewAnalyzer;
 use skew_tree::best_covering;
-use tsunami_core::{Dataset, Query, Value};
+use tsunami_core::{Dataset, Query, ScanPlan, Value};
 
 /// A split is accepted only if its skew reduction is at least this fraction
 /// of the queries intersecting the node (§4.3.2: 5% of |Q|).
@@ -71,6 +71,19 @@ pub const MERGE_TOLERANCE: f64 = 0.10;
 /// dimensions past 127 apart.
 pub fn dim_bit(dim: usize) -> u128 {
     1 << dim.min(127)
+}
+
+/// Residual elimination from a mask of the dimensions a plan does not
+/// guarantee ([`dim_bit`]): the plan re-checks only the query's predicates
+/// on those dimensions, and on every dimension past the mask's width.
+pub fn with_loose_residual(plan: ScanPlan, query: &Query, loose: u128) -> ScanPlan {
+    let mut guaranteed = [false; 128];
+    for p in query.predicates() {
+        if let Some(g) = guaranteed.get_mut(p.dim) {
+            *g = loose & dim_bit(p.dim) == 0;
+        }
+    }
+    plan.with_guaranteed_dims(query, &guaranteed)
 }
 
 /// A leaf region of the Grid Tree: one row of the tree's bounds array.

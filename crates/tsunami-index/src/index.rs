@@ -48,7 +48,7 @@ use crate::augmented_grid::optimizer::{region_can_hold_grid, region_layout};
 use crate::augmented_grid::{AugmentedGrid, CellScratch, Skeleton};
 use crate::config::TsunamiConfig;
 use crate::cube::{CubeEntry, RegionCube};
-use crate::grid_tree::{dim_bit, GridTree, Region};
+use crate::grid_tree::{with_loose_residual, GridTree, Region};
 use crate::query_types::cluster_query_types;
 use tsunami_core::exec::BLOCK_ROWS;
 use tsunami_core::{
@@ -990,9 +990,7 @@ impl MultiDimIndex for TsunamiIndex {
         for (run, exact) in delta_runs {
             plan.push(run, exact);
         }
-        // Dimensions past the array are kept in the residual.
-        let guaranteed: [bool; 128] = std::array::from_fn(|dim| loose & dim_bit(dim) == 0);
-        plan.with_guaranteed_dims(query, &guaranteed)
+        with_loose_residual(plan, query, loose)
     }
 
     fn size_bytes(&self) -> usize {

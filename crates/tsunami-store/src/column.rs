@@ -159,12 +159,13 @@ impl Column {
     /// reports whether an **absolute** row is live at encode time, feeding
     /// the per-block tombstone-aware live bounds that block skipping prunes
     /// on.
-    pub fn encode_blocks(&mut self, opts: &EncodeOptions, is_live: impl Fn(usize) -> bool) {
+    pub fn encode_blocks(&mut self, is_live: impl Fn(usize) -> bool) {
         let full = self.values.len() / BLOCK_ROWS;
         if full == 0 {
             return;
         }
         let base = self.packed.len() * BLOCK_ROWS;
+        let opts = EncodeOptions::default();
         let packed = Arc::make_mut(&mut self.packed);
         packed.reserve(full);
         for b in 0..full {
@@ -173,7 +174,7 @@ impl Column {
             packed.push(EncodedBlock::encode(
                 &self.values[start..start + BLOCK_ROWS],
                 |i| is_live(abs + i),
-                opts,
+                &opts,
             ));
         }
         self.values.drain(..full * BLOCK_ROWS);
@@ -366,7 +367,7 @@ mod tests {
 
     fn encoded_column(n: usize) -> Column {
         let mut c = Column::new((0..n as u64).map(|v| v * 3 % 2048).collect());
-        c.encode_blocks(&EncodeOptions::default(), |_| true);
+        c.encode_blocks(|_| true);
         c
     }
 
@@ -408,7 +409,7 @@ mod tests {
         // Unaffected prefix block still reads correctly.
         assert_eq!(c.get(7), 21);
         // Re-encoding packs the plain region again.
-        c.encode_blocks(&EncodeOptions::default(), |_| true);
+        c.encode_blocks(|_| true);
         assert_eq!(c.encoded_blocks().len(), 3);
     }
 

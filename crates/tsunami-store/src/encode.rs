@@ -1,41 +1,28 @@
-//! Store-level encoding policy: when block encoding runs and with which
-//! knobs.
+//! Store-level encoding policy: whether block encoding runs.
 //!
 //! The block formats and the per-block chooser live in
 //! [`tsunami_core::encode`]; this module only decides *whether* a store
-//! encodes at all and how aggressively. One environment switch lets the CI
-//! matrix and benchmarks flip encoding without code changes —
-//! `TSUNAMI_ENCODE`: unset or `1`/`on`/`true`/`yes`/`auto` encodes,
-//! `0`/`off`/`false`/`no` disables block encoding entirely, and anything
-//! else panics at the first store that asks, so a typo cannot run the wrong
-//! leg. It is read once per process. The finer knobs (`min_blocks`, the FOR bit-width
-//! and dictionary-size limits in [`EncodeOptions`]) are plain struct
-//! fields: pass an explicit policy to `ColumnStore::encode_blocks_with`.
+//! encodes at all. One environment switch lets the CI matrix and benchmarks
+//! flip encoding without code changes — `TSUNAMI_ENCODE`: unset or
+//! `1`/`on`/`true`/`yes`/`auto` encodes, `0`/`off`/`false`/`no` disables
+//! block encoding entirely, and anything else panics at the first store
+//! that asks, so a typo cannot run the wrong leg. It is read once per
+//! process; pass an explicit policy to `ColumnStore::encode_blocks_with` to
+//! override it.
 
 use std::sync::OnceLock;
 
-use tsunami_core::EncodeOptions;
-
-/// Whether and how a [`crate::ColumnStore`] encodes its blocks.
+/// Whether a [`crate::ColumnStore`] encodes its blocks.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodePolicy {
     /// Master switch; when false, `encode_blocks` is a no-op and every
     /// column stays a plain `Vec<u64>`.
     pub enabled: bool,
-    /// Stores with fewer than this many full blocks skip encoding — tiny
-    /// tables gain nothing and tests sometimes want guaranteed-plain stores.
-    pub min_blocks: usize,
-    /// Per-block format knobs passed through to the chooser.
-    pub opts: EncodeOptions,
 }
 
 impl Default for EncodePolicy {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            min_blocks: 1,
-            opts: EncodeOptions::default(),
-        }
+        Self { enabled: true }
     }
 }
 
@@ -50,18 +37,12 @@ impl EncodePolicy {
                 std::env::var_os("TSUNAMI_ENCODE").map(|v| v.to_string_lossy().into_owned());
             parse_switch(value.as_deref()).unwrap_or_else(|bad| panic!("{bad}"))
         });
-        Self {
-            enabled,
-            ..Self::default()
-        }
+        Self { enabled }
     }
 
     /// A policy that never encodes (plain `Vec<u64>` storage throughout).
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
 
@@ -95,9 +76,7 @@ mod tests {
 
     #[test]
     fn defaults_enable_encoding() {
-        let p = EncodePolicy::default();
-        assert!(p.enabled);
-        assert_eq!(p.min_blocks, 1);
+        assert!(EncodePolicy::default().enabled);
         assert!(!EncodePolicy::disabled().enabled);
     }
 }

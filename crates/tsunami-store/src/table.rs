@@ -181,7 +181,7 @@ impl ColumnStore {
     /// extremes — never the stale physical ones. Sound forever, because the
     /// live set only shrinks (deletes accrue; physical mutation re-encodes).
     pub fn encode_blocks_with(&mut self, policy: &EncodePolicy) {
-        if !policy.enabled || self.len / BLOCK_ROWS < policy.min_blocks {
+        if !policy.enabled {
             return;
         }
         let Self {
@@ -190,7 +190,7 @@ impl ColumnStore {
             ..
         } = self;
         for c in columns.iter_mut() {
-            c.encode_blocks(&policy.opts, |row| !tombstones.is_deleted(row));
+            c.encode_blocks(|row| !tombstones.is_deleted(row));
         }
     }
 
@@ -709,12 +709,11 @@ mod tests {
         let mut s = ColumnStore::from_dataset(&ds);
         s.encode_blocks_with(&EncodePolicy::disabled());
         assert_eq!(s.encoding_stats().3, s.len() * s.num_dims());
-        let mut s = ColumnStore::from_dataset(&ds);
-        s.encode_blocks_with(&EncodePolicy {
-            min_blocks: 100,
-            ..EncodePolicy::default()
-        });
-        assert_eq!(s.encoding_stats(), (0, 0, 0, 3 * BLOCK_ROWS * 3));
+        // A store under one block stays plain.
+        let small = big_dataset(BLOCK_ROWS as u64 - 1);
+        let mut s = ColumnStore::from_dataset(&small);
+        s.encode_blocks_with(&EncodePolicy::default());
+        assert_eq!(s.encoding_stats(), (0, 0, 0, (BLOCK_ROWS - 1) * 3));
     }
 
     #[test]

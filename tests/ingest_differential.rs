@@ -19,7 +19,8 @@ mod common;
 use common::assert_grids_if_tsunami;
 
 /// Every ingest-capable index family: Tsunami routes rows through its Grid
-/// Tree, Flood and SingleDim take the sorted-merge path, FullScan appends.
+/// Tree, Flood re-grids its rows plus the batch with the same partitions,
+/// SingleDim takes the sorted-merge path, FullScan appends.
 fn ingest_specs() -> Vec<IndexSpec> {
     vec![
         IndexSpec::Tsunami(TsunamiConfig::fast()),
