@@ -54,8 +54,7 @@ impl FullScanIndex {
         let mut store = self.store.clone();
         let deleted = store.delete_where(query);
         if store.tombstones().deleted() * 2 > store.len() {
-            let n = store.len();
-            store.drop_deleted_in(0..n);
+            store.select(&store.tombstones().live_rows());
             store.encode_blocks();
         }
         (

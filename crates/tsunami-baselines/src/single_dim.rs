@@ -88,11 +88,11 @@ impl ClusteredSingleDimIndex {
     }
 
     /// Absorbs new rows **without a rebuild** — the sorted-merge ingest: the
-    /// batch is appended to the store's tail and one stable
-    /// [`ColumnStore::sort_range`] over the sort dimension merges it into
-    /// place (the old rows are already one sorted run, so the sort
-    /// degenerates to a merge). The per-dimension domains backing
-    /// residual-predicate elimination are widened to cover the batch.
+    /// batch is appended to the store's tail and one stable sort over the
+    /// sort dimension merges it into place (the old rows are already one
+    /// sorted run, so the sort degenerates to a merge). The per-dimension
+    /// domains backing residual-predicate elimination are widened to cover
+    /// the batch.
     ///
     /// Fails with [`TsunamiError::DimensionMismatch`] when the batch's
     /// width differs from the index's.
@@ -106,9 +106,12 @@ impl ClusteredSingleDimIndex {
         let start = Instant::now();
         let mut store = self.store.clone();
         store.append_dataset(rows);
-        store.sort_range(0..store.len(), self.sort_dim);
+        let keys = store.column(self.sort_dim).decode_range(0..store.len());
+        let mut perm: Vec<usize> = (0..keys.len()).collect();
+        perm.sort_by_key(|&r| keys[r]);
+        store.permute(&perm);
         store.encode_blocks();
-        let sort_keys: Vec<Value> = store.column(self.sort_dim).decode_range(0..store.len());
+        let sort_keys: Vec<Value> = perm.iter().map(|&r| keys[r]).collect();
         let domains: Vec<(Value, Value)> = self
             .domains
             .iter()

@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use tsunami_core::{CostModel, Dataset, MultiDimIndex};
 use tsunami_engine::{IndexSpec, Scheduler};
-use tsunami_flood::FloodIndex;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
+use tsunami_index::FloodIndex;
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_workloads::{synthetic, tpch, DatasetBundle};
 

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use tsunami_core::{Dataset, MultiDimIndex, Workload};
 use tsunami_engine::{Database, IndexSpec, PageSize, Table};
-use tsunami_flood::FloodConfig;
+use tsunami_index::FloodConfig;
 use tsunami_index::{OptimizerKind, TsunamiConfig};
 use tsunami_workloads::DatasetBundle;
 

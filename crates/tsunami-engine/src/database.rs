@@ -67,28 +67,16 @@ pub struct Database {
 impl Database {
     /// Creates an empty database with the default analytic cost model.
     pub fn new() -> Self {
-        Self::with_cost_model(CostModel::default())
-    }
-
-    /// Creates an empty database using a specific cost model for all index
-    /// builds (e.g. [`CostModel::calibrate`]d to the host).
-    pub fn with_cost_model(cost: CostModel) -> Self {
         Self {
             tables: Vec::new(),
             views: Vec::new(),
-            cost,
+            cost: CostModel::default(),
             pool: Arc::clone(pool::global()),
             durability: None,
         }
     }
 
-    /// Opens a **durable** database rooted at `dir` with the default cost
-    /// model. See [`Database::open_with_cost_model`].
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_cost_model(dir, CostModel::default())
-    }
-
-    /// Opens a durable database rooted at `dir`: recovers the state from
+    /// Opens a **durable** database rooted at `dir`: recovers the state from
     /// `checkpoint.db` plus the write-ahead log's valid prefix (see
     /// [`crate::durability`]), then logs and fsyncs every subsequent
     /// `create_table` / `insert_batch` / `delete` *before* applying it, so
@@ -96,9 +84,9 @@ impl Database {
     /// index from its stored [`IndexSpec`] and reference workload: query
     /// results are bit-identical to the pre-crash state's, while the
     /// physical layout is re-derived.
-    pub fn open_with_cost_model(dir: impl AsRef<Path>, cost: CostModel) -> Result<Self> {
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let (durability, records) = Durability::open(dir.as_ref())?;
-        let mut db = Self::with_cost_model(cost);
+        let mut db = Self::new();
         for record in records {
             db.apply_record(record)?;
         }

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 
 use tsunami_core::codec::{put_u64, Reader};
 use tsunami_core::{Result, TsunamiError};
-use tsunami_flood::FloodConfig;
+use tsunami_index::FloodConfig;
 use tsunami_index::{OptimizerKind, TsunamiConfig};
 use tsunami_store::codec::{self, need, CodecError};
 use tsunami_store::wal::{self, CrashPoint, Wal, WalRecord};

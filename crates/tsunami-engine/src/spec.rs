@@ -11,7 +11,7 @@ use tsunami_baselines::{
 };
 pub use tsunami_core::SharedIndex;
 use tsunami_core::{CostModel, Dataset, MultiDimIndex, Result, Workload};
-use tsunami_flood::{FloodConfig, FloodIndex};
+use tsunami_index::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 
 /// Page-size choice for the paged baselines (Z-order, octree, k-d tree).

@@ -15,15 +15,15 @@ pub use skeleton::{DimStrategy, Skeleton};
 
 use std::ops::Range;
 
+use crate::cdf::{ConditionalCdf, FunctionalMapping, HistogramCdf};
 use crate::grid_tree::dim_bit;
-use tsunami_cdf::{CdfModel, ConditionalCdf, FunctionalMapping, HistogramCdf};
 use tsunami_core::{Dataset, Query, Value};
 
 /// Working memory of [`AugmentedGrid::plan_cells`]. One `plan()` call (or one
 /// optimizer evaluation) creates one and every grid it visits plans out of
 /// it, so only the first visit allocates.
 #[derive(Debug, Default)]
-pub struct CellScratch {
+pub(crate) struct CellScratch {
     /// Per dimension, what the query asks of it and how the enumeration
     /// walks it.
     dims: Vec<DimPlan>,
@@ -394,7 +394,7 @@ impl AugmentedGrid {
     /// abandoned because it would have cost more than scanning the region:
     /// the caller scans the whole region instead, and usually knows more
     /// about it — its value bounds — than the grid does.
-    pub fn plan_cells(
+    pub(crate) fn plan_cells(
         &self,
         query: &Query,
         scratch: &mut CellScratch,
@@ -504,7 +504,7 @@ impl AugmentedGrid {
             .independent
             .iter()
             .flatten()
-            .map(CdfModel::size_bytes)
+            .map(HistogramCdf::size_bytes)
             .sum::<usize>()
             + self
                 .conditional

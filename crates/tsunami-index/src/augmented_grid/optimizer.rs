@@ -11,12 +11,12 @@
 //! Descent (no skeleton search), AGD with naive initialization (start from
 //! the all-independent skeleton), and a black-box basin-hopping baseline.
 //! Gradient descent on the all-independent skeleton is Flood's own search
-//! (`tsunami-flood` runs [`initial_partitions`] and [`descend_partitions`]
-//! under its own estimator) and, per region, the Fig 12a Grid-Tree-only
-//! ablation.
+//! ([`crate::flood`] runs the same initialization and descent under its own
+//! estimator) and, per region, the Fig 12a Grid-Tree-only ablation.
 
 use super::skeleton::{DimStrategy, Skeleton};
 use super::{AugmentedGrid, CellScratch};
+use crate::cdf::{FunctionalMapping, HistogramCdf};
 use crate::config::TsunamiConfig;
 use crate::SEED;
 use tsunami_core::sample::{sample_dataset, SplitMix};
@@ -129,9 +129,7 @@ pub fn heuristic_skeleton(sample: &Dataset) -> Skeleton {
                 continue;
             }
             // Functional mapping dim -> other (other is the target).
-            if let Some(fm) =
-                tsunami_cdf::FunctionalMapping::fit(sample.column(dim), sample.column(other))
-            {
+            if let Some(fm) = FunctionalMapping::fit(sample.column(dim), sample.column(other)) {
                 let domain = sample.domain(other).unwrap_or((0, 1));
                 let width = (domain.1 - domain.0).max(1) as f64;
                 let frac = fm.error_span() / width;
@@ -159,13 +157,17 @@ pub fn heuristic_skeleton(sample: &Dataset) -> Skeleton {
 /// Fraction of cells in the `dim x other` hyperplane (with `p x p`
 /// equi-depth partitions) that contain no sample points. High emptiness means
 /// the two dimensions are correlated and a conditional CDF would help.
+///
+/// A partition is one of the CDF's `p` equal-mass slices
+/// ([`HistogramCdf::partition`]), not a histogram bucket: ties can leave a
+/// column fewer than `p` buckets, and counting buckets would change which
+/// skeletons the heuristic picks.
 pub fn empty_cell_fraction(sample: &Dataset, dim: usize, other: usize, p: usize) -> f64 {
     if sample.is_empty() {
         return 0.0;
     }
-    use tsunami_cdf::CdfModel;
-    let ma = tsunami_cdf::HistogramCdf::build(sample.column(dim), p);
-    let mb = tsunami_cdf::HistogramCdf::build(sample.column(other), p);
+    let ma = HistogramCdf::build(sample.column(dim), p);
+    let mb = HistogramCdf::build(sample.column(other), p);
     let mut occupied = vec![false; p * p];
     for r in 0..sample.len() {
         let a = ma.partition(sample.get(r, dim), p);
@@ -215,7 +217,7 @@ pub fn repair_skeleton(mut strategies: Vec<DimStrategy>) -> Skeleton {
 /// Initializes partition counts proportionally to the workload's average
 /// filter selectivity per grid dimension (§5.3.2, step 1), within the cell
 /// budget.
-pub fn initial_partitions(
+pub(crate) fn initial_partitions(
     sample: &Dataset,
     skeleton: &Skeleton,
     workload: &Workload,
@@ -284,7 +286,7 @@ fn clamp_partitions(partitions: &mut [usize], grid_dims: &[usize], max_cells: us
 /// (§5.3.2, step 2): each dimension in turn tries ×1.5, ×0.67, +1 and −1,
 /// clamped to `max_cells`, and keeps every candidate that `cost_of` prices
 /// below `0.999 · best_cost`. Returns whether a move was kept.
-pub fn descend_partitions(
+pub(crate) fn descend_partitions(
     partitions: &mut Vec<usize>,
     best_cost: &mut f64,
     grid_dims: &[usize],
@@ -684,6 +686,20 @@ mod tests {
             indep < 0.3,
             "independent pair should fill most cells: {indep}"
         );
+    }
+
+    #[test]
+    fn empty_cell_fraction_counts_cdf_partitions_not_buckets() {
+        // Nine distinct values, 56 of 64 rows tied at 0: the ties collapse
+        // the 16 requested equi-depth buckets to three — {0}, {1..4}, {5..8}
+        // — while the CDF, interpolated inside each bucket, still sends the
+        // nine values to nine of the 16 partitions.
+        let column: Vec<u64> = std::iter::repeat_n(0, 56).chain(1..=8).collect();
+        assert_eq!(HistogramCdf::build(&column, 16).num_buckets(), 3);
+        let sample = Dataset::from_columns(vec![column.clone(), column]).unwrap();
+        // The two equal columns fill the diagonal: nine of the 16 x 16 cells
+        // (three, had the fraction counted buckets).
+        assert_eq!(empty_cell_fraction(&sample, 0, 1, 16), 1.0 - 9.0 / 256.0);
     }
 
     #[test]

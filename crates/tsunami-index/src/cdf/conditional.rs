@@ -8,7 +8,7 @@
 //! even when `X` and `Y` are correlated. Storage is proportional to
 //! `p_X * p_Y`, which is negligible next to the grid's cell lookup table.
 
-use crate::{CdfModel, HistogramCdf};
+use super::HistogramCdf;
 use tsunami_core::Value;
 
 /// Per-base-partition CDF models of a dependent dimension.
@@ -45,36 +45,9 @@ impl ConditionalCdf {
         Self { per_base }
     }
 
-    /// Number of base partitions.
-    pub fn num_base_partitions(&self) -> usize {
-        self.per_base.len()
-    }
-
     /// The conditional CDF model for a base partition (clamped into range).
     pub fn model_for(&self, base_partition: usize) -> &HistogramCdf {
         &self.per_base[base_partition.min(self.per_base.len() - 1)]
-    }
-
-    /// CDF of `y` conditioned on the base partition.
-    pub fn cdf(&self, base_partition: usize, y: Value) -> f64 {
-        self.model_for(base_partition).cdf(y)
-    }
-
-    /// Partition of `y` (out of `p` partitions) conditioned on the base
-    /// partition.
-    pub fn partition(&self, base_partition: usize, y: Value, p: usize) -> usize {
-        self.model_for(base_partition).partition(y, p)
-    }
-
-    /// Inclusive partition range of `[lo, hi]` within a base partition.
-    pub fn partition_range(
-        &self,
-        base_partition: usize,
-        lo: Value,
-        hi: Value,
-        p: usize,
-    ) -> (usize, usize) {
-        self.model_for(base_partition).partition_range(lo, hi, p)
     }
 
     /// Bucket of `y` within the base partition's conditional model (see
@@ -82,11 +55,6 @@ impl ConditionalCdf {
     /// value boundaries, which grid layouts rely on for exact-range scans.
     pub fn bucket_of(&self, base_partition: usize, y: Value) -> usize {
         self.model_for(base_partition).bucket_of(y)
-    }
-
-    /// Inclusive bucket range of `[lo, hi]` within a base partition.
-    pub fn bucket_range(&self, base_partition: usize, lo: Value, hi: Value) -> (usize, usize) {
-        self.model_for(base_partition).bucket_range(lo, hi)
     }
 
     /// Whether the value range `[lo, hi]` can contain any point of the given
@@ -101,7 +69,7 @@ impl ConditionalCdf {
 
     /// Total size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.per_base.iter().map(CdfModel::size_bytes).sum()
+        self.per_base.iter().map(HistogramCdf::size_bytes).sum()
     }
 }
 
@@ -131,7 +99,7 @@ mod tests {
             let mut counts = [0usize; 8];
             for i in 0..base.len() {
                 if base[i] == b {
-                    counts[ccdf.partition(b, y[i], 8)] += 1;
+                    counts[ccdf.model_for(b).partition(y[i], 8)] += 1;
                 }
             }
             let max = *counts.iter().max().unwrap();
@@ -147,8 +115,8 @@ mod tests {
         // The same Y value lands in very different partitions depending on
         // the base partition — that is the staggering that equalizes cells.
         let y_probe = 3500;
-        let p_in_base3 = ccdf.partition(3, y_probe, 8);
-        let p_in_base0 = ccdf.partition(0, y_probe, 8);
+        let p_in_base3 = ccdf.model_for(3).partition(y_probe, 8);
+        let p_in_base0 = ccdf.model_for(0).partition(y_probe, 8);
         assert!(p_in_base3 < 8);
         // In base 0 the probe is far above every stored Y, so it maps to the
         // last partition; in base 3 it is in the middle.
@@ -169,14 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_range_and_model_access() {
+    fn bucket_lookups_and_size() {
         let (base, y) = correlated(2, 1000);
         let ccdf = ConditionalCdf::build(&base, &y, 2, 4);
-        assert_eq!(ccdf.num_base_partitions(), 2);
-        let (lo, hi) = ccdf.partition_range(0, 0, 999, 4);
-        assert_eq!((lo, hi), (0, 3));
-        let (lo, hi) = ccdf.partition_range(0, 999, 0, 4);
-        assert_eq!((lo, hi), (0, 3));
+        assert_eq!(ccdf.model_for(0).bucket_range(0, 999), (0, 3));
+        assert_eq!(ccdf.bucket_of(1, 1000), 0);
+        assert_eq!(ccdf.bucket_of(1, 1999), 3);
         assert!(ccdf.size_bytes() > 0);
     }
 
@@ -186,8 +152,8 @@ mod tests {
         let ccdf = ConditionalCdf::build(&base, &y, 2, 4);
         // Requesting a non-existent base partition uses the last one rather
         // than panicking.
-        let _ = ccdf.cdf(99, 500);
-        let _ = ccdf.partition(99, 1500, 4);
+        assert_eq!(ccdf.model_for(99), ccdf.model_for(1));
+        let _ = ccdf.bucket_of(99, 1500);
     }
 
     #[test]
@@ -196,8 +162,8 @@ mod tests {
         let base = vec![0usize, 0, 2, 2];
         let y = vec![1u64, 2, 3, 4];
         let ccdf = ConditionalCdf::build(&base, &y, 3, 4);
-        assert_eq!(ccdf.num_base_partitions(), 3);
         // Queries against the empty partition do not panic.
-        assert!(ccdf.cdf(1, 2) >= 0.0);
+        assert!(ccdf.model_for(1).cdf(2) >= 0.0);
+        let _ = ccdf.may_contain(1, 0, 10);
     }
 }

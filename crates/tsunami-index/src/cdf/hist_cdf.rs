@@ -5,7 +5,6 @@
 //! compact per-dimension model used by the grids (Flood's "choice of modeling
 //! technique is orthogonal; ... one could also use a histogram", §2.2).
 
-use crate::CdfModel;
 use tsunami_core::histogram::equi_depth_boundaries;
 use tsunami_core::Value;
 
@@ -28,7 +27,8 @@ impl HistogramCdf {
     }
 
     /// Builds a model directly from explicit boundaries (ascending).
-    pub fn from_boundaries(boundaries: Vec<Value>) -> Self {
+    #[cfg(test)]
+    fn from_boundaries(boundaries: Vec<Value>) -> Self {
         debug_assert!(boundaries.len() >= 2);
         debug_assert!(boundaries.windows(2).all(|w| w[0] < w[1]));
         Self { boundaries }
@@ -37,11 +37,6 @@ impl HistogramCdf {
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
         self.boundaries.len() - 1
-    }
-
-    /// The bucket boundaries.
-    pub fn boundaries(&self) -> &[Value] {
-        &self.boundaries
     }
 
     /// The smallest modeled value.
@@ -77,11 +72,12 @@ impl HistogramCdf {
 
     /// The bucket containing `v`, clamped into `0..num_buckets()`.
     ///
-    /// Unlike [`CdfModel::partition`], which divides the CDF into `p` equal
-    /// slices, this returns the *bucket index*, whose exact value range is
-    /// `[boundaries[i], boundaries[i+1])`. Grid layouts use buckets as their
-    /// partitions so that partition membership and partition value bounds are
-    /// always consistent (needed for the exact-range scan optimization).
+    /// Unlike [`HistogramCdf::partition`], which divides the CDF into `p`
+    /// equal slices, this returns the *bucket index*, whose exact value range
+    /// is `[boundaries[i], boundaries[i+1])`. Grid layouts use buckets as
+    /// their partitions so that partition membership and partition value
+    /// bounds are always consistent (needed for the exact-range scan
+    /// optimization).
     pub fn bucket_of(&self, v: Value) -> usize {
         if v < self.boundaries[0] {
             return 0;
@@ -97,27 +93,9 @@ impl HistogramCdf {
         (a.min(b), a.max(b))
     }
 
-    /// The inclusive value bounds `[lo, hi]` of bucket `i` (clamped).
-    pub fn bucket_bounds(&self, i: usize) -> (Value, Value) {
-        let i = i.min(self.num_buckets() - 1);
-        (self.boundaries[i], self.boundaries[i + 1].saturating_sub(1))
-    }
-
-    /// Approximate inverse CDF: the value at which the CDF reaches `q`.
-    pub fn quantile(&self, q: f64) -> Value {
-        let q = q.clamp(0.0, 1.0);
-        let nb = self.num_buckets() as f64;
-        let pos = q * nb;
-        let bucket = (pos.floor() as usize).min(self.num_buckets() - 1);
-        let frac = pos - bucket as f64;
-        let lo = self.boundaries[bucket] as f64;
-        let hi = self.boundaries[bucket + 1] as f64;
-        (lo + frac * (hi - lo)) as Value
-    }
-}
-
-impl CdfModel for HistogramCdf {
-    fn cdf(&self, v: Value) -> f64 {
+    /// Estimated fraction of values `<= v`: monotonically non-decreasing in
+    /// `v` and within `[0, 1]`.
+    pub fn cdf(&self, v: Value) -> f64 {
         let n = self.num_buckets();
         if v < self.boundaries[0] {
             return 0.0;
@@ -138,7 +116,16 @@ impl CdfModel for HistogramCdf {
         (bucket as f64 + within) / n as f64
     }
 
-    fn size_bytes(&self) -> usize {
+    /// Maps a value to one of `p` equal-CDF-mass partitions:
+    /// `floor(CDF(v) * p)`, clamped to `p - 1` (§2.2).
+    pub fn partition(&self, v: Value, p: usize) -> usize {
+        debug_assert!(p > 0);
+        let raw = (self.cdf(v) * p as f64).floor() as isize;
+        raw.clamp(0, p as isize - 1) as usize
+    }
+
+    /// Approximate size of the model in bytes (for index-size accounting).
+    pub fn size_bytes(&self) -> usize {
         self.boundaries.len() * std::mem::size_of::<Value>()
     }
 }
@@ -183,16 +170,6 @@ mod tests {
         let min = *counts.iter().min().unwrap();
         // Equi-depth modeling keeps partitions within a reasonable factor.
         assert!(max <= min * 4 + 200, "min {min} max {max}");
-    }
-
-    #[test]
-    fn quantile_roughly_inverts_cdf() {
-        let values: Vec<Value> = (0..1000).map(|v| v * 10).collect();
-        let m = HistogramCdf::build(&values, 32);
-        for &q in &[0.1, 0.25, 0.5, 0.75, 0.9] {
-            let v = m.quantile(q);
-            assert!((m.cdf(v) - q).abs() < 0.05, "q={q} v={v}");
-        }
     }
 
     #[test]

@@ -8,8 +8,64 @@
 //! functional mapping is encoded in four floating point numbers (slope,
 //! intercept, and the two error bounds) and has negligible storage overhead.
 
-use crate::LinearModel;
 use tsunami_core::Value;
+
+/// A least-squares line `y = slope * x + intercept` — the regression a
+/// mapping is built on (§5.2.1: "we implement the mapping function as a
+/// simple linear regression").
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LinearModel {
+    slope: f64,
+    intercept: f64,
+}
+
+impl LinearModel {
+    /// A constant model (`y = c`), used for degenerate fits.
+    fn constant(c: f64) -> Self {
+        Self {
+            slope: 0.0,
+            intercept: c,
+        }
+    }
+
+    /// Fits a least-squares line to `(x, y)` pairs.
+    ///
+    /// Degenerate inputs (empty, single point, or zero x-variance) fall back
+    /// to a constant model at the mean of `y`.
+    fn fit(xs: &[f64], ys: &[f64]) -> Self {
+        assert_eq!(xs.len(), ys.len());
+        let n = xs.len();
+        if n == 0 {
+            return Self::constant(0.0);
+        }
+        let mean_x = xs.iter().sum::<f64>() / n as f64;
+        let mean_y = ys.iter().sum::<f64>() / n as f64;
+        if n == 1 {
+            return Self::constant(mean_y);
+        }
+        let mut cov = 0.0;
+        let mut var = 0.0;
+        for i in 0..n {
+            let dx = xs[i] - mean_x;
+            cov += dx * (ys[i] - mean_y);
+            var += dx * dx;
+        }
+        if var == 0.0 {
+            return Self::constant(mean_y);
+        }
+        let slope = cov / var;
+        Self {
+            slope,
+            intercept: mean_y - slope * mean_x,
+        }
+    }
+
+    /// Predicted `y` for an `x`.
+    #[inline]
+    fn predict(&self, x: f64) -> f64 {
+        self.slope * x + self.intercept
+    }
+}
 
 /// A linear mapping from a mapped dimension `Y` to a target dimension `X`
 /// with conservative error bounds.
@@ -34,7 +90,7 @@ impl FunctionalMapping {
         }
         let ys: Vec<f64> = mapped_y.iter().map(|&v| v as f64).collect();
         let xs: Vec<f64> = target_x.iter().map(|&v| v as f64).collect();
-        let model = LinearModel::fit_f64(&ys, &xs);
+        let model = LinearModel::fit(&ys, &xs);
         let mut err_lo = 0.0f64;
         let mut err_hi = 0.0f64;
         for i in 0..ys.len() {
@@ -53,25 +109,9 @@ impl FunctionalMapping {
         })
     }
 
-    /// The underlying linear model.
-    pub fn model(&self) -> LinearModel {
-        self.model
-    }
-
     /// The total width of the error band (`err_lo + err_hi`).
     pub fn error_span(&self) -> f64 {
         self.err_lo + self.err_hi
-    }
-
-    /// Whether the mapping is "tight" relative to the target dimension's
-    /// domain: the paper's heuristic uses a functional mapping when the error
-    /// bound is below 10% of the target domain (§5.3.2).
-    pub fn is_tight(&self, target_domain: (Value, Value), fraction: f64) -> bool {
-        let width = (target_domain.1 - target_domain.0) as f64;
-        if width <= 0.0 {
-            return true;
-        }
-        self.error_span() <= fraction * width
     }
 
     /// Maps a filter range `[y_lo, y_hi]` over the mapped dimension into a
@@ -127,6 +167,35 @@ mod tests {
     }
 
     #[test]
+    fn linear_fit_recovers_a_line() {
+        let xs: Vec<f64> = (0..100).map(f64::from).collect();
+        let ys: Vec<f64> = xs.iter().map(|&x| 3.0 * x + 7.0).collect();
+        let m = LinearModel::fit(&xs, &ys);
+        assert!((m.slope - 3.0).abs() < 1e-9);
+        assert!((m.intercept - 7.0).abs() < 1e-6);
+
+        let noisy: Vec<f64> = (xs.iter().enumerate())
+            .map(|(i, &x)| 2.0 * x + 5.0 + if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let m = LinearModel::fit(&xs, &noisy);
+        assert!((m.slope - 2.0).abs() < 0.05);
+        assert!((m.intercept - 5.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn degenerate_linear_fits_fall_back_to_constant() {
+        assert_eq!(LinearModel::fit(&[], &[]), LinearModel::constant(0.0));
+        assert_eq!(
+            LinearModel::fit(&[5.0], &[42.0]),
+            LinearModel::constant(42.0)
+        );
+        // Zero variance in x.
+        let flat = LinearModel::fit(&[3.0, 3.0, 3.0], &[1.0, 2.0, 3.0]);
+        assert_eq!(flat.slope, 0.0);
+        assert!((flat.intercept - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn containment_guarantee_holds_for_all_training_points() {
         let (ys, xs) = correlated_data(25);
         let fm = FunctionalMapping::fit(&ys, &xs).unwrap();
@@ -152,7 +221,6 @@ mod tests {
         let (ys, xs) = correlated_data(5);
         let fm = FunctionalMapping::fit(&ys, &xs).unwrap();
         // domain of X is about [100, 6100]; error should be far below 10%.
-        assert!(fm.is_tight((100, 6100), 0.1));
         assert!(fm.error_span() < 50.0);
     }
 
@@ -162,7 +230,7 @@ mod tests {
         // X only loosely follows Y: huge deterministic deviations.
         let xs: Vec<Value> = ys.iter().map(|&y| y + (y * 7919 % 2000) * 3).collect();
         let fm = FunctionalMapping::fit(&ys, &xs).unwrap();
-        assert!(!fm.is_tight((0, 7000), 0.1));
+        assert!(fm.error_span() > 0.1 * 7000.0);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! captures correlation effects that a uniform-independence assumption would
 //! miss — which is exactly why Flood struggles on correlated data.
 
-use tsunami_cdf::HistogramCdf;
+use crate::cdf::HistogramCdf;
 use tsunami_core::{CostFeatures, CostModel, Dataset, Query, Workload};
 
 /// Estimates cost features for queries against a candidate grid layout using
 /// a data sample.
 #[derive(Debug)]
-pub struct GridCostEstimator<'a> {
+pub(crate) struct GridCostEstimator<'a> {
     /// Per dimension, the candidate partitioning's model over the sample:
     /// its buckets are the partitions.
     models: Vec<HistogramCdf>,
@@ -28,7 +28,7 @@ impl<'a> GridCostEstimator<'a> {
     /// Creates an estimator for a layout built over the *sample* with the
     /// candidate partition counts; `total_rows` scales sample counts up to
     /// the full dataset.
-    pub fn new(sample: &'a Dataset, partitions: &[usize], total_rows: usize) -> Self {
+    pub(crate) fn new(sample: &'a Dataset, partitions: &[usize], total_rows: usize) -> Self {
         let models = (0..sample.num_dims())
             .map(|dim| HistogramCdf::build(sample.column(dim), partitions[dim].max(1)))
             .collect();
@@ -49,7 +49,7 @@ impl<'a> GridCostEstimator<'a> {
     }
 
     /// Estimated cost features for a single query.
-    pub fn features(&self, query: &Query) -> CostFeatures {
+    pub(crate) fn features(&self, query: &Query) -> CostFeatures {
         // Number of cell ranges = number of runs along the last dimension =
         // product of intersecting-partition counts over the prefix dims.
         let d = self.models.len();
@@ -88,7 +88,7 @@ impl<'a> GridCostEstimator<'a> {
     }
 
     /// Predicted average query time over a workload under a cost model.
-    pub fn average_cost(&self, workload: &Workload, cost: &CostModel) -> f64 {
+    pub(crate) fn average_cost(&self, workload: &Workload, cost: &CostModel) -> f64 {
         if workload.is_empty() {
             return 0.0;
         }
@@ -103,7 +103,7 @@ impl<'a> GridCostEstimator<'a> {
 
 /// Convenience: predicted average query time of the partition-count vector
 /// `partitions` for `workload`, using `sample` scaled to `total_rows`.
-pub fn predicted_cost(
+pub(crate) fn predicted_cost(
     sample: &Dataset,
     partitions: &[usize],
     total_rows: usize,

@@ -2,15 +2,15 @@
 
 use std::time::Instant;
 
-use crate::config::FloodConfig;
-use crate::optimizer::optimize_partitions;
+use super::config::FloodConfig;
+use super::optimizer::optimize_partitions;
+use crate::augmented_grid::CellScratch;
+use crate::grid_tree::{dim_bit, with_loose_residual};
+use crate::{AugmentedGrid, Skeleton};
 use tsunami_core::{
     BuildTiming, CostModel, Dataset, MultiDimIndex, Predicate, Query, Result, ScanPlan, ScanSource,
     Successor, TsunamiError, Workload,
 };
-use tsunami_index::augmented_grid::CellScratch;
-use tsunami_index::grid_tree::{dim_bit, with_loose_residual};
-use tsunami_index::{AugmentedGrid, Skeleton};
 use tsunami_store::ColumnStore;
 
 /// The Flood learned multi-dimensional index (§2.2).

@@ -15,19 +15,18 @@
 //! A Flood grid is Tsunami's Augmented Grid with every dimension partitioned
 //! independently, and it is shared in code: [`FloodIndex`] lays its data
 //! out and plans its queries through an all-independent
-//! [`tsunami_index::AugmentedGrid`], and [`optimizer`] runs the Augmented
-//! Grid optimizer's initialization and descent on that skeleton, under
-//! Flood's own sample-based [`estimator`].
+//! [`AugmentedGrid`](crate::AugmentedGrid), and its layout search runs the
+//! Augmented Grid optimizer's initialization and descent on that skeleton,
+//! scored by Flood's own sample-based cost estimator.
 
-pub mod config;
-pub mod estimator;
-pub mod index;
-pub mod optimizer;
+mod config;
+mod estimator;
+mod index;
+mod optimizer;
 
 pub use config::FloodConfig;
 pub use index::FloodIndex;
-pub use optimizer::optimize_partitions;
 
 /// The seed of the data sample a layout is optimized over: fixed, so a
 /// build is a function of its inputs.
-pub(crate) const SEED: u64 = 0xF100D;
+const SEED: u64 = 0xF100D;

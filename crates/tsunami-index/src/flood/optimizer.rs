@@ -9,28 +9,26 @@
 //! dimension ([`initial_partitions`]), then coordinate descent over them
 //! ([`descend_partitions`]) — scored here by Flood's sample-based estimator.
 
-use crate::config::FloodConfig;
-use crate::estimator::predicted_cost;
-use crate::SEED;
+use super::config::FloodConfig;
+use super::estimator::predicted_cost;
+use super::SEED;
+use crate::augmented_grid::optimizer::{descend_partitions, initial_partitions};
+use crate::Skeleton;
 use tsunami_core::sample::sample_dataset;
 use tsunami_core::{CostModel, Dataset, Workload};
-use tsunami_index::augmented_grid::optimizer::{descend_partitions, initial_partitions};
-use tsunami_index::Skeleton;
 
 /// Result of the partition-count optimization.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OptimizedPartitions {
+pub(crate) struct OptimizedPartitions {
     /// The chosen per-dimension partition counts.
-    pub partitions: Vec<usize>,
+    pub(crate) partitions: Vec<usize>,
     /// The predicted average query cost for the chosen counts.
-    pub predicted_cost: f64,
-    /// Number of candidate layouts evaluated.
-    pub evaluations: usize,
+    pub(crate) predicted_cost: f64,
 }
 
 /// Optimizes per-dimension partition counts for a dataset and workload by
 /// gradient descent over the predicted cost.
-pub fn optimize_partitions(
+pub(crate) fn optimize_partitions(
     data: &Dataset,
     workload: &Workload,
     cost: &CostModel,
@@ -42,17 +40,13 @@ pub fn optimize_partitions(
     let dims = skeleton.grid_dims();
     let mut partitions = initial_partitions(&sample, &skeleton, workload, config.max_cells);
     let mut best_cost = predicted_cost(&sample, &partitions, total, workload, cost);
-    let mut evaluations = 1;
     for _ in 0..config.max_iters {
         let improved = descend_partitions(
             &mut partitions,
             &mut best_cost,
             &dims,
             config.max_cells,
-            |p| {
-                evaluations += 1;
-                predicted_cost(&sample, p, total, workload, cost)
-            },
+            |p| predicted_cost(&sample, p, total, workload, cost),
         );
         if !improved {
             break;
@@ -61,7 +55,6 @@ pub fn optimize_partitions(
     OptimizedPartitions {
         partitions,
         predicted_cost: best_cost,
-        evaluations,
     }
 }
 
@@ -105,7 +98,6 @@ mod tests {
         let init_cost = predicted_cost(&sample, &init, d.len(), &w, &cost);
         let opt = optimize_partitions(&d, &w, &cost, &cfg);
         assert!(opt.predicted_cost <= init_cost * 1.001);
-        assert!(opt.evaluations >= 1);
         assert!(opt.partitions.iter().product::<usize>() <= cfg.max_cells);
     }
 

@@ -69,14 +69,14 @@ pub const MERGE_TOLERANCE: f64 = 0.10;
 /// width share its top bit, so a mask is zero exactly when no dimension is
 /// set, for a table of any width; what a wide table loses is telling its
 /// dimensions past 127 apart.
-pub fn dim_bit(dim: usize) -> u128 {
+pub(crate) fn dim_bit(dim: usize) -> u128 {
     1 << dim.min(127)
 }
 
 /// Residual elimination from a mask of the dimensions a plan does not
 /// guarantee ([`dim_bit`]): the plan re-checks only the query's predicates
 /// on those dimensions, and on every dimension past the mask's width.
-pub fn with_loose_residual(plan: ScanPlan, query: &Query, loose: u128) -> ScanPlan {
+pub(crate) fn with_loose_residual(plan: ScanPlan, query: &Query, loose: u128) -> ScanPlan {
     let mut guaranteed = [false; 128];
     for p in query.predicates() {
         if let Some(g) = guaranteed.get_mut(p.dim) {
@@ -96,10 +96,10 @@ pub struct Region<'a> {
 
 impl Region<'_> {
     /// How a query's filter rectangle meets this region: `None` when they
-    /// are disjoint, else the mask ([`dim_bit`]) of the filtered dimensions
-    /// on which the region reaches outside the predicate — zero when the
-    /// region is entirely contained in the query. A predicate on a dimension
-    /// the region does not have matches nothing.
+    /// are disjoint, else the mask (bit `min(dim, 127)` per dimension) of the
+    /// filtered dimensions on which the region reaches outside the predicate
+    /// — zero when the region is entirely contained in the query. A
+    /// predicate on a dimension the region does not have matches nothing.
     pub fn overlap(&self, query: &Query) -> Option<u128> {
         let mut loose = 0;
         for p in query.predicates() {

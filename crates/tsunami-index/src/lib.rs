@@ -26,6 +26,17 @@
 //! [`OptimizerKind::Independent`] gives every region Flood's all-independent
 //! grid.
 //!
+//! Two more modules complete the crate's learned indexes:
+//!
+//! * [`cdf`] — the per-dimension models both grids partition with: the
+//!   equi-depth [`cdf::HistogramCdf`], and the correlation-aware
+//!   [`cdf::FunctionalMapping`] and [`cdf::ConditionalCdf`] (§5.2).
+//! * [`flood`] — the Flood baseline (§2.2): [`FloodIndex`] is one
+//!   all-independent Augmented Grid over the whole table, planned through
+//!   the same cell enumeration as Tsunami's grids, with partition counts
+//!   chosen by the Augmented Grid optimizer's descent under Flood's own
+//!   sample-based estimator ([`FloodConfig`]).
+//!
 //! # Layout granularity floor
 //!
 //! No Augmented-Grid cell is planned finer than a quarter of the executor's
@@ -125,8 +136,10 @@
 //! ```
 
 pub mod augmented_grid;
+pub mod cdf;
 pub mod config;
 pub mod cube;
+pub mod flood;
 pub mod grid_tree;
 pub mod index;
 pub mod query_types;
@@ -135,6 +148,7 @@ pub mod shift;
 pub use augmented_grid::{AugmentedGrid, DimStrategy, OptimizerKind, Skeleton};
 pub use config::TsunamiConfig;
 pub use cube::{CubeEntry, DimAgg, RegionCube};
+pub use flood::{FloodConfig, FloodIndex};
 pub use grid_tree::GridTree;
 pub use index::{DeleteReport, TsunamiIndex, TsunamiStats};
 // Lives in `tsunami-core` so `MultiDimIndex::ingest_batch` can carry it.

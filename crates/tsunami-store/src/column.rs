@@ -8,8 +8,8 @@
 //! prefix stays a raw `Vec<u64>`. Appends go to the plain tail, so ingest
 //! never pays encode cost; [`Column::encode_blocks`] (called by index
 //! build/graft/compaction) packs the accumulated full blocks. Any mutation
-//! that moves rows ([`Column::select`], [`Column::permute_range`],
-//! [`Column::drop_range_except`]) first decodes the affected suffix, which
+//! that moves rows ([`Column::select`], [`Column::permute_range`]) first
+//! decodes the affected suffix, which
 //! also keeps block metadata trivially consistent: an encoded block's
 //! contents never change after encoding.
 //!
@@ -236,27 +236,6 @@ impl Column {
         slice.copy_from_slice(&reordered);
     }
 
-    /// Removes the rows of `range` that are not listed in `keep` (absolute
-    /// row indices inside `range`, ascending); rows after the range shift
-    /// down to close the gap. This is compaction's storage primitive —
-    /// min/max are recomputed, since removal can tighten them (this is where
-    /// bounds staled by tombstone deletes snap back to the live data).
-    pub fn drop_range_except(&mut self, range: std::ops::Range<usize>, keep: &[usize]) {
-        debug_assert!(range.end <= self.len());
-        debug_assert!(keep.iter().all(|&i| range.contains(&i)));
-        self.decode_from(range.start / BLOCK_ROWS);
-        let covered = self.packed.len() * BLOCK_ROWS;
-        let mut out = range.start - covered;
-        for &i in keep {
-            self.values[out] = self.values[i - covered];
-            out += 1;
-        }
-        self.values.copy_within(range.end - covered.., out);
-        let removed = range.len() - keep.len();
-        self.values.truncate(self.values.len() - removed);
-        self.recompute_bounds();
-    }
-
     fn recompute_bounds(&mut self) {
         let mut bounds = min_max(&self.values);
         for eb in self.packed.iter() {
@@ -342,19 +321,6 @@ mod tests {
         c.select(&[3, 1, 0, 2]);
         assert_eq!(c.values(), &[40, 20, 10, 30]);
         assert_eq!(c.get(0), 40);
-    }
-
-    #[test]
-    fn drop_range_except_compacts_and_retightens_bounds() {
-        let mut c = Column::new(vec![10, 99, 30, 99, 50, 60]);
-        // Drop rows 1 and 3 of range 0..5, keeping 0, 2, 4; the tail (60)
-        // shifts down.
-        c.drop_range_except(0..5, &[0, 2, 4]);
-        assert_eq!(c.values(), &[10, 30, 50, 60]);
-        assert_eq!((c.min(), c.max()), (Some(10), Some(60)));
-        // Keeping everything is a no-op.
-        c.drop_range_except(1..3, &[1, 2]);
-        assert_eq!(c.values(), &[10, 30, 50, 60]);
     }
 
     #[test]
@@ -450,18 +416,6 @@ mod tests {
         }
         assert_eq!(clone.get(BLOCK_ROWS + 5), original.get(BLOCK_ROWS + 6));
         assert_eq!(clone.get(7), original.get(7));
-    }
-
-    #[test]
-    fn drop_range_except_works_across_encoded_blocks() {
-        let n = 2 * BLOCK_ROWS;
-        let mut c = encoded_column(n);
-        let keep: Vec<usize> = (0..n).filter(|&i| i % 2 == 0).collect();
-        c.drop_range_except(0..n, &keep);
-        assert_eq!(c.len(), n / 2);
-        for (new_row, &old_row) in keep.iter().enumerate() {
-            assert_eq!(c.get(new_row), (old_row as u64) * 3 % 2048);
-        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub struct ColumnStore {
     /// Deletion bitmap: one bit per physical row, set = tombstoned. The
     /// executor ANDs liveness into every selection (see
     /// [`ScanSource::tombstones`]); bits travel with rows through every
-    /// permutation and are physically dropped only by
-    /// [`ColumnStore::drop_deleted_in`] (compaction).
+    /// permutation and are physically dropped only by a
+    /// [`ColumnStore::select`] that leaves their rows out (compaction).
     tombstones: TombstoneSet,
 }
 
@@ -121,23 +121,6 @@ impl ColumnStore {
         self.tombstones.extend_live(data.len());
     }
 
-    /// Stably sorts the rows of `range` by their value in dimension `dim`,
-    /// leaving rows outside the range untouched. This is the per-region
-    /// ingest primitive for sorted layouts: after appending rows at the tail
-    /// of a region's slice, one `sort_range` restores the region's order —
-    /// and because the slice is two sorted runs (old rows, then new rows),
-    /// the stable sort degenerates to a cheap merge.
-    pub fn sort_range(&mut self, range: Range<usize>, dim: usize) {
-        assert!(
-            range.end <= self.len && dim < self.num_dims(),
-            "sort range and dimension must be in bounds"
-        );
-        let keys = self.columns[dim].decode_range(range.clone());
-        let mut perm: Vec<usize> = (0..keys.len()).collect();
-        perm.sort_by_key(|&i| keys[i]);
-        self.permute_range(range.start, &perm);
-    }
-
     /// Reorders rows *within* `base..base + perm.len()` only: new row
     /// `base + i` holds what was at row `base + perm[i]` (local indices).
     /// Rows outside the range are untouched. This is the incremental
@@ -229,8 +212,8 @@ impl ColumnStore {
 
     /// Tombstones every live row matching all of the query's predicates.
     /// Returns the number of rows newly deleted. The rows keep their
-    /// physical slots (scans skip them via the bitmap) until a
-    /// [`ColumnStore::drop_deleted_in`] compaction removes them.
+    /// physical slots (scans skip them via the bitmap) until a compaction — a
+    /// [`ColumnStore::select`] of the live rows — removes them.
     ///
     /// The scan goes a [`BLOCK_ROWS`] block at a time: a block whose encoded
     /// bounds exclude a predicate is skipped undecoded, the rest decode only
@@ -260,29 +243,6 @@ impl ColumnStore {
             }
         }
         newly
-    }
-
-    /// Physically removes the tombstoned rows of `range`: live rows inside
-    /// compact down, rows after the range shift left, and the store shrinks.
-    /// Returns the number of rows removed. Callers owning row ranges (region
-    /// indexes) must re-base everything after `range.start` themselves.
-    pub fn drop_deleted_in(&mut self, range: Range<usize>) -> usize {
-        assert!(range.end <= self.len, "compaction range must be in bounds");
-        let keep: Vec<usize> = range
-            .clone()
-            .filter(|&r| !self.tombstones.is_deleted(r))
-            .collect();
-        let removed = range.len() - keep.len();
-        if removed == 0 {
-            return 0;
-        }
-        for c in &mut self.columns {
-            c.drop_range_except(range.clone(), &keep);
-        }
-        let t_removed = self.tombstones.remove_deleted_in(range);
-        debug_assert_eq!(t_removed, removed);
-        self.len -= removed;
-        removed
     }
 
     /// Copies the live rows of a contiguous physical range out as a logical
@@ -488,18 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_range_orders_a_slice_by_one_dimension() {
-        let ds =
-            Dataset::from_columns(vec![vec![5, 3, 9, 1, 7], vec![50, 30, 90, 10, 70]]).unwrap();
-        let mut s = ColumnStore::from_dataset(&ds);
-        // Sort only the middle three rows by dim 0; the ends stay put.
-        s.sort_range(1..4, 0);
-        assert_eq!(s.column(0).values(), &[5, 1, 3, 9, 7]);
-        // Rows stay aligned across columns.
-        assert_eq!(s.column(1).values(), &[50, 10, 30, 90, 70]);
-    }
-
-    #[test]
     fn out_of_bounds_ranges_are_clamped() {
         let s = store();
         let q = Query::count(vec![]).unwrap();
@@ -601,21 +549,18 @@ mod tests {
         let q = Query::count(vec![]).unwrap();
         assert_eq!(full_scan(&s, &q), AggResult::Count(95));
         // Reorder a slice containing deleted rows; results unchanged.
-        s.sort_range(90..100, 0);
+        let reversed: Vec<usize> = (0..10).rev().collect();
+        s.permute_range(90, &reversed);
         assert_eq!(full_scan(&s, &q), AggResult::Count(95));
         assert_eq!(s.tombstones().deleted(), 5);
     }
 
     #[test]
-    fn drop_deleted_in_compacts_physically() {
+    fn selecting_the_live_rows_compacts_physically() {
         let mut s = store();
         let del = Query::count(vec![Predicate::range(0, 40, 59).unwrap()]).unwrap();
         assert_eq!(s.delete_where(&del), 20);
-        // Compact only the first half: 10 dead rows (40..50) go away.
-        assert_eq!(s.drop_deleted_in(0..50), 10);
-        assert_eq!((s.len(), s.live_len()), (90, 80));
-        // Full compaction clears the rest.
-        assert_eq!(s.drop_deleted_in(0..90), 10);
+        s.select(&s.tombstones().live_rows());
         assert_eq!((s.len(), s.live_len()), (80, 80));
         assert!(!s.tombstones().any());
         let q = Query::count(vec![]).unwrap();
@@ -766,9 +711,9 @@ mod tests {
             assert_eq!(full_scan(&enc, &q), full_scan(&plain, &q), "{q:?} deleted2");
         }
         // Compaction decodes, drops dead rows, and re-encodes.
-        let r1 = enc.drop_deleted_in(0..enc.len());
-        let r2 = plain.drop_deleted_in(0..plain.len());
-        assert_eq!(r1, r2);
+        assert_eq!(enc.tombstones().live_rows(), plain.tombstones().live_rows());
+        enc.select(&enc.tombstones().live_rows());
+        plain.select(&plain.tombstones().live_rows());
         enc.encode_blocks_with(&EncodePolicy::default());
         assert!(enc.encoding_stats().0 > 0, "re-encoded after compaction");
         for q in queries() {

@@ -7,8 +7,8 @@
 //! Run with: `cargo run --release --example correlated_sensors`
 
 use tsunami_core::{CostModel, TsunamiError};
-use tsunami_flood::FloodConfig;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
+use tsunami_index::FloodConfig;
 use tsunami_index::TsunamiConfig;
 use tsunami_suite::{Database, IndexSpec};
 use tsunami_workloads::perfmon;

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example taxi_analytics`
 
-use tsunami_core::{CostModel, TsunamiError};
-use tsunami_flood::FloodConfig;
+use tsunami_core::TsunamiError;
+use tsunami_index::FloodConfig;
 use tsunami_index::TsunamiConfig;
 use tsunami_suite::{Database, IndexSpec, PageSize, Scheduler};
 use tsunami_workloads::taxi;
@@ -36,18 +36,16 @@ fn main() -> Result<(), TsunamiError> {
         workload.group_by_filtered_dims().len()
     );
 
-    // The default cost model keeps the demo deterministic across machines.
-    // (`CostModel::calibrate()` measures the host instead; on hosts where it
-    // reports a very low w0/w1 ratio the optimizer trades ranges for cells
-    // aggressively, which can blow up layout size — tune with care.)
-    let cost = CostModel::default();
+    // Every build prices layouts with the default analytic cost model, which
+    // keeps the demo deterministic across machines.
+    let mut db = Database::new();
+    let cost = db.cost_model();
     println!(
         "cost model: w0={:.1}ns/range w1={:.2}ns/value",
         cost.w0, cost.w1
     );
 
     // Register the same dataset under three index families.
-    let mut db = Database::with_cost_model(cost);
     for spec in [
         IndexSpec::Tsunami(tsunami_config()),
         IndexSpec::Flood(flood_config()),

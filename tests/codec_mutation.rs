@@ -23,7 +23,7 @@ use tsunami_core::{
 };
 use tsunami_engine::durability::{decode_spec, encode_spec};
 use tsunami_engine::{IndexSpec, PageSize, ShardedDatabase};
-use tsunami_flood::FloodConfig;
+use tsunami_index::FloodConfig;
 use tsunami_index::{OptimizerKind, TsunamiConfig};
 use tsunami_server::protocol::{code, read_frame, write_frame, FrameRead, DEFAULT_MAX_FRAME};
 use tsunami_server::{Request, Response, Server, ServerConfig, WireError};

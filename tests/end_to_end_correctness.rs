@@ -4,7 +4,7 @@
 //! every generated dataset/workload bundle.
 
 use tsunami_core::{TsunamiError, Workload};
-use tsunami_flood::FloodConfig;
+use tsunami_index::FloodConfig;
 use tsunami_index::TsunamiConfig;
 use tsunami_suite::{Database, IndexSpec};
 use tsunami_workloads::DatasetBundle;

@@ -10,7 +10,7 @@ use tsunami_core::sample::SplitMix;
 use tsunami_core::{
     Aggregation, Dataset, MultiDimIndex, Point, Predicate, Query, TsunamiError, Workload,
 };
-use tsunami_flood::FloodConfig;
+use tsunami_index::FloodConfig;
 use tsunami_index::{OptimizerKind, TsunamiConfig, TsunamiIndex};
 use tsunami_suite::{Database, IndexSpec, Table};
 use tsunami_workloads::{synthetic, tpch};

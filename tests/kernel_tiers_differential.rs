@@ -24,7 +24,7 @@ use tsunami_core::{
     AggResult, Aggregation, CostModel, Dataset, MultiDimIndex, Predicate, Query, ScanCounters,
     Workload,
 };
-use tsunami_flood::{FloodConfig, FloodIndex};
+use tsunami_index::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 use tsunami_store::{ColumnStore, EncodePolicy};
 
@@ -371,7 +371,8 @@ fn encoded_plain_and_mixed_stores_stay_bit_identical_under_deletes_and_compactio
     // block boundaries, so every block is rebuilt from scratch.
     for (label, store, policy) in &mut stores {
         let n = store.len();
-        let removed = store.drop_deleted_in(0..n);
+        let removed = n - store.live_len();
+        store.select(&store.tombstones().live_rows());
         assert!(removed > 0, "{label} compaction removed nothing");
         assert_eq!(store.tombstones().deleted(), 0);
         store.encode_blocks_with(policy);

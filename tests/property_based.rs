@@ -6,10 +6,10 @@
 //! tests drive the same invariants with an explicit seed loop (deterministic,
 //! and the failing seed is part of every assertion message).
 
-use tsunami_cdf::{CdfModel, FunctionalMapping, HistogramCdf};
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{CostModel, Dataset, Predicate, Query, Workload};
-use tsunami_flood::FloodConfig;
+use tsunami_index::cdf::{FunctionalMapping, HistogramCdf};
+use tsunami_index::FloodConfig;
 use tsunami_index::TsunamiConfig;
 use tsunami_suite::{IndexSpec, PageSize};
 

@@ -14,7 +14,7 @@ use tsunami_core::sample::SplitMix;
 use tsunami_core::{
     AggResult, Aggregation, CostModel, Dataset, MultiDimIndex, Predicate, Query, Workload,
 };
-use tsunami_flood::{FloodConfig, FloodIndex};
+use tsunami_index::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
 
 mod common;

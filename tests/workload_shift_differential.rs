@@ -8,7 +8,7 @@
 
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{Aggregation, Dataset, Predicate, Query, TsunamiError, Workload};
-use tsunami_flood::FloodConfig;
+use tsunami_index::FloodConfig;
 use tsunami_index::TsunamiConfig;
 use tsunami_suite::{Database, IndexSpec, Table};
 use tsunami_workloads::{synthetic, tpch};
