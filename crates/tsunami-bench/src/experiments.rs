@@ -619,7 +619,7 @@ pub fn fig10(config: &HarnessConfig) -> String {
             "avg points scanned",
         ],
     );
-    let rows = config.rows.min(40_000);
+    let rows = config.rows;
     for &dims in &[4usize, 8, 12, 16, 20] {
         for (group, data) in [
             (
@@ -687,8 +687,7 @@ pub fn fig11b(config: &HarnessConfig) -> String {
             "avg query (us)",
         ],
     );
-    let rows = config.rows.min(50_000);
-    let data = synthetic::correlated(rows, 8, config.seed);
+    let data = synthetic::correlated(config.rows, 8, config.seed);
     let base = synthetic::workload(&data, config.queries_per_type, config.seed ^ 7);
     for &factor in &[0.1f64, 0.5, 1.0, 4.0, 16.0] {
         let workload = synthetic::scale_selectivity(&base, factor);

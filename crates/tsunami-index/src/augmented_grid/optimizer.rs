@@ -120,6 +120,7 @@ pub fn heuristic_skeleton(sample: &Dataset) -> Skeleton {
         return Skeleton::new_unchecked(strategies);
     }
 
+    let parts = partition_columns(sample, 16);
     for (dim, strategy) in strategies.iter_mut().enumerate() {
         // Candidate targets/bases, best-first.
         let mut best_fm: Option<(usize, f64)> = None;
@@ -139,7 +140,7 @@ pub fn heuristic_skeleton(sample: &Dataset) -> Skeleton {
             }
             // Conditional CDF candidate: fraction of empty cells in the
             // (dim, other) hyperplane under independent partitioning.
-            let empty = empty_cell_fraction(sample, dim, other, 16);
+            let empty = empty_cell_fraction(&parts[dim], &parts[other], 16);
             if empty > CCDF_EMPTY_FRACTION && best_ccdf.is_none_or(|(_, e)| empty > e) {
                 best_ccdf = Some((other, empty));
             }
@@ -154,25 +155,35 @@ pub fn heuristic_skeleton(sample: &Dataset) -> Skeleton {
     repair_skeleton(strategies)
 }
 
-/// Fraction of cells in the `dim x other` hyperplane (with `p x p`
-/// equi-depth partitions) that contain no sample points. High emptiness means
-/// the two dimensions are correlated and a conditional CDF would help.
+/// Every column of `sample` mapped to its `p` equal-mass partitions: one
+/// [`HistogramCdf`] fit per column, and `parts[dim][r]` is row `r`'s
+/// partition on `dim`.
 ///
 /// A partition is one of the CDF's `p` equal-mass slices
 /// ([`HistogramCdf::partition`]), not a histogram bucket: ties can leave a
 /// column fewer than `p` buckets, and counting buckets would change which
 /// skeletons the heuristic picks.
-pub fn empty_cell_fraction(sample: &Dataset, dim: usize, other: usize, p: usize) -> f64 {
-    if sample.is_empty() {
+fn partition_columns(sample: &Dataset, p: usize) -> Vec<Vec<usize>> {
+    (0..sample.num_dims())
+        .map(|dim| {
+            let column = sample.column(dim);
+            let model = HistogramCdf::build(column, p);
+            column.iter().map(|&v| model.partition(v, p)).collect()
+        })
+        .collect()
+}
+
+/// Fraction of cells in the `a x b` hyperplane (with `p x p` equi-depth
+/// partitions, from [`partition_columns`]) that contain no sample points.
+/// High emptiness means the two dimensions are correlated and a conditional
+/// CDF would help.
+fn empty_cell_fraction(a: &[usize], b: &[usize], p: usize) -> f64 {
+    if a.is_empty() {
         return 0.0;
     }
-    let ma = HistogramCdf::build(sample.column(dim), p);
-    let mb = HistogramCdf::build(sample.column(other), p);
     let mut occupied = vec![false; p * p];
-    for r in 0..sample.len() {
-        let a = ma.partition(sample.get(r, dim), p);
-        let b = mb.partition(sample.get(r, other), p);
-        occupied[a * p + b] = true;
+    for (&x, &y) in a.iter().zip(b) {
+        occupied[x * p + y] = true;
     }
     let filled = occupied.iter().filter(|&&o| o).count();
     1.0 - filled as f64 / (p * p) as f64
@@ -676,8 +687,9 @@ mod tests {
     #[test]
     fn empty_cell_fraction_flags_correlated_pairs() {
         let data = correlated_data(4_000, 92);
-        let corr = empty_cell_fraction(&data, 1, 0, 16);
-        let indep = empty_cell_fraction(&data, 3, 0, 16);
+        let parts = partition_columns(&data, 16);
+        let corr = empty_cell_fraction(&parts[1], &parts[0], 16);
+        let indep = empty_cell_fraction(&parts[3], &parts[0], 16);
         assert!(
             corr > 0.5,
             "correlated pair should leave many empty cells: {corr}"
@@ -699,7 +711,48 @@ mod tests {
         let sample = Dataset::from_columns(vec![column.clone(), column]).unwrap();
         // The two equal columns fill the diagonal: nine of the 16 x 16 cells
         // (three, had the fraction counted buckets).
-        assert_eq!(empty_cell_fraction(&sample, 0, 1, 16), 1.0 - 9.0 / 256.0);
+        let parts = partition_columns(&sample, 16);
+        assert_eq!(
+            empty_cell_fraction(&parts[0], &parts[1], 16),
+            1.0 - 9.0 / 256.0
+        );
+    }
+
+    #[test]
+    fn occupancy_over_shared_partition_columns_matches_a_fit_per_pair() {
+        // The reference fits both columns' CDFs afresh for every ordered
+        // pair, as the heuristic once did; sharing one fit per column must
+        // not move a single pair's fraction.
+        let per_pair = |sample: &Dataset, dim: usize, other: usize| {
+            let ma = HistogramCdf::build(sample.column(dim), 16);
+            let mb = HistogramCdf::build(sample.column(other), 16);
+            let mut occupied = [false; 16 * 16];
+            for r in 0..sample.len() {
+                let a = ma.partition(sample.get(r, dim), 16);
+                let b = mb.partition(sample.get(r, other), 16);
+                occupied[a * 16 + b] = true;
+            }
+            1.0 - occupied.iter().filter(|&&o| o).count() as f64 / 256.0
+        };
+        let ties: Vec<u64> = std::iter::repeat_n(0, 56).chain(1..=8).collect();
+        let fixtures = [
+            correlated_data(4_000, 92),
+            sample_dataset(&correlated_data(4_000, 91), 1_000, 1),
+            Dataset::from_columns(vec![ties.clone(), ties.iter().rev().copied().collect()])
+                .unwrap(),
+        ];
+        for sample in &fixtures {
+            let parts = partition_columns(sample, 16);
+            for dim in 0..sample.num_dims() {
+                for other in (0..sample.num_dims()).filter(|&o| o != dim) {
+                    assert_eq!(
+                        empty_cell_fraction(&parts[dim], &parts[other], 16),
+                        per_pair(sample, dim, other),
+                        "pair ({dim}, {other})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

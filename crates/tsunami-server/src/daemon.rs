@@ -16,7 +16,7 @@
 //! also carries query scans.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use tsunami_core::exec::pool::ThreadPool;
 use tsunami_engine::ShardedDatabase;
@@ -46,7 +46,9 @@ struct Inner {
 impl ReoptDaemon {
     /// A daemon over `db` firing every `watermark` operations (`0` = never).
     pub fn new(db: Arc<RwLock<ShardedDatabase>>, watermark: u64) -> Self {
-        let pool = Arc::clone(db.read().unwrap().pool());
+        // Only the pool handle is read, which a panicked writer cannot have
+        // left half-made.
+        let pool = Arc::clone(db.read().unwrap_or_else(PoisonError::into_inner).pool());
         Self {
             inner: Arc::new(Inner {
                 db,
@@ -78,11 +80,19 @@ impl ReoptDaemon {
         inner.since.store(0, Ordering::Relaxed);
         let task = Arc::clone(inner);
         inner.pool.spawn(move || {
-            let applied = task.db.write().unwrap().auto_reoptimize_all().unwrap_or(0);
+            // Clears `in_flight` on every way out, a panicking pass included,
+            // so one bad pass cannot stop the daemon for good.
+            let _landed = Landed(&task.in_flight);
+            // A poisoned lock means a writer panicked mid-mutation: there is
+            // nothing safe to re-optimize, and the served requests already
+            // answer errors.
+            let applied = match task.db.write() {
+                Ok(mut db) => db.auto_reoptimize_all().unwrap_or(0),
+                Err(_) => 0,
+            };
             task.reoptimized
                 .fetch_add(applied as u64, Ordering::Relaxed);
             task.passes.fetch_add(1, Ordering::Release);
-            task.in_flight.store(false, Ordering::Release);
         });
     }
 
@@ -106,6 +116,15 @@ impl ReoptDaemon {
         while self.inner.in_flight.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
+    }
+}
+
+/// Marks the in-flight pass finished when dropped.
+struct Landed<'a>(&'a AtomicBool);
+
+impl Drop for Landed<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
     }
 }
 

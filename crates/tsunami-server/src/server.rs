@@ -316,15 +316,21 @@ fn serve(
         } => {
             stats.queries.fetch_add(1, Ordering::Relaxed);
             daemon.notify(1);
-            let result = (|| {
-                let query = Query::new(predicates, aggregation)?;
-                // Take the read lock only long enough to snapshot a handle;
-                // execution proceeds lock-free so a slow scan cannot starve
-                // writers.
-                let handle = db.read().unwrap().table(&table)?;
+            let query = match Query::new(predicates, aggregation) {
+                Ok(query) => query,
+                Err(e) => return error_response(e, stats),
+            };
+            // Take the read lock only long enough to snapshot a handle;
+            // execution proceeds lock-free so a slow scan cannot starve
+            // writers.
+            let handle = match db.read() {
+                Ok(db) => db.table(&table),
+                Err(_) => return poisoned_response(stats),
+            };
+            let result = handle.and_then(|handle| {
                 handle.record_query(&query)?;
                 handle.execute(&query)
-            })();
+            });
             match result {
                 Ok(r) => Response::Result(r),
                 Err(e) => error_response(e, stats),
@@ -332,7 +338,10 @@ fn serve(
         }
         Request::Insert { table, rows } => {
             daemon.notify(rows.len() as u64);
-            match db.write().unwrap().insert_batch(&table, &rows) {
+            let Ok(mut db) = db.write() else {
+                return poisoned_response(stats);
+            };
+            match db.insert_batch(&table, &rows) {
                 Ok(()) => {
                     stats
                         .rows_inserted
@@ -345,10 +354,95 @@ fn serve(
     }
 }
 
+/// The answer to every request once a writer panicked holding the database
+/// lock: the tables may be half-mutated, so nothing reads or writes them
+/// again, and each request gets this error instead of a panic of its own.
+fn poisoned_response(stats: &ServerStats) -> Response {
+    stats.errors.fetch_add(1, Ordering::Relaxed);
+    Response::Error {
+        code: code::INTERNAL,
+        message: "database lock poisoned: an earlier write panicked holding it".to_string(),
+    }
+}
+
 fn error_response(e: TsunamiError, stats: &ServerStats) -> Response {
     stats.errors.fetch_add(1, Ordering::Relaxed);
     Response::Error {
         code: error_code(&e),
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+    use tsunami_core::{Aggregation, Dataset, Predicate, Workload};
+    use tsunami_engine::IndexSpec;
+
+    #[test]
+    fn a_poisoned_database_lock_answers_typed_errors() {
+        let rows = Dataset::from_columns(vec![(0..100).collect(), (0..100).rev().collect()]);
+        let mut sharded = ShardedDatabase::new(2);
+        sharded
+            .create_table(
+                "t",
+                &["a", "b"],
+                &rows.unwrap(),
+                &Workload::default(),
+                &IndexSpec::FullScan,
+            )
+            .unwrap();
+        let db = Arc::new(RwLock::new(sharded));
+        // Disabled here, so the requests below spawn no pass of their own.
+        let daemon = ReoptDaemon::new(Arc::clone(&db), 0);
+        let stats = ServerStats::default();
+        let query = || Request::Query {
+            table: "t".to_string(),
+            predicates: vec![Predicate::range(0, 10, 19).unwrap()],
+            aggregation: Aggregation::Count,
+        };
+        let insert = || Request::Insert {
+            table: "t".to_string(),
+            rows: vec![vec![7, 7]],
+        };
+        assert!(matches!(
+            serve(query(), &db, &daemon, &stats),
+            Response::Result(_)
+        ));
+        assert_eq!(serve(insert(), &db, &daemon, &stats), Response::Inserted(1));
+
+        // A writer panics while it holds the lock.
+        let writer = Arc::clone(&db);
+        let panicked = std::thread::spawn(move || {
+            let _db = writer.write().unwrap();
+            panic!("a write panics mid-mutation");
+        })
+        .join();
+        assert!(panicked.is_err() && db.is_poisoned());
+
+        // Every later request is answered with a typed error, not a panic.
+        for request in [query(), insert(), query()] {
+            match serve(request, &db, &daemon, &stats) {
+                Response::Error { code, message } => {
+                    assert_eq!(code, code::INTERNAL);
+                    assert!(message.contains("poisoned"), "{message}");
+                }
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+        }
+        assert_eq!(stats.errors.load(Ordering::Relaxed), 3);
+
+        // A daemon's passes over the poisoned lock still land, so it keeps
+        // running instead of staying in flight for good.
+        let daemon = ReoptDaemon::new(Arc::clone(&db), 1);
+        for pass in 1..=2 {
+            daemon.notify(1);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while daemon.passes() < pass {
+                assert!(Instant::now() < deadline, "pass {pass} never landed");
+                std::thread::yield_now();
+            }
+        }
     }
 }
