@@ -6,10 +6,9 @@
 //! repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N] [--out DIR]
 //! ```
 //!
-//! `EXPERIMENT` is one of `table3`, `table4`, `fig7`, `fig7par`,
-//! `fig7sched`, `fig8`, `fig9a`, `fig9b`, `fig10`, `fig11a`, `fig11b`,
-//! `fig12a`, `fig12b`, `fig12kern`, `figmv`, `check-bench`, or `all`
-//! (default). Run in release mode:
+//! `EXPERIMENT` is one of `table3`, `table4`, `fig7`, `fig7par`, `fig8`,
+//! `fig9a`, `fig9b`, `fig10`, `fig11a`, `fig11b`, `fig12a`, `fig12b`,
+//! `fig12kern`, `figmv`, `check-bench`, or `all` (default). Run in release mode:
 //! `cargo run --release -p tsunami-bench --bin repro -- fig7`.
 //!
 //! Four experiments also write a machine-readable file into `--out DIR`
@@ -148,7 +147,7 @@ fn main() {
 
 fn print_usage() {
     eprintln!("usage: repro [EXPERIMENT] [--rows N] [--queries-per-type N] [--seed N] [--out DIR]");
-    eprintln!("experiments: all, table3, table4, fig7, fig7par, fig7sched, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, check-bench");
+    eprintln!("experiments: all, table3, table4, fig7, fig7par, fig8, fig9a, fig9b, fig10, fig11a, fig11b, fig12a, fig12b, fig12kern, figmv, check-bench");
     eprintln!("--out DIR (default ., created if missing): where fig12kern writes BENCH_scan.json, figmv BENCH_matview.json, fig7par BENCH_pool.json and fig9b BENCH_ingest.json");
     eprintln!("check-bench: runs fig12kern + figmv and fails on >2.5x median regressions against bench-baselines/, gates a BENCH_pool.json / BENCH_ingest.json already in --out too, and refuses a file whose experiment or rows differ from its baseline's");
     eprintln!(

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use tsunami_core::{CostModel, Dataset, MultiDimIndex};
-use tsunami_engine::{IndexSpec, Scheduler};
+use tsunami_engine::IndexSpec;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
 use tsunami_index::FloodIndex;
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
@@ -194,71 +194,6 @@ pub fn fig7_parallel(config: &HarnessConfig) -> String {
         &[("workers", threads), ("morsel_rows", morsel_rows)],
         &entries,
     );
-    finish(t)
-}
-
-/// Multi-client throughput: many independent fig7-workload queries executed
-/// concurrently by the engine's [`Scheduler`], sweeping the worker count.
-/// This measures *inter-query* parallelism over the `Sync` store — the
-/// serving-scale complement to `fig7par`'s intra-query parallelism. Since
-/// the scheduler became a facade over the process-wide thread pool,
-/// "workers" is the cap on concurrent drainer tasks, not a thread count —
-/// speedup saturates at `min(workers, pool workers)`. A correctness check
-/// compares every scheduler result against serial execution.
-pub fn fig7_scheduler(config: &HarnessConfig) -> String {
-    let bundles = standard_bundles(config);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let pool_workers = tsunami_core::exec::pool::global().worker_count();
-    let mut t = Table::new(
-        "Fig 7 (scheduler): Multi-client throughput over a Tsunami table (QPS vs workers)",
-        &[
-            "dataset",
-            "workers",
-            "batch QPS",
-            "speedup vs 1 worker",
-            "pool workers",
-            "host cores",
-        ],
-    );
-    // A batch large enough to keep every worker busy for a measurable span.
-    const MIN_BATCH: usize = 512;
-    for b in &bundles {
-        let db = database_for_bundle(b, &[IndexSpec::Tsunami(config.tsunami_config())]);
-        let table = db.table("Tsunami").expect("registered above");
-        let prepared = table.prepare_workload(&b.workload).expect("validated");
-        if prepared.is_empty() {
-            continue;
-        }
-        let mut batch = Vec::with_capacity(MIN_BATCH + prepared.len());
-        while batch.len() < MIN_BATCH {
-            batch.extend(prepared.iter().cloned());
-        }
-        let mut base_qps = f64::NAN;
-        for &workers in &[1usize, 2, 4, 8] {
-            let scheduler = Scheduler::new(workers);
-            // Warm-up, plus the correctness check: scheduler == serial.
-            let warm = scheduler.execute_batch(&prepared).expect("warm-up batch");
-            for (result, q) in warm.iter().zip(&prepared) {
-                assert_eq!(*result, q.execute(), "scheduler diverged from serial");
-            }
-            let start = Instant::now();
-            let results = scheduler.execute_batch(&batch).expect("measured batch");
-            let elapsed = start.elapsed().as_secs_f64();
-            assert_eq!(results.len(), batch.len());
-            let qps = batch.len() as f64 / elapsed.max(1e-12);
-            if workers == 1 {
-                base_qps = qps;
-            }
-            t.add_row(vec![
-                b.name.to_string(),
-                workers.to_string(),
-                fmt_f64(qps),
-                fmt_f64(qps / base_qps),
-                pool_workers.to_string(),
-                host_cores.to_string(),
-            ]);
-        }
-    }
     finish(t)
 }
 
@@ -1369,7 +1304,6 @@ pub fn experiments() -> Vec<(&'static str, Experiment)> {
         ("table4", table4),
         ("fig7", fig7),
         ("fig7par", fig7_parallel),
-        ("fig7sched", fig7_scheduler),
         ("fig8", fig8),
         ("fig9a", fig9a),
         ("fig9b", fig9b),
@@ -1434,7 +1368,6 @@ mod tests {
                 "table4",
                 "fig7",
                 "fig7par",
-                "fig7sched",
                 "fig8",
                 "fig9a",
                 "fig9b",
@@ -1727,17 +1660,6 @@ mod tests {
         ] {
             assert!(out.contains(label), "missing {label} in:\n{out}");
         }
-    }
-
-    #[test]
-    fn fig7_scheduler_sweeps_worker_counts() {
-        let mut cfg = tiny();
-        cfg.rows = 2_000;
-        let out = fig7_scheduler(&cfg);
-        for workers in ["1", "2", "4", "8"] {
-            assert!(out.contains(workers), "missing worker row {workers}");
-        }
-        assert!(out.contains("QPS"));
     }
 
     #[test]

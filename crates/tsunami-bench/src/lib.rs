@@ -9,8 +9,7 @@
 //!
 //! All query-execution experiments run through the `tsunami-engine`
 //! `Database` facade: one table per index family, measured through table
-//! handles. `fig7sched` additionally sweeps the engine's concurrent query
-//! [`tsunami_engine::Scheduler`] (multi-client throughput, QPS vs workers).
+//! handles.
 //!
 //! This crate answers two kinds of question and no others: the paper's
 //! tables and figures, and the four micro-tables whose `BENCH_*.json`

@@ -25,9 +25,9 @@
 //!   backpressure. Tune with [`SchedulerConfig`].
 //! * [`ShardedDatabase`] — hash-partitions a table's rows across K
 //!   independent `Database` shards and scatter-gathers queries through the
-//!   shared pool with commutative merges (AVG as exact sum+count pairs), so
-//!   sharded results stay bit-identical to an unsharded table. This is the
-//!   substrate the `tsunami-server` network front-end serves.
+//!   shared pool, folding the shards' answers into one accumulator (AVG as
+//!   an exact sum over the matched count), so sharded results stay
+//!   bit-identical to an unsharded table. This is the substrate the `tsunami-server` network front-end serves.
 //! * **Workload-shift adaptation** — [`Table::record_query`] feeds a bounded
 //!   observation log, [`Database::auto_reoptimize`] detects drift from the
 //!   optimized-for workload, and [`Database::reindex`] rebuilds the table's

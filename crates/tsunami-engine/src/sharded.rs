@@ -18,29 +18,30 @@
 //!
 //! # Scatter-gather and merge rules
 //!
-//! A query scatters to every shard through a shared [`Scheduler`] (drainer
-//! tasks on the process-wide thread pool) and the per-shard results
-//! merge commutatively:
+//! A query scatters once to every shard through a shared [`Scheduler`]
+//! (drainer tasks on the process-wide thread pool), and each shard's answer
+//! plus its matched-row count fold into one
+//! [`tsunami_core::AggAccumulator`] — the representation the executor's
+//! morsels and the cube's partials fold into:
 //!
-//! | Aggregation | Per-shard sub-query | Merge |
-//! |-------------|---------------------|-------|
-//! | `COUNT`     | `COUNT`             | sum of `u64` counts |
-//! | `SUM(d)`    | `SUM(d)`            | sum of exact `u128` partial sums |
-//! | `MIN(d)`    | `MIN(d)`            | min of non-empty partials |
-//! | `MAX(d)`    | `MAX(d)`            | max of non-empty partials |
-//! | `AVG(d)`    | `SUM(d)` + `COUNT`  | `(Σ sums) as f64 / (Σ counts) as f64` |
+//! | Aggregation | Per-shard sub-query           | Merge |
+//! |-------------|-------------------------------|-------|
+//! | `COUNT`     | `COUNT`                       | sum of matched counts |
+//! | `SUM(d)`    | `SUM(d)`                      | sum of exact `u128` partial sums |
+//! | `MIN(d)`    | `MIN(d)`                      | min of non-empty partials |
+//! | `MAX(d)`    | `MAX(d)`                      | max of non-empty partials |
+//! | `AVG(d)`    | `SUM(d)` + its matched count  | `(Σ sums) as f64 / (Σ matched) as f64` |
 //!
 //! `AVG` never averages averages: each shard reports its exact integer
-//! `SUM`/`COUNT` pair and the division happens once at the gather site —
-//! the same `sum as f64 / count as f64` expression
-//! [`tsunami_core::AggAccumulator::finish`] uses, so sharded results are
+//! `SUM` and the number of rows it matched, and the division happens once in
+//! [`tsunami_core::AggAccumulator::finish`], so sharded results are
 //! bit-identical to an unsharded table over the same rows.
 
 use std::sync::Arc;
 
 use tsunami_core::exec::pool::ThreadPool;
 use tsunami_core::{
-    AggResult, Aggregation, Dataset, Point, Query, Result, TsunamiError, Value, Workload,
+    AggAccumulator, AggResult, Dataset, Point, Query, Result, TsunamiError, Value, Workload,
 };
 
 use crate::database::Database;
@@ -48,6 +49,7 @@ use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::schema::Schema;
 use crate::spec::IndexSpec;
 use crate::table::Table;
+use crate::view::{fold_partial, partial_query};
 
 /// Deterministic shard assignment: FNV-1a 64 over the row's values in
 /// little-endian byte order, modulo `shards`. Exposed so tests and external
@@ -65,13 +67,6 @@ pub fn shard_of(row: &[Value], shards: usize) -> usize {
     (hash % shards.max(1) as u64) as usize
 }
 
-/// Name + build spec of one sharded logical table.
-#[derive(Debug, Clone)]
-struct TableMeta {
-    name: String,
-    spec: IndexSpec,
-}
-
 /// K independent [`Database`] shards behind one logical namespace.
 ///
 /// Created with [`ShardedDatabase::new`]; tables are registered with
@@ -80,7 +75,6 @@ struct TableMeta {
 /// shards. See the module docs for routing and merge semantics.
 pub struct ShardedDatabase {
     shards: Vec<Database>,
-    tables: Vec<TableMeta>,
     scheduler: Arc<Scheduler>,
 }
 
@@ -106,11 +100,7 @@ impl ShardedDatabase {
                 db
             })
             .collect();
-        Self {
-            shards,
-            tables: Vec::new(),
-            scheduler,
-        }
+        Self { shards, scheduler }
     }
 
     /// Number of shards.
@@ -130,15 +120,15 @@ impl ShardedDatabase {
 
     /// Registered logical table names, in registration order.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.iter().map(|t| t.name.clone()).collect()
+        self.shards[0]
+            .tables()
+            .map(|t| t.name().to_string())
+            .collect()
     }
 
     /// Registers a logical table: hash-partitions `rows` across the shards
-    /// and builds one index per shard from `spec`. A shard whose partition
-    /// came up empty falls back to [`IndexSpec::FullScan`] (the learned
-    /// builders optimize over data samples, which an empty partition cannot
-    /// provide); it upgrades to `spec` at the first re-optimization after
-    /// rows arrive.
+    /// and builds one index per shard from `spec`, an empty partition
+    /// included.
     pub fn create_table(
         &mut self,
         name: &str,
@@ -147,7 +137,7 @@ impl ShardedDatabase {
         workload: &Workload,
         spec: &IndexSpec,
     ) -> Result<ShardedTable> {
-        if self.tables.iter().any(|t| t.name == name) {
+        if self.shards[0].table(name).is_ok() {
             return Err(TsunamiError::DuplicateTable(name.to_string()));
         }
         if !columns.is_empty() && columns.len() != rows.num_dims() {
@@ -158,22 +148,13 @@ impl ShardedDatabase {
         }
         let partitions = self.partition(rows);
         for (db, part) in self.shards.iter_mut().zip(&partitions) {
-            let part_spec = if part.is_empty() {
-                IndexSpec::FullScan
-            } else {
-                spec.clone()
-            };
             let data = Dataset::from_rows(rows.num_dims(), part)?;
             if columns.is_empty() {
-                db.create_table_unnamed(name, data, workload, &part_spec)?;
+                db.create_table_unnamed(name, data, workload, spec)?;
             } else {
-                db.create_table(name, columns, data, workload, &part_spec)?;
+                db.create_table(name, columns, data, workload, spec)?;
             }
         }
-        self.tables.push(TableMeta {
-            name: name.to_string(),
-            spec: spec.clone(),
-        });
         self.table(name)
     }
 
@@ -232,22 +213,17 @@ impl ShardedDatabase {
     }
 
     /// Runs [`Database::auto_reoptimize`] on every shard of `name` with the
-    /// spec the table was registered under, skipping still-empty shards.
+    /// spec the shard's table was built from, skipping still-empty shards.
     /// Returns how many shards actually re-optimized (zero when no shard had
     /// drifted — calling this periodically is cheap).
     pub fn auto_reoptimize(&mut self, name: &str) -> Result<usize> {
-        let spec = self
-            .tables
-            .iter()
-            .find(|t| t.name == name)
-            .map(|t| t.spec.clone())
-            .ok_or_else(|| TsunamiError::UnknownTable(name.to_string()))?;
         let mut reoptimized = 0;
         for db in &mut self.shards {
-            if db.table(name)?.num_rows() == 0 {
+            let table = db.table(name)?;
+            let Some(spec) = table.index_spec() else {
                 continue;
-            }
-            if db.auto_reoptimize(name, &spec)?.is_some() {
+            };
+            if table.num_rows() > 0 && db.auto_reoptimize(name, spec)?.is_some() {
                 reoptimized += 1;
             }
         }
@@ -329,76 +305,23 @@ impl ShardedTable {
         &self.shards
     }
 
-    /// Executes a query by scattering it to every shard through the shared
-    /// scheduler and merging the partial results (see the module docs for
-    /// the merge rules). Results are bit-identical to an unsharded table
-    /// holding the same rows.
+    /// Executes a query by scattering it once to every shard through the
+    /// shared scheduler and folding the partial results into one
+    /// accumulator (see the module docs for the merge rules). Results are
+    /// bit-identical to an unsharded table holding the same rows.
     pub fn execute(&self, query: &Query) -> Result<AggResult> {
         query.validate_dims(self.num_columns())?;
-        match query.aggregation() {
-            Aggregation::Avg(dim) => {
-                // AVG is not commutative over per-shard averages; scatter the
-                // exact SUM and COUNT instead and divide once at the gather
-                // site, matching AggAccumulator::finish bit-for-bit.
-                let sums = self.scatter(&Query::new(
-                    query.predicates().to_vec(),
-                    Aggregation::Sum(dim),
-                )?)?;
-                let counts = self.scatter(&Query::new(
-                    query.predicates().to_vec(),
-                    Aggregation::Count,
-                )?)?;
-                let mut sum = 0u128;
-                for s in &sums {
-                    sum += s.as_sum().ok_or_else(|| type_confusion(s))?;
-                }
-                let mut count = 0u64;
-                for c in &counts {
-                    count += c.as_count().ok_or_else(|| type_confusion(c))?;
-                }
-                Ok(AggResult::Avg(if count == 0 {
-                    None
-                } else {
-                    Some(sum as f64 / count as f64)
-                }))
-            }
-            Aggregation::Count => {
-                let partials = self.scatter(query)?;
-                let mut count = 0u64;
-                for p in &partials {
-                    count += p.as_count().ok_or_else(|| type_confusion(p))?;
-                }
-                Ok(AggResult::Count(count))
-            }
-            Aggregation::Sum(_) => {
-                let partials = self.scatter(query)?;
-                let mut sum = 0u128;
-                for p in &partials {
-                    sum += p.as_sum().ok_or_else(|| type_confusion(p))?;
-                }
-                Ok(AggResult::Sum(sum))
-            }
-            Aggregation::Min(_) => {
-                let partials = self.scatter(query)?;
-                let mut min: Option<Value> = None;
-                for p in &partials {
-                    if let Some(v) = p.as_min().ok_or_else(|| type_confusion(p))? {
-                        min = Some(min.map_or(v, |m| m.min(v)));
-                    }
-                }
-                Ok(AggResult::Min(min))
-            }
-            Aggregation::Max(_) => {
-                let partials = self.scatter(query)?;
-                let mut max: Option<Value> = None;
-                for p in &partials {
-                    if let Some(v) = p.as_max().ok_or_else(|| type_confusion(p))? {
-                        max = Some(max.map_or(v, |m| m.max(v)));
-                    }
-                }
-                Ok(AggResult::Max(max))
-            }
+        let partial = partial_query(query)?;
+        let handles = self
+            .shards
+            .iter()
+            .map(|t| self.scheduler.submit(t.prepare(partial.clone())?))
+            .collect::<Result<Vec<_>>>()?;
+        let mut acc = AggAccumulator::new(query.aggregation());
+        for handle in &handles {
+            fold_partial(&mut acc, handle.wait_with_stats()?);
         }
+        Ok(acc.finish())
     }
 
     /// Records an observed query on every shard's observation log, feeding
@@ -410,15 +333,6 @@ impl ShardedTable {
             t.record_query(query)?;
         }
         Ok(())
-    }
-
-    fn scatter(&self, query: &Query) -> Result<Vec<AggResult>> {
-        let handles = self
-            .shards
-            .iter()
-            .map(|t| self.scheduler.submit(t.prepare(query.clone())?))
-            .collect::<Result<Vec<_>>>()?;
-        handles.iter().map(|h| h.wait()).collect()
     }
 }
 
@@ -432,14 +346,10 @@ impl std::fmt::Debug for ShardedTable {
     }
 }
 
-fn type_confusion(got: &AggResult) -> TsunamiError {
-    TsunamiError::Build(format!("shard returned mismatched aggregate {got:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsunami_core::Predicate;
+    use tsunami_core::{Aggregation, Predicate};
 
     fn rows(n: u64) -> Dataset {
         Dataset::from_columns(vec![
@@ -502,10 +412,17 @@ mod tests {
                 .unwrap();
             let t = sharded.table("t").unwrap();
             for q in queries() {
+                let before = sharded.scheduler().completed();
                 assert_eq!(
                     t.execute(&q).unwrap(),
                     q.execute_full_scan(&data),
                     "k={k} disagrees on {q:?}"
+                );
+                // One scatter per query, AVG included: one task per shard.
+                assert_eq!(
+                    sharded.scheduler().completed() - before,
+                    k as u64,
+                    "k={k} ran {q:?} more than once per shard"
                 );
             }
         }
@@ -542,27 +459,58 @@ mod tests {
     }
 
     #[test]
-    fn empty_partitions_fall_back_to_full_scan() {
+    fn empty_partitions_are_built_with_the_tables_spec() {
         // 3 rows over 8 shards: most partitions are empty and must still
-        // build, answer, and accept later inserts.
+        // build from the table's own spec, answer, and accept later inserts.
         let data = rows(3);
         let mut db = ShardedDatabase::new(8);
+        let spec = IndexSpec::Tsunami(tsunami_index::TsunamiConfig::fast());
         let t = db
-            .create_table(
-                "t",
-                &["a", "b"],
-                &data,
-                &Workload::default(),
-                &IndexSpec::FullScan,
-            )
+            .create_table("t", &["a", "b"], &data, &Workload::default(), &spec)
             .unwrap();
         assert_eq!(t.num_shards(), 8);
+        let empty = t
+            .shard_tables()
+            .iter()
+            .find(|s| s.num_rows() == 0)
+            .expect("3 rows leave some of 8 shards empty");
+        assert_eq!(empty.index().name(), "Tsunami");
+        assert!(matches!(empty.index_spec(), Some(IndexSpec::Tsunami(_))));
         let q = Query::count(vec![]).unwrap();
         assert_eq!(t.execute(&q).unwrap().as_count(), Some(3));
         db.insert_batch("t", &(3u64..40).map(|v| vec![v, v]).collect::<Vec<_>>())
             .unwrap();
         let t = db.table("t").unwrap();
         assert_eq!(t.execute(&q).unwrap().as_count(), Some(40));
+    }
+
+    #[test]
+    fn every_family_builds_over_zero_rows_and_absorbs_an_insert() {
+        let data = rows(3_000);
+        let inserted: Vec<Point> = (0..data.len()).map(|r| data.row(r)).collect();
+        let workload = Workload::new(queries());
+        let mut specs = IndexSpec::all_fast();
+        specs.push(IndexSpec::tsunami());
+        specs.push(IndexSpec::ZOrder(crate::spec::PageSize::Tuned));
+        for spec in specs {
+            let mut db = ShardedDatabase::new(2);
+            let t = db
+                .create_table("t", &["a", "b"], &rows(0), &workload, &spec)
+                .unwrap();
+            for q in queries() {
+                assert_eq!(t.execute(&q).unwrap(), q.execute_full_scan(&rows(0)));
+            }
+            db.insert_batch("t", &inserted).unwrap();
+            let t = db.table("t").unwrap();
+            for q in queries() {
+                assert_eq!(
+                    t.execute(&q).unwrap(),
+                    q.execute_full_scan(&data),
+                    "{} disagrees on {q:?}",
+                    spec.label()
+                );
+            }
+        }
     }
 
     #[test]

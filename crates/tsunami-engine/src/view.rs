@@ -13,11 +13,11 @@
 //!   untouched.
 //!
 //! State is an [`AggAccumulator`] — the exact representation the scan path
-//! folds into — seeded from *component* queries executed through the table's
-//! index (COUNT plus SUM/MIN/MAX of the input dimension as the aggregation
-//! needs). Every component answer is bit-identical to a scan, and
-//! [`AggAccumulator::finish`] applies the same finalization (AVG as
-//! SUM/COUNT — never an average of averages), so a view's answer is
+//! folds into — seeded from one `partial_query` executed through the
+//! table's index and folded by `fold_partial`, the same fold a sharded
+//! query's per-shard answers take. The partial answer is bit-identical to a
+//! scan, and [`AggAccumulator::finish`] applies the same finalization (AVG
+//! as SUM/COUNT — never an average of averages), so a view's answer is
 //! bit-identical to executing its query from scratch, always.
 //!
 //! Durability: only the view *spec* (table, name, query) is logged
@@ -27,7 +27,9 @@
 
 use std::sync::Mutex;
 
-use tsunami_core::{AggAccumulator, AggResult, Aggregation, MultiDimIndex, Point, Query, Result};
+use tsunami_core::{
+    AggAccumulator, AggResult, Aggregation, MultiDimIndex, Point, Query, Result, ScanCounters,
+};
 
 /// A named, incrementally-maintained aggregate over one table. See the
 /// module docs for the maintenance and bit-identity contract.
@@ -111,51 +113,164 @@ impl MaterializedView {
     pub fn value(&self, index: &dyn MultiDimIndex) -> Result<AggResult> {
         let mut guard = self.state.lock().unwrap();
         if guard.is_none() {
-            *guard = Some(recompute(&self.query, index)?);
+            let mut acc = AggAccumulator::new(self.query.aggregation());
+            fold_partial(
+                &mut acc,
+                index.execute_with_stats(&partial_query(&self.query)?),
+            );
+            *guard = Some(acc);
         }
         Ok(guard.as_ref().expect("folded above").finish())
     }
 }
 
-/// Seeds a fresh accumulator from component queries executed through the
-/// index: COUNT always, plus the aggregation's SUM or MIN/MAX as needed.
-/// Each component is itself bit-identical to a scan, and the accumulator's
-/// `finish` applies the scan path's exact finalization, so the seeded state
-/// answers bit-identically to executing the view query directly.
-fn recompute(query: &Query, index: &dyn MultiDimIndex) -> Result<AggAccumulator> {
-    let preds = query.predicates().to_vec();
-    let count_q = Query::new(preds.clone(), Aggregation::Count)?;
-    let count = index
-        .execute(&count_q)
-        .as_count()
-        .expect("COUNT query returns Count");
-    let mut acc = AggAccumulator::new(query.aggregation());
+/// The query whose answer, with its [`ScanCounters::matched`], is a
+/// foldable partial of `query`: `query` itself, except that AVG asks for the
+/// SUM of its dimension (the count comes from the counters).
+pub(crate) fn partial_query(query: &Query) -> Result<Query> {
     match query.aggregation() {
-        Aggregation::Count => acc.add_block(count, 0, None, None),
-        Aggregation::Sum(d) | Aggregation::Avg(d) => {
-            let sum_q = Query::new(preds, Aggregation::Sum(d))?;
-            let sum = index
-                .execute(&sum_q)
-                .as_sum()
-                .expect("SUM query returns Sum");
-            acc.add_block(count, sum, None, None);
+        Aggregation::Avg(d) => Query::new(query.predicates().to_vec(), Aggregation::Sum(d)),
+        _ => Ok(query.clone()),
+    }
+}
+
+/// Folds one execution of a [`partial_query`] into `acc` as a single
+/// [`AggAccumulator::add_block`] of its matched rows.
+pub(crate) fn fold_partial(
+    acc: &mut AggAccumulator,
+    (result, counters): (AggResult, ScanCounters),
+) {
+    let (sum, min, max) = match result {
+        AggResult::Count(_) => (0, None, None),
+        AggResult::Sum(sum) => (sum, None, None),
+        AggResult::Min(min) => (0, min, None),
+        AggResult::Max(max) => (0, None, max),
+        AggResult::Avg(_) => unreachable!("partial_query turns AVG into SUM"),
+    };
+    acc.add_block(counters.matched as u64, sum, min, max);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::database::Database;
+    use crate::schema::Schema;
+    use crate::spec::IndexSpec;
+    use tsunami_core::{BuildTiming, Dataset, Predicate, ScanPlan, ScanSource, Workload};
+
+    fn aggregations() -> [Aggregation; 5] {
+        [
+            Aggregation::Count,
+            Aggregation::Sum(1),
+            Aggregation::Min(1),
+            Aggregation::Max(1),
+            Aggregation::Avg(1),
+        ]
+    }
+
+    #[test]
+    fn a_views_first_read_plans_one_query() {
+        /// A full-scan index that counts the plans it is asked for.
+        struct PlanCounting {
+            data: Dataset,
+            plans: Arc<AtomicUsize>,
         }
-        Aggregation::Min(d) => {
-            let min_q = Query::new(preds, Aggregation::Min(d))?;
-            let min = index
-                .execute(&min_q)
-                .as_min()
-                .expect("MIN query returns Min");
-            acc.add_block(count, 0, min, None);
+        impl MultiDimIndex for PlanCounting {
+            fn name(&self) -> &str {
+                "PlanCounting"
+            }
+            fn source(&self) -> &dyn ScanSource {
+                &self.data
+            }
+            fn plan(&self, _query: &Query) -> ScanPlan {
+                self.plans.fetch_add(1, Ordering::Relaxed);
+                ScanPlan::full(self.data.len())
+            }
+            fn size_bytes(&self) -> usize {
+                0
+            }
+            fn build_timing(&self) -> BuildTiming {
+                BuildTiming::default()
+            }
         }
-        Aggregation::Max(d) => {
-            let max_q = Query::new(preds, Aggregation::Max(d))?;
-            let max = index
-                .execute(&max_q)
-                .as_max()
-                .expect("MAX query returns Max");
-            acc.add_block(count, 0, None, max);
+
+        let data = Dataset::from_columns(vec![
+            (0..500u64).collect(),
+            (0..500u64).map(|v| v * 7 % 101).collect(),
+        ])
+        .unwrap();
+        let plans = Arc::new(AtomicUsize::new(0));
+        let mut db = Database::new();
+        let index = PlanCounting {
+            data: data.clone(),
+            plans: Arc::clone(&plans),
+        };
+        db.register_table("t", Schema::numbered(2), Box::new(index))
+            .unwrap();
+        for (i, agg) in aggregations().into_iter().enumerate() {
+            let q = Query::new(vec![Predicate::range(0, 50, 349).unwrap()], agg).unwrap();
+            let name = format!("v{i}");
+            db.register_view("t", &name, q.clone()).unwrap();
+            let before = plans.load(Ordering::Relaxed);
+            assert_eq!(db.view_value(&name).unwrap(), q.execute_full_scan(&data));
+            assert_eq!(plans.load(Ordering::Relaxed) - before, 1, "{agg:?}");
         }
     }
-    Ok(acc)
+
+    #[test]
+    fn matched_counts_equal_the_count_answer_for_every_family() {
+        // fold_partial takes a partial's row count from ScanCounters::matched,
+        // so every family must report exactly the COUNT answer there, serial
+        // and pooled, after deletes and inserts too.
+        let n = 3_000u64;
+        let data = Dataset::from_columns(vec![
+            (0..n).collect(),
+            (0..n).map(|v| v * 3 % 1_000).collect(),
+            (0..n).map(|v| v % 17).collect(),
+        ])
+        .unwrap();
+        let ranges = [(0, 0, 2_999), (0, 100, 1_799), (1, 250, 600), (2, 3, 3)];
+        let workload = Workload::new(
+            ranges
+                .iter()
+                .map(|&(d, lo, hi)| {
+                    Query::count(vec![Predicate::range(d, lo, hi).unwrap()]).unwrap()
+                })
+                .collect(),
+        );
+        let extra: Vec<Point> = (n..n + 400).map(|v| vec![v, v % 1_000, v % 5]).collect();
+        for spec in IndexSpec::all_fast() {
+            let mut db = Database::new();
+            db.create_table_unnamed("t", data.clone(), &workload, &spec)
+                .unwrap();
+            db.delete("t", &[Predicate::range(0, 500, 899).unwrap()])
+                .unwrap();
+            let t = db.insert_batch("t", &extra).unwrap();
+            let rows = t.dataset();
+            for &(d, lo, hi) in &ranges {
+                let preds = vec![Predicate::range(d, lo, hi).unwrap()];
+                let count = Query::count(preds.clone())
+                    .unwrap()
+                    .execute_full_scan(&rows);
+                for agg in aggregations() {
+                    let q = Query::new(preds.clone(), agg).unwrap();
+                    for (result, counters) in [
+                        t.index().execute_with_stats(&q),
+                        t.index().execute_parallel(&q, 4),
+                    ] {
+                        assert_eq!(result, q.execute_full_scan(&rows), "{}", spec.label());
+                        assert_eq!(
+                            Some(counters.matched as u64),
+                            count.as_count(),
+                            "{} {q:?}",
+                            spec.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
