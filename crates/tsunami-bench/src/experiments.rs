@@ -688,6 +688,7 @@ pub fn fig12b(config: &HarnessConfig) -> String {
             "actual avg query (us)",
             "actual avg points",
             "layouts evaluated",
+            "layouts priced",
         ],
     );
     let cost = CostModel::default();
@@ -714,6 +715,7 @@ pub fn fig12b(config: &HarnessConfig) -> String {
                 fmt_f64(m.avg_query_us),
                 fmt_f64(m.avg_points_scanned),
                 layout.evaluations.to_string(),
+                layout.layouts_priced.to_string(),
             ]);
         }
     }

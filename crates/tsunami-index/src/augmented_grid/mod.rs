@@ -13,6 +13,7 @@ pub mod skeleton;
 pub use optimizer::{optimize_layout, OptimizedLayout, OptimizerKind};
 pub use skeleton::{DimStrategy, Skeleton};
 
+use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::cdf::{ConditionalCdf, FunctionalMapping, HistogramCdf};
@@ -152,17 +153,118 @@ pub struct AugmentedGrid {
     num_rows: usize,
 }
 
+/// One fitted per-dimension model, with every row's bucket in it.
+struct Fit<M> {
+    model: M,
+    /// `parts[r]` is row `r`'s bucket in `model`.
+    parts: Vec<u32>,
+}
+
+/// The per-dimension models [`AugmentedGrid::build_in`] fits, memoized over
+/// one dataset: a layout search builds many grids over one sample, and
+/// most of them share most of their models. A model is a pure function of
+/// the dataset and its key, so a grid built out of the cache is the grid a
+/// fresh fit would give.
+pub(crate) struct FitCache<'a> {
+    data: &'a Dataset,
+    /// Per `(dim, requested buckets)`.
+    histograms: HashMap<(usize, usize), Fit<HistogramCdf>>,
+    /// Per `(mapped dim, target)`; `None` where no mapping fits.
+    mappings: HashMap<(usize, usize), Option<FunctionalMapping>>,
+    /// Per `(dim, base, base's requested buckets, requested buckets)`.
+    conditionals: HashMap<(usize, usize, usize, usize), Fit<ConditionalCdf>>,
+}
+
+impl<'a> FitCache<'a> {
+    /// An empty cache over `data`.
+    pub(crate) fn new(data: &'a Dataset) -> Self {
+        Self {
+            data,
+            histograms: HashMap::new(),
+            mappings: HashMap::new(),
+            conditionals: HashMap::new(),
+        }
+    }
+
+    /// The dataset every model is fitted over.
+    pub(crate) fn data(&self) -> &'a Dataset {
+        self.data
+    }
+
+    /// `dim`'s equi-depth CDF with (up to) `p` buckets.
+    fn histogram(&mut self, dim: usize, p: usize) -> &Fit<HistogramCdf> {
+        let column = self.data.column(dim);
+        self.histograms.entry((dim, p)).or_insert_with(|| {
+            let model = HistogramCdf::build(column, p);
+            let parts = column
+                .iter()
+                .map(|&v| row_part(model.bucket_of(v)))
+                .collect();
+            Fit { model, parts }
+        })
+    }
+
+    /// The functional mapping of `dim` onto `target`.
+    fn mapping(&mut self, dim: usize, target: usize) -> Option<FunctionalMapping> {
+        let data = self.data;
+        let fit = || FunctionalMapping::fit(data.column(dim), data.column(target));
+        *self.mappings.entry((dim, target)).or_insert_with(fit)
+    }
+
+    /// `dim`'s CDF with (up to) `p` buckets per bucket of `base`'s
+    /// `base_p`-bucket CDF.
+    fn conditional(
+        &mut self,
+        dim: usize,
+        base: usize,
+        base_p: usize,
+        p: usize,
+    ) -> &Fit<ConditionalCdf> {
+        let key = (dim, base, base_p, p);
+        if !self.conditionals.contains_key(&key) {
+            let base_fit = self.histogram(base, base_p);
+            let num_base = base_fit.model.num_buckets();
+            let base_parts: Vec<usize> = base_fit.parts.iter().map(|&b| b as usize).collect();
+            let column = self.data.column(dim);
+            let model = ConditionalCdf::build(&base_parts, column, num_base, p);
+            let rows = base_parts.iter().zip(column);
+            let parts = rows
+                .map(|(&b, &v)| row_part(model.bucket_of(b, v)))
+                .collect();
+            self.conditionals.insert(key, Fit { model, parts });
+        }
+        &self.conditionals[&key]
+    }
+}
+
+/// A bucket index as a row's stored partition.
+fn row_part(bucket: usize) -> u32 {
+    u32::try_from(bucket).expect("a grid dimension has fewer than 2^32 partitions")
+}
+
 impl AugmentedGrid {
     /// Builds an Augmented Grid over `data` with the given skeleton and
     /// per-dimension partition counts. Returns the grid and the local row
     /// permutation (`perm[i]` = original row index stored at local slot `i`).
     pub fn build(data: &Dataset, skeleton: &Skeleton, partitions: &[usize]) -> (Self, Vec<usize>) {
+        Self::build_in(&mut FitCache::new(data), skeleton, partitions)
+    }
+
+    /// [`AugmentedGrid::build`] over `fits`' dataset, reusing the models
+    /// `fits` already holds and keeping the ones it fits.
+    pub(crate) fn build_in(
+        fits: &mut FitCache,
+        skeleton: &Skeleton,
+        partitions: &[usize],
+    ) -> (Self, Vec<usize>) {
+        let data = fits.data();
         assert_eq!(skeleton.num_dims(), data.num_dims());
         assert_eq!(partitions.len(), data.num_dims());
         assert!(skeleton.is_valid(), "invalid skeleton {skeleton}");
 
         let d = data.num_dims();
-        let partitions: Vec<usize> = (0..d)
+        // The requested partition counts, which key the models.
+        let requested: Vec<usize> = (0..d)
             .map(|dim| {
                 if skeleton.strategy(dim).is_grid_dim() {
                     partitions[dim].max(1)
@@ -181,7 +283,7 @@ impl AugmentedGrid {
         // aligned to the models' actual bucket counts so that partition
         // membership and partition value bounds agree exactly (required for
         // the exact-range scan optimization).
-        let mut partitions = partitions;
+        let mut partitions = requested.clone();
         for dim in 0..d {
             let needs_independent = match skeleton.strategy(dim) {
                 DimStrategy::Independent => true,
@@ -189,32 +291,18 @@ impl AugmentedGrid {
             } || (0..d)
                 .any(|other| skeleton.strategy(other) == DimStrategy::Conditional { base: dim });
             if needs_independent {
-                let model = HistogramCdf::build(data.column(dim), partitions[dim]);
+                let model = &fits.histogram(dim, requested[dim]).model;
                 partitions[dim] = model.num_buckets();
-                independent[dim] = Some(model);
+                independent[dim] = Some(model.clone());
             }
         }
         for dim in 0..d {
             match skeleton.strategy(dim) {
                 DimStrategy::Independent => {}
-                DimStrategy::Mapped { target } => {
-                    mappings[dim] = FunctionalMapping::fit(data.column(dim), data.column(target));
-                }
+                DimStrategy::Mapped { target } => mappings[dim] = fits.mapping(dim, target),
                 DimStrategy::Conditional { base } => {
-                    let base_model = independent[base]
-                        .as_ref()
-                        .expect("base dimension must have an independent model");
-                    let base_parts: Vec<usize> = data
-                        .column(base)
-                        .iter()
-                        .map(|&v| base_model.bucket_of(v))
-                        .collect();
-                    conditional[dim] = Some(ConditionalCdf::build(
-                        &base_parts,
-                        data.column(dim),
-                        partitions[base],
-                        partitions[dim],
-                    ));
+                    let fit = fits.conditional(dim, base, requested[base], requested[dim]);
+                    conditional[dim] = Some(fit.model.clone());
                 }
             }
         }
@@ -233,7 +321,39 @@ impl AugmentedGrid {
             .chain(grid_dims.iter().copied().filter(|gd| !is_independent(gd)))
             .collect();
 
-        let mut grid = Self {
+        // Assign rows to cells — a row's cell is the sum over the grid
+        // dimensions of its partition there times the dimension's stride,
+        // which is what `cell_of` computes from its values — and
+        // counting-sort them into the permutation.
+        let mut cell_of_row = vec![0usize; data.len()];
+        for &gd in &grid_dims {
+            let parts = match skeleton.strategy(gd) {
+                DimStrategy::Conditional { base } => {
+                    &fits
+                        .conditional(gd, base, requested[base], requested[gd])
+                        .parts
+                }
+                _ => &fits.histogram(gd, requested[gd]).parts,
+            };
+            for (cell, &part) in cell_of_row.iter_mut().zip(parts) {
+                *cell += part as usize * strides[gd];
+            }
+        }
+        let mut counts = vec![0usize; num_cells + 1];
+        for &c in &cell_of_row {
+            counts[c + 1] += 1;
+        }
+        for c in 0..num_cells {
+            counts[c + 1] += counts[c];
+        }
+        let cell_offsets = counts.clone();
+        let mut next = counts;
+        let mut perm = vec![0usize; data.len()];
+        for (r, &c) in cell_of_row.iter().enumerate() {
+            perm[next[c]] = r;
+            next[c] += 1;
+        }
+        let grid = Self {
             skeleton: skeleton.clone(),
             partitions,
             order,
@@ -242,32 +362,9 @@ impl AugmentedGrid {
             independent,
             conditional,
             mappings,
-            cell_offsets: Vec::new(),
+            cell_offsets,
             num_rows: data.len(),
         };
-
-        // Assign rows to cells and counting-sort into the permutation.
-        let mut counts = vec![0usize; num_cells + 1];
-        let mut cell_of_row = vec![0usize; data.len()];
-        let mut point = vec![0u64; d];
-        for (r, row_cell) in cell_of_row.iter_mut().enumerate() {
-            for (dim, coord) in point.iter_mut().enumerate() {
-                *coord = data.get(r, dim);
-            }
-            let c = grid.cell_of(&point);
-            *row_cell = c;
-            counts[c + 1] += 1;
-        }
-        for c in 0..num_cells {
-            counts[c + 1] += counts[c];
-        }
-        grid.cell_offsets = counts.clone();
-        let mut next = counts;
-        let mut perm = vec![0usize; data.len()];
-        for (r, &c) in cell_of_row.iter().enumerate() {
-            perm[next[c]] = r;
-            next[c] += 1;
-        }
         (grid, perm)
     }
 

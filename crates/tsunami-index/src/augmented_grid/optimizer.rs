@@ -7,6 +7,17 @@
 //! one, both scored by the analytic cost model over a sample of the data and
 //! the workload.
 //!
+//! A candidate is scored by building its grid over the sample and planning
+//! the workload against it. One region's search revisits most of what it
+//! built — the descent steps back onto candidates it has priced, and
+//! neighbouring candidates share most of their per-dimension models — so
+//! the search fits each model over the sample once (a `FitCache`) and
+//! prices each distinct candidate once. Neither memo changes a price: a
+//! model is a pure function of the sample and its key, and a price of the
+//! grid built from them. [`OptimizedLayout::evaluations`] counts every
+//! candidate considered, [`OptimizedLayout::layouts_priced`] the grids
+//! built.
+//!
 //! For the Fig 12b comparison, this module also implements plain Gradient
 //! Descent (no skeleton search), AGD with naive initialization (start from
 //! the all-independent skeleton), and a black-box basin-hopping baseline.
@@ -14,8 +25,10 @@
 //! ([`crate::flood`] runs the same initialization and descent under its own
 //! estimator) and, per region, the Fig 12a Grid-Tree-only ablation.
 
+use std::collections::HashMap;
+
 use super::skeleton::{DimStrategy, Skeleton};
-use super::{AugmentedGrid, CellScratch};
+use super::{AugmentedGrid, CellScratch, FitCache};
 use crate::cdf::{FunctionalMapping, HistogramCdf};
 use crate::config::TsunamiConfig;
 use crate::SEED;
@@ -48,8 +61,11 @@ pub struct OptimizedLayout {
     pub partitions: Vec<usize>,
     /// Predicted average query cost (cost-model units) of the chosen layout.
     pub predicted_cost: f64,
-    /// Number of candidate layouts evaluated.
+    /// Number of candidate layouts evaluated, repeats included.
     pub evaluations: usize,
+    /// Number of distinct candidate layouts priced — the grids the search
+    /// built; every other evaluation repeated one of them.
+    pub layouts_priced: usize,
 }
 
 /// Evaluates the predicted average query cost of a candidate layout by
@@ -63,17 +79,77 @@ pub fn predicted_cost(
     workload: &Workload,
     cost: &CostModel,
 ) -> f64 {
-    if workload.is_empty() || sample.is_empty() {
-        return 0.0;
+    Search::new(sample, total_rows, workload, cost).price(skeleton, partitions)
+}
+
+/// One layout search over one sample: [`predicted_cost`] for every
+/// candidate it is asked about, with the sample's per-dimension models
+/// fitted once ([`FitCache`]) and each distinct candidate priced once.
+struct Search<'a> {
+    fits: FitCache<'a>,
+    total_rows: usize,
+    workload: &'a Workload,
+    cost: &'a CostModel,
+    /// The price of every candidate built so far.
+    priced: HashMap<(Skeleton, Vec<usize>), f64>,
+    scratch: CellScratch,
+    /// Candidates asked about, repeats included.
+    evaluations: usize,
+}
+
+impl<'a> Search<'a> {
+    fn new(
+        sample: &'a Dataset,
+        total_rows: usize,
+        workload: &'a Workload,
+        cost: &'a CostModel,
+    ) -> Self {
+        Self {
+            fits: FitCache::new(sample),
+            total_rows,
+            workload,
+            cost,
+            priced: HashMap::new(),
+            scratch: CellScratch::default(),
+            evaluations: 0,
+        }
     }
-    let (grid, _perm) = AugmentedGrid::build(sample, skeleton, partitions);
-    let scale = total_rows as f64 / sample.len() as f64;
-    let mut scratch = CellScratch::default();
-    let mut total = 0.0;
-    for q in workload.queries() {
-        total += cost.predict(&query_features(&grid, q, scale, &mut scratch));
+
+    /// The predicted average query cost of the layout `(skeleton,
+    /// partitions)`.
+    fn price(&mut self, skeleton: &Skeleton, partitions: &[usize]) -> f64 {
+        self.evaluations += 1;
+        let sample = self.fits.data();
+        if self.workload.is_empty() || sample.is_empty() {
+            return 0.0;
+        }
+        let key = (skeleton.clone(), partitions.to_vec());
+        if let Some(&price) = self.priced.get(&key) {
+            return price;
+        }
+        let (grid, _perm) = AugmentedGrid::build_in(&mut self.fits, skeleton, partitions);
+        let scale = self.total_rows as f64 / sample.len() as f64;
+        let mut total = 0.0;
+        for q in self.workload.queries() {
+            total += self
+                .cost
+                .predict(&query_features(&grid, q, scale, &mut self.scratch));
+        }
+        let price = total / self.workload.len() as f64;
+        self.priced.insert(key, price);
+        price
     }
-    total / workload.len() as f64
+
+    /// The search's outcome: the chosen layout at its price.
+    fn outcome(&self, skeleton: Skeleton, partitions: Vec<usize>, price: f64) -> OptimizedLayout {
+        OptimizedLayout {
+            skeleton,
+            partitions,
+            predicted_cost: price,
+            evaluations: self.evaluations,
+            layouts_priced: self.priced.len(),
+        }
+    }
 }
 
 /// What a query costs on `grid`, counted off the ranges the planner would
@@ -434,8 +510,6 @@ fn optimize_layout_from(
     max_cells: usize,
 ) -> OptimizedLayout {
     let sample = sample_dataset(data, config.optimizer_sample_size, SEED);
-    let total_rows = data.len();
-    let mut evaluations = 0usize;
 
     // Cap the number of queries used for cost evaluation: optimization cost
     // grows with |workload| x |candidate layouts|, and a modest subsample is
@@ -463,9 +537,9 @@ fn optimize_layout_from(
         }
         _ => heuristic_skeleton(&sample),
     };
+    let mut search = Search::new(&sample, data.len(), workload, cost);
     let mut partitions = initial_partitions(&sample, &skeleton, workload, max_cells);
-    let mut best_cost = predicted_cost(&sample, total_rows, &skeleton, &partitions, workload, cost);
-    evaluations += 1;
+    let mut best_cost = search.price(&skeleton, &partitions);
 
     // Warm start: price the caller's existing layout and keep it as the
     // starting point when it already beats the cold initialization.
@@ -474,8 +548,7 @@ fn optimize_layout_from(
             let mut warm_p = warm_p.to_vec();
             warm_p.resize(data.num_dims(), 1);
             clamp_partitions(&mut warm_p, &warm_s.grid_dims(), max_cells);
-            let c = predicted_cost(&sample, total_rows, warm_s, &warm_p, workload, cost);
-            evaluations += 1;
+            let c = search.price(warm_s, &warm_p);
             if c < best_cost {
                 best_cost = c;
                 skeleton = warm_s.clone();
@@ -485,12 +558,7 @@ fn optimize_layout_from(
     }
 
     if workload.is_empty() || sample.is_empty() {
-        return OptimizedLayout {
-            skeleton,
-            partitions,
-            predicted_cost: best_cost,
-            evaluations,
-        };
+        return search.outcome(skeleton, partitions, best_cost);
     }
 
     match kind {
@@ -500,8 +568,7 @@ fn optimize_layout_from(
                 let (cand_s, mut cand_p) =
                     random_perturbation(&skeleton, &partitions, &mut rng, data.num_dims());
                 clamp_partitions(&mut cand_p, &cand_s.grid_dims(), max_cells);
-                let c = predicted_cost(&sample, total_rows, &cand_s, &cand_p, workload, cost);
-                evaluations += 1;
+                let c = search.price(&cand_s, &cand_p);
                 if c < best_cost {
                     best_cost = c;
                     skeleton = cand_s;
@@ -522,10 +589,7 @@ fn optimize_layout_from(
                     &mut best_cost,
                     &grid_dims,
                     max_cells,
-                    |p| {
-                        evaluations += 1;
-                        predicted_cost(&sample, total_rows, &skeleton, p, workload, cost)
-                    },
+                    |p| search.price(&skeleton, p),
                 );
 
                 // --- Step 3: local search over skeletons one hop away ---
@@ -545,10 +609,7 @@ fn optimize_layout_from(
                             }
                         }
                         clamp_partitions(&mut trial_p, &neighbor.grid_dims(), max_cells);
-                        let c = predicted_cost(
-                            &sample, total_rows, &neighbor, &trial_p, workload, cost,
-                        );
-                        evaluations += 1;
+                        let c = search.price(&neighbor, &trial_p);
                         if c < best_cost * 0.999
                             && best_neighbor.as_ref().is_none_or(|&(_, _, bc)| c < bc)
                         {
@@ -570,12 +631,7 @@ fn optimize_layout_from(
         }
     }
 
-    OptimizedLayout {
-        skeleton,
-        partitions,
-        predicted_cost: best_cost,
-        evaluations,
-    }
+    search.outcome(skeleton, partitions, best_cost)
 }
 
 /// One basin-hopping perturbation: change one dimension's strategy to a
@@ -914,6 +970,128 @@ mod tests {
             OptimizerKind::Adaptive,
         );
         assert_eq!(opt.evaluations, 1);
+        assert_eq!(opt.layouts_priced, 0, "nothing to price without queries");
         assert!(opt.skeleton.is_valid());
+    }
+
+    /// [`correlated_data`] plus a fifth column of five distinct values, so
+    /// a request for more partitions than that is aligned down to the
+    /// column's buckets.
+    fn data_with_few_distinct(n: usize, seed: u64) -> Dataset {
+        let mut columns = correlated_data(n, seed).into_columns();
+        let few = columns[0].iter().map(|&x| x % 5 * 1_000).collect();
+        columns.push(few);
+        Dataset::from_columns(columns).unwrap()
+    }
+
+    /// `n` seeded candidate layouts over five dimensions, four per
+    /// skeleton: every dimension drawn Independent, Mapped or Conditional
+    /// (repaired to a valid skeleton), every grid dimension one of a few
+    /// partition counts — few, so that candidates share models under
+    /// different neighbours (one conditional CDF over bases of different
+    /// partition counts, say).
+    fn random_candidates(n: usize, seed: u64) -> Vec<(Skeleton, Vec<usize>)> {
+        const COUNTS: [usize; 6] = [1, 2, 3, 7, 12, 33];
+        let mut rng = SplitMix::new(seed);
+        let mut skeleton = Skeleton::all_independent(5);
+        (0..n)
+            .map(|i| {
+                if i % 4 == 0 {
+                    let strategies = (0..5)
+                        .map(|dim| {
+                            let other = (dim + 1 + rng.next_below(4) as usize) % 5;
+                            match rng.next_below(3) {
+                                0 => DimStrategy::Independent,
+                                1 => DimStrategy::Mapped { target: other },
+                                _ => DimStrategy::Conditional { base: other },
+                            }
+                        })
+                        .collect();
+                    skeleton = repair_skeleton(strategies);
+                }
+                let partitions = (0..5)
+                    .map(|dim| match skeleton.strategy(dim).is_grid_dim() {
+                        true => COUNTS[rng.next_below(COUNTS.len() as u64) as usize],
+                        false => 1,
+                    })
+                    .collect();
+                (skeleton.clone(), partitions)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_long_lived_search_prices_every_candidate_as_a_fresh_one() {
+        let sample = data_with_few_distinct(700, 106);
+        let w = workload(24, 107);
+        let cost = CostModel::default();
+        let distinct = random_candidates(40, 108);
+        assert!((distinct.iter()).any(|(s, _)| s.num_mapped() > 0));
+        // Some conditional CDF is asked for under two partition counts of
+        // its base: two models the cache must keep apart.
+        let conditionals: Vec<_> = (distinct.iter())
+            .flat_map(|(s, p)| {
+                (0..5).filter_map(move |dim| match s.strategy(dim) {
+                    DimStrategy::Conditional { base } => Some(((dim, base, p[dim]), p[base])),
+                    _ => None,
+                })
+            })
+            .collect();
+        assert!(
+            (conditionals.iter()).any(|(model, base_p)| {
+                (conditionals.iter()).any(|(other, other_p)| model == other && base_p != other_p)
+            }),
+            "{conditionals:?}"
+        );
+        assert!(
+            (distinct.iter()).any(|(s, p)| s.strategy(4).is_grid_dim() && p[4] > 5),
+            "some candidate asks the five-value column for more partitions than it has values"
+        );
+        // Each candidate three times, in a seeded order: most are repeats.
+        let mut rng = SplitMix::new(109);
+        let asked: Vec<_> = (0..3 * distinct.len())
+            .map(|_| &distinct[rng.next_below(distinct.len() as u64) as usize])
+            .collect();
+        let mut search = Search::new(&sample, 100_000, &w, &cost);
+        for (skeleton, partitions) in &asked {
+            let fresh = predicted_cost(&sample, 100_000, skeleton, partitions, &w, &cost);
+            let long_lived = search.price(skeleton, partitions);
+            assert_eq!(
+                long_lived.to_bits(),
+                fresh.to_bits(),
+                "{skeleton} {partitions:?}"
+            );
+        }
+        let outcome = search.outcome(Skeleton::all_independent(5), vec![1; 5], 0.0);
+        assert_eq!(outcome.evaluations, asked.len());
+        assert!(
+            outcome.layouts_priced < asked.len(),
+            "the draw repeats candidates"
+        );
+        assert_eq!(
+            outcome.layouts_priced,
+            (asked.iter())
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        );
+    }
+
+    #[test]
+    fn cached_row_partitions_put_every_row_in_its_cell_of() {
+        let sample = data_with_few_distinct(700, 110);
+        let mut fits = FitCache::new(&sample);
+        for (skeleton, partitions) in random_candidates(40, 108) {
+            let (grid, perm) = AugmentedGrid::build_in(&mut fits, &skeleton, &partitions);
+            for cell in 0..grid.num_cells() {
+                for &row in &perm[grid.cell_offsets[cell]..grid.cell_offsets[cell + 1]] {
+                    let point = sample.row(row);
+                    assert_eq!(
+                        grid.cell_of(&point),
+                        cell,
+                        "{skeleton} {partitions:?} row {row}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 use std::fmt;
 
 /// Partitioning strategy of one dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DimStrategy {
     /// Partition independently, uniformly in the dimension's own CDF.
     Independent,
@@ -44,7 +44,7 @@ impl DimStrategy {
 }
 
 /// A full assignment of strategies to dimensions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Skeleton {
     strategies: Vec<DimStrategy>,
 }

@@ -190,10 +190,11 @@ type Layout = Option<(Skeleton, Vec<usize>)>;
 /// Runs [`region_layout`] for every region of a fresh Grid Tree on the
 /// process-wide pool and returns the layouts in region order. Participants
 /// claim region indices from an atomic cursor; the region datasets are
-/// materialized by the caller, so workers only read.
+/// materialized by the caller, so workers only read. A region without one
+/// cannot hold a grid, and is laid out as a plain region scan.
 fn layout_regions(
     region_data: &[RegionData],
-    region_datasets: &[Dataset],
+    region_datasets: &[Option<Dataset>],
     cost: &CostModel,
     config: &TsunamiConfig,
 ) -> Vec<Layout> {
@@ -209,7 +210,9 @@ fn layout_regions(
         let Some(rd) = region_data.get(rid) else {
             break;
         };
-        let layout = region_layout(&region_datasets[rid], &rd.queries, None, cost, config);
+        let layout = region_datasets[rid]
+            .as_ref()
+            .and_then(|ds| region_layout(ds, &rd.queries, None, cost, config));
         slots[rid].set(layout).expect("each region is claimed once");
     });
     slots
@@ -256,14 +259,17 @@ impl TsunamiIndex {
         let (tree, region_data) = GridTree::build(data, &types, config);
 
         // Lay out every region: a grid where it has intersecting queries
-        // and enough rows to split, a plain region scan otherwise. The
-        // region copies outlive the search (the sort below reads them), so
-        // they are made here, on the building thread: made on pool workers
-        // they stay in those workers' allocator arenas, which put ~10 % on
-        // the resident set of a 100k-row TPC-H build.
-        let region_datasets: Vec<Dataset> = region_data
+        // and enough rows to split, a plain region scan otherwise. Only a
+        // region that can hold a grid has its rows copied for the search.
+        // The copies outlive it (the sort below reads them), so they are
+        // made here, on the building thread: made on pool workers they stay
+        // in those workers' allocator arenas, which put ~10 % on the
+        // resident set of a 100k-row TPC-H build.
+        let region_datasets: Vec<Option<Dataset>> = region_data
             .iter()
-            .map(|rd| data.select_rows(&rd.rows))
+            .map(|rd| {
+                region_can_hold_grid(rd.rows.len(), config).then(|| data.select_rows(&rd.rows))
+            })
             .collect();
         let layouts = layout_regions(&region_data, &region_datasets, cost, config);
         let optimize_secs = opt_start.elapsed().as_secs_f64();
@@ -285,6 +291,7 @@ impl TsunamiIndex {
                     None
                 }
                 Some((skeleton, partitions)) => {
+                    let region_ds = region_ds.as_ref().expect("a gridded region was copied");
                     let (grid, local_perm) =
                         AugmentedGrid::build(region_ds, &skeleton, &partitions);
                     global_perm.extend(local_perm.into_iter().map(|local| rd.rows[local]));
@@ -2096,6 +2103,67 @@ mod tests {
                 r.exact && r.range.start <= main.start && main.end <= r.range.end
             };
             assert!(plan.ranges().iter().any(exact), "{q:?}: {plan:?}");
+        }
+    }
+
+    #[test]
+    fn layout_fingerprint_is_pinned() {
+        // Recorded on the layout search that built every candidate grid from
+        // scratch; a search that reuses fits and prices must choose the same
+        // layouts. The Grid Tree's shape, which regions are gridded, their
+        // cells and models, and what each workload query scans all show
+        // here. The build configuration is the benchmark's, except that
+        // `max_tree_depth: 2` keeps regions above the layout floor: at the
+        // benchmark's depth of 5 these 20k rows grid no region at all.
+        use tsunami_workloads::tpch;
+        let data = tpch::generate(20_000, 42);
+        let w = tpch::workload(&data, 25, 42);
+        let config = TsunamiConfig {
+            optimizer_sample_size: 800,
+            optimizer_max_iters: 6,
+            max_cells_per_grid: 1 << 13,
+            max_tree_depth: 2,
+            ..TsunamiConfig::default()
+        };
+        let tree = TsunamiStats {
+            num_grid_tree_nodes: 93,
+            grid_tree_depth: 2,
+            num_leaf_regions: 89,
+            gridded_regions: 10,
+            min_points_per_region: 0,
+            median_points_per_region: 0,
+            max_points_per_region: 4723,
+            avg_fms_per_region: 0.0,
+            avg_ccdfs_per_region: 0.0,
+            total_grid_cells: 52,
+            delta_rows: 0,
+        };
+        let pinned = [
+            (OptimizerKind::Adaptive, (1.9, 3.8), 20_692, (507, 565_578)),
+            (
+                OptimizerKind::Independent,
+                (0.0, 0.0),
+                20_092,
+                (525, 705_082),
+            ),
+        ];
+        for (kind, (fms, ccdfs), size_bytes, scanned) in pinned {
+            let index =
+                TsunamiIndex::build(&data, &w, &config.clone().with_optimizer(kind)).unwrap();
+            let stats = TsunamiStats {
+                avg_fms_per_region: fms,
+                avg_ccdfs_per_region: ccdfs,
+                ..tree.clone()
+            };
+            assert_eq!(index.stats(), stats, "{kind:?}");
+            assert_eq!(index.size_bytes(), size_bytes, "{kind:?}");
+            let (mut ranges, mut points) = (0, 0);
+            for q in w.queries() {
+                let (_, counters) = index.execute_with_stats(q);
+                ranges += counters.ranges;
+                points += counters.points;
+            }
+            assert_eq!((ranges, points), scanned, "{kind:?}");
         }
     }
 }
