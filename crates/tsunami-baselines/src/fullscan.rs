@@ -30,12 +30,14 @@ impl FullScanIndex {
         }
     }
 
-    /// Absorbs new rows: a full scan has no layout, so ingest is a plain
-    /// append.
+    /// Absorbs new rows: a full scan has no layout, so ingest is an append,
+    /// after which the tail's full blocks are encoded like the rest of the
+    /// store.
     pub fn ingest(&self, rows: &Dataset) -> Self {
         let start = Instant::now();
         let mut store = self.store.clone();
         store.append_dataset(rows);
+        store.encode_blocks();
         Self {
             store,
             timing: BuildTiming {

@@ -34,9 +34,9 @@
 //! Served, durable and ingest traffic are measured end to end and per layer
 //! by `benchmark/run.sh` (`served_mixed`, `ingest_mixed`), not here.
 //!
-//! The library reads two environment variables of its own:
+//! The library reads one environment variable of its own:
 //! `TSUNAMI_POOL_THREADS` (the pool's worker count, default
-//! `available_parallelism`) and `TSUNAMI_ENCODE=off` (no block encoding).
+//! `available_parallelism`).
 
 use tsunami_bench::experiments;
 use tsunami_bench::HarnessConfig;
@@ -153,9 +153,7 @@ fn print_usage() {
     eprintln!(
         "served, durable and ingest traffic: bash benchmark/run.sh (served_mixed, ingest_mixed)"
     );
-    eprintln!(
-        "library knobs: TSUNAMI_POOL_THREADS (pool workers), TSUNAMI_ENCODE=off (no block encoding)"
-    );
+    eprintln!("library knob: TSUNAMI_POOL_THREADS (pool workers)");
 }
 
 #[cfg(test)]

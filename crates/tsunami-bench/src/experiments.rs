@@ -734,7 +734,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
     use tsunami_core::exec::{execute_plan_with, ExecOptions, KernelTier, ScanPlan, ScanSource};
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{Aggregation, Dataset, Predicate, Query};
-    use tsunami_store::{ColumnStore, EncodePolicy};
+    use tsunami_store::ColumnStore;
 
     // A 12-bit domain: every column's frame-of-reference deltas bit-pack,
     // so the encoded sweep measures the packed SWAR kernels against the
@@ -750,10 +750,9 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
             .collect(),
     )
     .expect("uniform columns");
-    // The encoded twin: same rows, packed into per-block encodings (an
-    // explicit policy so env knobs can't silently skew the comparison).
+    // The encoded twin: same rows, packed into per-block encodings.
     let mut store = ColumnStore::from_dataset(&data);
-    store.encode_blocks_with(&EncodePolicy::default());
+    store.encode_blocks();
     let plan = ScanPlan::full(rows);
 
     let mut t = Table::new(

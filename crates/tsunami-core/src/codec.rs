@@ -2,10 +2,9 @@
 //! the workspace: the write-ahead log (`tsunami-store`), the wire protocol
 //! (`tsunami-server`) and the index-spec codec (`tsunami-engine`).
 //!
-//! Only the primitives live here. Each format keeps its own composites
-//! (string length width, predicate / dataset / spec layouts) and maps a
-//! short read or trailing bytes onto its own error type, so the bytes on
-//! disk and on the wire are decided where the format is documented.
+//! Only the primitives live here. The composites every format writes
+//! (strings, predicates, queries, rows, ...) have one encoder and one
+//! decoder, `tsunami_store::codec`, which all three formats share.
 
 /// Appends `v` big-endian.
 #[inline]

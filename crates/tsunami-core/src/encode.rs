@@ -191,25 +191,9 @@ pub enum BlockTest {
     Plain,
 }
 
-/// Tuning knobs for the per-block encoding choice.
-#[derive(Debug, Clone, Copy)]
-pub struct EncodeOptions {
-    /// FOR blocks whose delta needs more than this many bits fall back to
-    /// Plain (or Dict). Capped at 31: the widest [`PackClass`].
-    pub max_for_bits: u32,
-    /// Dictionary encoding is considered only up to this many distinct
-    /// values per block.
-    pub dict_max: usize,
-}
-
-impl Default for EncodeOptions {
-    fn default() -> Self {
-        Self {
-            max_for_bits: 31,
-            dict_max: 256,
-        }
-    }
-}
+/// Dictionary encoding is considered only up to this many distinct values
+/// per block.
+const DICT_MAX: usize = 256;
 
 /// One grid-aligned encoded block with its scan metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,7 +214,7 @@ impl EncodedBlock {
     /// `is_live(i)` reports whether local row `i` is live; live bounds are
     /// computed from live rows only, while the payload (and physical
     /// min/max) covers every row — dead rows must survive decode/permute.
-    pub fn encode(values: &[Value], is_live: impl Fn(usize) -> bool, opts: &EncodeOptions) -> Self {
+    pub fn encode(values: &[Value], is_live: impl Fn(usize) -> bool) -> Self {
         assert!(!values.is_empty() && values.len() <= BLOCK_ROWS);
         let mut min = Value::MAX;
         let mut max = Value::MIN;
@@ -251,17 +235,14 @@ impl EncodedBlock {
 
         let delta = max - min;
         let delta_bits = 64 - delta.leading_zeros();
-        let for_class = if delta_bits <= opts.max_for_bits.min(31) {
-            PackClass::for_bits(delta_bits)
-        } else {
-            None
-        };
+        // A delta wider than the widest class (31 bits) has no FOR payload.
+        let for_class = PackClass::for_bits(delta_bits);
         let for_bytes = for_class.map(|c| c.words_for(values.len()) * 8);
 
         let mut uniques: Vec<Value> = values.to_vec();
         uniques.sort_unstable();
         uniques.dedup();
-        let dict_class = if uniques.len() <= opts.dict_max {
+        let dict_class = if uniques.len() <= DICT_MAX {
             PackClass::for_bits(64 - (uniques.len() as u64 - 1).leading_zeros())
         } else {
             None
@@ -457,7 +438,7 @@ mod tests {
     #[test]
     fn encode_picks_for_on_narrow_numeric_blocks() {
         let vals: Vec<Value> = (0..1024u64).map(|i| 5_000 + (i * 37) % 4096).collect();
-        let b = EncodedBlock::encode(&vals, all_live, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, all_live);
         assert_eq!(b.kind_label(), "for");
         assert!(b.size_bytes() < vals.len() * 8 / 3);
         for (i, &v) in vals.iter().enumerate() {
@@ -474,7 +455,7 @@ mod tests {
         // ineligible (delta needs > 31 bits), Dict packs 8 codes per word.
         let uniques: Vec<Value> = (0..16u64).map(|i| i * 0x0100_0000_0000_0001).collect();
         let vals: Vec<Value> = (0..1024usize).map(|i| uniques[(i * 7) % 16]).collect();
-        let b = EncodedBlock::encode(&vals, all_live, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, all_live);
         assert_eq!(b.kind_label(), "dict");
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(b.value_at(i), v);
@@ -486,7 +467,7 @@ mod tests {
         let vals: Vec<Value> = (0..1024u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let b = EncodedBlock::encode(&vals, all_live, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, all_live);
         assert_eq!(b.kind_label(), "plain");
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(b.value_at(i), v);
@@ -496,7 +477,7 @@ mod tests {
     #[test]
     fn classify_uses_live_bounds_and_translates_codes() {
         let vals: Vec<Value> = (0..1024u64).map(|i| 1000 + i).collect();
-        let b = EncodedBlock::encode(&vals, all_live, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, all_live);
         assert_eq!(b.bounds(), (1000, 2023));
         assert_eq!(b.classify(0, 999), BlockTest::Skip);
         assert_eq!(b.classify(2024, u64::MAX), BlockTest::Skip);
@@ -522,7 +503,7 @@ mod tests {
         let mut vals: Vec<Value> = (0..256u64).map(|i| 100 + i).collect();
         vals[0] = 1;
         vals[1] = 1_000_000;
-        let b = EncodedBlock::encode(&vals, |i| i >= 2, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, |i| i >= 2);
         assert_eq!(b.bounds(), (1, 1_000_000));
         assert_eq!(b.live_bounds(), Some((102, 355)));
         // A predicate touching only the dead extremes must skip...
@@ -538,7 +519,7 @@ mod tests {
     #[test]
     fn fully_dead_block_always_skips() {
         let vals: Vec<Value> = (0..64u64).collect();
-        let b = EncodedBlock::encode(&vals, |_| false, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, |_| false);
         assert_eq!(b.live_bounds(), None);
         assert_eq!(b.classify(0, u64::MAX), BlockTest::Skip);
     }
@@ -547,7 +528,7 @@ mod tests {
     fn dict_classify_maps_value_ranges_to_code_ranges() {
         let uniques: Vec<Value> = vec![10, 20, 30, 40, u64::MAX / 2];
         let vals: Vec<Value> = (0..512usize).map(|i| uniques[i % 5]).collect();
-        let b = EncodedBlock::encode(&vals, all_live, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, all_live);
         assert_eq!(b.kind_label(), "dict");
         // [15, 35] covers uniques 20 and 30 -> codes 1..=2.
         match b.classify(15, 35) {
@@ -566,7 +547,7 @@ mod tests {
     #[test]
     fn constant_block_packs_tight() {
         let vals = vec![42u64; 1024];
-        let b = EncodedBlock::encode(&vals, all_live, &EncodeOptions::default());
+        let b = EncodedBlock::encode(&vals, all_live);
         assert_eq!(b.kind_label(), "for");
         assert_eq!(b.size_bytes(), 1024 / 8 * 8);
         assert_eq!(b.value_at(1023), 42);

@@ -112,11 +112,14 @@
 //!
 //! # Encoded columns
 //!
-//! A source may hand out columns as [`ColumnData::Encoded`]: a prefix of
+//! Every source hands out a column as one [`ColumnData`]: a prefix of
 //! per-block encoded payloads (frame-of-reference bit-packing or dictionary
 //! codes, see [`crate::encode`]) aligned to the absolute [`BLOCK_ROWS`]
-//! grid, plus a plain unencoded tail that ingest appends to. The scan loop
-//! chunks on that grid, so each chunk sees exactly one representation:
+//! grid, plus a plain unencoded tail. A store's tail holds the rows ingest
+//! appended since its last encode and its trailing partial block; a
+//! [`Dataset`] has no blocks, so all of its rows are the tail (it is the
+//! plain source the scalar oracle and the tests scan). The scan loop chunks
+//! on that grid, so each chunk sees exactly one representation:
 //!
 //! * the **scalar** tier reads rows one at a time through the per-row
 //!   accessor and uses **no** block metadata — it stays the oracle that
@@ -208,33 +211,34 @@ impl KernelTier {
     }
 }
 
-/// One column's physical representation as seen by the executor.
+/// One column's physical representation as seen by the executor: encoded
+/// blocks covering rows `0 .. blocks.len() * BLOCK_ROWS` (block `b` holds
+/// rows `b * BLOCK_ROWS ..`), then `tail` holds the remaining unencoded
+/// rows.
 ///
-/// Plain sources hand out contiguous slices; stores with per-block
-/// encodings hand out their grid-aligned encoded prefix plus the plain
-/// ingest tail. The executor's block loop is aligned to the absolute
-/// [`BLOCK_ROWS`] grid, so one processed chunk never straddles two encoded
-/// blocks (or an encoded block and the tail).
+/// A store hands out its grid-aligned encoded prefix plus its plain ingest
+/// tail; a [`Dataset`] hands out `blocks: &[]` and every row as the tail.
+/// The executor's block loop is aligned to the absolute [`BLOCK_ROWS`]
+/// grid, so one processed chunk never straddles two encoded blocks (or an
+/// encoded block and the tail).
 #[derive(Debug, Clone, Copy)]
-pub enum ColumnData<'a> {
-    /// Every row as one contiguous plain slice.
-    Plain(&'a [Value]),
-    /// Encoded blocks covering rows `0 .. blocks.len() * BLOCK_ROWS`
-    /// (block `b` holds rows `b * BLOCK_ROWS ..`), then `tail` holds the
-    /// remaining (unencoded) rows.
-    Encoded {
-        blocks: &'a [EncodedBlock],
-        tail: &'a [Value],
-    },
+pub struct ColumnData<'a> {
+    /// The encoded prefix, one block per [`BLOCK_ROWS`] rows.
+    pub blocks: &'a [EncodedBlock],
+    /// Every row after the encoded prefix, unencoded.
+    pub tail: &'a [Value],
 }
 
 impl<'a> ColumnData<'a> {
+    /// Rows covered by the encoded prefix.
+    #[inline(always)]
+    fn covered(&self) -> usize {
+        self.blocks.len() * BLOCK_ROWS
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Plain(s) => s.len(),
-            ColumnData::Encoded { blocks, tail } => blocks.len() * BLOCK_ROWS + tail.len(),
-        }
+        self.covered() + self.tail.len()
     }
 
     /// Whether the column has no rows.
@@ -244,51 +248,40 @@ impl<'a> ColumnData<'a> {
 
     /// Whether every row is plain (no encoded blocks).
     pub fn is_plain(&self) -> bool {
-        matches!(self, ColumnData::Plain(_))
-            || matches!(self, ColumnData::Encoded { blocks, .. } if blocks.is_empty())
+        self.blocks.is_empty()
     }
 
     /// The encoded block covering `row`, if any.
     #[inline(always)]
     fn block_at(&self, row: usize) -> Option<&'a EncodedBlock> {
-        match self {
-            ColumnData::Plain(_) => None,
-            ColumnData::Encoded { blocks, .. } => blocks.get(row / BLOCK_ROWS),
-        }
+        self.blocks.get(row / BLOCK_ROWS)
     }
 
     /// One row's value, whatever the physical representation (the scalar
     /// oracle's accessor — data only, never block metadata).
     #[inline(always)]
     fn value_at(&self, row: usize) -> Value {
-        match self {
-            ColumnData::Plain(s) => s[row],
-            ColumnData::Encoded { blocks, tail } => match blocks.get(row / BLOCK_ROWS) {
-                Some(eb) => eb.value_at(row % BLOCK_ROWS),
-                None => tail[row - blocks.len() * BLOCK_ROWS],
-            },
+        match self.block_at(row) {
+            Some(eb) => eb.value_at(row % BLOCK_ROWS),
+            None => self.tail[row - self.covered()],
         }
     }
 
     /// Decodes rows `range` into a fresh vector (store order).
     pub fn decode_range(&self, range: Range<usize>) -> Vec<Value> {
         debug_assert!(range.end <= self.len());
-        let (blocks, tail) = match *self {
-            ColumnData::Plain(s) => return s[range].to_vec(),
-            ColumnData::Encoded { blocks, tail } => (blocks, tail),
-        };
+        let covered = self.covered();
         let mut out = vec![0; range.len()];
-        let covered = blocks.len() * BLOCK_ROWS;
         let mut row = range.start;
         while row < range.end {
             let at = row - range.start;
             if row >= covered {
-                out[at..].copy_from_slice(&tail[row - covered..range.end - covered]);
+                out[at..].copy_from_slice(&self.tail[row - covered..range.end - covered]);
                 break;
             }
             let off = row % BLOCK_ROWS;
             let n = (BLOCK_ROWS - off).min(range.end - row);
-            blocks[row / BLOCK_ROWS].decode_into(off, &mut out[at..at + n]);
+            self.blocks[row / BLOCK_ROWS].decode_into(off, &mut out[at..at + n]);
             row += n;
         }
         out
@@ -297,14 +290,9 @@ impl<'a> ColumnData<'a> {
     /// Plain view of rows `start..end`; rows must not be encoded.
     #[inline(always)]
     fn slice(&self, start: usize, end: usize) -> &'a [Value] {
-        match self {
-            ColumnData::Plain(s) => &s[start..end],
-            ColumnData::Encoded { blocks, tail } => {
-                let covered = blocks.len() * BLOCK_ROWS;
-                debug_assert!(start >= covered, "sliced rows must be plain");
-                &tail[start - covered..end - covered]
-            }
-        }
+        let covered = self.covered();
+        debug_assert!(start >= covered, "sliced rows must be plain");
+        &self.tail[start - covered..end - covered]
     }
 }
 
@@ -317,10 +305,9 @@ pub trait ScanSource: Sync {
     fn num_rows(&self) -> usize;
     /// Number of columns (dimensions).
     fn num_dims(&self) -> usize;
-    /// One column's physical representation. Plain sources wrap their value
-    /// slice in [`ColumnData::Plain`]; encoding stores expose their encoded
-    /// prefix and plain tail, and the executor evaluates predicates directly
-    /// on the packed data.
+    /// One column's physical representation: the encoded prefix and the
+    /// plain tail. The executor evaluates predicates directly on the packed
+    /// blocks.
     fn column_data(&self, dim: usize) -> ColumnData<'_>;
     /// The source's deletion bitmap, if it supports tombstone deletes.
     /// Sources that return one with [`TombstoneSet::any`] get liveness
@@ -341,7 +328,10 @@ impl ScanSource for Dataset {
         self.num_dims()
     }
     fn column_data(&self, dim: usize) -> ColumnData<'_> {
-        ColumnData::Plain(self.column(dim))
+        ColumnData {
+            blocks: &[],
+            tail: self.column(dim),
+        }
     }
 }
 
@@ -1859,7 +1849,7 @@ mod tests {
             self.ds.num_dims()
         }
         fn column_data(&self, dim: usize) -> ColumnData<'_> {
-            ColumnData::Plain(self.ds.column(dim))
+            self.ds.column_data(dim)
         }
         fn tombstones(&self) -> Option<&TombstoneSet> {
             Some(&self.t)
@@ -1980,7 +1970,6 @@ mod tests {
         /// rows plain. Rows already tombstoned in `t` are dead at encode
         /// time, so block live bounds reflect them.
         fn encode(ds: &Dataset, tail_rows: usize, t: Option<TombstoneSet>) -> Self {
-            let opts = crate::encode::EncodeOptions::default();
             let encoded_rows = (ds.len() - tail_rows) / BLOCK_ROWS * BLOCK_ROWS;
             let cols = (0..ds.num_dims())
                 .map(|d| {
@@ -1988,11 +1977,9 @@ mod tests {
                     let blocks: Vec<EncodedBlock> = (0..encoded_rows / BLOCK_ROWS)
                         .map(|b| {
                             let start = b * BLOCK_ROWS;
-                            EncodedBlock::encode(
-                                &col[start..start + BLOCK_ROWS],
-                                |i| t.as_ref().is_none_or(|t| !t.is_deleted(start + i)),
-                                &opts,
-                            )
+                            EncodedBlock::encode(&col[start..start + BLOCK_ROWS], |i| {
+                                t.as_ref().is_none_or(|t| !t.is_deleted(start + i))
+                            })
                         })
                         .collect();
                     (blocks, col[encoded_rows..].to_vec())
@@ -2015,7 +2002,7 @@ mod tests {
         }
         fn column_data(&self, dim: usize) -> ColumnData<'_> {
             let (blocks, tail) = &self.cols[dim];
-            ColumnData::Encoded { blocks, tail }
+            ColumnData { blocks, tail }
         }
         fn tombstones(&self) -> Option<&TombstoneSet> {
             self.t.as_ref()

@@ -58,8 +58,10 @@ pub type SharedIndex = Box<dyn MultiDimIndex + Send + Sync>;
 pub struct IngestReport {
     /// Rows in the ingested batch.
     pub rows_ingested: usize,
-    /// Regions that received at least one new row (only these paid re-grid
-    /// and re-sort cost).
+    /// Regions that received at least one new row. On the delta path a
+    /// touched region pays neither re-grid nor re-sort; a graft re-grids
+    /// every gridded region with pending rows, touched by this batch or
+    /// not.
     pub regions_touched: usize,
     /// Touched regions whose accumulated staleness crossed the index's
     /// region bar and earned a local layout re-optimization (warm-started
@@ -67,7 +69,7 @@ pub struct IngestReport {
     pub regions_reoptimized: usize,
     /// Whether the whole index escalated to a from-scratch rebuild — the
     /// batch would have pushed the ingested fraction past the index's
-    /// rebuild bar (or the requested variant changed).
+    /// rebuild bar.
     pub rebuilt: bool,
     /// The whole-index ingested-row fraction including this batch, *before*
     /// any staleness was repaid by re-optimization or rebuild.

@@ -44,7 +44,7 @@ pub mod tombstone;
 pub use cost::{CostFeatures, CostModel};
 pub use dataset::{Dataset, Point, Value};
 pub use emd::emd;
-pub use encode::{BlockData, BlockTest, EncodeOptions, EncodedBlock, PackClass};
+pub use encode::{BlockData, BlockTest, EncodedBlock, PackClass};
 pub use error::{Result, TsunamiError};
 pub use exec::{
     ExecOptions, KernelTier, PlanPartial, ScanCounters, ScanPlan, ScanRange, ScanSource,

@@ -116,20 +116,6 @@ impl TombstoneSet {
         n
     }
 
-    /// The set after a store-wide permutation: bit for new row `i` is the old
-    /// bit of `perm[i]` (same contract as `ColumnStore::permute`).
-    pub fn permuted(&self, perm: &[usize]) -> Self {
-        assert_eq!(perm.len(), self.len);
-        let mut out = Self::new(self.len);
-        for (new, &old) in perm.iter().enumerate() {
-            if self.is_deleted(old) {
-                out.words[new / WORD_BITS] |= 1u64 << (new % WORD_BITS);
-                out.deleted += 1;
-            }
-        }
-        out
-    }
-
     /// Reorders the bits of `base..base + perm.len()` in place: new local bit
     /// `i` is the old local bit `perm[i]` (same contract as
     /// `ColumnStore::permute_range`).
@@ -144,34 +130,6 @@ impl TombstoneSet {
                 self.words[row / WORD_BITS] &= !bit;
             }
         }
-    }
-
-    /// Physically removes the tombstoned rows of `range` from the set: kept
-    /// rows (all rows outside `range`, live rows inside) shift down, the set
-    /// shrinks. Returns the number of rows removed. Mirrors
-    /// `ColumnStore::drop_deleted_in`, which removes the same slots from the
-    /// value columns.
-    pub fn remove_deleted_in(&mut self, range: Range<usize>) -> usize {
-        let removed = self.count_deleted_in(range.clone());
-        if removed == 0 {
-            return 0;
-        }
-        let mut out = Self::new(self.len - removed);
-        let mut next = 0usize;
-        for row in 0..self.len {
-            let dead = self.is_deleted(row);
-            if range.contains(&row) && dead {
-                continue;
-            }
-            if dead {
-                out.words[next / WORD_BITS] |= 1u64 << (next % WORD_BITS);
-                out.deleted += 1;
-            }
-            next += 1;
-        }
-        debug_assert_eq!(next, out.len);
-        *self = out;
-        removed
     }
 
     /// Physical rows that are live, in order — the logical view rebuilds and
@@ -220,31 +178,11 @@ mod tests {
         let mut t = TombstoneSet::new(6);
         t.mark(1);
         t.mark(4);
-        // Reverse the whole set: deleted slots move to 4 and 1 (symmetric).
-        let rev = t.permuted(&[5, 4, 3, 2, 1, 0]);
-        assert_eq!(rev.live_rows(), vec![0, 2, 3, 5]);
-
         // Rotate the middle range 1..5 left by one.
-        let mut t2 = t.clone();
-        t2.permute_range(1, &[1, 2, 3, 0]);
+        t.permute_range(1, &[1, 2, 3, 0]);
         // Old local bits [1,0,0,1] -> new local order [0,0,1,1].
-        assert_eq!(t2.live_rows(), vec![0, 1, 2, 5]);
-        assert_eq!(t2.deleted(), 2);
-    }
-
-    #[test]
-    fn remove_deleted_in_compacts_and_reindexes() {
-        let mut t = TombstoneSet::new(10);
-        t.mark(2);
-        t.mark(5);
-        t.mark(8);
-        // Compact only 0..6: rows 2 and 5 vanish, row 8 shifts to 6.
-        assert_eq!(t.remove_deleted_in(0..6), 2);
-        assert_eq!((t.len(), t.deleted()), (8, 1));
-        assert!(t.is_deleted(6));
-        assert_eq!(t.remove_deleted_in(0..t.len()), 1);
-        assert_eq!((t.len(), t.deleted()), (7, 0));
-        assert_eq!(t.remove_deleted_in(0..7), 0);
+        assert_eq!(t.live_rows(), vec![0, 1, 2, 5]);
+        assert_eq!(t.deleted(), 2);
     }
 
     #[test]

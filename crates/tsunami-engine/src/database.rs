@@ -1034,6 +1034,41 @@ mod tests {
     }
 
     #[test]
+    fn ingested_rows_are_encoded_in_every_family() {
+        // Three full blocks and a partial one, then four batches that add
+        // more than three blocks' worth of rows. Every family packs what it
+        // ingests: at most the trailing partial block plus Tsunami's delta
+        // (fewer than one graft's worth of rows) stays plain.
+        use tsunami_core::exec::BLOCK_ROWS;
+        let (data, day, _) = shift_fixture();
+        assert!(data.len() >= 3 * BLOCK_ROWS);
+        let mut db = Database::new();
+        for spec in IndexSpec::all_fast() {
+            let name = spec.label();
+            db.create_table_unnamed(name, data.clone(), &day, &spec)
+                .unwrap();
+            let mut rows: Vec<Point> = data.rows().collect();
+            for salt in 0..4u64 {
+                let new: Vec<Point> = (0..800u64)
+                    .map(|i| vec![(i * 37 + salt) % 5_000, i * 3 + salt, (i * 7_919) % 10_000])
+                    .collect();
+                rows.extend(new.iter().cloned());
+                let table = db.insert_batch(name, &new).unwrap();
+                let source = table.index().source();
+                for d in 0..source.num_dims() {
+                    let plain = source.column_data(d).tail.len();
+                    assert!(
+                        plain < 2 * BLOCK_ROWS,
+                        "{name}: {plain} plain rows in column {d} after batch {salt}"
+                    );
+                }
+            }
+            assert!(rows.len() >= data.len() + 3 * BLOCK_ROWS);
+            assert_holds(&db.table(name).unwrap(), &rows, "ingest");
+        }
+    }
+
+    #[test]
     fn old_handles_keep_answering_their_own_generation() {
         // A Tsunami successor shares its predecessor's encoded blocks and
         // grids by pointer and copies only the plain tail. Twenty mutations

@@ -1,17 +1,20 @@
-//! A single column of 64-bit integer values with lightweight metadata and
-//! optional per-block encoding.
+//! A single column of 64-bit integer values with lightweight metadata,
+//! stored block-encoded.
 //!
-//! Physically a column is an **encoded prefix** plus a **plain tail**: blocks
-//! of [`BLOCK_ROWS`] rows aligned to the absolute grid may be stored as
-//! [`EncodedBlock`]s (frame-of-reference bit-packing, dictionary codes, or a
-//! plain fallback — see [`tsunami_core::encode`]), while everything after the
-//! prefix stays a raw `Vec<u64>`. Appends go to the plain tail, so ingest
-//! never pays encode cost; [`Column::encode_blocks`] (called by index
-//! build/graft/compaction) packs the accumulated full blocks. Any mutation
-//! that moves rows ([`Column::select`], [`Column::permute_range`]) first
-//! decodes the affected suffix, which
-//! also keeps block metadata trivially consistent: an encoded block's
-//! contents never change after encoding.
+//! Physically a column is an **encoded prefix** plus a **plain tail**: every
+//! block of [`BLOCK_ROWS`] rows aligned to the absolute grid is stored as an
+//! [`EncodedBlock`] (frame-of-reference bit-packing, dictionary codes, or a
+//! plain fallback — see [`tsunami_core::encode`]) once its owner calls
+//! [`Column::encode_blocks`], and everything after the prefix stays a raw
+//! `Vec<u64>`. The tail holds the rows appended since the last encode and
+//! the trailing partial block. Appends go to the tail, so an append never
+//! pays encode cost itself; once the owning index has placed its rows
+//! (build, graft, compaction, an append that is final) it calls
+//! `encode_blocks`, which packs the tail's full blocks.
+//! Any mutation that moves rows ([`Column::select`],
+//! [`Column::permute_range`]) first decodes the affected suffix, which also
+//! keeps block metadata trivially consistent: an encoded block's contents
+//! never change after encoding.
 //!
 //! That immutability is what lets the encoded prefix sit behind an [`Arc`]:
 //! cloning a column shares every encoded block and copies only the plain
@@ -23,7 +26,7 @@
 use std::sync::Arc;
 
 use tsunami_core::exec::{ColumnData, BLOCK_ROWS};
-use tsunami_core::{EncodeOptions, EncodedBlock, Value};
+use tsunami_core::{EncodedBlock, Value};
 
 /// A dense, in-memory column of `u64` values.
 ///
@@ -64,26 +67,11 @@ impl Column {
         self.packed.is_empty() && self.values.is_empty()
     }
 
-    /// The raw values of a fully plain column. Panics if any block is
-    /// encoded — callers that may see encoded columns use
-    /// [`Column::decode_range`] or [`Column::data`] instead.
-    pub fn values(&self) -> &[Value] {
-        assert!(
-            self.packed.is_empty(),
-            "values() on an encoded column; use decode_range()"
-        );
-        &self.values
-    }
-
     /// The column as the executor sees it.
     pub fn data(&self) -> ColumnData<'_> {
-        if self.packed.is_empty() {
-            ColumnData::Plain(&self.values)
-        } else {
-            ColumnData::Encoded {
-                blocks: self.packed.as_slice(),
-                tail: &self.values,
-            }
+        ColumnData {
+            blocks: &self.packed,
+            tail: &self.values,
         }
     }
 
@@ -165,7 +153,6 @@ impl Column {
             return;
         }
         let base = self.packed.len() * BLOCK_ROWS;
-        let opts = EncodeOptions::default();
         let packed = Arc::make_mut(&mut self.packed);
         packed.reserve(full);
         for b in 0..full {
@@ -174,14 +161,13 @@ impl Column {
             packed.push(EncodedBlock::encode(
                 &self.values[start..start + BLOCK_ROWS],
                 |i| is_live(abs + i),
-                &opts,
             ));
         }
         self.values.drain(..full * BLOCK_ROWS);
     }
 
     /// Decodes every encoded block back into the plain tail.
-    pub fn make_plain(&mut self) {
+    fn make_plain(&mut self) {
         self.decode_from(0);
     }
 
@@ -248,11 +234,6 @@ impl Column {
         self.bounds = bounds;
     }
 
-    /// Sum of values in `range`, as a wide integer.
-    pub fn sum_range(&self, range: std::ops::Range<usize>) -> u128 {
-        range.map(|i| self.get(i) as u128).sum()
-    }
-
     /// Approximate heap size in bytes (packed payloads plus the plain tail).
     pub fn size_bytes(&self) -> usize {
         self.packed
@@ -307,7 +288,7 @@ mod tests {
         c.append(&[]);
         assert_eq!((c.len(), c.min(), c.max()), (2, Some(5), Some(9)));
         c.append(&[1, 20]);
-        assert_eq!(c.values(), &[5, 9, 1, 20]);
+        assert_eq!(c.decode_range(0..4), [5, 9, 1, 20]);
         assert_eq!((c.min(), c.max()), (Some(1), Some(20)));
 
         let mut empty = Column::new(vec![]);
@@ -319,16 +300,8 @@ mod tests {
     fn select_of_a_permutation_reorders_values() {
         let mut c = Column::new(vec![10, 20, 30, 40]);
         c.select(&[3, 1, 0, 2]);
-        assert_eq!(c.values(), &[40, 20, 10, 30]);
+        assert_eq!(c.decode_range(0..4), [40, 20, 10, 30]);
         assert_eq!(c.get(0), 40);
-    }
-
-    #[test]
-    fn sum_range_uses_wide_accumulator() {
-        let c = Column::new(vec![u64::MAX, u64::MAX, 1]);
-        assert_eq!(c.sum_range(0..2), 2 * (u64::MAX as u128));
-        assert_eq!(c.sum_range(2..3), 1);
-        assert_eq!(c.sum_range(1..1), 0);
     }
 
     fn encoded_column(n: usize) -> Column {
@@ -385,7 +358,7 @@ mod tests {
         // Keep three rows, out of order, from the block and from the tail.
         c.select(&[BLOCK_ROWS + 3, 2, 700]);
         let value = |i: usize| (i as u64) * 3 % 2048;
-        assert_eq!(c.values(), &[value(BLOCK_ROWS + 3), 6, value(700)]);
+        assert_eq!(c.decode_range(0..3), [value(BLOCK_ROWS + 3), 6, value(700)]);
         assert_eq!((c.min(), c.max()), (Some(6), Some(value(BLOCK_ROWS + 3))));
     }
 

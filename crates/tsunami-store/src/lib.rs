@@ -6,14 +6,16 @@
 //! range match the query filter, we skip checking each value against the
 //! query filter" (§6.1). This crate provides that substrate:
 //!
-//! * [`Column`] — a single `u64` attribute vector with min/max metadata and
-//!   optional per-block lightweight encoding (frame-of-reference
-//!   bit-packing, dictionary codes) behind an unencoded ingest tail.
+//! * [`Column`] — a single `u64` attribute vector with min/max metadata,
+//!   stored as per-block lightweight encodings (frame-of-reference
+//!   bit-packing, dictionary codes) followed by an unencoded tail: the rows
+//!   appended since the last encode and the trailing partial block.
 //! * [`ColumnStore`] — the clustered physical table: all indexes produce a
 //!   row permutation at build time and the store is reordered once, so query
-//!   execution scans contiguous ranges. After restructuring, indexes call
-//!   [`ColumnStore::encode_blocks`] to pack full blocks under the
-//!   environment-configured [`EncodePolicy`].
+//!   execution scans contiguous ranges. Once it has placed its rows (build,
+//!   graft, compaction, an append that is final) the owning index calls
+//!   [`ColumnStore::encode_blocks`], which packs every full block of the
+//!   tail. There is no plain-store mode.
 //! * [`Wal`] — the write-ahead log the engine's durability layer appends
 //!   mutation records to, with strict checksummed replay (see [`wal`]).
 //! * [`codec`] — the one encoder and decoder of every composite value
@@ -27,11 +29,9 @@
 
 pub mod codec;
 pub mod column;
-pub mod encode;
 pub mod table;
 pub mod wal;
 
 pub use column::Column;
-pub use encode::EncodePolicy;
 pub use table::ColumnStore;
 pub use wal::{CrashPoint, Wal, WalRecord};

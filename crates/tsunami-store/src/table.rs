@@ -4,7 +4,6 @@
 use std::ops::Range;
 
 use crate::column::Column;
-use crate::encode::EncodePolicy;
 use tsunami_core::exec::{ColumnData, ScanSource, BLOCK_ROWS};
 use tsunami_core::{Dataset, Predicate, Query, TombstoneSet, Value};
 
@@ -89,7 +88,6 @@ impl ColumnStore {
         for c in &mut self.columns {
             c.select(rows);
         }
-        // (`TombstoneSet::permuted` insists on a full permutation.)
         let mut tombstones = TombstoneSet::new(rows.len());
         if self.tombstones.any() {
             for (new, &old) in rows.iter().enumerate() {
@@ -149,24 +147,16 @@ impl ColumnStore {
         Dataset::from_columns(cols).expect("store columns are equal-length")
     }
 
-    /// Encodes every column's accumulated full blocks with the
-    /// environment-configured [`EncodePolicy`]. Indexes call this after
-    /// build/graft/compaction restructures the store; ingest appends stay
-    /// plain until then.
+    /// Encodes every column's accumulated full blocks. Indexes call this
+    /// after build/graft/compaction/append restructures the store; the
+    /// trailing partial block stays plain.
+    ///
+    /// Rows tombstoned *now* are dead at encode time, so each block records
+    /// tombstone-aware live bounds: a fully-dead block classifies as skip,
+    /// and a block whose extreme rows are dead prunes on the live extremes —
+    /// never the stale physical ones. Sound forever, because the live set
+    /// only shrinks (deletes accrue; physical mutation re-encodes).
     pub fn encode_blocks(&mut self) {
-        self.encode_blocks_with(&EncodePolicy::from_env());
-    }
-
-    /// Encodes every column's accumulated full blocks under an explicit
-    /// policy. Rows tombstoned *now* are dead at encode time, so each block
-    /// records tombstone-aware live bounds: a fully-dead block classifies as
-    /// skip, and a block whose extreme rows are dead prunes on the live
-    /// extremes — never the stale physical ones. Sound forever, because the
-    /// live set only shrinks (deletes accrue; physical mutation re-encodes).
-    pub fn encode_blocks_with(&mut self, policy: &EncodePolicy) {
-        if !policy.enabled {
-            return;
-        }
         let Self {
             columns,
             tombstones,
@@ -491,7 +481,7 @@ mod tests {
             ])
             .unwrap(),
         );
-        encoded.encode_blocks_with(&EncodePolicy::default());
+        encoded.encode_blocks();
         assert_eq!(encoded.column(0).encoded_blocks().len(), 2);
         assert_eq!(encoded.column(0).tail_rows(), 100);
         let b = BLOCK_ROWS as u64;
@@ -626,7 +616,7 @@ mod tests {
         let ds = big_dataset(n);
         let plain = ColumnStore::from_dataset(&ds);
         let mut encoded = plain.clone();
-        encoded.encode_blocks_with(&EncodePolicy::default());
+        encoded.encode_blocks();
         let (for_b, dict_b, _, tail) = encoded.encoding_stats();
         assert!(for_b > 0, "dim0 must FOR-encode");
         assert!(dict_b > 0, "dim1 must dict-encode");
@@ -649,15 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn encoding_policy_gates_apply() {
-        let ds = big_dataset(3 * BLOCK_ROWS as u64);
-        let mut s = ColumnStore::from_dataset(&ds);
-        s.encode_blocks_with(&EncodePolicy::disabled());
-        assert_eq!(s.encoding_stats().3, s.len() * s.num_dims());
-        // A store under one block stays plain.
+    fn a_store_under_one_block_stays_plain() {
         let small = big_dataset(BLOCK_ROWS as u64 - 1);
         let mut s = ColumnStore::from_dataset(&small);
-        s.encode_blocks_with(&EncodePolicy::default());
+        s.encode_blocks();
         assert_eq!(s.encoding_stats(), (0, 0, 0, (BLOCK_ROWS - 1) * 3));
     }
 
@@ -665,7 +650,7 @@ mod tests {
     fn ingest_appends_stay_plain_until_next_encode() {
         let n = 2 * BLOCK_ROWS as u64;
         let mut s = ColumnStore::from_dataset(&big_dataset(n));
-        s.encode_blocks_with(&EncodePolicy::default());
+        s.encode_blocks();
         assert_eq!(s.encoding_stats().3, 0);
         // Appends land in the plain tail: mixed encoded/plain scans.
         s.append_dataset(&big_dataset(BLOCK_ROWS as u64 + 77));
@@ -680,7 +665,7 @@ mod tests {
             assert_eq!(full_scan(&s, &q), full_scan(&plain, &q), "{q:?}");
         }
         // The next encode packs the accumulated full blocks.
-        s.encode_blocks_with(&EncodePolicy::default());
+        s.encode_blocks();
         assert_eq!(s.encoding_stats().3, 3 * 77);
         for q in queries() {
             assert_eq!(
@@ -700,7 +685,7 @@ mod tests {
         // (one band kills whole blocks' extremes; scattered rows elsewhere).
         let del = Query::count(vec![Predicate::range(0, 0, 64).unwrap()]).unwrap();
         assert_eq!(enc.delete_where(&del), plain.delete_where(&del));
-        enc.encode_blocks_with(&EncodePolicy::default());
+        enc.encode_blocks();
         for q in queries() {
             assert_eq!(full_scan(&enc, &q), full_scan(&plain, &q), "{q:?} deleted");
         }
@@ -714,7 +699,7 @@ mod tests {
         assert_eq!(enc.tombstones().live_rows(), plain.tombstones().live_rows());
         enc.select(&enc.tombstones().live_rows());
         plain.select(&plain.tombstones().live_rows());
-        enc.encode_blocks_with(&EncodePolicy::default());
+        enc.encode_blocks();
         assert!(enc.encoding_stats().0 > 0, "re-encoded after compaction");
         for q in queries() {
             assert_eq!(
@@ -742,7 +727,7 @@ mod tests {
             plain.delete_where(&q);
         }
         assert!(s.tombstones().deleted() >= BLOCK_ROWS);
-        s.encode_blocks_with(&EncodePolicy::default());
+        s.encode_blocks();
         for q in queries() {
             assert_eq!(full_scan(&s, &q), full_scan(&plain, &q), "{q:?}");
         }

@@ -6,10 +6,10 @@
 //! block-boundary offsets, for all five aggregations, serial and parallel,
 //! and for all seven index families.
 //!
-//! Block encoding rides the same harness: stores built fully plain
-//! ([`EncodePolicy::disabled`]), fully encoded (FOR + Dict + Plain blocks
-//! under the default policy), and mixed (encoded blocks behind a plain
-//! freshly-appended tail) must all answer bit-identically — and stay
+//! Block encoding rides the same harness: stores never encoded (every row
+//! in the plain tail), fully encoded (FOR + Dict + Plain blocks), and mixed
+//! (encoded blocks behind a plain freshly-appended tail) must all answer
+//! bit-identically — and stay
 //! bit-identical after tombstone deletes and again after physical
 //! compaction re-encodes the survivors. The seven-family test exercises the
 //! same property end-to-end: every index re-encodes after restructuring, so
@@ -26,7 +26,7 @@ use tsunami_core::{
 };
 use tsunami_index::{FloodConfig, FloodIndex};
 use tsunami_index::{TsunamiConfig, TsunamiIndex};
-use tsunami_store::{ColumnStore, EncodePolicy};
+use tsunami_store::ColumnStore;
 
 mod common;
 use common::assert_grids_if_tsunami;
@@ -315,18 +315,18 @@ fn encoded_plain_and_mixed_stores_stay_bit_identical_under_deletes_and_compactio
     let data = encoding_dataset(rows, 0xb10c);
     let tail = encoding_dataset(700, 0xb10d);
 
-    let mut plain = ColumnStore::from_dataset(&data);
-    plain.encode_blocks_with(&EncodePolicy::disabled());
+    // Plain: a store that was never encoded.
+    let plain = ColumnStore::from_dataset(&data);
     let mut encoded = ColumnStore::from_dataset(&data);
-    encoded.encode_blocks_with(&EncodePolicy::default());
+    encoded.encode_blocks();
     // Mixed: packed full blocks behind a freshly-appended (plain) tail.
     let mut mixed = ColumnStore::from_dataset(&data);
-    mixed.encode_blocks_with(&EncodePolicy::default());
+    mixed.encode_blocks();
     mixed.append_dataset(&tail);
 
     // The dataset must actually exercise every format at once.
     let (nfor, ndict, nplain, _) = plain.encoding_stats();
-    assert_eq!((nfor, ndict, nplain), (0, 0, 0), "disabled policy encoded");
+    assert_eq!((nfor, ndict, nplain), (0, 0, 0), "unencoded store encoded");
     let (nfor, ndict, nplain, tail_rows) = encoded.encoding_stats();
     assert!(nfor > 0, "no FOR blocks chosen");
     assert!(ndict > 0, "no Dict blocks chosen");
@@ -341,10 +341,11 @@ fn encoded_plain_and_mixed_stores_stay_bit_identical_under_deletes_and_compactio
         "appended tail must stay plain"
     );
 
+    // Whether each store re-encodes after compaction.
     let mut stores = [
-        ("plain", plain, EncodePolicy::disabled()),
-        ("encoded", encoded, EncodePolicy::default()),
-        ("mixed", mixed, EncodePolicy::default()),
+        ("plain", plain, false),
+        ("encoded", encoded, true),
+        ("mixed", mixed, true),
     ];
 
     for (label, store, _) in &stores {
@@ -369,13 +370,15 @@ fn encoded_plain_and_mixed_stores_stay_bit_identical_under_deletes_and_compactio
 
     // Physically compact and re-encode the survivors: rows shift across
     // block boundaries, so every block is rebuilt from scratch.
-    for (label, store, policy) in &mut stores {
+    for (label, store, encode) in &mut stores {
         let n = store.len();
         let removed = n - store.live_len();
         store.select(&store.tombstones().live_rows());
         assert!(removed > 0, "{label} compaction removed nothing");
         assert_eq!(store.tombstones().deleted(), 0);
-        store.encode_blocks_with(policy);
+        if *encode {
+            store.encode_blocks();
+        }
         assert_store_matches_oracle(store, &format!("{label}+compacted"));
     }
 }
