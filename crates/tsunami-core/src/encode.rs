@@ -20,6 +20,34 @@
 //!   Plain blocks still carry the min/max metadata, so they participate in
 //!   block skipping.
 //!
+//! Payloads sit behind [`Arc`]s and never change after encoding, so cloning
+//! a block copies its header (bounds, class, two pointers) and shares the
+//! bytes: a column that extends its encoded prefix while an older snapshot
+//! still holds it copies headers, not payloads.
+//!
+//! # Choosing a payload
+//!
+//! A block takes the smallest payload, by bytes, under one rule: FOR if it
+//! is smaller than plain, and FOR wins ties; Dict only if it is strictly
+//! smaller than that incumbent (FOR when eligible, else plain); else plain.
+//! [`EncodedBlock::encode`] reaches that decision in one pass plus a
+//! bounded count, never sorting the block:
+//!
+//! 1. One pass over the rows computes the physical and live bounds. The
+//!    spread `max - min` fixes the FOR class and so its bytes, and with
+//!    them the incumbent.
+//! 2. A dictionary of `u` values costs `8u` bytes of values plus its codes,
+//!    in the class that holds `u - 1`. That grows with `u`, so there is a
+//!    largest `u` (the *cap*) whose dictionary still undercuts the
+//!    incumbent; none at all when it is already the cheapest class. For a
+//!    full block of 1,024 rows: no dictionary beats W7 FOR (128 code words
+//!    alone tie it), fewer than 128 values beat W15 FOR, fewer than 256 beat
+//!    W31 FOR, and up to the 256-value dictionary limit beat plain.
+//! 3. Distinct values are counted only up to the cap, in a fixed 512-slot
+//!    open-addressing table on the stack, stopping at the first value past
+//!    it. Dict wins exactly when the count stays within the cap, and only
+//!    then are its at most 256 values sorted.
+//!
 //! # Field layout
 //!
 //! Packed fields live in `width + 1`-bit slots: `width` payload bits plus one
@@ -41,6 +69,8 @@
 //!   encoding, tombstone sets only grow (any mutation that revives or moves
 //!   rows decodes the block first), so the true live set only shrinks and
 //!   encode-time live bounds remain a sound over-approximation forever.
+
+use std::sync::Arc;
 
 use crate::dataset::Value;
 use crate::exec::BLOCK_ROWS;
@@ -142,36 +172,73 @@ pub fn extract(packed: &[u64], class: PackClass, i: usize) -> u64 {
     (packed[w] >> s) & class.value_mask()
 }
 
-/// Packs `codes` (each `< 2^width` of `class`) into delimiter-slot layout.
-/// Unused tail slots of the final word are zero.
-pub fn pack(codes: impl ExactSizeIterator<Item = u64>, class: PackClass) -> Box<[u64]> {
-    let len = codes.len();
-    let f = class.per_word();
+/// Packs `codes` (each `< 2^width` of `class`) into delimiter-slot layout,
+/// one word at a time. Unused tail slots of the final word are zero.
+pub fn pack(mut codes: impl ExactSizeIterator<Item = u64>, class: PackClass) -> Arc<[u64]> {
+    let words = class.words_for(codes.len());
     let slot = class.slot();
-    let mut out = vec![0u64; class.words_for(len)];
-    for (i, code) in codes.enumerate() {
-        debug_assert!(code <= class.value_mask());
-        out[i >> class.log_per_word()] |= code << (((i & (f - 1)) as u32) * slot);
+    (0..words)
+        .map(|_| {
+            let mut word = 0;
+            for (k, code) in codes.by_ref().take(class.per_word()).enumerate() {
+                debug_assert!(code <= class.value_mask());
+                word |= code << (k as u32 * slot);
+            }
+            word
+        })
+        .collect()
+}
+
+/// Decodes fields `offset .. offset + out.len()` of a packed array through
+/// `map`, in one loop per class (the class is matched once per call).
+#[inline(always)]
+fn unpack_into(
+    packed: &[u64],
+    class: PackClass,
+    offset: usize,
+    out: &mut [Value],
+    map: impl Fn(u64) -> Value,
+) {
+    match class {
+        PackClass::W7 => unpack_slots::<8>(packed, offset, out, map),
+        PackClass::W15 => unpack_slots::<16>(packed, offset, out, map),
+        PackClass::W31 => unpack_slots::<32>(packed, offset, out, map),
     }
-    out.into_boxed_slice()
+}
+
+/// [`unpack_into`] for one slot width: the word and shift of each field are
+/// constant-divisor arithmetic, so the loop is shifts and masks.
+#[inline(always)]
+fn unpack_slots<const SLOT: usize>(
+    packed: &[u64],
+    offset: usize,
+    out: &mut [Value],
+    map: impl Fn(u64) -> Value,
+) {
+    let per_word = 64 / SLOT;
+    let mask = (1u64 << (SLOT - 1)) - 1;
+    for (k, value) in out.iter_mut().enumerate() {
+        let i = offset + k;
+        *value = map((packed[i / per_word] >> ((i % per_word) * SLOT)) & mask);
+    }
 }
 
 /// One encoded block's payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockData {
     /// Raw values (incompressible fallback; still carries block metadata).
-    Plain(Box<[Value]>),
+    Plain(Arc<[Value]>),
     /// Frame-of-reference: field `i` stores `value_i - block_min`.
     For {
         class: PackClass,
-        packed: Box<[u64]>,
+        packed: Arc<[u64]>,
     },
     /// Dictionary: field `i` stores the rank of `value_i` in `uniques`
     /// (sorted ascending, so code order preserves value order).
     Dict {
         class: PackClass,
-        uniques: Box<[Value]>,
-        packed: Box<[u64]>,
+        uniques: Arc<[Value]>,
+        packed: Arc<[u64]>,
     },
 }
 
@@ -195,6 +262,74 @@ pub enum BlockTest {
 /// per block.
 const DICT_MAX: usize = 256;
 
+/// Slots of the distinct-value table: twice [`DICT_MAX`], so the table is
+/// at most half full before the count passes any cap.
+const DISTINCT_SLOTS: usize = 2 * DICT_MAX;
+
+/// The dictionary's code class for `distinct` values (`1..=DICT_MAX`).
+fn dict_class(distinct: usize) -> PackClass {
+    PackClass::for_bits(64 - (distinct as u64 - 1).leading_zeros())
+        .expect("a dictionary of at most DICT_MAX values has a class")
+}
+
+/// The largest dictionary, in distinct values, whose payload over `len`
+/// rows is strictly smaller than `incumbent` bytes; 0 when none is. A
+/// dictionary's bytes grow with its count, and within one code class they
+/// are `codes + 8 * distinct`, so each class's largest count is a division.
+fn dict_cap(len: usize, incumbent: usize) -> usize {
+    let mut cap = 0;
+    for (lo, hi) in [(1, 128), (129, DICT_MAX)] {
+        let codes = dict_class(hi).words_for(len) * 8;
+        if let Some(room) = incumbent.checked_sub(codes + 1) {
+            let fits = (room / 8).min(hi);
+            if fits >= lo {
+                cap = fits;
+            }
+        }
+    }
+    cap
+}
+
+/// The distinct values of `values` (unordered) if there are at most `cap`
+/// of them; `None` as soon as one more turns up. Counts in a fixed
+/// open-addressing table on the stack whose empty marker is `values[0]`,
+/// which is counted up front.
+fn distinct_up_to(values: &[Value], cap: usize) -> Option<Vec<Value>> {
+    debug_assert!(cap <= DICT_MAX);
+    let (&empty, rest) = values.split_first()?;
+    if cap == 0 {
+        return None;
+    }
+    let mut table = [empty; DISTINCT_SLOTS];
+    let mut count = 1;
+    for &v in rest {
+        if v == empty {
+            continue;
+        }
+        // Fibonacci hashing: the top bits of `v * 2^64 / phi`.
+        let mut slot = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55) as usize;
+        loop {
+            let held = table[slot];
+            if held == v {
+                break;
+            }
+            if held == empty {
+                count += 1;
+                if count > cap {
+                    return None;
+                }
+                table[slot] = v;
+                break;
+            }
+            slot = (slot + 1) & (DISTINCT_SLOTS - 1);
+        }
+    }
+    let mut uniques = Vec::with_capacity(count);
+    uniques.push(empty);
+    uniques.extend(table.iter().copied().filter(|&v| v != empty));
+    Some(uniques)
+}
+
 /// One grid-aligned encoded block with its scan metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedBlock {
@@ -209,7 +344,8 @@ pub struct EncodedBlock {
 }
 
 impl EncodedBlock {
-    /// Encodes one block, choosing the cheapest eligible payload.
+    /// Encodes one block, choosing the cheapest eligible payload (module
+    /// docs, "Choosing a payload").
     ///
     /// `is_live(i)` reports whether local row `i` is live; live bounds are
     /// computed from live rows only, while the payload (and physical
@@ -233,41 +369,31 @@ impl EncodedBlock {
         let live = any_live.then_some((live_lo, live_hi));
         let plain_bytes = values.len() * 8;
 
-        let delta = max - min;
-        let delta_bits = 64 - delta.leading_zeros();
-        // A delta wider than the widest class (31 bits) has no FOR payload.
-        let for_class = PackClass::for_bits(delta_bits);
-        let for_bytes = for_class.map(|c| c.words_for(values.len()) * 8);
+        // A delta wider than the widest class (31 bits) has no FOR payload,
+        // and one no smaller than plain is not eligible either.
+        let for_class = PackClass::for_bits(64 - (max - min).leading_zeros())
+            .filter(|c| c.words_for(values.len()) * 8 < plain_bytes);
+        let incumbent = for_class.map_or(plain_bytes, |c| c.words_for(values.len()) * 8);
+        let cap = dict_cap(values.len(), incumbent);
 
-        let mut uniques: Vec<Value> = values.to_vec();
-        uniques.sort_unstable();
-        uniques.dedup();
-        let dict_class = if uniques.len() <= DICT_MAX {
-            PackClass::for_bits(64 - (uniques.len() as u64 - 1).leading_zeros())
+        let data = if let Some(mut uniques) = distinct_up_to(values, cap) {
+            uniques.sort_unstable();
+            let class = dict_class(uniques.len());
+            let codes = values
+                .iter()
+                .map(|v| uniques.partition_point(|u| u < v) as u64);
+            BlockData::Dict {
+                class,
+                packed: pack(codes, class),
+                uniques: uniques.into(),
+            }
+        } else if let Some(class) = for_class {
+            BlockData::For {
+                class,
+                packed: pack(values.iter().map(|&v| v - min), class),
+            }
         } else {
-            None
-        };
-        let dict_bytes = dict_class.map(|c| c.words_for(values.len()) * 8 + uniques.len() * 8);
-
-        let data = match (for_class, for_bytes, dict_class, dict_bytes) {
-            // FOR wins ties: no indirection on decode.
-            (Some(fc), Some(fb), _, db) if fb < plain_bytes && db.is_none_or(|d| fb <= d) => {
-                BlockData::For {
-                    class: fc,
-                    packed: pack(values.iter().map(|&v| v - min), fc),
-                }
-            }
-            (_, _, Some(dc), Some(db)) if db < plain_bytes => {
-                let codes = values
-                    .iter()
-                    .map(|v| uniques.partition_point(|u| u < v) as u64);
-                BlockData::Dict {
-                    class: dc,
-                    packed: pack(codes, dc),
-                    uniques: uniques.into_boxed_slice(),
-                }
-            }
-            _ => BlockData::Plain(values.to_vec().into_boxed_slice()),
+            BlockData::Plain(values.into())
         };
         Self {
             len: values.len() as u32,
@@ -334,19 +460,14 @@ impl EncodedBlock {
         match &self.data {
             BlockData::Plain(vals) => out.copy_from_slice(&vals[offset..offset + out.len()]),
             BlockData::For { class, packed } => {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = self.min + extract(packed, *class, offset + k);
-                }
+                let min = self.min;
+                unpack_into(packed, *class, offset, out, |code| min + code);
             }
             BlockData::Dict {
                 class,
                 uniques,
                 packed,
-            } => {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = uniques[extract(packed, *class, offset + k) as usize];
-                }
-            }
+            } => unpack_into(packed, *class, offset, out, |code| uniques[code as usize]),
         }
     }
 
@@ -413,9 +534,224 @@ impl EncodedBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::SplitMix;
 
     fn all_live(_: usize) -> bool {
         true
+    }
+
+    /// The sort-based chooser `EncodedBlock::encode` replaced, kept as the
+    /// reference it must match bit for bit: count every distinct value by
+    /// sorting a copy of the block, price all three payloads, pick by the
+    /// same rule.
+    fn encode_reference(values: &[Value], is_live: impl Fn(usize) -> bool) -> EncodedBlock {
+        assert!(!values.is_empty() && values.len() <= BLOCK_ROWS);
+        let mut min = Value::MAX;
+        let mut max = Value::MIN;
+        let mut live: Option<(Value, Value)> = None;
+        for (i, &v) in values.iter().enumerate() {
+            min = min.min(v);
+            max = max.max(v);
+            if is_live(i) {
+                live = Some(live.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
+            }
+        }
+        let plain_bytes = values.len() * 8;
+        let for_class = PackClass::for_bits(64 - (max - min).leading_zeros());
+        let for_bytes = for_class.map(|c| c.words_for(values.len()) * 8);
+        let mut uniques: Vec<Value> = values.to_vec();
+        uniques.sort_unstable();
+        uniques.dedup();
+        let dict_class = if uniques.len() <= DICT_MAX {
+            PackClass::for_bits(64 - (uniques.len() as u64 - 1).leading_zeros())
+        } else {
+            None
+        };
+        let dict_bytes = dict_class.map(|c| c.words_for(values.len()) * 8 + uniques.len() * 8);
+        let data = match (for_class, for_bytes, dict_class, dict_bytes) {
+            (Some(fc), Some(fb), _, db) if fb < plain_bytes && db.is_none_or(|d| fb <= d) => {
+                BlockData::For {
+                    class: fc,
+                    packed: pack(values.iter().map(|&v| v - min), fc),
+                }
+            }
+            (_, _, Some(dc), Some(db)) if db < plain_bytes => {
+                let codes = values
+                    .iter()
+                    .map(|v| uniques.partition_point(|u| u < v) as u64);
+                BlockData::Dict {
+                    class: dc,
+                    packed: pack(codes, dc),
+                    uniques: uniques.into(),
+                }
+            }
+            _ => BlockData::Plain(values.into()),
+        };
+        EncodedBlock {
+            len: values.len() as u32,
+            min,
+            max,
+            live,
+            data,
+        }
+    }
+
+    /// A seeded block of `len` rows holding `min(distinct, len)` distinct
+    /// values whose spread is exactly `bits` bits wide (both ends present
+    /// once there are two values), in shuffled order.
+    fn sweep_block(rng: &mut SplitMix, len: usize, distinct: usize, bits: u32) -> Vec<Value> {
+        let span = if bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
+        let distinct = distinct
+            .min(len)
+            .min(span.saturating_add(1) as usize)
+            .max(1);
+        let base = rng.next_u64() & !span & (u64::MAX >> 1);
+        let mut pool = vec![base];
+        if distinct >= 2 {
+            pool.push(base + span);
+        }
+        while pool.len() < distinct {
+            let v = base + rng.next_u64() % span.max(1);
+            if !pool.contains(&v) {
+                pool.push(v);
+            }
+        }
+        let mut values: Vec<Value> = (0..len)
+            .map(|i| {
+                if i < pool.len() {
+                    pool[i]
+                } else {
+                    pool[rng.next_below(pool.len() as u64) as usize]
+                }
+            })
+            .collect();
+        for i in (1..len).rev() {
+            values.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        values
+    }
+
+    /// Which local rows are live, by pattern: every row, none, every other,
+    /// a seeded half, and every row but the ones holding the extremes.
+    fn live_rows(pattern: usize, values: &[Value], rng: &mut SplitMix) -> Vec<bool> {
+        let (lo, hi) = (values.iter().min().unwrap(), values.iter().max().unwrap());
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| match pattern {
+                0 => true,
+                1 => false,
+                2 => i % 2 == 1,
+                3 => rng.next_below(2) == 0,
+                _ => v != lo && v != hi,
+            })
+            .collect()
+    }
+
+    /// Encodes one block both ways, asserts they are identical, checks that
+    /// every row decodes back through `value_at` and `decode_into`, and
+    /// names the payload and its class.
+    fn check_against_reference(
+        values: &[Value],
+        live: &[bool],
+        rng: &mut SplitMix,
+    ) -> (&'static str, &'static str) {
+        let fast = EncodedBlock::encode(values, |i| live[i]);
+        let reference = encode_reference(values, |i| live[i]);
+        assert_eq!(fast, reference, "{} rows: {values:?}", values.len());
+        for (i, &v) in values.iter().enumerate() {
+            assert_eq!(fast.value_at(i), v);
+        }
+        let offset = rng.next_below(values.len() as u64) as usize;
+        let n = rng.next_below((values.len() - offset) as u64 + 1) as usize;
+        let mut out = vec![0; n];
+        fast.decode_into(offset, &mut out);
+        let expected: Vec<Value> = (offset..offset + n).map(|i| fast.value_at(i)).collect();
+        assert_eq!(out, expected, "{} at {offset}+{n}", fast.kind_label());
+        let mut all = vec![0; values.len()];
+        fast.decode_into(0, &mut all);
+        assert_eq!(all, values);
+        let class = match fast.data() {
+            BlockData::Plain(_) => "plain",
+            BlockData::For { class, .. } | BlockData::Dict { class, .. } => match class {
+                PackClass::W7 => "w7",
+                PackClass::W15 => "w15",
+                PackClass::W31 => "w31",
+            },
+        };
+        (fast.kind_label(), class)
+    }
+
+    #[test]
+    fn the_one_pass_chooser_matches_the_sorting_reference() {
+        const BITS: [u32; 14] = [0, 1, 6, 7, 8, 14, 15, 16, 30, 31, 32, 40, 63, 64];
+        const DISTINCT: [usize; 9] = [1, 2, 127, 128, 129, 255, 256, 257, 300];
+        let mut rng = SplitMix::new(41);
+        let mut seen = std::collections::BTreeMap::<(&str, &str), usize>::new();
+        // Every length, with a seeded spread, distinct count and dead rows.
+        for len in 1..=BLOCK_ROWS {
+            let bits = BITS[rng.next_below(BITS.len() as u64) as usize];
+            let distinct = match rng.next_below(3) {
+                0 => DISTINCT[rng.next_below(DISTINCT.len() as u64) as usize],
+                _ => 1 + rng.next_below(len as u64) as usize,
+            };
+            let values = sweep_block(&mut rng, len, distinct, bits);
+            let live = live_rows(rng.next_below(5) as usize, &values, &mut rng);
+            *seen
+                .entry(check_against_reference(&values, &live, &mut rng))
+                .or_default() += 1;
+        }
+        // Full and near-full blocks at every class edge and dictionary cap.
+        for len in [BLOCK_ROWS, BLOCK_ROWS - 1, 1000, 513, 512, 257, 256, 129] {
+            for bits in BITS {
+                for distinct in DISTINCT {
+                    let values = sweep_block(&mut rng, len, distinct, bits);
+                    let live = live_rows(rng.next_below(5) as usize, &values, &mut rng);
+                    *seen
+                        .entry(check_against_reference(&values, &live, &mut rng))
+                        .or_default() += 1;
+                }
+            }
+        }
+        // The sweep reached every payload in every class it can take.
+        let kinds = [
+            ("for", "w7"),
+            ("for", "w15"),
+            ("for", "w31"),
+            ("dict", "w7"),
+            ("dict", "w15"),
+            ("plain", "plain"),
+        ];
+        for kind in kinds {
+            assert!(seen.contains_key(&kind), "{kind:?} never chosen: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn the_dictionary_cap_follows_the_for_class() {
+        // A full block: W7 FOR is never undercut; W15 FOR by < 128 values,
+        // W31 FOR by < 256; plain by any dictionary up to the limit.
+        assert_eq!(dict_cap(BLOCK_ROWS, 1024), 0);
+        assert_eq!(dict_cap(BLOCK_ROWS, 2048), 127);
+        assert_eq!(dict_cap(BLOCK_ROWS, 4096), 255);
+        assert_eq!(dict_cap(BLOCK_ROWS, 8192), DICT_MAX);
+        // One row: nothing beats its 8 plain bytes.
+        assert_eq!(dict_cap(1, 8), 0);
+        for len in [1, 7, 8, 100, 513, BLOCK_ROWS] {
+            for incumbent in (8..=len * 8).step_by(8) {
+                let fits = |d: usize| dict_class(d).words_for(len) * 8 + d * 8 < incumbent;
+                let cap = dict_cap(len, incumbent);
+                assert!(cap == 0 || fits(cap), "{len} rows, {incumbent} B: {cap}");
+                assert!(
+                    cap == DICT_MAX || !fits(cap + 1),
+                    "{len} rows, {incumbent} B: {cap}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,9 @@ pub(crate) struct GridCostEstimator<'a> {
     /// Per dimension, the candidate partitioning's model over the sample:
     /// its buckets are the partitions.
     models: Vec<HistogramCdf>,
+    /// Per dimension, each sample row's partition under `models`, found
+    /// once per candidate instead of once per query.
+    row_partitions: Vec<Vec<usize>>,
     sample: &'a Dataset,
     total_rows: usize,
 }
@@ -29,11 +32,17 @@ impl<'a> GridCostEstimator<'a> {
     /// candidate partition counts; `total_rows` scales sample counts up to
     /// the full dataset.
     pub(crate) fn new(sample: &'a Dataset, partitions: &[usize], total_rows: usize) -> Self {
-        let models = (0..sample.num_dims())
+        let models: Vec<HistogramCdf> = (0..sample.num_dims())
             .map(|dim| HistogramCdf::build(sample.column(dim), partitions[dim].max(1)))
+            .collect();
+        let row_partitions = models
+            .iter()
+            .enumerate()
+            .map(|(dim, m)| sample.column(dim).iter().map(|&v| m.bucket_of(v)).collect())
             .collect();
         Self {
             models,
+            row_partitions,
             sample,
             total_rows,
         }
@@ -62,18 +71,15 @@ impl<'a> GridCostEstimator<'a> {
         // Scanned points: fraction of sample points whose partition lies in
         // the intersecting range for every filtered dimension.
         let filtered = query.filtered_dims();
-        let ranges: Vec<(usize, usize)> = (filtered.iter())
-            .map(|&dim| self.intersecting(query, dim))
-            .collect();
         let n = self.sample.len();
-        let hit = (0..n)
-            .filter(|&r| {
-                filtered.iter().zip(&ranges).all(|(&dim, &(lo, hi))| {
-                    let p = self.models[dim].bucket_of(self.sample.get(r, dim));
-                    lo <= p && p <= hi
-                })
-            })
-            .count();
+        let mut hits = vec![true; n];
+        for &dim in &filtered {
+            let (lo, hi) = self.intersecting(query, dim);
+            for (h, &p) in hits.iter_mut().zip(&self.row_partitions[dim]) {
+                *h &= lo <= p && p <= hi;
+            }
+        }
+        let hit = hits.iter().filter(|&&h| h).count();
         let scanned = if n == 0 {
             0.0
         } else {

@@ -2105,65 +2105,4 @@ mod tests {
             assert!(plan.ranges().iter().any(exact), "{q:?}: {plan:?}");
         }
     }
-
-    #[test]
-    fn layout_fingerprint_is_pinned() {
-        // Recorded on the layout search that built every candidate grid from
-        // scratch; a search that reuses fits and prices must choose the same
-        // layouts. The Grid Tree's shape, which regions are gridded, their
-        // cells and models, and what each workload query scans all show
-        // here. The build configuration is the benchmark's, except that
-        // `max_tree_depth: 2` keeps regions above the layout floor: at the
-        // benchmark's depth of 5 these 20k rows grid no region at all.
-        use tsunami_workloads::tpch;
-        let data = tpch::generate(20_000, 42);
-        let w = tpch::workload(&data, 25, 42);
-        let config = TsunamiConfig {
-            optimizer_sample_size: 800,
-            optimizer_max_iters: 6,
-            max_cells_per_grid: 1 << 13,
-            max_tree_depth: 2,
-            ..TsunamiConfig::default()
-        };
-        let tree = TsunamiStats {
-            num_grid_tree_nodes: 93,
-            grid_tree_depth: 2,
-            num_leaf_regions: 89,
-            gridded_regions: 10,
-            min_points_per_region: 0,
-            median_points_per_region: 0,
-            max_points_per_region: 4723,
-            avg_fms_per_region: 0.0,
-            avg_ccdfs_per_region: 0.0,
-            total_grid_cells: 52,
-            delta_rows: 0,
-        };
-        let pinned = [
-            (OptimizerKind::Adaptive, (1.9, 3.8), 20_692, (507, 565_578)),
-            (
-                OptimizerKind::Independent,
-                (0.0, 0.0),
-                20_092,
-                (525, 705_082),
-            ),
-        ];
-        for (kind, (fms, ccdfs), size_bytes, scanned) in pinned {
-            let index =
-                TsunamiIndex::build(&data, &w, &config.clone().with_optimizer(kind)).unwrap();
-            let stats = TsunamiStats {
-                avg_fms_per_region: fms,
-                avg_ccdfs_per_region: ccdfs,
-                ..tree.clone()
-            };
-            assert_eq!(index.stats(), stats, "{kind:?}");
-            assert_eq!(index.size_bytes(), size_bytes, "{kind:?}");
-            let (mut ranges, mut points) = (0, 0);
-            for q in w.queries() {
-                let (_, counters) = index.execute_with_stats(q);
-                ranges += counters.ranges;
-                points += counters.points;
-            }
-            assert_eq!((ranges, points), scanned, "{kind:?}");
-        }
-    }
 }

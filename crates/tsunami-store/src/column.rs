@@ -22,6 +22,12 @@
 //! tail costs O(tail), not O(column). A mutation that does reach into the
 //! prefix decodes from the shared blocks and leaves them untouched for the
 //! other owners.
+//!
+//! Each block's payload is shared as well (it sits behind its own `Arc`,
+//! see [`tsunami_core::encode`]). So when a successor extends a prefix that
+//! an older snapshot still holds, [`Column::encode_blocks`] copies the
+//! blocks' headers — bounds, class and payload pointers, under 100 bytes a
+//! block — and never their packed words.
 
 use std::sync::Arc;
 
@@ -259,6 +265,7 @@ fn min_max(values: &[Value]) -> Option<(Value, Value)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsunami_core::BlockData;
 
     #[test]
     fn tracks_min_max() {
@@ -389,6 +396,30 @@ mod tests {
         }
         assert_eq!(clone.get(BLOCK_ROWS + 5), original.get(BLOCK_ROWS + 6));
         assert_eq!(clone.get(7), original.get(7));
+    }
+
+    #[test]
+    fn encoding_on_a_clone_shares_every_earlier_payload() {
+        let original = encoded_column(2 * BLOCK_ROWS + 20);
+        let mut clone = original.clone();
+        clone.append(&vec![5; BLOCK_ROWS]);
+        clone.encode_blocks(|_| true);
+        // The clone copied the prefix to extend it, not the payloads.
+        assert_eq!(clone.encoded_blocks().len(), 3);
+        assert_eq!(original.encoded_blocks().len(), 2);
+        assert!(!std::ptr::eq(
+            original.encoded_blocks().as_ptr(),
+            clone.encoded_blocks().as_ptr()
+        ));
+        for (a, b) in original.encoded_blocks().iter().zip(clone.encoded_blocks()) {
+            let shared = match (a.data(), b.data()) {
+                (BlockData::For { packed: a, .. }, BlockData::For { packed: b, .. }) => {
+                    Arc::ptr_eq(a, b)
+                }
+                other => panic!("expected FOR payloads, got {other:?}"),
+            };
+            assert!(shared, "an earlier block's payload was copied");
+        }
     }
 
     #[test]

@@ -207,11 +207,13 @@ impl ColumnStore {
     ///
     /// The scan goes a [`BLOCK_ROWS`] block at a time: a block whose encoded
     /// bounds exclude a predicate is skipped undecoded, the rest decode only
-    /// the predicate columns.
+    /// the predicate columns, into one reused buffer (plain rows are read
+    /// in place).
     pub fn delete_where(&mut self, query: &Query) -> usize {
         let preds = query.predicates();
         let mut newly = 0usize;
         let mut hit = [false; BLOCK_ROWS];
+        let mut decoded = [0; BLOCK_ROWS];
         for start in (0..self.len).step_by(BLOCK_ROWS) {
             let block = start / BLOCK_ROWS;
             let candidate = |p: &Predicate| self.columns[p.dim].block_may_match(block, p.lo, p.hi);
@@ -223,8 +225,18 @@ impl ColumnStore {
                 *h = !self.tombstones.is_deleted(start + i);
             }
             for p in preds {
-                let values = self.columns[p.dim].decode_range(start..start + hit.len());
-                for (h, &v) in hit.iter_mut().zip(&values) {
+                let col = self.columns[p.dim].data();
+                let values = match col.blocks.get(block) {
+                    Some(eb) => {
+                        eb.decode_into(0, &mut decoded[..hit.len()]);
+                        &decoded[..hit.len()]
+                    }
+                    None => {
+                        let at = start - col.blocks.len() * BLOCK_ROWS;
+                        &col.tail[at..at + hit.len()]
+                    }
+                };
+                for (h, &v) in hit.iter_mut().zip(values) {
                     *h &= p.matches(v);
                 }
             }
