@@ -5,6 +5,13 @@
 //! page size. Dimensions are selected round-robin, ordered by workload
 //! selectivity (most selective first), matching the paper's tuned setup.
 //! Points within each leaf are stored contiguously.
+//!
+//! The order is ranked on the sample workload's per-dimension
+//! selectivities, counted in one pass per column
+//! ([`filtered_selectivities`]). A tuned page size builds the tree once per
+//! candidate, each build ranks the dimensions again, and the winning build
+//! is the one kept ([`crate::tune_page_size`]). The store is gathered once,
+//! in leaf order, straight from the input.
 
 use std::time::Instant;
 
@@ -14,6 +21,7 @@ use tsunami_core::{
 use tsunami_store::ColumnStore;
 
 use crate::page::{bounding_box, test_page};
+use crate::selectivity::filtered_selectivities;
 
 #[derive(Debug)]
 enum Node {
@@ -46,24 +54,12 @@ impl KdTree {
     /// Orders dimensions by workload selectivity (most selective first);
     /// dimensions never filtered come last.
     pub fn dimension_order(data: &Dataset, workload: &Workload) -> Vec<usize> {
-        let d = data.num_dims();
-        let mut scored: Vec<(usize, f64)> = (0..d)
-            .map(|dim| {
-                let mut sel_sum = 0.0;
-                let mut count = 0usize;
-                for q in workload.queries() {
-                    if q.predicate_on(dim).is_some() {
-                        sel_sum += q.dim_selectivity(data, dim);
-                        count += 1;
-                    }
-                }
-                let score = if count == 0 {
-                    f64::INFINITY
-                } else {
-                    sel_sum / count as f64
-                };
-                (dim, score)
+        let mut scored: Vec<(usize, f64)> = (filtered_selectivities(data, workload).iter())
+            .map(|sels| match sels.len() {
+                0 => f64::INFINITY,
+                count => sels.iter().sum::<f64>() / count as f64,
             })
+            .enumerate()
             .collect();
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         scored.into_iter().map(|(dim, _)| dim).collect()
@@ -94,9 +90,7 @@ impl KdTree {
             &mut num_leaves,
             &mut num_nodes,
         );
-        let mut store = ColumnStore::from_dataset(data);
-        store.permute(&perm);
-        store.encode_blocks();
+        let store = ColumnStore::clustered(data, &perm);
         Self {
             root,
             store,
@@ -367,6 +361,57 @@ mod tests {
         assert_eq!(order[0], 2);
         // Unfiltered dim 1 comes last.
         assert_eq!(order[2], 1);
+    }
+
+    /// The per-query loop `dimension_order` replaced, kept as the
+    /// reference it must match.
+    fn dimension_order_reference(data: &Dataset, workload: &Workload) -> Vec<usize> {
+        let d = data.num_dims();
+        let mut scored: Vec<(usize, f64)> = (0..d)
+            .map(|dim| {
+                let mut sel_sum = 0.0;
+                let mut count = 0usize;
+                for q in workload.queries() {
+                    if q.predicate_on(dim).is_some() {
+                        sel_sum += q.dim_selectivity(data, dim);
+                        count += 1;
+                    }
+                }
+                let score = if count == 0 {
+                    f64::INFINITY
+                } else {
+                    sel_sum / count as f64
+                };
+                (dim, score)
+            })
+            .collect();
+        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        scored.into_iter().map(|(dim, _)| dim).collect()
+    }
+
+    #[test]
+    fn dimension_order_matches_the_per_query_loop() {
+        let mut rng = SplitMix::new(41);
+        for round in 0..30usize {
+            let n = [0, 1, 400, 2_500][round % 4];
+            let d = 1 + round % 5;
+            let ds = data(n, d, round as u64);
+            // Ties (equal ranges on dims of one distribution) and unfiltered
+            // dimensions both occur.
+            let mut queries = Vec::new();
+            for _ in 0..rng.next_below(15) {
+                let dim = rng.next_below(d as u64) as usize;
+                let lo = [0, rng.next_below(100_000)][round % 2];
+                let hi = [lo + 5_000, u64::MAX][rng.next_below(2) as usize];
+                queries.push(Query::count(vec![Predicate::range(dim, lo, hi).unwrap()]).unwrap());
+            }
+            let w = Workload::new(queries);
+            assert_eq!(
+                KdTree::dimension_order(&ds, &w),
+                dimension_order_reference(&ds, &w),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

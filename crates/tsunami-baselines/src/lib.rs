@@ -14,6 +14,12 @@
 //! All of them are *clustered*: they reorder the column store according to
 //! their layout and answer queries by scanning contiguous row ranges, exactly
 //! like the learned indexes, so comparisons isolate the layout quality.
+//! Every family but the full scan gathers its store once, in layout order,
+//! straight from the input ([`tsunami_store::ColumnStore::clustered`]).
+//!
+//! SingleDim and the k-d tree rank dimensions by the sample workload's
+//! per-dimension selectivities, which [`filtered_selectivities`] counts in
+//! one pass per column.
 //!
 //! The paper tunes the page size of the tree-based baselines per
 //! dataset/workload; [`tuning::tune_page_size`] reproduces that step.
@@ -22,6 +28,7 @@ pub mod fullscan;
 pub mod kdtree;
 pub mod octree;
 mod page;
+pub mod selectivity;
 pub mod single_dim;
 pub mod tuning;
 pub mod zorder;
@@ -29,6 +36,7 @@ pub mod zorder;
 pub use fullscan::FullScanIndex;
 pub use kdtree::KdTree;
 pub use octree::HyperOctree;
+pub use selectivity::filtered_selectivities;
 pub use single_dim::ClusteredSingleDimIndex;
 pub use tuning::{tune_page_size, DEFAULT_PAGE_SIZES};
 pub use zorder::ZOrderIndex;

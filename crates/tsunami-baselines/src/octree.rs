@@ -70,9 +70,7 @@ impl HyperOctree {
             &mut num_leaves,
             &mut num_nodes,
         );
-        let mut store = ColumnStore::from_dataset(data);
-        store.permute(&perm);
-        store.encode_blocks();
+        let store = ColumnStore::clustered(data, &perm);
         Self {
             root,
             store,

@@ -4,21 +4,35 @@
 //! filters that dimension, the matching row range is located with binary
 //! search and only that range is scanned (checking the remaining predicates);
 //! otherwise the index degenerates to a full scan.
+//!
+//! The sort dimension is the one whose filtering queries are, on average,
+//! the most selective, weighted by how often it is filtered. The sample
+//! workload's selectivities are counted in one pass per column
+//! ([`filtered_selectivities`]), not one pass per query.
+//!
+//! The index keeps no copy of its sort column: the store is clustered on it,
+//! so `plan()` binary-searches the store's own sorted column — over the
+//! encoded blocks' bounds first, then inside the one block the boundary
+//! falls in (reading single values out of its packed payload), or over the
+//! plain tail. What the index keeps beyond the store is each dimension's
+//! value domain, for residual-predicate elimination.
 
 use std::time::Instant;
 
+use tsunami_core::exec::BLOCK_ROWS;
 use tsunami_core::{
     BuildTiming, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor,
     TsunamiError, Value, Workload,
 };
 use tsunami_store::ColumnStore;
 
+use crate::selectivity::filtered_selectivities;
+
 /// A clustered index sorted on a single dimension.
 #[derive(Debug)]
 pub struct ClusteredSingleDimIndex {
+    /// The rows in sort-dimension order.
     store: ColumnStore,
-    /// Sorted copy of the sort dimension's values for binary search.
-    sort_keys: Vec<Value>,
     sort_dim: usize,
     /// Per-dimension `(min, max)` value bounds of the stored data, used to
     /// drop residual predicates the whole table trivially satisfies.
@@ -30,27 +44,20 @@ impl ClusteredSingleDimIndex {
     /// Picks the most selective dimension of the workload: the filtered
     /// dimension with the lowest average per-dimension selectivity.
     pub fn choose_sort_dim(data: &Dataset, workload: &Workload) -> usize {
-        let d = data.num_dims();
         let mut best_dim = 0usize;
         let mut best_sel = f64::INFINITY;
-        for dim in 0..d {
-            let mut sel_sum = 0.0;
-            let mut count = 0usize;
-            for q in workload.queries() {
-                if q.predicate_on(dim).is_some() {
-                    sel_sum += q.dim_selectivity(data, dim);
-                    count += 1;
-                }
+        for (dim, sels) in filtered_selectivities(data, workload).iter().enumerate() {
+            if sels.is_empty() {
+                continue;
             }
-            if count > 0 {
-                // Weight by how often the dimension is filtered.
-                let avg = sel_sum / count as f64;
-                let freq = count as f64 / workload.len().max(1) as f64;
-                let score = avg / freq.max(1e-6);
-                if score < best_sel {
-                    best_sel = score;
-                    best_dim = dim;
-                }
+            // Weight by how often the dimension is filtered.
+            let count = sels.len() as f64;
+            let avg = sels.iter().sum::<f64>() / count;
+            let freq = count / workload.len().max(1) as f64;
+            let score = avg / freq.max(1e-6);
+            if score < best_sel {
+                best_sel = score;
+                best_dim = dim;
             }
         }
         best_dim
@@ -68,16 +75,11 @@ impl ClusteredSingleDimIndex {
         let col = data.column(sort_dim);
         let mut perm: Vec<usize> = (0..data.len()).collect();
         perm.sort_by_key(|&r| col[r]);
-        let sort_keys: Vec<Value> = perm.iter().map(|&r| col[r]).collect();
         let domains: Vec<(Value, Value)> = (0..data.num_dims())
             .map(|d| data.domain(d).unwrap_or((0, 0)))
             .collect();
-        let mut store = ColumnStore::from_dataset(data);
-        store.permute(&perm);
-        store.encode_blocks();
         Self {
-            store,
-            sort_keys,
+            store: ColumnStore::clustered(data, &perm),
             sort_dim,
             domains,
             timing: BuildTiming {
@@ -111,7 +113,6 @@ impl ClusteredSingleDimIndex {
         perm.sort_by_key(|&r| keys[r]);
         store.permute(&perm);
         store.encode_blocks();
-        let sort_keys: Vec<Value> = perm.iter().map(|&r| keys[r]).collect();
         let domains: Vec<(Value, Value)> = self
             .domains
             .iter()
@@ -124,7 +125,6 @@ impl ClusteredSingleDimIndex {
             .collect();
         Ok(Self {
             store,
-            sort_keys,
             sort_dim: self.sort_dim,
             domains,
             timing: BuildTiming {
@@ -132,6 +132,29 @@ impl ClusteredSingleDimIndex {
                 optimize_secs: 0.0,
             },
         })
+    }
+
+    /// The number of leading rows whose sort-dimension value satisfies
+    /// `before`, a test that holds on a prefix of the sort order: a binary
+    /// search of the store's sorted column, over its encoded blocks' upper
+    /// bounds, then inside the one block where `before` stops holding, or
+    /// over the plain tail when it holds on every block.
+    fn partition_point(&self, before: impl Fn(Value) -> bool) -> usize {
+        let column = self.store.column(self.sort_dim).data();
+        let whole = column.blocks.partition_point(|eb| before(eb.bounds().1));
+        let Some(block) = column.blocks.get(whole) else {
+            return whole * BLOCK_ROWS + column.tail.partition_point(|&v| before(v));
+        };
+        let (mut lo, mut hi) = (0, block.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(block.value_at(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        whole * BLOCK_ROWS + lo
     }
 
     /// Whether the whole table already satisfies a predicate (its range
@@ -164,8 +187,8 @@ impl MultiDimIndex for ClusteredSingleDimIndex {
         let plan = match on_sort_dim {
             None => ScanPlan::full(self.store.len()),
             Some(pred) => {
-                let start = self.sort_keys.partition_point(|&v| v < pred.lo);
-                let end = self.sort_keys.partition_point(|&v| v <= pred.hi);
+                let start = self.partition_point(|v| v < pred.lo);
+                let end = self.partition_point(|v| v <= pred.hi);
                 // The binary search already guarantees the sort-dimension
                 // predicate for every row in the range: if it is the only
                 // filter the range is exact.
@@ -187,8 +210,9 @@ impl MultiDimIndex for ClusteredSingleDimIndex {
     }
 
     fn size_bytes(&self) -> usize {
-        // The sorted key copy is the index structure.
-        self.sort_keys.len() * std::mem::size_of::<Value>()
+        // The sort order is the store's own; beyond it the index keeps the
+        // per-dimension domains.
+        self.domains.len() * 2 * std::mem::size_of::<Value>()
     }
 
     fn build_timing(&self) -> BuildTiming {
@@ -213,6 +237,156 @@ mod tests {
             (0..2000u64).map(|v| v % 777).collect(),
         ])
         .unwrap()
+    }
+
+    /// The per-query loop `choose_sort_dim` replaced, kept as the reference
+    /// it must match.
+    fn choose_sort_dim_reference(data: &Dataset, workload: &Workload) -> usize {
+        let d = data.num_dims();
+        let mut best_dim = 0usize;
+        let mut best_sel = f64::INFINITY;
+        for dim in 0..d {
+            let mut sel_sum = 0.0;
+            let mut count = 0usize;
+            for q in workload.queries() {
+                if q.predicate_on(dim).is_some() {
+                    sel_sum += q.dim_selectivity(data, dim);
+                    count += 1;
+                }
+            }
+            if count > 0 {
+                let avg = sel_sum / count as f64;
+                let freq = count as f64 / workload.len().max(1) as f64;
+                let score = avg / freq.max(1e-6);
+                if score < best_sel {
+                    best_sel = score;
+                    best_dim = dim;
+                }
+            }
+        }
+        best_dim
+    }
+
+    #[test]
+    fn sort_dim_choice_matches_the_per_query_loop() {
+        let mut rng = SplitMix::new(71);
+        for round in 0..30usize {
+            let n = [0, 1, 500, 3_000][round % 4];
+            let dims = 1 + round % 4;
+            let data = Dataset::from_columns(
+                (0..dims)
+                    .map(|dim| (0..n).map(|_| rng.next_below(10 << dim)).collect())
+                    .collect(),
+            )
+            .unwrap();
+            let mut queries = Vec::new();
+            for _ in 0..rng.next_below(12) {
+                let mut preds = Vec::new();
+                for dim in 0..dims {
+                    // The last dimension is never filtered.
+                    if dim + 1 == dims && dims > 1 || rng.next_below(2) == 0 {
+                        continue;
+                    }
+                    let lo = rng.next_below(10 << dim);
+                    preds.push(Predicate::range(dim, lo, lo + rng.next_below(8 << dim)).unwrap());
+                }
+                queries.push(Query::count(preds).unwrap());
+            }
+            let w = Workload::new(queries);
+            assert_eq!(
+                ClusteredSingleDimIndex::choose_sort_dim(&data, &w),
+                choose_sort_dim_reference(&data, &w),
+                "round {round}"
+            );
+        }
+    }
+
+    /// The sort range `plan()` finds for `lo..=hi` must be the
+    /// `partition_point` pair over the decoded sort column.
+    fn assert_plans_like_a_search(idx: &ClusteredSingleDimIndex, bounds: &[(Value, Value)]) {
+        let keys = idx
+            .store
+            .column(idx.sort_dim)
+            .decode_range(0..idx.store.len());
+        for &(lo, hi) in bounds {
+            let q = Query::count(vec![Predicate::range(idx.sort_dim, lo, hi).unwrap()]).unwrap();
+            let start = keys.partition_point(|&v| v < lo);
+            let end = keys.partition_point(|&v| v <= hi);
+            let expected = ScanPlan::from_ranges([(start..end, true)]);
+            assert_eq!(idx.plan(&q).ranges(), expected.ranges(), "{lo}..={hi}");
+        }
+    }
+
+    #[test]
+    fn plan_searches_the_sorted_store_like_the_decoded_column() {
+        // Three encoded blocks and a plain tail; every value repeats ~40
+        // times, so runs of one value straddle the block boundaries.
+        let n = 3 * BLOCK_ROWS + 300;
+        let mut rng = SplitMix::new(73);
+        let ds = Dataset::from_columns(vec![
+            (0..n)
+                .map(|_| 10 + 2 * rng.next_below(n as u64 / 40))
+                .collect(),
+            (0..n).map(|_| rng.next_below(1_000)).collect(),
+        ])
+        .unwrap();
+        let idx = ClusteredSingleDimIndex::build_on_dim(&ds, 0);
+        let column = idx.store.column(0);
+        assert_eq!(column.encoded_blocks().len(), 3);
+        assert_eq!(column.tail_rows(), 300);
+        let mut bounds = vec![
+            // Outside the domain, and ranges holding no value (the stored
+            // values are even).
+            (0, 9),
+            (0, 0),
+            (u64::MAX, u64::MAX),
+            (1 << 40, u64::MAX),
+            (11, 11),
+            (13, 13),
+            (0, u64::MAX),
+        ];
+        // The values either side of every block boundary, and inside the
+        // tail, as points and as ranges.
+        for row in [
+            BLOCK_ROWS - 1,
+            BLOCK_ROWS,
+            2 * BLOCK_ROWS - 1,
+            2 * BLOCK_ROWS,
+            3 * BLOCK_ROWS - 1,
+            3 * BLOCK_ROWS,
+            3 * BLOCK_ROWS + 150,
+            n - 1,
+        ] {
+            let v = column.get(row);
+            bounds.extend([(v, v), (v - 1, v + 1), (0, v), (v, u64::MAX)]);
+        }
+        for _ in 0..200 {
+            let lo = rng.next_below(n as u64 / 20 + 20);
+            bounds.push((lo, lo + rng.next_below(200)));
+        }
+        assert_plans_like_a_search(&idx, &bounds);
+
+        // After an ingest the sorted store has a new block layout and tail.
+        let batch = Dataset::from_columns(vec![
+            (0..700)
+                .map(|_| 11 + 2 * rng.next_below(n as u64 / 40))
+                .collect(),
+            (0..700).map(|_| rng.next_below(1_000)).collect(),
+        ])
+        .unwrap();
+        let ingested = idx.ingest(&batch).unwrap();
+        assert_eq!(ingested.store.column(0).encoded_blocks().len(), 3);
+        assert_eq!(ingested.store.column(0).tail_rows(), 1_000);
+        bounds.extend((0..100).map(|v| (11 + 2 * v, 11 + 2 * v)));
+        assert_plans_like_a_search(&ingested, &bounds);
+    }
+
+    #[test]
+    fn an_empty_table_plans_nothing() {
+        let ds = Dataset::from_columns(vec![vec![], vec![]]).unwrap();
+        let idx = ClusteredSingleDimIndex::build_on_dim(&ds, 1);
+        assert_plans_like_a_search(&idx, &[(0, 0), (0, u64::MAX), (5, 9)]);
+        assert!(idx.size_bytes() > 0);
     }
 
     #[test]
@@ -279,9 +453,10 @@ mod tests {
         for row in batch.rows() {
             merged.push_row(&row).unwrap();
         }
-        // Sort keys stay sorted and cover every row.
-        assert!(ingested.sort_keys.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(ingested.sort_keys.len(), merged.len());
+        // The store stays sorted on the sort dimension and holds every row.
+        let keys = ingested.store.column(0).decode_range(0..merged.len());
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(ingested.store.len(), merged.len());
 
         for (lo, hi) in [(0u64, 99u64), (400, 600), (990, 6_000)] {
             let q = Query::count(vec![Predicate::range(0, lo, hi).unwrap()]).unwrap();

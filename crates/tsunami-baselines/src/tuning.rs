@@ -14,10 +14,12 @@ use tsunami_core::{Dataset, MultiDimIndex, Workload};
 /// The default grid of candidate page sizes.
 pub const DEFAULT_PAGE_SIZES: &[usize] = &[64, 256, 1024, 4096, 16384];
 
-/// Result of tuning: the winning page size and the measured average query
-/// latency (seconds) for every candidate.
+/// Result of tuning: the winning index, its page size and the measured
+/// average query latency (seconds) for every candidate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TuningResult {
+pub struct TuningResult<I> {
+    /// The index built at the winning page size.
+    pub index: I,
     /// The page size with the lowest measured average query latency.
     pub best_page_size: usize,
     /// `(page_size, average_query_seconds)` for every candidate tried.
@@ -27,15 +29,16 @@ pub struct TuningResult {
 /// Tunes the page size of an index family by building it at each candidate
 /// page size and measuring average query latency on the workload.
 ///
-/// `build` constructs the index for a given page size. Returns the tuning
-/// result; the caller typically rebuilds the index at `best_page_size` (or
-/// keeps the last built one).
+/// `build` constructs the index for a given page size. The winning build is
+/// handed back as [`TuningResult::index`], so the caller never builds it a
+/// second time; while the candidates are tried, the best so far and the
+/// one being measured are both held.
 pub fn tune_page_size<I, F>(
     data: &Dataset,
     workload: &Workload,
     candidates: &[usize],
     mut build: F,
-) -> TuningResult
+) -> TuningResult<I>
 where
     I: MultiDimIndex,
     F: FnMut(&Dataset, &Workload, usize) -> I,
@@ -45,17 +48,19 @@ where
         "need at least one candidate page size"
     );
     let mut measurements = Vec::with_capacity(candidates.len());
-    let mut best = (candidates[0], f64::INFINITY);
+    let mut best: Option<(I, usize, f64)> = None;
     for &page_size in candidates {
         let index = build(data, workload, page_size);
         let avg = measure_average_latency(&index, workload);
         measurements.push((page_size, avg));
-        if avg < best.1 {
-            best = (page_size, avg);
+        if best.as_ref().is_none_or(|&(_, _, best_avg)| avg < best_avg) {
+            best = Some((index, page_size, avg));
         }
     }
+    let (index, best_page_size, _) = best.expect("at least one candidate");
     TuningResult {
-        best_page_size: best.0,
+        index,
+        best_page_size,
         measurements,
     }
 }
@@ -77,6 +82,8 @@ pub fn measure_average_latency<I: MultiDimIndex>(index: &I, workload: &Workload)
 mod tests {
     use super::*;
     use crate::kdtree::KdTree;
+    use crate::octree::HyperOctree;
+    use crate::zorder::ZOrderIndex;
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{Predicate, Query};
 
@@ -117,6 +124,31 @@ mod tests {
             .unwrap()
             .1;
         assert!(result.measurements.iter().all(|&(_, m)| m >= best_measure));
+    }
+
+    /// The tuned index must be the build at the winning page size: the
+    /// same plan for every query and the same size.
+    fn assert_keeps_the_winner<I, F>(build: F)
+    where
+        I: MultiDimIndex,
+        F: Fn(&Dataset, &Workload, usize) -> I,
+    {
+        let ds = data(3_000);
+        let w = workload();
+        let tuned = tune_page_size(&ds, &w, &[64, 512, 2048], &build);
+        let rebuilt = build(&ds, &w, tuned.best_page_size);
+        assert_eq!(tuned.index.size_bytes(), rebuilt.size_bytes());
+        let wide = Query::count(vec![Predicate::range(1, 100, 6_000).unwrap()]).unwrap();
+        for q in w.queries().iter().chain([&wide]) {
+            assert_eq!(tuned.index.plan(q), rebuilt.plan(q), "{q:?}");
+        }
+    }
+
+    #[test]
+    fn tuning_keeps_the_winning_build() {
+        assert_keeps_the_winner(KdTree::build);
+        assert_keeps_the_winner(ZOrderIndex::build);
+        assert_keeps_the_winner(HyperOctree::build);
     }
 
     #[test]

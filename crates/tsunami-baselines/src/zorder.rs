@@ -109,9 +109,7 @@ impl ZOrderIndex {
             i = end;
         }
 
-        let mut store = ColumnStore::from_dataset(data);
-        store.permute(&perm);
-        store.encode_blocks();
+        let store = ColumnStore::clustered(data, &perm);
         Self {
             store,
             pages,

@@ -27,18 +27,18 @@ pub enum PageSize {
 }
 
 impl PageSize {
-    fn resolve<I, F>(&self, data: &Dataset, workload: &Workload, build: F) -> usize
+    /// Builds a paged index at this page size; a tuned choice keeps the
+    /// build that won the tuning.
+    fn build<I, F>(&self, data: &Dataset, workload: &Workload, mut build: F) -> I
     where
         I: MultiDimIndex,
         F: FnMut(&Dataset, &Workload, usize) -> I,
     {
         match self {
-            PageSize::Fixed(ps) => *ps,
-            PageSize::Tuned => {
-                tune_page_size(data, workload, DEFAULT_PAGE_SIZES, build).best_page_size
-            }
+            PageSize::Fixed(ps) => build(data, workload, *ps),
+            PageSize::Tuned => tune_page_size(data, workload, DEFAULT_PAGE_SIZES, build).index,
             PageSize::TunedOver(candidates) => {
-                tune_page_size(data, workload, candidates, build).best_page_size
+                tune_page_size(data, workload, candidates, build).index
             }
         }
     }
@@ -132,16 +132,13 @@ impl IndexSpec {
             IndexSpec::FullScan => Box::new(FullScanIndex::build(data)),
             IndexSpec::SingleDim => Box::new(ClusteredSingleDimIndex::build(data, workload)),
             IndexSpec::ZOrder(page_size) => {
-                let ps = page_size.resolve(data, workload, ZOrderIndex::build);
-                Box::new(ZOrderIndex::build(data, workload, ps))
+                Box::new(page_size.build(data, workload, ZOrderIndex::build))
             }
             IndexSpec::Octree(page_size) => {
-                let ps = page_size.resolve(data, workload, HyperOctree::build);
-                Box::new(HyperOctree::build(data, workload, ps))
+                Box::new(page_size.build(data, workload, HyperOctree::build))
             }
             IndexSpec::KdTree(page_size) => {
-                let ps = page_size.resolve(data, workload, KdTree::build);
-                Box::new(KdTree::build(data, workload, ps))
+                Box::new(page_size.build(data, workload, KdTree::build))
             }
         })
     }
@@ -186,6 +183,35 @@ mod tests {
                     "{} disagrees on {q:?}",
                     spec.label()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_tuned_spec_builds_its_winner_once() {
+        // One candidate always wins, so the tuned index is the fixed build.
+        let (data, workload) = small();
+        let cost = CostModel::default();
+        let wide = Query::count(vec![Predicate::range(1, 10, 900).unwrap()]).unwrap();
+        for (tuned, fixed) in [
+            (
+                IndexSpec::ZOrder(PageSize::TunedOver(vec![128])),
+                IndexSpec::ZOrder(PageSize::Fixed(128)),
+            ),
+            (
+                IndexSpec::Octree(PageSize::TunedOver(vec![128])),
+                IndexSpec::Octree(PageSize::Fixed(128)),
+            ),
+            (
+                IndexSpec::KdTree(PageSize::TunedOver(vec![128])),
+                IndexSpec::KdTree(PageSize::Fixed(128)),
+            ),
+        ] {
+            let tuned = tuned.build(&data, &workload, &cost).unwrap();
+            let fixed = fixed.build(&data, &workload, &cost).unwrap();
+            assert_eq!(tuned.size_bytes(), fixed.size_bytes());
+            for q in workload.queries().iter().chain([&wide]) {
+                assert_eq!(tuned.plan(q), fixed.plan(q), "{} {q:?}", tuned.name());
             }
         }
     }

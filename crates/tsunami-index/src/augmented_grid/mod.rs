@@ -154,10 +154,10 @@ pub struct AugmentedGrid {
 }
 
 /// One fitted per-dimension model, with every row's bucket in it.
-struct Fit<M> {
-    model: M,
+pub(crate) struct Fit<M> {
+    pub(crate) model: M,
     /// `parts[r]` is row `r`'s bucket in `model`.
-    parts: Vec<u32>,
+    pub(crate) parts: Vec<u32>,
 }
 
 /// The per-dimension models [`AugmentedGrid::build_in`] fits, memoized over
@@ -192,7 +192,7 @@ impl<'a> FitCache<'a> {
     }
 
     /// `dim`'s equi-depth CDF with (up to) `p` buckets.
-    fn histogram(&mut self, dim: usize, p: usize) -> &Fit<HistogramCdf> {
+    pub(crate) fn histogram(&mut self, dim: usize, p: usize) -> &Fit<HistogramCdf> {
         let column = self.data.column(dim);
         self.histograms.entry((dim, p)).or_insert_with(|| {
             let model = HistogramCdf::build(column, p);

@@ -10,73 +10,82 @@
 //! captures correlation effects that a uniform-independence assumption would
 //! miss — which is exactly why Flood struggles on correlated data.
 
-use crate::cdf::HistogramCdf;
+use std::collections::HashMap;
+
+use crate::augmented_grid::FitCache;
 use tsunami_core::{CostFeatures, CostModel, Dataset, Query, Workload};
 
-/// Estimates cost features for queries against a candidate grid layout using
-/// a data sample.
-#[derive(Debug)]
+/// Prices candidate grid layouts for one workload over one data sample.
+///
+/// A candidate is a partition-count vector, and each of its dimensions'
+/// partitioning is a model fitted over the sample. The descent asks about
+/// many candidates that differ in one dimension, so the models are fitted
+/// once per `(dim, partitions)` and kept ([`FitCache`], the cache the
+/// Augmented-Grid search builds its grids from), and each distinct
+/// candidate is priced once. A model is a pure function of the sample and
+/// its key, so every price is the one a fresh fit would give.
 pub(crate) struct GridCostEstimator<'a> {
-    /// Per dimension, the candidate partitioning's model over the sample:
-    /// its buckets are the partitions.
-    models: Vec<HistogramCdf>,
-    /// Per dimension, each sample row's partition under `models`, found
-    /// once per candidate instead of once per query.
-    row_partitions: Vec<Vec<usize>>,
-    sample: &'a Dataset,
+    /// Per `(dim, partitions)`: the model whose buckets are the partitions,
+    /// with each sample row's partition in it.
+    fits: FitCache<'a>,
     total_rows: usize,
+    workload: &'a Workload,
+    cost: &'a CostModel,
+    /// The price of every candidate asked about so far.
+    priced: HashMap<Vec<usize>, f64>,
 }
 
 impl<'a> GridCostEstimator<'a> {
-    /// Creates an estimator for a layout built over the *sample* with the
-    /// candidate partition counts; `total_rows` scales sample counts up to
-    /// the full dataset.
-    pub(crate) fn new(sample: &'a Dataset, partitions: &[usize], total_rows: usize) -> Self {
-        let models: Vec<HistogramCdf> = (0..sample.num_dims())
-            .map(|dim| HistogramCdf::build(sample.column(dim), partitions[dim].max(1)))
-            .collect();
-        let row_partitions = models
-            .iter()
-            .enumerate()
-            .map(|(dim, m)| sample.column(dim).iter().map(|&v| m.bucket_of(v)).collect())
-            .collect();
+    /// An estimator for `workload` under `cost`, over layouts built on the
+    /// *sample*; `total_rows` scales sample counts up to the full dataset.
+    pub(crate) fn new(
+        sample: &'a Dataset,
+        total_rows: usize,
+        workload: &'a Workload,
+        cost: &'a CostModel,
+    ) -> Self {
         Self {
-            models,
-            row_partitions,
-            sample,
+            fits: FitCache::new(sample),
             total_rows,
+            workload,
+            cost,
+            priced: HashMap::new(),
         }
     }
 
-    /// The inclusive range of partitions of `dim` the query intersects.
-    fn intersecting(&self, query: &Query, dim: usize) -> (usize, usize) {
-        let model = &self.models[dim];
+    /// The inclusive range of `dim`'s `p` partitions the query intersects.
+    fn intersecting(&mut self, query: &Query, dim: usize, p: usize) -> (usize, usize) {
+        let model = &self.fits.histogram(dim, p).model;
         match query.predicate_on(dim) {
-            Some(p) => model.bucket_range(p.lo, p.hi),
+            Some(pred) => model.bucket_range(pred.lo, pred.hi),
             None => (0, model.num_buckets() - 1),
         }
     }
 
-    /// Estimated cost features for a single query.
-    pub(crate) fn features(&self, query: &Query) -> CostFeatures {
+    /// Estimated cost features for a single query against the candidate
+    /// `partitions`.
+    fn features(&mut self, partitions: &[usize], query: &Query) -> CostFeatures {
         // Number of cell ranges = number of runs along the last dimension =
         // product of intersecting-partition counts over the prefix dims.
-        let d = self.models.len();
+        let prefix = &partitions[..partitions.len().saturating_sub(1)];
         let mut cell_ranges = 1f64;
-        for dim in 0..d.saturating_sub(1) {
-            let (lo, hi) = self.intersecting(query, dim);
+        for (dim, &p) in prefix.iter().enumerate() {
+            let (lo, hi) = self.intersecting(query, dim, p.max(1));
             cell_ranges *= (hi - lo + 1) as f64;
         }
 
         // Scanned points: fraction of sample points whose partition lies in
         // the intersecting range for every filtered dimension.
         let filtered = query.filtered_dims();
-        let n = self.sample.len();
+        let n = self.fits.data().len();
         let mut hits = vec![true; n];
         for &dim in &filtered {
-            let (lo, hi) = self.intersecting(query, dim);
-            for (h, &p) in hits.iter_mut().zip(&self.row_partitions[dim]) {
-                *h &= lo <= p && p <= hi;
+            let p = partitions[dim].max(1);
+            let (lo, hi) = self.intersecting(query, dim, p);
+            let parts = &self.fits.histogram(dim, p).parts;
+            for (h, &part) in hits.iter_mut().zip(parts) {
+                let part = part as usize;
+                *h &= lo <= part && part <= hi;
             }
         }
         let hit = hits.iter().filter(|&&h| h).count();
@@ -93,30 +102,23 @@ impl<'a> GridCostEstimator<'a> {
         }
     }
 
-    /// Predicted average query time over a workload under a cost model.
-    pub(crate) fn average_cost(&self, workload: &Workload, cost: &CostModel) -> f64 {
-        if workload.is_empty() {
+    /// Predicted average query time of the candidate `partitions` over the
+    /// workload.
+    pub(crate) fn price(&mut self, partitions: &[usize]) -> f64 {
+        if self.workload.is_empty() {
             return 0.0;
         }
-        workload
-            .queries()
-            .iter()
-            .map(|q| cost.predict(&self.features(q)))
+        if let Some(&price) = self.priced.get(partitions) {
+            return price;
+        }
+        let (workload, cost) = (self.workload, self.cost);
+        let price = (workload.queries().iter())
+            .map(|q| cost.predict(&self.features(partitions, q)))
             .sum::<f64>()
-            / workload.len() as f64
+            / workload.len() as f64;
+        self.priced.insert(partitions.to_vec(), price);
+        price
     }
-}
-
-/// Convenience: predicted average query time of the partition-count vector
-/// `partitions` for `workload`, using `sample` scaled to `total_rows`.
-pub(crate) fn predicted_cost(
-    sample: &Dataset,
-    partitions: &[usize],
-    total_rows: usize,
-    workload: &Workload,
-    cost: &CostModel,
-) -> f64 {
-    GridCostEstimator::new(sample, partitions, total_rows).average_cost(workload, cost)
 }
 
 #[cfg(test)]
@@ -132,25 +134,29 @@ mod tests {
         .unwrap()
     }
 
+    /// Features of `query` under `partitions`, from a fresh estimator.
+    fn features(s: &Dataset, partitions: &[usize], query: &Query) -> CostFeatures {
+        let (w, cost) = (Workload::default(), CostModel::default());
+        GridCostEstimator::new(s, 100_000, &w, &cost).features(partitions, query)
+    }
+
     #[test]
     fn narrower_filters_scan_fewer_points() {
         let s = sample();
-        let est = GridCostEstimator::new(&s, &[16, 16], 100_000);
         let narrow = Query::count(vec![Predicate::range(0, 0, 99).unwrap()]).unwrap();
         let wide = Query::count(vec![Predicate::range(0, 0, 499).unwrap()]).unwrap();
-        assert!(est.features(&narrow).scanned_points < est.features(&wide).scanned_points);
+        assert!(
+            features(&s, &[16, 16], &narrow).scanned_points
+                < features(&s, &[16, 16], &wide).scanned_points
+        );
     }
 
     #[test]
     fn more_partitions_in_filtered_dim_reduce_scanned_points() {
         let s = sample();
         let q = Query::count(vec![Predicate::range(0, 0, 49).unwrap()]).unwrap();
-        let coarse = GridCostEstimator::new(&s, &[2, 2], 100_000)
-            .features(&q)
-            .scanned_points;
-        let fine = GridCostEstimator::new(&s, &[64, 2], 100_000)
-            .features(&q)
-            .scanned_points;
+        let coarse = features(&s, &[2, 2], &q).scanned_points;
+        let fine = features(&s, &[64, 2], &q).scanned_points;
         assert!(fine < coarse);
     }
 
@@ -159,8 +165,8 @@ mod tests {
         let s = sample();
         // Query filters only dim1, so every partition of dim0 contributes one run.
         let q = Query::count(vec![Predicate::range(1, 0, 99).unwrap()]).unwrap();
-        let few = GridCostEstimator::new(&s, &[4, 8], 100_000).features(&q);
-        let many = GridCostEstimator::new(&s, &[32, 8], 100_000).features(&q);
+        let few = features(&s, &[4, 8], &q);
+        let many = features(&s, &[32, 8], &q);
         assert_eq!(few.cell_ranges, 4.0);
         assert_eq!(many.cell_ranges, 32.0);
     }
@@ -173,18 +179,39 @@ mod tests {
             Query::count(vec![Predicate::range(0, 500, 599).unwrap()]).unwrap(),
         ]);
         let cost = CostModel::default();
-        let bad = predicted_cost(&s, &[1, 1], 1_000_000, &w, &cost);
-        let good = predicted_cost(&s, &[32, 1], 1_000_000, &w, &cost);
+        let mut est = GridCostEstimator::new(&s, 1_000_000, &w, &cost);
+        let bad = est.price(&[1, 1]);
+        let good = est.price(&[32, 1]);
         assert!(good < bad, "partitioning the filtered dim must reduce cost");
+    }
+
+    #[test]
+    fn a_warm_estimator_prices_like_a_fresh_one() {
+        let s = sample();
+        let w = Workload::new(vec![
+            Query::count(vec![Predicate::range(0, 0, 99).unwrap()]).unwrap(),
+            Query::count(vec![
+                Predicate::range(0, 300, 650).unwrap(),
+                Predicate::range(1, 10, 400).unwrap(),
+            ])
+            .unwrap(),
+            Query::count(vec![Predicate::range(1, 500, 599).unwrap()]).unwrap(),
+        ]);
+        let cost = CostModel::default();
+        let candidates = [[1, 1], [8, 3], [8, 4], [12, 4], [8, 3], [2, 40], [12, 4]];
+        let mut warm = GridCostEstimator::new(&s, 1_000_000, &w, &cost);
+        for partitions in candidates {
+            let fresh = GridCostEstimator::new(&s, 1_000_000, &w, &cost).price(&partitions);
+            assert_eq!(warm.price(&partitions).to_bits(), fresh.to_bits());
+        }
+        assert_eq!(warm.priced.len(), 5);
     }
 
     #[test]
     fn empty_workload_costs_nothing() {
         let s = sample();
-        let est = GridCostEstimator::new(&s, &[4, 4], 1000);
-        assert_eq!(
-            est.average_cost(&Workload::default(), &CostModel::default()),
-            0.0
-        );
+        let (w, cost) = (Workload::default(), CostModel::default());
+        let mut est = GridCostEstimator::new(&s, 1000, &w, &cost);
+        assert_eq!(est.price(&[4, 4]), 0.0);
     }
 }

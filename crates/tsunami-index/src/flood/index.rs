@@ -61,9 +61,7 @@ impl FloodIndex {
         let sort_start = Instant::now();
         let skeleton = Skeleton::all_independent(data.num_dims());
         let (grid, perm) = AugmentedGrid::build(data, &skeleton, partitions);
-        let mut store = ColumnStore::from_dataset(data);
-        store.permute(&perm);
-        store.encode_blocks();
+        let store = ColumnStore::clustered(data, &perm);
         Self {
             grid,
             store,

@@ -7,10 +7,12 @@
 //! optimizer's own on the all-independent skeleton: partition counts
 //! initialized in proportion to how selective the workload is in each
 //! dimension ([`initial_partitions`]), then coordinate descent over them
-//! ([`descend_partitions`]) — scored here by Flood's sample-based estimator.
+//! ([`descend_partitions`]) — scored here by Flood's sample-based estimator,
+//! which fits each dimension's model once per partition count and prices
+//! each distinct candidate once.
 
 use super::config::FloodConfig;
-use super::estimator::predicted_cost;
+use super::estimator::GridCostEstimator;
 use super::SEED;
 use crate::augmented_grid::optimizer::{descend_partitions, initial_partitions};
 use crate::Skeleton;
@@ -39,14 +41,15 @@ pub(crate) fn optimize_partitions(
     let skeleton = Skeleton::all_independent(data.num_dims());
     let dims = skeleton.grid_dims();
     let mut partitions = initial_partitions(&sample, &skeleton, workload, config.max_cells);
-    let mut best_cost = predicted_cost(&sample, &partitions, total, workload, cost);
+    let mut estimator = GridCostEstimator::new(&sample, total, workload, cost);
+    let mut best_cost = estimator.price(&partitions);
     for _ in 0..config.max_iters {
         let improved = descend_partitions(
             &mut partitions,
             &mut best_cost,
             &dims,
             config.max_cells,
-            |p| predicted_cost(&sample, p, total, workload, cost),
+            |p| estimator.price(p),
         );
         if !improved {
             break;
@@ -95,7 +98,7 @@ mod tests {
         let cfg = FloodConfig::fast();
         let sample = sample_dataset(&d, cfg.sample_size, SEED);
         let init = initial_partitions(&sample, &Skeleton::all_independent(3), &w, cfg.max_cells);
-        let init_cost = predicted_cost(&sample, &init, d.len(), &w, &cost);
+        let init_cost = GridCostEstimator::new(&sample, d.len(), &w, &cost).price(&init);
         let opt = optimize_partitions(&d, &w, &cost, &cfg);
         assert!(opt.predicted_cost <= init_cost * 1.001);
         assert!(opt.partitions.iter().product::<usize>() <= cfg.max_cells);

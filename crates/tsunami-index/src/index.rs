@@ -305,9 +305,7 @@ impl TsunamiIndex {
                 inserted: 0,
             });
         }
-        let mut store = ColumnStore::from_dataset(data);
-        store.permute(&global_perm);
-        store.encode_blocks();
+        let store = ColumnStore::clustered(data, &global_perm);
         let sort_secs = sort_start.elapsed().as_secs_f64();
 
         let num_regions = regions.len();

@@ -10,7 +10,9 @@
 //! the trailing partial block. Appends go to the tail, so an append never
 //! pays encode cost itself; once the owning index has placed its rows
 //! (build, graft, compaction, an append that is final) it calls
-//! `encode_blocks`, which packs the tail's full blocks.
+//! `encode_blocks`, which packs the tail's full blocks. A build skips the
+//! plain stage: `Column::gathered` encodes each block as it gathers it from
+//! the input.
 //! Any mutation that moves rows ([`Column::select`],
 //! [`Column::permute_range`]) first decodes the affected suffix, which also
 //! keeps block metadata trivially consistent: an encoded block's contents
@@ -61,6 +63,32 @@ impl Column {
             values,
             bounds,
         }
+    }
+
+    /// A column whose row `i` holds `values[order[i]]`, every full block
+    /// encoded with all its rows live: what [`Column::new`], a
+    /// [`Column::select`] of `order` and [`Column::encode_blocks`] build,
+    /// without the plain copy in between. Each block is gathered into a
+    /// buffer and encoded straight away; the trailing partial block is the
+    /// plain tail.
+    pub(crate) fn gathered(values: &[Value], order: &[usize]) -> Self {
+        let (head, tail) = order.split_at(order.len() - order.len() % BLOCK_ROWS);
+        let mut block = [0; BLOCK_ROWS];
+        let packed = (head.chunks_exact(BLOCK_ROWS))
+            .map(|rows| {
+                for (v, &row) in block.iter_mut().zip(rows) {
+                    *v = values[row];
+                }
+                EncodedBlock::encode(&block, |_| true)
+            })
+            .collect();
+        let mut column = Self {
+            packed: Arc::new(packed),
+            values: tail.iter().map(|&row| values[row]).collect(),
+            bounds: None,
+        };
+        column.recompute_bounds();
+        column
     }
 
     /// Number of values.

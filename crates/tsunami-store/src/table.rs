@@ -1,5 +1,13 @@
 //! The clustered column store: permuted physical storage scanned through the
 //! shared vectorized executor (with the paper's exact-range optimization).
+//!
+//! An index build makes its store with [`ColumnStore::clustered`]: each
+//! column is gathered from the input in layout order one block at a time
+//! and encoded as it goes, so the build moves every value once, with no
+//! plain copy of the table and no permute pass. Ingest, grafts and
+//! compaction then restructure the store in place
+//! ([`ColumnStore::append_dataset`], [`ColumnStore::select`],
+//! [`ColumnStore::permute_range`]) and re-encode what they moved.
 
 use std::ops::Range;
 
@@ -10,9 +18,12 @@ use tsunami_core::{Dataset, Predicate, Query, TombstoneSet, Value};
 /// A column-oriented physical table.
 ///
 /// Indexes are *clustered*: at build time each index computes a permutation
-/// of the rows (its sort order / cell order) and the store is reordered once
-/// with [`ColumnStore::permute`]. Queries then scan contiguous row ranges
-/// through the executor in [`tsunami_core::exec`].
+/// of the rows (its sort order / cell order) and gathers its store in that
+/// order, straight from the input, with [`ColumnStore::clustered`]. Queries
+/// then scan contiguous row ranges through the executor in
+/// [`tsunami_core::exec`]. [`ColumnStore::permute`] and
+/// [`ColumnStore::permute_range`] reorder a store that already exists, as
+/// ingest does.
 ///
 /// The store holds no per-query mutable state — scan counters are threaded
 /// through the executor and returned per call — so a `ColumnStore` is `Sync`
@@ -34,6 +45,33 @@ impl ColumnStore {
     pub fn from_dataset(data: &Dataset) -> Self {
         let columns = (0..data.num_dims())
             .map(|d| Column::new(data.column(d).to_vec()))
+            .collect();
+        Self {
+            columns,
+            len: data.len(),
+            tombstones: TombstoneSet::new(data.len()),
+        }
+    }
+
+    /// Builds a store holding `data`'s rows in layout order, its full
+    /// blocks encoded: new row `i` holds `data`'s row `order[i]`. This is
+    /// how an index lays out its table at build. It equals
+    /// [`ColumnStore::from_dataset`], a [`ColumnStore::permute`] by `order`
+    /// and [`ColumnStore::encode_blocks`] block for block, but gathers each
+    /// column straight from `data` a block at a time, moving each value
+    /// once instead of three times.
+    ///
+    /// # Panics
+    ///
+    /// When `order` is not as long as `data`.
+    pub fn clustered(data: &Dataset, order: &[usize]) -> Self {
+        assert_eq!(
+            order.len(),
+            data.len(),
+            "permutation length must match row count"
+        );
+        let columns = (0..data.num_dims())
+            .map(|d| Column::gathered(data.column(d), order))
             .collect();
         Self {
             columns,
@@ -647,6 +685,40 @@ mod tests {
             let (par, pc) = execute_plan_parallel(&encoded, &q, &plan, 4);
             assert_eq!(par, want, "parallel {q:?}");
             assert_eq!(pc, wc, "parallel counters {q:?}");
+        }
+    }
+
+    #[test]
+    fn a_clustered_store_equals_a_permuted_then_encoded_copy() {
+        let mut rng = tsunami_core::sample::SplitMix::new(9);
+        let b = BLOCK_ROWS as u64;
+        for n in [0, 1, b - 1, b, 3 * b, 7 * b + 123] {
+            let ds = big_dataset(n);
+            // A seeded shuffle, and the identity.
+            let mut shuffled: Vec<usize> = (0..n as usize).collect();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            for order in [shuffled, (0..n as usize).collect()] {
+                let clustered = ColumnStore::clustered(&ds, &order);
+                let mut reference = ColumnStore::from_dataset(&ds);
+                reference.permute(&order);
+                reference.encode_blocks();
+                assert_eq!((clustered.len(), clustered.num_dims()), (n as usize, 3));
+                assert_eq!(clustered.tombstones(), reference.tombstones());
+                for dim in 0..3 {
+                    let (got, want) = (clustered.column(dim), reference.column(dim));
+                    assert_eq!(got.encoded_blocks().len(), want.encoded_blocks().len());
+                    for (g, w) in got.encoded_blocks().iter().zip(want.encoded_blocks()) {
+                        assert_eq!(g.data(), w.data(), "payload, dim {dim}");
+                        assert_eq!(g.bounds(), w.bounds());
+                        assert_eq!(g.live_bounds(), w.live_bounds());
+                    }
+                    assert_eq!(got.data().tail, want.data().tail, "tail, dim {dim}");
+                    assert_eq!((got.min(), got.max()), (want.min(), want.max()));
+                    assert_eq!(got, want);
+                }
+            }
         }
     }
 

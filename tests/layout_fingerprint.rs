@@ -4,6 +4,11 @@
 //! layout change" leaves this table unedited; one that moves a layout on
 //! purpose edits the row it moved and says why.
 //!
+//! The same datasets also pin the deterministic part of two baselines'
+//! layouts: SingleDim's sort dimension and the k-d tree's dimension order,
+//! both ranked on the workload's per-dimension selectivities (their page
+//! sizes are picked by timer, so they are not pinned).
+//!
 //! Pinned per (dataset, config): the index's shape (for Tsunami the
 //! `TsunamiStats` counts, for Flood its cell count), the mean models per
 //! region, `size_bytes`, the workload's total ranges and points, and an
@@ -11,6 +16,7 @@
 //! mismatch prints the row as it now reads and, when the scans moved, each
 //! query's counters, to diff against the same output of the parent build.
 
+use tsunami_baselines::{ClusteredSingleDimIndex, KdTree};
 use tsunami_core::{CostModel, Dataset, MultiDimIndex, Workload};
 use tsunami_index::{FloodConfig, FloodIndex, OptimizerKind, TsunamiConfig, TsunamiIndex};
 use tsunami_workloads::DatasetBundle;
@@ -250,4 +256,36 @@ fn every_learned_layout_is_pinned() {
         eprint!("{report}");
     }
     assert!(reports.is_empty(), "{} layouts moved", reports.len());
+}
+
+/// `(dataset, SingleDim's sort dimension, KdTree's dimension order)`, at
+/// the same 20k rows. Recorded at the parent of the change that counts the
+/// selectivities in one pass per column.
+const PINNED_DIMENSIONS: &[(&str, usize, &[usize])] = &[
+    ("TPC-H", 7, &[7, 6, 5, 4, 1, 0, 2, 3]),
+    ("Taxi", 1, &[1, 3, 7, 8, 0, 5, 2, 4, 6]),
+    ("Perfmon", 0, &[0, 4, 6, 1, 2, 5, 3]),
+    ("Stocks", 0, &[0, 6, 5, 1, 4, 3, 2]),
+];
+
+#[test]
+fn every_dimension_choice_is_pinned() {
+    let bundles = DatasetBundle::standard(20_000, 25, 42);
+    assert_eq!(PINNED_DIMENSIONS.len(), bundles.len());
+    let got: Vec<(&str, usize, Vec<usize>)> = (bundles.iter())
+        .map(|b| {
+            (
+                b.name,
+                ClusteredSingleDimIndex::choose_sort_dim(&b.data, &b.workload),
+                KdTree::dimension_order(&b.data, &b.workload),
+            )
+        })
+        .collect();
+    let pinned: Vec<(&str, usize, Vec<usize>)> = (PINNED_DIMENSIONS.iter())
+        .map(|&(name, dim, order)| (name, dim, order.to_vec()))
+        .collect();
+    assert_eq!(
+        got, pinned,
+        "dimension choices moved; they now read {got:?}"
+    );
 }
