@@ -741,7 +741,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
     // plain kernels on identical data.
     const DOMAIN: u64 = 4096;
     const PRED_DIMS: usize = 4;
-    // At least a handful of blocks so the adaptive tier's estimate settles.
+    // At least a handful of blocks, so every run spans several grid chunks.
     let rows = config.rows.max(8 * 1024);
     let mut rng = SplitMix::new(config.seed ^ 0xf12);
     let data = Dataset::from_columns(
@@ -768,7 +768,9 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
         ],
     );
     let mut entries = Vec::new();
-    let reps = 5;
+    // Seven timed runs per entry keep the whole sweep near 0.2 s at 20k
+    // rows.
+    let reps = 7;
     // First-predicate ranges hitting the target selection densities exactly
     // (values are uniform below DOMAIN; the 0% range lies outside it).
     let sweeps: [(f64, u64, u64); 5] = [
@@ -1219,9 +1221,11 @@ fn parse_bench_entries(json: &str, keys: &[&str], value_key: &str) -> Vec<(Strin
 /// baseline, baseline + abs_slack)`. The 2.5x ratio is deliberately loose
 /// (a median of a handful of samples in a shared CI container is noisy; the
 /// gate catches order-of-magnitude regressions, not jitter) and the absolute
-/// slack keeps near-zero entries from flapping on timer granularity. Entries
-/// present in the baseline but missing from the current run fail too
-/// (coverage must not silently shrink).
+/// slack keeps near-zero entries from flapping on timer granularity. The two
+/// runs must hold the same entries, key for key: one present in the baseline
+/// but missing from the current run fails (coverage must not silently
+/// shrink), and so does one the baseline lacks (a renamed key would
+/// otherwise never be gated).
 fn compare_bench(gate: &Gate, baseline: &str, current: &str) -> Result<String, String> {
     let Gate {
         file,
@@ -1247,10 +1251,15 @@ fn compare_bench(gate: &Gate, baseline: &str, current: &str) -> Result<String, S
     if base.is_empty() {
         return Err(format!("check-bench: {name} baseline has no entries"));
     }
-    let cur: std::collections::HashMap<String, f64> = parse_bench_entries(current, keys, value_key)
-        .into_iter()
+    let current = parse_bench_entries(current, keys, value_key);
+    let base_labels: std::collections::HashSet<&str> =
+        base.iter().map(|(label, _)| label.as_str()).collect();
+    let mut failures: Vec<String> = current
+        .iter()
+        .filter(|(label, _)| !base_labels.contains(label.as_str()))
+        .map(|(label, _)| format!("{label}: present in current run, missing from baseline"))
         .collect();
-    let mut failures = Vec::new();
+    let cur: std::collections::HashMap<String, f64> = current.into_iter().collect();
     let mut worst: Option<(f64, String)> = None;
     let compared = base.len();
     for (label, base_v) in base {
@@ -1394,15 +1403,15 @@ mod tests {
             out: out_dir("fig12kern"),
         };
         let out = fig12kern(&cfg);
-        for tier in ["scalar", "vector", "bitmap", "adaptive"] {
+        for tier in ["scalar", "packed"] {
             assert!(out.contains(tier), "missing tier {tier} in:\n{out}");
         }
         for enc in ["plain", "encoded"] {
             assert!(out.contains(enc), "missing encoding {enc} in:\n{out}");
         }
         // 5 densities x 4 predicate counts x 2 aggregations x 2 encodings x
-        // 4 tiers, all of them visible to the gate.
-        assert_eq!(gated_entries(&cfg, &GATES[0]), 320);
+        // 2 tiers, all of them visible to the gate.
+        assert_eq!(gated_entries(&cfg, &GATES[0]), 160);
     }
 
     #[test]
@@ -1499,19 +1508,19 @@ mod tests {
         check(
             scan,
             &[
-                scan_entry(50.0, 2, "count", "encoded", "bitmap", 1.5),
+                scan_entry(50.0, 2, "count", "encoded", "packed", 1.5),
                 scan_entry(0.0, 1, "sum", "plain", "scalar", 3.25),
             ],
             &[],
             &[
-                "\"encoding\": \"encoded\", \"tier\": \"bitmap\"",
+                "\"encoding\": \"encoded\", \"tier\": \"packed\"",
                 "\"median_ns_per_row\": 1.5000},\n",
                 // No comma after the last entry.
                 "\"median_ns_per_row\": 3.2500}\n  ]\n}\n",
             ],
             &[
                 (
-                    "selectivity_pct=50 predicates=2 agg=count encoding=encoded tier=bitmap",
+                    "selectivity_pct=50 predicates=2 agg=count encoding=encoded tier=packed",
                     1.5,
                 ),
                 (
@@ -1602,6 +1611,11 @@ mod tests {
             // Shrunken coverage fails.
             let err = compare_bench(gate, &base, &run("exp", 1000, &baseline[..1])).unwrap_err();
             assert!(err.contains("missing from current run"), "{err}");
+            // So does an entry the baseline does not hold (a renamed key
+            // would otherwise leave the gate), however fast it is.
+            let short = run("exp", 1000, &baseline[..1]);
+            let err = compare_bench(gate, &short, &base).unwrap_err();
+            assert!(err.contains("missing from baseline"), "{err}");
             // An empty baseline is an error, not a pass.
             assert!(compare_bench(gate, &run("exp", 1000, &[]), &base).is_err());
             assert!(compare_bench(gate, "{}", &base).is_err());
@@ -1629,8 +1643,8 @@ mod tests {
         check(
             &GATES[0],
             &[
-                &|ns| scan_entry(50.0, 2, "count", "plain", "bitmap", ns),
-                &|ns| scan_entry(0.0, 1, "sum", "encoded", "vector", ns),
+                &|ns| scan_entry(50.0, 2, "count", "plain", "packed", ns),
+                &|ns| scan_entry(0.0, 1, "sum", "encoded", "packed", ns),
                 &|ns| scan_entry(99.0, 4, "count", "plain", "scalar", ns),
             ],
             [&[2.0, 0.1, 8.0], &[4.0, 0.55, 8.0], &[4.0, 0.55, 25.0]],

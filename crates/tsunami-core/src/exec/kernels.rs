@@ -1,25 +1,27 @@
 //! Branchless block kernels for predicate evaluation and aggregation.
 //!
 //! Everything in this module operates on one *block* of at most
-//! [`BLOCK_ROWS`] contiguous rows of a single column, in
-//! one of two selection representations:
+//! [`BLOCK_ROWS`] contiguous rows of a single column. A block's selection is
+//! a **bitmap** — one bit per row, packed into `u64` words:
 //!
-//! * a **selection vector** — `u32` in-block row offsets of the matching
-//!   rows, materialized with unconditional stores and a cursor advanced by
-//!   the 0/1 compare result (no data-dependent branch in the loop body);
-//! * a **selection bitmap** — one bit per row, packed into `u64` words, where
-//!   the inner loop builds 8-lane mask groups (`u64x8`-style manual
-//!   unrolling) that the compiler turns into SIMD compares.
+//! * on plain rows, the first predicate builds the bitmap from 8-lane mask
+//!   groups (`u64x8`-style manual unrolling, no data-dependent branch;
+//!   64-bit vector compares where the CPU has AVX2), and each further
+//!   predicate `AND`s into it. A refine whose bitmap already selects fewer
+//!   than one row in [`SPARSE_REFINE`] tests only the selected rows instead
+//!   of the whole block — the same bits, decided per block from the bitmap
+//!   itself;
+//! * on packed rows (frame-of-reference or dictionary codes, see
+//!   [`crate::encode`]), range tests run as SWAR compares directly on the
+//!   packed words, 8/4/2 rows per ALU op.
 //!
-//! The refine kernels narrow an existing selection by another predicate
-//! (`retain` for vectors, `AND` for bitmaps), and the aggregate kernels
-//! reduce a selection against the aggregation input column. Bitmap
-//! aggregation is mask-native: `COUNT` is a popcount, `SUM`/`MIN`/`MAX` are
-//! masked folds with a whole-word fast path for fully set words.
+//! Aggregation is mask-native: `COUNT` is a popcount, `SUM`/`MIN`/`MAX` are
+//! masked folds with a whole-word fast path for fully set words, and a
+//! FOR-packed `SUM` input lane-sums its codes straight off the bitmap.
 //!
 //! All kernels are deliberately total functions of their inputs — given the
-//! same block and predicates they produce the same selection regardless of
-//! representation, which is what makes the executor's kernel tiers
+//! same block and predicates they produce the same selection whatever the
+//! encoding or density, which is what makes the executor's kernel tiers
 //! bit-identical (see the [`exec`](super) module docs).
 
 use super::BLOCK_ROWS;
@@ -35,12 +37,13 @@ pub(crate) const BLOCK_WORDS: usize = BLOCK_ROWS / WORD_BITS;
 const LANES: usize = 8;
 
 /// Reusable per-thread scratch space for the block kernels: a full-block
-/// selection vector and a full-block selection bitmap. Executors allocate one
-/// per call (or per worker thread) and reuse it across every block they scan.
+/// selection vector (the scalar oracle's) and a full-block selection bitmap.
+/// Executors allocate one per call (or per worker thread) and reuse it
+/// across every block they scan.
 #[derive(Debug, Clone)]
 pub struct BlockScratch {
-    /// Selection-vector buffer; always `BLOCK_ROWS` long, kernels return the
-    /// live prefix length.
+    /// Selection-vector buffer of the scalar oracle; always `BLOCK_ROWS`
+    /// long, the scan keeps the live prefix length.
     pub(crate) sel: Vec<u32>,
     /// Selection-bitmap buffer; always `BLOCK_WORDS` words.
     pub(crate) words: Vec<u64>,
@@ -98,58 +101,84 @@ fn word_mask(chunk: &[Value], p: Predicate) -> u64 {
 /// Returns the OR of all words, so callers can skip further refinement and
 /// aggregation when the selection is already empty.
 pub(crate) fn mask_first(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
+    mask_words(block, p, MaskMode::Set, words)
+}
+
+/// Sets or ANDs the match mask of every word of `block` into `words`;
+/// returns the OR of the resulting words. Runs the AVX2 build where the CPU
+/// has it: baseline x86-64 has no 64-bit vector compare, so there the 8-lane
+/// groups compile to scalar compares, slower per row than the branchy
+/// scalar loop on a block where nothing matches (`fig12kern`, 0 %).
+fn mask_words(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { mask_words_avx2(block, p, mode, words) };
+    }
+    mask_words_body(block, p, mode, words)
+}
+
+/// [`mask_words_body`] compiled for AVX2, whose 64-bit compares let the
+/// 8-lane groups vectorize.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mask_words_avx2(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
+    mask_words_body(block, p, mode, words)
+}
+
+/// The portable body of [`mask_words`].
+#[inline(always)]
+fn mask_words_body(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
     let mut any = 0u64;
     for (w, chunk) in block.chunks(WORD_BITS).enumerate() {
-        words[w] = word_mask(chunk, p);
-        any |= words[w];
+        any |= apply_mask_word(mode, words, w, word_mask(chunk, p));
     }
     any
 }
+
+/// A refine tests only the selected rows once fewer than one row in this
+/// many is still selected: below that, walking the set bits touches fewer
+/// values than recomputing every word of the block.
+pub(crate) const SPARSE_REFINE: usize = 16;
 
 /// Refines an existing selection bitmap by another predicate (`AND`).
 /// Returns the OR of all words after refinement (see [`mask_first`]).
+/// Sparse selections (popcount × [`SPARSE_REFINE`] < block length) visit
+/// only their set bits; both ways produce the same bitmap.
 pub(crate) fn mask_refine(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
+    if mask_count(words) * SPARSE_REFINE < block.len() {
+        mask_refine_sparse(block, p, words)
+    } else {
+        mask_refine_dense(block, p, words)
+    }
+}
+
+/// [`mask_refine`] recomputing every word of the block.
+fn mask_refine_dense(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
+    mask_words(block, p, MaskMode::And, words)
+}
+
+/// [`mask_refine`] testing only the rows whose bit is set: each survivor's
+/// bit is rebuilt from its compare result, with no branch on the value.
+fn mask_refine_sparse(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
     let mut any = 0u64;
-    for (w, chunk) in block.chunks(WORD_BITS).enumerate() {
-        words[w] &= word_mask(chunk, p);
-        any |= words[w];
+    for (w, word) in words.iter_mut().enumerate() {
+        let base = w * WORD_BITS;
+        let mut m = *word;
+        let mut kept = 0u64;
+        while m != 0 {
+            let i = m.trailing_zeros();
+            kept |= (p.matches(block[base + i as usize]) as u64) << i;
+            m &= m - 1;
+        }
+        *word = kept;
+        any |= kept;
     }
     any
-}
-
-/// Evaluates the first predicate of a block into a selection vector via
-/// branchless cursor stores. Returns the number of selected rows; `sel` must
-/// be at least as long as the block.
-pub(crate) fn select_first(block: &[Value], p: Predicate, sel: &mut [u32]) -> usize {
-    debug_assert!(sel.len() >= block.len());
-    let mut n = 0usize;
-    let mut base = 0usize;
-    let mut lanes = block.chunks_exact(LANES);
-    for group in &mut lanes {
-        // 8-wide unrolled: the store is unconditional, only the cursor moves.
-        for (j, &v) in group.iter().enumerate() {
-            sel[n] = (base + j) as u32;
-            n += p.matches(v) as usize;
-        }
-        base += LANES;
-    }
-    for (j, &v) in lanes.remainder().iter().enumerate() {
-        sel[n] = (base + j) as u32;
-        n += p.matches(v) as usize;
-    }
-    n
-}
-
-/// Refines the first `n` entries of a selection vector by another predicate,
-/// compacting in place with branchless cursor stores. Returns the new length.
-pub(crate) fn select_refine(block: &[Value], p: Predicate, sel: &mut [u32], n: usize) -> usize {
-    let mut out = 0usize;
-    for k in 0..n {
-        let i = sel[k];
-        sel[out] = i;
-        out += p.matches(block[i as usize]) as usize;
-    }
-    out
 }
 
 /// Number of selected rows in a bitmap (popcount).
@@ -865,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn mask_and_select_agree_with_oracle_on_odd_block_sizes() {
+    fn mask_agrees_with_oracle_on_odd_block_sizes() {
         for block in blocks() {
             for p in [
                 pred(0, 10),
@@ -874,17 +903,21 @@ mod tests {
                 pred(0, u64::MAX),
             ] {
                 let expected = oracle(&block, p);
-
-                let mut sel = vec![0u32; BLOCK_ROWS];
-                let n = select_first(&block, p, &mut sel);
-                assert_eq!(&sel[..n], &expected[..], "select_first {p:?}");
-
-                let mut words = [0u64; BLOCK_WORDS];
-                mask_first(&block, p, &mut words[..block.len().div_ceil(WORD_BITS)]);
-                let from_bits: Vec<u32> = (0..block.len() as u32)
-                    .filter(|&i| words[i as usize / WORD_BITS] >> (i as usize % WORD_BITS) & 1 == 1)
-                    .collect();
-                assert_eq!(from_bits, expected, "mask_first {p:?}");
+                let nw = block.len().div_ceil(WORD_BITS);
+                let selected = |words: &[u64]| -> Vec<u32> {
+                    (0..block.len() as u32)
+                        .filter(|&i| {
+                            words[i as usize / WORD_BITS] >> (i as usize % WORD_BITS) & 1 == 1
+                        })
+                        .collect()
+                };
+                let mut words = vec![0u64; nw];
+                mask_first(&block, p, &mut words);
+                assert_eq!(selected(&words), expected, "mask_first {p:?}");
+                // The portable body too, wherever `mask_first` vectorizes.
+                let mut words = vec![0u64; nw];
+                mask_words_body(&block, p, MaskMode::Set, &mut words);
+                assert_eq!(selected(&words), expected, "mask_words_body {p:?}");
             }
         }
     }
@@ -894,23 +927,52 @@ mod tests {
         let block: Vec<Value> = (0..777u64).map(|v| v * 13 % 101).collect();
         let p1 = pred(10, 80);
         let p2 = pred(20, 60);
-        let expected: Vec<u32> = block
+        let expected = block
             .iter()
-            .enumerate()
-            .filter(|&(_, &v)| p1.matches(v) && p2.matches(v))
-            .map(|(i, _)| i as u32)
-            .collect();
-
-        let mut sel = vec![0u32; BLOCK_ROWS];
-        let n = select_first(&block, p1, &mut sel);
-        let n = select_refine(&block, p2, &mut sel, n);
-        assert_eq!(&sel[..n], &expected[..]);
-
+            .filter(|&&v| p1.matches(v) && p2.matches(v))
+            .count();
         let nw = block.len().div_ceil(WORD_BITS);
         let mut words = vec![0u64; nw];
         mask_first(&block, p1, &mut words);
         mask_refine(&block, p2, &mut words);
-        assert_eq!(mask_count(&words), expected.len());
+        assert_eq!(mask_count(&words), expected);
+    }
+
+    #[test]
+    fn sparse_refine_equals_dense_refine_bit_for_bit() {
+        use crate::sample::SplitMix;
+        let mut rng = SplitMix::new(42);
+        for len in [1usize, 63, 64, 1000, 1024] {
+            let block: Vec<Value> = (0..len).map(|_| rng.next_below(1000)).collect();
+            // The smallest popcount `mask_refine` refines densely.
+            let bar = len.div_ceil(SPARSE_REFINE);
+            for set in [0, len / 64, bar.saturating_sub(1), bar, bar + 1, len] {
+                let set = set.min(len);
+                // `set` distinct seeded rows selected before the refine.
+                let mut words = vec![0u64; len.div_ceil(WORD_BITS)];
+                while mask_count(&words) < set {
+                    let i = rng.next_below(len as u64) as usize;
+                    words[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+                }
+                for p in [
+                    pred(0, 499),
+                    pred(100, 110),
+                    pred(0, u64::MAX),
+                    pred(5000, 6000),
+                ] {
+                    let mut sparse = words.clone();
+                    let mut dense = words.clone();
+                    let mut chosen = words.clone();
+                    let any_sparse = mask_refine_sparse(&block, p, &mut sparse);
+                    let any_dense = mask_refine_dense(&block, p, &mut dense);
+                    let any_chosen = mask_refine(&block, p, &mut chosen);
+                    assert_eq!(sparse, dense, "len={len} set={set} {p:?}");
+                    assert_eq!(chosen, dense, "len={len} set={set} {p:?}");
+                    assert_eq!(any_sparse, any_dense);
+                    assert_eq!(any_chosen, any_dense);
+                }
+            }
+        }
     }
 
     #[test]

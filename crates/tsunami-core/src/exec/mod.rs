@@ -34,36 +34,27 @@
 //! predicates are applied one column at a time over fixed-size row blocks
 //! ([`BLOCK_ROWS`]), and only the selected rows are fed to the aggregation —
 //! touching just the filtered columns plus (at most) the aggregation input
-//! column, exactly what the paper's cost model prices. *How* a block's
-//! selection is represented and materialized is a [`KernelTier`]:
+//! column, exactly what the paper's cost model prices. A [`KernelTier`]
+//! names the implementation:
 //!
 //! * [`KernelTier::Scalar`] — the reference row-at-a-time branchy loop
-//!   (`if matches { keep }`). Kept as the in-tree oracle the other tiers are
+//!   (`if matches { keep }`). Kept as the in-tree oracle the packed path is
 //!   differentially tested against, and as the baseline the `fig12kern`
 //!   microbenchmark measures speedups over.
-//! * [`KernelTier::Vector`] — branchless selection-vector kernels: match
-//!   masks are computed with arithmetic compares, rows are materialized with
-//!   unconditional stores and a mask-advanced cursor. No data-dependent
-//!   branches, so selectivity near 50% costs no misprediction penalty.
-//! * [`KernelTier::Bitmap`] — a word-packed selection bitmap (1 bit/row):
-//!   8-lane unrolled compare groups build `u64` mask words, further
-//!   predicates `AND` into them, and aggregation is mask-native (popcount for
-//!   `COUNT`, masked folds with a fully-set-word fast path for
-//!   `SUM`/`MIN`/`MAX`). Cheapest when selections are dense.
-//! * [`KernelTier::Adaptive`] — the default: per block, picks the cheapest
-//!   representation from the selectivity observed so far in this execution.
-//!   Very sparse selections (&lt;1/16 matched) drop back to the scalar loop,
-//!   whose almost-never-taken branch predicts perfectly and skips all
-//!   materialization work; dense ones (≥1/2 matched, ≥3/4 with multiple
-//!   predicates since bitmap refinement re-touches whole blocks) engage the
-//!   bitmap; the mid band — where the scalar branch mispredicts hardest —
-//!   takes the branchless selection vector.
+//! * [`KernelTier::Packed`] — the default, and the one scan path: every
+//!   block's selection is a word-packed bitmap (1 bit/row) built without a
+//!   data-dependent branch, on packed codes or plain rows alike (see
+//!   "Encoded columns" below), and aggregated mask-natively (popcount for
+//!   `COUNT`, masked folds for `SUM`/`MIN`/`MAX`). A later predicate on
+//!   plain rows tests only the selected rows once fewer than one in 16 is
+//!   left, decided per block from the bitmap just built — no state carries
+//!   from one block to the next.
 //!
-//! Every tier computes the same selection for the same block, so results
+//! Both tiers compute the same selection for the same block, so results
 //! **and** [`ScanCounters`] are tier-invariant: `ranges`/`points` depend only
 //! on the plan, and `matched` is the selection's cardinality, which no
 //! representation changes. The differential suites assert bit-identical
-//! results across all tiers, serial and parallel.
+//! results across the tiers, serial and parallel.
 //!
 //! Exact ranges skip selection entirely regardless of tier: `COUNT` never
 //! touches data, `SUM`/`AVG` reduce the input column directly, and
@@ -100,10 +91,8 @@
 //! and associative, and morsels carved from one plan range count as a single
 //! scanned range — regardless of which worker runs which morsel in which
 //! order. Per-worker [`BlockScratch`] lives in thread-local storage (reused
-//! across queries on pool workers), and each worker keeps its own
-//! adaptive-density estimate; the estimate only steers representation
-//! choice, never results. Plans under four blocks, and pools with no worker
-//! to spare, run serially on the caller.
+//! across queries on pool workers). Plans under four blocks, and pools with
+//! no worker to spare, run serially on the caller.
 //!
 //! Data access is abstracted behind [`ScanSource`] (rows of `u64` columns),
 //! implemented by both the logical [`Dataset`] and the
@@ -124,12 +113,14 @@
 //! * the **scalar** tier reads rows one at a time through the per-row
 //!   accessor and uses **no** block metadata — it stays the oracle that
 //!   catches unsound pruning;
-//! * the branchless tiers take one shared **packed** path: per predicate
-//!   the block's metadata first classifies the test (skip-before-decode on
-//!   live min/max, drop-the-predicate when every live row passes), and
-//!   surviving range tests run as SWAR compares directly on the packed
-//!   words — 8/4/2 rows per ALU op — with dedicated no-bitmap fast paths
-//!   for single-predicate `COUNT` and layout-matched `SUM`/`AVG`.
+//! * the **packed** tier runs one path on every chunk: per predicate the
+//!   block's metadata first classifies the test (skip-before-decode on live
+//!   min/max, drop-the-predicate when every live row passes), and surviving
+//!   range tests run as SWAR compares directly on the packed words — 8/4/2
+//!   rows per ALU op — with dedicated no-bitmap fast paths for
+//!   single-predicate `COUNT` and layout-matched `SUM`/`AVG`. Plain rows (a
+//!   `Plain` payload, a store's tail, a [`Dataset`]) have no metadata and
+//!   take the 8-lane mask kernels into the same bitmap.
 //!
 //! Tombstone liveness is ANDed into every selection exactly as on plain
 //! columns (block live bounds are computed at encode time and remain sound
@@ -175,38 +166,27 @@ fn grid_block_end(start: usize, limit: usize) -> usize {
 }
 
 /// Which block-kernel implementation the executor uses for non-exact ranges.
-/// See the module docs for the full contract; all tiers are bit-identical in
+/// See the module docs for the full contract; both tiers are bit-identical in
 /// results and counters, they differ only in speed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelTier {
     /// Reference branchy row-at-a-time loop (the in-tree oracle).
     Scalar,
-    /// Branchless selection-vector kernels.
-    Vector,
-    /// Branchless word-packed selection-bitmap kernels.
-    Bitmap,
-    /// Per-block Scalar/Vector/Bitmap choice driven by observed selectivity.
+    /// Branchless selection bitmaps over packed codes and plain rows alike.
     #[default]
-    Adaptive,
+    Packed,
 }
 
 impl KernelTier {
     /// Every tier, scalar oracle first (benchmark / differential-sweep
     /// order).
-    pub const ALL: [KernelTier; 4] = [
-        KernelTier::Scalar,
-        KernelTier::Vector,
-        KernelTier::Bitmap,
-        KernelTier::Adaptive,
-    ];
+    pub const ALL: [KernelTier; 2] = [KernelTier::Scalar, KernelTier::Packed];
 
     /// Short lowercase label used in benchmark tables and `BENCH_scan.json`.
     pub fn label(&self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
-            KernelTier::Vector => "vector",
-            KernelTier::Bitmap => "bitmap",
-            KernelTier::Adaptive => "adaptive",
+            KernelTier::Packed => "packed",
         }
     }
 }
@@ -579,10 +559,10 @@ fn apply_partials(plan: &ScanPlan, acc: &mut AggAccumulator, counters: &mut Scan
 }
 
 /// How [`execute_plan_with`] runs a plan. `Default` is what
-/// [`execute_plan`] uses: serial, [`KernelTier::Adaptive`].
+/// [`execute_plan`] uses: serial, [`KernelTier::Packed`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
-    /// Block-kernel tier for non-exact ranges. All tiers return bit-identical
+    /// Block-kernel tier for non-exact ranges. Both tiers return bit-identical
     /// results and counters; benchmarks and differential tests pin one.
     pub tier: KernelTier,
     /// Upper bound on participating threads (the caller plus pool workers).
@@ -596,7 +576,7 @@ pub struct ExecOptions<'a> {
     pub morsel_rows: Option<usize>,
 }
 
-/// Executes a plan serially with the default [`KernelTier::Adaptive`]
+/// Executes a plan serially with the default [`KernelTier::Packed`]
 /// kernels.
 ///
 /// Returns the aggregation result together with the counters for exactly
@@ -610,7 +590,7 @@ pub fn execute_plan(
 }
 
 /// Executes a plan across up to `threads` workers of the process-wide
-/// pool with the default [`KernelTier::Adaptive`] kernels.
+/// pool with the default [`KernelTier::Packed`] kernels.
 pub fn execute_plan_parallel(
     source: &dyn ScanSource,
     query: &Query,
@@ -667,8 +647,7 @@ pub fn execute_plan_with(
 }
 
 /// One participant's scan loop — the only one there is: folds every unit
-/// `next` yields into a private accumulator, counter set and
-/// adaptive-density estimate.
+/// `next` yields into a private accumulator and counter set.
 fn scan_units(
     resolved: &ResolvedQuery<'_>,
     tier: KernelTier,
@@ -677,14 +656,12 @@ fn scan_units(
 ) -> (AggAccumulator, ScanCounters) {
     let mut acc = AggAccumulator::new(resolved.agg);
     let mut counters = ScanCounters::default();
-    let mut density = Density::default();
     while let Some((range, exact, count_range)) = next() {
         resolved.scan_range(
             range,
             exact,
             count_range,
             tier,
-            &mut density,
             &mut acc,
             &mut counters,
             scratch,
@@ -769,65 +746,6 @@ fn plan_morsels<'a>(
     (helpers > 0).then_some((pool, helpers, units))
 }
 
-/// The block representation the adaptive tier settles on for one block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockRepr {
-    Scalar,
-    Vector,
-    Bitmap,
-}
-
-/// Running selectivity estimate for the adaptive tier: cumulative filtered
-/// points and matches observed so far in one execution (per worker thread in
-/// the parallel executor). Only steers the per-block representation choice —
-/// results and counters never depend on it.
-#[derive(Debug, Clone, Copy, Default)]
-struct Density {
-    points: usize,
-    matched: usize,
-}
-
-impl Density {
-    /// Picks the cheapest representation for the next block from the
-    /// selectivity observed so far:
-    ///
-    /// * under 1/16 matched — the scalar loop: its almost-never-taken branch
-    ///   predicts perfectly and skips all selection-materialization work, so
-    ///   sparse scans never pay branchless overhead;
-    /// * at least 1/2 matched (3/4 with multiple predicates, whose bitmap
-    ///   refinement re-touches whole blocks) — the bitmap: mask words +
-    ///   popcount/masked folds amortize best on dense selections;
-    /// * in between — the branchless selection vector: mid selectivities are
-    ///   exactly where the scalar loop's branch mispredicts.
-    ///
-    /// The first block (no observations yet) is the **scalar probe**: on
-    /// sparse scans the scalar loop is already optimal *and* never touches
-    /// the selection buffers (a vector probe unconditionally stores a full
-    /// block of indexes — on a near-empty scan that cold-buffer traffic was
-    /// the whole cost, which is how adaptive lost to scalar on sparse SUMs
-    /// in `BENCH_scan.json`), while on dense scans one scalar block is
-    /// amortized away by every later block choosing from real observations.
-    fn choose(&self, num_preds: usize) -> BlockRepr {
-        if self.points == 0 {
-            return BlockRepr::Scalar;
-        }
-        if self.matched * 16 < self.points {
-            BlockRepr::Scalar
-        } else if (num_preds == 1 && self.matched * 2 >= self.points)
-            || (num_preds > 1 && self.matched * 4 >= self.points * 3)
-        {
-            BlockRepr::Bitmap
-        } else {
-            BlockRepr::Vector
-        }
-    }
-
-    fn observe(&mut self, points: usize, matched: usize) {
-        self.points += points;
-        self.matched += matched;
-    }
-}
-
 /// A query resolved against one source: predicate and aggregation columns
 /// looked up once, so scanning many ranges (or many split pieces, in the
 /// parallel executor) pays no per-range column resolution or allocation.
@@ -840,10 +758,6 @@ struct ResolvedQuery<'a> {
     /// The source's deletion bitmap, captured only when it actually holds
     /// tombstones, so delete-free tables keep the zero-cost fast paths.
     live: Option<&'a TombstoneSet>,
-    /// Whether every resolved column is one plain contiguous slice — the
-    /// common case, which keeps the original tight slice kernels with zero
-    /// per-block representation dispatch.
-    all_plain: bool,
 }
 
 impl<'a> ResolvedQuery<'a> {
@@ -853,15 +767,12 @@ impl<'a> ResolvedQuery<'a> {
             .map(|&p| (source.column_data(p.dim), p))
             .collect();
         let agg_col = agg.input_dim().map(|d| source.column_data(d));
-        let all_plain = preds.iter().all(|(c, _)| c.is_plain())
-            && agg_col.as_ref().is_none_or(|c| c.is_plain());
         Self {
             preds,
             agg,
             agg_col,
             num_rows: source.num_rows(),
             live: source.tombstones().filter(|t| t.any()),
-            all_plain,
         }
     }
 
@@ -889,8 +800,7 @@ impl<'a> ResolvedQuery<'a> {
     ///
     /// `count_range` controls whether this call increments the range counter
     /// (the parallel executor passes `false` for continuation pieces of a
-    /// split range). The caller provides the reusable [`BlockScratch`] and
-    /// the adaptive-density state.
+    /// split range). The caller provides the reusable [`BlockScratch`].
     #[allow(clippy::too_many_arguments)]
     fn scan_range(
         &self,
@@ -898,7 +808,6 @@ impl<'a> ResolvedQuery<'a> {
         exact: bool,
         count_range: bool,
         tier: KernelTier,
-        density: &mut Density,
         acc: &mut AggAccumulator,
         counters: &mut ScanCounters,
         scratch: &mut BlockScratch,
@@ -936,25 +845,13 @@ impl<'a> ResolvedQuery<'a> {
         let mut start = range.start;
         while start < range.end {
             let end = grid_block_end(start, range.end);
-            let encoded = !self.all_plain && self.chunk_encoded(start);
             let matched = match tier {
-                KernelTier::Scalar if encoded => {
+                KernelTier::Scalar if self.chunk_encoded(start) => {
                     self.scan_chunk_scalar_encoded(start, end, acc, scratch)
                 }
                 KernelTier::Scalar => self.scan_block_scalar(start, end, acc, scratch),
-                // The branchless tiers share one packed path on encoded
-                // chunks: with SWAR compares there is no vector/bitmap
-                // representation split to choose between.
-                _ if encoded => self.scan_chunk_packed(start, end, acc, scratch),
-                KernelTier::Vector => self.scan_block_vector(start, end, acc, scratch),
-                KernelTier::Bitmap => self.scan_block_bitmap(start, end, acc, scratch),
-                KernelTier::Adaptive => match density.choose(self.preds.len()) {
-                    BlockRepr::Scalar => self.scan_block_scalar(start, end, acc, scratch),
-                    BlockRepr::Vector => self.scan_block_vector(start, end, acc, scratch),
-                    BlockRepr::Bitmap => self.scan_block_bitmap(start, end, acc, scratch),
-                },
+                KernelTier::Packed => self.scan_chunk_packed(start, end, acc, scratch),
             };
-            density.observe(end - start, matched);
             counters.matched += matched;
             start = end;
         }
@@ -963,8 +860,7 @@ impl<'a> ResolvedQuery<'a> {
     /// The aggregation input restricted to grid chunk `start..end` (which
     /// never straddles an encoded block): a plain slice when the rows are
     /// plain — including an encoded block with a `Plain` payload, so the
-    /// tight slice kernels keep running — or a fetch view into the packed
-    /// payload.
+    /// slice folds run — or a fetch view into the packed payload.
     #[inline(always)]
     fn agg_view(&self, start: usize, end: usize) -> AggView<'a> {
         let Some(col) = self.agg_col else {
@@ -1031,6 +927,10 @@ impl<'a> ResolvedQuery<'a> {
     }
 
     /// Reference branchy selection loop (the oracle tier) over plain rows.
+    /// Both oracle loops stay out of line, so the packed path's inlining
+    /// does not move them: inlined into [`ResolvedQuery::scan_range`], this
+    /// one read ~1.8× slower per row at 0 % selectivity in `fig12kern`.
+    #[inline(never)]
     fn scan_block_scalar(
         &self,
         start: usize,
@@ -1071,6 +971,7 @@ impl<'a> ResolvedQuery<'a> {
     /// row-at-a-time loop, reading rows through [`ColumnData::value_at`].
     /// Deliberately uses **no** block metadata — no skip, no all-match — so
     /// the differential suites catch any unsound pruning in the packed path.
+    #[inline(never)]
     fn scan_chunk_scalar_encoded(
         &self,
         start: usize,
@@ -1107,86 +1008,16 @@ impl<'a> ResolvedQuery<'a> {
         n
     }
 
-    /// Branchless selection-vector kernels over plain rows.
-    fn scan_block_vector(
-        &self,
-        start: usize,
-        end: usize,
-        acc: &mut AggAccumulator,
-        scratch: &mut BlockScratch,
-    ) -> usize {
-        let sel = &mut scratch.sel;
-        let (col0, p0) = &self.preds[0];
-        let mut n = kernels::select_first(col0.slice(start, end), *p0, sel);
-        for (col, p) in &self.preds[1..] {
-            if n == 0 {
-                break;
-            }
-            n = kernels::select_refine(col.slice(start, end), *p, sel, n);
-        }
-        // Liveness refine: same branchless compaction as select_refine, with
-        // the tombstone bit standing in for the predicate.
-        if let Some(t) = self.live {
-            let mut out = 0usize;
-            for k in 0..n {
-                let i = sel[k];
-                sel[out] = i;
-                out += !t.is_deleted(start + i as usize) as usize;
-            }
-            n = out;
-        }
-        let view = self.agg_view(start, end);
-        aggregate_selected(self.agg, &view, &scratch.sel[..n], acc);
-        n
-    }
-
-    /// Branchless word-packed selection-bitmap kernels over plain rows, with
-    /// mask-native aggregation.
-    fn scan_block_bitmap(
-        &self,
-        start: usize,
-        end: usize,
-        acc: &mut AggAccumulator,
-        scratch: &mut BlockScratch,
-    ) -> usize {
-        let len = end - start;
-        let nw = len.div_ceil(kernels::WORD_BITS);
-        let words = &mut scratch.words[..nw];
-        let (col0, p0) = &self.preds[0];
-        let mut any = kernels::mask_first(col0.slice(start, end), *p0, words);
-        // The bitmap tier speaks masks natively: liveness is one AND per
-        // word, applied early so refinement can short-circuit on it too.
-        if let Some(t) = self.live {
-            if any != 0 {
-                any = 0;
-                for (w, word) in words.iter_mut().enumerate() {
-                    *word &= t.live_word(start + w * kernels::WORD_BITS);
-                    any |= *word;
-                }
-            }
-        }
-        for (col, p) in &self.preds[1..] {
-            if any == 0 {
-                break;
-            }
-            any = kernels::mask_refine(col.slice(start, end), *p, words);
-        }
-        if any == 0 {
-            return 0;
-        }
-        let view = self.agg_view(start, end);
-        aggregate_mask(self.agg, &view, &scratch.words[..nw], acc)
-    }
-
-    /// The packed path every branchless tier takes on a chunk with encoded
-    /// columns. Per predicate, the block's metadata classifies the test
+    /// The packed tier's one path, for every chunk. Per predicate on an
+    /// encoded block, the block's metadata classifies the test
     /// ([`EncodedBlock::classify`]): a `Skip` ends the chunk before touching
     /// any payload (skip-before-decode); an `AllLive` drops the predicate
     /// (every live row passes, and dead rows are masked by liveness below);
     /// otherwise the predicate is evaluated as a SWAR code-range compare
-    /// directly on the packed words ([`kernels::packed_mask`]) or, for plain
-    /// payloads and plain columns, with the ordinary mask kernels. Liveness
-    /// is ANDed in last, exactly as the plain bitmap tier does.
+    /// directly on the packed words ([`kernels::packed_mask`]). Plain
+    /// payloads and plain columns take the 8-lane mask kernels
+    /// ([`kernels::mask_first`] / [`kernels::mask_refine`]). Liveness is
+    /// ANDed in last.
     fn scan_chunk_packed(
         &self,
         start: usize,
@@ -1378,7 +1209,7 @@ impl AggView<'_> {
 }
 
 /// Mask-native aggregation of one chunk's selection bitmap, shared by the
-/// bitmap tier, the packed path, and the tombstone-aware dense path.
+/// packed path and the tombstone-aware dense path.
 /// Returns the number of selected rows.
 fn aggregate_mask(
     agg: Aggregation,
@@ -1622,7 +1453,8 @@ mod tests {
 
     #[test]
     fn bitmap_tier_handles_all_aggregations_on_dense_selections() {
-        // ~99% dense selection: the bitmap's fully-set-word fast paths run.
+        // ~99% dense selection on a plain Dataset, through the packed tier's
+        // plain branch: the selection bitmap's fully-set-word fast paths run.
         let ds = source();
         let preds = vec![Predicate::range(0, 5, 994).unwrap()];
         for agg in [
@@ -1633,24 +1465,9 @@ mod tests {
             Aggregation::Avg(1),
         ] {
             let q = Query::new(preds.clone(), agg).unwrap();
-            let (res, _) = run(&ds, &q, &ScanPlan::full(ds.len()), 1, KernelTier::Bitmap);
+            let (res, _) = run(&ds, &q, &ScanPlan::full(ds.len()), 1, KernelTier::Packed);
             assert_eq!(res, q.execute_full_scan(&ds), "{agg:?}");
         }
-    }
-
-    #[test]
-    fn adaptive_tier_switches_to_bitmap_on_observed_density() {
-        // First block seeds the estimate on the vector path; subsequent
-        // blocks of this ~90%-dense scan take the bitmap path and must stay
-        // correct. (Representation choice is unobservable except through
-        // timing, so this asserts end-to-end equality on a multi-block scan.)
-        let n = 8 * BLOCK_ROWS as u64;
-        let ds = Dataset::from_columns(vec![(0..n).map(|v| v % 10).collect()]).unwrap();
-        let q = count(vec![Predicate::range(0, 1, 9).unwrap()]);
-        let expected = q.execute_full_scan(&ds);
-        let (res, counters) = run(&ds, &q, &ScanPlan::full(ds.len()), 1, KernelTier::Adaptive);
-        assert_eq!(res, expected);
-        assert_eq!(Some(counters.matched as u64), expected.as_count());
     }
 
     #[test]
@@ -1930,31 +1747,8 @@ mod tests {
     #[test]
     fn tier_labels_are_stable() {
         let labels: Vec<&str> = KernelTier::ALL.iter().map(|t| t.label()).collect();
-        assert_eq!(labels, vec!["scalar", "vector", "bitmap", "adaptive"]);
-        assert_eq!(KernelTier::default(), KernelTier::Adaptive);
-    }
-
-    #[test]
-    fn adaptive_first_block_probes_with_scalar() {
-        // The probe block must be scalar: a vector probe's unconditional
-        // full-block stores into a cold selection buffer is pure overhead on
-        // sparse scans (the `BENCH_scan.json` sparse-SUM regression), while
-        // the scalar loop is free there and one block is noise on dense
-        // scans.
-        let d = Density::default();
-        for num_preds in 1..=4 {
-            assert_eq!(d.choose(num_preds), BlockRepr::Scalar);
-        }
-        // After a dense observation the estimate takes over as before.
-        let mut d = Density::default();
-        d.observe(1024, 1000);
-        assert_eq!(d.choose(1), BlockRepr::Bitmap);
-        let mut d = Density::default();
-        d.observe(1024, 10);
-        assert_eq!(d.choose(1), BlockRepr::Scalar);
-        let mut d = Density::default();
-        d.observe(1024, 300);
-        assert_eq!(d.choose(1), BlockRepr::Vector);
+        assert_eq!(labels, vec!["scalar", "packed"]);
+        assert_eq!(KernelTier::default(), KernelTier::Packed);
     }
 
     /// A scan source with per-block encoded columns plus a plain tail, for

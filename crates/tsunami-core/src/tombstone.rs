@@ -2,8 +2,9 @@
 //!
 //! Deletes never rewrite the clustered store eagerly: a deleted row keeps
 //! its physical slot and gets one bit here. The scan kernels AND the
-//! *liveness* view of this bitmap into every selection (the bitmap tier
-//! natively, scalar/vector per row, dense exact ranges blockwise), so a
+//! *liveness* view of this bitmap into every selection (the packed path a
+//! word at a time, the scalar oracle per row, dense exact ranges
+//! blockwise), so a
 //! tombstoned row can never reach an aggregate. Physical removal is
 //! compaction's job — a region past the tombstone bar is re-gridded over its
 //! live rows only, which is when bits actually disappear.
