@@ -792,6 +792,8 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
             for (agg_label, agg) in [
                 ("count", Aggregation::Count),
                 ("sum", Aggregation::Sum(PRED_DIMS - 1)),
+                ("min", Aggregation::Min(PRED_DIMS - 1)),
+                ("max", Aggregation::Max(PRED_DIMS - 1)),
             ] {
                 let q = Query::new(preds.clone(), agg).expect("valid query");
                 let run = |source: &dyn ScanSource, tier| {
@@ -1144,8 +1146,9 @@ const BASELINES: &str = "bench-baselines";
 /// runs in CI (which runs those experiments first) without making a local
 /// `check-bench` pay for them.
 ///
-/// Returns a human-readable summary, or an error describing the first
-/// comparison that failed — the caller exits non-zero on `Err`.
+/// Every gate runs, whatever an earlier one found. Returns a human-readable
+/// summary, or an error naming every comparison that failed — the caller
+/// exits non-zero on `Err`.
 pub fn check_bench(config: &HarnessConfig) -> Result<String, String> {
     let baselines = Path::new(BASELINES);
     if same_dir(&config.out, baselines) {
@@ -1156,12 +1159,21 @@ pub fn check_bench(config: &HarnessConfig) -> Result<String, String> {
             config.out.display()
         ));
     }
+    run_gates(&GATES, baselines, config)
+}
+
+/// Runs `gates` in order against the baselines in `baselines` and the
+/// current files in `config.out`, re-running a gate's experiment first when
+/// it has one. A failing gate does not stop the others: the error lists
+/// every gate's summary, failures and passes alike.
+fn run_gates(gates: &[Gate], baselines: &Path, config: &HarnessConfig) -> Result<String, String> {
     let read = |path: PathBuf| {
         std::fs::read_to_string(&path)
             .map_err(|e| format!("check-bench: cannot read {}: {e}", path.display()))
     };
     let mut summaries = Vec::new();
-    for gate in &GATES {
+    let mut failed = 0;
+    for gate in gates {
         let current = config.out.join(gate.file);
         if let Some(run) = gate.rerun {
             run(config);
@@ -1174,10 +1186,22 @@ pub fn check_bench(config: &HarnessConfig) -> Result<String, String> {
             ));
             continue;
         }
-        let baseline = read(baselines.join(gate.file))?;
-        summaries.push(compare_bench(gate, &baseline, &read(current)?)?);
+        let outcome = read(baselines.join(gate.file))
+            .and_then(|baseline| compare_bench(gate, &baseline, &read(current)?));
+        summaries.push(outcome.unwrap_or_else(|e| {
+            failed += 1;
+            e
+        }));
     }
-    Ok(summaries.join("\n"))
+    let summary = summaries.join("\n");
+    if failed == 0 {
+        Ok(summary)
+    } else {
+        Err(format!(
+            "check-bench: {failed} of {} gates FAILED\n{summary}",
+            gates.len()
+        ))
+    }
 }
 
 /// Whether two paths name one directory on disk, however they are spelled
@@ -1409,9 +1433,9 @@ mod tests {
         for enc in ["plain", "encoded"] {
             assert!(out.contains(enc), "missing encoding {enc} in:\n{out}");
         }
-        // 5 densities x 4 predicate counts x 2 aggregations x 2 encodings x
+        // 5 densities x 4 predicate counts x 4 aggregations x 2 encodings x
         // 2 tiers, all of them visible to the gate.
-        assert_eq!(gated_entries(&cfg, &GATES[0]), 160);
+        assert_eq!(gated_entries(&cfg, &GATES[0]), 320);
     }
 
     #[test]
@@ -1580,6 +1604,48 @@ mod tests {
             &["\"batch_p50_us\": 101.50, "],
             &[("stream=48x64 table_rows=20000", 101.5)],
         );
+    }
+
+    #[test]
+    fn check_bench_runs_every_gate_and_names_each_failure() {
+        // The three gates `check-bench` never re-runs: pool, then ingest
+        // twice (post-ingest latency, then the 64-row stream).
+        let gates = &GATES[2..];
+        let baseline = HarnessConfig {
+            out: out_dir("gates_baseline"),
+            ..HarnessConfig::default()
+        };
+        let current = HarnessConfig {
+            out: out_dir("gates_current"),
+            ..HarnessConfig::default()
+        };
+        let write = |config: &HarnessConfig, pooled_us: f64, post_ingest_us: f64| {
+            let pool = [pool_entry("TPC-H", "Tsunami", 50.0, pooled_us)];
+            write_bench_json(config, "BENCH_pool.json", "fig7par", 30_000, &[], &pool);
+            let ingest = [
+                ingest_entry("Tsunami", 1.0, 150, 0.01, 0.5, post_ingest_us, 40.0),
+                "\"stream\": \"48x64\", \"table_rows\": 20000, \"batch_p50_us\": 101.50".into(),
+            ];
+            write_bench_json(config, "BENCH_ingest.json", "fig9b", 15_000, &[], &ingest);
+        };
+        write(&baseline, 50.0, 40.0);
+
+        write(&current, 60.0, 45.0);
+        let ok = run_gates(gates, &baseline.out, &current).unwrap();
+        assert_eq!(ok.matches(": OK").count(), 3, "{ok}");
+
+        // The first gate fails and so does the second: both are named, and
+        // the third still runs.
+        write(&current, 5_000.0, 5_000.0);
+        let err = run_gates(gates, &baseline.out, &current).unwrap_err();
+        for line in [
+            "2 of 3 gates FAILED",
+            "BENCH_pool.json pooled_us: FAILED",
+            "BENCH_ingest.json post_ingest_us: FAILED",
+            "BENCH_ingest.json batch_p50_us: OK",
+        ] {
+            assert!(err.contains(line), "{line} missing from:\n{err}");
+        }
     }
 
     #[test]

@@ -47,8 +47,7 @@
 //!   "Encoded columns" below), and aggregated mask-natively (popcount for
 //!   `COUNT`, masked folds for `SUM`/`MIN`/`MAX`). A later predicate on
 //!   plain rows tests only the selected rows once fewer than one in 16 is
-//!   left, decided per block from the bitmap just built — no state carries
-//!   from one block to the next.
+//!   left, decided per block from the bitmap just built.
 //!
 //! Both tiers compute the same selection for the same block, so results
 //! **and** [`ScanCounters`] are tier-invariant: `ranges`/`points` depend only
@@ -57,9 +56,25 @@
 //! results across the tiers, serial and parallel.
 //!
 //! Exact ranges skip selection entirely regardless of tier: `COUNT` never
-//! touches data, `SUM`/`AVG` reduce the input column directly, and
-//! `MIN`/`MAX` fall back to a tight fold over the input column (they need
-//! per-value inspection even when the range is exact).
+//! touches data and `SUM`/`AVG` reduce the input column directly. `MIN`/
+//! `MAX` need the values: the scalar oracle fetches and folds every row,
+//! the packed tier folds packed codes, and on a source without tombstones
+//! it takes a chunk covering a whole encoded block from the block's
+//! physical bounds.
+//!
+//! # MIN/MAX pruning on block bounds
+//!
+//! One decision of the packed tier depends on earlier chunks: whether a
+//! `MIN`/`MAX` chunk reads its aggregation column at all. Before reading
+//! it, the scan bounds every value the chunk can fold — the aggregation
+//! block's live bounds, tightened on selections by the residual predicates
+//! on the aggregated dimension — and when the participant's running `MIN`
+//! is already at or below that lower bound (`MAX` at or above the upper),
+//! the chunk only adds its match count. The result cannot differ: folded
+//! rows are live, selected rows pass the residual, and live bounds stay
+//! sound because the live set only shrinks after encoding. Which chunks are
+//! read varies with scan order and with which morsels a worker claims;
+//! results and counters do not.
 //!
 //! Execution is counter-transparent: the executor returns the
 //! [`ScanCounters`] (ranges/points/matched, plus the pre-folded partials it
@@ -155,6 +170,10 @@ pub const BLOCK_ROWS: usize = 1024;
 /// cache-resident and to balance across workers. Scans are memory-bandwidth
 /// bound, so finer splitting buys balance, not bandwidth.
 pub const DEFAULT_MORSEL_ROWS: usize = 128 * 1024;
+
+/// The clip of a chunk whose rows are not filtered on the aggregated
+/// dimension: every value.
+const NO_CLIP: (Value, Value) = (0, Value::MAX);
 
 /// End of the absolute-grid block containing `start`, clamped to `limit`.
 /// The executor chunks scans on this grid so one chunk never straddles two
@@ -758,6 +777,12 @@ struct ResolvedQuery<'a> {
     /// The source's deletion bitmap, captured only when it actually holds
     /// tombstones, so delete-free tables keep the zero-cost fast paths.
     live: Option<&'a TombstoneSet>,
+    /// `[lo, hi]` every row a selection keeps has its aggregation input in:
+    /// the intersection of the residual predicates on the aggregated
+    /// dimension ([`NO_CLIP`] when there are none). Only selections are
+    /// clipped by it: an exact range folds every live row, whatever the
+    /// plan claims about them.
+    agg_clip: (Value, Value),
 }
 
 impl<'a> ResolvedQuery<'a> {
@@ -767,12 +792,17 @@ impl<'a> ResolvedQuery<'a> {
             .map(|&p| (source.column_data(p.dim), p))
             .collect();
         let agg_col = agg.input_dim().map(|d| source.column_data(d));
+        let agg_clip = residual
+            .iter()
+            .filter(|p| Some(p.dim) == agg.input_dim())
+            .fold(NO_CLIP, |(lo, hi), p| (lo.max(p.lo), hi.min(p.hi)));
         Self {
             preds,
             agg,
             agg_col,
             num_rows: source.num_rows(),
             live: source.tombstones().filter(|t| t.any()),
+            agg_clip,
         }
     }
 
@@ -829,10 +859,10 @@ impl<'a> ResolvedQuery<'a> {
             match self.live {
                 None => {
                     counters.matched += range.len();
-                    self.aggregate_dense_range(range, acc);
+                    self.aggregate_dense_range(range, tier, acc);
                 }
                 Some(t) => {
-                    counters.matched += self.aggregate_dense_live(t, range, acc, scratch);
+                    counters.matched += self.aggregate_dense_live(t, range, tier, acc, scratch);
                 }
             }
             return;
@@ -878,8 +908,60 @@ impl<'a> ResolvedQuery<'a> {
         }
     }
 
-    /// Aggregates every row of a dense (exact, tombstone-free) range.
-    fn aggregate_dense_range(&self, range: Range<usize>, acc: &mut AggAccumulator) {
+    /// The aggregation input the packed tier reads for grid chunk
+    /// `start..end` whose folded rows all lie in `clip`: none when the
+    /// chunk cannot move `acc`'s running MIN/MAX
+    /// ([`ResolvedQuery::settled`]), so only its matches are counted.
+    #[inline(always)]
+    fn pruned_view(
+        &self,
+        start: usize,
+        end: usize,
+        acc: &AggAccumulator,
+        clip: (Value, Value),
+    ) -> AggView<'a> {
+        if self.settled(start, acc, clip) {
+            AggView::None
+        } else {
+            self.agg_view(start, end)
+        }
+    }
+
+    /// Whether no row of chunk `start..` of an encoded aggregation block
+    /// whose value lies in `clip` can move `acc`'s running MIN (MAX): the
+    /// block's live bounds, tightened by `clip`, bound every such row from
+    /// below (above), and the running extreme is already at or past that
+    /// bound. Sound because folded rows are live, and the live set only
+    /// shrinks after encoding, so the encode-time live bounds still hold.
+    /// Always `false` for other aggregations and for plain rows.
+    #[inline(always)]
+    fn settled(&self, start: usize, acc: &AggAccumulator, clip: (Value, Value)) -> bool {
+        let live = || {
+            let eb = self.agg_col?.block_at(start)?;
+            eb.live_bounds()
+        };
+        let (min, max) = acc.extremes();
+        match self.agg {
+            Aggregation::Min(_) => min
+                .zip(live())
+                .is_some_and(|(m, (lo, _))| m <= lo.max(clip.0)),
+            Aggregation::Max(_) => max
+                .zip(live())
+                .is_some_and(|(m, (_, hi))| m >= hi.min(clip.1)),
+            _ => false,
+        }
+    }
+
+    /// Aggregates every row of a dense (exact, tombstone-free) range. On
+    /// the packed tier, MIN/MAX over an encoded block go through
+    /// [`ResolvedQuery::dense_extreme_packed`]; the scalar oracle fetches
+    /// every row.
+    fn aggregate_dense_range(
+        &self,
+        range: Range<usize>,
+        tier: KernelTier,
+        acc: &mut AggAccumulator,
+    ) {
         let Some(col) = self.agg_col else {
             return aggregate_dense_view(self.agg, &AggView::None, range.len(), acc);
         };
@@ -887,11 +969,48 @@ impl<'a> ResolvedQuery<'a> {
             let view = AggView::Slice(col.slice(range.start, range.end));
             return aggregate_dense_view(self.agg, &view, range.len(), acc);
         }
+        let packed_extreme = tier == KernelTier::Packed
+            && matches!(self.agg, Aggregation::Min(_) | Aggregation::Max(_));
         let mut start = range.start;
         while start < range.end {
             let end = grid_block_end(start, range.end);
-            aggregate_dense_view(self.agg, &self.agg_view(start, end), end - start, acc);
+            match col.block_at(start) {
+                Some(eb) if packed_extreme => self.dense_extreme_packed(eb, start, end, acc),
+                _ => aggregate_dense_view(self.agg, &self.agg_view(start, end), end - start, acc),
+            }
             start = end;
+        }
+    }
+
+    /// The packed tier's MIN/MAX over every row of chunk `start..end` of
+    /// encoded block `eb`, on a tombstone-free source. A chunk covering the
+    /// whole block takes the block's physical bounds, since every stored
+    /// row is live and selected; a chunk that cannot move the running
+    /// extreme only counts; any other folds its packed codes under an
+    /// all-set bitmap.
+    fn dense_extreme_packed(
+        &self,
+        eb: &EncodedBlock,
+        start: usize,
+        end: usize,
+        acc: &mut AggAccumulator,
+    ) {
+        let len = end - start;
+        if start.is_multiple_of(BLOCK_ROWS) && len == eb.len() {
+            let (lo, hi) = eb.bounds();
+            return acc.add_block(len as u64, 0, Some(lo), Some(hi));
+        }
+        match self.pruned_view(start, end, acc, NO_CLIP) {
+            view @ AggView::Block { .. } => {
+                let mut words = [u64::MAX; kernels::BLOCK_WORDS];
+                let nw = len.div_ceil(kernels::WORD_BITS);
+                let tail = len % kernels::WORD_BITS;
+                if tail != 0 {
+                    words[nw - 1] = (1u64 << tail) - 1;
+                }
+                aggregate_mask(self.agg, &view, &words[..nw], KernelTier::Packed, acc);
+            }
+            view => aggregate_dense_view(self.agg, &view, len, acc),
         }
     }
 
@@ -902,6 +1021,7 @@ impl<'a> ResolvedQuery<'a> {
         &self,
         t: &TombstoneSet,
         range: Range<usize>,
+        tier: KernelTier,
         acc: &mut AggAccumulator,
         scratch: &mut BlockScratch,
     ) -> usize {
@@ -920,7 +1040,13 @@ impl<'a> ResolvedQuery<'a> {
             if tail != 0 {
                 words[nw - 1] &= (1u64 << tail) - 1;
             }
-            matched += aggregate_mask(self.agg, &self.agg_view(start, end), words, acc);
+            // The packed tier prunes on the block's live bounds alone; the
+            // oracle reads every live row.
+            let view = match tier {
+                KernelTier::Packed => self.pruned_view(start, end, acc, NO_CLIP),
+                KernelTier::Scalar => self.agg_view(start, end),
+            };
+            matched += aggregate_mask(self.agg, &view, words, tier, acc);
             start = end;
         }
         matched
@@ -1038,12 +1164,13 @@ impl<'a> ResolvedQuery<'a> {
                 match eb.classify(p.lo, p.hi) {
                     BlockTest::Skip => return 0,
                     BlockTest::AllLive => {
-                        self.aggregate_dense_range(start..end, acc);
+                        self.aggregate_dense_range(start..end, KernelTier::Packed, acc);
                         return len;
                     }
                     BlockTest::Packed { lo, hi } => {
                         let (packed, class) = packed_payload(eb);
-                        match (self.agg, self.agg_view(start, end)) {
+                        let view = self.pruned_view(start, end, acc, self.agg_clip);
+                        match (self.agg, view) {
                             (_, AggView::None) | (Aggregation::Count, _) => {
                                 let n = kernels::packed_count(packed, class, offset, len, lo, hi);
                                 acc.add_bulk(n as u64, 0);
@@ -1084,8 +1211,8 @@ impl<'a> ResolvedQuery<'a> {
                         if any == 0 {
                             return 0;
                         }
-                        let view = self.agg_view(start, end);
-                        return aggregate_mask(self.agg, &view, &scratch.words[..nw], acc);
+                        let words = &scratch.words[..nw];
+                        return aggregate_mask(self.agg, &view, words, KernelTier::Packed, acc);
                     }
                     BlockTest::Plain => {} // fall through to the general path
                 }
@@ -1151,10 +1278,12 @@ impl<'a> ResolvedQuery<'a> {
         if first {
             return match self.live {
                 None => {
-                    self.aggregate_dense_range(start..end, acc);
+                    self.aggregate_dense_range(start..end, KernelTier::Packed, acc);
                     len
                 }
-                Some(t) => self.aggregate_dense_live(t, start..end, acc, scratch),
+                Some(t) => {
+                    self.aggregate_dense_live(t, start..end, KernelTier::Packed, acc, scratch)
+                }
             };
         }
 
@@ -1169,8 +1298,14 @@ impl<'a> ResolvedQuery<'a> {
         if any == 0 {
             return 0;
         }
-        let view = self.agg_view(start, end);
-        aggregate_mask(self.agg, &view, &scratch.words[..nw], acc)
+        let view = self.pruned_view(start, end, acc, self.agg_clip);
+        aggregate_mask(
+            self.agg,
+            &view,
+            &scratch.words[..nw],
+            KernelTier::Packed,
+            acc,
+        )
     }
 }
 
@@ -1209,12 +1344,14 @@ impl AggView<'_> {
 }
 
 /// Mask-native aggregation of one chunk's selection bitmap, shared by the
-/// packed path and the tombstone-aware dense path.
+/// packed path and the tombstone-aware dense path of both tiers (`tier`
+/// picks the MIN/MAX fold, see [`mask_extreme`]).
 /// Returns the number of selected rows.
 fn aggregate_mask(
     agg: Aggregation,
     col: &AggView,
     words: &[u64],
+    tier: KernelTier,
     acc: &mut AggAccumulator,
 ) -> usize {
     match (agg, col) {
@@ -1226,16 +1363,6 @@ fn aggregate_mask(
         (Aggregation::Sum(_) | Aggregation::Avg(_), AggView::Slice(s)) => {
             let (n, sum) = kernels::mask_sum(s, words);
             acc.add_bulk(n, sum);
-            n as usize
-        }
-        (Aggregation::Min(_), AggView::Slice(s)) => {
-            let (n, lo) = kernels::mask_min(s, words);
-            acc.add_block(n, 0, lo, None);
-            n as usize
-        }
-        (Aggregation::Max(_), AggView::Slice(s)) => {
-            let (n, hi) = kernels::mask_max(s, words);
-            acc.add_block(n, 0, None, hi);
             n as usize
         }
         (Aggregation::Sum(_) | Aggregation::Avg(_), AggView::Block { eb, offset }) => {
@@ -1254,18 +1381,54 @@ fn aggregate_mask(
             n as usize
         }
         (Aggregation::Min(_), _) => {
-            let (n, lo) =
-                kernels::mask_extreme_fetch(words, Value::MAX, Value::min, |i| col.fetch(i));
+            let (n, lo) = mask_extreme(col, words, tier, kernels::Extreme::Min);
             acc.add_block(n, 0, lo, None);
             n as usize
         }
         (Aggregation::Max(_), _) => {
-            let (n, hi) =
-                kernels::mask_extreme_fetch(words, Value::MIN, Value::max, |i| col.fetch(i));
+            let (n, hi) = mask_extreme(col, words, tier, kernels::Extreme::Max);
             acc.add_block(n, 0, None, hi);
             n as usize
         }
     }
+}
+
+/// `(selected rows, their MIN or MAX)` of one chunk's selection bitmap: a
+/// plain slice folds directly; on the packed tier, a FOR or Dict block
+/// whose window starts on a packed word folds its codes
+/// ([`kernels::mask_extreme_packed`]); any other window, and every block
+/// on the scalar oracle, fetches the selected rows one at a time.
+fn mask_extreme(
+    col: &AggView,
+    words: &[u64],
+    tier: KernelTier,
+    extreme: kernels::Extreme,
+) -> (u64, Option<Value>) {
+    use kernels::Extreme::{Max, Min};
+    let AggView::Block { eb, offset } = *col else {
+        let AggView::Slice(s) = *col else {
+            unreachable!("no aggregation input to fold")
+        };
+        return match extreme {
+            Min => kernels::mask_min(s, words),
+            Max => kernels::mask_max(s, words),
+        };
+    };
+    if let BlockData::For { class, packed } | BlockData::Dict { class, packed, .. } = eb.data() {
+        if tier == KernelTier::Packed && offset & (class.per_word() - 1) == 0 {
+            let (n, code) = kernels::mask_extreme_packed(words, packed, *class, offset, extreme);
+            let value = code.map(|c| match eb.data() {
+                BlockData::Dict { uniques, .. } => uniques[c as usize],
+                _ => eb.bounds().0 + c,
+            });
+            return (n, value);
+        }
+    }
+    let (identity, fold): (Value, fn(Value, Value) -> Value) = match extreme {
+        Min => (Value::MAX, Value::min),
+        Max => (Value::MIN, Value::max),
+    };
+    kernels::mask_extreme_fetch(words, identity, fold, |i| col.fetch(i))
 }
 
 /// Aggregates every row of one dense chunk (exact-range fast path).
@@ -1934,6 +2097,72 @@ mod tests {
     }
 
     #[test]
+    fn min_max_pruning_matches_the_oracle_after_block_extremes_die() {
+        let n = 6 * BLOCK_ROWS + 300;
+        let ds = encodable_dataset(n as u64);
+        // Encoded with every row live, so each block's live bounds are its
+        // physical bounds; then the rows holding each block's extremes on
+        // every aggregated dimension die, leaving those bounds loose.
+        let clean = EncodedSource::encode(&ds, 300, None);
+        let mut t = TombstoneSet::new(n);
+        for dim in [0, 1, 3] {
+            let col = ds.column(dim);
+            for (b, block) in col[..6 * BLOCK_ROWS].chunks(BLOCK_ROWS).enumerate() {
+                let (lo, hi) = (block.iter().min(), block.iter().max());
+                for (i, v) in block.iter().enumerate() {
+                    if Some(v) == lo || Some(v) == hi {
+                        t.mark(b * BLOCK_ROWS + i);
+                    }
+                }
+            }
+        }
+        let tombed = EncodedSource {
+            t: Some(t),
+            ..EncodedSource::encode(&ds, 300, None)
+        };
+        // Whole exact blocks, a partial exact range, non-exact ranges that
+        // start mid-block, and a plain non-exact full scan.
+        let plans = [
+            ScanPlan::from_ranges([
+                (0..2 * BLOCK_ROWS, true),
+                (2 * BLOCK_ROWS..3_000, false),
+                (3_000..3_500, true),
+                (3_500..5 * BLOCK_ROWS, false),
+                (5 * BLOCK_ROWS..n, true),
+            ]),
+            ScanPlan::full(n),
+        ];
+        // A residual predicate `[lo, hi]` on each aggregated dimension, plus
+        // one on another dimension.
+        let cases = [
+            (0, 300, 3_800, 3),
+            (1, 3 * 1_000_000_007, 19 * 1_000_000_007, 0),
+            (3, 100, 4_000, 0),
+        ];
+        for (source, label) in [(&clean, "clean"), (&tombed, "tombstoned")] {
+            for (dim, lo, hi, other) in cases {
+                let preds = vec![
+                    Predicate::range(dim, lo, hi).unwrap(),
+                    Predicate::range(other, 0, 3_000).unwrap(),
+                ];
+                for agg in [Aggregation::Min(dim), Aggregation::Max(dim)] {
+                    let q = Query::new(preds.clone(), agg).unwrap();
+                    for plan in &plans {
+                        let (expected, ec) = run(source, &q, plan, 1, KernelTier::Scalar);
+                        for threads in [1, 4] {
+                            let (res, counters) =
+                                run(source, &q, plan, threads, KernelTier::Packed);
+                            let at = format!("{label} {agg:?} {threads} threads {plan:?}");
+                            assert_eq!(res, expected, "{at}");
+                            assert_eq!(counters, ec, "counters: {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn encoded_exact_ranges_aggregate_densely() {
         let n = 4 * BLOCK_ROWS as u64;
         let ds = encodable_dataset(n);
@@ -1954,6 +2183,40 @@ mod tests {
                 let (res, counters) = run(&src, &q, &plan, 1, tier);
                 assert_eq!(res, expected, "{agg:?} via {tier:?}");
                 assert_eq!(counters, ec, "{agg:?} counters via {tier:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_min_max_chunks_fold_their_last_row() {
+        // Strictly monotone columns (FOR W15 falling, FOR W31 rising), so
+        // each exact range's MIN of dim 0 and MAX of dim 1 sit in its last
+        // row alone, and that row ends a partial bitmap word.
+        let n = 3 * BLOCK_ROWS as u64;
+        let ds = Dataset::from_columns(vec![
+            (0..n).map(|v| (n - v) * 5).collect(),
+            (0..n).map(|v| v << 20).collect(),
+        ])
+        .unwrap();
+        let src = EncodedSource::encode(&ds, 0, None);
+        for (blocks, _) in &src.cols {
+            assert!(blocks.iter().all(|eb| eb.kind_label() == "for"));
+        }
+        for range in [100..1_000, 1_124..2_000, 2_052..2_900] {
+            let plan = ScanPlan::from_ranges([(range.clone(), true)]);
+            for agg in [Aggregation::Min(0), Aggregation::Max(1)] {
+                let q = Query::new(vec![], agg).unwrap();
+                let (expected, _) = run(&ds, &q, &plan, 1, KernelTier::Scalar);
+                let last = Some(ds.column(agg.input_dim().unwrap())[range.end - 1]);
+                let want = match agg {
+                    Aggregation::Min(_) => AggResult::Min(last),
+                    _ => AggResult::Max(last),
+                };
+                assert_eq!(expected, want);
+                for tier in KernelTier::ALL {
+                    let (res, _) = run(&src, &q, &plan, 1, tier);
+                    assert_eq!(res, expected, "{agg:?} over {range:?} via {tier:?}");
+                }
             }
         }
     }

@@ -261,6 +261,12 @@ impl AggAccumulator {
         self.count
     }
 
+    /// The running `(MIN, MAX)` so far; each is `Some` only under its own
+    /// aggregation, once a record was folded.
+    pub(crate) fn extremes(&self) -> (Option<Value>, Option<Value>) {
+        (self.min, self.max)
+    }
+
     /// Finalizes the accumulator into a result.
     pub fn finish(&self) -> AggResult {
         match self.agg {

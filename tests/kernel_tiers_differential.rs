@@ -1,10 +1,10 @@
-//! Differential tests for the executor's kernel tiers: the branchless
-//! selection-vector path, the word-packed selection-bitmap path, and the
-//! adaptive per-block switch must all be bit-identical — results *and*
-//! [`ScanCounters`] — to the scalar oracle loop, across a seeded sweep of
-//! selectivities (0%, ~1%, ~50%, ~99%, 100%), predicate counts (1–4), and
-//! block-boundary offsets, for all five aggregations, serial and parallel,
-//! and for all seven index families.
+//! Differential tests for the executor's kernel tiers: the packed path
+//! (branchless word-packed selection bitmaps over packed codes and plain
+//! rows, with MIN/MAX pruned on block bounds) must be bit-identical —
+//! results *and* [`ScanCounters`] — to the scalar oracle loop, across a
+//! seeded sweep of selectivities (0%, ~1%, ~50%, ~99%, 100%), predicate
+//! counts (1–4), and block-boundary offsets, for all five aggregations,
+//! serial and parallel, and for all seven index families.
 //!
 //! Block encoding rides the same harness: stores never encoded (every row
 //! in the plain tail), fully encoded (FOR + Dict + Plain blocks), and mixed

@@ -5,9 +5,9 @@
 //! serial and the parallel executor.
 //!
 //! The oracle never touches `tsunami_core::exec`, so these tests genuinely
-//! cross-check the vectorized selection-vector kernels, the exact-range fast
-//! paths (including the MIN/MAX value-fold fallback), and the plan-merging
-//! logic against an independent implementation.
+//! cross-check the packed selection-bitmap kernels, the exact-range fast
+//! paths (including MIN/MAX from block headers and packed codes), and the
+//! plan-merging logic against an independent implementation.
 
 use tsunami_baselines::{ClusteredSingleDimIndex, FullScanIndex, HyperOctree, KdTree, ZOrderIndex};
 use tsunami_core::sample::SplitMix;
