@@ -146,7 +146,10 @@ pub fn fig7_parallel(config: &HarnessConfig) -> String {
     let threads = pool.worker_count();
     let morsel_rows = tsunami_core::exec::DEFAULT_MORSEL_ROWS;
     let mut t = Table::new(
-        "Fig 7 (parallel): Serial vs pooled executor (avg query us)",
+        &format!(
+            "Fig 7 (parallel): Serial vs pooled executor (avg query us; {} kernels)",
+            tsunami_core::exec::kernel_build()
+        ),
         &[
             "dataset",
             "index",
@@ -756,7 +759,10 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
     let plan = ScanPlan::full(rows);
 
     let mut t = Table::new(
-        "Fig 12 (kernels): executor kernel tiers (median ns/row; speedup vs scalar)",
+        &format!(
+            "Fig 12 (kernels): executor kernel tiers (median ns/row; speedup vs scalar; {} kernels)",
+            tsunami_core::exec::kernel_build()
+        ),
         &[
             "selectivity %",
             "predicates",
@@ -1427,6 +1433,8 @@ mod tests {
             out: out_dir("fig12kern"),
         };
         let out = fig12kern(&cfg);
+        let build = format!("{} kernels", tsunami_core::exec::kernel_build());
+        assert!(out.contains(&build), "title does not name {build}:\n{out}");
         for tier in ["scalar", "packed"] {
             assert!(out.contains(tier), "missing tier {tier} in:\n{out}");
         }

@@ -473,6 +473,9 @@ impl EncodedBlock {
 
     /// Translates the value range `[lo, hi]` into this block's
     /// representation, using the live bounds for skip / all-match decisions.
+    /// Inlined so that the executor's x86-64-v3 build of the packed path
+    /// (`exec::scan_units`) calls no portable code per chunk.
+    #[inline(always)]
     pub fn classify(&self, lo: Value, hi: Value) -> BlockTest {
         let Some((live_lo, live_hi)) = self.live else {
             return BlockTest::Skip;

@@ -5,12 +5,11 @@
 //! a **bitmap** — one bit per row, packed into `u64` words:
 //!
 //! * on plain rows, the first predicate builds the bitmap from 8-lane mask
-//!   groups (`u64x8`-style manual unrolling, no data-dependent branch;
-//!   64-bit vector compares where the CPU has AVX2), and each further
-//!   predicate `AND`s into it. A refine whose bitmap already selects fewer
-//!   than one row in [`SPARSE_REFINE`] tests only the selected rows instead
-//!   of the whole block — the same bits, decided per block from the bitmap
-//!   itself;
+//!   groups (`u64x8`-style manual unrolling, no data-dependent branch),
+//!   and each further predicate `AND`s into it. A refine whose bitmap
+//!   already selects fewer than one row in `SPARSE_REFINE` tests only the
+//!   selected rows instead of the whole block — the same bits, decided per
+//!   block from the bitmap itself;
 //! * on packed rows (frame-of-reference or dictionary codes, see
 //!   [`crate::encode`]), range tests run as SWAR compares directly on the
 //!   packed words, 8/4/2 rows per ALU op.
@@ -28,6 +27,13 @@
 //! same block and predicates they produce the same selection whatever the
 //! encoding or density, which is what makes the executor's kernel tiers
 //! bit-identical (see the [`exec`](super) module docs).
+//!
+//! Every kernel the executor calls, and every closure handed to one, is
+//! `#[inline(always)]`: the executor compiles the packed path a second time
+//! with x86-64-v3's features (AVX2 compares for the 8-lane groups,
+//! hardware popcount for `COUNT` and the packed folds) and picks a build
+//! once per scan participant, so a kernel left out of line would run its
+//! portable code in both. No kernel detects CPU features itself.
 
 use super::BLOCK_ROWS;
 use crate::dataset::Value;
@@ -105,39 +111,17 @@ fn word_mask(chunk: &[Value], p: Predicate) -> u64 {
 /// Evaluates the first predicate of a block into a selection bitmap.
 /// Returns the OR of all words, so callers can skip further refinement and
 /// aggregation when the selection is already empty.
+#[inline(always)]
 pub(crate) fn mask_first(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
     mask_words(block, p, MaskMode::Set, words)
 }
 
 /// Sets or ANDs the match mask of every word of `block` into `words`;
-/// returns the OR of the resulting words. Runs the AVX2 build where the CPU
-/// has it: baseline x86-64 has no 64-bit vector compare, so there the 8-lane
-/// groups compile to scalar compares, slower per row than the branchy
-/// scalar loop on a block where nothing matches (`fig12kern`, 0 %).
-fn mask_words(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked just above.
-        return unsafe { mask_words_avx2(block, p, mode, words) };
-    }
-    mask_words_body(block, p, mode, words)
-}
-
-/// [`mask_words_body`] compiled for AVX2, whose 64-bit compares let the
-/// 8-lane groups vectorize.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mask_words_avx2(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
-    mask_words_body(block, p, mode, words)
-}
-
-/// The portable body of [`mask_words`].
+/// returns the OR of the resulting words. Baseline x86-64 has no 64-bit
+/// vector compare, so the 8-lane groups vectorize only in the executor's
+/// x86-64-v3 build of the packed path (see the [`exec`](super) module docs).
 #[inline(always)]
-fn mask_words_body(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
+fn mask_words(block: &[Value], p: Predicate, mode: MaskMode, words: &mut [u64]) -> u64 {
     let mut any = 0u64;
     for (w, chunk) in block.chunks(WORD_BITS).enumerate() {
         any |= apply_mask_word(mode, words, w, word_mask(chunk, p));
@@ -154,6 +138,7 @@ pub(crate) const SPARSE_REFINE: usize = 16;
 /// Returns the OR of all words after refinement (see [`mask_first`]).
 /// Sparse selections (popcount × [`SPARSE_REFINE`] < block length) visit
 /// only their set bits; both ways produce the same bitmap.
+#[inline(always)]
 pub(crate) fn mask_refine(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
     if mask_count(words) * SPARSE_REFINE < block.len() {
         mask_refine_sparse(block, p, words)
@@ -163,12 +148,14 @@ pub(crate) fn mask_refine(block: &[Value], p: Predicate, words: &mut [u64]) -> u
 }
 
 /// [`mask_refine`] recomputing every word of the block.
+#[inline(always)]
 fn mask_refine_dense(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
     mask_words(block, p, MaskMode::And, words)
 }
 
 /// [`mask_refine`] testing only the rows whose bit is set: each survivor's
 /// bit is rebuilt from its compare result, with no branch on the value.
+#[inline(always)]
 fn mask_refine_sparse(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
     let mut any = 0u64;
     for (w, word) in words.iter_mut().enumerate() {
@@ -187,30 +174,31 @@ fn mask_refine_sparse(block: &[Value], p: Predicate, words: &mut [u64]) -> u64 {
 }
 
 /// Number of selected rows in a bitmap (popcount).
+#[inline(always)]
 pub(crate) fn mask_count(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Masked fold for `SUM`/`AVG`: `(selected rows, sum of their values)`.
 /// Fully set words take a straight-line whole-word reduction.
+#[inline(always)]
 pub(crate) fn mask_sum(vals: &[Value], words: &[u64]) -> (u64, u128) {
     let mut n = 0u64;
     let mut sum = 0u128;
-    for (w, &word) in words.iter().enumerate() {
+    // Each word indexes its own chunk: inlined into the executor's
+    // participant loop, a walk indexing `vals` from a running base kept
+    // the slice in stack slots and reloaded it on every set bit.
+    for (&word, chunk) in words.iter().zip(vals.chunks(WORD_BITS)) {
         if word == 0 {
             continue;
         }
-        let base = w * WORD_BITS;
         if word == u64::MAX {
-            sum += vals[base..base + WORD_BITS]
-                .iter()
-                .map(|&v| v as u128)
-                .sum::<u128>();
+            sum += chunk.iter().map(|&v| v as u128).sum::<u128>();
             n += WORD_BITS as u64;
         } else {
             let mut m = word;
             while m != 0 {
-                sum += vals[base + m.trailing_zeros() as usize] as u128;
+                sum += chunk[m.trailing_zeros() as usize] as u128;
                 m &= m - 1;
             }
             n += word.count_ones() as u64;
@@ -220,11 +208,13 @@ pub(crate) fn mask_sum(vals: &[Value], words: &[u64]) -> (u64, u128) {
 }
 
 /// Masked fold for `MIN`: `(selected rows, minimum of their values)`.
+#[inline(always)]
 pub(crate) fn mask_min(vals: &[Value], words: &[u64]) -> (u64, Option<Value>) {
     mask_extreme(vals, words, Value::MAX, Value::min)
 }
 
 /// Masked fold for `MAX`: `(selected rows, maximum of their values)`.
+#[inline(always)]
 pub(crate) fn mask_max(vals: &[Value], words: &[u64]) -> (u64, Option<Value>) {
     mask_extreme(vals, words, Value::MIN, Value::max)
 }
@@ -367,6 +357,16 @@ impl FieldSum {
         };
     }
 
+    /// Adds the fields of `agg_word` whose delimiter bit is set in the
+    /// scattered match mask `scattered`; returns how many there are.
+    #[inline(always)]
+    fn add_matched(&mut self, scattered: u64, agg_word: u64) -> u64 {
+        // Broadcast each matched delimiter bit over its field's payload.
+        let field_mask = (scattered >> self.class.width()).wrapping_mul(self.class.value_mask());
+        self.add(agg_word & field_mask);
+        scattered.count_ones() as u64
+    }
+
     #[inline(always)]
     fn finish(self) -> u128 {
         let a = self.acc;
@@ -426,6 +426,7 @@ fn walk_groups<const F: usize>(
 /// [`walk_groups`]). Requires `offset` aligned to the word's field count so
 /// bitmap groups coincide with packed words. Returns `(matching rows, sum of
 /// matching codes)`; the caller adds `rows * reference`.
+#[inline(always)]
 pub(crate) fn mask_sum_packed(
     words: &[u64],
     agg_packed: &[u64],
@@ -444,10 +445,16 @@ pub(crate) fn mask_sum_packed(
     // One monomorphic walk per class; lane capacities as in [`FieldSum`].
     macro_rules! walk {
         ($f:expr, $cl:expr, $m0:expr, $sh:expr) => {
-            walk_groups::<$f>(words, agg_packed, base, |x, dense| {
-                let v = x & (undensify(dense, $cl) >> $cl.width()).wrapping_mul(vm);
-                acc += (v & $m0) + ((v >> $sh) & $m0);
-            })
+            walk_groups::<$f>(
+                words,
+                agg_packed,
+                base,
+                #[inline(always)]
+                |x, dense| {
+                    let v = x & (undensify(dense, $cl) >> $cl.width()).wrapping_mul(vm);
+                    acc += (v & $m0) + ((v >> $sh) & $m0);
+                },
+            )
         };
     }
     let sum = match class {
@@ -487,6 +494,7 @@ pub(crate) enum Extreme {
 /// running value. A W31 word holds two fields, and there that
 /// form read ~1.6× slower per block than folding each field on its own with
 /// a branchless select, which is what W31 does.
+#[inline(always)]
 pub(crate) fn mask_extreme_packed(
     words: &[u64],
     packed: &[u64],
@@ -528,23 +536,35 @@ fn swar_extreme<const F: usize, const MAX: bool>(
     let vm = class.value_mask();
     // Payload bits only: delimiters stay clear in every word below.
     let mut best = if MAX { 0 } else { !h };
-    walk_groups::<F>(words, packed, base, |x, dense| {
-        let fields = (undensify(dense, class) >> width).wrapping_mul(vm);
-        let cand = if MAX { x & fields } else { x | (!fields & !h) };
-        // Lane k's delimiter is set iff the candidate does not lose to the
-        // running value: `((a | H) - b) & H` keeps lane k's delimiter iff
-        // a_k >= b_k, and no borrow crosses a lane.
-        let take = if MAX {
-            ((cand | h) - best) & h
-        } else {
-            ((best | h) - cand) & h
-        };
-        let lanes = (take >> width).wrapping_mul(vm);
-        best = (cand & lanes) | (best & !lanes);
-    });
+    walk_groups::<F>(
+        words,
+        packed,
+        base,
+        #[inline(always)]
+        |x, dense| {
+            let fields = (undensify(dense, class) >> width).wrapping_mul(vm);
+            let cand = if MAX { x & fields } else { x | (!fields & !h) };
+            // Lane k's delimiter is set iff the candidate does not lose to the
+            // running value: `((a | H) - b) & H` keeps lane k's delimiter iff
+            // a_k >= b_k, and no borrow crosses a lane.
+            let take = if MAX {
+                ((cand | h) - best) & h
+            } else {
+                ((best | h) - cand) & h
+            };
+            let lanes = (take >> width).wrapping_mul(vm);
+            best = (cand & lanes) | (best & !lanes);
+        },
+    );
+    // Fold the lanes with a plain loop: an iterator `min`/`max` here was
+    // left out of line, a portable call per chunk in the x86-64-v3 build.
     let slot = class.slot() as usize;
-    let lanes = (0..F).map(|k| (best >> (k * slot)) & vm);
-    if MAX { lanes.max() } else { lanes.min() }.expect("a word holds at least one field")
+    let mut out = if MAX { 0 } else { vm };
+    for k in 0..F {
+        let lane = (best >> (k * slot)) & vm;
+        out = if MAX { out.max(lane) } else { out.min(lane) };
+    }
+    out
 }
 
 /// The per-field form of [`mask_extreme_packed`], for W31's two fields per
@@ -553,17 +573,23 @@ fn swar_extreme<const F: usize, const MAX: bool>(
 fn field_extreme<const MAX: bool>(words: &[u64], packed: &[u64], base: usize) -> u64 {
     let vm = PackClass::W31.value_mask();
     let mut best = if MAX { 0 } else { vm };
-    walk_groups::<2>(words, packed, base, |x, dense| {
-        for k in 0..2 {
-            let code = (x >> (32 * k)) & vm;
-            let sel = (dense >> k) & 1;
-            best = if MAX {
-                best.max(code & sel.wrapping_neg())
-            } else {
-                best.min(code | (sel.wrapping_sub(1) & vm))
-            };
-        }
-    });
+    walk_groups::<2>(
+        words,
+        packed,
+        base,
+        #[inline(always)]
+        |x, dense| {
+            for k in 0..2 {
+                let code = (x >> (32 * k)) & vm;
+                let sel = (dense >> k) & 1;
+                best = if MAX {
+                    best.max(code & sel.wrapping_neg())
+                } else {
+                    best.min(code | (sel.wrapping_sub(1) & vm))
+                };
+            }
+        },
+    );
     best
 }
 
@@ -580,6 +606,7 @@ pub(crate) enum MaskMode {
 /// into the dense selection bitmap `out` (bit `i` = field `offset + i`),
 /// either setting or ANDing. Returns the OR of the touched words.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn packed_mask(
     packed: &[u64],
     class: PackClass,
@@ -648,6 +675,7 @@ pub(crate) fn packed_mask(
 /// carries no spill state. The class match sits outside the loops so each
 /// arm is a monomorphic, unrollable body.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn packed_mask_aligned(
     packed: &[u64],
     class: PackClass,
@@ -750,6 +778,7 @@ fn apply_mask_word(mode: MaskMode, out: &mut [u64], w: usize, bits: u64) -> u64 
 /// COUNT fast path: number of packed fields in `offset .. offset + n`
 /// passing the code-range test, with no bitmap materialization — popcounts
 /// of the scattered masks directly.
+#[inline(always)]
 pub(crate) fn packed_count(
     packed: &[u64],
     class: PackClass,
@@ -885,6 +914,7 @@ fn sum_interior(
 /// to the aggregation words — no bitmap, no decode, no per-row loop.
 /// Returns `(matching rows, sum of matching aggregation codes)`; the caller
 /// adds `rows * reference` to undo the frame of reference.
+#[inline(always)]
 pub(crate) fn packed_sum_same_layout(
     pred_packed: &[u64],
     agg_packed: &[u64],
@@ -900,24 +930,17 @@ pub(crate) fn packed_sum_same_layout(
     let last = (offset + n - 1) >> class.log_per_word();
     let k0 = offset & (f - 1);
     let k1 = ((offset + n - 1) & (f - 1)) + 1;
-    let mut count = 0u64;
     let mut fs = FieldSum::new(class);
-    let mut fold = |fs: &mut FieldSum, scattered: u64, agg_word: u64| {
-        count += scattered.count_ones() as u64;
-        // Broadcast each matched delimiter bit over its field's payload.
-        let field_mask = (scattered >> class.width()).wrapping_mul(class.value_mask());
-        fs.add(agg_word & field_mask);
-    };
     if first == last {
         let m =
             swar_match_word(pred_packed[first], class, lo, hi) & delim_range_mask(class, k0, k1);
-        fold(&mut fs, m, agg_packed[first]);
+        let count = fs.add_matched(m, agg_packed[first]);
         return (count, fs.finish());
     }
     let m = swar_match_word(pred_packed[first], class, lo, hi) & delim_range_mask(class, k0, f);
-    fold(&mut fs, m, agg_packed[first]);
+    let mut count = fs.add_matched(m, agg_packed[first]);
     let m = swar_match_word(pred_packed[last], class, lo, hi) & delim_range_mask(class, 0, k1);
-    fold(&mut fs, m, agg_packed[last]);
+    count += fs.add_matched(m, agg_packed[last]);
     // Interior words are whole: one monomorphic SWAR loop, no edge masks.
     let (c, sum) = sum_interior(
         &pred_packed[first + 1..last],
@@ -931,6 +954,7 @@ pub(crate) fn packed_sum_same_layout(
 
 /// Masked fold for `SUM` with an arbitrary value fetcher (packed aggregation
 /// columns): like [`mask_sum`], but rows are materialized through `fetch`.
+#[inline(always)]
 pub(crate) fn mask_sum_fetch(words: &[u64], fetch: impl Fn(usize) -> Value) -> (u64, u128) {
     let mut n = 0u64;
     let mut sum = 0u128;
@@ -950,6 +974,7 @@ pub(crate) fn mask_sum_fetch(words: &[u64], fetch: impl Fn(usize) -> Value) -> (
 }
 
 /// Masked `MIN`/`MAX` fold with an arbitrary value fetcher.
+#[inline(always)]
 pub(crate) fn mask_extreme_fetch(
     words: &[u64],
     identity: Value,
@@ -1023,10 +1048,6 @@ mod tests {
                 let mut words = vec![0u64; nw];
                 mask_first(&block, p, &mut words);
                 assert_eq!(selected(&words), expected, "mask_first {p:?}");
-                // The portable body too, wherever `mask_first` vectorizes.
-                let mut words = vec![0u64; nw];
-                mask_words_body(&block, p, MaskMode::Set, &mut words);
-                assert_eq!(selected(&words), expected, "mask_words_body {p:?}");
             }
         }
     }

@@ -55,6 +55,19 @@
 //! representation changes. The differential suites assert bit-identical
 //! results across the tiers, serial and parallel.
 //!
+//! The packed tier is compiled twice from the same source: the portable
+//! build, and a build with x86-64-v3's integer features (AVX2, BMI1/2,
+//! LZCNT and hardware popcount; without them every `count_ones` is a
+//! dozen-instruction software popcount and the 8-lane mask groups stay
+//! scalar). Each scan participant picks one build once, in its one loop
+//! (`scan_units`), from the CPU it runs on; [`kernel_build`] names the
+//! choice. Everything the packed path calls below that loop is
+//! `#[inline(always)]`, so it is compiled into both builds. The scalar
+//! oracle always runs the portable build, and its two row loops stay out
+//! of line, so it remains code built apart from the path it checks. The
+//! builds differ only in instructions: selections, results and counters
+//! are the same.
+//!
 //! Exact ranges skip selection entirely regardless of tier: `COUNT` never
 //! touches data and `SUM`/`AVG` reduce the input column directly. `MIN`/
 //! `MAX` need the values: the scalar oracle fetches and folds every row,
@@ -135,7 +148,8 @@
 //!   rows per ALU op — with dedicated no-bitmap fast paths for
 //!   single-predicate `COUNT` and layout-matched `SUM`/`AVG`. Plain rows (a
 //!   `Plain` payload, a store's tail, a [`Dataset`]) have no metadata and
-//!   take the 8-lane mask kernels into the same bitmap.
+//!   take the 8-lane mask kernels into the same bitmap, whose 64-bit
+//!   compares vectorize in the x86-64-v3 build (see "Kernel tiers").
 //!
 //! Tombstone liveness is ANDed into every selection exactly as on plain
 //! columns (block live bounds are computed at encode time and remain sound
@@ -153,7 +167,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::dataset::{Dataset, Value};
-use crate::encode::{BlockData, BlockTest, EncodedBlock, PackClass};
+use crate::encode::{extract, BlockData, BlockTest, EncodedBlock, PackClass};
 use crate::query::{AggAccumulator, AggResult, Aggregation, Predicate, Query};
 use crate::tombstone::TombstoneSet;
 
@@ -642,8 +656,8 @@ pub fn execute_plan_with(
         // deliberately NOT `with_thread_scratch`, see `THREAD_SCRATCH`.
         None => {
             let mut ranges = plan.ranges().iter();
-            let next = || ranges.next().map(|sr| (sr.range.clone(), sr.exact, true));
-            scan_units(&resolved, opts.tier, &mut BlockScratch::new(), next)
+            let mut next = || ranges.next().map(|sr| (sr.range.clone(), sr.exact, true));
+            scan_units(&resolved, opts.tier, &mut BlockScratch::new(), &mut next)
         }
         // Pooled: the caller and `helpers` workers claim morsels from a
         // shared cursor and merge their private results once at the end.
@@ -651,9 +665,10 @@ pub fn execute_plan_with(
             let cursor = AtomicUsize::new(0);
             let merged = Mutex::new((AggAccumulator::new(resolved.agg), ScanCounters::default()));
             pool.join_helpers(helpers, &|| {
-                let next = || units.get(cursor.fetch_add(1, Ordering::Relaxed)).cloned();
-                let (acc, counters) =
-                    with_thread_scratch(|scratch| scan_units(&resolved, opts.tier, scratch, next));
+                let mut next = || units.get(cursor.fetch_add(1, Ordering::Relaxed)).cloned();
+                let (acc, counters) = with_thread_scratch(|scratch| {
+                    scan_units(&resolved, opts.tier, scratch, &mut next)
+                });
                 let mut m = merged.lock().expect("merging never panics");
                 m.0.merge(&acc);
                 m.1.merge(&counters);
@@ -665,13 +680,82 @@ pub fn execute_plan_with(
     (acc.finish(), counters)
 }
 
+/// Whether this CPU has the integer features of x86-64-v3 that the packed
+/// path's second build is compiled for. The standard library caches each
+/// detection, so asking costs a few loads.
+fn has_x86_64_v3() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("bmi1")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("lzcnt")
+            && std::arch::is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Which build of the packed scan path this process runs:
+/// `"x86-64-v3"` (AVX2, BMI1/2, LZCNT and hardware popcount) where the CPU
+/// has those features, `"portable"` elsewhere. Results and counters are
+/// the same either way; only the speed differs.
+pub fn kernel_build() -> &'static str {
+    if has_x86_64_v3() {
+        "x86-64-v3"
+    } else {
+        "portable"
+    }
+}
+
 /// One participant's scan loop — the only one there is: folds every unit
 /// `next` yields into a private accumulator and counter set.
+///
+/// The packed tier runs [`scan_units_v3`] where the CPU has its features
+/// ([`kernel_build`]), once per participant: the whole packed call tree
+/// below is `#[inline(always)]`, so it is compiled into that copy with
+/// hardware popcount and 256-bit compares. The scalar oracle always runs
+/// the portable body, so the differential suites keep comparing the fast
+/// path against code built apart from it. `next` is called once per unit
+/// (a plan range or a morsel), so it is taken as a trait object: each build
+/// holds one copy of the inlined tree, not one per caller.
 fn scan_units(
     resolved: &ResolvedQuery<'_>,
     tier: KernelTier,
     scratch: &mut BlockScratch,
-    mut next: impl FnMut() -> Option<Morsel>,
+    next: &mut dyn FnMut() -> Option<Morsel>,
+) -> (AggAccumulator, ScanCounters) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == KernelTier::Packed && has_x86_64_v3() {
+        // SAFETY: `scan_units_v3` only requires the target features it is
+        // compiled with, and `has_x86_64_v3` just detected every one of
+        // them on this CPU.
+        return unsafe { scan_units_v3(resolved, scratch, next) };
+    }
+    scan_units_body(resolved, tier, scratch, next)
+}
+
+/// [`scan_units_body`] for the packed tier, compiled with x86-64-v3's
+/// integer features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+fn scan_units_v3(
+    resolved: &ResolvedQuery<'_>,
+    scratch: &mut BlockScratch,
+    next: &mut dyn FnMut() -> Option<Morsel>,
+) -> (AggAccumulator, ScanCounters) {
+    scan_units_body(resolved, KernelTier::Packed, scratch, next)
+}
+
+/// The portable body of [`scan_units`].
+#[inline(always)]
+fn scan_units_body(
+    resolved: &ResolvedQuery<'_>,
+    tier: KernelTier,
+    scratch: &mut BlockScratch,
+    next: &mut dyn FnMut() -> Option<Morsel>,
 ) -> (AggAccumulator, ScanCounters) {
     let mut acc = AggAccumulator::new(resolved.agg);
     let mut counters = ScanCounters::default();
@@ -831,6 +915,7 @@ impl<'a> ResolvedQuery<'a> {
     /// `count_range` controls whether this call increments the range counter
     /// (the parallel executor passes `false` for continuation pieces of a
     /// split range). The caller provides the reusable [`BlockScratch`].
+    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn scan_range(
         &self,
@@ -956,6 +1041,7 @@ impl<'a> ResolvedQuery<'a> {
     /// the packed tier, MIN/MAX over an encoded block go through
     /// [`ResolvedQuery::dense_extreme_packed`]; the scalar oracle fetches
     /// every row.
+    #[inline(always)]
     fn aggregate_dense_range(
         &self,
         range: Range<usize>,
@@ -988,6 +1074,7 @@ impl<'a> ResolvedQuery<'a> {
     /// row is live and selected; a chunk that cannot move the running
     /// extreme only counts; any other folds its packed codes under an
     /// all-set bitmap.
+    #[inline(always)]
     fn dense_extreme_packed(
         &self,
         eb: &EncodedBlock,
@@ -1017,6 +1104,7 @@ impl<'a> ResolvedQuery<'a> {
     /// Aggregates a dense (exact) range under tombstones: liveness words are
     /// materialized blockwise and fed to the mask-native aggregation
     /// kernels. Returns the number of live rows aggregated.
+    #[inline(always)]
     fn aggregate_dense_live(
         &self,
         t: &TombstoneSet,
@@ -1144,6 +1232,7 @@ impl<'a> ResolvedQuery<'a> {
     /// payloads and plain columns take the 8-lane mask kernels
     /// ([`kernels::mask_first`] / [`kernels::mask_refine`]). Liveness is
     /// ANDed in last.
+    #[inline(always)]
     fn scan_chunk_packed(
         &self,
         start: usize,
@@ -1158,63 +1247,43 @@ impl<'a> ResolvedQuery<'a> {
         // Single packed predicate on a delete-free source: COUNT needs no
         // bitmap at all, and SUM/AVG whose aggregation block shares the
         // predicate's field layout reduces straight off the packed words.
+        // Every other chunk takes the general path below.
         if self.preds.len() == 1 && self.live.is_none() {
             let (col, p) = &self.preds[0];
             if let Some(eb) = col.block_at(start) {
-                match eb.classify(p.lo, p.hi) {
-                    BlockTest::Skip => return 0,
-                    BlockTest::AllLive => {
-                        self.aggregate_dense_range(start..end, KernelTier::Packed, acc);
-                        return len;
-                    }
-                    BlockTest::Packed { lo, hi } => {
-                        let (packed, class) = packed_payload(eb);
-                        let view = self.pruned_view(start, end, acc, self.agg_clip);
-                        match (self.agg, view) {
-                            (_, AggView::None) | (Aggregation::Count, _) => {
-                                let n = kernels::packed_count(packed, class, offset, len, lo, hi);
-                                acc.add_bulk(n as u64, 0);
-                                return n;
-                            }
-                            (
-                                Aggregation::Sum(_) | Aggregation::Avg(_),
-                                AggView::Block { eb: agg_eb, .. },
-                            ) => {
-                                if let BlockData::For {
-                                    class: agg_class,
-                                    packed: agg_packed,
-                                } = agg_eb.data()
-                                {
-                                    if *agg_class == class {
-                                        let (n, code_sum) = kernels::packed_sum_same_layout(
-                                            packed, agg_packed, class, offset, len, lo, hi,
-                                        );
-                                        let reference = agg_eb.bounds().0 as u128;
-                                        acc.add_bulk(n, code_sum + n as u128 * reference);
-                                        return n as usize;
-                                    }
+                let test = eb.classify(p.lo, p.hi);
+                if test == BlockTest::Skip {
+                    return 0;
+                }
+                if let BlockTest::Packed { lo, hi } = test {
+                    let (packed, class) = packed_payload(eb);
+                    match (self.agg, self.pruned_view(start, end, acc, self.agg_clip)) {
+                        (_, AggView::None) | (Aggregation::Count, _) => {
+                            let n = kernels::packed_count(packed, class, offset, len, lo, hi);
+                            acc.add_bulk(n as u64, 0);
+                            return n;
+                        }
+                        (
+                            Aggregation::Sum(_) | Aggregation::Avg(_),
+                            AggView::Block { eb: agg_eb, .. },
+                        ) => {
+                            if let BlockData::For {
+                                class: agg_class,
+                                packed: agg_packed,
+                            } = agg_eb.data()
+                            {
+                                if *agg_class == class {
+                                    let (n, code_sum) = kernels::packed_sum_same_layout(
+                                        packed, agg_packed, class, offset, len, lo, hi,
+                                    );
+                                    let reference = agg_eb.bounds().0 as u128;
+                                    acc.add_bulk(n, code_sum + n as u128 * reference);
+                                    return n as usize;
                                 }
                             }
-                            _ => {}
                         }
-                        // No aggregation fast path: materialize the bitmap.
-                        let any = kernels::packed_mask(
-                            packed,
-                            class,
-                            offset,
-                            len,
-                            lo,
-                            hi,
-                            kernels::MaskMode::Set,
-                            &mut scratch.words[..nw],
-                        );
-                        if any == 0 {
-                            return 0;
-                        }
-                        let words = &scratch.words[..nw];
-                        return aggregate_mask(self.agg, &view, words, KernelTier::Packed, acc);
+                        _ => {}
                     }
-                    BlockTest::Plain => {} // fall through to the general path
                 }
             }
         }
@@ -1228,48 +1297,29 @@ impl<'a> ResolvedQuery<'a> {
             } else {
                 kernels::MaskMode::And
             };
-            match col.block_at(start) {
-                Some(eb) => match eb.classify(p.lo, p.hi) {
-                    BlockTest::Skip => return 0,
-                    BlockTest::AllLive => continue,
-                    BlockTest::Packed { lo, hi } => {
-                        let (packed, class) = packed_payload(eb);
-                        any = kernels::packed_mask(
-                            packed,
-                            class,
-                            offset,
-                            len,
-                            lo,
-                            hi,
-                            mode,
-                            &mut scratch.words[..nw],
-                        );
-                        first = false;
-                    }
-                    BlockTest::Plain => {
-                        let BlockData::Plain(vals) = eb.data() else {
-                            unreachable!("Plain classification implies plain payload");
-                        };
-                        let block = &vals[offset..offset + len];
-                        let words = &mut scratch.words[..nw];
-                        any = match mode {
-                            kernels::MaskMode::Set => kernels::mask_first(block, *p, words),
-                            kernels::MaskMode::And => kernels::mask_refine(block, *p, words),
-                        };
-                        first = false;
-                    }
-                },
-                None => {
-                    let block = col.slice(start, end);
-                    let words = &mut scratch.words[..nw];
-                    any = match mode {
+            let words = &mut scratch.words[..nw];
+            let eb = col.block_at(start);
+            any = match eb.map_or(BlockTest::Plain, |eb| eb.classify(p.lo, p.hi)) {
+                BlockTest::Skip => return 0,
+                BlockTest::AllLive => continue,
+                BlockTest::Packed { lo, hi } => {
+                    let (packed, class) = packed_payload(eb.expect("only a block packs"));
+                    kernels::packed_mask(packed, class, offset, len, lo, hi, mode, words)
+                }
+                BlockTest::Plain => {
+                    let block = match eb.map(EncodedBlock::data) {
+                        Some(BlockData::Plain(vals)) => &vals[offset..offset + len],
+                        Some(_) => unreachable!("Plain classification implies plain payload"),
+                        None => col.slice(start, end),
+                    };
+                    match mode {
                         kernels::MaskMode::Set => kernels::mask_first(block, *p, words),
                         kernels::MaskMode::And => kernels::mask_refine(block, *p, words),
-                    };
-                    first = false;
+                    }
                 }
-            }
-            if !first && any == 0 {
+            };
+            first = false;
+            if any == 0 {
                 return 0;
             }
         }
@@ -1332,12 +1382,25 @@ enum AggView<'a> {
 
 impl AggView<'_> {
     /// Chunk-local row `i`'s aggregation input value. Only called on
-    /// [`AggView::Slice`] / [`AggView::Block`].
+    /// [`AggView::Slice`] / [`AggView::Block`]. Decodes in place instead of
+    /// calling [`EncodedBlock::value_at`], which is not inlined: in the
+    /// x86-64-v3 build that call would leave for portable code on every
+    /// fetched row.
     #[inline(always)]
     fn fetch(&self, i: usize) -> Value {
         match self {
             AggView::Slice(s) => s[i],
-            AggView::Block { eb, offset } => eb.value_at(offset + i),
+            AggView::Block { eb, offset } => match eb.data() {
+                BlockData::For { class, packed } => {
+                    eb.bounds().0 + extract(packed, *class, offset + i)
+                }
+                BlockData::Dict {
+                    class,
+                    uniques,
+                    packed,
+                } => uniques[extract(packed, *class, offset + i) as usize],
+                BlockData::Plain(vals) => vals[offset + i],
+            },
             AggView::None => unreachable!("no aggregation input to fetch"),
         }
     }
@@ -1347,6 +1410,7 @@ impl AggView<'_> {
 /// packed path and the tombstone-aware dense path of both tiers (`tier`
 /// picks the MIN/MAX fold, see [`mask_extreme`]).
 /// Returns the number of selected rows.
+#[inline(always)]
 fn aggregate_mask(
     agg: Aggregation,
     col: &AggView,
@@ -1376,7 +1440,11 @@ fn aggregate_mask(
                     return n as usize;
                 }
             }
-            let (n, sum) = kernels::mask_sum_fetch(words, |i| col.fetch(i));
+            let (n, sum) = kernels::mask_sum_fetch(
+                words,
+                #[inline(always)]
+                |i| col.fetch(i),
+            );
             acc.add_bulk(n, sum);
             n as usize
         }
@@ -1398,6 +1466,7 @@ fn aggregate_mask(
 /// whose window starts on a packed word folds its codes
 /// ([`kernels::mask_extreme_packed`]); any other window, and every block
 /// on the scalar oracle, fetches the selected rows one at a time.
+#[inline(always)]
 fn mask_extreme(
     col: &AggView,
     words: &[u64],
@@ -1428,25 +1497,29 @@ fn mask_extreme(
         Min => (Value::MAX, Value::min),
         Max => (Value::MIN, Value::max),
     };
-    kernels::mask_extreme_fetch(words, identity, fold, |i| col.fetch(i))
+    kernels::mask_extreme_fetch(
+        words,
+        identity,
+        fold,
+        #[inline(always)]
+        |i| col.fetch(i),
+    )
 }
 
-/// Aggregates every row of one dense chunk (exact-range fast path).
+/// Aggregates every row of one dense chunk (exact-range fast path). Its
+/// folds are plain loops: iterator `sum`/`min`/`max` here were left out of
+/// line, so the x86-64-v3 build called portable code for every chunk.
+#[inline(always)]
 fn aggregate_dense_view(agg: Aggregation, col: &AggView, len: usize, acc: &mut AggAccumulator) {
     let n = len as u64;
     match (agg, col) {
         (Aggregation::Count, _) | (_, AggView::None) => acc.add_bulk(n, 0),
         (Aggregation::Sum(_) | Aggregation::Avg(_), AggView::Slice(s)) => {
-            let sum: u128 = s[..len].iter().map(|&v| v as u128).sum();
+            let mut sum = 0u128;
+            for &v in &s[..len] {
+                sum += v as u128;
+            }
             acc.add_bulk(n, sum);
-        }
-        // MIN/MAX cannot use the bulk-sum shortcut: even an exact range needs
-        // its values inspected. Fold the slice tightly instead.
-        (Aggregation::Min(_), AggView::Slice(s)) => {
-            acc.add_block(n, 0, s[..len].iter().copied().min(), None);
-        }
-        (Aggregation::Max(_), AggView::Slice(s)) => {
-            acc.add_block(n, 0, None, s[..len].iter().copied().max());
         }
         (Aggregation::Sum(_) | Aggregation::Avg(_), AggView::Block { eb, offset }) => {
             // A FOR block sums without decoding: every field matches the
@@ -1459,16 +1532,43 @@ fn aggregate_dense_view(agg: Aggregation, col: &AggView, len: usize, acc: &mut A
                 acc.add_bulk(n, code_sum + n as u128 * eb.bounds().0 as u128);
                 return;
             }
-            let sum: u128 = (0..len).map(|i| col.fetch(i) as u128).sum();
+            let mut sum = 0u128;
+            for i in 0..len {
+                sum += col.fetch(i) as u128;
+            }
             acc.add_bulk(n, sum);
         }
+        // MIN/MAX cannot use the bulk-sum shortcut: even an exact range needs
+        // its values inspected.
         (Aggregation::Min(_), _) => {
-            acc.add_block(n, 0, (0..len).map(|i| col.fetch(i)).min(), None);
+            acc.add_block(n, 0, dense_extreme(col, len, Value::MAX, Value::min), None);
         }
         (Aggregation::Max(_), _) => {
-            acc.add_block(n, 0, None, (0..len).map(|i| col.fetch(i)).max());
+            acc.add_block(n, 0, None, dense_extreme(col, len, Value::MIN, Value::max));
         }
     }
+}
+
+/// `fold` (MIN or MAX, starting from its `identity`) over chunk-local rows
+/// `0..len`; `None` when there are none. A slice folds tightly.
+#[inline(always)]
+fn dense_extreme(
+    col: &AggView,
+    len: usize,
+    identity: Value,
+    fold: fn(Value, Value) -> Value,
+) -> Option<Value> {
+    let mut best = identity;
+    if let AggView::Slice(s) = col {
+        for &v in &s[..len] {
+            best = fold(best, v);
+        }
+    } else {
+        for i in 0..len {
+            best = fold(best, col.fetch(i));
+        }
+    }
+    (len > 0).then_some(best)
 }
 
 /// Aggregates the selected rows of one chunk (`sel` holds chunk-local
@@ -2216,6 +2316,94 @@ mod tests {
                 for tier in KernelTier::ALL {
                     let (res, _) = run(&src, &q, &plan, 1, tier);
                     assert_eq!(res, expected, "{agg:?} over {range:?} via {tier:?}");
+                }
+            }
+        }
+    }
+
+    /// The two builds of the packed path agree: the portable body and the
+    /// dispatched loop (the x86-64-v3 copy, where this CPU has its
+    /// features) leave bit-identical accumulators and counters. On such a
+    /// CPU nothing else runs the portable packed path, which CPUs without
+    /// the features and other architectures run.
+    #[test]
+    fn the_portable_and_dispatched_packed_builds_agree() {
+        let n = 6 * BLOCK_ROWS + 700;
+        let ds = encodable_dataset(n as u64);
+        let mut t = TombstoneSet::new(n);
+        for row in (0..n)
+            .step_by(89)
+            .chain(2 * BLOCK_ROWS..2 * BLOCK_ROWS + 300)
+        {
+            t.mark(row);
+        }
+        // FOR (dims 0 and 3), Dict (dim 1) and Plain (dim 2) blocks and a
+        // 700-row plain tail, with and without tombstones.
+        let sources = [
+            EncodedSource::encode(&ds, 700, None),
+            EncodedSource::encode(&ds, 700, Some(t)),
+        ];
+        // Exact and non-exact ranges whose chunks start on a packed word
+        // (0, 1_000, 2_048) and off one (3_333, 3_517).
+        let plan = ScanPlan::from_ranges([
+            (0..1_000, false),
+            (1_000..2_048, true),
+            (2_048..3_333, false),
+            (3_333..3_400, true),
+            (3_517..n, false),
+        ]);
+        let pred_sets = [
+            vec![Predicate::range(0, 1_000, 3_000).unwrap()],
+            vec![Predicate::range(1, 5 * 1_000_000_007, 14 * 1_000_000_007).unwrap()],
+            vec![Predicate::range(2, 0, u64::MAX / 2).unwrap()],
+            vec![Predicate::range(3, 0, 4_100).unwrap()],
+            vec![
+                Predicate::range(0, 100, 3_800).unwrap(),
+                Predicate::range(3, 500, 3_000).unwrap(),
+            ],
+            vec![
+                Predicate::range(0, 100, 3_800).unwrap(),
+                Predicate::range(1, 2 * 1_000_000_007, 20 * 1_000_000_007).unwrap(),
+                Predicate::range(2, u64::MAX / 4, u64::MAX).unwrap(),
+            ],
+        ];
+        let aggs = [
+            Aggregation::Count,
+            Aggregation::Sum(0),
+            Aggregation::Sum(3),
+            Aggregation::Avg(2),
+            Aggregation::Min(0),
+            Aggregation::Min(2),
+            Aggregation::Max(1),
+            Aggregation::Max(3),
+        ];
+        for (source, label) in sources.iter().zip(["clean", "tombstoned"]) {
+            for preds in &pred_sets {
+                for agg in aggs {
+                    let q = Query::new(preds.clone(), agg).unwrap();
+                    let resolved = ResolvedQuery::new(source, plan.residual(&q), agg);
+                    // Whole plan ranges, then morsels that split them
+                    // mid-block and mid-word.
+                    for morsel in [n, 1_500] {
+                        let units = split_morsels(&plan, morsel);
+                        let mut portable_units = units.iter().cloned();
+                        let (pa, pc) = scan_units_body(
+                            &resolved,
+                            KernelTier::Packed,
+                            &mut BlockScratch::new(),
+                            &mut || portable_units.next(),
+                        );
+                        let mut dispatched_units = units.iter().cloned();
+                        let (da, dc) = scan_units(
+                            &resolved,
+                            KernelTier::Packed,
+                            &mut BlockScratch::new(),
+                            &mut || dispatched_units.next(),
+                        );
+                        let at = format!("{label} {agg:?} {preds:?} morsel {morsel}");
+                        assert_eq!(format!("{pa:?}"), format!("{da:?}"), "{at}");
+                        assert_eq!(pc, dc, "counters: {at}");
+                    }
                 }
             }
         }

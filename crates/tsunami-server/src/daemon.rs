@@ -15,7 +15,7 @@
 //! plus an occasional pool task, which is the right shape for a pool that
 //! also carries query scans.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use tsunami_core::exec::pool::ThreadPool;
@@ -35,10 +35,12 @@ struct Inner {
     watermark: u64,
     /// Operations observed since the last pass was scheduled.
     since: AtomicU64,
-    /// True while a pass is queued or running — at most one in flight.
-    in_flight: AtomicBool,
-    /// Completed passes (drift checks), for observability and tests.
-    passes: AtomicU64,
+    /// Bit [`IN_FLIGHT`]: a pass is queued or running — at most one in
+    /// flight. The bits above it: completed passes (drift checks), for
+    /// observability and tests. One word, so a pass lands and counts itself
+    /// in one step ([`Landed::count`]): whoever sees the count rise also
+    /// sees the daemon idle, and whoever sees it idle sees the count.
+    state: AtomicU64,
     /// Total shard re-optimizations those passes applied.
     reoptimized: AtomicU64,
 }
@@ -55,8 +57,7 @@ impl ReoptDaemon {
                 pool,
                 watermark,
                 since: AtomicU64::new(0),
-                in_flight: AtomicBool::new(false),
-                passes: AtomicU64::new(0),
+                state: AtomicU64::new(0),
                 reoptimized: AtomicU64::new(0),
             }),
         }
@@ -74,15 +75,15 @@ impl ReoptDaemon {
         if inner.since.fetch_add(ops, Ordering::Relaxed) + ops < inner.watermark {
             return;
         }
-        if inner.in_flight.swap(true, Ordering::AcqRel) {
+        if inner.state.fetch_or(IN_FLIGHT, Ordering::AcqRel) & IN_FLIGHT != 0 {
             return;
         }
         inner.since.store(0, Ordering::Relaxed);
         let task = Arc::clone(inner);
         inner.pool.spawn(move || {
-            // Clears `in_flight` on every way out, a panicking pass included,
-            // so one bad pass cannot stop the daemon for good.
-            let _landed = Landed(&task.in_flight);
+            // Lands the pass on every way out, a panicking one included, so
+            // one bad pass cannot stop the daemon for good.
+            let landed = Landed(&task.state);
             // A poisoned lock means a writer panicked mid-mutation: there is
             // nothing safe to re-optimize, and the served requests already
             // answer errors.
@@ -92,7 +93,7 @@ impl ReoptDaemon {
             };
             task.reoptimized
                 .fetch_add(applied as u64, Ordering::Relaxed);
-            task.passes.fetch_add(1, Ordering::Release);
+            landed.count();
         });
     }
 
@@ -103,7 +104,7 @@ impl ReoptDaemon {
 
     /// Completed drift-check passes.
     pub fn passes(&self) -> u64 {
-        self.inner.passes.load(Ordering::Acquire)
+        self.inner.state.load(Ordering::Acquire) >> 1
     }
 
     /// Total shard re-optimizations applied across all passes.
@@ -113,18 +114,35 @@ impl ReoptDaemon {
 
     /// Blocks until any in-flight pass has finished (tests and shutdown).
     pub fn quiesce(&self) {
-        while self.inner.in_flight.load(Ordering::Acquire) {
+        while self.inner.state.load(Ordering::Acquire) & IN_FLIGHT != 0 {
             std::thread::yield_now();
         }
     }
 }
 
-/// Marks the in-flight pass finished when dropped.
-struct Landed<'a>(&'a AtomicBool);
+/// The bit of `Inner::state` that marks a pass in flight.
+const IN_FLIGHT: u64 = 1;
+
+/// Lands the in-flight pass: counted by [`Landed::count`] once it finished,
+/// uncounted when dropped on the way out of a panic.
+struct Landed<'a>(&'a AtomicU64);
+
+impl Landed<'_> {
+    /// Clears [`IN_FLIGHT`] and counts the pass in one atomic add: the state
+    /// is odd while a pass is in flight, so adding one carries into the
+    /// count. Release, paired with the Acquire loads of `passes` and
+    /// `quiesce` and the `fetch_or` in `notify`: a caller that sees the new
+    /// count and notifies at once finds no pass in flight, so its
+    /// notification cannot be dropped.
+    fn count(self) {
+        self.0.fetch_add(1, Ordering::Release);
+        std::mem::forget(self);
+    }
+}
 
 impl Drop for Landed<'_> {
     fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
+        self.0.fetch_and(!IN_FLIGHT, Ordering::Release);
     }
 }
 
@@ -135,5 +153,36 @@ impl std::fmt::Debug for ReoptDaemon {
             .field("passes", &self.passes())
             .field("reoptimized", &self.reoptimized())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_notify_right_after_a_pass_lands_starts_the_next_pass() {
+        let db = Arc::new(RwLock::new(ShardedDatabase::new(1)));
+        let daemon = ReoptDaemon::new(db, 1);
+        for pass in 1..=10_000 {
+            // Notify the moment the previous pass is counted, as a
+            // connection handler would.
+            daemon.notify(1);
+            if pass % 2 == 0 {
+                // `quiesce` returns only once the pass has counted itself.
+                daemon.quiesce();
+                assert_eq!(daemon.passes(), pass, "pass {pass} missing after quiesce");
+                continue;
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while daemon.passes() < pass {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "pass {pass} never landed: the notify after pass {} was dropped",
+                    pass - 1
+                );
+                std::thread::yield_now();
+            }
+        }
     }
 }
