@@ -734,9 +734,11 @@ pub fn fig12b(config: &HarnessConfig) -> String {
 /// `BENCH_scan.json` so the scan-kernel perf trajectory is tracked across
 /// PRs.
 pub fn fig12kern(config: &HarnessConfig) -> String {
-    use tsunami_core::exec::{execute_plan_with, ExecOptions, KernelTier, ScanPlan, ScanSource};
+    use tsunami_core::exec::{
+        execute_plan_with, ExecOptions, KernelTier, ScanCounters, ScanPlan, ScanSource,
+    };
     use tsunami_core::sample::SplitMix;
-    use tsunami_core::{Aggregation, Dataset, Predicate, Query};
+    use tsunami_core::{AggResult, Aggregation, BlockData, Dataset, PackClass, Predicate, Query};
     use tsunami_store::ColumnStore;
 
     // A 12-bit domain: every column's frame-of-reference deltas bit-pack,
@@ -777,6 +779,17 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
     // Seven timed runs per entry keep the whole sweep near 0.2 s at 20k
     // rows.
     let reps = 7;
+    let median_ns = |run: &dyn Fn() -> (AggResult, ScanCounters)| {
+        let mut samples: Vec<f64> = (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(run());
+                start.elapsed().as_nanos() as f64 / rows as f64
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
     // First-predicate ranges hitting the target selection densities exactly
     // (values are uniform below DOMAIN; the 0% range lies outside it).
     let sweeps: [(f64, u64, u64); 5] = [
@@ -823,15 +836,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
                             scalar_result,
                             "{tier:?} on {enc_label} diverged from the scalar oracle"
                         );
-                        let mut samples: Vec<f64> = (0..reps)
-                            .map(|_| {
-                                let start = Instant::now();
-                                std::hint::black_box(run(source, tier));
-                                start.elapsed().as_nanos() as f64 / rows as f64
-                            })
-                            .collect();
-                        samples.sort_by(f64::total_cmp);
-                        let median = samples[samples.len() / 2];
+                        let median = median_ns(&|| run(source, tier));
                         if tier == KernelTier::Scalar {
                             scalar_ns = median;
                         }
@@ -854,6 +859,82 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
                         ));
                     }
                 }
+            }
+        }
+    }
+
+    // The sweep above packs every block as FOR W15. The other two pack
+    // classes get their own tables (uniform 7-bit and 24-bit domains, so
+    // FOR W7 and FOR W31 blocks), timed on the packed tier at 50 %
+    // selectivity: one predicate, or two that both filter (the second
+    // drops 1/64 of the rows), so the AND of two packed masks is timed.
+    // `max` over a uniform column prunes most blocks on their bounds once
+    // the running maximum is found; `max asc` reads a column that rises
+    // with the row number, whose blocks never prune, so it times the
+    // packed MAX fold itself. It rises by 1/8 (W7) or 64 (W31) a row, so
+    // each block spans 127 or 65,472 whatever the table's size.
+    for (enc_label, domain, class, up, down) in [
+        ("encoded w7", 1u64 << 7, PackClass::W7, 0, 3),
+        ("encoded w31", 1 << 24, PackClass::W31, 6, 0),
+    ] {
+        let mut cols: Vec<Vec<u64>> = (0..3)
+            .map(|_| (0..rows).map(|_| rng.next_below(domain)).collect())
+            .collect();
+        cols.push((0..rows as u64).map(|i| (i << up) >> down).collect());
+        let data = Dataset::from_columns(cols).expect("per-class columns");
+        let mut store = ColumnStore::from_dataset(&data);
+        store.encode_blocks();
+        for dim in 0..data.num_dims() {
+            for eb in store.column(dim).encoded_blocks() {
+                assert!(
+                    matches!(eb.data(), BlockData::For { class: c, .. } if *c == class),
+                    "{enc_label} dim {dim} is not packed as FOR {class:?}"
+                );
+            }
+        }
+        for npreds in 1..=2 {
+            let mut preds = vec![Predicate::range(0, 0, domain / 2 - 1).expect("half range")];
+            if npreds == 2 {
+                preds.push(Predicate::range(1, domain / 64, domain).expect("band"));
+            }
+            for (agg_label, agg) in [
+                ("count", Aggregation::Count),
+                ("sum", Aggregation::Sum(2)),
+                ("max", Aggregation::Max(2)),
+                ("max asc", Aggregation::Max(3)),
+            ] {
+                let q = Query::new(preds.clone(), agg).expect("valid query");
+                let run = |source: &dyn ScanSource, tier| {
+                    let opts = ExecOptions {
+                        tier,
+                        ..ExecOptions::default()
+                    };
+                    execute_plan_with(source, &q, &plan, &opts)
+                };
+                let tier = KernelTier::Packed;
+                assert_eq!(
+                    run(&store, tier),
+                    run(&data, KernelTier::Scalar),
+                    "{enc_label} {agg_label} diverged from the scalar oracle"
+                );
+                let median = median_ns(&|| run(&store, tier));
+                t.add_row(vec![
+                    fmt_f64(50.0),
+                    npreds.to_string(),
+                    agg_label.to_string(),
+                    enc_label.to_string(),
+                    tier.label().to_string(),
+                    fmt_f64(median),
+                    "-".to_string(),
+                ]);
+                entries.push(scan_entry(
+                    50.0,
+                    npreds,
+                    agg_label,
+                    enc_label,
+                    tier.label(),
+                    median,
+                ));
             }
         }
     }
@@ -1442,8 +1523,9 @@ mod tests {
             assert!(out.contains(enc), "missing encoding {enc} in:\n{out}");
         }
         // 5 densities x 4 predicate counts x 4 aggregations x 2 encodings x
-        // 2 tiers, all of them visible to the gate.
-        assert_eq!(gated_entries(&cfg, &GATES[0]), 320);
+        // 2 tiers, plus the W7 and W31 tables' packed entries (2 predicate
+        // counts x 4 aggregations each), all of them visible to the gate.
+        assert_eq!(gated_entries(&cfg, &GATES[0]), 320 + 2 * 2 * 4);
     }
 
     #[test]

@@ -17,11 +17,30 @@
 //! Aggregation is mask-native: `COUNT` is a popcount, `SUM`/`MIN`/`MAX` on
 //! plain rows are masked folds with a whole-word fast path for fully set
 //! words. A packed aggregation input folds its codes straight off the
-//! bitmap, with no per-row decode: `SUM` lane-sums FOR codes, and
-//! `MIN`/`MAX` keep a running extreme of FOR or Dict codes (both keep value
-//! order), lane-wise where a word holds 8 or 4 fields and field by field
-//! where it holds 2. Each group of bitmap bits is folded whether set or
-//! not, so these folds have no per-group branch.
+//! bitmap, with no per-row decode: each packed slot (8, 16 or 32 bits, its
+//! delimiter bit clear in storage) is read as a native `u8`/`u16`/`u32`,
+//! each bitmap bit widens to an all-ones-or-zero mask, `MIN`/`MAX` fold
+//! the masked codes (FOR or Dict: both keep value order) into 64 running
+//! extremes, one per row position of a bitmap word, and `SUM` adds each
+//! bitmap word's masked FOR codes in one reduction.
+//!
+//! The packed kernels' hot loops keep one shape, so that LLVM vectorizes
+//! them in both builds of the packed path (below):
+//!
+//! * they walk slices (`chunks_exact`, `zip`), never a running index: an
+//!   index into `packed[w + j]` keeps a bounds check on every word and
+//!   leaves the group scalar;
+//! * a fold keeps independent accumulators and combines them once per
+//!   window, so no row waits on the one before it: the packed `MIN`/`MAX`
+//!   keep 64 lanes of a native integer type, whose `min`/`max` over arrays
+//!   vectorize. An add reduction (`COUNT`, `SUM`) keeps one running value,
+//!   as LLVM splits those into vector accumulators itself;
+//! * a row's selection is a mask ANDed or ORed in, never a branch;
+//! * the class `match` stays outside the loop, so each arm is a
+//!   monomorphic body;
+//! * per-word bit moves prefer shifts, ORs and ANDs to 64-bit multiplies,
+//!   which AVX2 has no vector form of (W7's `densify` keeps its one
+//!   gathering multiply: three shift-ORs read slower there).
 //!
 //! All kernels are deliberately total functions of their inputs — given the
 //! same block and predicates they produce the same selection whatever the
@@ -299,31 +318,15 @@ fn densify(scattered: u64, class: PackClass) -> u64 {
         // Bits at 8k gather to 56+k; all cross terms land at distinct
         // positions below the window, so no carries corrupt it.
         PackClass::W7 => m.wrapping_mul(0x0102_0408_1020_4080) >> 56,
-        // Bits at 16k gather to 60+k.
-        PackClass::W15 => m.wrapping_mul((1 << 60) | (1 << 45) | (1 << 30) | (1 << 15)) >> 60,
+        // Bits at 16k fold down to k in two shift-ORs; every stray copy
+        // lands above bit 3. (A gathering multiply, as W7 uses, has no
+        // 64-bit vector form in AVX2 and read 1.8x the count kernel.)
+        PackClass::W15 => {
+            let m = m | (m >> 15);
+            (m | (m >> 30)) & 0xF
+        }
         PackClass::W31 => (m | (m >> 31)) & 0b11,
     }
-}
-
-/// Inverse of [`densify`]: expands the low `per_word` dense bits back to
-/// scattered delimiter-bit positions, via carry-free multiply spreads (the
-/// copies of each spread land in disjoint bit windows, so no carries).
-#[inline(always)]
-fn undensify(dense: u64, class: PackClass) -> u64 {
-    let spread = match class {
-        PackClass::W7 => {
-            // Bit k -> position 8k+7. Two nibble spreads: copy k shifts by
-            // 7k+7 (low nibble) / 7k+11 (high), each copy spanning 4 bits
-            // in its own disjoint window.
-            let m0 = (1u64 << 7) | (1 << 14) | (1 << 21) | (1 << 28);
-            let m1 = (1u64 << 39) | (1 << 46) | (1 << 53) | (1 << 60);
-            (dense & 0xF).wrapping_mul(m0) | (dense >> 4).wrapping_mul(m1)
-        }
-        // Bit k -> position 16k+15; copies span 15+k..18+k etc., disjoint.
-        PackClass::W15 => dense.wrapping_mul((1 << 15) | (1 << 30) | (1 << 45) | (1 << 60)),
-        PackClass::W31 => ((dense & 0b01) << 31) | ((dense & 0b10) << 62),
-    };
-    spread & class.delim_mask()
 }
 
 /// Lane-wise field-sum accumulator: adds delimiter-clear masked words with
@@ -381,51 +384,98 @@ impl FieldSum {
     }
 }
 
-/// Feeds every packed word of an aligned scan window to `visit`, with the
-/// group of `F` dense selection bits that covers its fields (bitmap word
-/// `bw` covers packed words `base + bw * (64 / F) ..`). A bitmap word with
-/// no bit set is skipped whole; inside a word every group is visited, set or
-/// not, so the fold has no per-group branch. The walk ends at the payload's
-/// last word: a window whose bitmap words reach past the payload (a partial
-/// last word, or an offset that is not a multiple of 64) has its bits clear
-/// there, and those words are never read.
-#[inline(always)]
-fn walk_groups<const F: usize>(
-    words: &[u64],
-    packed: &[u64],
-    base: usize,
-    mut visit: impl FnMut(u64, u64),
-) {
-    let g = WORD_BITS / F;
-    let low = (1u64 << F) - 1;
-    let full = words.len().min((packed.len() - base) / g);
-    for (bw, &bits) in words[..full].iter().enumerate() {
-        if bits == 0 {
-            continue;
-        }
-        let at = base + bw * g;
-        for (j, &x) in packed[at..at + g].iter().enumerate() {
-            visit(x, (bits >> (j * F)) & low);
-        }
-    }
-    if let Some(&bits) = words.get(full) {
-        for (j, &x) in packed[base + full * g..].iter().enumerate() {
-            visit(x, (bits >> (j * F)) & low);
-        }
-    }
-    debug_assert!(
-        words.iter().skip(full + 1).all(|&w| w == 0),
-        "selected rows past the payload"
-    );
+/// A pack class's slot as a native unsigned integer: W7's 8-bit slots are
+/// `u8`, W15's `u16`, W31's `u32`. A stored slot's delimiter bit is 0, so
+/// the slot read as an integer is the field's code, and a lane-wise
+/// integer `min`, `max` or add over an array of slots is a fold over their
+/// codes — a loop shape LLVM vectorizes in both builds of the packed path.
+trait Slot: Copy {
+    const BITS: usize;
+    const ZERO: Self;
+    const ONES: Self;
+    /// The sum of one bitmap word's 64 codes: `u16` for W7's, `u32` for
+    /// W15's, `u64` for W31's.
+    type Sum: Copy;
+    const SUM_ZERO: Self::Sum;
+    /// The low `BITS` bits of `x`.
+    fn low(x: u64) -> Self;
+    /// A byte mask (all ones or zero) widened to the slot.
+    fn from_byte_mask(mask: u8) -> Self;
+    /// The running `MIN` (`MAX`) folded with `code` where `mask` is set.
+    fn fold<const MAX: bool>(self, code: Self, mask: Self) -> Self;
+    /// `sum` plus `code` where `mask` is set.
+    fn add_to(sum: Self::Sum, code: Self, mask: Self) -> Self::Sum;
+    fn widen(self) -> u64;
+    fn widen_sum(sum: Self::Sum) -> u64;
 }
 
+macro_rules! slot {
+    ($($t:ty: $signed:ty, $sum:ty),*) => {$(
+        impl Slot for $t {
+            const BITS: usize = <$t>::BITS as usize;
+            const ZERO: Self = 0;
+            const ONES: Self = <$t>::MAX;
+            type Sum = $sum;
+            const SUM_ZERO: $sum = 0;
+            #[inline(always)]
+            fn low(x: u64) -> Self {
+                x as $t
+            }
+            #[inline(always)]
+            fn from_byte_mask(mask: u8) -> Self {
+                mask as i8 as $signed as $t
+            }
+            #[inline(always)]
+            fn fold<const MAX: bool>(self, code: Self, mask: Self) -> Self {
+                if MAX {
+                    let c = code & mask;
+                    if c > self { c } else { self }
+                } else {
+                    let c = code | !mask;
+                    if c < self { c } else { self }
+                }
+            }
+            #[inline(always)]
+            fn add_to(sum: $sum, code: Self, mask: Self) -> $sum {
+                sum + (code & mask) as $sum
+            }
+            #[inline(always)]
+            fn widen(self) -> u64 {
+                self as u64
+            }
+            #[inline(always)]
+            fn widen_sum(sum: $sum) -> u64 {
+                sum as u64
+            }
+        }
+    )*};
+}
+slot!(u8: i8, u16, u16: i16, u32, u32: i32, u64);
+
+/// Byte `k` of entry `b` is all ones iff bit `k` of `b` is set: a bitmap
+/// word's eight bytes expand to the 64 byte masks of its rows.
+static BYTE_MASKS: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            if b >> k & 1 == 1 {
+                table[b] |= 0xFF << (8 * k);
+            }
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// Masked SUM over a FOR-packed aggregation column, bit `i` of the dense
-/// selection bitmap selecting field `offset + i`. Each group of `per_word`
-/// bits expands back to a scattered field mask and the surviving payloads
-/// are lane-summed — no per-row decode and no per-group branch (see
-/// [`walk_groups`]). Requires `offset` aligned to the word's field count so
-/// bitmap groups coincide with packed words. Returns `(matching rows, sum of
-/// matching codes)`; the caller adds `rows * reference`.
+/// selection bitmap selecting field `offset + i`: each bitmap word's
+/// masked codes summed at once (see [`lane_sum`]), with no per-row decode
+/// and no per-row branch. Requires `offset` aligned to the word's field
+/// count so bitmap groups coincide with packed words. Returns `(matching
+/// rows, sum of matching codes)`; the caller adds `rows * reference`.
 #[inline(always)]
 pub(crate) fn mask_sum_packed(
     words: &[u64],
@@ -440,39 +490,59 @@ pub(crate) fn mask_sum_packed(
     );
     let n = mask_count(words);
     let base = offset >> class.log_per_word();
-    let vm = class.value_mask();
-    let mut acc = 0u64;
-    // One monomorphic walk per class; lane capacities as in [`FieldSum`].
-    macro_rules! walk {
-        ($f:expr, $cl:expr, $m0:expr, $sh:expr) => {
-            walk_groups::<$f>(
-                words,
-                agg_packed,
-                base,
-                #[inline(always)]
-                |x, dense| {
-                    let v = x & (undensify(dense, $cl) >> $cl.width()).wrapping_mul(vm);
-                    acc += (v & $m0) + ((v >> $sh) & $m0);
-                },
-            )
-        };
-    }
     let sum = match class {
-        PackClass::W7 => {
-            walk!(8, PackClass::W7, 0x00FF_00FF_00FF_00FFu64, 8);
-            let s = (acc & 0x0000_FFFF_0000_FFFF) + ((acc >> 16) & 0x0000_FFFF_0000_FFFF);
-            (s & 0xFFFF_FFFF) + (s >> 32)
-        }
-        PackClass::W15 => {
-            walk!(4, PackClass::W15, 0x0000_FFFF_0000_FFFFu64, 16);
-            (acc & 0xFFFF_FFFF) + (acc >> 32)
-        }
-        PackClass::W31 => {
-            walk!(2, PackClass::W31, 0xFFFF_FFFFu64, 32);
-            acc
-        }
+        PackClass::W7 => lane_sum::<u8>(words, agg_packed, base),
+        PackClass::W15 => lane_sum::<u16>(words, agg_packed, base),
+        PackClass::W31 => lane_sum::<u32>(words, agg_packed, base),
     };
     (n as u64, sum as u128)
+}
+
+/// [`mask_sum_packed`] for one class, its slots read as `T`: the walk of
+/// [`lane_extreme`], but each bitmap word's masked codes add up at once in
+/// [`Slot::Sum`] (one reduction, which LLVM splits into vector
+/// accumulators itself) instead of in 64 running sums, whose set-up and
+/// final combine cost more than the fold on windows of a word or two.
+#[inline(always)]
+fn lane_sum<T: Slot>(words: &[u64], packed: &[u64], base: usize) -> u64 {
+    let f = WORD_BITS / T::BITS; // fields per packed word
+    let mut total = 0;
+    let mut groups = packed[base..].chunks_exact(WORD_BITS / f);
+    let mut full = 0;
+    for (&bits, group) in words.iter().zip(&mut groups) {
+        full += 1;
+        if bits == 0 {
+            continue;
+        }
+        let mut codes = [T::ZERO; WORD_BITS];
+        for (j, &x) in group.iter().enumerate() {
+            for k in 0..f {
+                codes[j * f + k] = T::low(x >> (T::BITS * k));
+            }
+        }
+        let mut masks = [0u8; WORD_BITS];
+        for (m, byte) in masks.chunks_exact_mut(8).zip(bits.to_le_bytes()) {
+            m.copy_from_slice(&BYTE_MASKS[byte as usize].to_le_bytes());
+        }
+        let mut word = T::SUM_ZERO;
+        for (&code, &m) in codes.iter().zip(&masks) {
+            word = T::add_to(word, code, T::from_byte_mask(m));
+        }
+        total += T::widen_sum(word);
+    }
+    if let Some(&bits) = words.get(full) {
+        for (j, &x) in groups.remainder().iter().enumerate() {
+            for k in 0..f {
+                let mask = (bits >> (j * f + k) & 1).wrapping_neg();
+                total += (x >> (T::BITS * k)) & T::ONES.widen() & mask;
+            }
+        }
+    }
+    debug_assert!(
+        words.iter().skip(full + 1).all(|&w| w == 0),
+        "selected rows past the payload"
+    );
+    total
 }
 
 /// Which running extreme a masked fold keeps.
@@ -486,14 +556,6 @@ pub(crate) enum Extreme {
 /// keep value order in code order), under the alignment precondition of
 /// [`mask_sum_packed`]. Returns `(selected rows, extreme selected code)`;
 /// the caller maps the code back to a value.
-///
-/// W7 and W15 keep a lane-wise running extreme of the 8 / 4 codes of a
-/// word: unselected fields are filled with the fold's identity (all payload
-/// bits for `MIN`, zero for `MAX`), and the delimiter-bit compare of the
-/// packed kernels picks, per lane, whether the candidate replaces the
-/// running value. A W31 word holds two fields, and there that
-/// form read ~1.6× slower per block than folding each field on its own with
-/// a branchless select, which is what W31 does.
 #[inline(always)]
 pub(crate) fn mask_extreme_packed(
     words: &[u64],
@@ -513,84 +575,71 @@ pub(crate) fn mask_extreme_packed(
     }
     let base = offset >> class.log_per_word();
     let best = match (class, extreme) {
-        (PackClass::W7, Extreme::Min) => swar_extreme::<8, false>(words, packed, base, class),
-        (PackClass::W7, Extreme::Max) => swar_extreme::<8, true>(words, packed, base, class),
-        (PackClass::W15, Extreme::Min) => swar_extreme::<4, false>(words, packed, base, class),
-        (PackClass::W15, Extreme::Max) => swar_extreme::<4, true>(words, packed, base, class),
-        (PackClass::W31, Extreme::Min) => field_extreme::<false>(words, packed, base),
-        (PackClass::W31, Extreme::Max) => field_extreme::<true>(words, packed, base),
+        (PackClass::W7, Extreme::Min) => lane_extreme::<u8, false>(words, packed, base),
+        (PackClass::W7, Extreme::Max) => lane_extreme::<u8, true>(words, packed, base),
+        (PackClass::W15, Extreme::Min) => lane_extreme::<u16, false>(words, packed, base),
+        (PackClass::W15, Extreme::Max) => lane_extreme::<u16, true>(words, packed, base),
+        (PackClass::W31, Extreme::Min) => lane_extreme::<u32, false>(words, packed, base),
+        (PackClass::W31, Extreme::Max) => lane_extreme::<u32, true>(words, packed, base),
     };
     (n as u64, Some(best))
 }
 
-/// The lane-wise form of [`mask_extreme_packed`] (`F` fields per word).
+/// [`mask_extreme_packed`] for one class, its slots read as `T`: a running
+/// extreme per row position of a bitmap word (64 of them), each folding
+/// the codes it sees with unselected ones replaced by the fold's identity
+/// (all ones for `MIN`, zero for `MAX`), so the fold has no per-row
+/// branch; the 64 are combined once per window. A bitmap word with no bit
+/// set is skipped whole. The walk ends at the payload's last word: a
+/// window whose bitmap words reach past the payload (a partial last word,
+/// or an offset that is not a multiple of 64) has its bits clear there,
+/// and those words are never read; the partial last group folds field by
+/// field into position 0.
 #[inline(always)]
-fn swar_extreme<const F: usize, const MAX: bool>(
-    words: &[u64],
-    packed: &[u64],
-    base: usize,
-    class: PackClass,
-) -> u64 {
-    let h = class.delim_mask();
-    let width = class.width();
-    let vm = class.value_mask();
-    // Payload bits only: delimiters stay clear in every word below.
-    let mut best = if MAX { 0 } else { !h };
-    walk_groups::<F>(
-        words,
-        packed,
-        base,
-        #[inline(always)]
-        |x, dense| {
-            let fields = (undensify(dense, class) >> width).wrapping_mul(vm);
-            let cand = if MAX { x & fields } else { x | (!fields & !h) };
-            // Lane k's delimiter is set iff the candidate does not lose to the
-            // running value: `((a | H) - b) & H` keeps lane k's delimiter iff
-            // a_k >= b_k, and no borrow crosses a lane.
-            let take = if MAX {
-                ((cand | h) - best) & h
-            } else {
-                ((best | h) - cand) & h
-            };
-            let lanes = (take >> width).wrapping_mul(vm);
-            best = (cand & lanes) | (best & !lanes);
-        },
-    );
-    // Fold the lanes with a plain loop: an iterator `min`/`max` here was
-    // left out of line, a portable call per chunk in the x86-64-v3 build.
-    let slot = class.slot() as usize;
-    let mut out = if MAX { 0 } else { vm };
-    for k in 0..F {
-        let lane = (best >> (k * slot)) & vm;
-        out = if MAX { out.max(lane) } else { out.min(lane) };
-    }
-    out
-}
-
-/// The per-field form of [`mask_extreme_packed`], for W31's two fields per
-/// word.
-#[inline(always)]
-fn field_extreme<const MAX: bool>(words: &[u64], packed: &[u64], base: usize) -> u64 {
-    let vm = PackClass::W31.value_mask();
-    let mut best = if MAX { 0 } else { vm };
-    walk_groups::<2>(
-        words,
-        packed,
-        base,
-        #[inline(always)]
-        |x, dense| {
-            for k in 0..2 {
-                let code = (x >> (32 * k)) & vm;
-                let sel = (dense >> k) & 1;
-                best = if MAX {
-                    best.max(code & sel.wrapping_neg())
-                } else {
-                    best.min(code | (sel.wrapping_sub(1) & vm))
-                };
+fn lane_extreme<T: Slot, const MAX: bool>(words: &[u64], packed: &[u64], base: usize) -> u64 {
+    let f = WORD_BITS / T::BITS; // fields per packed word
+    let identity = if MAX { T::ZERO } else { T::ONES };
+    let mut best = [identity; WORD_BITS];
+    let mut groups = packed[base..].chunks_exact(WORD_BITS / f);
+    let mut full = 0;
+    for (&bits, group) in words.iter().zip(&mut groups) {
+        full += 1;
+        if bits == 0 {
+            continue;
+        }
+        let mut codes = [T::ZERO; WORD_BITS];
+        for (j, &x) in group.iter().enumerate() {
+            for k in 0..f {
+                codes[j * f + k] = T::low(x >> (T::BITS * k));
             }
-        },
+        }
+        let mut masks = [0u8; WORD_BITS];
+        for (m, byte) in masks.chunks_exact_mut(8).zip(bits.to_le_bytes()) {
+            m.copy_from_slice(&BYTE_MASKS[byte as usize].to_le_bytes());
+        }
+        for ((lane, &code), &m) in best.iter_mut().zip(&codes).zip(&masks) {
+            *lane = lane.fold::<MAX>(code, T::from_byte_mask(m));
+        }
+    }
+    if let Some(&bits) = words.get(full) {
+        for (j, &x) in groups.remainder().iter().enumerate() {
+            for k in 0..f {
+                let mask = T::low((bits >> (j * f + k) & 1).wrapping_neg());
+                best[0] = best[0].fold::<MAX>(T::low(x >> (T::BITS * k)), mask);
+            }
+        }
+    }
+    debug_assert!(
+        words.iter().skip(full + 1).all(|&w| w == 0),
+        "selected rows past the payload"
     );
-    best
+    // A plain loop: an iterator `min`/`max` here was left out of line, a
+    // portable call per chunk in the x86-64-v3 build.
+    let mut out = identity;
+    for lane in best {
+        out = out.fold::<MAX>(lane, T::ONES);
+    }
+    out.widen()
 }
 
 /// How [`packed_mask`] combines into the selection bitmap.
@@ -687,31 +736,37 @@ fn packed_mask_aligned(
     out: &mut [u64],
 ) -> u64 {
     let mut any = 0u64;
-    let mut w = offset >> class.log_per_word();
+    let first = offset >> class.log_per_word();
+    let full = n / WORD_BITS;
     macro_rules! run {
         ($f:expr, $cl:expr) => {{
             let g = WORD_BITS / $f;
-            for ow in 0..n / WORD_BITS {
+            let mut groups = packed[first..].chunks_exact(g);
+            for (o, group) in out[..full].iter_mut().zip(&mut groups) {
                 let mut cur = 0u64;
-                for j in 0..g {
-                    cur |= densify(swar_match_word(packed[w + j], $cl, lo, hi), $cl) << (j * $f);
+                for (j, &x) in group.iter().enumerate() {
+                    cur |= densify(swar_match_word(x, $cl, lo, hi), $cl) << (j * $f);
                 }
-                w += g;
-                any |= apply_mask_word(mode, out, ow, cur);
+                *o = match mode {
+                    MaskMode::Set => cur,
+                    MaskMode::And => *o & cur,
+                };
+                any |= *o;
             }
             let rem = n % WORD_BITS;
             if rem > 0 {
                 let mut cur = 0u64;
                 let mut filled = 0usize;
-                while filled < rem {
+                for &x in &packed[first + full * g..] {
+                    if filled >= rem {
+                        break;
+                    }
                     let take = (rem - filled).min($f);
-                    let m =
-                        swar_match_word(packed[w], $cl, lo, hi) & delim_range_mask($cl, 0, take);
+                    let m = swar_match_word(x, $cl, lo, hi) & delim_range_mask($cl, 0, take);
                     cur |= densify(m, $cl) << filled;
                     filled += take;
-                    w += 1;
                 }
-                any |= apply_mask_word(mode, out, n / WORD_BITS, cur);
+                any |= apply_mask_word(mode, out, full, cur);
             }
         }};
     }
@@ -1413,6 +1468,83 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The packed folds keep one accumulator per row position of a bitmap
+    /// word and fold a partial last group into position 0: a winner in any
+    /// one of them must reach the result. Each case plants one winning code
+    /// — at each row position of the window's second bitmap word, then in
+    /// the window's last row, which ends a partial last group on 1000-row
+    /// blocks — among unselected decoys that would beat it.
+    #[test]
+    fn packed_folds_combine_every_lane_and_the_partial_last_group() {
+        let mut rng = SplitMix::new(46);
+        for class in CLASSES {
+            let (f, m) = (class.per_word(), class.value_mask());
+            for (len, offset) in [(BLOCK_ROWS, 0), (1000, 0), (1000, 3 * f)] {
+                let n = len - offset;
+                let spots = (WORD_BITS..2 * WORD_BITS).chain([n - 1]);
+                for spot in spots {
+                    for extreme in [Extreme::Min, Extreme::Max] {
+                        // (background codes, winner, decoy)
+                        let ((lo, hi), win, decoy) = match extreme {
+                            Extreme::Min => ((m / 2, m), 1, 0),
+                            Extreme::Max => ((0, m / 2), m - 1, m),
+                        };
+                        let mut codes: Vec<u64> =
+                            (0..len).map(|_| lo + rng.next_below(hi - lo + 1)).collect();
+                        let mut words = vec![0u64; n.div_ceil(WORD_BITS)];
+                        for i in 0..n {
+                            if i != spot && rng.next_below(5) == 0 {
+                                codes[offset + i] = decoy;
+                            } else {
+                                words[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+                            }
+                        }
+                        codes[offset + spot] = win;
+                        let packed = pack(codes.iter().copied(), class);
+                        let selected: Vec<u64> = (0..n)
+                            .filter(|&i| words[i / WORD_BITS] >> (i % WORD_BITS) & 1 == 1)
+                            .map(|i| codes[offset + i])
+                            .collect();
+                        let rows = selected.len() as u64;
+                        let at = format!("{class:?} {len} rows, offset {offset}, row {spot}");
+                        assert_eq!(
+                            mask_extreme_packed(&words, &packed, class, offset, extreme),
+                            (rows, Some(win)),
+                            "{extreme:?} {at}"
+                        );
+                        assert_eq!(
+                            mask_sum_packed(&words, &packed, class, offset),
+                            (rows, selected.iter().map(|&c| c as u128).sum()),
+                            "SUM {at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A window of one block whose every row holds the largest code its
+    /// class packs: a bitmap word's sum of 64 of them must not overflow
+    /// [`Slot::Sum`], and a partial last group must add up too.
+    #[test]
+    fn packed_sums_hold_a_block_of_largest_codes() {
+        for class in CLASSES {
+            let m = class.value_mask();
+            for len in [BLOCK_ROWS, 1000, 1023] {
+                let packed = pack((0..len).map(|_| m), class);
+                let mut words = vec![u64::MAX; len.div_ceil(WORD_BITS)];
+                if len % WORD_BITS != 0 {
+                    *words.last_mut().unwrap() = (1 << (len % WORD_BITS)) - 1;
+                }
+                assert_eq!(
+                    mask_sum_packed(&words, &packed, class, 0),
+                    (len as u64, len as u128 * m as u128),
+                    "{class:?} {len} rows"
+                );
             }
         }
     }
