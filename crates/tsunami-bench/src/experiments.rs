@@ -728,14 +728,16 @@ pub fn fig12b(config: &HarnessConfig) -> String {
 /// Fig 12 (kernel drill-down): median ns/row of every executor kernel tier
 /// over a full scan, sweeping selection density × predicate count ×
 /// storage encoding (the same rows scanned plain and as bit-packed encoded
-/// blocks), with the speedup over the scalar selection loop. Every
+/// blocks), with the speedup over the scalar selection loop; then the
+/// packed tier over plans of short ranges starting on and off the 8-row
+/// grid, and over the other two pack classes. Every
 /// tier × encoding result is cross-checked against the scalar oracle on
 /// plain data while measuring. The machine-readable results land in
 /// `BENCH_scan.json` so the scan-kernel perf trajectory is tracked across
 /// PRs.
 pub fn fig12kern(config: &HarnessConfig) -> String {
     use tsunami_core::exec::{
-        execute_plan_with, ExecOptions, KernelTier, ScanCounters, ScanPlan, ScanSource,
+        execute_plan_with, ExecOptions, KernelTier, ScanCounters, ScanPlan, ScanSource, BLOCK_ROWS,
     };
     use tsunami_core::sample::SplitMix;
     use tsunami_core::{AggResult, Aggregation, BlockData, Dataset, PackClass, Predicate, Query};
@@ -779,12 +781,13 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
     // Seven timed runs per entry keep the whole sweep near 0.2 s at 20k
     // rows.
     let reps = 7;
-    let median_ns = |run: &dyn Fn() -> (AggResult, ScanCounters)| {
+    // Median ns per planned row (`points`) over the timed runs.
+    let median_ns = |points: usize, run: &dyn Fn() -> (AggResult, ScanCounters)| {
         let mut samples: Vec<f64> = (0..reps)
             .map(|_| {
                 let start = Instant::now();
                 std::hint::black_box(run());
-                start.elapsed().as_nanos() as f64 / rows as f64
+                start.elapsed().as_nanos() as f64 / points as f64
             })
             .collect();
         samples.sort_by(f64::total_cmp);
@@ -836,7 +839,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
                             scalar_result,
                             "{tier:?} on {enc_label} diverged from the scalar oracle"
                         );
-                        let median = median_ns(&|| run(source, tier));
+                        let median = median_ns(rows, &|| run(source, tier));
                         if tier == KernelTier::Scalar {
                             scalar_ns = median;
                         }
@@ -863,7 +866,80 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
         }
     }
 
-    // The sweep above packs every block as FOR W15. The other two pack
+    // One packed-tier entry at 50 %: checked against the scalar oracle on
+    // the plain rows, then timed per planned row on the encoded store.
+    let mut packed_entry = |enc_label: &str,
+                            agg_label: &str,
+                            q: &Query,
+                            plan: &ScanPlan,
+                            data: &Dataset,
+                            store: &ColumnStore| {
+        let run = |source: &dyn ScanSource, tier| {
+            let opts = ExecOptions {
+                tier,
+                ..ExecOptions::default()
+            };
+            execute_plan_with(source, q, plan, &opts)
+        };
+        let tier = KernelTier::Packed;
+        assert_eq!(
+            run(store, tier),
+            run(data, KernelTier::Scalar),
+            "{enc_label} {agg_label} diverged from the scalar oracle"
+        );
+        let median = median_ns(plan.total_points(), &|| run(store, tier));
+        let npreds = q.predicates().len();
+        t.add_row(vec![
+            fmt_f64(50.0),
+            npreds.to_string(),
+            agg_label.to_string(),
+            enc_label.to_string(),
+            tier.label().to_string(),
+            fmt_f64(median),
+            "-".to_string(),
+        ]);
+        entries.push(scan_entry(
+            50.0,
+            npreds,
+            agg_label,
+            enc_label,
+            tier.label(),
+            median,
+        ));
+    };
+
+    // Plan shape: the sweep above scans whole tables, so every chunk it
+    // times starts on a block. These plans hold one range per encoded
+    // block of the same FOR W15 table, 248 or 1,016 rows long, starting on
+    // the block's first row (`+0`) or 3 rows past it (`+3`, which the
+    // packed tier widens down to the 8-row grid), timed on the packed tier
+    // under two predicates that both filter (50 %, then the second drops
+    // 1/64 of the rows), so the AND of two packed masks is timed too.
+    // ns/row is per planned row: a `+3` entry should read close to its
+    // `+0` twin.
+    let preds = vec![
+        Predicate::range(0, 0, DOMAIN / 2 - 1).expect("half range"),
+        Predicate::range(1, DOMAIN / 64, DOMAIN).expect("band"),
+    ];
+    for len in [248, 1_016] {
+        for shift in [0, 3] {
+            let enc_label = format!("encoded {len}-row ranges +{shift}");
+            let plan = ScanPlan::from_ranges((0..rows / BLOCK_ROWS).map(|b| {
+                let start = b * BLOCK_ROWS + shift;
+                (start..start + len, false)
+            }));
+            for (agg_label, agg) in [
+                ("count", Aggregation::Count),
+                ("sum", Aggregation::Sum(PRED_DIMS - 1)),
+                ("max", Aggregation::Max(PRED_DIMS - 1)),
+            ] {
+                let q = Query::new(preds.clone(), agg).expect("valid query");
+                packed_entry(&enc_label, agg_label, &q, &plan, &data, &store);
+            }
+        }
+    }
+
+    // The tables above pack every block as FOR W15. The other two pack
     // classes get their own tables (uniform 7-bit and 24-bit domains, so
     // FOR W7 and FOR W31 blocks), timed on the packed tier at 50 %
     // selectivity: one predicate, or two that both filter (the second
@@ -904,37 +980,7 @@ pub fn fig12kern(config: &HarnessConfig) -> String {
                 ("max asc", Aggregation::Max(3)),
             ] {
                 let q = Query::new(preds.clone(), agg).expect("valid query");
-                let run = |source: &dyn ScanSource, tier| {
-                    let opts = ExecOptions {
-                        tier,
-                        ..ExecOptions::default()
-                    };
-                    execute_plan_with(source, &q, &plan, &opts)
-                };
-                let tier = KernelTier::Packed;
-                assert_eq!(
-                    run(&store, tier),
-                    run(&data, KernelTier::Scalar),
-                    "{enc_label} {agg_label} diverged from the scalar oracle"
-                );
-                let median = median_ns(&|| run(&store, tier));
-                t.add_row(vec![
-                    fmt_f64(50.0),
-                    npreds.to_string(),
-                    agg_label.to_string(),
-                    enc_label.to_string(),
-                    tier.label().to_string(),
-                    fmt_f64(median),
-                    "-".to_string(),
-                ]);
-                entries.push(scan_entry(
-                    50.0,
-                    npreds,
-                    agg_label,
-                    enc_label,
-                    tier.label(),
-                    median,
-                ));
+                packed_entry(enc_label, agg_label, &q, &plan, &data, &store);
             }
         }
     }
@@ -1524,8 +1570,10 @@ mod tests {
         }
         // 5 densities x 4 predicate counts x 4 aggregations x 2 encodings x
         // 2 tiers, plus the W7 and W31 tables' packed entries (2 predicate
-        // counts x 4 aggregations each), all of them visible to the gate.
-        assert_eq!(gated_entries(&cfg, &GATES[0]), 320 + 2 * 2 * 4);
+        // counts x 4 aggregations each), plus the plan-shape entries (2
+        // range lengths x 2 starts x 3 aggregations), all of them visible
+        // to the gate.
+        assert_eq!(gated_entries(&cfg, &GATES[0]), 320 + 2 * 2 * 4 + 2 * 2 * 3);
     }
 
     #[test]

@@ -151,6 +151,17 @@
 //!   take the 8-lane mask kernels into the same bitmap, whose 64-bit
 //!   compares vectorize in the x86-64-v3 build (see "Kernel tiers").
 //!
+//! Packed-tier chunks start on the 8-row grid (`kernels::PACK_GRID`). A
+//! chunk whose first row is off it is widened down to it, so every packed
+//! column is read from a packed word on (each class packs 8, 4 or 2 rows a
+//! word) and the mask and fold kernels have no unaligned form. The ≤ 7 rows
+//! the widening adds lie in the chunk's own block (blocks start on the
+//! grid, so the window never crosses into another block or the plain tail)
+//! and are cleared from the selection before it is aggregated. Only the
+//! single-predicate no-bitmap fast paths start anywhere: they mask their
+//! edge words instead. The scalar oracle reads every chunk from its own
+//! first row.
+//!
 //! Tombstone liveness is ANDed into every selection exactly as on plain
 //! columns (block live bounds are computed at encode time and remain sound
 //! because deletes only accrue; physical mutation re-encodes), so results
@@ -950,7 +961,7 @@ impl<'a> ResolvedQuery<'a> {
                     self.aggregate_dense_range(range, tier, acc);
                 }
                 Some(t) => {
-                    counters.matched += self.aggregate_dense_live(t, range, tier, acc, scratch);
+                    counters.matched += self.aggregate_dense_live(t, range, tier, acc);
                 }
             }
             return;
@@ -1074,9 +1085,8 @@ impl<'a> ResolvedQuery<'a> {
     /// The packed tier's MIN/MAX over every row of chunk `start..end` of
     /// encoded block `eb`, on a tombstone-free source. A chunk covering the
     /// whole block takes the block's physical bounds, since every stored
-    /// row is live and selected; a chunk that cannot move the running
-    /// extreme only counts; any other folds its packed codes under an
-    /// all-set bitmap.
+    /// row is live and selected; any other folds its packed codes under an
+    /// all-set bitmap ([`ResolvedQuery::aggregate_chunk_live`]).
     #[inline(always)]
     fn dense_extreme_packed(
         &self,
@@ -1090,23 +1100,12 @@ impl<'a> ResolvedQuery<'a> {
             let (lo, hi) = eb.bounds();
             return acc.add_block(len as u64, 0, Some(lo), Some(hi));
         }
-        match self.pruned_view(start, end, acc, NO_CLIP) {
-            view @ AggView::Block { .. } => {
-                let mut words = [u64::MAX; kernels::BLOCK_WORDS];
-                let nw = len.div_ceil(kernels::WORD_BITS);
-                let tail = len % kernels::WORD_BITS;
-                if tail != 0 {
-                    words[nw - 1] = (1u64 << tail) - 1;
-                }
-                aggregate_mask(self.agg, &view, &words[..nw], KernelTier::Packed, acc);
-            }
-            view => aggregate_dense_view(self.agg, &view, len, acc),
-        }
+        self.aggregate_chunk_live(None, start, end, KernelTier::Packed, acc);
     }
 
-    /// Aggregates a dense (exact) range under tombstones: liveness words are
-    /// materialized blockwise and fed to the mask-native aggregation
-    /// kernels. Returns the number of live rows aggregated.
+    /// Aggregates a dense (exact) range under tombstones, one grid chunk at
+    /// a time ([`ResolvedQuery::aggregate_chunk_live`]). Returns the number
+    /// of live rows aggregated.
     #[inline(always)]
     fn aggregate_dense_live(
         &self,
@@ -1114,33 +1113,51 @@ impl<'a> ResolvedQuery<'a> {
         range: Range<usize>,
         tier: KernelTier,
         acc: &mut AggAccumulator,
-        scratch: &mut BlockScratch,
     ) -> usize {
         let mut matched = 0usize;
         let mut start = range.start;
         while start < range.end {
             let end = grid_block_end(start, range.end);
-            let len = end - start;
-            let nw = len.div_ceil(kernels::WORD_BITS);
-            let words = &mut scratch.words[..nw];
-            for (w, word) in words.iter_mut().enumerate() {
-                *word = t.live_word(start + w * kernels::WORD_BITS);
-            }
-            // Rows past the block tail read as live; trim them off.
-            let tail = len % kernels::WORD_BITS;
-            if tail != 0 {
-                words[nw - 1] &= (1u64 << tail) - 1;
-            }
-            // The packed tier prunes on the block's live bounds alone; the
-            // oracle reads every live row.
-            let view = match tier {
-                KernelTier::Packed => self.pruned_view(start, end, acc, NO_CLIP),
-                KernelTier::Scalar => self.agg_view(start, end),
-            };
-            matched += aggregate_mask(self.agg, &view, words, tier, acc);
+            matched += self.aggregate_chunk_live(Some(t), start, end, tier, acc);
             start = end;
         }
         matched
+    }
+
+    /// Aggregates the rows of grid chunk `start..end` that `live` keeps
+    /// (every row when `None`): their liveness words are the selection
+    /// bitmap fed to the mask-native aggregation kernels. Returns how many
+    /// rows it aggregated. The packed tier runs over the chunk's
+    /// [`packed_window`] and prunes on the block's live bounds alone; the
+    /// oracle reads every live row from the chunk's own start.
+    #[inline(always)]
+    fn aggregate_chunk_live(
+        &self,
+        live: Option<&TombstoneSet>,
+        start: usize,
+        end: usize,
+        tier: KernelTier,
+        acc: &mut AggAccumulator,
+    ) -> usize {
+        let from = match tier {
+            KernelTier::Packed => packed_window(start),
+            KernelTier::Scalar => start,
+        };
+        // A stack array: a slice fill of the scratch bitmap compiles to a
+        // `memset` call, portable code in the x86-64-v3 build.
+        let mut words = [u64::MAX; kernels::BLOCK_WORDS];
+        let words = &mut words[..(end - from).div_ceil(kernels::WORD_BITS)];
+        if let Some(t) = live {
+            for (w, word) in words.iter_mut().enumerate() {
+                *word = t.live_word(from + w * kernels::WORD_BITS);
+            }
+        }
+        clip_window(words, start - from, end - from);
+        let view = match tier {
+            KernelTier::Packed => self.pruned_view(from, end, acc, NO_CLIP),
+            KernelTier::Scalar => self.agg_view(from, end),
+        };
+        aggregate_mask(self.agg, &view, words, tier, acc)
     }
 
     /// Reference branchy selection loop (the oracle tier) over plain rows.
@@ -1233,8 +1250,10 @@ impl<'a> ResolvedQuery<'a> {
     /// otherwise the predicate is evaluated as a SWAR code-range compare
     /// directly on the packed words ([`kernels::packed_mask`]). Plain
     /// payloads and plain columns take the 8-lane mask kernels
-    /// ([`kernels::mask_first`] / [`kernels::mask_refine`]). Liveness is
-    /// ANDed in last.
+    /// ([`kernels::mask_first`] / [`kernels::mask_refine`]). Every kernel
+    /// runs over the chunk's [`packed_window`], so packed columns are read
+    /// from a packed word on. Liveness is ANDed in last, and then the
+    /// window's head rows are cleared.
     #[inline(always)]
     fn scan_chunk_packed(
         &self,
@@ -1244,7 +1263,6 @@ impl<'a> ResolvedQuery<'a> {
         scratch: &mut BlockScratch,
     ) -> usize {
         let len = end - start;
-        let nw = len.div_ceil(kernels::WORD_BITS);
         let offset = start % BLOCK_ROWS;
 
         // Single packed predicate on a delete-free source: COUNT needs no
@@ -1291,7 +1309,11 @@ impl<'a> ResolvedQuery<'a> {
             }
         }
 
-        // General path: fold every predicate into one selection bitmap.
+        // General path: fold every predicate into one selection bitmap over
+        // the window `from..end` (bit `i` = row `from + i`).
+        let from = packed_window(start);
+        let (wlen, woffset) = (end - from, from % BLOCK_ROWS);
+        let nw = wlen.div_ceil(kernels::WORD_BITS);
         let mut first = true;
         let mut any = 0u64;
         for (col, p) in &self.preds {
@@ -1307,13 +1329,13 @@ impl<'a> ResolvedQuery<'a> {
                 BlockTest::AllLive => continue,
                 BlockTest::Packed { lo, hi } => {
                     let (packed, class) = packed_payload(eb.expect("only a block packs"));
-                    kernels::packed_mask(packed, class, offset, len, lo, hi, mode, words)
+                    kernels::packed_mask(packed, class, woffset, wlen, lo, hi, mode, words)
                 }
                 BlockTest::Plain => {
                     let block = match eb.map(EncodedBlock::data) {
-                        Some(BlockData::Plain(vals)) => &vals[offset..offset + len],
+                        Some(BlockData::Plain(vals)) => &vals[woffset..woffset + wlen],
                         Some(_) => unreachable!("Plain classification implies plain payload"),
-                        None => col.slice(start, end),
+                        None => col.slice(from, end),
                     };
                     match mode {
                         kernels::MaskMode::Set => kernels::mask_first(block, *p, words),
@@ -1334,31 +1356,26 @@ impl<'a> ResolvedQuery<'a> {
                     self.aggregate_dense_range(start..end, KernelTier::Packed, acc);
                     len
                 }
-                Some(t) => {
-                    self.aggregate_dense_live(t, start..end, KernelTier::Packed, acc, scratch)
-                }
+                Some(t) => self.aggregate_dense_live(t, start..end, KernelTier::Packed, acc),
             };
         }
 
+        let words = &mut scratch.words[..nw];
         if let Some(t) = self.live {
             any = 0;
-            let words = &mut scratch.words[..nw];
             for (w, word) in words.iter_mut().enumerate() {
-                *word &= t.live_word(start + w * kernels::WORD_BITS);
+                *word &= t.live_word(from + w * kernels::WORD_BITS);
                 any |= *word;
             }
         }
         if any == 0 {
             return 0;
         }
-        let view = self.pruned_view(start, end, acc, self.agg_clip);
-        aggregate_mask(
-            self.agg,
-            &view,
-            &scratch.words[..nw],
-            KernelTier::Packed,
-            acc,
-        )
+        // `any` may have seen only head rows: the selection is then empty
+        // after the clip, and the fold below adds nothing.
+        clip_window(words, start - from, wlen);
+        let view = self.pruned_view(from, end, acc, self.agg_clip);
+        aggregate_mask(self.agg, &view, words, KernelTier::Packed, acc)
     }
 }
 
@@ -1372,10 +1389,33 @@ fn packed_payload(eb: &EncodedBlock) -> (&[u64], PackClass) {
     }
 }
 
-/// The aggregation input for one grid chunk, with **chunk-local** row
-/// indexing (index `i` = physical row `chunk_start + i`): a plain slice, a
-/// window into an encoded block's packed payload, or nothing (`COUNT`, or
-/// no input column).
+/// Where the packed tier's window over a chunk starting at row `start`
+/// begins: `start` rounded down to the [`kernels::PACK_GRID`], so every
+/// packed column's window starts on a packed word. The ≤ 7 head rows it
+/// adds lie in the chunk's own block, since blocks start on that grid, and
+/// [`clip_window`] clears them from the selection before it is aggregated.
+#[inline(always)]
+fn packed_window(start: usize) -> usize {
+    start & !(kernels::PACK_GRID - 1)
+}
+
+/// Keeps only rows `head..len` of a window's selection bitmap: clears the
+/// head rows a [`packed_window`] adds before its chunk, and the bits of a
+/// partial last word past the window's end.
+#[inline(always)]
+fn clip_window(words: &mut [u64], head: usize, len: usize) {
+    let tail = len % kernels::WORD_BITS;
+    if tail != 0 {
+        words[words.len() - 1] &= (1u64 << tail) - 1;
+    }
+    words[0] &= u64::MAX << head;
+}
+
+/// The aggregation input for one grid chunk, with **window-local** row
+/// indexing (index `i` = physical row `window_start + i`, the window being
+/// the chunk or its [`packed_window`]): a plain slice, a window into an
+/// encoded block's packed payload, or nothing (`COUNT`, or no input
+/// column).
 #[derive(Clone, Copy)]
 enum AggView<'a> {
     None,
@@ -1410,9 +1450,11 @@ impl AggView<'_> {
 }
 
 /// Mask-native aggregation of one chunk's selection bitmap, shared by the
-/// packed path and the tombstone-aware dense path of both tiers (`tier`
-/// picks the MIN/MAX fold, see [`mask_extreme`]).
-/// Returns the number of selected rows.
+/// packed path and the tombstone-aware dense path of both tiers. `tier`
+/// picks the fold over an encoded block: the packed tier, whose windows
+/// start on a packed word, folds packed codes (SUM of a FOR block, and
+/// MIN/MAX, see [`mask_extreme`]); the scalar oracle fetches every
+/// selected row. Returns the number of selected rows.
 #[inline(always)]
 fn aggregate_mask(
     agg: Aggregation,
@@ -1433,15 +1475,13 @@ fn aggregate_mask(
             n as usize
         }
         (Aggregation::Sum(_) | Aggregation::Avg(_), AggView::Block { eb, offset }) => {
-            // FOR-packed aggregation block with word-aligned bitmap groups:
-            // sum the packed codes straight off the selection bitmap.
-            if let BlockData::For { class, packed } = eb.data() {
-                if offset & (class.per_word() - 1) == 0 {
-                    let (n, code_sum) = kernels::mask_sum_packed(words, packed, *class, *offset);
-                    let reference = eb.bounds().0 as u128;
-                    acc.add_bulk(n, code_sum + n as u128 * reference);
-                    return n as usize;
-                }
+            // A FOR block on the packed tier sums its packed codes straight
+            // off the selection bitmap.
+            if let (KernelTier::Packed, BlockData::For { class, packed }) = (tier, eb.data()) {
+                let (n, code_sum) = kernels::mask_sum_packed(words, packed, *class, *offset);
+                let reference = eb.bounds().0 as u128;
+                acc.add_bulk(n, code_sum + n as u128 * reference);
+                return n as usize;
             }
             let (n, sum) = kernels::mask_sum_fetch(
                 words,
@@ -1465,10 +1505,10 @@ fn aggregate_mask(
 }
 
 /// `(selected rows, their MIN or MAX)` of one chunk's selection bitmap: a
-/// plain slice folds directly; on the packed tier, a FOR or Dict block
-/// whose window starts on a packed word folds its codes
-/// ([`kernels::mask_extreme_packed`]); any other window, and every block
-/// on the scalar oracle, fetches the selected rows one at a time.
+/// plain slice folds directly; on the packed tier a FOR or Dict block folds
+/// its codes ([`kernels::mask_extreme_packed`]), its window starting on a
+/// packed word; the scalar oracle fetches the selected rows of a block one
+/// at a time.
 #[inline(always)]
 fn mask_extreme(
     col: &AggView,
@@ -1486,15 +1526,14 @@ fn mask_extreme(
             Max => kernels::mask_max(s, words),
         };
     };
-    if let BlockData::For { class, packed } | BlockData::Dict { class, packed, .. } = eb.data() {
-        if tier == KernelTier::Packed && offset & (class.per_word() - 1) == 0 {
-            let (n, code) = kernels::mask_extreme_packed(words, packed, *class, offset, extreme);
-            let value = code.map(|c| match eb.data() {
-                BlockData::Dict { uniques, .. } => uniques[c as usize],
-                _ => eb.bounds().0 + c,
-            });
-            return (n, value);
-        }
+    if tier == KernelTier::Packed {
+        let (packed, class) = packed_payload(eb);
+        let (n, code) = kernels::mask_extreme_packed(words, packed, class, offset, extreme);
+        let value = code.map(|c| match eb.data() {
+            BlockData::Dict { uniques, .. } => uniques[c as usize],
+            _ => eb.bounds().0 + c,
+        });
+        return (n, value);
     }
     let (identity, fold): (Value, fn(Value, Value) -> Value) = match extreme {
         Min => (Value::MAX, Value::min),
@@ -2371,14 +2410,19 @@ mod tests {
             classes,
             ["for w15", "dict w7", "plain", "for w15", "for w7", "for w31"]
         );
-        // Exact and non-exact ranges whose chunks start on a packed word
-        // (0, 1_000, 2_048) and off one (3_333, 3_517).
+        // Exact and non-exact ranges starting at every residue mod 8: 0
+        // (0, 1_000), then 1 to 7 (2_049, 2_210, 3_403, 2_300, 3_333,
+        // 4_006, 4_503).
         let plan = ScanPlan::from_ranges([
             (0..1_000, false),
             (1_000..2_048, true),
-            (2_048..3_333, false),
+            (2_049..2_210, false),
+            (2_210..2_300, true),
+            (2_300..3_333, false),
             (3_333..3_400, true),
-            (3_517..n, false),
+            (3_403..4_006, false),
+            (4_006..4_500, true),
+            (4_503..n, false),
         ]);
         let pred_sets = [
             vec![Predicate::range(0, 1_000, 3_000).unwrap()],
@@ -2428,8 +2472,9 @@ mod tests {
                     let q = Query::new(preds.clone(), agg).unwrap();
                     let resolved = ResolvedQuery::new(source, plan.residual(&q), agg);
                     // Whole plan ranges, then morsels that split them
-                    // mid-block and mid-word.
-                    for morsel in [n, 1_500] {
+                    // mid-block and mid-word: 1_001 rows (≡ 1 mod 8) start
+                    // successive morsels at every residue.
+                    for morsel in [n, 1_500, 1_001] {
                         let units = split_morsels(&plan, morsel);
                         let mut portable_units = units.iter().cloned();
                         let (pa, pc) = scan_units_body(
@@ -2448,6 +2493,107 @@ mod tests {
                         let at = format!("{label} {agg:?} {preds:?} morsel {morsel}");
                         assert_eq!(format!("{pa:?}"), format!("{da:?}"), "{at}");
                         assert_eq!(pc, dc, "counters: {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The packed tier widens a chunk that starts off the 8-row grid down
+    /// to it and clears the head rows that adds. Single ranges starting
+    /// and ending at every residue mod 8 — inside one block, from one
+    /// block across the next into the plain tail, and inside the tail —
+    /// over FOR W7/W15/W31 and Dict W7 columns, exact and not, clean and
+    /// tombstoned, under one to three predicates and every aggregation,
+    /// match the scalar oracle in results and counters, run serially and
+    /// split into 203-row morsels (≡ 3 mod 8).
+    #[test]
+    fn chunks_starting_at_every_residue_match_the_oracle() {
+        let (b, n) = (BLOCK_ROWS, 3 * BLOCK_ROWS + 300);
+        let g = 1_000_000_007;
+        let ds = Dataset::from_columns(vec![
+            (0..n as u64).map(|v| v * 53 % 100).collect(),
+            (0..n as u64).map(|v| v * 37 % 4096).collect(),
+            (0..n as u64)
+                .map(|v| v.wrapping_mul(2_654_435_761) % (1 << 22))
+                .collect(),
+            (0..n as u64).map(|v| (v * 13 % 23) * g).collect(),
+        ])
+        .unwrap();
+        let mut t = TombstoneSet::new(n);
+        for row in (0..n).step_by(5).chain(b + 600..b + 700) {
+            t.mark(row);
+        }
+        let sources = [
+            EncodedSource::encode(&ds, 300, None),
+            EncodedSource::encode(&ds, 300, Some(t)),
+        ];
+        let classes: Vec<String> = sources[0]
+            .cols
+            .iter()
+            .map(|(blocks, _)| {
+                format!(
+                    "{} w{}",
+                    blocks[0].kind_label(),
+                    packed_payload(&blocks[0]).1.width()
+                )
+            })
+            .collect();
+        assert_eq!(classes, ["for w7", "for w15", "for w31", "dict w7"]);
+        let pred_sets = [
+            vec![Predicate::range(1, 500, 3_000).unwrap()],
+            vec![
+                Predicate::range(0, 10, 70).unwrap(),
+                Predicate::range(2, 1 << 20, 3 << 20).unwrap(),
+            ],
+            vec![
+                Predicate::range(3, 3 * g, 18 * g).unwrap(),
+                Predicate::range(1, 200, 3_500).unwrap(),
+                Predicate::range(0, 0, 80).unwrap(),
+            ],
+        ];
+        for (source, label) in sources.iter().zip(["clean", "tombstoned"]) {
+            for (s, e) in (0..8).flat_map(|s| (0..8).map(move |e| (s, e))) {
+                // The aggregated column cycles through the four classes.
+                let d = e % 4;
+                let aggs = [
+                    Aggregation::Count,
+                    Aggregation::Sum(d),
+                    Aggregation::Avg(d),
+                    Aggregation::Min(d),
+                    Aggregation::Max(d),
+                ];
+                let ranges = [
+                    b + 200 + s..b + 260 + e,
+                    b + 600 + s..3 * b + 150 + e,
+                    3 * b + 16 + s..3 * b + 250 + e,
+                ];
+                for (range, exact) in ranges.iter().flat_map(|r| [(r, false), (r, true)]) {
+                    let plan = ScanPlan::from_ranges([(range.clone(), exact)]);
+                    // An exact range checks no predicate: one set will do.
+                    let sets = if exact {
+                        &pred_sets[..1]
+                    } else {
+                        &pred_sets[..]
+                    };
+                    for (preds, agg) in sets.iter().flat_map(|p| aggs.map(|a| (p, a))) {
+                        let q = Query::new(preds.clone(), agg).unwrap();
+                        let at = format!("{label} {range:?} exact={exact} {agg:?} {preds:?}");
+                        let expected = run(source, &q, &plan, 1, KernelTier::Scalar);
+                        assert_eq!(
+                            run(source, &q, &plan, 1, KernelTier::Packed),
+                            expected,
+                            "{at}"
+                        );
+                        let resolved = ResolvedQuery::new(source, plan.residual(&q), agg);
+                        let mut units = split_morsels(&plan, 203).into_iter();
+                        let (acc, counters) = scan_units(
+                            &resolved,
+                            KernelTier::Packed,
+                            &mut BlockScratch::new(),
+                            &mut || units.next(),
+                        );
+                        assert_eq!((acc.finish(), counters), expected, "morsels: {at}");
                     }
                 }
             }
