@@ -15,6 +15,10 @@
 //!   packed words, 8/4/2 rows per ALU op, over windows that start on a
 //!   packed word (`PACK_GRID`).
 //!
+//! Every chunk's predicates build that one bitmap, and every aggregation
+//! reads it: no kernel counts or sums straight off a predicate's packed
+//! words.
+//!
 //! Aggregation is mask-native: `COUNT` is a popcount, `SUM`/`MIN`/`MAX` on
 //! plain rows are masked folds with a whole-word fast path for fully set
 //! words. A packed aggregation input folds its codes straight off the
@@ -304,19 +308,14 @@ fn swar_match_word(x: u64, class: PackClass, lo: u64, hi: Option<u64>) -> u64 {
     }
 }
 
-/// Delimiter bits of fields `k0..k1` of one word: the edge words of the
-/// no-bitmap fast paths ([`packed_count`], [`packed_sum_same_layout`]),
-/// whose windows start at any row, and the partial last word of a
+/// Delimiter bits of fields `0..k` of one word: the partial last word of a
 /// [`packed_mask`] window.
 #[inline(always)]
-fn delim_range_mask(class: PackClass, k0: usize, k1: usize) -> u64 {
-    let slot = class.slot() as usize;
-    let below = if k1 == class.per_word() {
-        u64::MAX
-    } else {
-        !(u64::MAX << (k1 * slot))
-    };
-    class.delim_mask() & (u64::MAX << (k0 * slot)) & below
+fn delim_mask_below(class: PackClass, k: usize) -> u64 {
+    if k == class.per_word() {
+        return class.delim_mask();
+    }
+    class.delim_mask() & !(u64::MAX << (k * class.slot() as usize))
 }
 
 /// Compacts a scattered delimiter-bit mask into dense low bits (bit `k` =
@@ -336,61 +335,6 @@ fn densify(scattered: u64, class: PackClass) -> u64 {
             (m | (m >> 30)) & 0xF
         }
         PackClass::W31 => (m | (m >> 31)) & 0b11,
-    }
-}
-
-/// Lane-wise field-sum accumulator: adds delimiter-clear masked words with
-/// one cheap pair-fold per word instead of a full horizontal sum, keeping
-/// lanes far from overflow for scan windows up to one block (`BLOCK_ROWS`
-/// fields): W7 pair-folds 8x7-bit to 16-bit lanes (<= 128 adds of <= 254),
-/// W15 pair-folds 4x15-bit to 32-bit lanes (<= 256 adds of <= 65534), W31
-/// folds both 32-bit halves into a u64 on every add (<= 512 adds of
-/// < 2^32).
-struct FieldSum {
-    class: PackClass,
-    acc: u64,
-}
-
-impl FieldSum {
-    #[inline(always)]
-    fn new(class: PackClass) -> Self {
-        Self { class, acc: 0 }
-    }
-
-    #[inline(always)]
-    fn add(&mut self, masked: u64) {
-        self.acc += match self.class {
-            PackClass::W7 => {
-                (masked & 0x00FF_00FF_00FF_00FF) + ((masked >> 8) & 0x00FF_00FF_00FF_00FF)
-            }
-            PackClass::W15 => {
-                (masked & 0x0000_FFFF_0000_FFFF) + ((masked >> 16) & 0x0000_FFFF_0000_FFFF)
-            }
-            PackClass::W31 => (masked & 0xFFFF_FFFF) + (masked >> 32),
-        };
-    }
-
-    /// Adds the fields of `agg_word` whose delimiter bit is set in the
-    /// scattered match mask `scattered`; returns how many there are.
-    #[inline(always)]
-    fn add_matched(&mut self, scattered: u64, agg_word: u64) -> u64 {
-        // Broadcast each matched delimiter bit over its field's payload.
-        let field_mask = (scattered >> self.class.width()).wrapping_mul(self.class.value_mask());
-        self.add(agg_word & field_mask);
-        scattered.count_ones() as u64
-    }
-
-    #[inline(always)]
-    fn finish(self) -> u128 {
-        let a = self.acc;
-        (match self.class {
-            PackClass::W7 => {
-                let s = (a & 0x0000_FFFF_0000_FFFF) + ((a >> 16) & 0x0000_FFFF_0000_FFFF);
-                (s & 0xFFFF_FFFF) + (s >> 32)
-            }
-            PackClass::W15 => (a & 0xFFFF_FFFF) + (a >> 32),
-            PackClass::W31 => a,
-        }) as u128
     }
 }
 
@@ -719,7 +663,7 @@ pub(crate) fn packed_mask(
                         break;
                     }
                     let take = (rem - filled).min($f);
-                    let m = swar_match_word(x, $cl, lo, hi) & delim_range_mask($cl, 0, take);
+                    let m = swar_match_word(x, $cl, lo, hi) & delim_mask_below($cl, take);
                     cur |= densify(m, $cl) << filled;
                     filled += take;
                 }
@@ -747,183 +691,6 @@ fn apply_mask_word(mode: MaskMode, out: &mut [u64], w: usize, bits: u64) -> u64 
             out[w]
         }
     }
-}
-
-/// COUNT fast path: number of packed fields in `offset .. offset + n`
-/// passing the code-range test, with no bitmap materialization — popcounts
-/// of the scattered masks directly.
-#[inline(always)]
-pub(crate) fn packed_count(
-    packed: &[u64],
-    class: PackClass,
-    offset: usize,
-    n: usize,
-    lo: u64,
-    hi: Option<u64>,
-) -> usize {
-    debug_assert!(n > 0);
-    let f = class.per_word();
-    let first = offset >> class.log_per_word();
-    let last = (offset + n - 1) >> class.log_per_word();
-    let k0 = offset & (f - 1);
-    let k1 = ((offset + n - 1) & (f - 1)) + 1;
-    if first == last {
-        let m = swar_match_word(packed[first], class, lo, hi) & delim_range_mask(class, k0, k1);
-        return m.count_ones() as usize;
-    }
-    let mut count = (swar_match_word(packed[first], class, lo, hi) & delim_range_mask(class, k0, f))
-        .count_ones() as usize;
-    // Interior words are whole: pure SWAR + popcount, no edge masks.
-    for &x in &packed[first + 1..last] {
-        count += swar_match_word(x, class, lo, hi).count_ones() as usize;
-    }
-    count += (swar_match_word(packed[last], class, lo, hi) & delim_range_mask(class, 0, k1))
-        .count_ones() as usize;
-    count
-}
-
-/// Class-specialized whole-word masked-sum loop: the `match` sits outside
-/// the loop so each arm is a monomorphic, vectorizable body (a class match
-/// or `Option` test inside the hot loop defeats LLVM's vectorizer). Lanes
-/// cannot overflow within one block window (see [`FieldSum`]).
-macro_rules! sum_interior_loop {
-    ($pred:expr, $agg:expr, $h:expr, $lo_m:expr, $hi_m:expr, $wbits:expr, $vm:expr,
-     $m0:expr, $sh:expr, $count:ident, $acc:ident) => {
-        match $hi_m {
-            None => {
-                for (&x, &a) in $pred.iter().zip($agg) {
-                    let m = ((x | $h).wrapping_sub($lo_m)) & $h;
-                    $count += m.count_ones() as u64;
-                    let v = a & (m >> $wbits).wrapping_mul($vm);
-                    $acc += (v & $m0) + ((v >> $sh) & $m0);
-                }
-            }
-            Some(hi_m) => {
-                for (&x, &a) in $pred.iter().zip($agg) {
-                    let xh = x | $h;
-                    let m = (xh.wrapping_sub($lo_m)) & $h & !(xh.wrapping_sub(hi_m));
-                    $count += m.count_ones() as u64;
-                    let v = a & (m >> $wbits).wrapping_mul($vm);
-                    $acc += (v & $m0) + ((v >> $sh) & $m0);
-                }
-            }
-        }
-    };
-}
-
-/// Whole-word masked sum over parallel pred/agg slices (no edge masks);
-/// returns `(matching rows, sum of matching codes)`.
-#[inline(always)]
-fn sum_interior(
-    pred: &[u64],
-    agg: &[u64],
-    class: PackClass,
-    lo: u64,
-    hi: Option<u64>,
-) -> (u64, u128) {
-    let h = class.delim_mask();
-    let l = class.low_ones();
-    let lo_m = lo.wrapping_mul(l);
-    let hi_m = hi.map(|hi| (hi + 1).wrapping_mul(l));
-    let wbits = class.width();
-    let vm = class.value_mask();
-    let mut count = 0u64;
-    let mut acc = 0u64;
-    match class {
-        PackClass::W7 => {
-            sum_interior_loop!(
-                pred,
-                agg,
-                h,
-                lo_m,
-                hi_m,
-                wbits,
-                vm,
-                0x00FF_00FF_00FF_00FFu64,
-                8,
-                count,
-                acc
-            );
-            let s = (acc & 0x0000_FFFF_0000_FFFF) + ((acc >> 16) & 0x0000_FFFF_0000_FFFF);
-            (count, (((s & 0xFFFF_FFFF) + (s >> 32)) as u128))
-        }
-        PackClass::W15 => {
-            sum_interior_loop!(
-                pred,
-                agg,
-                h,
-                lo_m,
-                hi_m,
-                wbits,
-                vm,
-                0x0000_FFFF_0000_FFFFu64,
-                16,
-                count,
-                acc
-            );
-            (count, ((acc & 0xFFFF_FFFF) + (acc >> 32)) as u128)
-        }
-        PackClass::W31 => {
-            sum_interior_loop!(
-                pred,
-                agg,
-                h,
-                lo_m,
-                hi_m,
-                wbits,
-                vm,
-                0xFFFF_FFFFu64,
-                32,
-                count,
-                acc
-            );
-            (count, acc as u128)
-        }
-    }
-}
-
-/// SUM fast path for a predicate column and a FOR aggregation column packed
-/// in the **same class**: their field layouts coincide word-for-word, so the
-/// predicate's scattered match mask expands to a field mask applied straight
-/// to the aggregation words — no bitmap, no decode, no per-row loop.
-/// Returns `(matching rows, sum of matching aggregation codes)`; the caller
-/// adds `rows * reference` to undo the frame of reference.
-#[inline(always)]
-pub(crate) fn packed_sum_same_layout(
-    pred_packed: &[u64],
-    agg_packed: &[u64],
-    class: PackClass,
-    offset: usize,
-    n: usize,
-    lo: u64,
-    hi: Option<u64>,
-) -> (u64, u128) {
-    debug_assert!(n > 0);
-    let f = class.per_word();
-    let first = offset >> class.log_per_word();
-    let last = (offset + n - 1) >> class.log_per_word();
-    let k0 = offset & (f - 1);
-    let k1 = ((offset + n - 1) & (f - 1)) + 1;
-    let mut fs = FieldSum::new(class);
-    if first == last {
-        let m =
-            swar_match_word(pred_packed[first], class, lo, hi) & delim_range_mask(class, k0, k1);
-        let count = fs.add_matched(m, agg_packed[first]);
-        return (count, fs.finish());
-    }
-    let m = swar_match_word(pred_packed[first], class, lo, hi) & delim_range_mask(class, k0, f);
-    let mut count = fs.add_matched(m, agg_packed[first]);
-    let m = swar_match_word(pred_packed[last], class, lo, hi) & delim_range_mask(class, 0, k1);
-    count += fs.add_matched(m, agg_packed[last]);
-    // Interior words are whole: one monomorphic SWAR loop, no edge masks.
-    let (c, sum) = sum_interior(
-        &pred_packed[first + 1..last],
-        &agg_packed[first + 1..last],
-        class,
-        lo,
-        hi,
-    );
-    (count + c, fs.finish() + sum)
 }
 
 /// Masked fold for `SUM` with an arbitrary value fetcher: like
@@ -1150,19 +917,8 @@ mod tests {
             let packed = pack(codes.iter().copied(), class);
             let m = class.value_mask();
             // The mask kernel's windows start on the pack grid (misaligned
-            // starts are the executor's to widen, see its alignment sweep);
-            // the count fast path takes windows starting anywhere.
-            for (offset, n) in [
-                (0usize, 500usize),
-                (0, 64),
-                (8, 90),
-                (128, 333),
-                (496, 1),
-                (3, 90),
-                (129, 333),
-                (7, 1),
-                (499, 1),
-            ] {
+            // starts are the executor's to widen, see its alignment sweep).
+            for (offset, n) in [(0usize, 500usize), (0, 64), (8, 90), (128, 333), (496, 1)] {
                 for (lo, hi) in [
                     (0, None),
                     (m / 4, Some(3 * m / 4)),
@@ -1174,14 +930,6 @@ mod tests {
                         .iter()
                         .map(|&c| lo <= c && hi.is_none_or(|h| c <= h))
                         .collect();
-                    // Count fast path agrees.
-                    assert_eq!(
-                        packed_count(&packed, class, offset, n, lo, hi),
-                        expect.iter().filter(|&&b| b).count()
-                    );
-                    if offset % PACK_GRID != 0 {
-                        continue;
-                    }
                     let mut out = vec![0u64; n.div_ceil(WORD_BITS)];
                     let any =
                         packed_mask(&packed, class, offset, n, lo, hi, MaskMode::Set, &mut out);
@@ -1216,39 +964,6 @@ mod tests {
             .map(|&c| c >= lo1 && c <= hi1.unwrap() && c >= lo2 && c <= hi2.unwrap())
             .collect();
         assert_eq!(dense_bits(&out, 300), expect);
-    }
-
-    #[test]
-    fn packed_sum_same_layout_matches_filtered_fold() {
-        for class in CLASSES {
-            let pred_codes = codes_for(class, 450);
-            let agg_codes: Vec<u64> = codes_for(class, 450)
-                .iter()
-                .map(|c| c.rotate_left(5) & class.value_mask())
-                .collect();
-            let pp = pack(pred_codes.iter().copied(), class);
-            let ap = pack(agg_codes.iter().copied(), class);
-            let m = class.value_mask();
-            for (offset, n) in [(0usize, 450usize), (5, 200), (63, 65)] {
-                for (lo, hi) in [(0u64, None), (m / 3, Some(2 * m / 3))] {
-                    let (cnt, sum) = packed_sum_same_layout(&pp, &ap, class, offset, n, lo, hi);
-                    let mut ecnt = 0u64;
-                    let mut esum = 0u128;
-                    for i in offset..offset + n {
-                        let c = pred_codes[i];
-                        if lo <= c && hi.is_none_or(|h| c <= h) {
-                            ecnt += 1;
-                            esum += agg_codes[i] as u128;
-                        }
-                    }
-                    assert_eq!(
-                        (cnt, sum),
-                        (ecnt, esum),
-                        "{class:?} {offset} {n} {lo} {hi:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

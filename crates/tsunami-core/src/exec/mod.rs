@@ -145,11 +145,11 @@
 //!   block's metadata first classifies the test (skip-before-decode on live
 //!   min/max, drop-the-predicate when every live row passes), and surviving
 //!   range tests run as SWAR compares directly on the packed words — 8/4/2
-//!   rows per ALU op — with dedicated no-bitmap fast paths for
-//!   single-predicate `COUNT` and layout-matched `SUM`/`AVG`. Plain rows (a
-//!   `Plain` payload, a store's tail, a [`Dataset`]) have no metadata and
-//!   take the 8-lane mask kernels into the same bitmap, whose 64-bit
-//!   compares vectorize in the x86-64-v3 build (see "Kernel tiers").
+//!   rows per ALU op — into one selection bitmap, which the aggregation
+//!   folds read. Plain rows (a `Plain` payload, a store's tail, a
+//!   [`Dataset`]) have no metadata and take the 8-lane mask kernels into
+//!   the same bitmap, whose 64-bit compares vectorize in the x86-64-v3
+//!   build (see "Kernel tiers").
 //!
 //! Packed-tier chunks start on the 8-row grid (`kernels::PACK_GRID`). A
 //! chunk whose first row is off it is widened down to it, so every packed
@@ -157,10 +157,9 @@
 //! word) and the mask and fold kernels have no unaligned form. The ≤ 7 rows
 //! the widening adds lie in the chunk's own block (blocks start on the
 //! grid, so the window never crosses into another block or the plain tail)
-//! and are cleared from the selection before it is aggregated. Only the
-//! single-predicate no-bitmap fast paths start anywhere: they mask their
-//! edge words instead. The scalar oracle reads every chunk from its own
-//! first row.
+//! and are cleared from the selection before it is aggregated. Every packed
+//! kernel runs over such a window, exact ranges' folds included. The
+//! scalar oracle reads every chunk from its own first row.
 //!
 //! Tombstone liveness is ANDed into every selection exactly as on plain
 //! columns (block live bounds are computed at encode time and remain sound
@@ -873,7 +872,8 @@ struct ResolvedQuery<'a> {
     agg_col: Option<ColumnData<'a>>,
     num_rows: usize,
     /// The source's deletion bitmap, captured only when it actually holds
-    /// tombstones, so delete-free tables keep the zero-cost fast paths.
+    /// tombstones, so delete-free tables AND no liveness words into their
+    /// selections.
     live: Option<&'a TombstoneSet>,
     /// `[lo, hi]` every row a selection keeps has its aggregation input in:
     /// the intersection of the residual predicates on the aggregated
@@ -1052,8 +1052,8 @@ impl<'a> ResolvedQuery<'a> {
     }
 
     /// Aggregates every row of a dense (exact, tombstone-free) range. On
-    /// the packed tier, MIN/MAX over an encoded block go through
-    /// [`ResolvedQuery::dense_extreme_packed`]; the scalar oracle fetches
+    /// the packed tier, an encoded block goes through
+    /// [`ResolvedQuery::aggregate_dense_packed`]; the scalar oracle fetches
     /// every row.
     #[inline(always)]
     fn aggregate_dense_range(
@@ -1069,26 +1069,26 @@ impl<'a> ResolvedQuery<'a> {
             let view = AggView::Slice(col.slice(range.start, range.end));
             return aggregate_dense_view(self.agg, &view, range.len(), acc);
         }
-        let packed_extreme = tier == KernelTier::Packed
-            && matches!(self.agg, Aggregation::Min(_) | Aggregation::Max(_));
         let mut start = range.start;
         while start < range.end {
             let end = grid_block_end(start, range.end);
             match col.block_at(start) {
-                Some(eb) if packed_extreme => self.dense_extreme_packed(eb, start, end, acc),
+                Some(eb) if tier == KernelTier::Packed => {
+                    self.aggregate_dense_packed(eb, start, end, acc)
+                }
                 _ => aggregate_dense_view(self.agg, &self.agg_view(start, end), end - start, acc),
             }
             start = end;
         }
     }
 
-    /// The packed tier's MIN/MAX over every row of chunk `start..end` of
-    /// encoded block `eb`, on a tombstone-free source. A chunk covering the
-    /// whole block takes the block's physical bounds, since every stored
-    /// row is live and selected; any other folds its packed codes under an
-    /// all-set bitmap ([`ResolvedQuery::aggregate_chunk_live`]).
+    /// The packed tier's aggregate of every row of chunk `start..end` of
+    /// encoded block `eb`, on a tombstone-free source. MIN/MAX over the
+    /// whole block take the block's physical bounds, since every stored row
+    /// is live and selected; any other chunk folds its packed codes under
+    /// an all-set bitmap ([`ResolvedQuery::aggregate_chunk_live`]).
     #[inline(always)]
-    fn dense_extreme_packed(
+    fn aggregate_dense_packed(
         &self,
         eb: &EncodedBlock,
         start: usize,
@@ -1096,7 +1096,8 @@ impl<'a> ResolvedQuery<'a> {
         acc: &mut AggAccumulator,
     ) {
         let len = end - start;
-        if start.is_multiple_of(BLOCK_ROWS) && len == eb.len() {
+        let extreme = matches!(self.agg, Aggregation::Min(_) | Aggregation::Max(_));
+        if extreme && start.is_multiple_of(BLOCK_ROWS) && len == eb.len() {
             let (lo, hi) = eb.bounds();
             return acc.add_block(len as u64, 0, Some(lo), Some(hi));
         }
@@ -1262,55 +1263,8 @@ impl<'a> ResolvedQuery<'a> {
         acc: &mut AggAccumulator,
         scratch: &mut BlockScratch,
     ) -> usize {
-        let len = end - start;
-        let offset = start % BLOCK_ROWS;
-
-        // Single packed predicate on a delete-free source: COUNT needs no
-        // bitmap at all, and SUM/AVG whose aggregation block shares the
-        // predicate's field layout reduces straight off the packed words.
-        // Every other chunk takes the general path below.
-        if self.preds.len() == 1 && self.live.is_none() {
-            let (col, p) = &self.preds[0];
-            if let Some(eb) = col.block_at(start) {
-                let test = eb.classify(p.lo, p.hi);
-                if test == BlockTest::Skip {
-                    return 0;
-                }
-                if let BlockTest::Packed { lo, hi } = test {
-                    let (packed, class) = packed_payload(eb);
-                    match (self.agg, self.pruned_view(start, end, acc, self.agg_clip)) {
-                        (_, AggView::None) | (Aggregation::Count, _) => {
-                            let n = kernels::packed_count(packed, class, offset, len, lo, hi);
-                            acc.add_bulk(n as u64, 0);
-                            return n;
-                        }
-                        (
-                            Aggregation::Sum(_) | Aggregation::Avg(_),
-                            AggView::Block { eb: agg_eb, .. },
-                        ) => {
-                            if let BlockData::For {
-                                class: agg_class,
-                                packed: agg_packed,
-                            } = agg_eb.data()
-                            {
-                                if *agg_class == class {
-                                    let (n, code_sum) = kernels::packed_sum_same_layout(
-                                        packed, agg_packed, class, offset, len, lo, hi,
-                                    );
-                                    let reference = agg_eb.bounds().0 as u128;
-                                    acc.add_bulk(n, code_sum + n as u128 * reference);
-                                    return n as usize;
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        // General path: fold every predicate into one selection bitmap over
-        // the window `from..end` (bit `i` = row `from + i`).
+        // Fold every predicate into one selection bitmap over the window
+        // `from..end` (bit `i` = row `from + i`).
         let from = packed_window(start);
         let (wlen, woffset) = (end - from, from % BLOCK_ROWS);
         let nw = wlen.div_ceil(kernels::WORD_BITS);
@@ -1354,7 +1308,7 @@ impl<'a> ResolvedQuery<'a> {
             return match self.live {
                 None => {
                     self.aggregate_dense_range(start..end, KernelTier::Packed, acc);
-                    len
+                    end - start
                 }
                 Some(t) => self.aggregate_dense_live(t, start..end, KernelTier::Packed, acc),
             };
@@ -1548,9 +1502,12 @@ fn mask_extreme(
     )
 }
 
-/// Aggregates every row of one dense chunk (exact-range fast path). Its
-/// folds are plain loops: iterator `sum`/`min`/`max` here were left out of
-/// line, so the x86-64-v3 build called portable code for every chunk.
+/// Aggregates every row of one dense chunk (exact-range fast path): plain
+/// rows on either tier, and an encoded block on the scalar oracle, which
+/// fetches every row (the packed tier folds encoded blocks under a bitmap,
+/// [`ResolvedQuery::aggregate_dense_packed`]). Its folds are plain loops:
+/// iterator `sum`/`min`/`max` here were left out of line, so the x86-64-v3
+/// build called portable code for every chunk.
 #[inline(always)]
 fn aggregate_dense_view(agg: Aggregation, col: &AggView, len: usize, acc: &mut AggAccumulator) {
     let n = len as u64;
@@ -1563,17 +1520,7 @@ fn aggregate_dense_view(agg: Aggregation, col: &AggView, len: usize, acc: &mut A
             }
             acc.add_bulk(n, sum);
         }
-        (Aggregation::Sum(_) | Aggregation::Avg(_), AggView::Block { eb, offset }) => {
-            // A FOR block sums without decoding: every field matches the
-            // trivial `code >= 0` test, so the masked-sum kernel degenerates
-            // to a straight lane-wise fold of the packed payloads.
-            if let BlockData::For { class, packed } = eb.data() {
-                let (rows, code_sum) =
-                    kernels::packed_sum_same_layout(packed, packed, *class, *offset, len, 0, None);
-                debug_assert_eq!(rows, n);
-                acc.add_bulk(n, code_sum + n as u128 * eb.bounds().0 as u128);
-                return;
-            }
+        (Aggregation::Sum(_) | Aggregation::Avg(_), _) => {
             let mut sum = 0u128;
             for i in 0..len {
                 sum += col.fetch(i) as u128;
@@ -2110,7 +2057,7 @@ mod tests {
 
     /// Columns spanning every encoding: dim0 FOR-compressible (12-bit
     /// domain), dim1 low-cardinality (dict), dim2 incompressible (plain
-    /// fallback), dim3 a second FOR column for same-layout SUM fast paths.
+    /// fallback), dim3 a second FOR column in dim0's pack class.
     fn encodable_dataset(n: u64) -> Dataset {
         Dataset::from_columns(vec![
             (0..n).map(|v| v * 37 % 4096).collect(),
@@ -2329,11 +2276,14 @@ mod tests {
         }
     }
 
+    /// Strictly monotone columns (FOR W15 falling, FOR W31 rising), so
+    /// each exact range's MIN of dim 0 and MAX of dim 1 sit in its last
+    /// row alone, and that row ends a partial bitmap word. SUM and AVG are
+    /// checked against the column's own sum: the packed tier folds an
+    /// exact FOR chunk under a bitmap and the oracle fetches every row, so
+    /// neither is the other's reference.
     #[test]
-    fn exact_min_max_chunks_fold_their_last_row() {
-        // Strictly monotone columns (FOR W15 falling, FOR W31 rising), so
-        // each exact range's MIN of dim 0 and MAX of dim 1 sit in its last
-        // row alone, and that row ends a partial bitmap word.
+    fn exact_chunks_fold_their_last_row() {
         let n = 3 * BLOCK_ROWS as u64;
         let ds = Dataset::from_columns(vec![
             (0..n).map(|v| (n - v) * 5).collect(),
@@ -2346,18 +2296,28 @@ mod tests {
         }
         for range in [100..1_000, 1_124..2_000, 2_052..2_900] {
             let plan = ScanPlan::from_ranges([(range.clone(), true)]);
-            for agg in [Aggregation::Min(0), Aggregation::Max(1)] {
+            for agg in [
+                Aggregation::Min(0),
+                Aggregation::Max(1),
+                Aggregation::Sum(0),
+                Aggregation::Sum(1),
+                Aggregation::Avg(0),
+                Aggregation::Avg(1),
+            ] {
                 let q = Query::new(vec![], agg).unwrap();
-                let (expected, _) = run(&ds, &q, &plan, 1, KernelTier::Scalar);
-                let last = Some(ds.column(agg.input_dim().unwrap())[range.end - 1]);
+                let col = &ds.column(agg.input_dim().unwrap())[range.clone()];
+                let last = col.last().copied();
+                let sum: u128 = col.iter().map(|&v| v as u128).sum();
                 let want = match agg {
                     Aggregation::Min(_) => AggResult::Min(last),
-                    _ => AggResult::Max(last),
+                    Aggregation::Max(_) => AggResult::Max(last),
+                    Aggregation::Sum(_) => AggResult::Sum(sum),
+                    _ => AggResult::Avg(Some(sum as f64 / col.len() as f64)),
                 };
-                assert_eq!(expected, want);
+                assert_eq!(run(&ds, &q, &plan, 1, KernelTier::Scalar).0, want);
                 for tier in KernelTier::ALL {
                     let (res, _) = run(&src, &q, &plan, 1, tier);
-                    assert_eq!(res, expected, "{agg:?} over {range:?} via {tier:?}");
+                    assert_eq!(res, want, "{agg:?} over {range:?} via {tier:?}");
                 }
             }
         }
@@ -2504,7 +2464,8 @@ mod tests {
     /// and ending at every residue mod 8 — inside one block, from one
     /// block across the next into the plain tail, and inside the tail —
     /// over FOR W7/W15/W31 and Dict W7 columns, exact and not, clean and
-    /// tombstoned, under one to three predicates and every aggregation,
+    /// tombstoned, under one predicate on each column, two and three
+    /// predicates, and every aggregation,
     /// match the scalar oracle in results and counters, run serially and
     /// split into 203-row morsels (≡ 3 mod 8).
     #[test]
@@ -2551,6 +2512,9 @@ mod tests {
                 Predicate::range(1, 200, 3_500).unwrap(),
                 Predicate::range(0, 0, 80).unwrap(),
             ],
+            vec![Predicate::range(0, 10, 70).unwrap()],
+            vec![Predicate::range(2, 1 << 20, 3 << 20).unwrap()],
+            vec![Predicate::range(3, 3 * g, 18 * g).unwrap()],
         ];
         for (source, label) in sources.iter().zip(["clean", "tombstoned"]) {
             for (s, e) in (0..8).flat_map(|s| (0..8).map(move |e| (s, e))) {
