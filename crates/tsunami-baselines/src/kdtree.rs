@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use tsunami_core::{
-    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, Value, Workload,
+    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, SharedIndex, Value, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -48,6 +48,8 @@ pub struct KdTree {
     num_nodes: usize,
     timing: BuildTiming,
     page_size: usize,
+    /// The order the levels cycle through dimensions in.
+    dim_order: Vec<usize>,
 }
 
 impl KdTree {
@@ -101,6 +103,7 @@ impl KdTree {
                 optimize_secs: 0.0,
             },
             page_size,
+            dim_order: dim_order.to_vec(),
         }
     }
 
@@ -177,19 +180,9 @@ impl KdTree {
         }
     }
 
-    /// Number of leaf pages.
-    pub fn num_leaves(&self) -> usize {
-        self.num_leaves
-    }
-
     /// Total number of tree nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Page size the tree was built with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     fn collect_ranges(
@@ -264,6 +257,11 @@ impl MultiDimIndex for KdTree {
     fn build_timing(&self) -> BuildTiming {
         self.timing
     }
+
+    fn relayout(&self, data: &Dataset) -> Option<SharedIndex> {
+        let tree = Self::build_with_order(data, &self.dim_order, self.page_size);
+        Some(Box::new(tree))
+    }
 }
 
 #[cfg(test)]
@@ -318,9 +316,39 @@ mod tests {
         let w = workload(2, 5, 34);
         let tree = KdTree::build(&ds, &w, 100);
         // ~5000/100 = 50 leaves minimum; allow some slack for uneven splits.
-        assert!(tree.num_leaves() >= 40, "leaves: {}", tree.num_leaves());
-        assert!(tree.num_nodes() > tree.num_leaves());
-        assert_eq!(tree.page_size(), 100);
+        assert!(tree.num_leaves >= 40, "leaves: {}", tree.num_leaves);
+        assert!(tree.num_nodes() > tree.num_leaves);
+    }
+
+    #[test]
+    fn relayout_keeps_the_page_size_and_the_dimension_order() {
+        let ds = data(2_000, 2, 39);
+        let w = Workload::new(vec![
+            Query::count(vec![Predicate::range(0, 0, 50_000).unwrap()]).unwrap(),
+            Query::count(vec![Predicate::range(1, 0, 5_000).unwrap()]).unwrap(),
+        ]);
+        let tree = KdTree::build(&ds, &w, 100);
+        assert_eq!(tree.dim_order, [1, 0]);
+        // Rows on which the same workload would split dimension 0 first:
+        // every row holds a value of dimension 1 that its query keeps.
+        let other = Dataset::from_columns(vec![
+            (0..3_000u64).map(|v| v * 50).collect(),
+            (0..3_000u64).map(|v| v * 7_919 % 5_000).collect(),
+        ])
+        .unwrap();
+        assert_eq!(KdTree::dimension_order(&other, &w), [0, 1]);
+        let relaid = tree.relayout(&other).unwrap();
+        let kept = KdTree::build_with_order(&other, &[1, 0], 100);
+        assert_eq!(relaid.size_bytes(), kept.size_bytes());
+        let probe = Query::count(vec![Predicate::range(0, 1_000, 90_000).unwrap()]).unwrap();
+        for q in w.queries().iter().chain([&probe]) {
+            assert_eq!(relaid.plan(q), kept.plan(q), "{q:?}");
+            assert_eq!(relaid.execute(q), q.execute_full_scan(&other), "{q:?}");
+        }
+        assert_ne!(
+            relaid.plan(&probe),
+            KdTree::build_with_order(&other, &[0, 1], 100).plan(&probe)
+        );
     }
 
     #[test]
@@ -344,7 +372,7 @@ mod tests {
         let ds = Dataset::from_columns(vec![vec![7u64; 1000], vec![9u64; 1000]]).unwrap();
         let w = workload(2, 3, 37);
         let tree = KdTree::build(&ds, &w, 10);
-        assert!(tree.num_leaves() >= 1);
+        assert!(tree.num_leaves >= 1);
         let q = Query::count(vec![Predicate::eq(0, 7)]).unwrap();
         assert_eq!(tree.execute(&q), AggResult::Count(1000));
     }

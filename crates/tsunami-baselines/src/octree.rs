@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use tsunami_core::{
-    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, Value, Workload,
+    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, SharedIndex, Value, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -172,19 +172,9 @@ impl HyperOctree {
         }
     }
 
-    /// Number of leaf pages.
-    pub fn num_leaves(&self) -> usize {
-        self.num_leaves
-    }
-
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Page size the tree was built with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     fn collect_ranges(
@@ -261,6 +251,11 @@ impl MultiDimIndex for HyperOctree {
     fn build_timing(&self) -> BuildTiming {
         self.timing
     }
+
+    fn relayout(&self, data: &Dataset) -> Option<SharedIndex> {
+        let workload = Workload::default();
+        Some(Box::new(Self::build(data, &workload, self.page_size)))
+    }
 }
 
 #[cfg(test)]
@@ -316,9 +311,24 @@ mod tests {
     fn page_size_bounds_leaf_population() {
         let ds = data(5_000, 2, 54);
         let idx = HyperOctree::build(&ds, &Workload::default(), 100);
-        assert!(idx.num_leaves() >= 5_000 / 100 / 4);
-        assert!(idx.num_nodes() >= idx.num_leaves());
-        assert_eq!(idx.page_size(), 100);
+        assert!(idx.num_leaves >= 5_000 / 100 / 4);
+        assert!(idx.num_nodes() >= idx.num_leaves);
+    }
+
+    #[test]
+    fn relayout_keeps_the_page_size() {
+        let idx = HyperOctree::build(&data(1_000, 2, 54), &Workload::default(), 100);
+        let other = data(3_000, 2, 56);
+        let relaid = idx.relayout(&other).unwrap();
+        let kept = HyperOctree::build(&other, &Workload::default(), 100);
+        assert_eq!(relaid.size_bytes(), kept.size_bytes());
+        assert_ne!(
+            relaid.size_bytes(),
+            HyperOctree::build(&other, &Workload::default(), 1_024).size_bytes()
+        );
+        let q = Query::count(vec![Predicate::range(1, 100, 4_000).unwrap()]).unwrap();
+        assert_eq!(relaid.plan(&q), kept.plan(&q));
+        assert_eq!(relaid.execute(&q), q.execute_full_scan(&other));
     }
 
     #[test]

@@ -16,13 +16,15 @@
 //! falls in (reading single values out of its packed payload), or over the
 //! plain tail. What the index keeps beyond the store is each dimension's
 //! value domain, for residual-predicate elimination.
+//!
+//! A write keeps the sort dimension: [`MultiDimIndex::relayout`] sorts the
+//! mutated rows on it again, without asking the workload.
 
 use std::time::Instant;
 
 use tsunami_core::exec::BLOCK_ROWS;
 use tsunami_core::{
-    BuildTiming, Dataset, MultiDimIndex, Query, Result, ScanPlan, ScanSource, Successor,
-    TsunamiError, Value, Workload,
+    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, SharedIndex, Value, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -87,51 +89,6 @@ impl ClusteredSingleDimIndex {
                 optimize_secs: 0.0,
             },
         }
-    }
-
-    /// Absorbs new rows **without a rebuild** — the sorted-merge ingest: the
-    /// batch is appended to the store's tail and one stable sort over the
-    /// sort dimension merges it into place (the old rows are already one
-    /// sorted run, so the sort degenerates to a merge). The per-dimension
-    /// domains backing residual-predicate elimination are widened to cover
-    /// the batch.
-    ///
-    /// Fails with [`TsunamiError::DimensionMismatch`] when the batch's
-    /// width differs from the index's.
-    pub fn ingest(&self, rows: &Dataset) -> Result<Self> {
-        if rows.num_dims() != self.store.num_dims() {
-            return Err(TsunamiError::DimensionMismatch {
-                expected: self.store.num_dims(),
-                got: rows.num_dims(),
-            });
-        }
-        let start = Instant::now();
-        let mut store = self.store.clone();
-        store.append_dataset(rows);
-        let keys = store.column(self.sort_dim).decode_range(0..store.len());
-        let mut perm: Vec<usize> = (0..keys.len()).collect();
-        perm.sort_by_key(|&r| keys[r]);
-        store.permute(&perm);
-        store.encode_blocks();
-        let domains: Vec<(Value, Value)> = self
-            .domains
-            .iter()
-            .enumerate()
-            .map(|(dim, &(lo, hi))| match rows.domain(dim) {
-                Some((blo, bhi)) if !self.store.is_empty() => (lo.min(blo), hi.max(bhi)),
-                Some(fresh) => fresh,
-                None => (lo, hi),
-            })
-            .collect();
-        Ok(Self {
-            store,
-            sort_dim: self.sort_dim,
-            domains,
-            timing: BuildTiming {
-                sort_secs: start.elapsed().as_secs_f64(),
-                optimize_secs: 0.0,
-            },
-        })
     }
 
     /// The number of leading rows whose sort-dimension value satisfies
@@ -219,8 +176,8 @@ impl MultiDimIndex for ClusteredSingleDimIndex {
         self.timing
     }
 
-    fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
-        Ok(Some(Successor::patched(self.ingest(rows)?, rows.len())))
+    fn relayout(&self, data: &Dataset) -> Option<SharedIndex> {
+        Some(Box::new(Self::build_on_dim(data, self.sort_dim)))
     }
 }
 
@@ -301,15 +258,17 @@ mod tests {
         }
     }
 
-    /// The sort range `plan()` finds for `lo..=hi` must be the
-    /// `partition_point` pair over the decoded sort column.
-    fn assert_plans_like_a_search(idx: &ClusteredSingleDimIndex, bounds: &[(Value, Value)]) {
-        let keys = idx
-            .store
-            .column(idx.sort_dim)
-            .decode_range(0..idx.store.len());
+    /// The sort range `plan()` finds for `lo..=hi` on `sort_dim` must be
+    /// the `partition_point` pair over the decoded sort column.
+    fn assert_plans_like_a_search(
+        idx: &dyn MultiDimIndex,
+        sort_dim: usize,
+        bounds: &[(Value, Value)],
+    ) {
+        let source = idx.source();
+        let keys = (source.column_data(sort_dim)).decode_range(0..source.num_rows());
         for &(lo, hi) in bounds {
-            let q = Query::count(vec![Predicate::range(idx.sort_dim, lo, hi).unwrap()]).unwrap();
+            let q = Query::count(vec![Predicate::range(sort_dim, lo, hi).unwrap()]).unwrap();
             let start = keys.partition_point(|&v| v < lo);
             let end = keys.partition_point(|&v| v <= hi);
             let expected = ScanPlan::from_ranges([(start..end, true)]);
@@ -364,28 +323,27 @@ mod tests {
             let lo = rng.next_below(n as u64 / 20 + 20);
             bounds.push((lo, lo + rng.next_below(200)));
         }
-        assert_plans_like_a_search(&idx, &bounds);
+        assert_plans_like_a_search(&idx, 0, &bounds);
 
-        // After an ingest the sorted store has a new block layout and tail.
-        let batch = Dataset::from_columns(vec![
-            (0..700)
-                .map(|_| 11 + 2 * rng.next_below(n as u64 / 40))
-                .collect(),
-            (0..700).map(|_| rng.next_below(1_000)).collect(),
-        ])
-        .unwrap();
-        let ingested = idx.ingest(&batch).unwrap();
-        assert_eq!(ingested.store.column(0).encoded_blocks().len(), 3);
-        assert_eq!(ingested.store.column(0).tail_rows(), 1_000);
+        // Laid out again with 700 more rows, the sorted store has a new
+        // block layout and tail.
+        let mut merged = ds.clone();
+        for _ in 0..700 {
+            let key = 11 + 2 * rng.next_below(n as u64 / 40);
+            merged.push_row(&[key, rng.next_below(1_000)]).unwrap();
+        }
+        let relaid = idx.relayout(&merged).unwrap();
+        let column = relaid.source().column_data(0);
+        assert_eq!((column.blocks.len(), column.tail.len()), (3, 1_000));
         bounds.extend((0..100).map(|v| (11 + 2 * v, 11 + 2 * v)));
-        assert_plans_like_a_search(&ingested, &bounds);
+        assert_plans_like_a_search(relaid.as_ref(), 0, &bounds);
     }
 
     #[test]
     fn an_empty_table_plans_nothing() {
         let ds = Dataset::from_columns(vec![vec![], vec![]]).unwrap();
         let idx = ClusteredSingleDimIndex::build_on_dim(&ds, 1);
-        assert_plans_like_a_search(&idx, &[(0, 0), (0, u64::MAX), (5, 9)]);
+        assert_plans_like_a_search(&idx, 1, &[(0, 0), (0, u64::MAX), (5, 9)]);
         assert!(idx.size_bytes() > 0);
     }
 
@@ -438,56 +396,63 @@ mod tests {
     }
 
     #[test]
-    fn ingest_merges_into_sort_order_and_stays_sound() {
+    fn relayout_sorts_the_new_rows_and_stays_sound() {
         let ds = data();
         let idx = ClusteredSingleDimIndex::build_on_dim(&ds, 0);
-        // Batch including values beyond the build-time domain of both dims.
-        let batch = Dataset::from_columns(vec![
-            vec![5, 500, 999, 5_000, 5_001],
-            vec![1, 2, 3, 4, 5_000],
-        ])
-        .unwrap();
-        let ingested = idx.ingest(&batch).unwrap();
-
+        // The old rows plus some beyond the build-time domain of both dims.
         let mut merged = ds.clone();
-        for row in batch.rows() {
+        for row in [[5, 1], [500, 2], [999, 3], [5_000, 4], [5_001, 5_000]] {
             merged.push_row(&row).unwrap();
         }
-        // The store stays sorted on the sort dimension and holds every row.
-        let keys = ingested.store.column(0).decode_range(0..merged.len());
+        let relaid = idx.relayout(&merged).unwrap();
+
+        // The store is sorted on the sort dimension and holds every row.
+        let source = relaid.source();
+        let keys = source.column_data(0).decode_range(0..source.num_rows());
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(ingested.store.len(), merged.len());
+        assert_eq!(source.num_rows(), merged.len());
 
         for (lo, hi) in [(0u64, 99u64), (400, 600), (990, 6_000)] {
             let q = Query::count(vec![Predicate::range(0, lo, hi).unwrap()]).unwrap();
-            assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+            assert_eq!(relaid.execute(&q), q.execute_full_scan(&merged));
         }
         // Residual elimination stays sound: the old whole-domain predicate
-        // no longer covers the widened domain, so it must be re-checked (the
+        // no longer covers the wider domain, so it must be re-checked (the
         // result must exclude the new out-of-domain rows).
         let (old_lo, old_hi) = ds.domain(1).unwrap();
         let q = Query::count(vec![Predicate::range(1, old_lo, old_hi).unwrap()]).unwrap();
-        assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+        assert_eq!(relaid.execute(&q), q.execute_full_scan(&merged));
         // And the *new* whole-domain predicate is dropped from the residual.
         let (lo, hi) = merged.domain(1).unwrap();
         let q = Query::count(vec![Predicate::range(1, lo, hi).unwrap()]).unwrap();
-        let plan = ingested.plan(&q);
+        let plan = relaid.plan(&q);
         assert!(plan.residual(&q).is_empty());
-        assert_eq!(ingested.execute(&q), q.execute_full_scan(&merged));
+        assert_eq!(relaid.execute(&q), q.execute_full_scan(&merged));
     }
 
     #[test]
-    fn ingest_refuses_a_batch_of_another_width() {
-        let idx = ClusteredSingleDimIndex::build_on_dim(&data(), 0);
-        let wide = Dataset::from_columns(vec![vec![1], vec![2], vec![3]]).unwrap();
-        assert!(matches!(
-            idx.ingest(&wide),
-            Err(TsunamiError::DimensionMismatch {
-                expected: 2,
-                got: 3
-            })
-        ));
-        assert!(idx.ingest_batch(&wide).is_err());
+    fn relayout_keeps_the_sort_dimension() {
+        let ds = data();
+        let w = Workload::new(vec![
+            Query::count(vec![Predicate::range(0, 0, 900).unwrap()]).unwrap(),
+            Query::count(vec![Predicate::range(1, 5, 10).unwrap()]).unwrap(),
+        ]);
+        let idx = ClusteredSingleDimIndex::build(&ds, &w);
+        assert_eq!(idx.sort_dim(), 1);
+        // Rows on which the same workload would sort on dimension 0: every
+        // row holds a value of dimension 1 that its query keeps.
+        let other = Dataset::from_columns(vec![(0..3_000).collect(), vec![7; 3_000]]).unwrap();
+        assert_eq!(ClusteredSingleDimIndex::choose_sort_dim(&other, &w), 0);
+        let relaid = idx.relayout(&other).unwrap();
+        let kept = ClusteredSingleDimIndex::build_on_dim(&other, 1);
+        for q in [
+            Query::count(vec![Predicate::range(0, 10, 40).unwrap()]).unwrap(),
+            Query::count(vec![Predicate::range(1, 7, 7).unwrap()]).unwrap(),
+        ] {
+            assert_eq!(relaid.plan(&q), kept.plan(&q), "{q:?}");
+            assert_eq!(relaid.execute(&q), q.execute_full_scan(&other));
+        }
+        assert_eq!(relaid.build_timing().optimize_secs, 0.0);
     }
 
     #[test]

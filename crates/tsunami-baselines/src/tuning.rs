@@ -67,7 +67,7 @@ where
 
 /// Measures the average per-query latency (seconds) of an index over a
 /// workload.
-pub fn measure_average_latency<I: MultiDimIndex>(index: &I, workload: &Workload) -> f64 {
+fn measure_average_latency<I: MultiDimIndex>(index: &I, workload: &Workload) -> f64 {
     if workload.is_empty() {
         return 0.0;
     }

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use tsunami_core::{
-    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, Value, Workload,
+    BuildTiming, Dataset, MultiDimIndex, Query, ScanPlan, ScanSource, SharedIndex, Value, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -123,16 +123,6 @@ impl ZOrderIndex {
         }
     }
 
-    /// Number of pages.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Page size the index was built with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     fn z_of_corner(&self, corner: &[Value]) -> u64 {
         let coords: Vec<u64> = corner
             .iter()
@@ -194,6 +184,11 @@ impl MultiDimIndex for ZOrderIndex {
 
     fn build_timing(&self) -> BuildTiming {
         self.timing
+    }
+
+    fn relayout(&self, data: &Dataset) -> Option<SharedIndex> {
+        let workload = Workload::default();
+        Some(Box::new(Self::build(data, &workload, self.page_size)))
     }
 }
 
@@ -281,10 +276,25 @@ mod tests {
     fn pages_respect_page_size() {
         let ds = data(1_000, 2, 44);
         let idx = ZOrderIndex::build(&ds, &Workload::default(), 100);
-        assert_eq!(idx.num_pages(), 10);
-        assert_eq!(idx.page_size(), 100);
+        assert_eq!(idx.pages.len(), 10);
         assert!(idx.size_bytes() > 0);
         assert_eq!(idx.name(), "ZOrder");
+    }
+
+    #[test]
+    fn relayout_keeps_the_page_size() {
+        let idx = ZOrderIndex::build(&data(1_000, 2, 44), &Workload::default(), 100);
+        let other = data(2_000, 2, 46);
+        let relaid = idx.relayout(&other).unwrap();
+        let kept = ZOrderIndex::build(&other, &Workload::default(), 100);
+        assert_eq!(relaid.size_bytes(), kept.size_bytes());
+        assert_ne!(
+            relaid.size_bytes(),
+            ZOrderIndex::build(&other, &Workload::default(), 1_024).size_bytes()
+        );
+        let q = Query::count(vec![Predicate::range(1, 100, 20_000).unwrap()]).unwrap();
+        assert_eq!(relaid.plan(&q), kept.plan(&q));
+        assert_eq!(relaid.execute(&q), q.execute_full_scan(&other));
     }
 
     #[test]

@@ -18,7 +18,8 @@ use crate::table::{fmt_f64, Table};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use tsunami_core::{CostModel, Dataset, MultiDimIndex};
+use tsunami_core::exec::live_dataset;
+use tsunami_core::{CostModel, Dataset, MultiDimIndex, Point, Predicate};
 use tsunami_engine::IndexSpec;
 use tsunami_index::augmented_grid::{optimize_layout, OptimizerKind};
 use tsunami_index::FloodIndex;
@@ -296,6 +297,8 @@ pub fn fig9b(config: &HarnessConfig) -> String {
     let (stream, streams) = fig9b_stream_impl(config, &STREAM_TABLE_ROWS);
     out.push_str(&stream);
     entries.extend(streams.iter().map(stream_entry));
+    out.push('\n');
+    out.push_str(&fig9b_writes_impl(config));
     write_bench_json(
         config,
         "BENCH_ingest.json",
@@ -308,7 +311,8 @@ pub fn fig9b(config: &HarnessConfig) -> String {
 }
 
 /// The ingest drill-down: absorb batches of 1/5/10% new TPC-H rows into a
-/// built index (`TsunamiIndex::ingest` / `FloodIndex::ingest`) and compare
+/// built index (`TsunamiIndex::ingest`; Flood lays its live rows plus the
+/// batch out again under its partitions, `MultiDimIndex::relayout`) and compare
 /// against rebuilding from the full dataset — both the adaptation time and
 /// the post-ingest query latency. Every ingested index is cross-checked for
 /// bit-identical results against the rebuilt one while measuring. Returns
@@ -380,12 +384,18 @@ fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<String>) {
                 }
                 _ => {
                     let t0 = Instant::now();
-                    let ingested = flood.ingest(&batch).expect("flood ingest");
+                    let source = flood.source();
+                    let mut columns = live_dataset(source, 0..source.num_rows()).into_columns();
+                    for (dim, column) in columns.iter_mut().enumerate() {
+                        column.extend_from_slice(batch.column(dim));
+                    }
+                    let merged = Dataset::from_columns(columns).expect("equal-length columns");
+                    let ingested = flood.relayout(&merged).expect("flood relayout");
                     let ingest_secs = t0.elapsed().as_secs_f64();
                     let t0 = Instant::now();
                     let rebuilt = FloodIndex::build(&grown, &workload, &cost, &flood_config);
                     (
-                        Box::new(ingested),
+                        ingested,
                         ingest_secs,
                         Box::new(rebuilt),
                         t0.elapsed().as_secs_f64(),
@@ -432,6 +442,9 @@ fn fig9b_ingest_impl(config: &HarnessConfig) -> (String, Vec<String>) {
 const STREAM_TABLE_ROWS: [usize; 2] = [20_000, 200_000];
 const STREAM_BATCH_ROWS: usize = 64;
 const STREAM_BATCHES: usize = 48;
+/// Writes per family in the write axis ([`fig9b_writes_impl`]).
+const WRITE_INSERTS: usize = 8;
+const WRITE_DELETES: usize = 5;
 
 /// One row of the small-batch axis.
 struct StreamEntry {
@@ -472,10 +485,6 @@ fn fig9b_stream_impl(config: &HarnessConfig, table_rows: &[usize]) -> (String, V
             "rebuilt (us)",
         ],
     );
-    let median = |us: &mut Vec<f64>| {
-        us.sort_by(f64::total_cmp);
-        us.get(us.len() / 2).copied().unwrap_or(0.0)
-    };
     let mut entries = Vec::new();
     for &n in table_rows {
         let grown = tpch::generate(n + STREAM_BATCHES * STREAM_BATCH_ROWS, config.seed);
@@ -542,6 +551,67 @@ fn fig9b_stream_impl(config: &HarnessConfig, table_rows: &[usize]) -> (String, V
         entries.push(entry);
     }
     (finish(t), entries)
+}
+
+/// The median of `values` (0 for none).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values.get(values.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// The write axis: [`WRITE_INSERTS`] inserts of [`STREAM_BATCH_ROWS`] rows,
+/// then [`WRITE_DELETES`] point deletes, through `Database` into a TPC-H
+/// table of `--rows` rows of every family, each write timed alone. A write
+/// keeps the layout its table's build chose: Tsunami patches its delta,
+/// FullScan appends or tombstones, every other family lays its rows out
+/// again.
+fn fig9b_writes_impl(config: &HarnessConfig) -> String {
+    let n = config.rows;
+    let grown = tpch::generate(n + WRITE_INSERTS * STREAM_BATCH_ROWS, config.seed);
+    let columns = (0..grown.num_dims()).map(|d| grown.column(d)[..n].to_vec());
+    let data = Dataset::from_columns(columns.collect()).expect("equal-length columns");
+    let workload = tpch::workload(&data, config.queries_per_type, config.seed ^ 10);
+    let mut specs = config.all_specs();
+    specs.push(IndexSpec::FullScan);
+    let mut db = database_for(&data, &workload, &[], &specs);
+    let mut t = Table::new(
+        "Fig 9b (writes): median write through Database (TPC-H)",
+        &["index", "insert of 64 rows (ms)", "point delete (ms)"],
+    );
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+    for spec in &specs {
+        let name = spec.label();
+        let mut insert_ms: Vec<f64> = (0..WRITE_INSERTS)
+            .map(|k| {
+                let start = n + k * STREAM_BATCH_ROWS;
+                let rows: Vec<Point> = (start..start + STREAM_BATCH_ROWS)
+                    .map(|r| grown.row(r))
+                    .collect();
+                let t0 = Instant::now();
+                db.insert_batch(name, &rows).expect("insert");
+                ms(t0)
+            })
+            .collect();
+        let mut delete_ms: Vec<f64> = (0..WRITE_DELETES)
+            .map(|k| {
+                let row = grown.row(k * grown.len() / WRITE_DELETES);
+                let point: Vec<Predicate> = (row.iter().enumerate())
+                    .map(|(dim, &v)| Predicate::eq(dim, v))
+                    .collect();
+                let t0 = Instant::now();
+                let (_, deleted) = db.delete_with_count(name, &point).expect("delete");
+                let elapsed = ms(t0);
+                assert!(deleted > 0, "{name}: point delete {k} matched nothing");
+                elapsed
+            })
+            .collect();
+        t.add_row(vec![
+            name.to_string(),
+            fmt_f64(median(&mut insert_ms)),
+            fmt_f64(median(&mut delete_ms)),
+        ]);
+    }
+    finish(t)
 }
 
 /// Fig 10: scalability with dimensionality, on uncorrelated and correlated

@@ -22,8 +22,10 @@
 //! [`Successor`] — [`MultiDimIndex::ingest_batch`],
 //! [`MultiDimIndex::delete_matching`]. Both are pure (`&self` in, a new
 //! index out) and both default to `Ok(None)`, "this family has no such
-//! path": the caller then rebuilds over [`exec::live_dataset`] of the source
-//! plus or minus the mutation.
+//! path": the caller then asks for [`MultiDimIndex::relayout`] over
+//! [`exec::live_dataset`] of the source plus or minus the mutation — the
+//! same family laid out over those rows under the decision its build made.
+//! A write never re-derives a layout; only a fresh build does.
 
 use crate::dataset::Dataset;
 use crate::error::Result;
@@ -151,9 +153,10 @@ pub trait MultiDimIndex {
     /// Build-time breakdown recorded while constructing the index (Fig 9b).
     fn build_timing(&self) -> BuildTiming;
 
-    /// Absorbs a batch of rows (same width as the source) without a
-    /// from-spec rebuild, returning the index over old + new rows. `Ok(None)`
-    /// — the default — means the family has no ingest path.
+    /// Absorbs a batch of rows (same width as the source) into the existing
+    /// layout, returning the index over old + new rows. `Ok(None)` — the
+    /// default — means the family has no ingest path: the caller then calls
+    /// [`Self::relayout`] over the live rows plus the batch.
     fn ingest_batch(&self, _rows: &Dataset) -> Result<Option<Successor>> {
         Ok(None)
     }
@@ -161,9 +164,19 @@ pub trait MultiDimIndex {
     /// Deletes every live row matching all of `query`'s predicates (its
     /// aggregation is ignored), returning the index over the survivors;
     /// [`Successor::rows`] is the number of rows newly deleted. `Ok(None)` —
-    /// the default — means the family has no delete path.
+    /// the default — means the family has no delete path: the caller then
+    /// calls [`Self::relayout`] over the surviving rows.
     fn delete_matching(&self, _query: &Query) -> Result<Option<Successor>> {
         Ok(None)
+    }
+
+    /// The same family built over `data` (same width as the source),
+    /// keeping the layout decision this index's build made — a sort
+    /// dimension, partition counts, a page size — rather than deriving it
+    /// again: no optimizer, no timer, no workload. `None` — the default —
+    /// means the family cannot lay itself out again without one.
+    fn relayout(&self, _data: &Dataset) -> Option<SharedIndex> {
+        None
     }
 
     /// Downcast hook for capabilities beyond this trait (e.g. a benchmark

@@ -8,9 +8,10 @@
 //!
 //! Inserts and deletes share one path: validate, ask the
 //! index for its successor through [`tsunami_core::MultiDimIndex`] (falling
-//! back to a rebuild from the stored spec over [`Table::dataset`] ± the
-//! mutation for families without one), log, swap the table generation,
-//! maintain the views.
+//! back to the same family laid out again over [`Table::dataset`] ± the
+//! mutation, under the decision its build made, for families without one),
+//! log, swap the table generation, maintain the views. A write never runs
+//! an optimizer or a timer.
 //!
 //! Workload shift (§8) is handled at this layer too: [`Database::reindex`]
 //! rebuilds a table's layout for a new workload — the one way a layout is
@@ -481,10 +482,12 @@ impl Database {
     /// ([`MultiDimIndex::ingest_batch`](tsunami_core::MultiDimIndex::ingest_batch)):
     /// Tsunami routes rows to their Grid-Tree regions and parks them in a
     /// per-region delta, grafted into the clustered layout once per scan
-    /// block; Flood and the single-dim/full-scan baselines merge the
-    /// batch into their sorted stores. Families without an ingest path (the
-    /// paged baselines) fall back to rebuilding from the table's stored spec
-    /// over [`Table::dataset`] plus the batch.
+    /// block; a full-scan table appends the batch. Every other family is
+    /// laid out again over [`Table::dataset`] plus the batch
+    /// ([`MultiDimIndex::relayout`](tsunami_core::MultiDimIndex::relayout)),
+    /// keeping the decision its build made: Flood's partition counts,
+    /// SingleDim's sort dimension, the paged baselines' page size and the
+    /// k-d tree's dimension order.
     ///
     /// Rows are validated against the table's schema width. Swap semantics
     /// match [`Database::reindex`] — scheduler-safe: the catalog entry is
@@ -523,8 +526,9 @@ impl Database {
     /// physically compacted) or the whole index's mutated fraction passes
     /// [`TsunamiConfig::ingest_rebuild_staleness`] (it is rebuilt over the
     /// live rows). Full-scan tables
-    /// tombstone and compact once majority-dead; every other family rebuilds
-    /// from its stored spec over the surviving rows of [`Table::dataset`].
+    /// tombstone and compact once majority-dead; every other family is laid
+    /// out again over the surviving rows of [`Table::dataset`], keeping the
+    /// decision its build made (see [`Database::insert_batch`]).
     ///
     /// The count comes from the index's own delete, and a delete that
     /// matches nothing changes nothing: no WAL record, no swap. Deletes feed
@@ -567,7 +571,7 @@ impl Database {
                         for row in rows {
                             data.push_row(row)?;
                         }
-                        self.rebuild_from_spec(&old, &data, rows.len())?
+                        relayout(&old, &data, rows.len())?
                     }
                 };
                 let table = name.to_string();
@@ -589,7 +593,7 @@ impl Database {
                         if deleted == 0 {
                             return Ok((old, 0, None));
                         }
-                        self.rebuild_from_spec(&old, &data.select_rows(&keep), deleted)?
+                        relayout(&old, &data.select_rows(&keep), deleted)?
                     }
                 };
                 if successor.rows == 0 {
@@ -605,8 +609,9 @@ impl Database {
 
         // Inserts and deletes alike are mutations against the optimized-for
         // layout and feed one drift counter — unless this one re-derived the
-        // whole layout, which already covers it: the counter restarts, so
-        // auto_reoptimize does not fire a second rebuild for it.
+        // whole layout (a Tsunami staleness escalation), which already
+        // covers it: the counter restarts, so auto_reoptimize does not fire
+        // a second rebuild for it.
         let drift = if successor.rebuilt {
             0
         } else {
@@ -630,26 +635,6 @@ impl Database {
             }
         }
         Ok((table, successor.rows, successor.ingest_report))
-    }
-
-    /// The successor for index families without a mutation path of their
-    /// own: a rebuild from the table's stored spec over `data` — the live
-    /// rows plus or minus the `rows` mutated — still optimized for the
-    /// current reference workload.
-    fn rebuild_from_spec(&self, old: &Table, data: &Dataset, rows: usize) -> Result<Successor> {
-        let spec = old.index_spec().ok_or_else(|| {
-            TsunamiError::Build(format!(
-                "table '{}' was registered around a pre-built index without a spec or a \
-                 mutation path; reindex it before inserting or deleting",
-                old.name()
-            ))
-        })?;
-        Ok(Successor {
-            index: spec.build(data, old.reference_workload(), &self.cost)?,
-            rows,
-            rebuilt: true,
-            ingest_report: None,
-        })
     }
 
     /// The autonomous monitor → re-optimize loop: compares the queries
@@ -709,6 +694,27 @@ impl Database {
             .position(|t| t.name() == name)
             .ok_or_else(|| TsunamiError::UnknownTable(name.to_string()))
     }
+}
+
+/// The successor for index families that patch no mutation in: the same
+/// family laid out over `data` — the live rows plus or minus the `rows`
+/// mutated — under the decision its build made
+/// ([`MultiDimIndex::relayout`](tsunami_core::MultiDimIndex::relayout)).
+/// The layout is not re-derived, so the mutation counts toward data drift.
+fn relayout(old: &Table, data: &Dataset, rows: usize) -> Result<Successor> {
+    let index = old.index().relayout(data).ok_or_else(|| {
+        TsunamiError::Build(format!(
+            "table '{}' holds a {} index, which has no mutation path",
+            old.name(),
+            old.index().name()
+        ))
+    })?;
+    Ok(Successor {
+        index,
+        rows,
+        rebuilt: false,
+        ingest_report: None,
+    })
 }
 
 impl Default for Database {
@@ -1026,11 +1032,56 @@ mod tests {
             let after = db.insert_batch(name, &batch(1)).unwrap();
             rows.extend(batch(1));
             assert_holds(&after, &rows, "second insert");
+
+            // Emptied and filled again: a layout over no rows, then over
+            // the batch alone.
+            let (_, deleted) = db.delete_with_count(name, &[]).unwrap();
+            assert_eq!(deleted, rows.len(), "{name}");
+            rows.clear();
+            assert_holds(&db.table(name).unwrap(), &rows, "delete everything");
+            let after = db.insert_batch(name, &batch(2)).unwrap();
+            rows.extend(batch(2));
+            assert_holds(&after, &rows, "insert into an empty table");
+
+            // Single-row convenience + schema validation, checked by the
+            // engine before any family sees the row.
+            db.insert(name, &[1, 2, 3]).unwrap();
+            assert!(db.insert(name, &[1, 2]).is_err(), "{name}");
         }
-        // Single-row convenience + schema validation.
-        db.insert("Tsunami", &[1, 2, 3]).unwrap();
-        assert!(db.insert("Tsunami", &[1, 2]).is_err());
         assert!(db.insert_batch("nope", &[vec![1, 2, 3]]).is_err());
+    }
+
+    #[test]
+    fn writes_keep_the_layout_the_build_chose() {
+        let (data, day, _) = shift_fixture();
+        let band = [Predicate::range(0, 300, 1_499).unwrap()];
+        let mut db = Database::new();
+        for spec in IndexSpec::all_fast() {
+            let name = spec.label();
+            db.create_table_unnamed(name, data.clone(), &day, &spec)
+                .unwrap();
+            let mut rows: Vec<Point> = data.rows().collect();
+            db.insert_batch(name, &batch(0)).unwrap();
+            rows.extend(batch(0));
+            let (after, deleted) = db.delete_with_count(name, &band).unwrap();
+            assert_eq!(deleted, delete_from(&mut rows, &band), "{name}");
+            assert_holds(&after, &rows, "insert and delete");
+            // No write ran an optimizer: the layout is the build's.
+            if name != "Tsunami" {
+                assert_eq!(after.index().build_timing().optimize_secs, 0.0, "{name}");
+            }
+        }
+        // A baseline registered without a spec can be written too.
+        let index = tsunami_baselines::ClusteredSingleDimIndex::build_on_dim(&data, 2);
+        db.register_table("r", Schema::numbered(3), Box::new(index))
+            .unwrap();
+        let mut rows: Vec<Point> = data.rows().collect();
+        let after = db.insert_batch("r", &batch(0)).unwrap();
+        rows.extend(batch(0));
+        assert_holds(&after, &rows, "insert into a registered table");
+        let after = db.delete("r", &band).unwrap();
+        delete_from(&mut rows, &band);
+        assert_holds(&after, &rows, "delete from a registered table");
     }
 
     #[test]
@@ -1151,16 +1202,12 @@ mod tests {
                 // 1,200 build-time rows and 50 ingested ones.
                 assert_eq!(deleted, 1_250, "{name}");
                 assert_holds(&after, &rows, "delete");
-                // Deletes feed the engine's data-drift counter where the
-                // index tombstones; the spec-rebuild fallback re-derives the
-                // layout and so restarts it.
-                match name {
-                    "FullScan" => {
-                        assert!(after.data_drift_fraction() > before.data_drift_fraction())
-                    }
-                    "ZOrder" => assert_eq!(after.data_drift_fraction(), 0.0),
-                    _ => {}
-                }
+                // Every family's delete feeds the engine's data-drift
+                // counter: none re-derives its layout to absorb it.
+                assert!(
+                    after.data_drift_fraction() > before.data_drift_fraction(),
+                    "{name}"
+                );
 
                 // Deleting the same band again matches nothing in the live
                 // rows: a no-op that reaches neither the log nor the catalog.

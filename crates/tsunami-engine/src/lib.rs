@@ -12,7 +12,9 @@
 //!   inserts and deletes reach it through
 //!   [`tsunami_core::MultiDimIndex::ingest_batch`] /
 //!   [`delete_matching`](tsunami_core::MultiDimIndex::delete_matching), with
-//!   a rebuild from the stored spec for families that implement neither.
+//!   [`relayout`](tsunami_core::MultiDimIndex::relayout) — the same family
+//!   over the mutated rows, keeping its build's layout decision — for
+//!   families that implement neither.
 //! * [`QueryBuilder`] — fluent, schema-aware query construction:
 //!   `db.table("trips")?.query().range("pickup", lo, hi)?.sum("fare")?
 //!   .execute()?`. Unknown columns and out-of-bounds dimensions are errors,

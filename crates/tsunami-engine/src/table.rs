@@ -42,10 +42,10 @@ pub(crate) struct TableState {
     /// or delete swap creates, so old handles keep feeding the same log the
     /// catalog's current entry reads.
     pub(crate) observed: Arc<Mutex<VecDeque<Query>>>,
-    /// The spec the index was built from — what `Database::insert_batch`
-    /// and `Database::delete` rebuild from for index families without a
-    /// mutation path of their own. `None` only for tables registered around
-    /// a pre-built index (`Database::register_table`).
+    /// The spec the index was built from — what a checkpoint records and
+    /// a sharded table re-optimizes its shards with. Writes never read it:
+    /// they keep the index's own layout decision. `None` only for tables
+    /// registered around a pre-built index (`Database::register_table`).
     pub(crate) spec: Option<IndexSpec>,
     /// Rows inserted since the index layout was last (re)derived for a
     /// workload (build or reindex) — the engine's data-drift counter,

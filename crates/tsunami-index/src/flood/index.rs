@@ -8,8 +8,8 @@ use crate::augmented_grid::CellScratch;
 use crate::grid_tree::{dim_bit, with_loose_residual};
 use crate::{AugmentedGrid, Skeleton};
 use tsunami_core::{
-    BuildTiming, CostModel, Dataset, MultiDimIndex, Predicate, Query, Result, ScanPlan, ScanSource,
-    Successor, TsunamiError, Workload,
+    BuildTiming, CostModel, Dataset, MultiDimIndex, Predicate, Query, ScanPlan, ScanSource,
+    SharedIndex, Workload,
 };
 use tsunami_store::ColumnStore;
 
@@ -19,12 +19,17 @@ use tsunami_store::ColumnStore;
 /// independently, with the partition counts Flood's optimizer chose. Data
 /// is clustered by grid cell: the grid's cell table maps each cell to its
 /// contiguous range in the column store.
+///
+/// A write keeps the partition counts: [`MultiDimIndex::relayout`]
+/// re-grids the mutated rows with them — fresh per-dimension models, so
+/// values outside the build-time domain land in partitions whose bounds
+/// are truthful — without re-running the optimizer. That is what a
+/// Tsunami graft does to one region; a shifted workload earns a rebuild.
 #[derive(Debug)]
 pub struct FloodIndex {
     grid: AugmentedGrid,
     store: ColumnStore,
     timing: BuildTiming,
-    predicted_cost: f64,
 }
 
 impl FloodIndex {
@@ -37,27 +42,15 @@ impl FloodIndex {
         config: &FloodConfig,
     ) -> Self {
         let opt_start = Instant::now();
-        let optimized = optimize_partitions(data, workload, cost, config);
+        let partitions = optimize_partitions(data, workload, cost, config);
         let optimize_secs = opt_start.elapsed().as_secs_f64();
-        Self::build_with_partitions_timed(
-            data,
-            &optimized.partitions,
-            optimize_secs,
-            optimized.predicted_cost,
-        )
+        let mut index = Self::build_with_partitions(data, &partitions);
+        index.timing.optimize_secs = optimize_secs;
+        index
     }
 
     /// Builds a Flood index with explicit per-dimension partition counts.
     pub fn build_with_partitions(data: &Dataset, partitions: &[usize]) -> Self {
-        Self::build_with_partitions_timed(data, partitions, 0.0, 0.0)
-    }
-
-    fn build_with_partitions_timed(
-        data: &Dataset,
-        partitions: &[usize],
-        optimize_secs: f64,
-        predicted_cost: f64,
-    ) -> Self {
         let sort_start = Instant::now();
         let skeleton = Skeleton::all_independent(data.num_dims());
         let (grid, perm) = AugmentedGrid::build(data, &skeleton, partitions);
@@ -67,50 +60,14 @@ impl FloodIndex {
             store,
             timing: BuildTiming {
                 sort_secs: sort_start.elapsed().as_secs_f64(),
-                optimize_secs,
+                optimize_secs: 0.0,
             },
-            predicted_cost,
         }
-    }
-
-    /// Absorbs new rows **without re-optimizing**: the index's rows plus
-    /// the batch are re-gridded with the same partition counts — fresh
-    /// per-dimension models over the merged rows, so values outside the
-    /// build-time domain land in partitions whose bounds are truthful —
-    /// and the store is re-clustered. This is what a Tsunami graft does to
-    /// one region. Heavy sustained ingest that shifts the data should
-    /// eventually be followed by a rebuild, which re-runs the optimizer.
-    ///
-    /// Fails with [`TsunamiError::DimensionMismatch`] when the batch's
-    /// width differs from the index's.
-    pub fn ingest(&self, rows: &Dataset) -> Result<Self> {
-        if rows.num_dims() != self.store.num_dims() {
-            return Err(TsunamiError::DimensionMismatch {
-                expected: self.store.num_dims(),
-                got: rows.num_dims(),
-            });
-        }
-        let start = Instant::now();
-        let mut cols = self.store.slice_dataset(0..self.store.len()).into_columns();
-        for (dim, col) in cols.iter_mut().enumerate() {
-            col.extend_from_slice(rows.column(dim));
-        }
-        let merged = Dataset::from_columns(cols)?;
-        let partitions = self.grid.partitions();
-        let mut index =
-            Self::build_with_partitions_timed(&merged, partitions, 0.0, self.predicted_cost);
-        index.timing.sort_secs = start.elapsed().as_secs_f64();
-        Ok(index)
     }
 
     /// Number of grid cells (Table 4 reports this).
     pub fn num_cells(&self) -> usize {
         self.grid.num_cells()
-    }
-
-    /// Predicted average query cost from the optimizer (0 if not optimized).
-    pub fn predicted_cost(&self) -> f64 {
-        self.predicted_cost
     }
 }
 
@@ -161,8 +118,11 @@ impl MultiDimIndex for FloodIndex {
         self.timing
     }
 
-    fn ingest_batch(&self, rows: &Dataset) -> Result<Option<Successor>> {
-        Ok(Some(Successor::patched(self.ingest(rows)?, rows.len())))
+    fn relayout(&self, data: &Dataset) -> Option<SharedIndex> {
+        Some(Box::new(Self::build_with_partitions(
+            data,
+            self.grid.partitions(),
+        )))
     }
 }
 
@@ -281,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_matches_a_rebuild_including_out_of_domain_values() {
+    fn relayout_answers_like_the_oracle_including_out_of_domain_values() {
         let data = random_dataset(4_000, 3, 31);
         let workload = random_workload(3, 20, 32);
         let index = FloodIndex::build(
@@ -290,24 +250,19 @@ mod tests {
             &CostModel::default(),
             &FloodConfig::fast(),
         );
-        // Batch with both in-domain rows and rows beyond every build-time
+        // The old rows plus in-domain rows and rows beyond every build-time
         // max (re-gridding must keep exactness sound).
         let mut rng = SplitMix::new(33);
-        let mut batch = Dataset::empty(3);
+        let mut merged = data.clone();
         for _ in 0..300 {
-            batch
+            merged
                 .push_row(&[rng.next_below(10_000), rng.next_below(10_000), 1])
                 .unwrap();
         }
         for i in 0..20u64 {
-            batch.push_row(&[50_000 + i, 60_000, 70_000 + i]).unwrap();
+            merged.push_row(&[50_000 + i, 60_000, 70_000 + i]).unwrap();
         }
-        let ingested = index.ingest(&batch).unwrap();
-
-        let mut merged = data.clone();
-        for row in batch.rows() {
-            merged.push_row(&row).unwrap();
-        }
+        let relaid = index.relayout(&merged).unwrap();
         let mut probes: Vec<Query> = workload.queries().to_vec();
         probes.push(Query::count(vec![Predicate::range(2, 65_000, 80_000).unwrap()]).unwrap());
         probes.push(
@@ -318,11 +273,34 @@ mod tests {
             .unwrap(),
         );
         for q in &probes {
-            assert_eq!(ingested.execute(q), q.execute_full_scan(&merged), "{q:?}");
+            assert_eq!(relaid.execute(q), q.execute_full_scan(&merged), "{q:?}");
         }
-        // Pruning still works after ingest.
-        let (_, stats) = ingested.execute_with_stats(&workload.queries()[0]);
+        // Pruning still works over the new rows.
+        let (_, stats) = relaid.execute_with_stats(&workload.queries()[0]);
         assert!(stats.points < merged.len());
+    }
+
+    #[test]
+    fn relayout_keeps_the_partitions() {
+        let data = random_dataset(4_000, 3, 38);
+        let workload = random_workload(3, 20, 39);
+        let index = FloodIndex::build(
+            &data,
+            &workload,
+            &CostModel::default(),
+            &FloodConfig::fast(),
+        );
+        let partitions = index.grid.partitions();
+        // Other rows: half as many, their columns in another order.
+        let other = random_dataset(2_000, 3, 40).select_dims(&[2, 0, 1]);
+        let relaid = index.relayout(&other).unwrap();
+        let kept = FloodIndex::build_with_partitions(&other, partitions);
+        assert_eq!(relaid.size_bytes(), kept.size_bytes());
+        for q in workload.queries() {
+            assert_eq!(relaid.plan(q), kept.plan(q), "{q:?}");
+            assert_eq!(relaid.execute(q), q.execute_full_scan(&other), "{q:?}");
+        }
+        assert_eq!(relaid.build_timing().optimize_secs, 0.0);
     }
 
     #[test]
@@ -342,21 +320,6 @@ mod tests {
         // Only the predicate that does not cover the table's values stays.
         assert_eq!(plan.residual(&q), &q.predicates()[1..]);
         assert_eq!(index.execute(&q), q.execute_full_scan(&data));
-    }
-
-    #[test]
-    fn ingest_refuses_a_batch_of_another_width() {
-        let data = random_dataset(1_000, 3, 35);
-        let index = FloodIndex::build_with_partitions(&data, &[4, 4, 2]);
-        let narrow = random_dataset(10, 2, 36);
-        assert!(matches!(
-            index.ingest(&narrow),
-            Err(TsunamiError::DimensionMismatch {
-                expected: 3,
-                got: 2
-            })
-        ));
-        assert!(index.ingest_batch(&narrow).is_err());
     }
 
     #[test]

@@ -19,23 +19,14 @@ use crate::Skeleton;
 use tsunami_core::sample::sample_dataset;
 use tsunami_core::{CostModel, Dataset, Workload};
 
-/// Result of the partition-count optimization.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct OptimizedPartitions {
-    /// The chosen per-dimension partition counts.
-    pub(crate) partitions: Vec<usize>,
-    /// The predicted average query cost for the chosen counts.
-    pub(crate) predicted_cost: f64,
-}
-
 /// Optimizes per-dimension partition counts for a dataset and workload by
-/// gradient descent over the predicted cost.
+/// gradient descent over the predicted cost, returning the chosen counts.
 pub(crate) fn optimize_partitions(
     data: &Dataset,
     workload: &Workload,
     cost: &CostModel,
     config: &FloodConfig,
-) -> OptimizedPartitions {
+) -> Vec<usize> {
     let sample = sample_dataset(data, config.sample_size, SEED);
     let total = data.len();
     let skeleton = Skeleton::all_independent(data.num_dims());
@@ -55,10 +46,7 @@ pub(crate) fn optimize_partitions(
             break;
         }
     }
-    OptimizedPartitions {
-        partitions,
-        predicted_cost: best_cost,
-    }
+    partitions
 }
 
 #[cfg(test)]
@@ -98,10 +86,11 @@ mod tests {
         let cfg = FloodConfig::fast();
         let sample = sample_dataset(&d, cfg.sample_size, SEED);
         let init = initial_partitions(&sample, &Skeleton::all_independent(3), &w, cfg.max_cells);
-        let init_cost = GridCostEstimator::new(&sample, d.len(), &w, &cost).price(&init);
+        let mut estimator = GridCostEstimator::new(&sample, d.len(), &w, &cost);
+        let init_cost = estimator.price(&init);
         let opt = optimize_partitions(&d, &w, &cost, &cfg);
-        assert!(opt.predicted_cost <= init_cost * 1.001);
-        assert!(opt.partitions.iter().product::<usize>() <= cfg.max_cells);
+        assert!(estimator.price(&opt) <= init_cost * 1.001);
+        assert!(opt.iter().product::<usize>() <= cfg.max_cells);
     }
 
     #[test]
@@ -110,7 +99,7 @@ mod tests {
         let w = workload();
         let opt = optimize_partitions(&d, &w, &CostModel::default(), &FloodConfig::fast());
         // dim2 is never filtered: it should get essentially no partitions.
-        assert!(opt.partitions[2] <= 2, "{:?}", opt.partitions);
-        assert!(opt.partitions[0] >= 2, "{:?}", opt.partitions);
+        assert!(opt[2] <= 2, "{opt:?}");
+        assert!(opt[0] >= 2, "{opt:?}");
     }
 }

@@ -1,10 +1,11 @@
 //! Differential ingest-testing harness: absorbing new rows into a built
-//! index (`Database::insert_batch`, backed by `TsunamiIndex::ingest` /
-//! `FloodIndex::ingest` / `ClusteredSingleDimIndex::ingest`) must be
-//! indistinguishable from an index rebuilt over the full dataset in
-//! *results* — bit-identical answers for all five aggregations, serial and
-//! parallel, with residual-predicate elimination intact — while keeping the
-//! post-ingest scan volume within a small tolerance of the fresh rebuild's.
+//! index (`Database::insert_batch`, backed by `TsunamiIndex::ingest`,
+//! `FullScanIndex`'s append, or `MultiDimIndex::relayout` for every other
+//! family) must be indistinguishable from an index rebuilt over the full
+//! dataset in *results* — bit-identical answers for all five aggregations,
+//! serial and parallel, with residual-predicate elimination intact — while
+//! keeping the post-ingest scan volume within a small tolerance of the fresh
+//! rebuild's.
 
 use tsunami_core::sample::SplitMix;
 use tsunami_core::{
@@ -12,21 +13,25 @@ use tsunami_core::{
 };
 use tsunami_index::FloodConfig;
 use tsunami_index::{OptimizerKind, TsunamiConfig, TsunamiIndex};
-use tsunami_suite::{Database, IndexSpec, Table};
+use tsunami_suite::{Database, IndexSpec, PageSize, Table};
 use tsunami_workloads::{synthetic, tpch};
 
 mod common;
 use common::assert_grids_if_tsunami;
 
-/// Every ingest-capable index family: Tsunami routes rows through its Grid
-/// Tree, Flood re-grids its rows plus the batch with the same partitions,
-/// SingleDim takes the sorted-merge path, FullScan appends.
+/// Every index family: Tsunami routes rows through its Grid Tree, FullScan
+/// appends, and the rest lay their rows plus the batch out again under the
+/// decision their build made — Flood with the same partitions, SingleDim on
+/// the same sort dimension, the paged families at the same page size.
 fn ingest_specs() -> Vec<IndexSpec> {
     vec![
         IndexSpec::Tsunami(TsunamiConfig::fast()),
         IndexSpec::Flood(FloodConfig::fast()),
         IndexSpec::SingleDim,
         IndexSpec::FullScan,
+        IndexSpec::ZOrder(PageSize::Fixed(256)),
+        IndexSpec::Octree(PageSize::Fixed(256)),
+        IndexSpec::KdTree(PageSize::Fixed(256)),
     ]
 }
 
